@@ -202,9 +202,12 @@ def degree_check(k, m, n, a):
 
 def genfun_series_zq(k, m, n, z_order):
     """Series part of the (k, m, n) generating function rewritten in
-    double-step units (coefficient of z^a is a polynomial in q)."""
-    gf = genfun(GenSpec(k, min(m, n), max(m, n), 2 * z_order))
-    return gf.series.to_double_step()
+    double-step units (coefficient of z^a is a polynomial in q).  The
+    z^a coefficient counts paths of 2a + |n - m| steps, so the spec
+    order covers that many."""
+    m, n = min(m, n), max(m, n)
+    gf = genfun(GenSpec(k, m, n, 2 * z_order + n - m))
+    return gf.series.resized(2 * z_order).to_double_step()
 
 
 def genfun_via_cluster(spec):

@@ -24,6 +24,7 @@ objects, so values may be shared freely across threads.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from fractions import Fraction
 
 
@@ -204,6 +205,39 @@ class QLaurent:
         return QLaurent._wrap(out)
 
     __rmul__ = __mul__
+
+    def mul_upto(self, other, cap):
+        """Product with every exponent above `cap` dropped.
+
+        When both factors have non-negative exponents, dropping the
+        exponents above a cap is a ring homomorphism, so a chain of
+        capped products and sums is exact at every exponent up to `cap`.
+        The exponents kept form one bounded range, so the product is
+        accumulated in a list indexed by exponent.
+        """
+        a, b = self._c, other._c
+        if not a or not b:
+            return _QL_ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        lo = min(a) + min(b)
+        hi = min(cap, max(a) + max(b))
+        if hi < lo:
+            return _QL_ZERO
+        a_exps = sorted(a)
+        a_items = [(e - lo, a[e]) for e in a_exps]
+        acc = [0] * (hi - lo + 1)
+        for eb, cb in b.items():
+            for i, ca in a_items[:bisect_right(a_exps, hi - eb)]:
+                acc[i + eb] += ca * cb
+        return QLaurent._wrap({e: v if type(v) is int else _norm(v)
+                               for e, v in enumerate(acc, lo) if v})
+
+    def upto(self, cap):
+        """Same polynomial with every exponent above `cap` dropped."""
+        if not self._c or max(self._c) <= cap:
+            return self
+        return QLaurent._wrap({e: v for e, v in self._c.items() if e <= cap})
 
     def __pow__(self, n):
         if n < 0:
@@ -521,8 +555,9 @@ class LSeries:
     `c[l]` is the coefficient of zeta^l, an element of the coefficient
     ring (QLaurent by default, TPoly when the touchdown marker is live).
     Arithmetic never consults anything beyond the truncation order, and
-    combining series of different orders truncates to the shorter one;
-    equality likewise compares up to the shorter truncation.
+    combining series of different orders truncates to the shorter one.
+    Equality is order-strict: series of different orders are unequal, so
+    a result truncated early cannot pass a comparison.
     """
 
     __slots__ = ("order", "c", "ring")
@@ -568,10 +603,6 @@ class LSeries:
     @classmethod
     def zeros(cls, order, ring=QLaurent):
         return cls(order, None, ring)
-
-    @classmethod
-    def monomial(cls, order, l, coeff=1, ring=QLaurent):
-        return cls(order, {l: coeff}, ring)
 
     def coeff(self, l):
         """Coefficient of zeta^l; IndexError beyond the truncation."""
@@ -628,6 +659,14 @@ class LSeries:
             if isinstance(other, (int, Fraction, QLaurent, TPoly)):
                 return self.scale(other)
             return NotImplemented
+        return self.mul(other)
+
+    __rmul__ = __mul__
+
+    def mul(self, other, cap=None):
+        """Series product.  With an area cap (plain area series with
+        non-negative exponents only) every area exponent above it is
+        dropped, exactly as QLaurent.mul_upto does."""
         if self.ring is not other.ring:
             raise TypeError("mixed coefficient rings; lift explicitly")
         L = min(self.order, other.order)
@@ -642,10 +681,9 @@ class LSeries:
                 l = i + j
                 if l > L:
                     break
-                out[l] = out[l] + vi * vj
+                p = vi * vj if cap is None else vi.mul_upto(vj, cap)
+                out[l] = out[l] + p
         return LSeries._wrap(L, out, self.ring)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
@@ -669,9 +707,11 @@ class LSeries:
         return LSeries._wrap(
             self.order, [w * v for w in self.c], self.ring)
 
-    def divide(self, other):
+    def divide(self, other, cap=None):
         """Series quotient; the divisor's constant term must be a nonzero
-        rational scalar (the standard invertibility condition here)."""
+        rational scalar (the standard invertibility condition here).
+        With an area cap the quotient keeps only the area exponents up to
+        it, as in `mul`."""
         b = self._coerce_other(other)
         if b is None:
             raise TypeError(f"cannot divide by {type(other).__name__}")
@@ -686,13 +726,14 @@ class LSeries:
                 if not v.is_zero()]
         out = []
         for n in range(L + 1):
-            acc = self.c[n]
+            acc = self.c[n] if cap is None else self.c[n].upto(cap)
             for j, vj in b_nz:
                 if j > n:
                     break
                 prev = out[n - j]
                 if not prev.is_zero():
-                    acc = acc - vj * prev
+                    p = vj * prev if cap is None else vj.mul_upto(prev, cap)
+                    acc = acc - p
             out.append(acc if inv_r is None else acc.scale(inv_r))
         return LSeries._wrap(L, out, self.ring)
 
@@ -801,10 +842,8 @@ class LSeries:
     def __eq__(self, other):
         if not isinstance(other, LSeries):
             return NotImplemented
-        if self.ring is not other.ring:
-            return False
-        L = min(self.order, other.order)
-        return all(self.c[l] == other.c[l] for l in range(L + 1))
+        return (self.ring is other.ring and self.order == other.order
+                and self.c == other.c)
 
     __hash__ = None
 
@@ -821,26 +860,3 @@ def lift_marker(series):
         return series
     return series.map_coeffs(TPoly.from_area)
 
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_div(a, b):
-    return a.divide(b)
-
-
-def series_log(a):
-    return a.log()
-
-
-def series_exp(a):
-    return a.exp()
-
-
-def substitute_scale(a, j):
-    return a.substitute_scale(j)
-
-
-def invert_q(a):
-    return a.invert_q()

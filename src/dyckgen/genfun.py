@@ -12,9 +12,7 @@ where F is the ceiling determinant; the prefactor is kept separate so
 that callers can work with the polynomial part alone (its area exponents
 stay integral even after the double-step rescale).
 
-An unbounded ceiling is requested with k = None and realized internally
-as k = truncation order: a path of at most `order` steps never sees a
-higher ceiling, so the series has stabilized.
+An unbounded ceiling is requested with k = None.
 """
 
 from __future__ import annotations
@@ -59,21 +57,37 @@ class GenSpec:
 
     @property
     def ceiling(self):
-        """Effective ceiling: k itself when finite.  When unbounded, a
-        path of at most `order` steps from m to n never climbs past
-        (order + m + n)/2, so any ceiling at least that high (and at
-        least the endpoints, and at least `order` for good measure)
-        gives the exact unbounded coefficients."""
+        """Effective ceiling: k itself when finite.  When unbounded, the
+        lowest ceiling that gives the exact unbounded coefficients: a
+        path of l <= order steps from m to n rises (l - |n - m|)/2 above
+        the higher endpoint at most, so it never climbs past
+        (order + m + n)/2, and the path that goes straight up and then
+        straight down reaches that height."""
         if self.k is not None:
             return self.k
-        return max(self.m, self.n, self.order,
-                   (self.order + self.m + self.n) // 2)
+        return max(self.m, self.n, (self.order + self.m + self.n) // 2)
+
+    @property
+    def area_cap(self):
+        """Largest area exponent the series part can carry, or None for
+        a finite ceiling (no truncation).  When unbounded, the most area
+        at a = (order - |n - m|)/2 step pairs beyond the direct rise is
+        a(a-1) + 2an plaquettes, from the path that climbs a above the
+        higher endpoint n and comes back down."""
+        if self.k is not None:
+            return None
+        n = max(self.m, self.n)
+        a = (self.order - abs(self.n - self.m)) // 2
+        return a * (a - 1) + 2 * a * n
 
 
 @dataclass(frozen=True)
 class GenFun:
     """A computed generating function: monomial prefactor exponents plus
-    the even polynomial-part series."""
+    the even polynomial-part series.  Only the series coefficients up to
+    order - step_shift are part of the result (the ones full_series
+    keeps); for an unbounded spec the ones above are not the unbounded
+    counts."""
 
     spec: GenSpec
     series: LSeries
@@ -88,7 +102,11 @@ class GenFun:
         return s
 
     def coefficient(self, l, area):
-        """Exact number of paths with l steps and area `area`."""
+        """Exact number of paths with l steps and area `area`;
+        IndexError beyond the spec order."""
+        if l > self.spec.order:
+            raise IndexError(
+                f"step power {l} beyond truncation {self.spec.order}")
         lp = l - self.step_shift
         if lp < 0:
             return 0
@@ -96,18 +114,25 @@ class GenFun:
 
 
 @lru_cache(maxsize=None)
-def _inv_fk(k, order):
-    return LSeries.one(order).divide(fk_polynomial(k).resized(order))
+def _inv_fk(k, order, cap):
+    """1/F_k to `order` steps, area exponents above `cap` dropped (None
+    keeps them all)."""
+    return LSeries.one(order).divide(fk_polynomial(k).resized(order), cap)
 
 
 def genfun(spec):
-    """Generating function for spec; symmetric in (m, n)."""
+    """Generating function for spec; symmetric in (m, n).
+
+    Every factor has non-negative area exponents, so an unbounded spec
+    drops the exponents above its area cap throughout; that is exact for
+    the coefficients full_series keeps."""
     k = spec.ceiling
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
     L = spec.order
+    cap = spec.area_cap
     num = fk_polynomial(m - 1).resized(L)
     upper = fk_polynomial(k - n - 1).resized(L).substitute_scale(n + 1)
-    series = (num * upper) * _inv_fk(k, L)
+    series = num.mul(upper, cap).mul(_inv_fk(k, L, cap), cap)
     return GenFun(spec, series, n - m, (n - m) * (n + m - 1) // 2)
 
 
@@ -115,7 +140,7 @@ def genfun_excursion(k, order):
     """Floor-to-floor paths under ceiling k: F_{k-1}(zeta*theta)/F_k."""
     spec = GenSpec(k, 0, 0, order)
     series = (fk_polynomial(k - 1).resized(order).substitute_scale(1)
-              * _inv_fk(k, order))
+              * _inv_fk(k, order, None))
     return GenFun(spec, series, 0, 0)
 
 

@@ -7,8 +7,8 @@ steps.  Three statistics are tracked exactly:
 * area A: sum over steps of the plaquette count, an up step from height
   j contributing j and a down step from height j contributing j - 1
   (equivalently, the area below the path and above the floor, minus half
-  the length; A can reach -l/2 for paths hugging the floor, so negative
-  values are normal);
+  the length).  A down step leaves a height j >= 1, so every step adds
+  at least 0 and A is never negative;
 * touchdowns s: down steps that land on height 0.  Starting at 0 does
   not count; a final step down to 0 does.
 
@@ -50,14 +50,6 @@ class PathTable:
 
     def count(self, l, area, s):
         return self.counts.get((l, area, s), 0)
-
-    def count_area(self, l, area):
-        """Count with the touchdown statistic summed out."""
-        total = 0
-        for (ll, aa, _), c in self.counts.items():
-            if ll == l and aa == area:
-                total += c
-        return total
 
     def total(self, l):
         """Number of paths of length l regardless of area/touchdowns."""

@@ -152,8 +152,8 @@ class TestTableCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["spec"]["k"] == "inf"
-        # the effective ceiling for an unbounded spec at this length is 6
-        assert table_from_json(doc) == enumerate_paths(6, 0, 0, 6)
+        # the effective ceiling for an unbounded spec at this length is 3
+        assert table_from_json(doc) == enumerate_paths(3, 0, 0, 6)
 
 
 class TestVerifyCommand:

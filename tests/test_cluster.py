@@ -132,6 +132,10 @@ class TestRestricted:
         spec = GenSpec(None, 1, 2, 13)
         assert genfun_via_cluster(spec) == genfun(spec).full_series()
 
+    def test_series_zq_unbounded_covers_its_top_power(self):
+        # z^4 of (0, 2) counts 10-step paths, which climb to height 6
+        assert genfun_series_zq(None, 0, 2, 4) == genfun_series_zq(6, 0, 2, 4)
+
     def test_prefactor_log_terms(self):
         lg = log_genfun_restricted(4, 1, 2, 5)
         assert isinstance(lg, MeanderLog)

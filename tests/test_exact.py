@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckgen.exact import (BadConstantTerm, InexactDivision, LSeries,
                            NonUnitConstantTerm, QLaurent, TPoly, lift_marker)
@@ -15,6 +17,18 @@ COEFFS = [1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
 def rand_qlaurent(rng, max_terms=4, span=6):
     return QLaurent({rng.randrange(-span, span + 1): rng.choice(COEFFS)
                      for _ in range(rng.randrange(max_terms + 1))})
+
+
+# polynomials in the area variable with non-negative exponents, the
+# domain on which dropping the exponents above a cap is a ring map
+polys = st.dictionaries(
+    st.integers(0, 12),
+    st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3),
+    max_size=6).map(QLaurent)
+
+
+def dropped_above(q, cap):
+    return QLaurent({e: c for e, c in q.terms() if e <= cap})
 
 
 def rand_series(rng, order=8, ring=QLaurent):
@@ -87,6 +101,11 @@ class TestQLaurent:
         with pytest.raises(ValueError):
             QLaurent({1: 1}).scalar_value()
 
+    @settings(deadline=None)
+    @given(polys, polys, st.integers(-1, 26))
+    def test_mul_upto_drops_exponents_above_cap(self, a, b, cap):
+        assert a.mul_upto(b, cap) == dropped_above(a * b, cap)
+
     def test_hash_consistent_across_int_fraction(self):
         a = QLaurent({2: 2})
         b = QLaurent({2: Fraction(4, 2)})
@@ -128,10 +147,11 @@ class TestTPoly:
 
 class TestLSeries:
     def test_truncation_and_equality_semantics(self):
-        # equality compares up to the shorter truncation
+        # equality is order-strict: agreeing up to the shorter truncation
+        # is not enough
         a = LSeries(4, {0: 1, 2: 1})
         b = LSeries(8, {0: 1, 2: 1, 6: 5})
-        assert a == b
+        assert a != b
         assert b.resized(4) == a
         with pytest.raises(IndexError):
             a.coeff(5)
@@ -157,6 +177,21 @@ class TestLSeries:
         b = rand_series(rng)
         b = b - b.coeff(0) + 1  # force unit constant term
         assert (a * b).divide(b) == a
+
+    @settings(deadline=None)
+    @given(st.lists(polys, min_size=1, max_size=5),
+           st.lists(polys, min_size=1, max_size=5),
+           st.sampled_from([1, -1, 2, Fraction(1, 3)]),
+           st.integers(0, 30))
+    def test_capped_product_and_quotient_drop_above_cap(self, a, b, unit,
+                                                        cap):
+        order = 4
+        a = LSeries(order, a)
+        b = LSeries(order, [QLaurent.const(unit), *b[1:]])
+        capped = [dropped_above(v, cap) for v in (a * b).c]
+        assert a.mul(b, cap).c == capped
+        capped = [dropped_above(v, cap) for v in a.divide(b).c]
+        assert a.divide(b, cap).c == capped
 
     def test_divide_requires_scalar_unit(self):
         bad = LSeries(4, {0: QLaurent({1: 1})})

@@ -3,11 +3,12 @@ together."""
 
 import pytest
 
+from dyckgen.cluster import degree_formula
 from dyckgen.exact import LSeries, QLaurent
 from dyckgen.genfun import (GenSpec, SpecOutOfRange, check_duality,
                             check_recursions, continued_fraction, genfun,
                             genfun_excursion, genfun_weighted)
-from dyckgen.oracle import enumerate_paths, genfun_from_table
+from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
 
 
@@ -25,11 +26,35 @@ class TestGenSpec:
             GenSpec(None, 0, 9, 8)  # unreachable in 8 steps
 
     def test_effective_ceiling_clears_reachable_heights(self):
-        # a path of l steps from m to n climbs at most (l+m+n)/2 high
-        spec = GenSpec(None, 2, 2, 2)
-        assert spec.ceiling >= 3
-        assert GenSpec(None, 0, 0, 10).ceiling == 10
+        # a path of l steps from m to n climbs at most (l+m+n)/2 high,
+        # and the straight rise-and-fall path gets there
+        assert GenSpec(None, 2, 2, 2).ceiling == 3
+        assert GenSpec(None, 0, 0, 10).ceiling == 5
         assert GenSpec(7, 1, 1, 4).ceiling == 7
+        for m in range(4):
+            for n in range(m, 4):
+                for L in range(n, 13):
+                    c = GenSpec(None, m, n, L).ceiling
+                    assert c == max(n, (L + m + n) // 2)
+                    at = enumerate_paths(c, m, n, L).counts
+                    assert enumerate_paths(c + 1, m, n, L).counts == at
+                    if c > n:
+                        below = enumerate_paths(c - 1, m, n, L).counts
+                        assert below != at, (m, n, L)
+
+    def test_area_cap_is_largest_reachable_area(self):
+        for m in range(5):
+            for n in range(m, 5):
+                for L in range(n, 17):
+                    spec = GenSpec(None, m, n, L)
+                    top = L - (L - n + m) % 2   # longest admissible length
+                    shift = (n - m) * (n + m - 1) // 2
+                    widest = max_area(L + n, m, n, top)   # no ceiling in reach
+                    assert spec.area_cap == widest - shift, (m, n, L)
+                    a = (L - n + m) // 2
+                    if a >= 1:
+                        assert spec.area_cap == 2 * degree_formula(None, n, a)
+        assert GenSpec(4, 1, 2, 10).area_cap is None
 
 
 class TestAgainstOracle:
@@ -48,6 +73,8 @@ class TestAgainstOracle:
         assert gf.coefficient(0, 0) == 0    # parity: no 0-step 1->2 path
         assert gf.coefficient(1, 1) == 1    # the single up-step
         assert gf.coefficient(2, 5) == 0
+        with pytest.raises(IndexError):
+            gf.coefficient(14, 21)   # beyond the spec order
 
     def test_zigzag_closed_form(self):
         gf = genfun(GenSpec(1, 0, 0, 10))
@@ -106,6 +133,18 @@ class TestStructure:
             spec = GenSpec(None, m, n, L)
             higher = genfun(GenSpec(spec.ceiling + 5, m, n, L))
             assert genfun(spec).full_series() == higher.full_series()
+
+    def test_capped_unbounded_matches_uncapped_finite_ceiling(self):
+        # one finite ceiling per order, at or above every endpoint pair's
+        # unbounded ceiling, so its uncapped 1/F_k is shared
+        for L in (*range(17), 23, 32):
+            finite_k = L // 2 + 3
+            for m in range(4):
+                for n in range(m, min(3, L) + 1):
+                    finite = GenSpec(finite_k, m, n, L)
+                    assert finite.area_cap is None
+                    assert (genfun(GenSpec(None, m, n, L)).full_series()
+                            == genfun(finite).full_series()), (m, n, L)
 
     def test_unbounded_matches_tall_oracle(self):
         # m=n=2 with only 2 steps needs height 3; the enumerator at a
