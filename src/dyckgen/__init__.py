@@ -24,35 +24,34 @@ from .cluster import (MeanderLog, PPolynomial, c2, c2_factorial,
                       degree_formula, genfun_via_cluster,
                       log_genfun_restricted, log_genfun_unbounded,
                       log_secular, p_restricted, p_unbounded)
+from .config import GuardExceeded, SpecOutOfRange, UsageError
 from .exact import (BadConstantTerm, Convention, InexactDivision, LSeries,
                     NonUnitConstantTerm, QLaurent, TPoly, lift_marker)
-from .genfun import (GenFun, GenSpec, SpecOutOfRange, WeightedGenFun,
-                     check_duality, check_recursions, continued_fraction,
-                     genfun, genfun_excursion, genfun_weighted)
+from .genfun import (GenFun, GenSpec, WeightedGenFun, check_duality,
+                     continued_fraction, genfun, genfun_excursion,
+                     genfun_weighted)
 from .oracle import (PathTable, Unreachable, enumerate_paths,
                      genfun_from_table, max_area)
-from .spectral import (GuardExceeded, HeightTooLarge, InvalidHeight,
-                       SecularMatrix, bosonic_partition, det_degree,
-                       fk_polynomial, grand_partition_exclusion,
-                       height_generating_function, qbinom, secular_det_direct,
-                       secular_det_recursive, secular_det_tilde,
-                       secular_matrix, spectral_function)
-from .touchdown import (TouchdownSeries, tilde_genfun, tilde_genfun_openend,
+from .spectral import (bosonic_partition, det_degree, fk_polynomial,
+                       grand_partition_exclusion, height_generating_function,
+                       qbinom, secular_det_direct, secular_det_recursive,
+                       secular_det_tilde, secular_matrix, spectral_function)
+from .touchdown import (tilde_genfun, tilde_genfun_openend,
                         tilde_genfun_ratio, tilde_secular,
                         tilde_secular_direct, tilde_secular_toprow)
-from .verify import CheckResult, run_suites
+from .verify import CheckResult, check_recursions, run_suites
 
 __all__ = [
     "BadConstantTerm", "CheckResult", "Convention", "GenFun", "GenSpec",
-    "GuardExceeded", "HeightTooLarge", "InexactDivision", "InvalidHeight",
-    "LSeries", "MeanderLog", "NonUnitConstantTerm", "PPolynomial",
-    "PathTable", "QLaurent", "SecularMatrix", "SpecOutOfRange", "TPoly",
-    "TouchdownSeries", "Unreachable", "WeightedGenFun", "bosonic_partition",
-    "c2", "c2_factorial", "check_duality", "check_recursions",
-    "composition_energy", "compositions", "continued_fraction",
-    "degree_check", "degree_formula", "det_degree", "enumerate_paths",
-    "fk_polynomial", "genfun", "genfun_excursion", "genfun_from_table",
-    "genfun_via_cluster", "genfun_weighted", "grand_partition_exclusion",
+    "GuardExceeded", "InexactDivision", "LSeries", "MeanderLog",
+    "NonUnitConstantTerm", "PPolynomial", "PathTable", "QLaurent",
+    "SpecOutOfRange", "TPoly", "Unreachable", "UsageError",
+    "WeightedGenFun", "bosonic_partition", "c2", "c2_factorial",
+    "check_duality", "check_recursions", "composition_energy",
+    "compositions", "continued_fraction", "degree_check", "degree_formula",
+    "det_degree", "enumerate_paths", "fk_polynomial", "genfun",
+    "genfun_excursion", "genfun_from_table", "genfun_via_cluster",
+    "genfun_weighted", "grand_partition_exclusion",
     "height_generating_function", "lift_marker", "log_genfun_restricted",
     "log_genfun_unbounded", "log_secular", "max_area", "p_restricted",
     "p_unbounded", "qbinom", "run_suites", "secular_det_direct",

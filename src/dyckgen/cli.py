@@ -1,8 +1,8 @@
 """Command-line interface: compute generating functions, tabulate raw
 path counts, and run the verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-cross-method mismatch (never expected).
+Exit codes: 0 success, 1 verification failure, 2 usage error (any
+config.UsageError), 3 internal cross-method mismatch (never expected).
 
 JSON payloads keep a stable shape: {"spec": {...}, "convention": str,
 "method": str, "version": str, "terms": [...]}, each term carrying "l",
@@ -22,23 +22,14 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__, oracle
+from . import __version__
 from .cluster import genfun_via_cluster
+from .config import UsageError
 from .exact import Convention, TPoly
-from .genfun import GenSpec, SpecOutOfRange, continued_fraction, genfun
+from .genfun import GenSpec, continued_fraction, genfun
 from .oracle import PathTable, enumerate_paths
-from .spectral import GuardExceeded, HeightTooLarge, InvalidHeight
 from .touchdown import tilde_genfun, tilde_genfun_ratio
 from .verify import SUITE_NAMES, run_suites
-
-
-class UsageError(ValueError):
-    pass
-
-
-_USAGE_ERRORS = (UsageError, SpecOutOfRange, InvalidHeight, HeightTooLarge,
-                 GuardExceeded, oracle.SpecOutOfRange, oracle.GuardExceeded,
-                 oracle.Unreachable)
 
 
 def _parse_k(text):
@@ -275,7 +266,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as e:
+    except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from .config import SpecOutOfRange
 from .exact import LSeries, QLaurent
-from .genfun import GenSpec, SpecOutOfRange, genfun
+from .genfun import GenSpec, genfun
 
 
 def compositions(a, max_parts=None):
@@ -166,20 +167,10 @@ def log_genfun_restricted(k, m, n, a_max):
 def log_secular(k, a_max):
     """Coefficients of z^1..z^a_max in ln F_k: minus the sum over
     compositions with at most k parts of c2 * q^energy times the base
-    window sum r = 0..k-j."""
+    window sum r = 0..k-j, which is p_restricted(k, 0, k, a)."""
     if k < 0:
-        raise ValueError("ceiling must be >= 0")
-    out = []
-    for a in range(1, a_max + 1):
-        acc = QLaurent.zero()
-        for comp in compositions(a, max_parts=k):
-            j = len(comp)
-            window = _geom(a, 0, k - j)
-            if window.is_zero():
-                continue
-            acc = acc + window.shift(composition_energy(comp)).scale(c2(comp))
-        out.append(-acc)
-    return tuple(out)
+        raise SpecOutOfRange("ceiling must be >= 0")
+    return tuple(-p_restricted(k, 0, k, a) for a in range(1, a_max + 1))
 
 
 def degree_formula(k, n, a):
@@ -215,8 +206,7 @@ def genfun_via_cluster(spec):
     exponentiating the cluster logarithm; an independent multiplicative
     route to the same object as genfun."""
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-    step_shift = n - m
-    area_shift = (n - m) * (n + m - 1) // 2
+    step_shift, area_shift = spec.step_shift, spec.area_shift
     z_order = (spec.order - step_shift) // 2
     if z_order < 0:
         return LSeries.zeros(spec.order)

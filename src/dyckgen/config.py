@@ -1,9 +1,13 @@
-"""Desk-scale guards for the enumerative code paths.
+"""Desk-scale guards for the enumerative code paths, and the errors that
+report bad input.
 
 The closed forms are cheap at any size; the explicit enumerations are
 not.  These limits keep a casual invocation from accidentally launching
 a huge exact computation.  Setting the environment variable
 DYCKGEN_GUARD_OVERRIDE (to any non-empty value) lifts all of them.
+
+Every error a caller can cause by what it asks for is a UsageError; the
+command line turns it into exit code 2.
 """
 
 from __future__ import annotations
@@ -20,5 +24,27 @@ ENUM_PARTITION_MAX = 36
 ORACLE_LEN_MAX = 24
 
 
+class UsageError(ValueError):
+    """A request that cannot be served as asked."""
+
+
+class SpecOutOfRange(UsageError):
+    """Ceiling, heights, order or length outside the admissible range."""
+
+
+class GuardExceeded(UsageError):
+    """Enumeration larger than the desk-scale guard allows; set
+    DYCKGEN_GUARD_OVERRIDE to lift the limit."""
+
+
 def guards_lifted() -> bool:
     return bool(os.environ.get("DYCKGEN_GUARD_OVERRIDE"))
+
+
+def check_guard(value, limit, what):
+    """Raise GuardExceeded when value is above limit and the guards are
+    not lifted; `what` names the value in the message."""
+    if value > limit and not guards_lifted():
+        raise GuardExceeded(
+            f"{what} {value} exceeds guard {limit} "
+            "(set DYCKGEN_GUARD_OVERRIDE=1 to lift)")

@@ -798,6 +798,8 @@ class LSeries:
             raise ValueError("negative step shift")
         if d == 0:
             return self
+        if d > self.order:
+            return LSeries.zeros(self.order, self.ring)
         zero = self.ring.zero()
         keep = self.c[:self.order + 1 - d]
         return LSeries._wrap(self.order, [zero] * d + keep, self.ring)

@@ -20,12 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .exact import Convention, LSeries, QLaurent
-from .spectral import InvalidHeight, fk_polynomial
-
-
-class SpecOutOfRange(ValueError):
-    """Heights or order outside the admissible range."""
+from .config import SpecOutOfRange
+from .exact import Convention, LSeries, QLaurent, TPoly
+from .spectral import fk_polynomial
 
 
 @dataclass(frozen=True)
@@ -80,37 +77,64 @@ class GenSpec:
         a = (self.order - abs(self.n - self.m)) // 2
         return a * (a - 1) + 2 * a * n
 
+    @property
+    def step_shift(self):
+        """Step exponent of the monomial prefactor: |n - m|."""
+        return abs(self.n - self.m)
+
+    @property
+    def area_shift(self):
+        """Area exponent of the monomial prefactor: (n-m)(n+m-1)/2 for
+        m <= n (symmetric in the endpoints)."""
+        return self.step_shift * (self.m + self.n - 1) // 2
+
 
 @dataclass(frozen=True)
 class GenFun:
-    """A computed generating function: monomial prefactor exponents plus
-    the even polynomial-part series.  Only the series coefficients up to
-    order - step_shift are part of the result (the ones full_series
-    keeps); for an unbounded spec the ones above are not the unbounded
-    counts."""
+    """A computed generating function: the series part, whose monomial
+    prefactor is fixed by the spec (GenSpec.step_shift, area_shift).
+    Coefficients are area polynomials, or marker polynomials whose t^s
+    part counts paths with s floor returns (touchdown results).  Only
+    the series coefficients up to order - step_shift are part of the
+    result (the ones full_series keeps); for an unbounded spec the ones
+    above are not the unbounded counts."""
 
     spec: GenSpec
     series: LSeries
-    step_shift: int
-    area_shift: int
+
+    def _with_prefactor(self, s):
+        s = s.shift_step(self.spec.step_shift)
+        if self.spec.area_shift:
+            s = s.scale(QLaurent.mono(self.spec.area_shift))
+        return s
 
     def full_series(self):
         """Prefactor folded back in, truncated at the spec order."""
-        s = self.series.shift_step(self.step_shift)
-        if self.area_shift:
-            s = s.scale(QLaurent.mono(self.area_shift))
-        return s
+        return self._with_prefactor(self.series)
 
-    def coefficient(self, l, area):
-        """Exact number of paths with l steps and area `area`;
-        IndexError beyond the spec order."""
+    def at_t_one(self):
+        """Forget the touchdown statistic: the plain area series (the
+        full series itself when unmarked)."""
+        if self.series.ring is not TPoly:
+            return self.full_series()
+        return self._with_prefactor(self.series.map_coeffs(TPoly.at_t_one))
+
+    def coefficient(self, l, area, touchdowns=None):
+        """Exact number of paths with l steps, area `area` and, on a
+        touchdown result, the given number of floor returns (any number
+        when None); IndexError beyond the spec order."""
         if l > self.spec.order:
             raise IndexError(
                 f"step power {l} beyond truncation {self.spec.order}")
-        lp = l - self.step_shift
+        lp = l - self.spec.step_shift
         if lp < 0:
             return 0
-        return self.series.coeff(lp).coeff(area - self.area_shift)
+        v = self.series.coeff(lp)
+        if self.series.ring is TPoly:
+            v = v.at_t_one() if touchdowns is None else v.coeff(touchdowns)
+        elif touchdowns is not None:
+            raise ValueError("floor returns are counted on touchdown results")
+        return v.coeff(area - self.spec.area_shift)
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +157,7 @@ def genfun(spec):
     num = fk_polynomial(m - 1).resized(L)
     upper = fk_polynomial(k - n - 1).resized(L).substitute_scale(n + 1)
     series = num.mul(upper, cap).mul(_inv_fk(k, L, cap), cap)
-    return GenFun(spec, series, n - m, (n - m) * (n + m - 1) // 2)
+    return GenFun(spec, series)
 
 
 def genfun_excursion(k, order):
@@ -141,7 +165,7 @@ def genfun_excursion(k, order):
     spec = GenSpec(k, 0, 0, order)
     series = (fk_polynomial(k - 1).resized(order).substitute_scale(1)
               * _inv_fk(k, order, None))
-    return GenFun(spec, series, 0, 0)
+    return GenFun(spec, series)
 
 
 @dataclass(frozen=True)
@@ -190,86 +214,13 @@ def check_duality(spec):
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class RecursionCheck:
-    name: str
-    params: str
-    ok: bool
-    detail: str = ""
-
-
-def _first_mismatch(a, b):
-    L = min(a.order, b.order)
-    for l in range(L + 1):
-        if a.c[l] != b.c[l]:
-            return f"first mismatch at step power {l}: {a.c[l]!r} != {b.c[l]!r}"
-    return ""
-
-
-def _mono(order, step, area):
-    return LSeries(order, {step: QLaurent.mono(area)})
-
-
-def check_recursions(spec):
-    """Verify the transfer identities available at this spec; returns one
-    RecursionCheck per identity instance (empty detail on success).
-
-    With m = min, n = max endpoint:
-    * last_rise (m < n): peel the final ascent to n off the path.
-    * intermediate_level (each ell in m..n-1): split at the last visit
-      to level ell.
-    * last_step (m < n < k): condition on the final step's direction.
-    * first_return (m = n = 0 < k): condition on the first return to the
-      floor.
-    """
-    if spec.k is None:
-        raise SpecOutOfRange("recursions are checked at finite ceiling")
-    k, L = spec.k, spec.order
-    m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-    out = []
-
-    def series(kk, mm, nn):
-        return genfun(GenSpec(kk, mm, nn, L)).full_series()
-
-    lhs = series(k, m, n)
-    if m < n:
-        rhs = (_mono(L, 1, n - 1) * series(k, m, n - 1)
-               * genfun_excursion(k - n, L).full_series().substitute_scale(n))
-        ok = lhs == rhs
-        out.append(RecursionCheck(
-            "last_rise", f"k={k} m={m} n={n}", ok,
-            "" if ok else _first_mismatch(lhs, rhs)))
-    for ell in range(m, n):
-        rhs = (_mono(L, 1, ell) * series(k, ell + 1, n) * series(ell, m, ell))
-        ok = lhs == rhs
-        out.append(RecursionCheck(
-            "intermediate_level", f"k={k} m={m} n={n} ell={ell}", ok,
-            "" if ok else _first_mismatch(lhs, rhs)))
-    if m < n < k:
-        rhs = (_mono(L, 1, n - 1) * series(k, m, n - 1)
-               + _mono(L, 1, n) * series(k, m, n + 1))
-        ok = lhs == rhs
-        out.append(RecursionCheck(
-            "last_step", f"k={k} m={m} n={n}", ok,
-            "" if ok else _first_mismatch(lhs, rhs)))
-    if m == n == 0 and k >= 1:
-        g = genfun_excursion(k, L).full_series()
-        below = genfun_excursion(k - 1, L).full_series().substitute_scale(1)
-        rhs = LSeries.one(L) + below.shift_step(2) * g
-        ok = g == rhs
-        out.append(RecursionCheck(
-            "first_return", f"k={k}", ok,
-            "" if ok else _first_mismatch(g, rhs)))
-    return out
-
-
 def continued_fraction(k, order):
     """Excursion generating function as a depth-k continued fraction:
     level j contributes a denominator 1 - zeta^2 theta^(2j) * (level
     j+1), for j = k-1 down to 0, with 1 below the last level.  Evaluated
     bottom-up entirely in the truncated-series ring."""
     if k < 0:
-        raise InvalidHeight(f"ceiling {k} must be >= 0")
+        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
     one = LSeries.one(order)
     cur = one
     for j in range(k - 1, -1, -1):

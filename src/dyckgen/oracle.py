@@ -22,20 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
+from .config import SpecOutOfRange
 from .exact import LSeries, QLaurent, TPoly
 
 
-class Unreachable(ValueError):
+class Unreachable(SpecOutOfRange):
     """No path with the requested endpoints and length exists."""
-
-
-class SpecOutOfRange(ValueError):
-    """Heights outside 0..k or a negative length bound."""
-
-
-class GuardExceeded(ValueError):
-    """Enumeration larger than the desk-scale guard allows; set
-    DYCKGEN_GUARD_OVERRIDE to lift the limit."""
 
 
 @dataclass(frozen=True)
@@ -74,9 +66,7 @@ def enumerate_paths(k, m, n, l_max):
     _check_heights(k, m, n)
     if l_max < 0:
         raise SpecOutOfRange("length bound must be >= 0")
-    if l_max > config.ORACLE_LEN_MAX and not config.guards_lifted():
-        raise GuardExceeded(
-            f"length bound {l_max} exceeds guard {config.ORACLE_LEN_MAX} (set DYCKGEN_GUARD_OVERRIDE=1 to lift)")
+    config.check_guard(l_max, config.ORACLE_LEN_MAX, "length bound")
     counts = {}
     state = {(m, 0, 0): 1}
     if m == n:

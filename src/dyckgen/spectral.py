@@ -25,25 +25,11 @@ concurrent readers; cached values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import config
-from .exact import InexactDivision, LSeries, QLaurent, TPoly
-
-
-class InvalidHeight(ValueError):
-    """Ceiling height outside the allowed range."""
-
-
-class HeightTooLarge(ValueError):
-    """Ceiling beyond the dense-elimination guard; set
-    DYCKGEN_GUARD_OVERRIDE to lift the limit."""
-
-
-class GuardExceeded(ValueError):
-    """Enumeration larger than the desk-scale guard allows; set
-    DYCKGEN_GUARD_OVERRIDE to lift the limit."""
+from .config import SpecOutOfRange
+from .exact import LSeries, QLaurent
 
 
 def det_degree(k):
@@ -51,30 +37,29 @@ def det_degree(k):
     return 2 * ((k + 1) // 2)
 
 
-@dataclass(frozen=True, eq=False)
-class SecularMatrix:
-    """1 minus the height-hopping walk operator, entrywise as truncated
-    series: symmetric tridiagonal, 1 on the diagonal, -zeta*theta^n
-    between heights n and n+1."""
-
-    k: int
-    entries: tuple
+def tridiagonal(above, below, order, ring=QLaurent):
+    """Cells of a unit-diagonal tridiagonal matrix of truncated series in
+    the given coefficient ring: above[n] (a {step power: coefficient}
+    dict) at row n, column n+1 and below[n] at row n+1, column n."""
+    size = len(above) + 1
+    zero = LSeries.zeros(order, ring)
+    cells = [[zero] * size for _ in range(size)]
+    for i in range(size):
+        cells[i][i] = LSeries.one(order, ring)
+    for n, (a, b) in enumerate(zip(above, below)):
+        cells[n][n + 1] = LSeries(order, a, ring)
+        cells[n + 1][n] = LSeries(order, b, ring)
+    return cells
 
 
 def secular_matrix(k, order=None):
+    """1 minus the height-hopping walk operator, entrywise as truncated
+    series: symmetric tridiagonal, 1 on the diagonal, -zeta*theta^n
+    between heights n and n+1."""
     if k < 0:
-        raise InvalidHeight(f"ceiling {k} must be >= 0")
-    L = order if order is not None else k + 3
-    one = LSeries.one(L)
-    zero = LSeries.zeros(L)
-    entries = [[zero] * (k + 1) for _ in range(k + 1)]
-    for n in range(k + 1):
-        entries[n][n] = one
-    for n in range(k):
-        hop = LSeries(L, {1: QLaurent.mono(n, -1)})
-        entries[n][n + 1] = hop
-        entries[n + 1][n] = hop
-    return SecularMatrix(k, tuple(tuple(row) for row in entries))
+        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
+    hops = [{1: QLaurent.mono(n, -1)} for n in range(k)]
+    return tridiagonal(hops, hops, order if order is not None else k + 3)
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +68,7 @@ def fk_polynomial(k):
     recursion F_k = F_{k-1}(zeta*theta) - zeta^2 * F_{k-2}(zeta*theta^2),
     anchored at F_{-1} = F_0 = 1."""
     if k < -1:
-        raise InvalidHeight(f"ceiling {k} must be >= -1")
+        raise SpecOutOfRange(f"ceiling {k} must be >= -1")
     if k <= 0:
         return LSeries.one(0)
     deg = det_degree(k)
@@ -131,13 +116,8 @@ def det_elimination(cells):
 
 def secular_det_direct(k):
     """Ceiling-k determinant by literal elimination on the matrix."""
-    if k < 0:
-        raise InvalidHeight(f"ceiling {k} must be >= 0")
-    if k > config.DIRECT_DET_K_MAX and not config.guards_lifted():
-        raise HeightTooLarge(
-            f"ceiling {k} exceeds guard {config.DIRECT_DET_K_MAX} (set DYCKGEN_GUARD_OVERRIDE=1 to lift)")
-    mat = secular_matrix(k, order=k + 3)
-    return det_elimination(mat.entries).resized(det_degree(k))
+    config.check_guard(k, config.DIRECT_DET_K_MAX, "ceiling")
+    return det_elimination(secular_matrix(k)).resized(det_degree(k))
 
 
 def secular_det_tilde(k):
@@ -147,19 +127,10 @@ def secular_det_tilde(k):
     shuffled between the two hop directions but the determinant is
     unchanged."""
     if k < 0:
-        raise InvalidHeight(f"ceiling {k} must be >= 0")
-    if k > config.DIRECT_DET_K_MAX and not config.guards_lifted():
-        raise HeightTooLarge(
-            f"ceiling {k} exceeds guard {config.DIRECT_DET_K_MAX} (set DYCKGEN_GUARD_OVERRIDE=1 to lift)")
-    L = 2 * k + 4
-    one = LSeries.one(L)
-    zero = LSeries.zeros(L)
-    cells = [[zero] * (k + 1) for _ in range(k + 1)]
-    for i in range(k + 1):
-        cells[i][i] = one
-    for i in range(1, k + 1):
-        cells[i - 1][i] = LSeries(L, {0: -1})
-        cells[i][i - 1] = LSeries(L, {2: QLaurent.mono(2 * (i - 1), -1)})
+        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
+    config.check_guard(k, config.DIRECT_DET_K_MAX, "ceiling")
+    below = [{2: QLaurent.mono(2 * n, -1)} for n in range(k)]
+    cells = tridiagonal([{0: -1}] * k, below, 2 * k + 4)
     return det_elimination(cells).resized(det_degree(k))
 
 
@@ -223,9 +194,7 @@ def bosonic_partition(k, N, method="product"):
     if N < 0:
         raise ValueError("particle number must be >= 0")
     if method in ("occupation", "excitation"):
-        if k * N > config.ENUM_PARTITION_MAX and not config.guards_lifted():
-            raise GuardExceeded(
-                f"k*N = {k * N} exceeds guard {config.ENUM_PARTITION_MAX} (set DYCKGEN_GUARD_OVERRIDE=1 to lift)")
+        config.check_guard(k * N, config.ENUM_PARTITION_MAX, "k*N =")
     if method == "occupation":
         from itertools import combinations_with_replacement
         out = {}
@@ -257,7 +226,7 @@ def grand_partition_exclusion(k, order):
     (-zeta^2)^N * q^(N(N-1)) * [k-N+1 choose N]_q, exponents converted
     to internal (step, plaquette) units."""
     if k < 0:
-        raise InvalidHeight(f"ceiling {k} must be >= 0")
+        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
     coeffs = {}
     for N in range((k + 1) // 2 + 1):
         if 2 * N > order:

@@ -25,12 +25,12 @@ through ratios of unmarked excursion functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .config import SpecOutOfRange
 from .exact import LSeries, QLaurent, TPoly, lift_marker
-from .genfun import GenSpec, SpecOutOfRange, genfun, genfun_excursion
-from .spectral import InvalidHeight, det_elimination, fk_polynomial
+from .genfun import GenFun, GenSpec, genfun, genfun_excursion
+from .spectral import det_elimination, fk_polynomial, tridiagonal
 
 _T = TPoly.marker()
 
@@ -40,7 +40,7 @@ def tilde_secular(k, order):
     """Marked determinant t*F_k + (1-t)*F_{k-1}(zeta*theta) as a series
     with marker-polynomial coefficients; tF_{-1} = tF_0 = 1."""
     if k < -1:
-        raise InvalidHeight(f"ceiling {k} must be >= -1")
+        raise SpecOutOfRange(f"ceiling {k} must be >= -1")
     if k <= 0:
         return LSeries.one(order, TPoly)
     fk = lift_marker(fk_polynomial(k).resized(order))
@@ -53,7 +53,7 @@ def tilde_secular_toprow(k, order):
     """Same determinant by expanding along the marked first row:
     F_{k-1}(zeta*theta) - t*zeta^2*F_{k-2}(zeta*theta^2)."""
     if k < -1:
-        raise InvalidHeight(f"ceiling {k} must be >= -1")
+        raise SpecOutOfRange(f"ceiling {k} must be >= -1")
     if k <= 0:
         return LSeries.one(order, TPoly)
     fk1 = lift_marker(
@@ -68,56 +68,13 @@ def tilde_secular_direct(k, order=None):
     the hop from height 1 down to 0 carries weight t*zeta, its partner
     up-hop plain zeta, all other hops the usual zeta*theta^n."""
     if k < 0:
-        raise InvalidHeight(f"ceiling {k} must be >= 0")
+        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
     L = order if order is not None else 2 * ((k + 1) // 2) + 2
-    one = LSeries.one(L, TPoly)
-    zero = LSeries.zeros(L, TPoly)
-    cells = [[zero] * (k + 1) for _ in range(k + 1)]
-    for i in range(k + 1):
-        cells[i][i] = one
-    for n in range(k):
-        up = LSeries(L, {1: TPoly({0: QLaurent.mono(n, -1)})}, TPoly)
-        if n == 0:
-            down = LSeries(L, {1: TPoly({1: QLaurent.const(-1)})}, TPoly)
-        else:
-            down = up
-        cells[n][n + 1] = down   # row n, column n+1: amplitude n+1 -> n
-        cells[n + 1][n] = up
-    return det_elimination(cells)
-
-
-@dataclass(frozen=True)
-class TouchdownSeries:
-    """Marked generating function: prefactor exponents plus the series
-    whose coefficients are polynomials in the touchdown marker."""
-
-    spec: GenSpec
-    series: LSeries
-    step_shift: int
-    area_shift: int
-
-    def full_series(self):
-        s = self.series.shift_step(self.step_shift)
-        if self.area_shift:
-            s = s.scale(QLaurent.mono(self.area_shift))
-        return s
-
-    def coefficient(self, l, area, touchdowns):
-        """Exact count of paths with l steps, area `area`, and the given
-        number of floor returns."""
-        lp = l - self.step_shift
-        if lp < 0:
-            return 0
-        tp = self.series.coeff(lp)
-        return tp.coeff(touchdowns).coeff(area - self.area_shift)
-
-    def at_t_one(self):
-        """Forget the touchdown statistic: plain area series."""
-        s = self.series.map_coeffs(TPoly.at_t_one)
-        s = s.shift_step(self.step_shift)
-        if self.area_shift:
-            s = s.scale(QLaurent.mono(self.area_shift))
-        return s
+    up = [{1: TPoly({0: QLaurent.mono(n, -1)})} for n in range(k)]
+    # row n, column n+1: amplitude n+1 -> n
+    down = [{1: TPoly({1: QLaurent.const(-1)})} if n == 0 else up[n]
+            for n in range(k)]
+    return det_elimination(tridiagonal(down, up, L, TPoly))
 
 
 def tilde_genfun(k, m, n, order):
@@ -129,8 +86,7 @@ def tilde_genfun(k, m, n, order):
     upper = lift_marker(
         fk_polynomial(k - n - 1).resized(order).substitute_scale(n + 1))
     num = tilde_secular(m - 1, order) * upper
-    series = num.divide(tilde_secular(k, order))
-    return TouchdownSeries(spec, series, n - m, (n - m) * (n + m - 1) // 2)
+    return GenFun(spec, num.divide(tilde_secular(k, order)))
 
 
 def _excursion_bracket(j, order):
@@ -151,7 +107,7 @@ def tilde_genfun_ratio(k, m, n, order):
     base = lift_marker(genfun(spec).series)
     series = (base * _excursion_bracket(m - 1, order)).divide(
         _excursion_bracket(k, order))
-    return TouchdownSeries(spec, series, n - m, (n - m) * (n + m - 1) // 2)
+    return GenFun(spec, series)
 
 
 def tilde_genfun_openend(k, order):
@@ -160,11 +116,11 @@ def tilde_genfun_openend(k, order):
     return, so dividing the nontrivial part of the fully marked function
     by t removes exactly that last marker."""
     if k < 0:
-        raise InvalidHeight(f"ceiling {k} must be >= 0")
+        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
     one = LSeries.one(order, TPoly)
     g = lift_marker(genfun_excursion(k, order).full_series())
     series = one + (g - one).divide(_excursion_bracket(k, order))
-    return TouchdownSeries(GenSpec(k, 0, 0, order), series, 0, 0)
+    return GenFun(GenSpec(k, 0, 0, order), series)
 
 
 def tilde_genfun_openend_shifted(k, order):
@@ -173,4 +129,4 @@ def tilde_genfun_openend_shifted(k, order):
     g = tilde_genfun(k, 0, 0, order).series - LSeries.one(order, TPoly)
     shifted = g.map_coeffs(TPoly.div_t_exact)
     series = shifted + LSeries.one(order, TPoly)
-    return TouchdownSeries(GenSpec(k, 0, 0, order), series, 0, 0)
+    return GenFun(GenSpec(k, 0, 0, order), series)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from .cluster import (c2, c2_factorial, compositions, degree_check,
                       degree_formula, genfun_series_zq, genfun_via_cluster,
                       log_genfun_unbounded, log_secular)
-from .exact import LSeries
-from .genfun import (GenSpec, check_duality, check_recursions,
-                     continued_fraction, genfun, genfun_excursion)
+from .config import SpecOutOfRange, UsageError
+from .exact import LSeries, QLaurent
+from .genfun import (GenSpec, check_duality, continued_fraction, genfun,
+                     genfun_excursion)
 from .oracle import enumerate_paths, genfun_from_table, max_area
 from .spectral import (bosonic_partition, det_degree, fk_polynomial,
                        grand_partition_exclusion, height_generating_function,
@@ -41,12 +42,18 @@ class CheckResult:
 
 
 def _series_detail(a, b):
-    L = min(a.order, b.order)
-    for l in range(L + 1):
+    """Where two unequal series differ: their truncation orders when
+    those differ, and the first step power (up to the lower order) at
+    which the coefficients differ."""
+    parts = []
+    if a.order != b.order:
+        parts.append(f"truncation orders differ: {a.order} != {b.order}")
+    for l in range(min(a.order, b.order) + 1):
         if a.c[l] != b.c[l]:
-            return (f"first mismatch at step power {l}: "
-                    f"{a.c[l]!r} != {b.c[l]!r}")
-    return ""
+            parts.append(f"first mismatch at step power {l}: "
+                         f"{a.c[l]!r} != {b.c[l]!r}")
+            break
+    return "; ".join(parts)
 
 
 def _eq_check(suite, name, params, a, b):
@@ -156,6 +163,54 @@ def suite_duality(k_max=5, len_max=12):
     return out
 
 
+def _mono(order, step, area):
+    return LSeries(order, {step: QLaurent.mono(area)})
+
+
+def check_recursions(spec):
+    """Verify the transfer identities available at this spec; returns one
+    CheckResult per identity instance (empty detail on success).
+
+    With m = min, n = max endpoint:
+    * last_rise (m < n): peel the final ascent to n off the path.
+    * intermediate_level (each ell in m..n-1): split at the last visit
+      to level ell.
+    * last_step (m < n < k): condition on the final step's direction.
+    * first_return (m = n = 0 < k): condition on the first return to the
+      floor.
+    """
+    if spec.k is None:
+        raise SpecOutOfRange("recursions are checked at finite ceiling")
+    k, L = spec.k, spec.order
+    m, n = min(spec.m, spec.n), max(spec.m, spec.n)
+    out = []
+
+    def series(kk, mm, nn):
+        return genfun(GenSpec(kk, mm, nn, L)).full_series()
+
+    lhs = series(k, m, n)
+    if m < n:
+        rhs = (_mono(L, 1, n - 1) * series(k, m, n - 1)
+               * genfun_excursion(k - n, L).full_series().substitute_scale(n))
+        out.append(_eq_check("recursions", "last_rise",
+                             f"k={k} m={m} n={n}", lhs, rhs))
+    for ell in range(m, n):
+        rhs = (_mono(L, 1, ell) * series(k, ell + 1, n) * series(ell, m, ell))
+        out.append(_eq_check("recursions", "intermediate_level",
+                             f"k={k} m={m} n={n} ell={ell}", lhs, rhs))
+    if m < n < k:
+        rhs = (_mono(L, 1, n - 1) * series(k, m, n - 1)
+               + _mono(L, 1, n) * series(k, m, n + 1))
+        out.append(_eq_check("recursions", "last_step",
+                             f"k={k} m={m} n={n}", lhs, rhs))
+    if m == n == 0 and k >= 1:
+        g = genfun_excursion(k, L).full_series()
+        below = genfun_excursion(k - 1, L).full_series().substitute_scale(1)
+        rhs = LSeries.one(L) + below.shift_step(2) * g
+        out.append(_eq_check("recursions", "first_return", f"k={k}", g, rhs))
+    return out
+
+
 def suite_recursions(k_max=5, len_max=12):
     """Transfer identities (last rise, intermediate level, last step,
     first return) at every endpoint pair."""
@@ -163,9 +218,7 @@ def suite_recursions(k_max=5, len_max=12):
     for k in range(k_max + 1):
         for m in range(k + 1):
             for n in range(m, k + 1):
-                for chk in check_recursions(GenSpec(k, m, n, len_max)):
-                    out.append(CheckResult("recursions", chk.name,
-                                           chk.params, chk.ok, chk.detail))
+                out.extend(check_recursions(GenSpec(k, m, n, len_max)))
     return out
 
 
@@ -269,7 +322,12 @@ _SUITES = {
 
 def run_suites(names, k_max=None, len_max=None):
     """Run the named suites (or all of them) and return the flat list of
-    results; bounds default per suite when not given."""
+    results; bounds default per suite when not given.  Negative bounds,
+    and bounds at which no check runs, raise UsageError: a run that
+    checks nothing must not pass."""
+    for flag, bound in (("k_max", k_max), ("len_max", len_max)):
+        if bound is not None and bound < 0:
+            raise SpecOutOfRange(f"{flag} must be >= 0, got {bound}")
     results = []
     for name in names:
         fn = _SUITES[name]
@@ -279,4 +337,6 @@ def run_suites(names, k_max=None, len_max=None):
         if len_max is not None:
             kwargs["len_max"] = len_max
         results.extend(fn(**kwargs))
+    if not results:
+        raise UsageError("no checks run at these bounds")
     return results

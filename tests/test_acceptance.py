@@ -13,14 +13,15 @@ from dyckgen.cluster import (degree_check, genfun_series_zq,
                              genfun_via_cluster, log_genfun_unbounded,
                              p_unbounded)
 from dyckgen.exact import LSeries, QLaurent, TPoly
-from dyckgen.genfun import (GenSpec, check_duality, check_recursions,
-                            continued_fraction, genfun, genfun_excursion)
+from dyckgen.genfun import (GenSpec, check_duality, continued_fraction,
+                            genfun, genfun_excursion)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import (det_degree, fk_polynomial,
                               grand_partition_exclusion,
                               height_generating_function, secular_det_direct,
                               secular_det_recursive, secular_det_tilde)
 from dyckgen.touchdown import tilde_genfun
+from dyckgen.verify import check_recursions
 
 
 def _gate(capsys, number, label, started, ok, detail="", limit=None):

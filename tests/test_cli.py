@@ -1,8 +1,13 @@
 """Command-line interface: dispatch, formats, conventions, exit codes."""
 
+import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyckgen.cli import main, table_from_json
 from dyckgen.exact import LSeries, TPoly
@@ -84,6 +89,15 @@ class TestGenfunCommand:
                                      "--method", method, "--check")
             assert code == 0, err
             assert json.loads(out)["method"] == method
+
+    @pytest.mark.parametrize("k,n,max_len", [(4, 4, 2), (3, 3, 1)])
+    def test_rise_longer_than_max_len_emits_nothing(self, capsys, k, n,
+                                                    max_len):
+        # the prefactor zeta^n shifts every term past the truncation
+        argv = ("genfun", "--k", str(k), "--m", "0", "--n", str(n),
+                "--max-len", str(max_len), "--format", "csv")
+        assert run_cli(capsys, *argv) == (0, "l,A,num,den\n", "")
+        assert run_cli(capsys, *argv, "--check") == (0, "l,A,num,den\n", "")
 
     def test_diamond_half_integer_encoding(self, capsys):
         code, out, _ = run_cli(capsys, "genfun", "--k", "2", "--m", "0",
@@ -178,6 +192,18 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == "2 checks, 1 failures"
 
 
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "cluster", "--k-max", "-1"),
+        ("--suite", "genfun", "--len-max", "-1"),
+        ("--suite", "recursions", "--k-max", "0"),
+    ])
+    def test_vacuous_or_negative_bounds_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestExitCodes:
     def test_usage_errors_exit_two(self, capsys):
         bad_argvs = [
@@ -232,3 +258,34 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert "26,0,1\n" in out
+
+
+def _emitted_lengths(fmt, out):
+    if fmt == "json":
+        return [t["l"] for t in json.loads(out)["terms"]]
+    return [int(row["l"]) for row in csv.DictReader(io.StringIO(out))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example("4", 0, 4, 2, "determinant", True, False, "csv")
+@given(k=st.sampled_from(["0", "1", "2", "3", "4", "5", "inf"]),
+       m=st.integers(-1, 6), n=st.integers(-1, 6),
+       max_len=st.integers(0, 10),
+       method=st.sampled_from(["determinant", "continued-fraction",
+                               "cluster-exp"]),
+       check=st.booleans(), touchdown=st.booleans(),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_genfun_fuzz_exits_cleanly_within_max_len(k, m, n, max_len, method,
+                                                  check, touchdown, fmt):
+    argv = ["genfun", "--k", k, f"--m={m}", f"--n={n}",
+            "--max-len", str(max_len), "--method", method, "--format", fmt]
+    argv += ["--check"] * check + ["--touchdown"] * touchdown
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert all(l <= max_len for l in _emitted_lengths(fmt, out.getvalue()))

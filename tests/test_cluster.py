@@ -146,7 +146,7 @@ class TestRestricted:
     def test_domain(self):
         with pytest.raises(ValueError):
             p_restricted(3, 0, 0, 0)
-        from dyckgen.genfun import SpecOutOfRange
+        from dyckgen.config import SpecOutOfRange
         with pytest.raises(SpecOutOfRange):
             p_restricted(3, 2, 1, 2)
         with pytest.raises(SpecOutOfRange):

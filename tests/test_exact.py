@@ -234,6 +234,15 @@ class TestLSeries:
         with pytest.raises(ValueError):
             s.shift_step(-1)
 
+    @pytest.mark.parametrize("ring", [QLaurent, TPoly])
+    @pytest.mark.parametrize("d", [6, 7, 8, 20])
+    def test_shift_past_truncation_keeps_order(self, ring, d):
+        s = LSeries(6, {0: ring.one(), 5: ring.one()}, ring)
+        shifted = s.shift_step(d)
+        assert len(shifted.c) == 7
+        expected = {6: ring.one()} if d == 6 else {}
+        assert shifted == LSeries(6, expected, ring)
+
     def test_double_step_view(self):
         s = LSeries(6, {0: 1, 2: QLaurent({2: 5}), 4: QLaurent({0: 1, 4: 1})})
         d = s.to_double_step()

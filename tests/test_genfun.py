@@ -4,12 +4,13 @@ together."""
 import pytest
 
 from dyckgen.cluster import degree_formula
+from dyckgen.config import SpecOutOfRange
 from dyckgen.exact import LSeries, QLaurent
-from dyckgen.genfun import (GenSpec, SpecOutOfRange, check_duality,
-                            check_recursions, continued_fraction, genfun,
-                            genfun_excursion, genfun_weighted)
+from dyckgen.genfun import (GenSpec, check_duality, continued_fraction,
+                            genfun, genfun_excursion, genfun_weighted)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
+from dyckgen.verify import check_recursions
 
 
 class TestGenSpec:
@@ -92,8 +93,8 @@ class TestAgainstOracle:
 class TestStructure:
     def test_prefactor_exponents(self):
         gf = genfun(GenSpec(5, 1, 4, 10))
-        assert gf.step_shift == 3
-        assert gf.area_shift == 3 * (4 + 1 - 1) // 2  # == 6
+        assert gf.spec.step_shift == 3
+        assert gf.spec.area_shift == 3 * (4 + 1 - 1) // 2  # == 6
         # series part carries only even powers
         assert all(l % 2 == 0 for l, _ in gf.series.nonzero_terms())
 

@@ -2,9 +2,10 @@
 
 import pytest
 
+from dyckgen.config import GuardExceeded, SpecOutOfRange
 from dyckgen.exact import QLaurent, TPoly
-from dyckgen.oracle import (GuardExceeded, SpecOutOfRange, Unreachable,
-                            enumerate_paths, genfun_from_table, max_area)
+from dyckgen.oracle import (Unreachable, enumerate_paths, genfun_from_table,
+                            max_area)
 
 
 class TestEnumerate:

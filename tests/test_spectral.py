@@ -5,8 +5,8 @@ import pytest
 
 from dyckgen.exact import LSeries, QLaurent
 from dyckgen.oracle import enumerate_paths, genfun_from_table
-from dyckgen.spectral import (GuardExceeded, HeightTooLarge, InvalidHeight,
-                              bosonic_partition, det_degree, fk_polynomial,
+from dyckgen.config import GuardExceeded, SpecOutOfRange
+from dyckgen.spectral import (bosonic_partition, det_degree, fk_polynomial,
                               grand_partition_exclusion,
                               height_generating_function, qbinom,
                               secular_det_direct, secular_det_recursive,
@@ -27,7 +27,7 @@ class TestDeterminants:
     def test_base_cases(self):
         assert fk_polynomial(-1) == LSeries.one(0)
         assert fk_polynomial(0) == LSeries.one(0)
-        with pytest.raises(InvalidHeight):
+        with pytest.raises(SpecOutOfRange):
             fk_polynomial(-2)
 
     @pytest.mark.parametrize("k,expected", [(1, F1), (2, F2), (3, F3),
@@ -58,17 +58,17 @@ class TestDeterminants:
 
     def test_matrix_shape(self):
         m = secular_matrix(3)
-        assert len(m.entries) == 4
-        assert m.entries[1][2].coeff(1) == QLaurent.mono(1, -1)
-        assert m.entries[2][1] == m.entries[1][2]
-        assert m.entries[0][2].is_zero()
-        with pytest.raises(InvalidHeight):
+        assert len(m) == 4
+        assert m[1][2].coeff(1) == QLaurent.mono(1, -1)
+        assert m[2][1] == m[1][2]
+        assert m[0][2].is_zero()
+        with pytest.raises(SpecOutOfRange):
             secular_matrix(-1)
 
     def test_direct_guard(self):
-        with pytest.raises(HeightTooLarge):
+        with pytest.raises(GuardExceeded):
             secular_det_direct(33)
-        with pytest.raises(HeightTooLarge):
+        with pytest.raises(GuardExceeded):
             secular_det_tilde(33)
 
     def test_inverse_determinant_counts_excursions(self):

@@ -2,10 +2,11 @@
 
 import pytest
 
+from dyckgen.config import SpecOutOfRange
 from dyckgen.exact import LSeries, QLaurent, TPoly
-from dyckgen.genfun import GenSpec, SpecOutOfRange, genfun
+from dyckgen.genfun import GenSpec, genfun
 from dyckgen.oracle import enumerate_paths, genfun_from_table
-from dyckgen.spectral import InvalidHeight, det_degree, fk_polynomial
+from dyckgen.spectral import det_degree, fk_polynomial
 from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
                                tilde_genfun_openend_shifted,
                                tilde_genfun_ratio, tilde_secular,
@@ -24,7 +25,7 @@ class TestMarkedDeterminant:
     def test_base_cases(self):
         assert tilde_secular(-1, 4) == LSeries.one(4, TPoly)
         assert tilde_secular(0, 4) == LSeries.one(4, TPoly)
-        with pytest.raises(InvalidHeight):
+        with pytest.raises(SpecOutOfRange):
             tilde_secular(-2, 4)
 
     @pytest.mark.parametrize("k", range(0, 11))
@@ -81,6 +82,18 @@ class TestMarkedGenFun:
         assert tg.coefficient(13, 21, 0) == 35
         assert tg.coefficient(13, 21, 2) == 3
         assert tg.coefficient(0, 0, 0) == 0
+
+    def test_one_result_type_with_plain_genfun(self):
+        tg = tilde_genfun(4, 1, 2, 13)
+        gf = genfun(GenSpec(4, 1, 2, 13))
+        assert type(tg) is type(gf)
+        # touchdowns=None counts paths with any number of floor returns
+        assert tg.coefficient(13, 21) == gf.coefficient(13, 21) == 72
+        assert gf.at_t_one() == gf.full_series()
+        with pytest.raises(IndexError):
+            tg.coefficient(14, 21, 1)
+        with pytest.raises(ValueError):
+            gf.coefficient(13, 21, 1)
 
     def test_endpoint_order_enforced(self):
         with pytest.raises(SpecOutOfRange):

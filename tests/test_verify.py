@@ -2,7 +2,10 @@
 
 import pytest
 
-from dyckgen.verify import SUITE_NAMES, CheckResult, run_suites
+from dyckgen.config import SpecOutOfRange, UsageError
+from dyckgen.exact import LSeries
+from dyckgen.genfun import GenSpec, genfun
+from dyckgen.verify import SUITE_NAMES, CheckResult, _eq_check, run_suites
 
 
 def test_suite_names_cover_registry():
@@ -28,6 +31,37 @@ def test_run_all_suites_at_once():
     seen = {r.suite for r in results}
     assert seen == set(SUITE_NAMES)
     assert all(r.ok for r in results)
+
+
+@pytest.mark.parametrize("len_max", [0, 1, 2])
+def test_all_suites_pass_at_short_orders(len_max):
+    # prefactors longer than the order must truncate to zero, not wrap
+    results = run_suites(SUITE_NAMES, k_max=4, len_max=len_max)
+    bad = [r for r in results if not r.ok]
+    assert not bad, bad[:3]
+
+
+def test_negative_bounds_raise():
+    with pytest.raises(SpecOutOfRange):
+        run_suites(["cluster"], k_max=-1)
+    with pytest.raises(SpecOutOfRange):
+        run_suites(["genfun"], len_max=-1)
+
+
+def test_run_without_checks_raises():
+    with pytest.raises(UsageError):
+        run_suites(["recursions"], k_max=0)
+
+
+def test_mismatch_detail_reports_orders():
+    a = genfun(GenSpec(2, 0, 0, 6)).full_series()
+    r = _eq_check("s", "n", "p", a, a.resized(10))
+    assert not r.ok
+    assert "truncation orders differ: 6 != 10" in r.detail
+    b = a + LSeries(6, {4: 1})
+    r = _eq_check("s", "n", "p", a, b.resized(4))
+    assert r.detail.startswith("truncation orders differ: 6 != 4; "
+                               "first mismatch at step power 4")
 
 
 def test_default_bounds_pass():
