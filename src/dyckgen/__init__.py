@@ -19,11 +19,10 @@ all cross-checked against a brute-force dynamic-programming enumerator
 
 __version__ = "0.1.0"
 
-from .cluster import (MeanderLog, PPolynomial, c2, c2_factorial,
-                      composition_energy, compositions, degree_check,
-                      degree_formula, genfun_via_cluster,
-                      log_genfun_restricted, log_genfun_unbounded,
-                      log_secular, p_restricted, p_unbounded)
+from .cluster import (MeanderLog, c2, c2_factorial, composition_energy,
+                      compositions, degree_check, degree_formula,
+                      genfun_via_cluster, log_genfun_restricted, log_secular,
+                      p_restricted)
 from .config import GuardExceeded, SpecOutOfRange, UsageError
 from .exact import (BadConstantTerm, Convention, InexactDivision, LSeries,
                     NonUnitConstantTerm, QLaurent, TPoly, lift_marker)
@@ -44,7 +43,7 @@ from .verify import CheckResult, check_recursions, run_suites
 __all__ = [
     "BadConstantTerm", "CheckResult", "Convention", "GenFun", "GenSpec",
     "GuardExceeded", "InexactDivision", "LSeries", "MeanderLog",
-    "NonUnitConstantTerm", "PPolynomial", "PathTable", "QLaurent",
+    "NonUnitConstantTerm", "PathTable", "QLaurent",
     "SpecOutOfRange", "TPoly", "Unreachable", "UsageError",
     "WeightedGenFun", "bosonic_partition", "c2", "c2_factorial",
     "check_duality", "check_recursions", "composition_energy",
@@ -53,8 +52,8 @@ __all__ = [
     "genfun_excursion", "genfun_from_table", "genfun_via_cluster",
     "genfun_weighted", "grand_partition_exclusion",
     "height_generating_function", "lift_marker", "log_genfun_restricted",
-    "log_genfun_unbounded", "log_secular", "max_area", "p_restricted",
-    "p_unbounded", "qbinom", "run_suites", "secular_det_direct",
+    "log_secular", "max_area", "p_restricted", "qbinom", "run_suites",
+    "secular_det_direct",
     "secular_det_recursive", "secular_det_tilde", "secular_matrix",
     "spectral_function", "tilde_genfun", "tilde_genfun_openend",
     "tilde_genfun_ratio", "tilde_secular", "tilde_secular_direct",

@@ -44,12 +44,6 @@ def _parse_k(text):
     return k
 
 
-def _effective_ceiling(k, m, n, l_max):
-    if k is not None:
-        return k
-    return GenSpec(None, m, n, l_max).ceiling
-
-
 def _enc_exp(v, halve):
     """Exponent for JSON: exact half-integers become {"twice": int}."""
     if not halve:
@@ -134,8 +128,6 @@ def cmd_genfun(args):
         if args.method != "determinant":
             raise UsageError(
                 "--touchdown supports only --method determinant")
-        if k is None:
-            k = _effective_ceiling(None, args.m, args.n, args.max_len)
         main_ts = tilde_genfun(k, args.m, args.n, args.max_len)
         full = main_ts.full_series()
         if args.check:
@@ -170,8 +162,8 @@ def cmd_table(args):
     k = _parse_k(args.k)
     if args.max_len < 0:
         raise UsageError("--max-len must be >= 0")
-    k_eff = _effective_ceiling(k, args.m, args.n, args.max_len)
-    table = enumerate_paths(k_eff, args.m, args.n, args.max_len)
+    ceiling = GenSpec(k, args.m, args.n, args.max_len).ceiling
+    table = enumerate_paths(ceiling, args.m, args.n, args.max_len)
     spec_echo = {"k": "inf" if k is None else k, "m": args.m, "n": args.n,
                  "max_len": args.max_len}
     if args.touchdowns:
@@ -197,7 +189,7 @@ def table_from_json(doc):
             raise ValueError("path counts must be integers")
         key = (_dec_exp(t["l"], halve), _dec_exp(t["A"], halve), t["s"])
         counts[key] = counts.get(key, 0) + int(t["coeff"]["num"])
-    return PathTable(_effective_ceiling(k, m, n, l_max), m, n, l_max, counts)
+    return PathTable(GenSpec(k, m, n, l_max).ceiling, m, n, l_max, counts)
 
 
 def cmd_verify(args):

@@ -16,6 +16,12 @@ geometric sum in q^a instead of the bare term; the expansion stays
 polynomial because the geometric sums are expanded, never written as
 rational functions.
 
+c_2 is 1/l_1 times a product over adjacent parts, and the energy adds
+(i-1) l_i at part i, so the sum over compositions runs as a transfer
+matrix over adjacent parts (p_restricted): polynomial in a, where
+listing the 2^(a-1) compositions is not.  The explicit compositions
+remain as the brute-force reference for the weights.
+
 For m != n there is also a non-series prefactor carrying fractional
 powers; its logarithm contributes (n-m)/2 * ln z plus
 (n-m)(n+m-1)/4 * ln q, reported alongside the polynomial data.
@@ -32,24 +38,21 @@ from .exact import LSeries, QLaurent
 from .genfun import GenSpec, genfun
 
 
-def compositions(a, max_parts=None):
+def compositions(a):
     """Ordered sequences of positive parts summing to a, streamed in
     colexicographic order (last part varying slowest)."""
     if a < 1:
         raise ValueError("need a positive total")
-    limit = a if max_parts is None else min(max_parts, a)
 
-    def rec(rem, budget):
+    def rec(rem):
         if rem == 0:
             yield ()
             return
-        if budget <= 0:
-            return
         for last in range(1, rem + 1):
-            for head in rec(rem - last, budget - 1):
+            for head in rec(rem - last):
                 yield head + (last,)
 
-    yield from rec(a, limit)
+    yield from rec(a)
 
 
 def c2(comp):
@@ -85,92 +88,76 @@ def composition_energy(comp):
     return sum(i * l for i, l in enumerate(comp))
 
 
-def _geom(step, r_min, r_max):
-    """Finite geometric sum q^(step*r) for r = r_min..r_max, expanded."""
-    if r_max < r_min:
-        return QLaurent.zero()
-    return QLaurent._wrap({step * r: 1 for r in range(r_min, r_max + 1)})
-
-
-@dataclass(frozen=True)
-class PPolynomial:
-    """Coefficient of z^a in a cluster logarithm; `value` is a Laurent
-    polynomial in q (here always an ordinary polynomial)."""
-
-    a: int
-    value: QLaurent
-
-
 @dataclass(frozen=True)
 class MeanderLog:
     """Logarithm of an endpoint generating function in double-step
     units: fractional-power prefactor contributions log_z * ln z +
-    log_q * ln q, plus the z-power series coefficients."""
+    log_q * ln q, plus the series part p (an LSeries in z with constant
+    term 0)."""
 
     k: int | None
     m: int
     n: int
     log_z: Fraction
     log_q: Fraction
-    p: tuple
+    p: LSeries
 
 
-def p_unbounded(a):
-    """Coefficient of z^a in ln G with no ceiling: sum over all
-    compositions of a of c2 times q^energy."""
-    out = QLaurent.zero()
-    for comp in compositions(a):
-        out = out + QLaurent.mono(composition_energy(comp), c2(comp))
-    return out
+def p_restricted(k, m, n, a_max):
+    """Series part of ln G for ceiling k (None = unbounded) and endpoints
+    m <= n, as an LSeries in z to order a_max with constant term 0.
 
-
-def log_genfun_unbounded(a_max):
-    """ln G with no ceiling, coefficients of z^1..z^a_max."""
-    return tuple(PPolynomial(a, p_unbounded(a)) for a in range(1, a_max + 1))
-
-
-def p_restricted(k, m, n, a):
-    """Coefficient of z^a in the series part of ln G for ceiling k
-    (None = unbounded) and endpoints m <= n: each composition with j
-    parts is summed over base levels r with max(m-j, 0) <= r <= n and,
-    for finite k, r <= k-j; parts are capped at k."""
+    The z^a coefficient sums c2 * q^energy over the compositions of a
+    with at most k parts (any number when unbounded), each with j parts
+    summed over the base levels r with max(m-j, 0) <= r <= n and, for
+    finite k, r <= k-j.  The sum runs as a transfer matrix over adjacent
+    parts: layer j maps (last part l, running total s) to the weight of
+    the j-part compositions ending that way, and appending a part l2 at
+    index j multiplies it by C(l+l2-1, l2) * q^(j*l2)."""
     if not 0 <= m <= n:
         raise SpecOutOfRange("need 0 <= m <= n")
     if k is not None and n > k:
         raise SpecOutOfRange("endpoints must not exceed the ceiling")
-    if a < 1:
-        raise ValueError("need a positive z power")
-    out = QLaurent.zero()
-    max_parts = None if k is None else k
-    for comp in compositions(a, max_parts):
-        j = len(comp)
-        r_min = max(m - j, 0)
-        r_max = n if k is None else min(k - j, n)
-        window = _geom(a, r_min, r_max)
-        if window.is_zero():
-            continue
-        out = out + window.shift(composition_energy(comp)).scale(c2(comp))
-    return out
+    if a_max < 0:
+        raise ValueError("need a non-negative z order")
+    zero = QLaurent.zero()
+    p = [zero] * (a_max + 1)
+    layer = {(l, l): QLaurent.const(c2((l,))) for l in range(1, a_max + 1)}
+    j = 1
+    while layer and (k is None or j <= k):
+        r_max = n if k is None else min(n, k - j)
+        totals = {}
+        for (_, s), v in layer.items():
+            totals[s] = totals.get(s, zero) + v
+        for s, v in totals.items():
+            for r in range(max(m - j, 0), r_max + 1):
+                p[s] = p[s] + v.shift(s * r)
+        grown = {}
+        for (l, s), v in layer.items():
+            for l2 in range(1, a_max - s + 1):
+                w = v.scale(comb(l + l2 - 1, l2))
+                grown[l2, s + l2] = grown.get((l2, s + l2), zero) + w
+        layer = {(l2, s): v.shift(j * l2) for (l2, s), v in grown.items()}
+        j += 1
+    return LSeries(a_max, p)
 
 
 def log_genfun_restricted(k, m, n, a_max):
     """Full logarithm data for the (k, m, n) generating function up to
     z^a_max."""
-    p = tuple(PPolynomial(a, p_restricted(k, m, n, a))
-              for a in range(1, a_max + 1))
     return MeanderLog(k, m, n,
                       Fraction(n - m, 2),
                       Fraction((n - m) * (n + m - 1), 4),
-                      p)
+                      p_restricted(k, m, n, a_max))
 
 
 def log_secular(k, a_max):
-    """Coefficients of z^1..z^a_max in ln F_k: minus the sum over
-    compositions with at most k parts of c2 * q^energy times the base
-    window sum r = 0..k-j, which is p_restricted(k, 0, k, a)."""
+    """ln F_k in z to order a_max: minus the cluster sum over the
+    compositions with at most k parts, each over the base levels
+    r = 0..k-j, which is -p_restricted(k, 0, k, a_max)."""
     if k < 0:
         raise SpecOutOfRange("ceiling must be >= 0")
-    return tuple(-p_restricted(k, 0, k, a) for a in range(1, a_max + 1))
+    return -p_restricted(k, 0, k, a_max)
 
 
 def degree_formula(k, n, a):
@@ -187,7 +174,7 @@ def degree_formula(k, n, a):
 def degree_check(k, m, n, a):
     """Does the computed z^a coefficient have exactly the predicted
     q-degree?"""
-    value = p_restricted(k, m, n, a)
+    value = p_restricted(k, m, n, a).coeff(a)
     return value.degree() == degree_formula(k, n, a)
 
 
@@ -210,9 +197,7 @@ def genfun_via_cluster(spec):
     z_order = (spec.order - step_shift) // 2
     if z_order < 0:
         return LSeries.zeros(spec.order)
-    lg = log_genfun_restricted(spec.k, m, n, z_order)
-    zs = LSeries(z_order, {pp.a: pp.value for pp in lg.p})
-    s = zs.exp()
+    s = p_restricted(spec.k, m, n, z_order).exp()
     coeffs = {}
     for a in range(z_order + 1):
         v = s.coeff(a)

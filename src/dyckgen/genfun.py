@@ -48,9 +48,6 @@ class GenSpec:
             if self.m > self.k or self.n > self.k:
                 raise SpecOutOfRange(
                     f"heights ({self.m}, {self.n}) must lie in 0..{self.k}")
-        elif self.m > self.order or self.n > self.order:
-            raise SpecOutOfRange(
-                "unbounded ceiling: heights must not exceed the order")
 
     @property
     def ceiling(self):
@@ -70,7 +67,9 @@ class GenSpec:
         a finite ceiling (no truncation).  When unbounded, the most area
         at a = (order - |n - m|)/2 step pairs beyond the direct rise is
         a(a-1) + 2an plaquettes, from the path that climbs a above the
-        higher endpoint n and comes back down."""
+        higher endpoint n and comes back down.  When no path of at most
+        `order` steps joins m and n, a < 0 and the cap goes negative, so
+        every capped product, and the series, is empty."""
         if self.k is not None:
             return None
         n = max(self.m, self.n)

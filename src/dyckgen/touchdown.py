@@ -79,10 +79,12 @@ def tilde_secular_direct(k, order=None):
 
 def tilde_genfun(k, m, n, order):
     """Floor-return-marked generating function for paths m -> n under
-    ceiling k; requires 0 <= m <= n <= k (no endpoint symmetry here)."""
-    if not 0 <= m <= n <= k:
-        raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
+    ceiling k (None = unbounded, computed at GenSpec.ceiling); requires
+    0 <= m <= n (no endpoint symmetry here)."""
     spec = GenSpec(k, m, n, order)
+    if m > n:
+        raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
+    k = spec.ceiling
     upper = lift_marker(
         fk_polynomial(k - n - 1).resized(order).substitute_scale(n + 1))
     num = tilde_secular(m - 1, order) * upper
@@ -101,10 +103,11 @@ def _excursion_bracket(j, order):
 def tilde_genfun_ratio(k, m, n, order):
     """Cross-check route: the marked function equals the unmarked one
     times [t + (1-t) G_{m-1}] / [t + (1-t) G_k]."""
-    if not 0 <= m <= n <= k:
-        raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
     spec = GenSpec(k, m, n, order)
-    base = lift_marker(genfun(spec).series)
+    if m > n:
+        raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
+    k = spec.ceiling
+    base = lift_marker(genfun(GenSpec(k, m, n, order)).series)
     series = (base * _excursion_bracket(m - 1, order)).divide(
         _excursion_bracket(k, order))
     return GenFun(spec, series)

@@ -99,6 +99,27 @@ class TestGenfunCommand:
         assert run_cli(capsys, *argv) == (0, "l,A,num,den\n", "")
         assert run_cli(capsys, *argv, "--check") == (0, "l,A,num,den\n", "")
 
+    def test_unbounded_heights_above_max_len_print_empty_table(self, capsys):
+        # no path of 2 steps joins 3 and 0, with or without a ceiling
+        argv = ("--m", "3", "--n", "0", "--max-len", "2", "--format", "csv")
+        for k in ("inf", "5"):
+            assert run_cli(capsys, "genfun", "--k", k, *argv) == (
+                0, "l,A,num,den\n", "")
+
+    @pytest.mark.parametrize("m,n,max_len", [(3, 0, 2), (0, 3, 1), (4, 4, 2),
+                                             (5, 5, 0), (0, 7, 3)])
+    @pytest.mark.parametrize("command", [
+        ("genfun",), ("genfun", "--check"), ("genfun", "--touchdown"),
+        ("genfun", "--method", "cluster-exp", "--check"), ("table",)])
+    def test_unbounded_heights_above_max_len_match_tall_ceiling(
+            self, capsys, m, n, max_len, command):
+        argv = ("--m", str(m), "--n", str(n), "--max-len", str(max_len),
+                "--format", "csv", *command[1:])
+        unbounded = run_cli(capsys, command[0], "--k", "inf", *argv)
+        assert unbounded == run_cli(capsys, command[0], "--k", "8", *argv)
+        assert unbounded[0] == (2 if m > n and "--touchdown" in command
+                                else 0)
+
     def test_diamond_half_integer_encoding(self, capsys):
         code, out, _ = run_cli(capsys, "genfun", "--k", "2", "--m", "0",
                                "--n", "1", "--max-len", "3",

@@ -4,16 +4,43 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckgen.cluster import (MeanderLog, c2, c2_factorial, composition_energy,
                              compositions, degree_check, degree_formula,
                              genfun_series_zq, genfun_via_cluster,
-                             log_genfun_restricted, log_genfun_unbounded,
-                             log_secular, p_restricted, p_unbounded)
+                             log_genfun_restricted, log_secular, p_restricted)
 from dyckgen.exact import LSeries, QLaurent
 from dyckgen.genfun import GenSpec, genfun
 from dyckgen.oracle import max_area
 from dyckgen.spectral import fk_polynomial
+
+
+def brute_p(k, m, n, a_max):
+    """Small-a reference for p_restricted: every composition of a with at
+    most k parts (any number when k is None), weighted by c2 times
+    q^energy, summed over its base levels r with max(m-j, 0) <= r <= n
+    and, for finite k, r <= k-j."""
+    coeffs = {}
+    for a in range(1, a_max + 1):
+        total = QLaurent.zero()
+        for comp in compositions(a):
+            j = len(comp)
+            r_max = n if k is None else min(n, k - j)
+            for r in range(max(m - j, 0), r_max + 1):
+                total = total + QLaurent.mono(
+                    composition_energy(comp) + a * r, c2(comp))
+        coeffs[a] = total
+    return LSeries(a_max, coeffs)
+
+
+@st.composite
+def cluster_specs(draw):
+    k = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6]))
+    n = draw(st.integers(0, 4 if k is None else k))
+    m = draw(st.integers(0, n))
+    return k, m, n, draw(st.integers(0, 10))
 
 
 class TestCompositions:
@@ -25,11 +52,6 @@ class TestCompositions:
         assert list(compositions(3)) == [(1, 1, 1), (2, 1), (1, 2), (3,)]
         got = list(compositions(4))
         assert got == sorted(got, key=lambda c: tuple(reversed(c)))
-
-    def test_part_cap(self):
-        assert list(compositions(3, max_parts=2)) == [(2, 1), (1, 2), (3,)]
-        assert list(compositions(5, max_parts=1)) == [(5,)]
-        assert len(list(compositions(6, max_parts=6))) == 32
 
     def test_is_a_stream(self):
         import types
@@ -74,25 +96,32 @@ class TestClusterWeights:
 
 class TestUnbounded:
     def test_first_p_polynomials(self):
-        assert p_unbounded(1) == QLaurent.one()
-        assert p_unbounded(2) == QLaurent({0: Fraction(1, 2), 1: 1})
-        assert p_unbounded(3) == QLaurent({0: Fraction(1, 3), 1: 1, 2: 1,
-                                           3: 1})
+        p = p_restricted(None, 0, 0, 3)
+        assert p.coeff(0).is_zero()
+        assert p.coeff(1) == QLaurent.one()
+        assert p.coeff(2) == QLaurent({0: Fraction(1, 2), 1: 1})
+        assert p.coeff(3) == QLaurent({0: Fraction(1, 3), 1: 1, 2: 1, 3: 1})
 
     def test_degree_law(self):
+        p = p_restricted(None, 0, 0, 8)
         for a in range(1, 9):
-            assert p_unbounded(a).degree() == a * (a - 1) // 2
+            assert p.coeff(a).degree() == a * (a - 1) // 2
 
     def test_coefficients_nonnegative(self):
         # observed property of the floor-to-floor expansion
+        p = p_restricted(None, 0, 0, 10)
         for a in range(1, 11):
-            assert all(c > 0 for _, c in p_unbounded(a).terms())
+            assert all(c > 0 for _, c in p.coeff(a).terms())
 
     def test_exp_recovers_generating_function(self):
-        ps = log_genfun_unbounded(10)
-        assert [pp.a for pp in ps] == list(range(1, 11))
-        zs = LSeries(10, {pp.a: pp.value for pp in ps})
+        zs = p_restricted(None, 0, 0, 10)
+        assert zs.order == 10
         assert zs.exp() == genfun_series_zq(None, 0, 0, 10)
+
+    def test_exp_matches_determinant_route_at_order_48(self):
+        # far past the reach of composition enumeration (2^23 at a = 24)
+        spec = GenSpec(None, 0, 0, 48)
+        assert genfun_via_cluster(spec) == genfun(spec).full_series()
 
     def test_sum_partitioning_is_exact(self):
         # the composition sum may be chunked arbitrarily; rational
@@ -111,14 +140,22 @@ class TestUnbounded:
                     part = part + QLaurent.mono(composition_energy(comp),
                                                 c2(comp))
                 total = total + part
-            assert total == p_unbounded(a)
+            assert total == p_restricted(None, 0, 0, a).coeff(a)
 
 
 class TestRestricted:
     def test_floor_case_drops_window(self):
         # for m=n=0 every composition contributes at a single base level
+        p = p_restricted(None, 0, 0, 6)
         for a in range(1, 7):
-            assert p_restricted(None, 0, 0, a) == p_unbounded(a)
+            assert p.coeff(a) == sum(
+                (QLaurent.mono(composition_energy(c), c2(c))
+                 for c in compositions(a)), QLaurent.zero())
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(cluster_specs())
+    def test_transfer_matrix_matches_composition_sum(self, spec):
+        assert p_restricted(*spec) == brute_p(*spec)
 
     def test_exp_recovers_genfun(self):
         for k in range(0, 5):
@@ -142,10 +179,12 @@ class TestRestricted:
         assert lg.log_z == Fraction(1, 2)
         assert lg.log_q == Fraction(1, 2)  # (n-m)(n+m-1)/4 = 2/4
         assert log_genfun_restricted(3, 0, 0, 2).log_z == 0
+        assert lg.p == p_restricted(4, 1, 2, 5)
 
     def test_domain(self):
+        assert p_restricted(3, 0, 0, 0) == LSeries.zeros(0)
         with pytest.raises(ValueError):
-            p_restricted(3, 0, 0, 0)
+            p_restricted(3, 0, 0, -1)
         from dyckgen.config import SpecOutOfRange
         with pytest.raises(SpecOutOfRange):
             p_restricted(3, 2, 1, 2)
@@ -157,20 +196,18 @@ class TestDeterminantLog:
     def test_matches_series_log(self):
         for k in range(1, 6):
             f = fk_polynomial(k).resized(16).to_double_step()
-            lf = f.log()
-            for a, value in enumerate(log_secular(k, 8), start=1):
-                assert lf.coeff(a) == value, (k, a)
+            assert f.log() == log_secular(k, 8), k
 
     def test_polynomial_by_construction(self):
         # geometric-sum expansion keeps everything in the polynomial
         # ring: exponents never go negative, coefficients stay rational
-        for value in log_secular(4, 8):
+        for value in log_secular(4, 8).c:
             assert value.min_exp() is None or value.min_exp() >= 0
 
     def test_one_level_strip(self):
         # F_1 = 1 - z so the log coefficients are -1/a
-        for a, value in enumerate(log_secular(1, 6), start=1):
-            assert value == QLaurent.const(Fraction(-1, a))
+        expected = {a: Fraction(-1, a) for a in range(1, 7)}
+        assert log_secular(1, 6) == LSeries(6, expected)
 
 
 class TestDegreeLaw:

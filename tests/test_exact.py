@@ -274,3 +274,48 @@ class TestLSeries:
             assert g.coeff(2 * a) == TPoly({a: 1})
         for l in range(1, 8, 2):
             assert g.coeff(l).is_zero()
+
+
+# Ring laws over small random values: the cluster route rests on exp and
+# the determinant route on divide, so both inverses are checked too.
+laurents = st.dictionaries(
+    st.integers(-6, 6),
+    st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3),
+    max_size=4).map(QLaurent)
+
+
+def series(order=4, unit=None):
+    """Series of the given order; `unit` fixes the constant term."""
+    coeffs = st.lists(laurents, min_size=order + 1, max_size=order + 1)
+    if unit is None:
+        return coeffs.map(lambda c: LSeries(order, c))
+    return coeffs.map(lambda c: LSeries(order, [QLaurent.const(unit), *c[1:]]))
+
+
+class TestRingLaws:
+    @settings(deadline=None, max_examples=40)
+    @given(laurents, laurents, laurents)
+    def test_laurent_associative_and_distributive(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+
+    @settings(deadline=None, max_examples=20)
+    @given(series(), series(), series())
+    def test_series_associative_and_distributive(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+
+    @settings(deadline=None, max_examples=20)
+    @given(series(), series(unit=1))
+    def test_divide_undoes_multiply(self, a, b):
+        assert a.divide(b) * b == a
+
+    @settings(deadline=None, max_examples=20)
+    @given(series(unit=1))
+    def test_exp_undoes_log(self, s):
+        assert s.log().exp() == s
+
+    @settings(deadline=None, max_examples=20)
+    @given(series(unit=0))
+    def test_log_undoes_exp(self, s):
+        assert s.exp().log() == s

@@ -2,14 +2,17 @@
 together."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dyckgen.cluster import degree_formula
+from dyckgen.cluster import degree_formula, genfun_via_cluster
 from dyckgen.config import SpecOutOfRange
 from dyckgen.exact import LSeries, QLaurent
 from dyckgen.genfun import (GenSpec, check_duality, continued_fraction,
                             genfun, genfun_excursion, genfun_weighted)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
+from dyckgen.touchdown import tilde_genfun
 from dyckgen.verify import check_recursions
 
 
@@ -24,7 +27,7 @@ class TestGenSpec:
         with pytest.raises(SpecOutOfRange):
             GenSpec(2, 0, 0, -1)
         with pytest.raises(SpecOutOfRange):
-            GenSpec(None, 0, 9, 8)  # unreachable in 8 steps
+            GenSpec(None, 0, -1, 8)
 
     def test_effective_ceiling_clears_reachable_heights(self):
         # a path of l steps from m to n climbs at most (l+m+n)/2 high,
@@ -154,6 +157,18 @@ class TestStructure:
         tab = genfun_from_table(enumerate_paths(9, 2, 2, 6))
         assert gf == tab
 
+    @pytest.mark.parametrize("m,n,L", [(3, 0, 2), (0, 3, 1), (4, 4, 2),
+                                       (5, 5, 0), (0, 7, 3)])
+    def test_heights_above_the_order(self, m, n, L):
+        # an unbounded spec is served whatever its heights: the series is
+        # the tall-ceiling one, empty when no path of L steps joins m, n
+        spec = GenSpec(None, m, n, L)
+        tall = genfun(GenSpec(12, m, n, L)).full_series()
+        assert tall == genfun_from_table(enumerate_paths(12, m, n, L))
+        assert genfun(spec).full_series() == tall
+        if abs(n - m) > L:
+            assert spec.area_cap < 0 and tall.is_zero()
+
 
 class TestWeighted:
     def test_step_counts_and_collapse(self):
@@ -214,3 +229,26 @@ class TestContinuedFraction:
         num = LSeries(10, {0: 1, 2: QLaurent({2: -1})})
         den = LSeries(10, {0: 1, 2: QLaurent({0: -1, 2: -1})})
         assert continued_fraction(2, 10) == num.divide(den)
+
+
+@st.composite
+def route_specs(draw):
+    k = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6]))
+    n = draw(st.integers(0, 6 if k is None else k))
+    m = draw(st.integers(0, n))
+    return GenSpec(k, m, n, draw(st.integers(0, 14)))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(route_specs())
+def test_every_route_matches_oracle(spec):
+    table = enumerate_paths(spec.ceiling, spec.m, spec.n, spec.order)
+    oracle = genfun_from_table(table)
+    assert genfun(spec).full_series() == oracle
+    assert genfun_via_cluster(spec) == oracle
+    if spec.m == spec.n == 0:
+        assert continued_fraction(spec.ceiling, spec.order) == oracle
+    marked = tilde_genfun(spec.k, spec.m, spec.n, spec.order)
+    assert marked.full_series() == genfun_from_table(table,
+                                                     with_touchdowns=True)
+    assert marked.at_t_one() == oracle

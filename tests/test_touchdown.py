@@ -101,6 +101,22 @@ class TestMarkedGenFun:
         with pytest.raises(SpecOutOfRange):
             tilde_genfun(2, 0, 3, 8)
 
+    @pytest.mark.parametrize("m,n,L", [(0, 0, 8), (1, 2, 11), (0, 3, 9),
+                                       (2, 2, 10), (0, 7, 3)])
+    def test_unbounded_is_computed_at_the_ceiling(self, m, n, L):
+        ceiling = GenSpec(None, m, n, L).ceiling
+        for route in (tilde_genfun, tilde_genfun_ratio):
+            unbounded = route(None, m, n, L)
+            assert unbounded.spec == GenSpec(None, m, n, L)
+            assert unbounded.series == route(ceiling, m, n, L).series
+
+    @pytest.mark.parametrize("k", [None, 4])
+    @pytest.mark.parametrize("m,n", [(-1, 2), (3, 1)])
+    def test_bad_start_height_is_a_usage_error(self, k, m, n):
+        for route in (tilde_genfun, tilde_genfun_ratio):
+            with pytest.raises(SpecOutOfRange):
+                route(k, m, n, 8)
+
 
 class TestOpenEnded:
     @pytest.mark.parametrize("k", range(0, 6))
