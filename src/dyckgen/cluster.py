@@ -35,7 +35,7 @@ from math import comb, factorial
 
 from .config import SpecOutOfRange
 from .exact import LSeries, QLaurent
-from .genfun import GenSpec, genfun
+from .genfun import GenFun, GenSpec, genfun
 
 
 def compositions(a):
@@ -193,14 +193,8 @@ def genfun_via_cluster(spec):
     exponentiating the cluster logarithm; an independent multiplicative
     route to the same object as genfun."""
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-    step_shift, area_shift = spec.step_shift, spec.area_shift
-    z_order = (spec.order - step_shift) // 2
-    if z_order < 0:
-        return LSeries.zeros(spec.order)
+    z_order = max((spec.order - spec.step_shift) // 2, 0)
     s = p_restricted(spec.k, m, n, z_order).exp()
-    coeffs = {}
-    for a in range(z_order + 1):
-        v = s.coeff(a)
-        if not v.is_zero():
-            coeffs[2 * a + step_shift] = v.scale_exponents(2).shift(area_shift)
-    return LSeries(spec.order, coeffs)
+    series = LSeries(spec.order,
+                     {2 * a: v.scale_exponents(2) for a, v in enumerate(s.c)})
+    return GenFun(spec, series).full_series()

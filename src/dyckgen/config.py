@@ -23,6 +23,10 @@ ENUM_PARTITION_MAX = 36
 # Largest path length accepted by the brute-force path counter.
 ORACLE_LEN_MAX = 24
 
+# Entries kept by each builder cache (fk_polynomial, _inv_fk,
+# tilde_secular), so a long-lived process holds bounded memory.
+CACHE_ENTRIES = 64
+
 
 class UsageError(ValueError):
     """A request that cannot be served as asked."""

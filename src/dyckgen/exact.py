@@ -12,6 +12,11 @@ to Fraction only when a value is genuinely non-integral):
   order, with QLaurent or TPoly coefficients.  One unit of exponent is
   one step.
 
+Every area-polynomial product, capped or not, runs through one
+convolution (QLaurent.mul_upto), and every series quotient through one
+recurrence (LSeries.divide); log is the integral of f'/f, so it reuses
+that quotient.
+
 Internally every exponent is an integer.  The double-step convention
 (z = zeta^2, q = theta^2, exponents counting step pairs and diamonds) is
 a reporting transform applied at the edges; it can produce half-integer
@@ -185,35 +190,20 @@ class QLaurent:
             return self.scale(other)
         if not isinstance(other, QLaurent):
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return _QL_ZERO
-        if len(a) < len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        for eb, cb in b.items():
-            for ea, ca in a.items():
-                e = ea + eb
-                v = get(e, 0) + ca * cb
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        for e, v in out.items():
-            out[e] = _norm(v)
-        return QLaurent._wrap(out)
+        return self.mul_upto(other, None)
 
     __rmul__ = __mul__
 
     def mul_upto(self, other, cap):
-        """Product with every exponent above `cap` dropped.
+        """Product with every exponent above `cap` dropped (None keeps
+        them all); the one convolution behind every product.
 
         When both factors have non-negative exponents, dropping the
         exponents above a cap is a ring homomorphism, so a chain of
         capped products and sums is exact at every exponent up to `cap`.
-        The exponents kept form one bounded range, so the product is
-        accumulated in a list indexed by exponent.
+        The exponents kept form one bounded range, offset by the lowest
+        (possibly negative) one, so the product is accumulated in a list
+        indexed by exponent.
         """
         a, b = self._c, other._c
         if not a or not b:
@@ -221,7 +211,7 @@ class QLaurent:
         if len(a) < len(b):
             a, b = b, a
         lo = min(a) + min(b)
-        hi = min(cap, max(a) + max(b))
+        hi = max(a) + max(b) if cap is None else min(cap, max(a) + max(b))
         if hi < lo:
             return _QL_ZERO
         a_exps = sorted(a)
@@ -409,9 +399,6 @@ class TPoly:
 
     def terms(self):
         return sorted(self._c.items())
-
-    def t_degree(self):
-        return max(self._c) if self._c else None
 
     def is_zero(self):
         return not self._c
@@ -685,18 +672,6 @@ class LSeries:
                 out[l] = out[l] + p
         return LSeries._wrap(L, out, self.ring)
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = LSeries.one(self.order, self.ring)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale(self, v):
         """Multiply every coefficient by a ring element or rational."""
         v = self.ring.coerce(v)
@@ -741,23 +716,21 @@ class LSeries:
         return self.divide(other)
 
     def log(self):
-        """Series logarithm; requires constant term 1."""
+        """Series logarithm, the integral of f'/f; requires constant
+        term 1."""
         if not self.c[0].is_one():
             raise BadConstantTerm("log needs constant term 1")
         L = self.order
-        a_nz = [(i, v) for i, v in enumerate(self.c) if i >= 1 and not v.is_zero()]
-        g = [self.ring.zero()]
-        for n in range(1, L + 1):
-            s = self.ring.zero()
-            for i, ai in a_nz:
-                if i >= n:
-                    break
-                gi = g[n - i]
-                if not gi.is_zero():
-                    s = s + (ai * gi).scale(n - i)
-            gn = self.c[n] - s.scale(Fraction(1, n))
-            g.append(gn)
-        return LSeries._wrap(L, g, self.ring)
+        if L == 0:
+            return LSeries.zeros(0, self.ring)
+        deriv = LSeries._wrap(
+            L - 1, [v.scale(l) for l, v in enumerate(self.c[1:], 1)],
+            self.ring)
+        g = deriv.divide(self)
+        return LSeries._wrap(
+            L, [self.ring.zero()]
+            + [v.scale(Fraction(1, l)) for l, v in enumerate(g.c, 1)],
+            self.ring)
 
     def exp(self):
         """Series exponential; requires constant term 0."""

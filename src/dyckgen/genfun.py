@@ -20,22 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .config import SpecOutOfRange
-from .exact import Convention, LSeries, QLaurent, TPoly
+from .config import CACHE_ENTRIES, SpecOutOfRange
+from .exact import LSeries, QLaurent, TPoly
 from .spectral import fk_polynomial
 
 
 @dataclass(frozen=True)
 class GenSpec:
     """Request for one generating function: ceiling k (None means
-    unbounded), endpoint heights m and n, truncation order in steps, and
-    the reporting convention."""
+    unbounded), endpoint heights m and n, and truncation order in steps."""
 
     k: int | None
     m: int
     n: int
     order: int
-    convention: Convention = Convention.STEP_PLAQUETTE
 
     def __post_init__(self):
         if self.order < 0:
@@ -136,7 +134,7 @@ class GenFun:
         return v.coeff(area - self.spec.area_shift)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _inv_fk(k, order, cap):
     """1/F_k to `order` steps, area exponents above `cap` dropped (None
     keeps them all)."""
@@ -156,14 +154,6 @@ def genfun(spec):
     num = fk_polynomial(m - 1).resized(L)
     upper = fk_polynomial(k - n - 1).resized(L).substitute_scale(n + 1)
     series = num.mul(upper, cap).mul(_inv_fk(k, L, cap), cap)
-    return GenFun(spec, series)
-
-
-def genfun_excursion(k, order):
-    """Floor-to-floor paths under ceiling k: F_{k-1}(zeta*theta)/F_k."""
-    spec = GenSpec(k, 0, 0, order)
-    series = (fk_polynomial(k - 1).resized(order).substitute_scale(1)
-              * _inv_fk(k, order, None))
     return GenFun(spec, series)
 
 
@@ -207,8 +197,7 @@ def check_duality(spec):
         raise SpecOutOfRange("duality needs a finite ceiling")
     k = spec.k
     lhs = genfun(spec).full_series()
-    reflected = genfun(
-        GenSpec(k, k - spec.m, k - spec.n, spec.order, spec.convention))
+    reflected = genfun(GenSpec(k, k - spec.m, k - spec.n, spec.order))
     rhs = reflected.full_series().invert_q().substitute_scale(k - 1)
     return lhs == rhs
 

@@ -19,8 +19,8 @@ the strip paths.  It is computed three independent ways:
 The bosonic building block of the third route is itself computed four
 ways (two enumerations, a Gaussian binomial, a telescoping product).
 
-Module-level caches use functools.lru_cache, which is safe for
-concurrent readers; cached values are immutable.
+Module-level caches are lru_caches of config.CACHE_ENTRIES entries,
+safe for concurrent readers; cached values are immutable.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def secular_matrix(k, order=None):
     return tridiagonal(hops, hops, order if order is not None else k + 3)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=config.CACHE_ENTRIES)
 def fk_polynomial(k):
     """Exact ceiling-k determinant at its natural degree, by the
     recursion F_k = F_{k-1}(zeta*theta) - zeta^2 * F_{k-2}(zeta*theta^2),

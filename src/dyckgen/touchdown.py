@@ -27,15 +27,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .config import SpecOutOfRange
+from .config import CACHE_ENTRIES, SpecOutOfRange
 from .exact import LSeries, QLaurent, TPoly, lift_marker
-from .genfun import GenFun, GenSpec, genfun, genfun_excursion
+from .genfun import GenFun, GenSpec, genfun
 from .spectral import det_elimination, fk_polynomial, tridiagonal
 
 _T = TPoly.marker()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def tilde_secular(k, order):
     """Marked determinant t*F_k + (1-t)*F_{k-1}(zeta*theta) as a series
     with marker-polynomial coefficients; tF_{-1} = tF_0 = 1."""
@@ -96,7 +96,7 @@ def _excursion_bracket(j, order):
     collapsing the bracket to 1."""
     if j < 0:
         return LSeries.one(order, TPoly)
-    g = lift_marker(genfun_excursion(j, order).full_series())
+    g = lift_marker(genfun(GenSpec(j, 0, 0, order)).full_series())
     return g + (LSeries.one(order, TPoly) - g).scale(_T)
 
 
@@ -121,7 +121,7 @@ def tilde_genfun_openend(k, order):
     if k < 0:
         raise SpecOutOfRange(f"ceiling {k} must be >= 0")
     one = LSeries.one(order, TPoly)
-    g = lift_marker(genfun_excursion(k, order).full_series())
+    g = lift_marker(genfun(GenSpec(k, 0, 0, order)).full_series())
     series = one + (g - one).divide(_excursion_bracket(k, order))
     return GenFun(GenSpec(k, 0, 0, order), series)
 

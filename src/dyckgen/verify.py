@@ -16,8 +16,7 @@ from .cluster import (c2, c2_factorial, compositions, degree_check,
                       log_secular, p_restricted)
 from .config import SpecOutOfRange, UsageError
 from .exact import LSeries, QLaurent
-from .genfun import (GenSpec, check_duality, continued_fraction, genfun,
-                     genfun_excursion)
+from .genfun import GenSpec, check_duality, continued_fraction, genfun
 from .oracle import enumerate_paths, genfun_from_table, max_area
 from .spectral import (bosonic_partition, det_degree, fk_polynomial,
                        grand_partition_exclusion, height_generating_function,
@@ -133,7 +132,7 @@ def suite_genfun(k_max=5, len_max=12):
         cf = continued_fraction(k, len_max)
         out.append(_eq_check("genfun", "continued_fraction",
                              f"k={k}", cf,
-                             genfun_excursion(k, len_max).full_series()))
+                             genfun(GenSpec(k, 0, 0, len_max)).full_series()))
         ceil_dual = genfun(GenSpec(k, k, k, len_max)).series
         plain = (fk_polynomial(k - 1).resized(len_max)
                  .divide(fk_polynomial(k).resized(len_max)))
@@ -191,7 +190,7 @@ def check_recursions(spec):
     lhs = series(k, m, n)
     if m < n:
         rhs = (_mono(L, 1, n - 1) * series(k, m, n - 1)
-               * genfun_excursion(k - n, L).full_series().substitute_scale(n))
+               * series(k - n, 0, 0).substitute_scale(n))
         out.append(_eq_check("recursions", "last_rise",
                              f"k={k} m={m} n={n}", lhs, rhs))
     for ell in range(m, n):
@@ -204,8 +203,8 @@ def check_recursions(spec):
         out.append(_eq_check("recursions", "last_step",
                              f"k={k} m={m} n={n}", lhs, rhs))
     if m == n == 0 and k >= 1:
-        g = genfun_excursion(k, L).full_series()
-        below = genfun_excursion(k - 1, L).full_series().substitute_scale(1)
+        g = series(k, 0, 0)
+        below = series(k - 1, 0, 0).substitute_scale(1)
         rhs = LSeries.one(L) + below.shift_step(2) * g
         out.append(_eq_check("recursions", "first_return", f"k={k}", g, rhs))
     return out

@@ -13,7 +13,7 @@ from dyckgen.cluster import (degree_check, genfun_series_zq,
                              genfun_via_cluster, p_restricted)
 from dyckgen.exact import QLaurent, TPoly
 from dyckgen.genfun import (GenSpec, check_duality, continued_fraction,
-                            genfun, genfun_excursion)
+                            genfun)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import (det_degree, fk_polynomial,
                               grand_partition_exclusion,
@@ -123,7 +123,7 @@ def test_07_continued_fraction(capsys):
     started = time.perf_counter()
     bad = [k for k in range(7)
            if continued_fraction(k, 16)
-           != genfun_excursion(k, 16).full_series()]
+           != genfun(GenSpec(k, 0, 0, 16)).full_series()]
     _gate(capsys, 7, "continued fraction equals floor excursions k<=6", started,
           not bad, f"mismatches at k={bad}")
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from dyckgen.cli import main, table_from_json
 from dyckgen.exact import LSeries, TPoly
+from dyckgen.genfun import GenSpec
 from dyckgen.oracle import enumerate_paths
-from dyckgen.verify import CheckResult
+from dyckgen.verify import SUITE_NAMES, CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -281,6 +282,14 @@ class TestExitCodes:
         assert "26,0,1\n" in out
 
 
+def _run_quietly(argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _emitted_lengths(fmt, out):
     if fmt == "json":
         return [t["l"] for t in json.loads(out)["terms"]]
@@ -301,12 +310,53 @@ def test_genfun_fuzz_exits_cleanly_within_max_len(k, m, n, max_len, method,
     argv = ["genfun", "--k", k, f"--m={m}", f"--n={n}",
             "--max-len", str(max_len), "--method", method, "--format", fmt]
     argv += ["--check"] * check + ["--touchdown"] * touchdown
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2), (argv, err.getvalue())
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 2), (argv, err)
     if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
+        assert out == ""
+        assert err.startswith("error: ")
     else:
-        assert all(l <= max_len for l in _emitted_lengths(fmt, out.getvalue()))
+        assert all(l <= max_len for l in _emitted_lengths(fmt, out))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k=st.sampled_from(["0", "1", "2", "3", "4", "5", "inf"]),
+       m=st.integers(-1, 6), n=st.integers(-1, 6),
+       max_len=st.integers(0, 12), touchdowns=st.booleans(),
+       convention=st.sampled_from(["step-plaquette",
+                                   "double-step-diamond"]),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_table_fuzz_exits_cleanly_and_round_trips(k, m, n, max_len,
+                                                  touchdowns, convention,
+                                                  fmt):
+    argv = ["table", "--k", k, f"--m={m}", f"--n={n}",
+            "--max-len", str(max_len), "--convention", convention,
+            "--format", fmt] + ["--touchdowns"] * touchdowns
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        return
+    if convention == "step-plaquette":
+        assert all(l <= max_len for l in _emitted_lengths(fmt, out))
+    if touchdowns and fmt == "json":
+        ceiling = GenSpec(None if k == "inf" else int(k), m, n,
+                          max_len).ceiling
+        assert table_from_json(json.loads(out)) == enumerate_paths(
+            ceiling, m, n, max_len)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(suite=st.sampled_from(SUITE_NAMES + ("all",)),
+       k_max=st.integers(-1, 3), len_max=st.integers(-1, 6))
+def test_verify_fuzz_exits_cleanly(suite, k_max, len_max):
+    argv = ["verify", "--suite", suite, f"--k-max={k_max}",
+            f"--len-max={len_max}"]
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 2), (argv, err, out[-400:])
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        lines = out.splitlines()
+        assert all(l.startswith("PASS ") for l in lines[:-1])
+        assert lines[-1] == f"{len(lines) - 1} checks, 0 failures"

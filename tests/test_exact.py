@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckgen.exact import (BadConstantTerm, InexactDivision, LSeries,
@@ -27,8 +27,25 @@ polys = st.dictionaries(
     max_size=6).map(QLaurent)
 
 
+# Laurent polynomials with negative exponents and Fraction coefficients
+laurents = st.dictionaries(
+    st.integers(-6, 6),
+    st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3),
+    max_size=4).map(QLaurent)
+
+
 def dropped_above(q, cap):
     return QLaurent({e: c for e, c in q.terms() if e <= cap})
+
+
+def brute_mul(a, b):
+    """Schoolbook product over every pair of terms, accumulated in a
+    dict: the reference for the one convolution kernel."""
+    out = {}
+    for ea, ca in a.terms():
+        for eb, cb in b.terms():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return QLaurent(out)
 
 
 def rand_series(rng, order=8, ring=QLaurent):
@@ -104,7 +121,20 @@ class TestQLaurent:
     @settings(deadline=None)
     @given(polys, polys, st.integers(-1, 26))
     def test_mul_upto_drops_exponents_above_cap(self, a, b, cap):
-        assert a.mul_upto(b, cap) == dropped_above(a * b, cap)
+        assert a.mul_upto(b, cap) == dropped_above(brute_mul(a, b), cap)
+
+    @settings(deadline=None)
+    @given(laurents, laurents)
+    @example(QLaurent({-1: 1, 0: Fraction(1, 2)}), QLaurent({-1: 2, 0: -1}))
+    @example(QLaurent({0: Fraction(1, 2), 3: Fraction(2, 3)}),
+             QLaurent({0: 2, 1: 3}))
+    def test_product_matches_brute_force(self, a, b):
+        # negative exponents, Fractions and cancellation to zero included
+        product = a * b
+        assert product == brute_mul(a, b)
+        for _, c in product.terms():
+            assert c != 0
+            assert type(c) is int or c.denominator != 1
 
     def test_hash_consistent_across_int_fraction(self):
         a = QLaurent({2: 2})
@@ -218,6 +248,11 @@ class TestLSeries:
         with pytest.raises(BadConstantTerm):
             LSeries(4, {0: 1}).exp()
 
+    def test_log_at_order_zero(self):
+        # no derivative to divide at order 0: the log is the zero series
+        assert LSeries.one(0).log() == LSeries.zeros(0)
+        assert LSeries.one(0, TPoly).log() == LSeries.zeros(0, TPoly)
+
     def test_log_of_product_is_sum(self):
         rng = random.Random(17)
         a = rand_series(rng, 7) - 1
@@ -278,11 +313,6 @@ class TestLSeries:
 
 # Ring laws over small random values: the cluster route rests on exp and
 # the determinant route on divide, so both inverses are checked too.
-laurents = st.dictionaries(
-    st.integers(-6, 6),
-    st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3),
-    max_size=4).map(QLaurent)
-
 
 def series(order=4, unit=None):
     """Series of the given order; `unit` fixes the constant term."""

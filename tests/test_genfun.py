@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckgen.cluster import degree_formula, genfun_via_cluster
-from dyckgen.config import SpecOutOfRange
+from dyckgen.config import CACHE_ENTRIES, SpecOutOfRange
 from dyckgen.exact import LSeries, QLaurent
-from dyckgen.genfun import (GenSpec, check_duality, continued_fraction,
-                            genfun, genfun_excursion, genfun_weighted)
+from dyckgen.genfun import (GenSpec, _inv_fk, check_duality,
+                            continued_fraction, genfun, genfun_weighted)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
-from dyckgen.touchdown import tilde_genfun
+from dyckgen.touchdown import tilde_genfun, tilde_secular
 from dyckgen.verify import check_recursions
 
 
@@ -113,17 +113,11 @@ class TestStructure:
             for _, c in v.terms():
                 assert isinstance(c, int) and c > 0
 
-    def test_excursion_equals_general_route(self):
-        for k in range(0, 5):
-            a = genfun_excursion(k, 12).full_series()
-            b = genfun(GenSpec(k, 0, 0, 12)).full_series()
-            assert a == b
-
     def test_excursion_is_determinant_ratio(self):
         # k=2: (1 - zeta^2 theta^2) / (1 - zeta^2 - zeta^2 theta^2)
         num = LSeries(10, {0: 1, 2: QLaurent({2: -1})})
         den = LSeries(10, {0: 1, 2: QLaurent({0: -1, 2: -1})})
-        assert genfun_excursion(2, 10).full_series() == num.divide(den)
+        assert genfun(GenSpec(2, 0, 0, 10)).full_series() == num.divide(den)
 
     def test_ceiling_corner_is_plain_determinant_ratio(self):
         for k in range(1, 6):
@@ -212,12 +206,12 @@ class TestRecursions:
 class TestContinuedFraction:
     @pytest.mark.parametrize("k", range(0, 7))
     def test_matches_excursions(self, k):
-        assert continued_fraction(k, 16) == genfun_excursion(
-            k, 16).full_series()
+        assert continued_fraction(k, 16) == genfun(
+            GenSpec(k, 0, 0, 16)).full_series()
 
     def test_depth_matters(self):
         # one level too few or too many changes the series
-        g2 = genfun_excursion(2, 10).full_series()
+        g2 = genfun(GenSpec(2, 0, 0, 10)).full_series()
         assert continued_fraction(1, 10) != g2
         assert continued_fraction(3, 10) != g2
 
@@ -229,6 +223,23 @@ class TestContinuedFraction:
         num = LSeries(10, {0: 1, 2: QLaurent({2: -1})})
         den = LSeries(10, {0: 1, 2: QLaurent({0: -1, 2: -1})})
         assert continued_fraction(2, 10) == num.divide(den)
+
+
+class TestBuilderCaches:
+    def test_caches_are_bounded(self):
+        for cached in (fk_polynomial, _inv_fk, tilde_secular):
+            assert cached.cache_info().maxsize == CACHE_ENTRIES
+
+    def test_eviction_keeps_results_exact(self):
+        first = _inv_fk(2, 5, None)
+        for k in range(7):
+            for order in range(10):
+                _inv_fk(k, order, 50)
+        assert _inv_fk.cache_info().currsize <= CACHE_ENTRIES
+        misses = _inv_fk.cache_info().misses
+        again = _inv_fk(2, 5, None)
+        assert _inv_fk.cache_info().misses == misses + 1
+        assert again == first and again is not first
 
 
 @st.composite

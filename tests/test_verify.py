@@ -71,6 +71,14 @@ def test_default_bounds_pass():
     assert all(r.ok for r in results)
 
 
+def test_every_suite_passes_at_default_bounds():
+    # the gate behind `dyckgen verify --suite all`
+    results = run_suites(SUITE_NAMES)
+    assert len(results) == 851
+    bad = [r for r in results if not r.ok]
+    assert not bad, bad[:3]
+
+
 def test_result_fields_are_frozen():
     r = CheckResult("s", "n", "p", True)
     with pytest.raises(AttributeError):
