@@ -26,8 +26,8 @@ from .cluster import (MeanderLog, c2, c2_factorial, composition_energy,
 from .config import GuardExceeded, SpecOutOfRange, UsageError
 from .exact import (BadConstantTerm, Convention, InexactDivision, LSeries,
                     NonUnitConstantTerm, QLaurent, TPoly, lift_marker)
-from .genfun import (GenFun, GenSpec, WeightedGenFun, check_duality,
-                     continued_fraction, genfun, genfun_weighted)
+from .genfun import (GenFun, GenSpec, check_duality, continued_fraction,
+                     genfun)
 from .oracle import (PathTable, Unreachable, enumerate_paths,
                      genfun_from_table, max_area)
 from .spectral import (bosonic_partition, det_degree, fk_polynomial,
@@ -44,12 +44,12 @@ __all__ = [
     "GuardExceeded", "InexactDivision", "LSeries", "MeanderLog",
     "NonUnitConstantTerm", "PathTable", "QLaurent",
     "SpecOutOfRange", "TPoly", "Unreachable", "UsageError",
-    "WeightedGenFun", "bosonic_partition", "c2", "c2_factorial",
+    "bosonic_partition", "c2", "c2_factorial",
     "check_duality", "check_recursions", "composition_energy",
     "compositions", "continued_fraction", "degree_check", "degree_formula",
     "det_degree", "enumerate_paths", "fk_polynomial", "genfun",
     "genfun_from_table", "genfun_via_cluster",
-    "genfun_weighted", "grand_partition_exclusion",
+    "grand_partition_exclusion",
     "height_generating_function", "lift_marker", "log_genfun_restricted",
     "log_secular", "max_area", "p_restricted", "qbinom", "run_suites",
     "secular_det_direct",

@@ -12,10 +12,16 @@ to Fraction only when a value is genuinely non-integral):
   order, with QLaurent or TPoly coefficients.  One unit of exponent is
   one step.
 
-Every area-polynomial product, capped or not, runs through one
-convolution (QLaurent.mul_upto), and every series quotient through one
-recurrence (LSeries.divide); log is the integral of f'/f, so it reuses
-that quotient.
+Every QLaurent product runs through one convolution (QLaurent.__mul__),
+and every series quotient through one recurrence (LSeries.divide); log
+is the integral of f'/f, so it reuses that quotient.
+
+The determinant and continued-fraction routes run in a fourth ring,
+PackedRing: a series whose area polynomials are packed into one Python
+int each (theta -> 2**width).  It is exact for series whose final
+coefficients are counts, and an area cap is its modulus, a bit mask, so
+no product here takes a cap.  Values are unpacked into QLaurent once, at
+the edge.
 
 Internally every exponent is an integer.  The double-step convention
 (z = zeta^2, q = theta^2, exponents counting step pairs and diamonds) is
@@ -29,7 +35,6 @@ objects, so values may be shared freely across threads.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from fractions import Fraction
 
 
@@ -186,60 +191,39 @@ class QLaurent:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product; the one convolution behind every area-polynomial
+        product.  A dense product is accumulated in a list indexed by
+        exponent, offset by the lowest (possibly negative) one; a sparse
+        product whose exponent span exceeds its number of term pairs is
+        accumulated in a dict, so it does not pay for the span."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, QLaurent):
             return NotImplemented
-        return self.mul_upto(other, None)
-
-    __rmul__ = __mul__
-
-    def mul_upto(self, other, cap):
-        """Product with every exponent above `cap` dropped (None keeps
-        them all); the one convolution behind every product.
-
-        When both factors have non-negative exponents, dropping the
-        exponents above a cap is a ring homomorphism, so a chain of
-        capped products and sums is exact at every exponent up to `cap`.
-        The exponents kept form one bounded range, offset by the lowest
-        (possibly negative) one, so the product is accumulated in a list
-        indexed by exponent.
-        """
         a, b = self._c, other._c
         if not a or not b:
             return _QL_ZERO
         if len(a) < len(b):
             a, b = b, a
         lo = min(a) + min(b)
-        hi = max(a) + max(b) if cap is None else min(cap, max(a) + max(b))
-        if hi < lo:
-            return _QL_ZERO
-        a_exps = sorted(a)
-        a_items = [(e - lo, a[e]) for e in a_exps]
-        acc = [0] * (hi - lo + 1)
-        for eb, cb in b.items():
-            for i, ca in a_items[:bisect_right(a_exps, hi - eb)]:
-                acc[i + eb] += ca * cb
+        span = max(a) + max(b) - lo + 1
+        if span > len(a) * len(b):
+            acc = {}
+            for eb, cb in b.items():
+                for ea, ca in a.items():
+                    acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
+            items = acc.items()
+        else:
+            acc = [0] * span
+            a_items = [(e - lo, c) for e, c in a.items()]
+            for eb, cb in b.items():
+                for i, ca in a_items:
+                    acc[i + eb] += ca * cb
+            items = enumerate(acc, lo)
         return QLaurent._wrap({e: v if type(v) is int else _norm(v)
-                               for e, v in enumerate(acc, lo) if v})
+                               for e, v in items if v})
 
-    def upto(self, cap):
-        """Same polynomial with every exponent above `cap` dropped."""
-        if not self._c or max(self._c) <= cap:
-            return self
-        return QLaurent._wrap({e: v for e, v in self._c.items() if e <= cap})
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = _QL_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    __rmul__ = __mul__
 
     def scale(self, r):
         """Multiply every coefficient by the rational r."""
@@ -646,14 +630,6 @@ class LSeries:
             if isinstance(other, (int, Fraction, QLaurent, TPoly)):
                 return self.scale(other)
             return NotImplemented
-        return self.mul(other)
-
-    __rmul__ = __mul__
-
-    def mul(self, other, cap=None):
-        """Series product.  With an area cap (plain area series with
-        non-negative exponents only) every area exponent above it is
-        dropped, exactly as QLaurent.mul_upto does."""
         if self.ring is not other.ring:
             raise TypeError("mixed coefficient rings; lift explicitly")
         L = min(self.order, other.order)
@@ -668,9 +644,10 @@ class LSeries:
                 l = i + j
                 if l > L:
                     break
-                p = vi * vj if cap is None else vi.mul_upto(vj, cap)
-                out[l] = out[l] + p
+                out[l] = out[l] + vi * vj
         return LSeries._wrap(L, out, self.ring)
+
+    __rmul__ = __mul__
 
     def scale(self, v):
         """Multiply every coefficient by a ring element or rational."""
@@ -682,11 +659,9 @@ class LSeries:
         return LSeries._wrap(
             self.order, [w * v for w in self.c], self.ring)
 
-    def divide(self, other, cap=None):
+    def divide(self, other):
         """Series quotient; the divisor's constant term must be a nonzero
-        rational scalar (the standard invertibility condition here).
-        With an area cap the quotient keeps only the area exponents up to
-        it, as in `mul`."""
+        rational scalar (the standard invertibility condition here)."""
         b = self._coerce_other(other)
         if b is None:
             raise TypeError(f"cannot divide by {type(other).__name__}")
@@ -701,19 +676,15 @@ class LSeries:
                 if not v.is_zero()]
         out = []
         for n in range(L + 1):
-            acc = self.c[n] if cap is None else self.c[n].upto(cap)
+            acc = self.c[n]
             for j, vj in b_nz:
                 if j > n:
                     break
                 prev = out[n - j]
                 if not prev.is_zero():
-                    p = vj * prev if cap is None else vj.mul_upto(prev, cap)
-                    acc = acc - p
+                    acc = acc - vj * prev
             out.append(acc if inv_r is None else acc.scale(inv_r))
         return LSeries._wrap(L, out, self.ring)
-
-    def __truediv__(self, other):
-        return self.divide(other)
 
     def log(self):
         """Series logarithm, the integral of f'/f; requires constant
@@ -826,6 +797,96 @@ class LSeries:
         parts = [f"z^{l}*({v!r})" for l, v in self.nonzero_terms()]
         body = " + ".join(parts) if parts else "0"
         return f"<LSeries O(z^{self.order + 1}): {body}>"
+
+
+class PackedRing:
+    """Truncated step series whose area polynomials are packed into one
+    int each: theta -> 2**width, so the coefficient of theta^e sits in
+    the `width`-bit slot e (Kronecker substitution).
+
+    Substituting a power of two for theta is a ring homomorphism, onto Z
+    or, with an area cap, onto Z/2**(width*(cap+1)), where dropping the
+    exponents above the cap is the mask `& (2**(width*(cap+1)) - 1)`.
+    Sums, products and the series inverse are therefore exact whatever
+    signs, cancellations or overflowing slots the intermediate values
+    hold; only the final coefficients must be counts in 0..2**width - 1,
+    so `unpack` can read them slot by slot.  A cap below 0 keeps nothing.
+    Packed series are tuples of ints, one per step power.
+    """
+
+    __slots__ = ("width", "cap", "mask")
+
+    def __init__(self, width, cap=None):
+        if width < 1:
+            raise ValueError("slot width must be >= 1")
+        self.width = width
+        self.cap = cap
+        self.mask = (None if cap is None
+                     else (1 << width * max(cap + 1, 0)) - 1)
+
+    def _reduce(self, v):
+        return v if self.mask is None else v & self.mask
+
+    def pack(self, series, shift=0):
+        """Packed form of an integral area series, after substituting
+        zeta -> zeta * theta^shift; every exponent must end up >= 0."""
+        w, cap = self.width, self.cap
+        out = []
+        for l, v in enumerate(series.c):
+            s = shift * l
+            top = None if cap is None else cap - s
+            acc = 0
+            for e, c in v._c.items():
+                if top is None or e <= top:
+                    acc += c << w * (e + s)
+            out.append(acc)
+        return tuple(out)
+
+    def mul(self, x, y):
+        """Product of two packed series, truncated to the shorter."""
+        L = min(len(x), len(y)) - 1
+        acc = [0] * (L + 1)
+        y_nz = [(j, v) for j, v in enumerate(y[:L + 1]) if v]
+        for i, u in enumerate(x[:L + 1]):
+            if u:
+                for j, v in y_nz:
+                    if i + j > L:
+                        break
+                    acc[i + j] += u * v
+        return tuple(self._reduce(v) for v in acc)
+
+    def inverse(self, x):
+        """1/x for a packed series with constant term 1, by the
+        recurrence y_n = -(x_1 y_(n-1) + ... + x_n y_0)."""
+        if self._reduce(x[0]) != self._reduce(1):
+            raise NonUnitConstantTerm("packed inverse needs constant term 1")
+        x_nz = [(j, v) for j, v in enumerate(x) if j and v]
+        y = [self._reduce(1)]
+        for n in range(1, len(x)):
+            acc = 0
+            for j, v in x_nz:
+                if j > n:
+                    break
+                acc -= v * y[n - j]
+            y.append(self._reduce(acc))
+        return tuple(y)
+
+    def unpack(self, x):
+        """The LSeries of area polynomials a packed series stands for;
+        every coefficient must be a count below 2**width."""
+        w = self.width
+        out = []
+        for v in x:
+            if v < 0:
+                raise ArithmeticError("packed value is not a count series")
+            bits = format(v, "b") if v else ""
+            c = {}
+            for e, end in enumerate(range(len(bits), 0, -w)):
+                d = int(bits[max(end - w, 0):end], 2)
+                if d:
+                    c[e] = d
+            out.append(QLaurent._wrap(c))
+        return LSeries._wrap(len(out) - 1, out, QLaurent)
 
 
 def lift_marker(series):

@@ -17,11 +17,11 @@ An unbounded ceiling is requested with k = None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import CACHE_ENTRIES, SpecOutOfRange
-from .exact import LSeries, QLaurent, TPoly
+from .exact import LSeries, PackedRing, QLaurent, TPoly
 from .spectral import fk_polynomial
 
 
@@ -67,7 +67,7 @@ class GenSpec:
         a(a-1) + 2an plaquettes, from the path that climbs a above the
         higher endpoint n and comes back down.  When no path of at most
         `order` steps joins m and n, a < 0 and the cap goes negative, so
-        every capped product, and the series, is empty."""
+        the packed ring keeps nothing and the series is empty."""
         if self.k is not None:
             return None
         n = max(self.m, self.n)
@@ -135,58 +135,31 @@ class GenFun:
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
-def _inv_fk(k, order, cap):
-    """1/F_k to `order` steps, area exponents above `cap` dropped (None
-    keeps them all)."""
-    return LSeries.one(order).divide(fk_polynomial(k).resized(order), cap)
+def _inv_fk(k, order, width, cap):
+    """1/F_k to `order` steps, packed in PackedRing(width, cap): the key
+    is everything that fixes the packed value (cap is None for a finite
+    ceiling, which packs with no modulus)."""
+    ring = PackedRing(width, cap)
+    return ring.inverse(ring.pack(fk_polynomial(k).resized(order)))
 
 
 def genfun(spec):
     """Generating function for spec; symmetric in (m, n).
 
-    Every factor has non-negative area exponents, so an unbounded spec
-    drops the exponents above its area cap throughout; that is exact for
-    the coefficients full_series keeps."""
+    F_(m-1), F_(k-n-1)(zeta*theta^(n+1)) and 1/F_k are multiplied in one
+    packed ring.  Its slot width is order + |n - m| + 1 bits: the series
+    coefficient of zeta^l counts paths of l + |n - m| steps, fewer than
+    2**(l + |n - m|) at each area.  An unbounded spec computes modulo its
+    area cap, which drops exactly the exponents above the cap."""
     k = spec.ceiling
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
     L = spec.order
-    cap = spec.area_cap
-    num = fk_polynomial(m - 1).resized(L)
-    upper = fk_polynomial(k - n - 1).resized(L).substitute_scale(n + 1)
-    series = num.mul(upper, cap).mul(_inv_fk(k, L, cap), cap)
-    return GenFun(spec, series)
-
-
-@dataclass(frozen=True)
-class WeightedGenFun:
-    """Step-resolved form: counts keyed by (up steps, down steps) rather
-    than a single length power.  A path from m to n with l steps has
-    (l + n - m)/2 ups and (l - n + m)/2 downs, so this is an exact
-    relabeling; keeping the two exponents separate avoids fractional
-    powers when up and down steps carry distinct weights."""
-
-    spec: GenSpec
-    terms: dict = field(compare=False)
-
-    def collapse(self):
-        """Set both step weights equal again, recovering the plain
-        series."""
-        coeffs = {}
-        for (u, d), v in self.terms.items():
-            coeffs[u + d] = coeffs.get(u + d, QLaurent.zero()) + v
-        return LSeries(self.spec.order, coeffs)
-
-
-def genfun_weighted(spec):
-    gf = genfun(spec)
-    full = gf.full_series()
-    delta = spec.n - spec.m
-    terms = {}
-    for l, v in full.nonzero_terms():
-        if (l + delta) % 2 or (l - delta) % 2:
-            raise AssertionError("length parity violated")
-        terms[((l + delta) // 2, (l - delta) // 2)] = v
-    return WeightedGenFun(spec, terms)
+    width = L + spec.step_shift + 1
+    ring = PackedRing(width, spec.area_cap)
+    num = ring.pack(fk_polynomial(m - 1).resized(L))
+    upper = ring.pack(fk_polynomial(k - n - 1).resized(L), n + 1)
+    inv = _inv_fk(k, L, width, spec.area_cap)
+    return GenFun(spec, ring.unpack(ring.mul(ring.mul(num, upper), inv)))
 
 
 def check_duality(spec):
@@ -205,12 +178,17 @@ def check_duality(spec):
 def continued_fraction(k, order):
     """Excursion generating function as a depth-k continued fraction:
     level j contributes a denominator 1 - zeta^2 theta^(2j) * (level
-    j+1), for j = k-1 down to 0, with 1 below the last level.  Evaluated
-    bottom-up entirely in the truncated-series ring."""
+    j+1), for j = k-1 down to 0, with 1 below the last level.
+
+    Evaluated bottom-up in the packed ring of slot width order + 1 (an
+    excursion count of at most `order` steps is below 2**order).  At any
+    ceiling those excursions have area at most the unbounded cap, so the
+    ring computes modulo that cap."""
     if k < 0:
         raise SpecOutOfRange(f"ceiling {k} must be >= 0")
-    one = LSeries.one(order)
-    cur = one
+    ring = PackedRing(order + 1, GenSpec(None, 0, 0, order).area_cap)
+    cur = ring.pack(LSeries.one(order))
     for j in range(k - 1, -1, -1):
-        cur = one.divide(one - cur.scale(QLaurent.mono(2 * j)).shift_step(2))
-    return cur
+        den = (1, 0) + tuple(-(v << 2 * j * ring.width) for v in cur)
+        cur = ring.inverse(den[:order + 1])
+    return ring.unpack(cur)

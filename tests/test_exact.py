@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckgen.exact import (BadConstantTerm, InexactDivision, LSeries,
-                           NonUnitConstantTerm, QLaurent, TPoly, lift_marker)
+                           NonUnitConstantTerm, PackedRing, QLaurent, TPoly,
+                           lift_marker)
 
 COEFFS = [1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
 
@@ -19,12 +20,12 @@ def rand_qlaurent(rng, max_terms=4, span=6):
                      for _ in range(rng.randrange(max_terms + 1))})
 
 
-# polynomials in the area variable with non-negative exponents, the
-# domain on which dropping the exponents above a cap is a ring map
-polys = st.dictionaries(
-    st.integers(0, 12),
-    st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3),
-    max_size=6).map(QLaurent)
+# integral area polynomials with non-negative exponents, the values a
+# packed ring holds: counts (what it may return) and signed intermediates
+counts = st.dictionaries(st.integers(0, 12), st.integers(0, 4),
+                         max_size=6).map(QLaurent)
+signed = st.dictionaries(st.integers(0, 12), st.integers(-4, 4),
+                         max_size=6).map(QLaurent)
 
 
 # Laurent polynomials with negative exponents and Fraction coefficients
@@ -35,6 +36,8 @@ laurents = st.dictionaries(
 
 
 def dropped_above(q, cap):
+    if cap is None:
+        return q
     return QLaurent({e: c for e, c in q.terms() if e <= cap})
 
 
@@ -70,7 +73,6 @@ class TestQLaurent:
         assert (a + b).terms() == [(0, 2), (1, 1), (2, -1)]
         assert (a - a).is_zero()
         assert a * 0 == QLaurent.zero()
-        assert (a ** 2) == a * a
 
     def test_scalar_ops_mix_with_ints(self):
         a = QLaurent({1: 2})
@@ -119,17 +121,16 @@ class TestQLaurent:
             QLaurent({1: 1}).scalar_value()
 
     @settings(deadline=None)
-    @given(polys, polys, st.integers(-1, 26))
-    def test_mul_upto_drops_exponents_above_cap(self, a, b, cap):
-        assert a.mul_upto(b, cap) == dropped_above(brute_mul(a, b), cap)
-
-    @settings(deadline=None)
     @given(laurents, laurents)
     @example(QLaurent({-1: 1, 0: Fraction(1, 2)}), QLaurent({-1: 2, 0: -1}))
     @example(QLaurent({0: Fraction(1, 2), 3: Fraction(2, 3)}),
              QLaurent({0: 2, 1: 3}))
+    @example(QLaurent({0: 1, 10**6: 1}), QLaurent({0: 1, 10**6: -1}))
+    @example(QLaurent({-10**5: Fraction(1, 2), 3: 2}),
+             QLaurent({-7: 4, 10**5: -1}))
     def test_product_matches_brute_force(self, a, b):
-        # negative exponents, Fractions and cancellation to zero included
+        # negative exponents, Fractions and cancellation to zero included;
+        # the wide sparse examples take the dict branch of the kernel
         product = a * b
         assert product == brute_mul(a, b)
         for _, c in product.terms():
@@ -207,21 +208,6 @@ class TestLSeries:
         b = rand_series(rng)
         b = b - b.coeff(0) + 1  # force unit constant term
         assert (a * b).divide(b) == a
-
-    @settings(deadline=None)
-    @given(st.lists(polys, min_size=1, max_size=5),
-           st.lists(polys, min_size=1, max_size=5),
-           st.sampled_from([1, -1, 2, Fraction(1, 3)]),
-           st.integers(0, 30))
-    def test_capped_product_and_quotient_drop_above_cap(self, a, b, unit,
-                                                        cap):
-        order = 4
-        a = LSeries(order, a)
-        b = LSeries(order, [QLaurent.const(unit), *b[1:]])
-        capped = [dropped_above(v, cap) for v in (a * b).c]
-        assert a.mul(b, cap).c == capped
-        capped = [dropped_above(v, cap) for v in a.divide(b).c]
-        assert a.divide(b, cap).c == capped
 
     def test_divide_requires_scalar_unit(self):
         bad = LSeries(4, {0: QLaurent({1: 1})})
@@ -309,6 +295,81 @@ class TestLSeries:
             assert g.coeff(2 * a) == TPoly({a: 1})
         for l in range(1, 8, 2):
             assert g.coeff(l).is_zero()
+
+
+def packed_series(values, order):
+    return st.lists(values, min_size=order + 1, max_size=order + 1).map(
+        lambda c: LSeries(order, c))
+
+
+def brute_series_mul(a, b):
+    L = min(a.order, b.order)
+    out = [QLaurent.zero()] * (L + 1)
+    for i in range(L + 1):
+        for j in range(L + 1 - i):
+            out[i + j] = out[i + j] + brute_mul(a.c[i], b.c[j])
+    return out
+
+
+# A product slot sums at most 5 step pairs x 36 term pairs of counts up to
+# 4, so every final coefficient stays below 2**16.
+WIDTH = 16
+caps = st.none() | st.integers(-3, 30)
+
+
+class TestPackedRing:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 4).flatmap(
+        lambda o: st.tuples(packed_series(counts, o),
+                            packed_series(counts, o))),
+        st.integers(0, 3), caps)
+    @example((LSeries(0, [QLaurent({3: 2})]), LSeries(0, [QLaurent({1: 3})])),
+             0, None)
+    @example((LSeries(2, [1, 0, QLaurent({5: 1})]), LSeries.one(2)), 1, -1)
+    def test_product_matches_brute_mul(self, ab, shift, cap):
+        a, b = ab
+        ring = PackedRing(WIDTH, cap)
+        product = ring.mul(ring.pack(a), ring.pack(b, shift))
+        expected = brute_series_mul(a, b.substitute_scale(shift))
+        assert ring.unpack(product).c == [dropped_above(v, cap)
+                                          for v in expected]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 4).flatmap(
+        lambda o: st.tuples(packed_series(counts, o),
+                            packed_series(signed, o))),
+        caps)
+    @example((LSeries(0, [QLaurent({2: 1})]), LSeries.one(0)), None)
+    @example((LSeries(3, [1, 0, 0, 0]), LSeries(3, [1, QLaurent({0: -1}),
+                                                    0, 0])), 4)
+    def test_inverse_undoes_signed_product(self, pd, cap):
+        # q = p * d carries negative coefficients and 1/d more of them;
+        # q * (1/d) must cancel back to the counts of p, with every
+        # exponent above the cap dropped
+        p, d = pd
+        d = LSeries(d.order, [QLaurent.one(), *d.c[1:]])
+        q = p * d
+        ring = PackedRing(WIDTH, cap)
+        quotient = ring.mul(ring.pack(q), ring.inverse(ring.pack(d)))
+        expected = [dropped_above(v, cap) for v in q.divide(d).c]
+        assert ring.unpack(quotient).c == expected
+        assert expected == [dropped_above(v, cap) for v in p.c]
+
+    def test_negative_cap_is_the_empty_series(self):
+        ring = PackedRing(8, -1)
+        one = ring.pack(LSeries.one(3))
+        assert ring.unpack(ring.inverse(one)) == LSeries.zeros(3)
+
+    def test_inverse_needs_constant_term_one(self):
+        ring = PackedRing(8)
+        with pytest.raises(NonUnitConstantTerm):
+            ring.inverse(ring.pack(LSeries(2, [2, 1])))
+
+    def test_unpack_rejects_non_counts(self):
+        with pytest.raises(ArithmeticError):
+            PackedRing(8).unpack((1, -1))
+        with pytest.raises(ValueError):
+            PackedRing(0)
 
 
 # Ring laws over small random values: the cluster route rests on exp and

@@ -2,14 +2,14 @@
 together."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckgen.cluster import degree_formula, genfun_via_cluster
 from dyckgen.config import CACHE_ENTRIES, SpecOutOfRange
 from dyckgen.exact import LSeries, QLaurent
 from dyckgen.genfun import (GenSpec, _inv_fk, check_duality,
-                            continued_fraction, genfun, genfun_weighted)
+                            continued_fraction, genfun)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
 from dyckgen.touchdown import tilde_genfun, tilde_secular
@@ -164,18 +164,6 @@ class TestStructure:
             assert spec.area_cap < 0 and tall.is_zero()
 
 
-class TestWeighted:
-    def test_step_counts_and_collapse(self):
-        spec = GenSpec(4, 1, 3, 11)
-        w = genfun_weighted(spec)
-        assert all(u - d == 2 for u, d in w.terms)  # n - m extra ups
-        assert w.collapse() == genfun(spec).full_series()
-
-    def test_excursions_balance(self):
-        w = genfun_weighted(GenSpec(3, 0, 0, 10))
-        assert all(u == d for u, d in w.terms)
-
-
 class TestDuality:
     @pytest.mark.parametrize("k", range(0, 6))
     def test_reflection(self, k):
@@ -231,13 +219,13 @@ class TestBuilderCaches:
             assert cached.cache_info().maxsize == CACHE_ENTRIES
 
     def test_eviction_keeps_results_exact(self):
-        first = _inv_fk(2, 5, None)
+        first = _inv_fk(2, 5, 6, None)
         for k in range(7):
             for order in range(10):
-                _inv_fk(k, order, 50)
+                _inv_fk(k, order, order + 1, 50)
         assert _inv_fk.cache_info().currsize <= CACHE_ENTRIES
         misses = _inv_fk.cache_info().misses
-        again = _inv_fk(2, 5, None)
+        again = _inv_fk(2, 5, 6, None)
         assert _inv_fk.cache_info().misses == misses + 1
         assert again == first and again is not first
 
@@ -263,3 +251,60 @@ def test_every_route_matches_oracle(spec):
     assert marked.full_series() == genfun_from_table(table,
                                                      with_touchdowns=True)
     assert marked.at_t_one() == oracle
+
+
+def uncapped_series(spec):
+    """The series part by plain QLaurent arithmetic with no cap, then,
+    for an unbounded spec, with the exponents above its area cap
+    dropped: the reference for the packed ring."""
+    k = spec.ceiling
+    m, n = min(spec.m, spec.n), max(spec.m, spec.n)
+    L = spec.order
+    num = (fk_polynomial(m - 1).resized(L)
+           * fk_polynomial(k - n - 1).resized(L).substitute_scale(n + 1))
+    series = num.divide(fk_polynomial(k).resized(L))
+    if spec.area_cap is None:
+        return series
+    return LSeries(L, [QLaurent({e: c for e, c in v.terms()
+                                 if e <= spec.area_cap})
+                       for v in series.c])
+
+
+@st.composite
+def packed_specs(draw):
+    k = draw(st.sampled_from([None, *range(9)]))
+    top = 6 if k is None else min(k, 6)
+    return GenSpec(k, draw(st.integers(0, top)), draw(st.integers(0, top)),
+                   draw(st.integers(0, 20)))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(packed_specs())
+@example(GenSpec(None, 0, 6, 20))
+@example(GenSpec(None, 6, 2, 20))
+@example(GenSpec(8, 2, 6, 20))
+@example(GenSpec(None, 5, 0, 3))
+@example(GenSpec(4, 1, 3, 0))
+@example(GenSpec(20, 0, 19, 10))   # overflows slots of order + 1 bits
+def test_whole_series_matches_uncapped_reference(spec):
+    # every coefficient the series holds, not only those full_series
+    # keeps: the slot width covers paths of order + |n - m| steps
+    assert genfun(spec).series == uncapped_series(spec)
+
+
+class TestAboveOracleGuard:
+    """The routes against brute force at lengths the guard refuses."""
+
+    @pytest.mark.parametrize("m,n,L", [(0, 0, 64), (2, 5, 56)])
+    def test_unbounded_genfun(self, monkeypatch, m, n, L):
+        monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
+        spec = GenSpec(None, m, n, L)
+        table = enumerate_paths(spec.ceiling, m, n, L)
+        assert genfun(spec).full_series() == genfun_from_table(table)
+
+    def test_unbounded_continued_fraction(self, monkeypatch):
+        monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
+        spec = GenSpec(None, 0, 0, 48)
+        table = enumerate_paths(spec.ceiling, 0, 0, 48)
+        assert (continued_fraction(spec.ceiling, 48)
+                == genfun_from_table(table))

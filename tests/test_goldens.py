@@ -1,7 +1,8 @@
 """Golden replay: every `genfun` and `table` job of the benchmark's golden
-set up to --max-len 24 must print, byte for byte, the output whose
-sha256 perfbench/goldens.json records (each golden was validated against
-the brute-force oracle when it was written)."""
+set up to --max-len 24, and every `genfun --k inf` job (orders up to 32,
+the outputs of the `unbounded` workload), must print, byte for byte, the
+output whose sha256 perfbench/goldens.json records (each golden was
+validated against the brute-force oracle when it was written)."""
 
 import hashlib
 import io
@@ -15,6 +16,7 @@ from dyckgen.cli import main
 
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 MAX_LEN = 24
+UNBOUNDED = "genfun --k inf "
 
 
 def _cli_jobs():
@@ -22,8 +24,10 @@ def _cli_jobs():
     jobs = []
     for key, digest in sorted(digests.items()):
         argv = key.split()
-        if (argv[0] in ("genfun", "table") and "--max-len" in argv
-                and int(argv[argv.index("--max-len") + 1]) <= MAX_LEN):
+        if argv[0] not in ("genfun", "table") or "--max-len" not in argv:
+            continue
+        if (key.startswith(UNBOUNDED)
+                or int(argv[argv.index("--max-len") + 1]) <= MAX_LEN):
             jobs.append((key, digest))
     return jobs
 
@@ -32,7 +36,8 @@ JOBS = _cli_jobs()
 
 
 def test_golden_set_is_not_empty():
-    assert len(JOBS) >= 200
+    assert len(JOBS) >= 300
+    assert sum(key.startswith(UNBOUNDED) for key, _ in JOBS) == 238
 
 
 @pytest.mark.parametrize("key,digest", JOBS, ids=[key for key, _ in JOBS])
