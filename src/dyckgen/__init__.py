@@ -19,12 +19,11 @@ all cross-checked against a brute-force dynamic-programming enumerator
 
 __version__ = "0.1.0"
 
-from .cluster import (MeanderLog, c2, c2_factorial, composition_energy,
-                      compositions, degree_check, degree_formula,
-                      genfun_via_cluster, log_genfun_restricted, log_secular,
-                      p_restricted)
+from .cluster import (c2, c2_factorial, composition_energy, compositions,
+                      degree_check, degree_formula, genfun_via_cluster,
+                      log_secular, p_restricted)
 from .config import GuardExceeded, SpecOutOfRange, UsageError
-from .exact import (BadConstantTerm, Convention, InexactDivision, LSeries,
+from .exact import (BadConstantTerm, InexactDivision, LSeries,
                     NonUnitConstantTerm, QLaurent, TPoly, lift_marker)
 from .genfun import (GenFun, GenSpec, check_duality, continued_fraction,
                      genfun)
@@ -32,29 +31,25 @@ from .oracle import (PathTable, Unreachable, enumerate_paths,
                      genfun_from_table, max_area)
 from .spectral import (bosonic_partition, det_degree, fk_polynomial,
                        grand_partition_exclusion, height_generating_function,
-                       qbinom, secular_det_direct, secular_det_recursive,
-                       secular_det_tilde, secular_matrix, spectral_function)
+                       qbinom, secular_det_direct, secular_det_tilde,
+                       secular_matrix)
 from .touchdown import (tilde_genfun, tilde_genfun_openend,
                         tilde_genfun_ratio, tilde_secular,
                         tilde_secular_direct, tilde_secular_toprow)
 from .verify import CheckResult, check_recursions, run_suites
 
 __all__ = [
-    "BadConstantTerm", "CheckResult", "Convention", "GenFun", "GenSpec",
-    "GuardExceeded", "InexactDivision", "LSeries", "MeanderLog",
-    "NonUnitConstantTerm", "PathTable", "QLaurent",
-    "SpecOutOfRange", "TPoly", "Unreachable", "UsageError",
-    "bosonic_partition", "c2", "c2_factorial",
-    "check_duality", "check_recursions", "composition_energy",
-    "compositions", "continued_fraction", "degree_check", "degree_formula",
-    "det_degree", "enumerate_paths", "fk_polynomial", "genfun",
-    "genfun_from_table", "genfun_via_cluster",
-    "grand_partition_exclusion",
-    "height_generating_function", "lift_marker", "log_genfun_restricted",
-    "log_secular", "max_area", "p_restricted", "qbinom", "run_suites",
-    "secular_det_direct",
-    "secular_det_recursive", "secular_det_tilde", "secular_matrix",
-    "spectral_function", "tilde_genfun", "tilde_genfun_openend",
-    "tilde_genfun_ratio", "tilde_secular", "tilde_secular_direct",
-    "tilde_secular_toprow",
+    "BadConstantTerm", "CheckResult", "GenFun", "GenSpec", "GuardExceeded",
+    "InexactDivision", "LSeries", "NonUnitConstantTerm", "PathTable",
+    "QLaurent", "SpecOutOfRange", "TPoly", "Unreachable", "UsageError",
+    "bosonic_partition", "c2", "c2_factorial", "check_duality",
+    "check_recursions", "composition_energy", "compositions",
+    "continued_fraction", "degree_check", "degree_formula", "det_degree",
+    "enumerate_paths", "fk_polynomial", "genfun", "genfun_from_table",
+    "genfun_via_cluster", "grand_partition_exclusion",
+    "height_generating_function", "lift_marker", "log_secular", "max_area",
+    "p_restricted", "qbinom", "run_suites", "secular_det_direct",
+    "secular_det_tilde", "secular_matrix", "tilde_genfun",
+    "tilde_genfun_openend", "tilde_genfun_ratio", "tilde_secular",
+    "tilde_secular_direct", "tilde_secular_toprow",
 ]

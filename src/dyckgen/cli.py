@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import io
 import json
 import sys
@@ -25,11 +26,24 @@ from fractions import Fraction
 from . import __version__
 from .cluster import genfun_via_cluster
 from .config import UsageError
-from .exact import Convention, TPoly
+from .exact import TPoly
 from .genfun import GenSpec, continued_fraction, genfun
 from .oracle import PathTable, enumerate_paths
 from .touchdown import tilde_genfun, tilde_genfun_ratio
 from .verify import SUITE_NAMES, run_suites
+
+
+class Convention(enum.Enum):
+    """Unit systems for reporting exponents.
+
+    STEP_PLAQUETTE: length in single steps, area in plaquettes (the
+    internal representation; always integer exponents).
+    DOUBLE_STEP_DIAMOND: length in step pairs, area in diamonds; both
+    exponents are halved and may be half-integers.
+    """
+
+    STEP_PLAQUETTE = "step-plaquette"
+    DOUBLE_STEP_DIAMOND = "double-step-diamond"
 
 
 def _parse_k(text):
@@ -42,6 +56,16 @@ def _parse_k(text):
     if k < 0:
         raise UsageError("--k must be >= 0")
     return k
+
+
+def _parse_spec_flags(args):
+    """The ceiling from --k (None for 'inf') and the spec echoed in the
+    output, after checking --max-len."""
+    k = _parse_k(args.k)
+    if args.max_len < 0:
+        raise UsageError("--max-len must be >= 0")
+    return k, {"k": "inf" if k is None else k, "m": args.m, "n": args.n,
+               "max_len": args.max_len}
 
 
 def _enc_exp(v, halve):
@@ -119,11 +143,7 @@ def _emit(args, spec_echo, method, terms, count_label=None):
 
 
 def cmd_genfun(args):
-    k = _parse_k(args.k)
-    if args.max_len < 0:
-        raise UsageError("--max-len must be >= 0")
-    spec_echo = {"k": "inf" if k is None else k, "m": args.m, "n": args.n,
-                 "max_len": args.max_len}
+    k, spec_echo = _parse_spec_flags(args)
     if args.touchdown:
         if args.method != "determinant":
             raise UsageError(
@@ -159,13 +179,9 @@ def cmd_genfun(args):
 
 
 def cmd_table(args):
-    k = _parse_k(args.k)
-    if args.max_len < 0:
-        raise UsageError("--max-len must be >= 0")
+    k, spec_echo = _parse_spec_flags(args)
     ceiling = GenSpec(k, args.m, args.n, args.max_len).ceiling
     table = enumerate_paths(ceiling, args.m, args.n, args.max_len)
-    spec_echo = {"k": "inf" if k is None else k, "m": args.m, "n": args.n,
-                 "max_len": args.max_len}
     if args.touchdowns:
         terms = [(l, a, s, c) for (l, a, s), c in table.sorted_items()]
     else:

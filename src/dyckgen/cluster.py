@@ -22,18 +22,18 @@ matrix over adjacent parts (p_restricted): polynomial in a, where
 listing the 2^(a-1) compositions is not.  The explicit compositions
 remain as the brute-force reference for the weights.
 
-For m != n there is also a non-series prefactor carrying fractional
-powers; its logarithm contributes (n-m)/2 * ln z plus
-(n-m)(n+m-1)/4 * ln q, reported alongside the polynomial data.
+For m != n the monomial prefactor of the generating function carries
+fractional powers in these units; its logarithm, step_shift/2 * ln z
+plus area_shift/2 * ln q (GenSpec properties), is not part of the
+series computed here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .config import SpecOutOfRange
+from .config import SpecOutOfRange, check_ceiling
 from .exact import LSeries, QLaurent
 from .genfun import GenFun, GenSpec, genfun
 
@@ -88,21 +88,6 @@ def composition_energy(comp):
     return sum(i * l for i, l in enumerate(comp))
 
 
-@dataclass(frozen=True)
-class MeanderLog:
-    """Logarithm of an endpoint generating function in double-step
-    units: fractional-power prefactor contributions log_z * ln z +
-    log_q * ln q, plus the series part p (an LSeries in z with constant
-    term 0)."""
-
-    k: int | None
-    m: int
-    n: int
-    log_z: Fraction
-    log_q: Fraction
-    p: LSeries
-
-
 def p_restricted(k, m, n, a_max):
     """Series part of ln G for ceiling k (None = unbounded) and endpoints
     m <= n, as an LSeries in z to order a_max with constant term 0.
@@ -142,21 +127,11 @@ def p_restricted(k, m, n, a_max):
     return LSeries(a_max, p)
 
 
-def log_genfun_restricted(k, m, n, a_max):
-    """Full logarithm data for the (k, m, n) generating function up to
-    z^a_max."""
-    return MeanderLog(k, m, n,
-                      Fraction(n - m, 2),
-                      Fraction((n - m) * (n + m - 1), 4),
-                      p_restricted(k, m, n, a_max))
-
-
 def log_secular(k, a_max):
     """ln F_k in z to order a_max: minus the cluster sum over the
     compositions with at most k parts, each over the base levels
     r = 0..k-j, which is -p_restricted(k, 0, k, a_max)."""
-    if k < 0:
-        raise SpecOutOfRange("ceiling must be >= 0")
+    check_ceiling(k)
     return -p_restricted(k, 0, k, a_max)
 
 

@@ -45,6 +45,14 @@ def guards_lifted() -> bool:
     return bool(os.environ.get("DYCKGEN_GUARD_OVERRIDE"))
 
 
+def check_ceiling(k, lowest=0):
+    """Raise SpecOutOfRange unless the ceiling k is an int >= lowest;
+    an unbounded ceiling (None) is not one."""
+    if not isinstance(k, int) or k < lowest:
+        raise SpecOutOfRange(f"ceiling must be an integer >= {lowest}, "
+                             f"got {k!r}")
+
+
 def check_guard(value, limit, what):
     """Raise GuardExceeded when value is above limit and the guards are
     not lifted; `what` names the value in the message."""

@@ -34,7 +34,6 @@ objects, so values may be shared freely across threads.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 
 
@@ -56,19 +55,6 @@ def _norm(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
-
-
-class Convention(enum.Enum):
-    """Unit systems for reporting exponents.
-
-    STEP_PLAQUETTE: length in single steps, area in plaquettes (the
-    internal representation; always integer exponents).
-    DOUBLE_STEP_DIAMOND: length in step pairs, area in diamonds; both
-    exponents are halved and may be half-integers.
-    """
-
-    STEP_PLAQUETTE = "step-plaquette"
-    DOUBLE_STEP_DIAMOND = "double-step-diamond"
 
 
 class QLaurent:
@@ -476,9 +462,6 @@ class TPoly:
             return self
         return TPoly._wrap({s: v.shift(j) for s, v in self._c.items()})
 
-    def invert_q(self):
-        return TPoly._wrap({s: v.invert_q() for s, v in self._c.items()})
-
     def at_t_one(self):
         """Forget the touchdown statistic (set t = 1)."""
         total = _QL_ZERO
@@ -708,7 +691,9 @@ class LSeries:
         if not self.c[0].is_zero():
             raise BadConstantTerm("exp needs constant term 0")
         L = self.order
-        a_nz = [(i, v) for i, v in enumerate(self.c) if not v.is_zero()]
+        # n*b_n = sum_i (i*a_i)*b_(n-i): scale each a_i by i once
+        a_nz = [(i, v.scale(i)) for i, v in enumerate(self.c)
+                if not v.is_zero()]
         b = [self.ring.one()]
         for n in range(1, L + 1):
             s = self.ring.zero()
@@ -717,7 +702,7 @@ class LSeries:
                     break
                 bi = b[n - i]
                 if not bi.is_zero():
-                    s = s + (ai * bi).scale(i)
+                    s = s + ai * bi
             b.append(s.scale(Fraction(1, n)))
         return LSeries._wrap(L, b, self.ring)
 
@@ -752,6 +737,8 @@ class LSeries:
         """Same series re-truncated (padded with zeros when growing; only
         valid for growth when the tail is known to vanish, e.g. an exact
         polynomial)."""
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
         if order == self.order:
             return self
         if order < self.order:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import CACHE_ENTRIES, SpecOutOfRange
+from .config import CACHE_ENTRIES, SpecOutOfRange, check_ceiling
 from .exact import LSeries, PackedRing, QLaurent, TPoly
 from .spectral import fk_polynomial
 
@@ -41,8 +41,7 @@ class GenSpec:
         if self.m < 0 or self.n < 0:
             raise SpecOutOfRange("heights must be >= 0")
         if self.k is not None:
-            if self.k < 0:
-                raise SpecOutOfRange("ceiling must be >= 0 (or None)")
+            check_ceiling(self.k)
             if self.m > self.k or self.n > self.k:
                 raise SpecOutOfRange(
                     f"heights ({self.m}, {self.n}) must lie in 0..{self.k}")
@@ -184,8 +183,7 @@ def continued_fraction(k, order):
     excursion count of at most `order` steps is below 2**order).  At any
     ceiling those excursions have area at most the unbounded cap, so the
     ring computes modulo that cap."""
-    if k < 0:
-        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
+    check_ceiling(k)
     ring = PackedRing(order + 1, GenSpec(None, 0, 0, order).area_cap)
     cur = ring.pack(LSeries.one(order))
     for j in range(k - 1, -1, -1):

@@ -52,8 +52,7 @@ class PathTable:
 
 
 def _check_heights(k, m, n):
-    if k < 0:
-        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
+    config.check_ceiling(k)
     if not (0 <= m <= k and 0 <= n <= k):
         raise SpecOutOfRange(f"heights ({m}, {n}) must lie in 0..{k}")
 

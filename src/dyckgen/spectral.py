@@ -28,7 +28,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import config
-from .config import SpecOutOfRange
 from .exact import LSeries, QLaurent
 
 
@@ -56,8 +55,7 @@ def secular_matrix(k, order=None):
     """1 minus the height-hopping walk operator, entrywise as truncated
     series: symmetric tridiagonal, 1 on the diagonal, -zeta*theta^n
     between heights n and n+1."""
-    if k < 0:
-        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
+    config.check_ceiling(k)
     hops = [{1: QLaurent.mono(n, -1)} for n in range(k)]
     return tridiagonal(hops, hops, order if order is not None else k + 3)
 
@@ -67,8 +65,7 @@ def fk_polynomial(k):
     """Exact ceiling-k determinant at its natural degree, by the
     recursion F_k = F_{k-1}(zeta*theta) - zeta^2 * F_{k-2}(zeta*theta^2),
     anchored at F_{-1} = F_0 = 1."""
-    if k < -1:
-        raise SpecOutOfRange(f"ceiling {k} must be >= -1")
+    config.check_ceiling(k, lowest=-1)
     if k <= 0:
         return LSeries.one(0)
     deg = det_degree(k)
@@ -78,12 +75,6 @@ def fk_polynomial(k):
     else:
         b = fk_polynomial(k - 2).resized(deg).substitute_scale(2)
     return a - b.shift_step(2)
-
-
-def secular_det_recursive(k, order):
-    """Ceiling-k determinant truncated (or zero-padded) to the given
-    step order."""
-    return fk_polynomial(k).resized(order)
 
 
 def det_elimination(cells):
@@ -116,6 +107,7 @@ def det_elimination(cells):
 
 def secular_det_direct(k):
     """Ceiling-k determinant by literal elimination on the matrix."""
+    config.check_ceiling(k)
     config.check_guard(k, config.DIRECT_DET_K_MAX, "ceiling")
     return det_elimination(secular_matrix(k)).resized(det_degree(k))
 
@@ -126,8 +118,7 @@ def secular_det_tilde(k):
     row i is -zeta^2*theta^(2(i-1)): the step and area weights are
     shuffled between the two hop directions but the determinant is
     unchanged."""
-    if k < 0:
-        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
+    config.check_ceiling(k)
     config.check_guard(k, config.DIRECT_DET_K_MAX, "ceiling")
     below = [{2: QLaurent.mono(2 * n, -1)} for n in range(k)]
     cells = tridiagonal([{0: -1}] * k, below, 2 * k + 4)
@@ -153,15 +144,6 @@ def qbinom(m, r):
         den = QLaurent({0: 1, j: -1})
         out = (out * num).divexact(den)
     return out
-
-
-def spectral_function(n):
-    """Boltzmann weight theta^(2n) of level n of the equidistant
-    single-particle spectrum (n = 0, 1, ...); the grand partition sum
-    couples it to fugacity -zeta^2."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    return QLaurent.mono(2 * n)
 
 
 def _compositions_nonneg(total, parts):
@@ -225,8 +207,7 @@ def grand_partition_exclusion(k, order):
     exclusion-2 particles: sum over particle number N of
     (-zeta^2)^N * q^(N(N-1)) * [k-N+1 choose N]_q, exponents converted
     to internal (step, plaquette) units."""
-    if k < 0:
-        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
+    config.check_ceiling(k)
     coeffs = {}
     for N in range((k + 1) // 2 + 1):
         if 2 * N > order:

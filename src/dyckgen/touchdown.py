@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .config import CACHE_ENTRIES, SpecOutOfRange
+from .config import CACHE_ENTRIES, SpecOutOfRange, check_ceiling
 from .exact import LSeries, QLaurent, TPoly, lift_marker
 from .genfun import GenFun, GenSpec, genfun
 from .spectral import det_elimination, fk_polynomial, tridiagonal
@@ -35,12 +35,13 @@ from .spectral import det_elimination, fk_polynomial, tridiagonal
 _T = TPoly.marker()
 
 
-@lru_cache(maxsize=CACHE_ENTRIES)
+@lru_cache(maxsize=CACHE_ENTRIES, typed=True)
 def tilde_secular(k, order):
     """Marked determinant t*F_k + (1-t)*F_{k-1}(zeta*theta) as a series
-    with marker-polynomial coefficients; tF_{-1} = tF_0 = 1."""
-    if k < -1:
-        raise SpecOutOfRange(f"ceiling {k} must be >= -1")
+    with marker-polynomial coefficients; tF_{-1} = tF_0 = 1.  The cache
+    is typed, so a float ceiling equal to a cached int still reaches the
+    ceiling check."""
+    check_ceiling(k, lowest=-1)
     if k <= 0:
         return LSeries.one(order, TPoly)
     fk = lift_marker(fk_polynomial(k).resized(order))
@@ -52,8 +53,7 @@ def tilde_secular(k, order):
 def tilde_secular_toprow(k, order):
     """Same determinant by expanding along the marked first row:
     F_{k-1}(zeta*theta) - t*zeta^2*F_{k-2}(zeta*theta^2)."""
-    if k < -1:
-        raise SpecOutOfRange(f"ceiling {k} must be >= -1")
+    check_ceiling(k, lowest=-1)
     if k <= 0:
         return LSeries.one(order, TPoly)
     fk1 = lift_marker(
@@ -67,8 +67,7 @@ def tilde_secular_direct(k, order=None):
     """Same determinant by literal elimination on the marked matrix:
     the hop from height 1 down to 0 carries weight t*zeta, its partner
     up-hop plain zeta, all other hops the usual zeta*theta^n."""
-    if k < 0:
-        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
+    check_ceiling(k)
     L = order if order is not None else 2 * ((k + 1) // 2) + 2
     up = [{1: TPoly({0: QLaurent.mono(n, -1)})} for n in range(k)]
     # row n, column n+1: amplitude n+1 -> n
@@ -118,8 +117,7 @@ def tilde_genfun_openend(k, order):
     1 + (G_k - 1) / [t + (1-t) G_k].  Every closed excursion ends with a
     return, so dividing the nontrivial part of the fully marked function
     by t removes exactly that last marker."""
-    if k < 0:
-        raise SpecOutOfRange(f"ceiling {k} must be >= 0")
+    check_ceiling(k)
     one = LSeries.one(order, TPoly)
     g = lift_marker(genfun(GenSpec(k, 0, 0, order)).full_series())
     series = one + (g - one).divide(_excursion_bracket(k, order))

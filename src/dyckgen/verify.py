@@ -20,15 +20,11 @@ from .genfun import GenSpec, check_duality, continued_fraction, genfun
 from .oracle import enumerate_paths, genfun_from_table, max_area
 from .spectral import (bosonic_partition, det_degree, fk_polynomial,
                        grand_partition_exclusion, height_generating_function,
-                       secular_det_direct, secular_det_recursive,
-                       secular_det_tilde)
+                       secular_det_direct, secular_det_tilde)
 from .touchdown import (tilde_genfun, tilde_genfun_openend,
                         tilde_genfun_openend_shifted, tilde_genfun_ratio,
                         tilde_secular, tilde_secular_direct,
                         tilde_secular_toprow)
-
-SUITE_NAMES = ("determinants", "genfun", "duality", "recursions",
-               "cluster", "touchdown")
 
 
 @dataclass(frozen=True)
@@ -55,10 +51,14 @@ def _series_detail(a, b):
     return "; ".join(parts)
 
 
+def _check(suite, name, params, ok, detail):
+    """A check result that keeps `detail` only when the check fails."""
+    return CheckResult(suite, name, params, ok, "" if ok else detail)
+
+
 def _eq_check(suite, name, params, a, b):
     ok = a == b
-    return CheckResult(suite, name, params, ok,
-                       "" if ok else _series_detail(a, b))
+    return _check(suite, name, params, ok, "" if ok else _series_detail(a, b))
 
 
 def suite_determinants(k_max=10, len_max=16):
@@ -67,7 +67,7 @@ def suite_determinants(k_max=10, len_max=16):
     and the height generating function."""
     out = []
     for k in range(k_max + 1):
-        f = secular_det_recursive(k, det_degree(k))
+        f = fk_polynomial(k)
         out.append(_eq_check("determinants", "recursive_vs_direct",
                              f"k={k}", f, secular_det_direct(k)))
         out.append(_eq_check("determinants", "recursive_vs_variant",
@@ -82,18 +82,16 @@ def suite_determinants(k_max=10, len_max=16):
                   and all(v.degree() is not None for _, v in f.nonzero_terms()))
         top = det_degree(k)
         deg_ok = deg_ok and (k == 0 or not f.coeff(top).is_zero())
-        out.append(CheckResult("determinants", "constant_and_degree",
-                               f"k={k}", deg_ok,
-                               "" if deg_ok else "degree or constant term off"))
+        out.append(_check("determinants", "constant_and_degree", f"k={k}",
+                          deg_ok, "degree or constant term off"))
     for k in range(1, min(k_max, 6) + 1):
         for n in range(0, min(k_max, 6) + 1):
             ref = bosonic_partition(k, n, "product")
             for meth in ("occupation", "excitation", "qbinomial"):
-                ok = bosonic_partition(k, n, meth) == ref
-                out.append(CheckResult(
+                out.append(_check(
                     "determinants", f"partition_{meth}_vs_product",
-                    f"k={k} N={n}", ok,
-                    "" if ok else "partition polynomials differ"))
+                    f"k={k} N={n}", bosonic_partition(k, n, meth) == ref,
+                    "partition polynomials differ"))
     w_max = min(k_max, 8)
     hs = height_generating_function(w_max, len_max)
     for k in range(w_max + 1):
@@ -125,10 +123,9 @@ def suite_genfun(k_max=5, len_max=12):
                     for _, cv in v.terms():
                         if not isinstance(cv, int) or cv < 0:
                             ok = False
-                out.append(CheckResult(
-                    "genfun", "parity_and_positivity",
-                    f"k={k} m={m} n={n}", ok,
-                    "" if ok else "non-count coefficient found"))
+                out.append(_check("genfun", "parity_and_positivity",
+                                  f"k={k} m={m} n={n}", ok,
+                                  "non-count coefficient found"))
         cf = continued_fraction(k, len_max)
         out.append(_eq_check("genfun", "continued_fraction",
                              f"k={k}", cf,
@@ -155,10 +152,10 @@ def suite_duality(k_max=5, len_max=12):
     for k in range(k_max + 1):
         for m in range(k + 1):
             for n in range(m, k + 1):
-                ok = check_duality(GenSpec(k, m, n, len_max))
-                out.append(CheckResult(
-                    "duality", "reflection", f"k={k} m={m} n={n}", ok,
-                    "" if ok else "reflected series differs"))
+                out.append(_check(
+                    "duality", "reflection", f"k={k} m={m} n={n}",
+                    check_duality(GenSpec(k, m, n, len_max)),
+                    "reflected series differs"))
     return out
 
 
@@ -230,9 +227,8 @@ def suite_cluster(k_max=4, len_max=16):
     ok = all(c2(c) == c2_factorial(c)
              for a in range(1, min(a_max, 12) + 1)
              for c in compositions(a))
-    out.append(CheckResult("cluster", "weight_two_forms",
-                           f"a<={min(a_max, 12)}", ok,
-                           "" if ok else "c2 forms disagree"))
+    out.append(_check("cluster", "weight_two_forms", f"a<={min(a_max, 12)}",
+                      ok, "c2 forms disagree"))
     out.append(_eq_check("cluster", "unbounded_exp_log", f"a_max={a_max}",
                          p_restricted(None, 0, 0, a_max).exp(),
                          genfun_series_zq(None, 0, 0, a_max)))
@@ -251,19 +247,18 @@ def suite_cluster(k_max=4, len_max=16):
     for k in range(1, min(k_max, 6) + 1):
         for n in range(k + 1):
             for a in range(1, min(a_max, 10) + 1):
-                ok = degree_check(k, 0, n, a)
-                out.append(CheckResult("cluster", "degree_law",
-                                       f"k={k} n={n} a={a}", ok,
-                                       "" if ok else "degree formula missed"))
+                out.append(_check("cluster", "degree_law",
+                                  f"k={k} n={n} a={a}",
+                                  degree_check(k, 0, n, a),
+                                  "degree formula missed"))
     for k, n, a in ((2, 0, 3), (3, 1, 4), (4, 2, 6)):
         if k > k_max:
             continue
         l = 2 * a + n
         witness = max_area(k, 0, n, l)
         ok = witness == 2 * degree_formula(k, n, a) + n * (n - 1) // 2
-        out.append(CheckResult("cluster", "degree_oracle_witness",
-                               f"k={k} n={n} a={a}", ok,
-                               "" if ok else f"max area {witness} off"))
+        out.append(_check("cluster", "degree_oracle_witness",
+                          f"k={k} n={n} a={a}", ok, f"max area {witness} off"))
     return out
 
 
@@ -313,6 +308,7 @@ _SUITES = {
     "cluster": suite_cluster,
     "touchdown": suite_touchdown,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names, k_max=None, len_max=None):

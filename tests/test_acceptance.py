@@ -18,7 +18,7 @@ from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import (det_degree, fk_polynomial,
                               grand_partition_exclusion,
                               height_generating_function, secular_det_direct,
-                              secular_det_recursive, secular_det_tilde)
+                              secular_det_tilde)
 from dyckgen.touchdown import tilde_genfun
 from dyckgen.verify import check_recursions
 
@@ -40,7 +40,7 @@ def test_01_determinant_triple_agreement(capsys):
     bad = []
     for k in range(13):
         order = det_degree(k)
-        f = secular_det_recursive(k, order)
+        f = fk_polynomial(k)
         if f != secular_det_direct(k):
             bad.append((k, "direct"))
         if f != grand_partition_exclusion(k, order):

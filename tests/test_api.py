@@ -1,0 +1,85 @@
+"""The package surface: one ceiling check behind every entry point that
+takes a ceiling, and public names that all resolve."""
+
+import pytest
+
+import dyckgen
+from dyckgen import cli, cluster, exact, spectral
+from dyckgen.cluster import log_secular
+from dyckgen.config import SpecOutOfRange
+from dyckgen.genfun import GenSpec, continued_fraction
+from dyckgen.oracle import enumerate_paths, max_area
+from dyckgen.spectral import (fk_polynomial, grand_partition_exclusion,
+                              secular_det_direct, secular_det_tilde,
+                              secular_matrix)
+from dyckgen.touchdown import (tilde_genfun_openend, tilde_secular,
+                               tilde_secular_direct, tilde_secular_toprow)
+
+# name -> (call with the ceiling k, lowest admissible ceiling)
+CEILING_ENTRY_POINTS = {
+    "fk_polynomial": (fk_polynomial, -1),
+    "secular_matrix": (secular_matrix, 0),
+    "secular_det_direct": (secular_det_direct, 0),
+    "secular_det_tilde": (secular_det_tilde, 0),
+    "grand_partition_exclusion": (
+        lambda k: grand_partition_exclusion(k, 4), 0),
+    "tilde_secular": (lambda k: tilde_secular(k, 4), -1),
+    "tilde_secular_toprow": (lambda k: tilde_secular_toprow(k, 4), -1),
+    "tilde_secular_direct": (tilde_secular_direct, 0),
+    "tilde_genfun_openend": (lambda k: tilde_genfun_openend(k, 4), 0),
+    "continued_fraction": (lambda k: continued_fraction(k, 4), 0),
+    "GenSpec": (lambda k: GenSpec(k, 0, 0, 4), 0),
+    "log_secular": (lambda k: log_secular(k, 3), 0),
+    "enumerate_paths": (lambda k: enumerate_paths(k, 0, 0, 4), 0),
+    "max_area": (lambda k: max_area(k, 0, 0, 0), 0),
+}
+
+BAD_CEILINGS = [(name, k) for name in CEILING_ENTRY_POINTS
+                for k in (None, -2, 2.5)
+                if not (name == "GenSpec" and k is None)]
+
+
+@pytest.mark.parametrize("name,k", BAD_CEILINGS)
+def test_bad_ceiling_is_a_spec_error(name, k):
+    call, _ = CEILING_ENTRY_POINTS[name]
+    with pytest.raises(SpecOutOfRange, match="ceiling must be an integer"):
+        call(k)
+
+
+@pytest.mark.parametrize("name", CEILING_ENTRY_POINTS)
+def test_lowest_ceiling_is_accepted(name):
+    call, lowest = CEILING_ENTRY_POINTS[name]
+    call(lowest)
+    with pytest.raises(SpecOutOfRange):
+        call(lowest - 1)
+
+
+def test_cached_entry_point_still_checks_the_ceiling():
+    tilde_secular(2, 4)
+    with pytest.raises(SpecOutOfRange):
+        tilde_secular(2.0, 4)
+
+
+def test_unbounded_spec_is_accepted():
+    assert GenSpec(None, 0, 0, 4).ceiling == 2
+
+
+def test_every_public_name_resolves():
+    for name in dyckgen.__all__:
+        assert hasattr(dyckgen, name), name
+
+
+@pytest.mark.parametrize("owner,name", [
+    (cluster, "log_genfun_restricted"), (cluster, "MeanderLog"),
+    (spectral, "spectral_function"), (spectral, "secular_det_recursive"),
+    (exact.TPoly, "invert_q"), (exact, "Convention"),
+])
+def test_names_without_callers_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert not hasattr(dyckgen, name)
+    assert name not in dyckgen.__all__
+
+
+def test_convention_lives_in_the_cli():
+    assert [c.value for c in cli.Convention] == [
+        "step-plaquette", "double-step-diamond"]

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckgen.cluster import (MeanderLog, c2, c2_factorial, composition_energy,
+from dyckgen.cluster import (c2, c2_factorial, composition_energy,
                              compositions, degree_check, degree_formula,
                              genfun_series_zq, genfun_via_cluster,
-                             log_genfun_restricted, log_secular, p_restricted)
+                             log_secular, p_restricted)
 from dyckgen.exact import LSeries, QLaurent
 from dyckgen.genfun import GenSpec, genfun
 from dyckgen.oracle import max_area
@@ -172,14 +172,6 @@ class TestRestricted:
     def test_series_zq_unbounded_covers_its_top_power(self):
         # z^4 of (0, 2) counts 10-step paths, which climb to height 6
         assert genfun_series_zq(None, 0, 2, 4) == genfun_series_zq(6, 0, 2, 4)
-
-    def test_prefactor_log_terms(self):
-        lg = log_genfun_restricted(4, 1, 2, 5)
-        assert isinstance(lg, MeanderLog)
-        assert lg.log_z == Fraction(1, 2)
-        assert lg.log_q == Fraction(1, 2)  # (n-m)(n+m-1)/4 = 2/4
-        assert log_genfun_restricted(3, 0, 0, 2).log_z == 0
-        assert lg.p == p_restricted(4, 1, 2, 5)
 
     def test_domain(self):
         assert p_restricted(3, 0, 0, 0) == LSeries.zeros(0)

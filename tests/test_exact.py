@@ -188,6 +188,10 @@ class TestLSeries:
             a.coeff(5)
         assert a.coeff(-3).is_zero()
 
+    def test_resized_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            LSeries(3, {0: 1, 2: 1}).resized(-1)
+
     def test_mul_truncates_to_shorter(self):
         a = LSeries(10, {0: 1, 1: 1})
         b = LSeries(4, {0: 1})

@@ -9,9 +9,8 @@ from dyckgen.config import GuardExceeded, SpecOutOfRange
 from dyckgen.spectral import (bosonic_partition, det_degree, fk_polynomial,
                               grand_partition_exclusion,
                               height_generating_function, qbinom,
-                              secular_det_direct, secular_det_recursive,
-                              secular_det_tilde, secular_matrix,
-                              spectral_function)
+                              secular_det_direct, secular_det_tilde,
+                              secular_matrix)
 
 # first few determinants, expanded by hand from the two-term recursion
 # and cross-checked against the exclusion sum
@@ -38,7 +37,7 @@ class TestDeterminants:
 
     @pytest.mark.parametrize("k", range(0, 11))
     def test_three_routes_agree(self, k):
-        f = secular_det_recursive(k, det_degree(k))
+        f = fk_polynomial(k)
         assert f == secular_det_direct(k)
         assert f == secular_det_tilde(k)
         assert f == grand_partition_exclusion(k, det_degree(k))
@@ -149,9 +148,3 @@ class TestHeightGF:
         hs = height_generating_function(6, 12)
         for k in range(7):
             assert hs[k] == fk_polynomial(k).resized(12), k
-
-    def test_spectral_function_levels(self):
-        assert spectral_function(0) == QLaurent.one()
-        assert spectral_function(3) == QLaurent.mono(6)
-        with pytest.raises(ValueError):
-            spectral_function(-1)

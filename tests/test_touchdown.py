@@ -27,6 +27,9 @@ class TestMarkedDeterminant:
         assert tilde_secular(0, 4) == LSeries.one(4, TPoly)
         with pytest.raises(SpecOutOfRange):
             tilde_secular(-2, 4)
+        # a negative order is the truncation's error, not a ring mismatch
+        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+            tilde_secular(3, -1)
 
     @pytest.mark.parametrize("k", range(0, 11))
     def test_three_routes_agree(self, k):
