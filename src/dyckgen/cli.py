@@ -152,7 +152,7 @@ def cmd_genfun(args):
         full = main_ts.full_series()
         if args.check:
             other = tilde_genfun_ratio(k, args.m, args.n, args.max_len)
-            if other.series != main_ts.series:
+            if other.full_series() != full:
                 print("internal mismatch: determinant vs ratio route",
                       file=sys.stderr)
                 return 3

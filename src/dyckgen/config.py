@@ -24,7 +24,8 @@ ENUM_PARTITION_MAX = 36
 ORACLE_LEN_MAX = 24
 
 # Entries kept by each builder cache (fk_polynomial, _inv_fk,
-# tilde_secular), so a long-lived process holds bounded memory.
+# _arch_factors, tilde_secular), so a long-lived process holds bounded
+# memory.
 CACHE_ENTRIES = 64
 
 

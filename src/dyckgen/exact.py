@@ -16,12 +16,13 @@ Every QLaurent product runs through one convolution (QLaurent.__mul__),
 and every series quotient through one recurrence (LSeries.divide); log
 is the integral of f'/f, so it reuses that quotient.
 
-The determinant and continued-fraction routes run in a fourth ring,
-PackedRing: a series whose area polynomials are packed into one Python
-int each (theta -> 2**width).  It is exact for series whose final
+The determinant, continued-fraction and touchdown routes run in a fourth
+ring, PackedRing: a series whose area polynomials are packed into one
+Python int each (theta -> 2**width).  It is exact for series whose final
 coefficients are counts, and an area cap is its modulus, a bit mask, so
 no product here takes a cap.  Values are unpacked into QLaurent once, at
-the edge.
+the edge; the touchdown route unpacks one count series per power of the
+marker t and assembles the TPoly coefficients from them.
 
 Internally every exponent is an integer.  The double-step convention
 (z = zeta^2, q = theta^2, exponents counting step pairs and diamonds) is
@@ -798,7 +799,9 @@ class PackedRing:
     signs, cancellations or overflowing slots the intermediate values
     hold; only the final coefficients must be counts in 0..2**width - 1,
     so `unpack` can read them slot by slot.  A cap below 0 keeps nothing.
-    Packed series are tuples of ints, one per step power.
+    The width is rounded up to whole bytes, so that `unpack` reads each
+    slot straight from the value's bytes.  Packed series are tuples of
+    ints, one per step power.
     """
 
     __slots__ = ("width", "cap", "mask")
@@ -806,6 +809,7 @@ class PackedRing:
     def __init__(self, width, cap=None):
         if width < 1:
             raise ValueError("slot width must be >= 1")
+        width = -(-width // 8) * 8
         self.width = width
         self.cap = cap
         self.mask = (None if cap is None
@@ -860,19 +864,24 @@ class PackedRing:
 
     def unpack(self, x):
         """The LSeries of area polynomials a packed series stands for;
-        every coefficient must be a count below 2**width."""
-        w = self.width
+        every coefficient, reduced by the cap, must be a count below
+        2**width."""
+        nb = self.width // 8
+        zero = bytes(nb)
         out = []
-        for v in x:
-            if v < 0:
-                raise ArithmeticError("packed value is not a count series")
-            bits = format(v, "b") if v else ""
-            c = {}
-            for e, end in enumerate(range(len(bits), 0, -w)):
-                d = int(bits[max(end - w, 0):end], 2)
-                if d:
-                    c[e] = d
-            out.append(QLaurent._wrap(c))
+        for v in map(self._reduce, x):
+            if v <= 0:
+                if v:
+                    raise ArithmeticError(
+                        "packed value is not a count series")
+                out.append(_QL_ZERO)
+                continue
+            raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
+            low = ((v & -v).bit_length() - 1) // self.width
+            out.append(QLaurent._wrap(
+                {e: int.from_bytes(slot, "little")
+                 for e, i in enumerate(range(low * nb, len(raw), nb), low)
+                 if (slot := raw[i:i + nb]) != zero}))
         return LSeries._wrap(len(out) - 1, out, QLaurent)
 
 

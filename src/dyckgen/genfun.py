@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import CACHE_ENTRIES, SpecOutOfRange, check_ceiling
-from .exact import LSeries, PackedRing, QLaurent, TPoly
+from .exact import LSeries, PackedRing, TPoly
 from .spectral import fk_polynomial
 
 
@@ -36,6 +36,11 @@ class GenSpec:
     order: int
 
     def __post_init__(self):
+        for field in ("m", "n", "order"):
+            value = getattr(self, field)
+            if not isinstance(value, int):
+                raise SpecOutOfRange(f"{field} must be an integer, "
+                                     f"got {value!r}")
         if self.order < 0:
             raise SpecOutOfRange("order must be >= 0")
         if self.m < 0 or self.n < 0:
@@ -74,6 +79,16 @@ class GenSpec:
         return a * (a - 1) + 2 * a * n
 
     @property
+    def width(self):
+        """Packed slot width, in bits, for the series part: its
+        coefficient of zeta^l counts paths of l + |n - m| <= order +
+        |n - m| steps, fewer than 2**(order + |n - m|) at each area.  A
+        finite ceiling takes the width for |n - m| = k, which covers
+        every endpoint pair, so all of them share one packed 1/F_k."""
+        return self.order + (self.step_shift if self.k is None
+                             else self.k) + 1
+
+    @property
     def step_shift(self):
         """Step exponent of the monomial prefactor: |n - m|."""
         return abs(self.n - self.m)
@@ -101,7 +116,7 @@ class GenFun:
     def _with_prefactor(self, s):
         s = s.shift_step(self.spec.step_shift)
         if self.spec.area_shift:
-            s = s.scale(QLaurent.mono(self.spec.area_shift))
+            s = s.map_coeffs(lambda v: v.shift(self.spec.area_shift))
         return s
 
     def full_series(self):
@@ -146,18 +161,16 @@ def genfun(spec):
     """Generating function for spec; symmetric in (m, n).
 
     F_(m-1), F_(k-n-1)(zeta*theta^(n+1)) and 1/F_k are multiplied in one
-    packed ring.  Its slot width is order + |n - m| + 1 bits: the series
-    coefficient of zeta^l counts paths of l + |n - m| steps, fewer than
-    2**(l + |n - m|) at each area.  An unbounded spec computes modulo its
-    area cap, which drops exactly the exponents above the cap."""
+    packed ring of slot width spec.width.  An unbounded spec computes
+    modulo its area cap, which drops exactly the exponents above the
+    cap."""
     k = spec.ceiling
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
     L = spec.order
-    width = L + spec.step_shift + 1
-    ring = PackedRing(width, spec.area_cap)
+    ring = PackedRing(spec.width, spec.area_cap)
     num = ring.pack(fk_polynomial(m - 1).resized(L))
     upper = ring.pack(fk_polynomial(k - n - 1).resized(L), n + 1)
-    inv = _inv_fk(k, L, width, spec.area_cap)
+    inv = _inv_fk(k, L, ring.width, spec.area_cap)
     return GenFun(spec, ring.unpack(ring.mul(ring.mul(num, upper), inv)))
 
 

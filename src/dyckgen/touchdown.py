@@ -18,9 +18,22 @@ ring: the t^s part of the zeta^l coefficient counts paths with exactly
 s floor returns.  t is formal throughout; specialize with at_t_one() or
 by extracting marker coefficients.
 
+The marked determinant is linear in t.  Its top-row expansion is
+
+    tF_k = A - t * C,  A = F_{k-1}(zeta*theta),
+                       C = zeta^2 * F_{k-2}(zeta*theta^2),
+
+so 1/tF_k = sum_s t^s C^s / A^(s+1), and C/A = zeta^2 G_{k-1}(zeta*theta)
+is one arch: an up-step, an excursion one level higher, and the marked
+down-step back to the floor.  The t^s part of tG is therefore a plain
+count series, the paths with s arches, and tilde_genfun computes one
+per s in the packed ring of the determinant route, under the same area
+cap.
+
 Every route is cross-checkable: the determinant has a top-row expansion
 and a literal matrix form, and the quotient has an equivalent expression
-through ratios of unmarked excursion functions.
+through ratios of unmarked excursion functions, which tilde_genfun_ratio
+evaluates in marker-polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .config import CACHE_ENTRIES, SpecOutOfRange, check_ceiling
-from .exact import LSeries, QLaurent, TPoly, lift_marker
+from .exact import LSeries, PackedRing, QLaurent, TPoly, lift_marker
 from .genfun import GenFun, GenSpec, genfun
 from .spectral import det_elimination, fk_polynomial, tridiagonal
 
@@ -76,18 +89,57 @@ def tilde_secular_direct(k, order=None):
     return det_elimination(tridiagonal(down, up, L, TPoly))
 
 
+def _marked_parts(ring, k, order):
+    """Packed A and C with tF_k = A - t*C, from the top-row expansion:
+    A = F_(k-1)(zeta*theta) and C = zeta^2 * F_(k-2)(zeta*theta^2), or
+    A = 1 and C = 0 when k <= 0."""
+    if k <= 0:
+        return ring.pack(LSeries.one(order)), (0,) * (order + 1)
+    a = ring.pack(fk_polynomial(k - 1).resized(order), 1)
+    c = ring.pack(fk_polynomial(k - 2).resized(order), 2)
+    return a, ((0, 0) + c)[:order + 1]
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _arch_factors(k, order, width, cap):
+    """1/A and the arch C/A for tF_k = A - t*C, packed in
+    PackedRing(width, cap): the key is everything that fixes them."""
+    ring = PackedRing(width, cap)
+    a, c = _marked_parts(ring, k, order)
+    inv = ring.inverse(a)
+    return inv, ring.mul(c, inv)
+
+
 def tilde_genfun(k, m, n, order):
     """Floor-return-marked generating function for paths m -> n under
     ceiling k (None = unbounded, computed at GenSpec.ceiling); requires
-    0 <= m <= n (no endpoint symmetry here)."""
+    0 <= m <= n (no endpoint symmetry here).
+
+    With tF_(m-1) = A' - t*C' and Y = F_(k-n-1)(zeta*theta^(n+1)) / A,
+    the t^s part of the series is A' * Y for s = 0 and, for s >= 1,
+    Y * (A' * C/A - C') * (C/A)^(s-1).  Y is formed first: the upper
+    factor cancels the large area terms of 1/A, so the powers of the
+    arch multiply count-sized values.  Every product runs in a packed
+    ring of slot width spec.width, modulo the area cap of an unbounded
+    spec; each t^s part is unpacked at the end and the marker
+    polynomials are assembled from them."""
     spec = GenSpec(k, m, n, order)
     if m > n:
         raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
     k = spec.ceiling
-    upper = lift_marker(
-        fk_polynomial(k - n - 1).resized(order).substitute_scale(n + 1))
-    num = tilde_secular(m - 1, order) * upper
-    return GenFun(spec, num.divide(tilde_secular(k, order)))
+    ring = PackedRing(spec.width, spec.area_cap)
+    upper = ring.pack(fk_polynomial(k - n - 1).resized(order), n + 1)
+    a, c = _marked_parts(ring, m - 1, order)
+    inv, ratio = _arch_factors(k, order, ring.width, spec.area_cap)
+    y = ring.mul(upper, inv)
+    first = tuple(u - v for u, v in zip(ring.mul(a, ratio), c))
+    arches = [ring.mul(a, y), ring.mul(y, first)]
+    while len(arches) <= order // 2:
+        arches.append(ring.mul(arches[-1], ratio))
+    cols = [ring.unpack(x).c for x in arches]
+    return GenFun(spec, LSeries(order, [
+        TPoly({s: col[l] for s, col in enumerate(cols)})
+        for l in range(order + 1)], TPoly))
 
 
 def _excursion_bracket(j, order):

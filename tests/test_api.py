@@ -7,13 +7,14 @@ import dyckgen
 from dyckgen import cli, cluster, exact, spectral
 from dyckgen.cluster import log_secular
 from dyckgen.config import SpecOutOfRange
-from dyckgen.genfun import GenSpec, continued_fraction
+from dyckgen.genfun import GenSpec, continued_fraction, genfun
 from dyckgen.oracle import enumerate_paths, max_area
 from dyckgen.spectral import (fk_polynomial, grand_partition_exclusion,
                               secular_det_direct, secular_det_tilde,
                               secular_matrix)
-from dyckgen.touchdown import (tilde_genfun_openend, tilde_secular,
-                               tilde_secular_direct, tilde_secular_toprow)
+from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
+                               tilde_secular, tilde_secular_direct,
+                               tilde_secular_toprow)
 
 # name -> (call with the ceiling k, lowest admissible ceiling)
 CEILING_ENTRY_POINTS = {
@@ -58,6 +59,18 @@ def test_cached_entry_point_still_checks_the_ceiling():
     tilde_secular(2, 4)
     with pytest.raises(SpecOutOfRange):
         tilde_secular(2.0, 4)
+
+
+@pytest.mark.parametrize("route", [lambda *a: genfun(GenSpec(*a)),
+                                   tilde_genfun])
+@pytest.mark.parametrize("args,field", [
+    ((3, 1.5, 2, 4), "m"), ((None, 1.5, 2, 4), "m"), ((3, 0, 2.0, 4), "n"),
+    ((3, 0, 0, 2.5), "order"), ((None, 0, 0, 2.5), "order"),
+    ((None, 0, "1", 4), "n"),
+])
+def test_non_integer_height_or_order_is_a_spec_error(route, args, field):
+    with pytest.raises(SpecOutOfRange, match=f"^{field} must be an integer"):
+        route(*args)
 
 
 def test_unbounded_spec_is_accepted():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dyckgen.cli import main, table_from_json
 from dyckgen.exact import LSeries, TPoly
-from dyckgen.genfun import GenSpec
+from dyckgen.genfun import GenFun, GenSpec
 from dyckgen.oracle import enumerate_paths
 from dyckgen.verify import SUITE_NAMES, CheckResult
 
@@ -120,6 +120,17 @@ class TestGenfunCommand:
         assert unbounded == run_cli(capsys, command[0], "--k", "8", *argv)
         assert unbounded[0] == (2 if m > n and "--touchdown" in command
                                 else 0)
+
+    @pytest.mark.parametrize("m,n,max_len", [(1, 3, 12), (0, 2, 9),
+                                             (2, 5, 14)])
+    def test_unbounded_touchdown_check_passes(self, capsys, m, n, max_len):
+        # the determinant route computes modulo the area cap, the ratio
+        # route does not: the check compares the results both print
+        argv = ("genfun", "--k", "inf", "--m", str(m), "--n", str(n),
+                "--max-len", str(max_len), "--format", "csv", "--touchdown")
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        assert run_cli(capsys, *argv, "--check") == plain
 
     def test_diamond_half_integer_encoding(self, capsys):
         code, out, _ = run_cli(capsys, "genfun", "--k", "2", "--m", "0",
@@ -259,11 +270,10 @@ class TestExitCodes:
         assert "internal mismatch" in err
 
     def test_touchdown_mismatch_exits_three(self, capsys, monkeypatch):
-        class Fake:
-            series = LSeries(4, {0: TPoly.one()}, ring=TPoly)
-
+        fake = GenFun(GenSpec(1, 0, 0, 4),
+                      LSeries(4, {0: TPoly.one()}, ring=TPoly))
         monkeypatch.setattr("dyckgen.cli.tilde_genfun_ratio",
-                            lambda k, m, n, order: Fake())
+                            lambda k, m, n, order: fake)
         code, _, err = run_cli(capsys, "genfun", "--k", "1", "--m", "0",
                                "--n", "0", "--max-len", "4", "--touchdown",
                                "--check")

@@ -369,6 +369,29 @@ class TestPackedRing:
         with pytest.raises(NonUnitConstantTerm):
             ring.inverse(ring.pack(LSeries(2, [2, 1])))
 
+    @pytest.mark.parametrize("width", range(1, 71))
+    def test_unpack_round_trips_every_width(self, width):
+        # the largest count a slot holds, next to runs of empty slots at
+        # the bottom and in the middle, and an empty coefficient
+        top = 2 ** width - 1
+        series = LSeries(3, [QLaurent({7: top, 8: 1, 30: 2 ** (width - 1)}),
+                             0, QLaurent({0: top}), QLaurent({1: 1})])
+        ring = PackedRing(width)
+        assert ring.width % 8 == 0 and ring.width >= width
+        assert ring.unpack(ring.pack(series)) == series
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 70).flatmap(lambda w: st.tuples(
+        st.just(w), st.lists(st.dictionaries(
+            st.integers(0, 40), st.integers(0, 2 ** w - 1), max_size=8),
+            min_size=1, max_size=4))), st.integers(0, 3))
+    def test_unpack_round_trips_counts(self, wc, shift):
+        width, coeffs = wc
+        series = LSeries(len(coeffs) - 1, [QLaurent(c) for c in coeffs])
+        ring = PackedRing(width)
+        assert (ring.unpack(ring.pack(series, shift))
+                == series.substitute_scale(shift))
+
     def test_unpack_rejects_non_counts(self):
         with pytest.raises(ArithmeticError):
             PackedRing(8).unpack((1, -1))

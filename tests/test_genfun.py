@@ -12,7 +12,7 @@ from dyckgen.genfun import (GenSpec, _inv_fk, check_duality,
                             continued_fraction, genfun)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
-from dyckgen.touchdown import tilde_genfun, tilde_secular
+from dyckgen.touchdown import _arch_factors, tilde_genfun, tilde_secular
 from dyckgen.verify import check_recursions
 
 
@@ -215,7 +215,8 @@ class TestContinuedFraction:
 
 class TestBuilderCaches:
     def test_caches_are_bounded(self):
-        for cached in (fk_polynomial, _inv_fk, tilde_secular):
+        for cached in (fk_polynomial, _inv_fk, tilde_secular,
+                       _arch_factors):
             assert cached.cache_info().maxsize == CACHE_ENTRIES
 
     def test_eviction_keeps_results_exact(self):
@@ -286,6 +287,7 @@ def packed_specs(draw):
 @example(GenSpec(None, 5, 0, 3))
 @example(GenSpec(4, 1, 3, 0))
 @example(GenSpec(20, 0, 19, 10))   # overflows slots of order + 1 bits
+@example(GenSpec(21, 0, 20, 14))   # ... also when rounded up to bytes
 def test_whole_series_matches_uncapped_reference(spec):
     # every coefficient the series holds, not only those full_series
     # keeps: the slot width covers paths of order + |n - m| steps

@@ -1,9 +1,11 @@
 """Floor-return-marked generating functions."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyckgen.config import SpecOutOfRange
-from dyckgen.exact import LSeries, QLaurent, TPoly
+from dyckgen.exact import LSeries, QLaurent, TPoly, lift_marker
 from dyckgen.genfun import GenSpec, genfun
 from dyckgen.oracle import enumerate_paths, genfun_from_table
 from dyckgen.spectral import det_degree, fk_polynomial
@@ -11,6 +13,14 @@ from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
                                tilde_genfun_openend_shifted,
                                tilde_genfun_ratio, tilde_secular,
                                tilde_secular_direct, tilde_secular_toprow)
+
+
+def dropped_above(series, cap):
+    """A marker series with the area exponents above cap dropped."""
+    return LSeries(series.order, [
+        TPoly({s: QLaurent({e: c for e, c in v.terms() if e <= cap})
+               for s, v in coeff.terms()})
+        for coeff in series.c], TPoly)
 
 
 class TestMarkedDeterminant:
@@ -107,11 +117,17 @@ class TestMarkedGenFun:
     @pytest.mark.parametrize("m,n,L", [(0, 0, 8), (1, 2, 11), (0, 3, 9),
                                        (2, 2, 10), (0, 7, 3)])
     def test_unbounded_is_computed_at_the_ceiling(self, m, n, L):
-        ceiling = GenSpec(None, m, n, L).ceiling
+        # the packed route computes modulo the area cap, so it holds the
+        # ceiling's series with the exponents above the cap dropped; the
+        # ratio route has no cap and holds the ceiling's series itself
+        spec = GenSpec(None, m, n, L)
         for route in (tilde_genfun, tilde_genfun_ratio):
             unbounded = route(None, m, n, L)
-            assert unbounded.spec == GenSpec(None, m, n, L)
-            assert unbounded.series == route(ceiling, m, n, L).series
+            assert unbounded.spec == spec
+            at_ceiling = route(spec.ceiling, m, n, L).series
+            if route is tilde_genfun:
+                at_ceiling = dropped_above(at_ceiling, spec.area_cap)
+            assert unbounded.series == at_ceiling
 
     @pytest.mark.parametrize("k", [None, 4])
     @pytest.mark.parametrize("m,n", [(-1, 2), (3, 1)])
@@ -151,3 +167,54 @@ class TestOpenEnded:
             if l == 0:
                 continue
             assert oe.coefficient(l, a, s - 1) == c
+
+
+def quotient_reference(spec):
+    """tF_(m-1) * F_(k-n-1)(zeta*theta^(n+1)) / tF_k by marker-polynomial
+    arithmetic with no cap, then, for an unbounded spec, with the
+    exponents above its area cap dropped: the reference for the packed
+    arch expansion."""
+    k, L = spec.ceiling, spec.order
+    upper = lift_marker(fk_polynomial(k - spec.n - 1).resized(L)
+                        .substitute_scale(spec.n + 1))
+    series = (tilde_secular(spec.m - 1, L) * upper).divide(
+        tilde_secular(k, L))
+    if spec.area_cap is None:
+        return series
+    return dropped_above(series, spec.area_cap)
+
+
+@st.composite
+def marked_specs(draw):
+    k = draw(st.sampled_from([None, *range(9)]))
+    n = draw(st.integers(0, 6 if k is None else min(k, 6)))
+    return GenSpec(k, draw(st.integers(0, n)), n, draw(st.integers(0, 20)))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(marked_specs())
+@example(GenSpec(None, 0, 6, 20))
+@example(GenSpec(None, 6, 6, 19))
+@example(GenSpec(8, 2, 6, 20))
+@example(GenSpec(8, 0, 8, 20))
+@example(GenSpec(None, 5, 6, 0))
+@example(GenSpec(0, 0, 0, 7))
+@example(GenSpec(22, 0, 21, 14))   # overflows byte-rounded order + 1 bits
+def test_whole_series_matches_quotient_reference(spec):
+    # every coefficient the series holds, not only those full_series
+    # keeps, and every marker power
+    marked = tilde_genfun(spec.k, spec.m, spec.n, spec.order)
+    assert marked.series == quotient_reference(spec)
+
+
+class TestAboveOracleGuard:
+    """The packed marked route against brute force at lengths the guard
+    refuses."""
+
+    @pytest.mark.parametrize("m,n,L", [(0, 0, 48), (1, 3, 40)])
+    def test_unbounded_tilde_genfun(self, monkeypatch, m, n, L):
+        monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
+        ceiling = GenSpec(None, m, n, L).ceiling
+        table = enumerate_paths(ceiling, m, n, L)
+        assert (tilde_genfun(None, m, n, L).full_series()
+                == genfun_from_table(table, with_touchdowns=True))
