@@ -99,6 +99,8 @@ def p_restricted(k, m, n, a_max):
     parts: layer j maps (last part l, running total s) to the weight of
     the j-part compositions ending that way, and appending a part l2 at
     index j multiplies it by C(l+l2-1, l2) * q^(j*l2)."""
+    if k is not None:
+        check_ceiling(k)
     if not 0 <= m <= n:
         raise SpecOutOfRange("need 0 <= m <= n")
     if k is not None and n > k:
@@ -139,6 +141,8 @@ def degree_formula(k, n, a):
     """Predicted q-degree of the z^a coefficient of the series part:
     a(a-1)/2 + a*n while the ceiling is out of reach (a <= k-n or no
     ceiling), then (k-n-1)(2a-k+n)/2 + a*n once it bites."""
+    if k is not None:
+        check_ceiling(k)
     if n < 0 or a < 1:
         raise ValueError("need n >= 0 and a >= 1")
     if k is None or a <= k - n:

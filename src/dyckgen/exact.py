@@ -3,17 +3,20 @@
 Three layers, all with exact rational coefficients (Python ints, promoted
 to Fraction only when a value is genuinely non-integral):
 
-* QLaurent -- sparse Laurent polynomial in the area variable theta; one
-  unit of exponent is one plaquette of area.  Negative exponents are
-  allowed (the reflection duality inverts the area variable).
+* QLaurent -- sparse Laurent polynomial in the area variable theta over
+  the rationals; one unit of exponent is one plaquette of area.
+  Negative exponents are allowed (the reflection duality inverts the
+  area variable).
 * TPoly -- polynomial in the touchdown marker t whose coefficients are
   QLaurent values.  The marker exponent counts returns to the floor.
 * LSeries -- power series in the step variable zeta, truncated at a fixed
   order, with QLaurent or TPoly coefficients.  One unit of exponent is
   one step.
 
-Every QLaurent product runs through one convolution (QLaurent.__mul__),
-and every series quotient through one recurrence (LSeries.divide); log
+Both polynomial rings are one sparse polynomial over a coefficient ring
+(_SparsePoly), QLaurent over Q and TPoly over QLaurent, so every area and
+marker product runs through one convolution (_SparsePoly.__mul__).
+Every series quotient runs through one recurrence (LSeries.divide); log
 is the integral of f'/f, so it reuses that quotient.
 
 The determinant, continued-fraction and touchdown routes run in a fourth
@@ -58,11 +61,25 @@ def _norm(c):
     return c
 
 
-class QLaurent:
-    """Sparse Laurent polynomial in the area variable.
+def _rational(c):
+    """c as an exact rational coefficient (see _norm); TypeError for
+    anything else, such as a float or a polynomial."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient must be an int or a Fraction, "
+                        f"got {type(c).__name__}")
+    return _norm(c)
 
-    Stored as a dict from integer exponent to nonzero coefficient; zero
-    coefficients are never kept and integral values are stored as int.
+
+class _SparsePoly:
+    """Sparse polynomial over a coefficient ring: a dict from integer
+    exponent to nonzero coefficient.
+
+    The algebra both polynomial rings share is written here once: sums,
+    the one convolution product, scaling, equality and hashing.  A
+    subclass names its coefficient ring through class attributes:
+    _SCALARS, the types lifted as constants (the scalars of the
+    coefficient ring); _COEFF_ZERO, that ring's zero; and _coerce_coeff,
+    which brings a scalar into it.  _zero and _one are its own constants.
     """
 
     __slots__ = ("_c",)
@@ -71,7 +88,7 @@ class QLaurent:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = _norm(v)
+                v = self._coerce_coeff(v)
                 if v:
                     c[int(e)] = v
         self._c = c
@@ -84,33 +101,26 @@ class QLaurent:
 
     @classmethod
     def zero(cls):
-        return _QL_ZERO
+        return cls._zero
 
     @classmethod
     def one(cls):
-        return _QL_ONE
-
-    @classmethod
-    def mono(cls, exp, coeff=1):
-        coeff = _norm(coeff)
-        if not coeff:
-            return _QL_ZERO
-        return cls._wrap({int(exp): coeff})
-
-    @classmethod
-    def const(cls, c):
-        return cls.mono(0, c)
+        return cls._one
 
     @classmethod
     def coerce(cls, v):
-        if isinstance(v, QLaurent):
+        """v as a value of this ring; a scalar of the coefficient ring
+        becomes a constant."""
+        if type(v) is cls:
             return v
-        if isinstance(v, (int, Fraction)):
-            return cls.const(v)
-        raise TypeError(f"cannot coerce {type(v).__name__} to QLaurent")
+        if not isinstance(v, cls._SCALARS):
+            raise TypeError(
+                f"cannot coerce {type(v).__name__} to {cls.__name__}")
+        v = cls._coerce_coeff(v)
+        return cls._wrap({0: v}) if v else cls._zero
 
     def coeff(self, exp):
-        return self._c.get(exp, 0)
+        return self._c.get(exp, self._COEFF_ZERO)
 
     def terms(self):
         """Sorted (exponent, coefficient) pairs."""
@@ -119,18 +129,160 @@ class QLaurent:
     def is_zero(self):
         return not self._c
 
+    def __bool__(self):
+        return bool(self._c)
+
     def is_one(self):
-        return self._c == {0: 1}
+        return self._c.keys() == {0} and self._c[0] == 1
 
     def is_scalar(self):
-        return not self._c or set(self._c) == {0}
+        """Is this a rational constant?"""
+        c = self._c
+        return not c or (c.keys() == {0} and (
+            not isinstance(c[0], _SparsePoly) or c[0].is_scalar()))
 
     def scalar_value(self):
-        if not self._c:
-            return 0
-        if set(self._c) != {0}:
+        if not self.is_scalar():
             raise ValueError("not a scalar")
-        return self._c[0]
+        v = self._c.get(0, 0)
+        return v.scalar_value() if isinstance(v, _SparsePoly) else v
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            if not isinstance(other, self._SCALARS):
+                return NotImplemented
+            other = self.coerce(other)
+        if not other._c:
+            return self
+        if not self._c:
+            return other
+        out = dict(self._c)
+        for e, v in other._c.items():
+            if e in out:
+                s = out[e] + v
+                if s:
+                    out[e] = _norm(s)
+                else:
+                    del out[e]
+            else:
+                out[e] = v
+        return self._wrap(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({e: -v for e, v in self._c.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self) and not isinstance(
+                other, self._SCALARS):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        """Product; the one convolution behind every area-polynomial and
+        marker-polynomial product.  A dense product is accumulated in a
+        list indexed by exponent, offset by the lowest (possibly
+        negative) one; a sparse product whose exponent span exceeds its
+        number of term pairs is accumulated in a dict, so it does not pay
+        for the span.  Sums start from the coefficient ring's own zero."""
+        if type(other) is not type(self):
+            if isinstance(other, self._SCALARS):
+                return self.scale(other)
+            return NotImplemented
+        a, b = self._c, other._c
+        if not a or not b:
+            return self._zero
+        if len(a) < len(b):
+            a, b = b, a
+        zero = self._COEFF_ZERO
+        lo = min(a) + min(b)
+        span = max(a) + max(b) - lo + 1
+        if span > len(a) * len(b):
+            acc = {}
+            for eb, cb in b.items():
+                for ea, ca in a.items():
+                    acc[ea + eb] = acc.get(ea + eb, zero) + ca * cb
+            items = acc.items()
+        else:
+            acc = [zero] * span
+            a_items = [(e - lo, c) for e, c in a.items()]
+            for eb, cb in b.items():
+                for i, ca in a_items:
+                    acc[i + eb] += ca * cb
+            items = enumerate(acc, lo)
+        return self._wrap({e: v if type(v) is int else _norm(v)
+                           for e, v in items if v})
+
+    __rmul__ = __mul__
+
+    def scale(self, r):
+        """Multiply every coefficient by r, a scalar of the coefficient
+        ring."""
+        if not isinstance(r, self._SCALARS):
+            raise TypeError(f"cannot scale {type(self).__name__} "
+                            f"by {type(r).__name__}")
+        r = _norm(r)
+        if not r:
+            return self._zero
+        if r == 1:
+            return self
+        return self._wrap({e: _norm(v * r) for e, v in self._c.items()})
+
+    def _coeff_sum(self):
+        """Sum of the coefficients: the value at 1 of the variable."""
+        total = self._COEFF_ZERO
+        for v in self._c.values():
+            total = total + v
+        return _norm(total)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            if not isinstance(other, self._SCALARS):
+                return NotImplemented
+            other = self.coerce(other)
+        return self._c == other._c
+
+    def __hash__(self):
+        # a constant equals its coefficient, so it hashes as that
+        c = self._c
+        if not c:
+            return hash(0)
+        if c.keys() == {0}:
+            return hash(c[0])
+        return hash(frozenset(c.items()))
+
+
+class QLaurent(_SparsePoly):
+    """Sparse Laurent polynomial in the area variable over the rationals.
+
+    Zero coefficients are never kept and integral values are stored as
+    int.
+    """
+
+    __slots__ = ()
+    _SCALARS = (int, Fraction)
+    _COEFF_ZERO = 0
+    _coerce_coeff = staticmethod(_rational)
+    # Bound here rather than inherited, so that each ring's own class
+    # dict holds its sum and product (perfbench/tracer.py wraps them
+    # per class).
+    __add__ = __radd__ = _SparsePoly.__add__
+    __mul__ = __rmul__ = _SparsePoly.__mul__
+
+    @classmethod
+    def mono(cls, exp, coeff=1):
+        coeff = _rational(coeff)
+        if not coeff:
+            return _QL_ZERO
+        return cls._wrap({int(exp): coeff})
+
+    @classmethod
+    def const(cls, c):
+        return cls.mono(0, c)
 
     def min_exp(self):
         return min(self._c) if self._c else None
@@ -140,86 +292,6 @@ class QLaurent:
 
     def num_terms(self):
         return len(self._c)
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QLaurent.const(other)
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        if not other._c:
-            return self
-        if not self._c:
-            return other
-        out = dict(self._c)
-        for e, v in other._c.items():
-            s = out.get(e, 0) + v
-            if s:
-                out[e] = _norm(s)
-            else:
-                del out[e]
-        return QLaurent._wrap(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QLaurent._wrap({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QLaurent.const(other)
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        """Product; the one convolution behind every area-polynomial
-        product.  A dense product is accumulated in a list indexed by
-        exponent, offset by the lowest (possibly negative) one; a sparse
-        product whose exponent span exceeds its number of term pairs is
-        accumulated in a dict, so it does not pay for the span."""
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return _QL_ZERO
-        if len(a) < len(b):
-            a, b = b, a
-        lo = min(a) + min(b)
-        span = max(a) + max(b) - lo + 1
-        if span > len(a) * len(b):
-            acc = {}
-            for eb, cb in b.items():
-                for ea, ca in a.items():
-                    acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
-            items = acc.items()
-        else:
-            acc = [0] * span
-            a_items = [(e - lo, c) for e, c in a.items()]
-            for eb, cb in b.items():
-                for i, ca in a_items:
-                    acc[i + eb] += ca * cb
-            items = enumerate(acc, lo)
-        return QLaurent._wrap({e: v if type(v) is int else _norm(v)
-                               for e, v in items if v})
-
-    __rmul__ = __mul__
-
-    def scale(self, r):
-        """Multiply every coefficient by the rational r."""
-        r = _norm(r)
-        if not r:
-            return _QL_ZERO
-        if r == 1:
-            return self
-        return QLaurent._wrap({e: _norm(v * r) for e, v in self._c.items()})
 
     def shift(self, j):
         """Multiply by theta^j (add j to every exponent)."""
@@ -276,22 +348,8 @@ class QLaurent:
                     rem.pop(ne, None)
         return QLaurent._wrap(out)
 
-    def eval_at_one(self):
-        """Sum of coefficients (forget the area statistic)."""
-        total = 0
-        for v in self._c.values():
-            total += v
-        return _norm(total)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QLaurent.const(other)
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
+    # forget the area statistic
+    eval_at_one = _SparsePoly._coeff_sum
 
     def __repr__(self):
         if not self._c:
@@ -306,12 +364,12 @@ class QLaurent:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-_QL_ZERO = QLaurent._wrap({})
-_QL_ONE = QLaurent._wrap({0: 1})
+_QL_ZERO = QLaurent._zero = QLaurent._wrap({})
+_QL_ONE = QLaurent._one = QLaurent._wrap({0: 1})
 
 
-class TPoly:
-    """Polynomial in the touchdown marker t with QLaurent coefficients.
+class TPoly(_SparsePoly):
+    """Polynomial in the touchdown marker t over QLaurent.
 
     The marker exponent is always >= 0 (a path cannot return to the floor
     a negative number of times).  A TPoly whose only entry sits at t^0
@@ -319,32 +377,16 @@ class TPoly:
     pivot when that entry is scalar.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ()
+    _SCALARS = (int, Fraction, QLaurent)
+    _COEFF_ZERO = _QL_ZERO
+    _coerce_coeff = staticmethod(QLaurent.coerce)
+    __mul__ = __rmul__ = _SparsePoly.__mul__   # see QLaurent
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for s, v in coeffs.items():
-                if s < 0:
-                    raise ValueError("negative marker exponent")
-                v = QLaurent.coerce(v)
-                if not v.is_zero():
-                    c[int(s)] = v
-        self._c = c
-
-    @classmethod
-    def _wrap(cls, c):
-        out = object.__new__(cls)
-        out._c = c
-        return out
-
-    @classmethod
-    def zero(cls):
-        return _TP_ZERO
-
-    @classmethod
-    def one(cls):
-        return _TP_ONE
+        if coeffs and min(coeffs) < 0:
+            raise ValueError("negative marker exponent")
+        super().__init__(coeffs)
 
     @classmethod
     def marker(cls):
@@ -353,109 +395,8 @@ class TPoly:
 
     @classmethod
     def from_area(cls, q):
-        q = QLaurent.coerce(q)
-        if q.is_zero():
-            return _TP_ZERO
-        return cls._wrap({0: q})
-
-    @classmethod
-    def coerce(cls, v):
-        if isinstance(v, TPoly):
-            return v
-        return cls.from_area(QLaurent.coerce(v))
-
-    def coeff(self, s):
-        """QLaurent coefficient of t^s."""
-        return self._c.get(s, _QL_ZERO)
-
-    def terms(self):
-        return sorted(self._c.items())
-
-    def is_zero(self):
-        return not self._c
-
-    def is_one(self):
-        return set(self._c) == {0} and self._c[0].is_one()
-
-    def is_scalar(self):
-        return not self._c or (set(self._c) == {0} and self._c[0].is_scalar())
-
-    def scalar_value(self):
-        if not self._c:
-            return 0
-        if set(self._c) != {0}:
-            raise ValueError("not a scalar")
-        return self._c[0].scalar_value()
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, QLaurent)):
-            other = TPoly.coerce(other)
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        if not other._c:
-            return self
-        if not self._c:
-            return other
-        out = dict(self._c)
-        for s, v in other._c.items():
-            w = out.get(s)
-            w = v if w is None else w + v
-            if w.is_zero():
-                del out[s]
-            else:
-                out[s] = w
-        return TPoly._wrap(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TPoly._wrap({s: -v for s, v in self._c.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QLaurent)):
-            other = TPoly.coerce(other)
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, QLaurent):
-            other = TPoly.from_area(other)
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return _TP_ZERO
-        out = {}
-        for sa, va in a.items():
-            for sb, vb in b.items():
-                s = sa + sb
-                p = va * vb
-                w = out.get(s)
-                w = p if w is None else w + p
-                if w.is_zero():
-                    out.pop(s, None)
-                else:
-                    out[s] = w
-        return TPoly._wrap(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, r):
-        r = _norm(r)
-        if not r:
-            return _TP_ZERO
-        if r == 1:
-            return self
-        return TPoly._wrap({s: v.scale(r) for s, v in self._c.items()})
+        """The area polynomial (or rational) q as a constant in t."""
+        return cls.coerce(QLaurent.coerce(q))
 
     def shift(self, j):
         """Multiply every coefficient by theta^j."""
@@ -463,28 +404,14 @@ class TPoly:
             return self
         return TPoly._wrap({s: v.shift(j) for s, v in self._c.items()})
 
-    def at_t_one(self):
-        """Forget the touchdown statistic (set t = 1)."""
-        total = _QL_ZERO
-        for v in self._c.values():
-            total = total + v
-        return total
+    # forget the touchdown statistic (set t = 1)
+    at_t_one = _SparsePoly._coeff_sum
 
     def div_t_exact(self):
         """Divide by t; raises InexactDivision if a t^0 term is present."""
         if 0 in self._c:
             raise InexactDivision("constant marker term blocks division by t")
         return TPoly._wrap({s - 1: v for s, v in self._c.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QLaurent)):
-            other = TPoly.coerce(other)
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset((s, v) for s, v in self._c.items()))
 
     def __repr__(self):
         if not self._c:
@@ -499,8 +426,8 @@ class TPoly:
         return " + ".join(parts)
 
 
-_TP_ZERO = TPoly._wrap({})
-_TP_ONE = TPoly._wrap({0: _QL_ONE})
+TPoly._zero = TPoly._wrap({})
+TPoly._one = TPoly._wrap({0: _QL_ONE})
 _TP_T = TPoly._wrap({1: _QL_ONE})
 
 
@@ -578,7 +505,7 @@ class LSeries:
             if self.ring is not other.ring:
                 raise TypeError("mixed coefficient rings; lift explicitly")
             return other
-        if isinstance(other, (int, Fraction, QLaurent, TPoly)):
+        if isinstance(other, (int, Fraction, _SparsePoly)):
             return LSeries(self.order, {0: self.ring.coerce(other)}, self.ring)
         return None
 
@@ -611,7 +538,7 @@ class LSeries:
 
     def __mul__(self, other):
         if not isinstance(other, LSeries):
-            if isinstance(other, (int, Fraction, QLaurent, TPoly)):
+            if isinstance(other, (int, Fraction, _SparsePoly)):
                 return self.scale(other)
             return NotImplemented
         if self.ring is not other.ring:

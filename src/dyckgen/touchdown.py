@@ -170,10 +170,11 @@ def tilde_genfun_openend(k, order):
     return, so dividing the nontrivial part of the fully marked function
     by t removes exactly that last marker."""
     check_ceiling(k)
+    spec = GenSpec(k, 0, 0, order)
     one = LSeries.one(order, TPoly)
-    g = lift_marker(genfun(GenSpec(k, 0, 0, order)).full_series())
+    g = lift_marker(genfun(spec).full_series())
     series = one + (g - one).divide(_excursion_bracket(k, order))
-    return GenFun(GenSpec(k, 0, 0, order), series)
+    return GenFun(spec, series)
 
 
 def tilde_genfun_openend_shifted(k, order):

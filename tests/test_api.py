@@ -5,7 +5,8 @@ import pytest
 
 import dyckgen
 from dyckgen import cli, cluster, exact, spectral
-from dyckgen.cluster import log_secular
+from dyckgen.cluster import (degree_check, degree_formula, log_secular,
+                             p_restricted)
 from dyckgen.config import SpecOutOfRange
 from dyckgen.genfun import GenSpec, continued_fraction, genfun
 from dyckgen.oracle import enumerate_paths, max_area
@@ -31,13 +32,19 @@ CEILING_ENTRY_POINTS = {
     "continued_fraction": (lambda k: continued_fraction(k, 4), 0),
     "GenSpec": (lambda k: GenSpec(k, 0, 0, 4), 0),
     "log_secular": (lambda k: log_secular(k, 3), 0),
+    "p_restricted": (lambda k: p_restricted(k, 0, 0, 3), 0),
+    "degree_formula": (lambda k: degree_formula(k, 0, 3), 0),
+    "degree_check": (lambda k: degree_check(k, 0, 0, 3), 0),
     "enumerate_paths": (lambda k: enumerate_paths(k, 0, 0, 4), 0),
     "max_area": (lambda k: max_area(k, 0, 0, 0), 0),
 }
 
+# entry points where a ceiling of None means unbounded
+UNBOUNDED_OK = {"GenSpec", "p_restricted", "degree_formula", "degree_check"}
+
 BAD_CEILINGS = [(name, k) for name in CEILING_ENTRY_POINTS
                 for k in (None, -2, 2.5)
-                if not (name == "GenSpec" and k is None)]
+                if not (name in UNBOUNDED_OK and k is None)]
 
 
 @pytest.mark.parametrize("name,k", BAD_CEILINGS)
@@ -71,6 +78,11 @@ def test_cached_entry_point_still_checks_the_ceiling():
 def test_non_integer_height_or_order_is_a_spec_error(route, args, field):
     with pytest.raises(SpecOutOfRange, match=f"^{field} must be an integer"):
         route(*args)
+
+
+def test_openend_checks_the_order_before_building_a_series():
+    with pytest.raises(SpecOutOfRange, match="order must be >= 0"):
+        tilde_genfun_openend(3, -1)
 
 
 def test_unbounded_spec_is_accepted():

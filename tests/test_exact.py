@@ -51,6 +51,27 @@ def brute_mul(a, b):
     return QLaurent(out)
 
 
+# marker polynomials over the Laurent polynomials above
+tpolys = st.dictionaries(st.integers(0, 4), laurents, max_size=4).map(TPoly)
+
+
+def brute_tmul(a, b):
+    """Schoolbook product over every pair of (marker, area) terms,
+    accumulated in one dict of rationals: the reference for the marker
+    product, independent of the polynomial algebra."""
+    acc = {}
+    for sa, va in a.terms():
+        for sb, vb in b.terms():
+            for ea, ca in va.terms():
+                for eb, cb in vb.terms():
+                    key = (sa + sb, ea + eb)
+                    acc[key] = acc.get(key, 0) + ca * cb
+    rows = {}
+    for (s, e), c in acc.items():
+        rows.setdefault(s, {})[e] = c
+    return TPoly({s: QLaurent(row) for s, row in rows.items()})
+
+
 def rand_series(rng, order=8, ring=QLaurent):
     if ring is QLaurent:
         return LSeries(order, {l: rand_qlaurent(rng)
@@ -65,6 +86,14 @@ class TestQLaurent:
         p = QLaurent({0: Fraction(2, 1), 3: 0, -1: Fraction(1, 2)})
         assert p.terms() == [(-1, Fraction(1, 2)), (0, 2)]
         assert isinstance(p.coeff(0), int)
+
+    def test_coefficients_must_be_rational(self):
+        # a float or a polynomial coefficient would break exactness
+        for bad in (1.5, QLaurent({1: 1})):
+            with pytest.raises(TypeError):
+                QLaurent({0: bad})
+            with pytest.raises(TypeError):
+                QLaurent.mono(2, bad)
 
     def test_basic_algebra(self):
         a = QLaurent({0: 1, 2: -1})
@@ -141,6 +170,25 @@ class TestQLaurent:
         a = QLaurent({2: 2})
         b = QLaurent({2: Fraction(4, 2)})
         assert a == b and hash(a) == hash(b)
+        # a constant equals its value, in either ring, so it hashes as it
+        q = QLaurent({1: 1, 3: Fraction(1, 2)})
+        for poly, value in [
+                (QLaurent.const(1), 1), (QLaurent.zero(), 0),
+                (QLaurent.const(Fraction(1, 2)), Fraction(1, 2)),
+                (TPoly.from_area(q), q), (TPoly.one(), 1), (TPoly.zero(), 0),
+                (TPoly.one(), QLaurent.one()),
+                (TPoly.from_area(Fraction(2, 3)), Fraction(2, 3))]:
+            assert poly == value and value == poly
+            assert hash(poly) == hash(value)
+            assert len({poly, value}) == 1
+
+    def test_scale_takes_only_a_rational(self):
+        a = QLaurent({0: 1, 2: 3})
+        assert a.scale(Fraction(1, 3)) == QLaurent({0: Fraction(1, 3), 2: 1})
+        assert a.scale(0) == QLaurent.zero()
+        for bad in (QLaurent({1: 1}), TPoly.marker(), 1.5):
+            with pytest.raises(TypeError):
+                a.scale(bad)
 
 
 class TestTPoly:
@@ -152,12 +200,63 @@ class TestTPoly:
         assert p.coeff(1).is_zero()
         assert p.at_t_one() == QLaurent({0: 1, 2: -1})
 
-    def test_at_t_one_is_ring_map(self):
-        rng = random.Random(7)
-        a = TPoly({0: rand_qlaurent(rng), 1: rand_qlaurent(rng)})
-        b = TPoly({1: rand_qlaurent(rng), 2: rand_qlaurent(rng)})
+    @settings(deadline=None, max_examples=40)
+    @given(tpolys, tpolys)
+    def test_at_t_one_is_ring_map(self, a, b):
+        # both coefficient sums: t = 1, then theta = 1
         assert (a * b).at_t_one() == a.at_t_one() * b.at_t_one()
         assert (a + b).at_t_one() == a.at_t_one() + b.at_t_one()
+        assert (a - b).at_t_one() == a.at_t_one() - b.at_t_one()
+        assert TPoly.one().at_t_one() == QLaurent.one()
+        x, y = a.at_t_one(), b.at_t_one()
+        assert (x * y).eval_at_one() == x.eval_at_one() * y.eval_at_one()
+        assert (x + y).eval_at_one() == x.eval_at_one() + y.eval_at_one()
+
+    @settings(deadline=None)
+    @given(tpolys, tpolys)
+    @example(TPoly({0: QLaurent({1: 1}), 1: 1}),
+             TPoly({0: QLaurent({1: -1}), 1: 1}))
+    @example(TPoly({0: 1, 1: Fraction(1, 2)}),
+             TPoly({0: 1, 1: Fraction(-1, 2)}))
+    @example(TPoly({0: QLaurent({-3: 2}), 50: QLaurent({4: Fraction(1, 3)})}),
+             TPoly({0: 1, 60: QLaurent({-4: 3})}))
+    def test_product_matches_brute_force(self, a, b):
+        # Laurent and Fraction area coefficients and cancellation to zero;
+        # the wide example takes the dict branch of the kernel
+        product = a * b
+        assert product == brute_tmul(a, b)
+        for _, v in product.terms():
+            assert type(v) is QLaurent and not v.is_zero()
+            for _, c in v.terms():
+                assert type(c) is int or c.denominator != 1
+
+    @settings(deadline=None, max_examples=40)
+    @given(tpolys, tpolys, tpolys)
+    def test_ring_laws(self, a, b, c):
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a - b) + b == a
+
+    @settings(deadline=None, max_examples=40)
+    @given(tpolys, laurents,
+           st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3))
+    def test_mixed_products_agree(self, tp, q, r):
+        assert q * tp == tp * q == TPoly.from_area(q) * tp
+        assert r * tp == tp * r == TPoly.from_area(r) * tp
+        assert tp.scale(q) == tp * q and tp.scale(r) == tp * r
+
+    def test_scale_by_an_area_polynomial(self):
+        tp = TPoly({1: QLaurent({0: 1, 2: 3})})
+        q = QLaurent({1: 1})
+        assert tp.scale(q) == TPoly({1: QLaurent({1: 1, 3: 3})})
+        assert repr(tp.scale(q)) == "(q + 3*q^3)*t"
+        third = QLaurent({0: Fraction(1, 3), 2: 1})
+        assert tp.scale(Fraction(1, 3)) == TPoly({1: third})
+        assert tp.scale(0) == TPoly.zero()
+        for bad in (TPoly.marker(), 1.5):
+            with pytest.raises(TypeError):
+                tp.scale(bad)
 
     def test_div_t(self):
         t = TPoly.marker()
