@@ -205,7 +205,8 @@ def table_from_json(doc):
             raise ValueError("path counts must be integers")
         key = (_dec_exp(t["l"], halve), _dec_exp(t["A"], halve), t["s"])
         counts[key] = counts.get(key, 0) + int(t["coeff"]["num"])
-    return PathTable(GenSpec(k, m, n, l_max).ceiling, m, n, l_max, counts)
+    ceiling = GenSpec(k, m, n, l_max).ceiling   # clamped when finite
+    return PathTable(ceiling if k is None else k, m, n, l_max, counts)
 
 
 def cmd_verify(args):

@@ -20,12 +20,13 @@ Every series quotient runs through one recurrence (LSeries.divide); log
 is the integral of f'/f, so it reuses that quotient.
 
 The determinant, continued-fraction and touchdown routes run in a fourth
-ring, PackedRing: a series whose area polynomials are packed into one
-Python int each (theta -> 2**width).  It is exact for series whose final
-coefficients are counts, and an area cap is its modulus, a bit mask, so
-no product here takes a cap.  Values are unpacked into QLaurent once, at
-the edge; the touchdown route unpacks one count series per power of the
-marker t and assembles the TPoly coefficients from them.
+ring, PackedRing: a series in zeta^2 whose area polynomials in theta^2
+are packed into one Python int each (theta^2 -> 2**width).  It is exact
+for series whose final coefficients are counts, and an area cap is its
+modulus, a bit mask, so no product here takes a cap.  Values are
+unpacked into QLaurent once, at the edge; the touchdown route unpacks
+one count series per power of the marker t and assembles the TPoly
+coefficients from them.
 
 Internally every exponent is an integer.  The double-step convention
 (z = zeta^2, q = theta^2, exponents counting step pairs and diamonds) is
@@ -715,21 +716,24 @@ class LSeries:
 
 
 class PackedRing:
-    """Truncated step series whose area polynomials are packed into one
-    int each: theta -> 2**width, so the coefficient of theta^e sits in
-    the `width`-bit slot e (Kronecker substitution).
+    """Truncated series in z = zeta^2 whose area polynomials in
+    q = theta^2 are packed into one int each: q -> 2**width, so the
+    coefficient of zeta^(2i) theta^(2j) sits in `width`-bit slot j of
+    entry i (Kronecker substitution).  Every value the packed routes
+    hold is even in both variables, as F_k pairs each up-hop
+    zeta*theta^h with its down-hop: z*q^h.  `pack` raises ValueError on
+    a term outside this ring, which would land in the wrong slot.
 
-    Substituting a power of two for theta is a ring homomorphism, onto Z
-    or, with an area cap, onto Z/2**(width*(cap+1)), where dropping the
-    exponents above the cap is the mask `& (2**(width*(cap+1)) - 1)`.
-    Sums, products and the series inverse are therefore exact whatever
-    signs, cancellations or overflowing slots the intermediate values
-    hold; only the final coefficients must be counts in 0..2**width - 1,
-    so `unpack` can read them slot by slot.  A cap below 0 keeps nothing.
-    The width is rounded up to whole bytes, so that `unpack` reads each
-    slot straight from the value's bytes.  Packed series are tuples of
-    ints, one per step power.
-    """
+    Substituting a power of two for q is a ring homomorphism, onto Z or,
+    with an area cap, onto Z/2**(width*(cap//2+1)): dropping the theta
+    exponents above the cap is a mask.  Sums, products and the series
+    inverse are therefore exact whatever signs, cancellations or
+    overflowing slots the intermediate values hold; only the final
+    coefficients must be counts in 0..2**width - 1, so `unpack` can read
+    them slot by slot.  A cap below 0 keeps nothing.  The width is
+    rounded up to whole bytes, so that `unpack` reads each slot straight
+    from the value's bytes.  A series of step order L packs into L//2 + 1
+    ints, one per power of z."""
 
     __slots__ = ("width", "cap", "mask")
 
@@ -740,23 +744,28 @@ class PackedRing:
         self.width = width
         self.cap = cap
         self.mask = (None if cap is None
-                     else (1 << width * max(cap + 1, 0)) - 1)
+                     else (1 << width * max(cap // 2 + 1, 0)) - 1)
 
     def _reduce(self, v):
         return v if self.mask is None else v & self.mask
 
     def pack(self, series, shift=0):
         """Packed form of an integral area series, after substituting
-        zeta -> zeta * theta^shift; every exponent must end up >= 0."""
+        zeta -> zeta * theta^shift: zeta^l theta^e goes to slot
+        (e + shift*l)/2 of entry l/2, which must be whole and >= 0."""
+        if not all(v.is_zero() for v in series.c[1::2]):
+            raise ValueError("odd step power in the packed ring")
         w, cap = self.width, self.cap
         out = []
-        for l, v in enumerate(series.c):
-            s = shift * l
-            top = None if cap is None else cap - s
+        for i, v in enumerate(series.c[::2]):
             acc = 0
             for e, c in v._c.items():
-                if top is None or e <= top:
-                    acc += c << w * (e + s)
+                e += 2 * i * shift
+                if e % 2:
+                    raise ValueError(f"odd area exponent {e} in the "
+                                     "packed ring")
+                if cap is None or e <= cap:
+                    acc += c << w * (e >> 1)
             out.append(acc)
         return tuple(out)
 
@@ -789,27 +798,29 @@ class PackedRing:
             y.append(self._reduce(acc))
         return tuple(y)
 
-    def unpack(self, x):
-        """The LSeries of area polynomials a packed series stands for;
-        every coefficient, reduced by the cap, must be a count below
+    def unpack(self, x, order):
+        """The LSeries of step order `order` (odd step powers zero) that
+        a packed series of order//2 + 1 entries stands for; every
+        coefficient, reduced by the cap, must be a count below
         2**width."""
+        if len(x) != order // 2 + 1:
+            raise ValueError(f"{len(x)} packed entries for order {order}")
         nb = self.width // 8
         zero = bytes(nb)
-        out = []
-        for v in map(self._reduce, x):
+        out = [_QL_ZERO] * (order + 1)
+        for l, v in enumerate(map(self._reduce, x)):
             if v <= 0:
                 if v:
                     raise ArithmeticError(
                         "packed value is not a count series")
-                out.append(_QL_ZERO)
                 continue
             raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
             low = ((v & -v).bit_length() - 1) // self.width
-            out.append(QLaurent._wrap(
-                {e: int.from_bytes(slot, "little")
+            out[2 * l] = QLaurent._wrap(
+                {2 * e: int.from_bytes(slot, "little")
                  for e, i in enumerate(range(low * nb, len(raw), nb), low)
-                 if (slot := raw[i:i + nb]) != zero}))
-        return LSeries._wrap(len(out) - 1, out, QLaurent)
+                 if (slot := raw[i:i + nb]) != zero})
+        return LSeries._wrap(order, out, QLaurent)
 
 
 def lift_marker(series):

@@ -53,14 +53,14 @@ class GenSpec:
 
     @property
     def ceiling(self):
-        """Effective ceiling: k itself when finite.  When unbounded, the
-        lowest ceiling that gives the exact unbounded coefficients: a
-        path of l <= order steps from m to n rises (l - |n - m|)/2 above
-        the higher endpoint at most, so it never climbs past
-        (order + m + n)/2, and the path that goes straight up and then
-        straight down reaches that height."""
+        """Effective ceiling: a path of l steps from m to n climbs at most
+        (l + m + n)/2 high, and the straight rise-and-fall path gets
+        there.  When unbounded, the lowest exact one for l <= order.  A
+        finite k is clamped to the reach of the longest paths the series
+        part counts, l = order + |n - m|, so no coefficient it holds
+        changes."""
         if self.k is not None:
-            return self.k
+            return min(self.k, max(self.m, self.n) + self.order // 2)
         return max(self.m, self.n, (self.order + self.m + self.n) // 2)
 
     @property
@@ -83,10 +83,10 @@ class GenSpec:
         """Packed slot width, in bits, for the series part: its
         coefficient of zeta^l counts paths of l + |n - m| <= order +
         |n - m| steps, fewer than 2**(order + |n - m|) at each area.  A
-        finite ceiling takes the width for |n - m| = k, which covers
-        every endpoint pair, so all of them share one packed 1/F_k."""
+        finite ceiling takes |n - m| = ceiling, which covers every
+        endpoint pair, so the pairs at one ceiling share one 1/F_k."""
         return self.order + (self.step_shift if self.k is None
-                             else self.k) + 1
+                             else self.ceiling) + 1
 
     @property
     def step_shift(self):
@@ -161,9 +161,9 @@ def genfun(spec):
     """Generating function for spec; symmetric in (m, n).
 
     F_(m-1), F_(k-n-1)(zeta*theta^(n+1)) and 1/F_k are multiplied in one
-    packed ring of slot width spec.width.  An unbounded spec computes
-    modulo its area cap, which drops exactly the exponents above the
-    cap."""
+    packed ring in zeta^2 and theta^2 of slot width spec.width.  An
+    unbounded spec computes modulo its area cap, which drops exactly the
+    exponents above the cap."""
     k = spec.ceiling
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
     L = spec.order
@@ -171,7 +171,7 @@ def genfun(spec):
     num = ring.pack(fk_polynomial(m - 1).resized(L))
     upper = ring.pack(fk_polynomial(k - n - 1).resized(L), n + 1)
     inv = _inv_fk(k, L, ring.width, spec.area_cap)
-    return GenFun(spec, ring.unpack(ring.mul(ring.mul(num, upper), inv)))
+    return GenFun(spec, ring.unpack(ring.mul(ring.mul(num, upper), inv), L))
 
 
 def check_duality(spec):
@@ -190,16 +190,18 @@ def check_duality(spec):
 def continued_fraction(k, order):
     """Excursion generating function as a depth-k continued fraction:
     level j contributes a denominator 1 - zeta^2 theta^(2j) * (level
-    j+1), for j = k-1 down to 0, with 1 below the last level.
+    j+1), for j = k-1 down to 0, with 1 below the last level.  Depth
+    order//2 is exact: no excursion of `order` steps climbs higher.
 
     Evaluated bottom-up in the packed ring of slot width order + 1 (an
-    excursion count of at most `order` steps is below 2**order).  At any
+    excursion count of at most `order` steps is below 2**order), where
+    zeta^2 theta^(2j) is a shift by one entry and j slots.  At any
     ceiling those excursions have area at most the unbounded cap, so the
     ring computes modulo that cap."""
     check_ceiling(k)
     ring = PackedRing(order + 1, GenSpec(None, 0, 0, order).area_cap)
     cur = ring.pack(LSeries.one(order))
-    for j in range(k - 1, -1, -1):
-        den = (1, 0) + tuple(-(v << 2 * j * ring.width) for v in cur)
-        cur = ring.inverse(den[:order + 1])
-    return ring.unpack(cur)
+    for j in range(min(k, order // 2) - 1, -1, -1):
+        den = (1,) + tuple(-(v << j * ring.width) for v in cur)
+        cur = ring.inverse(den[:len(cur)])
+    return ring.unpack(cur, order)

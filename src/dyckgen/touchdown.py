@@ -92,12 +92,13 @@ def tilde_secular_direct(k, order=None):
 def _marked_parts(ring, k, order):
     """Packed A and C with tF_k = A - t*C, from the top-row expansion:
     A = F_(k-1)(zeta*theta) and C = zeta^2 * F_(k-2)(zeta*theta^2), or
-    A = 1 and C = 0 when k <= 0."""
+    A = 1 and C = 0 when k <= 0.  The factor zeta^2 of C is one more
+    packed entry in front."""
     if k <= 0:
-        return ring.pack(LSeries.one(order)), (0,) * (order + 1)
+        return ring.pack(LSeries.one(order)), (0,) * (order // 2 + 1)
     a = ring.pack(fk_polynomial(k - 1).resized(order), 1)
     c = ring.pack(fk_polynomial(k - 2).resized(order), 2)
-    return a, ((0, 0) + c)[:order + 1]
+    return a, ((0,) + c)[:len(a)]
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
@@ -136,7 +137,7 @@ def tilde_genfun(k, m, n, order):
     arches = [ring.mul(a, y), ring.mul(y, first)]
     while len(arches) <= order // 2:
         arches.append(ring.mul(arches[-1], ratio))
-    cols = [ring.unpack(x).c for x in arches]
+    cols = [ring.unpack(x, order).c for x in arches]
     return GenFun(spec, LSeries(order, [
         TPoly({s: col[l] for s, col in enumerate(cols)})
         for l in range(order + 1)], TPoly))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -121,6 +122,20 @@ class TestGenfunCommand:
         assert unbounded[0] == (2 if m > n and "--touchdown" in command
                                 else 0)
 
+    @pytest.mark.parametrize("k,flags", [
+        (2000, ()), (2000, ("--check",)), (600, ("--touchdown",)),
+        (600, ("--touchdown", "--check"))])
+    def test_ceiling_out_of_reach_is_clamped(self, capsys, k, flags):
+        # no path of 2 steps climbs above height 1: the ceiling is
+        # clamped there instead of building F_k at its full degree
+        argv = ("--m", "0", "--n", "0", "--max-len", "2", "--format", "csv",
+                *flags)
+        start = time.perf_counter()
+        clamped = run_cli(capsys, "genfun", "--k", str(k), *argv)
+        assert time.perf_counter() - start < 1.0
+        assert clamped[0] == 0
+        assert clamped == run_cli(capsys, "genfun", "--k", "1", *argv)
+
     @pytest.mark.parametrize("m,n,max_len", [(1, 3, 12), (0, 2, 9),
                                              (2, 5, 14)])
     def test_unbounded_touchdown_check_passes(self, capsys, m, n, max_len):
@@ -192,6 +207,15 @@ class TestTableCommand:
                                "--convention", convention)
         assert code == 0
         assert table_from_json(json.loads(out)) == enumerate_paths(3, 1, 2, 9)
+
+    def test_round_trip_keeps_a_ceiling_out_of_reach(self, capsys):
+        # the table is enumerated at the clamped ceiling, but rebuilt at
+        # the one asked for
+        code, out, _ = run_cli(capsys, "table", "--k", "40", "--m", "1",
+                               "--n", "0", "--max-len", "5", "--touchdowns")
+        assert code == 0
+        assert table_from_json(json.loads(out)) == enumerate_paths(40, 1, 0,
+                                                                   5)
 
     def test_round_trip_unbounded_spec(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--k", "inf", "--m", "0",
@@ -350,10 +374,9 @@ def test_table_fuzz_exits_cleanly_and_round_trips(k, m, n, max_len,
     if convention == "step-plaquette":
         assert all(l <= max_len for l in _emitted_lengths(fmt, out))
     if touchdowns and fmt == "json":
-        ceiling = GenSpec(None if k == "inf" else int(k), m, n,
-                          max_len).ceiling
+        ceiling = GenSpec(None, m, n, max_len).ceiling if k == "inf" else k
         assert table_from_json(json.loads(out)) == enumerate_paths(
-            ceiling, m, n, max_len)
+            int(ceiling), m, n, max_len)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -20,11 +20,13 @@ def rand_qlaurent(rng, max_terms=4, span=6):
                      for _ in range(rng.randrange(max_terms + 1))})
 
 
-# integral area polynomials with non-negative exponents, the values a
-# packed ring holds: counts (what it may return) and signed intermediates
-counts = st.dictionaries(st.integers(0, 12), st.integers(0, 4),
+# integral polynomials in q = theta^2, the area values a packed ring
+# holds (even exponents only): counts (what it may return) and signed
+# intermediates
+even_exponents = st.integers(0, 6).map(lambda e: 2 * e)
+counts = st.dictionaries(even_exponents, st.integers(0, 4),
                          max_size=6).map(QLaurent)
-signed = st.dictionaries(st.integers(0, 12), st.integers(-4, 4),
+signed = st.dictionaries(even_exponents, st.integers(-4, 4),
                          max_size=6).map(QLaurent)
 
 
@@ -401,8 +403,11 @@ class TestLSeries:
 
 
 def packed_series(values, order):
-    return st.lists(values, min_size=order + 1, max_size=order + 1).map(
-        lambda c: LSeries(order, c))
+    """Series in z = zeta^2 of step order `order`: `values` at the even
+    step powers and zero at the odd ones."""
+    half = order // 2 + 1
+    return st.lists(values, min_size=half, max_size=half).map(
+        lambda c: LSeries(order, dict(zip(range(0, order + 1, 2), c))))
 
 
 def brute_series_mul(a, b):
@@ -422,29 +427,31 @@ caps = st.none() | st.integers(-3, 30)
 
 class TestPackedRing:
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(0, 4).flatmap(
+    @given(st.integers(0, 9).flatmap(
         lambda o: st.tuples(packed_series(counts, o),
                             packed_series(counts, o))),
         st.integers(0, 3), caps)
-    @example((LSeries(0, [QLaurent({3: 2})]), LSeries(0, [QLaurent({1: 3})])),
+    @example((LSeries(0, [QLaurent({4: 2})]), LSeries(0, [QLaurent({2: 3})])),
              0, None)
-    @example((LSeries(2, [1, 0, QLaurent({5: 1})]), LSeries.one(2)), 1, -1)
+    @example((LSeries(2, [1, 0, QLaurent({6: 1})]), LSeries.one(2)), 1, -1)
+    @example((LSeries(3, [1, 0, QLaurent({2: 1})]),
+              LSeries(3, [QLaurent({0: 1, 2: 1}), 0, 1])), 1, 5)
     def test_product_matches_brute_mul(self, ab, shift, cap):
         a, b = ab
         ring = PackedRing(WIDTH, cap)
         product = ring.mul(ring.pack(a), ring.pack(b, shift))
         expected = brute_series_mul(a, b.substitute_scale(shift))
-        assert ring.unpack(product).c == [dropped_above(v, cap)
-                                          for v in expected]
+        assert ring.unpack(product, a.order).c == [dropped_above(v, cap)
+                                                   for v in expected]
 
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(0, 4).flatmap(
+    @given(st.integers(0, 9).flatmap(
         lambda o: st.tuples(packed_series(counts, o),
                             packed_series(signed, o))),
         caps)
     @example((LSeries(0, [QLaurent({2: 1})]), LSeries.one(0)), None)
-    @example((LSeries(3, [1, 0, 0, 0]), LSeries(3, [1, QLaurent({0: -1}),
-                                                    0, 0])), 4)
+    @example((LSeries(3, [1, 0, 0, 0]), LSeries(3, [1, 0, QLaurent({0: -1}),
+                                                    0])), 4)
     def test_inverse_undoes_signed_product(self, pd, cap):
         # q = p * d carries negative coefficients and 1/d more of them;
         # q * (1/d) must cancel back to the counts of p, with every
@@ -455,45 +462,68 @@ class TestPackedRing:
         ring = PackedRing(WIDTH, cap)
         quotient = ring.mul(ring.pack(q), ring.inverse(ring.pack(d)))
         expected = [dropped_above(v, cap) for v in q.divide(d).c]
-        assert ring.unpack(quotient).c == expected
+        assert ring.unpack(quotient, q.order).c == expected
         assert expected == [dropped_above(v, cap) for v in p.c]
 
-    def test_negative_cap_is_the_empty_series(self):
-        ring = PackedRing(8, -1)
-        one = ring.pack(LSeries.one(3))
-        assert ring.unpack(ring.inverse(one)) == LSeries.zeros(3)
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("cap", [-1, -2])
+    def test_negative_cap_is_the_empty_series(self, order, cap):
+        ring = PackedRing(8, cap)
+        one = ring.pack(LSeries.one(order))
+        assert (ring.unpack(ring.inverse(one), order)
+                == LSeries.zeros(order))
 
     def test_inverse_needs_constant_term_one(self):
         ring = PackedRing(8)
         with pytest.raises(NonUnitConstantTerm):
-            ring.inverse(ring.pack(LSeries(2, [2, 1])))
+            ring.inverse(ring.pack(LSeries(2, [2, 0, 1])))
+
+    @pytest.mark.parametrize("series,shift,cap", [
+        (LSeries(2, [1, QLaurent({0: 1})]), 0, None),     # odd step power
+        (LSeries(3, [1, 0, 0, QLaurent({4: 2})]), 1, 2),
+        (LSeries(0, [QLaurent({1: 1})]), 0, None),        # odd area
+        (LSeries(2, [1, 0, QLaurent({3: 1})]), 1, None),  # e + 2 = 5
+        (LSeries(0, [QLaurent({0: 1, 3: 1})]), 0, 0),     # odd above cap
+    ])
+    def test_pack_rejects_series_outside_the_even_ring(self, series, shift,
+                                                        cap):
+        with pytest.raises(ValueError, match="odd"):
+            PackedRing(8, cap).pack(series, shift)
 
     @pytest.mark.parametrize("width", range(1, 71))
     def test_unpack_round_trips_every_width(self, width):
         # the largest count a slot holds, next to runs of empty slots at
-        # the bottom and in the middle, and an empty coefficient
+        # the bottom and in the middle, and an empty coefficient, at an
+        # odd and an even order
         top = 2 ** width - 1
-        series = LSeries(3, [QLaurent({7: top, 8: 1, 30: 2 ** (width - 1)}),
-                             0, QLaurent({0: top}), QLaurent({1: 1})])
         ring = PackedRing(width)
         assert ring.width % 8 == 0 and ring.width >= width
-        assert ring.unpack(ring.pack(series)) == series
+        for order in (5, 6):
+            series = LSeries(order, {
+                0: QLaurent({14: top, 16: 1, 60: 2 ** (width - 1)}),
+                4: QLaurent({0: top, 2: 1})})
+            assert ring.unpack(ring.pack(series), order) == series
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(1, 70).flatmap(lambda w: st.tuples(
         st.just(w), st.lists(st.dictionaries(
-            st.integers(0, 40), st.integers(0, 2 ** w - 1), max_size=8),
-            min_size=1, max_size=4))), st.integers(0, 3))
-    def test_unpack_round_trips_counts(self, wc, shift):
+            st.integers(0, 20).map(lambda e: 2 * e),
+            st.integers(0, 2 ** w - 1), max_size=8),
+            min_size=1, max_size=4))), st.integers(0, 1), st.integers(0, 3))
+    def test_unpack_round_trips_counts(self, wc, odd, shift):
         width, coeffs = wc
-        series = LSeries(len(coeffs) - 1, [QLaurent(c) for c in coeffs])
+        order = 2 * (len(coeffs) - 1) + odd
+        series = LSeries(order, {2 * i: QLaurent(c)
+                                 for i, c in enumerate(coeffs)})
         ring = PackedRing(width)
-        assert (ring.unpack(ring.pack(series, shift))
+        assert (ring.unpack(ring.pack(series, shift), order)
                 == series.substitute_scale(shift))
 
     def test_unpack_rejects_non_counts(self):
         with pytest.raises(ArithmeticError):
-            PackedRing(8).unpack((1, -1))
+            PackedRing(8).unpack((1, -1), 3)
+        with pytest.raises(ValueError):
+            PackedRing(8).unpack((1, 1), 4)   # order 4 holds 3 entries
         with pytest.raises(ValueError):
             PackedRing(0)
 

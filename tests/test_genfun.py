@@ -34,7 +34,15 @@ class TestGenSpec:
         # and the straight rise-and-fall path gets there
         assert GenSpec(None, 2, 2, 2).ceiling == 3
         assert GenSpec(None, 0, 0, 10).ceiling == 5
-        assert GenSpec(7, 1, 1, 4).ceiling == 7
+        # a finite ceiling out of reach of order + |n - m| steps, the
+        # longest paths the series part counts, is clamped to that reach
+        assert GenSpec(7, 1, 1, 4).ceiling == 3
+        assert GenSpec(7, 1, 1, 12).ceiling == 7
+        assert GenSpec(9, 0, 3, 5).ceiling == 5
+        for k, m, n, L in ((7, 1, 1, 4), (9, 0, 3, 5), (6, 2, 2, 3)):
+            c, reach = GenSpec(k, m, n, L).ceiling, L + n - m
+            assert (enumerate_paths(c, m, n, reach).counts
+                    == enumerate_paths(k, m, n, reach).counts)
         for m in range(4):
             for n in range(m, 4):
                 for L in range(n, 13):
@@ -134,7 +142,7 @@ class TestStructure:
 
     def test_capped_unbounded_matches_uncapped_finite_ceiling(self):
         # one finite ceiling per order, at or above every endpoint pair's
-        # unbounded ceiling, so its uncapped 1/F_k is shared
+        # unbounded ceiling, so the finite spec has no area cap
         for L in (*range(17), 23, 32):
             finite_k = L // 2 + 3
             for m in range(4):
@@ -255,10 +263,11 @@ def test_every_route_matches_oracle(spec):
 
 
 def uncapped_series(spec):
-    """The series part by plain QLaurent arithmetic with no cap, then,
-    for an unbounded spec, with the exponents above its area cap
-    dropped: the reference for the packed ring."""
-    k = spec.ceiling
+    """The series part by plain QLaurent arithmetic with no cap, at the
+    spec's own ceiling when finite (not the clamped one), then, for an
+    unbounded spec, with the exponents above its area cap dropped: the
+    reference for the packed ring."""
+    k = spec.ceiling if spec.k is None else spec.k
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
     L = spec.order
     num = (fk_polynomial(m - 1).resized(L)
@@ -288,16 +297,35 @@ def packed_specs(draw):
 @example(GenSpec(4, 1, 3, 0))
 @example(GenSpec(20, 0, 19, 10))   # overflows slots of order + 1 bits
 @example(GenSpec(21, 0, 20, 14))   # ... also when rounded up to bytes
+@example(GenSpec(8, 0, 1, 5))      # ceiling clamped to 3
 def test_whole_series_matches_uncapped_reference(spec):
     # every coefficient the series holds, not only those full_series
     # keeps: the slot width covers paths of order + |n - m| steps
     assert genfun(spec).series == uncapped_series(spec)
 
 
+@pytest.mark.parametrize("k,m,n,L", [
+    (None, 0, 0, 23), (None, 0, 3, 21), (None, 1, 2, 19),
+    (5, 0, 0, 23), (5, 1, 4, 21), (3, 0, 1, 17)])
+def test_odd_order_routes_match_oracle(k, m, n, L):
+    # a packed series of odd order L holds L//2 + 1 entries, the same
+    # as at order L - 1: the odd top step must still come out
+    spec = GenSpec(k, m, n, L)
+    table = enumerate_paths(spec.ceiling, m, n, L)
+    oracle = genfun_from_table(table)
+    assert genfun(spec).full_series() == oracle
+    assert (tilde_genfun(k, m, n, L).full_series()
+            == genfun_from_table(table, with_touchdowns=True))
+    if m == n == 0:
+        assert continued_fraction(spec.ceiling, L) == oracle
+        assert continued_fraction(2 * L, L) == genfun_from_table(
+            enumerate_paths(L, 0, 0, L))
+
+
 class TestAboveOracleGuard:
     """The routes against brute force at lengths the guard refuses."""
 
-    @pytest.mark.parametrize("m,n,L", [(0, 0, 64), (2, 5, 56)])
+    @pytest.mark.parametrize("m,n,L", [(0, 0, 64), (2, 5, 56), (0, 3, 41)])
     def test_unbounded_genfun(self, monkeypatch, m, n, L):
         monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
         spec = GenSpec(None, m, n, L)
