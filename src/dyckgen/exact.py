@@ -285,9 +285,6 @@ class QLaurent(_SparsePoly):
     def const(cls, c):
         return cls.mono(0, c)
 
-    def min_exp(self):
-        return min(self._c) if self._c else None
-
     def degree(self):
         return max(self._c) if self._c else None
 

@@ -157,6 +157,16 @@ def _inv_fk(k, order, width, cap):
     return ring.inverse(ring.pack(fk_polynomial(k).resized(order)))
 
 
+def packed_genfun(ring, k, m, n, order):
+    """The series part F_(m-1) * F_(k-n-1)(zeta*theta^(n+1)) / F_k for
+    0 <= m <= n <= k, packed in `ring` to `order` steps; 1/F_k comes
+    from the `_inv_fk` cache under the ring's width and cap."""
+    num = ring.pack(fk_polynomial(m - 1).resized(order))
+    upper = ring.pack(fk_polynomial(k - n - 1).resized(order), n + 1)
+    inv = _inv_fk(k, order, ring.width, ring.cap)
+    return ring.mul(ring.mul(num, upper), inv)
+
+
 def genfun(spec):
     """Generating function for spec; symmetric in (m, n).
 
@@ -164,14 +174,10 @@ def genfun(spec):
     packed ring in zeta^2 and theta^2 of slot width spec.width.  An
     unbounded spec computes modulo its area cap, which drops exactly the
     exponents above the cap."""
-    k = spec.ceiling
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-    L = spec.order
     ring = PackedRing(spec.width, spec.area_cap)
-    num = ring.pack(fk_polynomial(m - 1).resized(L))
-    upper = ring.pack(fk_polynomial(k - n - 1).resized(L), n + 1)
-    inv = _inv_fk(k, L, ring.width, spec.area_cap)
-    return GenFun(spec, ring.unpack(ring.mul(ring.mul(num, upper), inv), L))
+    packed = packed_genfun(ring, spec.ceiling, m, n, spec.order)
+    return GenFun(spec, ring.unpack(packed, spec.order))
 
 
 def check_duality(spec):
@@ -200,8 +206,10 @@ def continued_fraction(k, order):
     ring computes modulo that cap."""
     check_ceiling(k)
     ring = PackedRing(order + 1, GenSpec(None, 0, 0, order).area_cap)
-    cur = ring.pack(LSeries.one(order))
-    for j in range(min(k, order // 2) - 1, -1, -1):
-        den = (1,) + tuple(-(v << j * ring.width) for v in cur)
-        cur = ring.inverse(den[:len(cur)])
+    depth = min(k, order // 2)
+    # level j sits behind z^j, so it is needed to order//2 - j powers of
+    # z: the bottom level starts that short and each level adds one
+    cur = (1,) + (0,) * (order // 2 - depth)
+    for j in range(depth - 1, -1, -1):
+        cur = ring.inverse((1,) + tuple(-(v << j * ring.width) for v in cur))
     return ring.unpack(cur, order)

@@ -32,8 +32,12 @@ cap.
 
 Every route is cross-checkable: the determinant has a top-row expansion
 and a literal matrix form, and the quotient has an equivalent expression
-through ratios of unmarked excursion functions, which tilde_genfun_ratio
-evaluates in marker-polynomial arithmetic.
+through ratios of unmarked excursion functions,
+
+    tG_{k,mn} = G_{k,mn} * [t + (1-t) G_{m-1}] / [t + (1-t) G_k],
+
+which tilde_genfun_ratio evaluates in the same packed ring, expanding
+1/[t + (1-t) G_k] in powers of G_k - 1.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from functools import lru_cache
 
 from .config import CACHE_ENTRIES, SpecOutOfRange, check_ceiling
 from .exact import LSeries, PackedRing, QLaurent, TPoly, lift_marker
-from .genfun import GenFun, GenSpec, genfun
+from .genfun import GenFun, GenSpec, packed_genfun
 from .spectral import det_elimination, fk_polynomial, tridiagonal
 
 _T = TPoly.marker()
@@ -87,6 +91,14 @@ def tilde_secular_direct(k, order=None):
     down = [{1: TPoly({1: QLaurent.const(-1)})} if n == 0 else up[n]
             for n in range(k)]
     return det_elimination(tridiagonal(down, up, L, TPoly))
+
+
+def _marker_series(ring, cols, order):
+    """The marker series whose t^s part is the packed series cols[s]."""
+    cols = [ring.unpack(x, order).c for x in cols]
+    return LSeries(order, [
+        TPoly({s: col[l] for s, col in enumerate(cols)})
+        for l in range(order + 1)], TPoly)
 
 
 def _marked_parts(ring, k, order):
@@ -137,32 +149,57 @@ def tilde_genfun(k, m, n, order):
     arches = [ring.mul(a, y), ring.mul(y, first)]
     while len(arches) <= order // 2:
         arches.append(ring.mul(arches[-1], ratio))
-    cols = [ring.unpack(x, order).c for x in arches]
-    return GenFun(spec, LSeries(order, [
-        TPoly({s: col[l] for s, col in enumerate(cols)})
-        for l in range(order + 1)], TPoly))
+    return GenFun(spec, _marker_series(ring, arches, order))
 
 
-def _excursion_bracket(j, order):
-    """t + (1 - t) * G_j as a marker series; G_{-1} is taken to be 1,
-    collapsing the bracket to 1."""
-    if j < 0:
-        return LSeries.one(order, TPoly)
-    g = lift_marker(genfun(GenSpec(j, 0, 0, order)).full_series())
-    return g + (LSeries.one(order, TPoly) - g).scale(_T)
+def _over_bracket(ring, h, x, y, order):
+    """Packed t^s parts, s = 0..order//2, of (x + (t-1)*y) / [t + (1-t)*G]
+    for an excursion function G, given h = G - 1 packed; y = None stands
+    for 0, else it must start at z^1.
+
+    The bracket is 1 - (t-1)*h, so the quotient is sum_r (t-1)^r * a_r
+    with a_0 = x and a_r = h^(r-1) * (h*x + y) for r >= 1.  h starts at
+    z^1, so a_r starts at z^r and r <= order//2 suffices.  A Taylor
+    shift by -1 (a_j -= a_(j+1), sweeping down) turns the powers of t-1
+    into powers of t by subtractions alone; the masked ring makes it
+    exact whatever the intermediate signs."""
+    top = order // 2
+    cur = ring.mul(h, x)
+    if y is not None:
+        cur = tuple(u + v for u, v in zip(cur, y))
+    a = [list(x), list(cur)]
+    while len(a) <= top:
+        a.append(list(ring.mul(a[-1], h)))
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            aj, above = a[j], a[j + 1]
+            for e in range(j + 1, top + 1):   # a_(j+1) is 0 below z^(j+1)
+                aj[e] -= above[e]
+    return a[:top + 1]
 
 
 def tilde_genfun_ratio(k, m, n, order):
     """Cross-check route: the marked function equals the unmarked one
-    times [t + (1-t) G_{m-1}] / [t + (1-t) G_k]."""
+    times [t + (1-t) G_(m-1)] / [t + (1-t) G_k], with G_(-1) = 1.
+
+    The numerator is base * [1 - (t-1)(G_(m-1) - 1)], so x = base and
+    y = base - base * G_(m-1) in _over_bracket.  base, G_k and G_(m-1)
+    are the unmarked series parts, packed in the ring of tilde_genfun:
+    slot width spec.width, modulo the area cap of an unbounded spec."""
     spec = GenSpec(k, m, n, order)
     if m > n:
         raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
     k = spec.ceiling
-    base = lift_marker(genfun(GenSpec(k, m, n, order)).series)
-    series = (base * _excursion_bracket(m - 1, order)).divide(
-        _excursion_bracket(k, order))
-    return GenFun(spec, series)
+    ring = PackedRing(spec.width, spec.area_cap)
+    base = packed_genfun(ring, k, m, n, order)
+    y = None
+    if m > 0:
+        lower = ring.mul(base, packed_genfun(ring, m - 1, 0, 0, order))
+        y = tuple(u - v for u, v in zip(base, lower))
+    # G_k is the base series itself when m = n = 0
+    g = base if n == 0 else packed_genfun(ring, k, 0, 0, order)
+    cols = _over_bracket(ring, (0,) + g[1:], base, y, order)
+    return GenFun(spec, _marker_series(ring, cols, order))
 
 
 def tilde_genfun_openend(k, order):
@@ -172,10 +209,11 @@ def tilde_genfun_openend(k, order):
     by t removes exactly that last marker."""
     check_ceiling(k)
     spec = GenSpec(k, 0, 0, order)
-    one = LSeries.one(order, TPoly)
-    g = lift_marker(genfun(spec).full_series())
-    series = one + (g - one).divide(_excursion_bracket(k, order))
-    return GenFun(spec, series)
+    ring = PackedRing(spec.width, spec.area_cap)
+    h = (0,) + packed_genfun(ring, spec.ceiling, 0, 0, order)[1:]
+    cols = _over_bracket(ring, h, h, None, order)
+    cols[0][0] += 1
+    return GenFun(spec, _marker_series(ring, cols, order))
 
 
 def tilde_genfun_openend_shifted(k, order):

@@ -205,6 +205,16 @@ class TestContinuedFraction:
         assert continued_fraction(k, 16) == genfun(
             GenSpec(k, 0, 0, 16)).full_series()
 
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 7, 12, 13, 24, 31])
+    def test_truncated_levels_at_every_depth(self, L):
+        # each level is built only to the powers of z that survive: the
+        # bottom one shortest, so depths below, at and above L/2 (where
+        # the depth is clamped) must all still match the determinant
+        for k in sorted({0, 1, 2, 3, L // 2 - 1, L // 2, L // 2 + 3}):
+            if k >= 0:
+                assert continued_fraction(k, L) == genfun(
+                    GenSpec(k, 0, 0, L)).full_series(), (k, L)
+
     def test_depth_matters(self):
         # one level too few or too many changes the series
         g2 = genfun(GenSpec(2, 0, 0, 10)).full_series()

@@ -117,17 +117,15 @@ class TestMarkedGenFun:
     @pytest.mark.parametrize("m,n,L", [(0, 0, 8), (1, 2, 11), (0, 3, 9),
                                        (2, 2, 10), (0, 7, 3)])
     def test_unbounded_is_computed_at_the_ceiling(self, m, n, L):
-        # the packed route computes modulo the area cap, so it holds the
-        # ceiling's series with the exponents above the cap dropped; the
-        # ratio route has no cap and holds the ceiling's series itself
+        # both routes compute modulo the area cap, so each holds the
+        # ceiling's series with the exponents above the cap dropped
         spec = GenSpec(None, m, n, L)
         for route in (tilde_genfun, tilde_genfun_ratio):
             unbounded = route(None, m, n, L)
             assert unbounded.spec == spec
             at_ceiling = route(spec.ceiling, m, n, L).series
-            if route is tilde_genfun:
-                at_ceiling = dropped_above(at_ceiling, spec.area_cap)
-            assert unbounded.series == at_ceiling
+            assert unbounded.series == dropped_above(at_ceiling,
+                                                     spec.area_cap)
 
     @pytest.mark.parametrize("k", [None, 4])
     @pytest.mark.parametrize("m,n", [(-1, 2), (3, 1)])
@@ -174,7 +172,7 @@ def quotient_reference(spec):
     arithmetic with no cap, at the spec's own ceiling when finite (not
     the clamped one), then, for an unbounded spec, with the exponents
     above its area cap dropped: the reference for the packed arch
-    expansion."""
+    expansion and the packed bracket expansion."""
     k = spec.ceiling if spec.k is None else spec.k
     L = spec.order
     upper = lift_marker(fk_polynomial(k - spec.n - 1).resized(L)
@@ -206,18 +204,27 @@ def marked_specs(draw):
 def test_whole_series_matches_quotient_reference(spec):
     # every coefficient the series holds, not only those full_series
     # keeps, and every marker power
-    marked = tilde_genfun(spec.k, spec.m, spec.n, spec.order)
-    assert marked.series == quotient_reference(spec)
+    args = (spec.k, spec.m, spec.n, spec.order)
+    reference = quotient_reference(spec)
+    assert tilde_genfun(*args).series == reference
+    assert tilde_genfun_ratio(*args).series == reference
 
 
 class TestAboveOracleGuard:
-    """The packed marked route against brute force at lengths the guard
+    """The packed marked routes against brute force at lengths the guard
     refuses."""
 
+    @pytest.mark.parametrize("route", [tilde_genfun, tilde_genfun_ratio])
     @pytest.mark.parametrize("m,n,L", [(0, 0, 48), (1, 3, 40)])
-    def test_unbounded_tilde_genfun(self, monkeypatch, m, n, L):
+    def test_unbounded_tilde_genfun(self, monkeypatch, m, n, L, route):
         monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
         ceiling = GenSpec(None, m, n, L).ceiling
         table = enumerate_paths(ceiling, m, n, L)
-        assert (tilde_genfun(None, m, n, L).full_series()
+        assert (route(None, m, n, L).full_series()
                 == genfun_from_table(table, with_touchdowns=True))
+
+
+def test_ratio_route_at_a_finite_ceiling_above_the_grid():
+    # m > 0 takes the two-term numerator base * [t + (1-t) G_(m-1)]
+    assert (tilde_genfun_ratio(10, 1, 1, 40).series
+            == tilde_genfun(10, 1, 1, 40).series)
