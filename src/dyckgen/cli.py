@@ -144,34 +144,28 @@ def _emit(args, spec_echo, method, terms, count_label=None):
 
 def cmd_genfun(args):
     k, spec_echo = _parse_spec_flags(args)
+    m, n, order = args.m, args.n, args.max_len
     if args.touchdown:
         if args.method != "determinant":
             raise UsageError(
                 "--touchdown supports only --method determinant")
-        main_ts = tilde_genfun(k, args.m, args.n, args.max_len)
-        full = main_ts.full_series()
-        if args.check:
-            other = tilde_genfun_ratio(k, args.m, args.n, args.max_len)
-            if other.full_series() != full:
-                print("internal mismatch: determinant vs ratio route",
-                      file=sys.stderr)
-                return 3
-        return _emit(args, spec_echo, "determinant", _series_terms(full))
-    spec = GenSpec(k, args.m, args.n, args.max_len)
-    routes = {"determinant": lambda: genfun(spec).full_series(),
-              "cluster-exp": lambda: genfun_via_cluster(spec)}
-    if args.m == args.n == 0:
-        routes["continued-fraction"] = (
-            lambda: continued_fraction(spec.ceiling, spec.order))
-    if args.method not in routes:
-        raise UsageError(
-            f"--method {args.method} needs m = n = 0 (floor excursions)")
+        routes = {
+            "determinant": lambda: tilde_genfun(k, m, n, order).full_series(),
+            "ratio": lambda: tilde_genfun_ratio(k, m, n, order).full_series()}
+    else:
+        spec = GenSpec(k, m, n, order)
+        routes = {"determinant": lambda: genfun(spec).full_series(),
+                  "cluster-exp": lambda: genfun_via_cluster(spec)}
+        if m == n == 0:
+            routes["continued-fraction"] = (
+                lambda: continued_fraction(spec.ceiling, spec.order))
+        if args.method not in routes:
+            raise UsageError(
+                f"--method {args.method} needs m = n = 0 (floor excursions)")
     full = routes[args.method]()
     if args.check:
         for name, fn in routes.items():
-            if name == args.method:
-                continue
-            if fn() != full:
+            if name != args.method and fn() != full:
                 print(f"internal mismatch: {args.method} vs {name}",
                       file=sys.stderr)
                 return 3

@@ -26,6 +26,10 @@ For m != n the monomial prefactor of the generating function carries
 fractional powers in these units; its logarithm, step_shift/2 * ln z
 plus area_shift/2 * ln q (GenSpec properties), is not part of the
 series computed here.
+
+The other routes work in single steps zeta and plaquettes theta, with
+z = zeta^2 and q = theta^2.  Cluster series meet them there: in_steps is
+the one conversion, and it runs only from z, q to zeta, theta.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from math import comb, factorial
 
 from .config import SpecOutOfRange, check_ceiling
 from .exact import LSeries, QLaurent
-from .genfun import GenFun, GenSpec, genfun
+from .genfun import GenFun
 
 
 def compositions(a):
@@ -157,14 +161,11 @@ def degree_check(k, m, n, a):
     return value.degree() == degree_formula(k, n, a)
 
 
-def genfun_series_zq(k, m, n, z_order):
-    """Series part of the (k, m, n) generating function rewritten in
-    double-step units (coefficient of z^a is a polynomial in q).  The
-    z^a coefficient counts paths of 2a + |n - m| steps, so the spec
-    order covers that many."""
-    m, n = min(m, n), max(m, n)
-    gf = genfun(GenSpec(k, m, n, 2 * z_order + n - m))
-    return gf.series.resized(2 * z_order).to_double_step()
+def in_steps(s, order):
+    """The series s in z, q rewritten in zeta, theta to step order
+    `order`: z^a q^e becomes zeta^(2a) theta^(2e)."""
+    return LSeries(order,
+                   {2 * a: v.scale_exponents(2) for a, v in enumerate(s.c)})
 
 
 def genfun_via_cluster(spec):
@@ -174,6 +175,4 @@ def genfun_via_cluster(spec):
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
     z_order = max((spec.order - spec.step_shift) // 2, 0)
     s = p_restricted(spec.k, m, n, z_order).exp()
-    series = LSeries(spec.order,
-                     {2 * a: v.scale_exponents(2) for a, v in enumerate(s.c)})
-    return GenFun(spec, series).full_series()
+    return GenFun(spec, in_steps(s, spec.order)).full_series()

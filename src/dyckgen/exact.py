@@ -16,8 +16,9 @@ to Fraction only when a value is genuinely non-integral):
 Both polynomial rings are one sparse polynomial over a coefficient ring
 (_SparsePoly), QLaurent over Q and TPoly over QLaurent, so every area and
 marker product runs through one convolution (_SparsePoly.__mul__).
-Every series quotient runs through one recurrence (LSeries.divide); log
-is the integral of f'/f, so it reuses that quotient.
+A series quotient or inverse needs a divisor with constant term exactly
+1, in LSeries.divide as in PackedRing.inverse; log is the integral of
+f'/f, so it reuses LSeries.divide.
 
 The determinant, continued-fraction and touchdown routes run in a fourth
 ring, PackedRing: a series in zeta^2 whose area polynomials in theta^2
@@ -30,8 +31,9 @@ coefficients from them.
 
 Internally every exponent is an integer.  The double-step convention
 (z = zeta^2, q = theta^2, exponents counting step pairs and diamonds) is
-a reporting transform applied at the edges; it can produce half-integer
-exponents, which the CLI encodes explicitly.
+the cluster route's working unit, which cluster.in_steps converts to
+zeta, theta, and a reporting option of the CLI, which encodes the
+half-integer exponents it can produce explicitly.
 
 Everything here is immutable after construction: operations return new
 objects, so values may be shared freely across threads.
@@ -43,8 +45,8 @@ from fractions import Fraction
 
 
 class NonUnitConstantTerm(ArithmeticError):
-    """Series division needs a divisor whose constant term is a single
-    nonzero rational sitting at area exponent zero."""
+    """Series division and inversion need a divisor whose constant term
+    is exactly 1."""
 
 
 class BadConstantTerm(ArithmeticError):
@@ -135,18 +137,6 @@ class _SparsePoly:
 
     def is_one(self):
         return self._c.keys() == {0} and self._c[0] == 1
-
-    def is_scalar(self):
-        """Is this a rational constant?"""
-        c = self._c
-        return not c or (c.keys() == {0} and (
-            not isinstance(c[0], _SparsePoly) or c[0].is_scalar()))
-
-    def scalar_value(self):
-        if not self.is_scalar():
-            raise ValueError("not a scalar")
-        v = self._c.get(0, 0)
-        return v.scalar_value() if isinstance(v, _SparsePoly) else v
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -309,12 +299,6 @@ class QLaurent(_SparsePoly):
         """Substitute theta -> 1/theta (negate every exponent)."""
         return self.scale_exponents(-1)
 
-    def halved(self):
-        """Divide every exponent by 2; exact only when all are even."""
-        if any(e % 2 for e in self._c):
-            raise InexactDivision("odd area exponent cannot be halved")
-        return QLaurent._wrap({e // 2: v for e, v in self._c.items()})
-
     def divexact(self, other):
         """Exact polynomial quotient self / other.
 
@@ -372,7 +356,7 @@ class TPoly(_SparsePoly):
     The marker exponent is always >= 0 (a path cannot return to the floor
     a negative number of times).  A TPoly whose only entry sits at t^0
     acts as a plain area polynomial; series division accepts it as a
-    pivot when that entry is scalar.
+    pivot when that entry is 1.
     """
 
     __slots__ = ()
@@ -442,15 +426,9 @@ class LSeries:
 
     __slots__ = ("order", "c", "ring")
 
-    def __init__(self, order, coeffs=None, ring=None):
+    def __init__(self, order, coeffs=None, ring=QLaurent):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        if ring is None:
-            ring = QLaurent
-            if coeffs:
-                values = coeffs.values() if isinstance(coeffs, dict) else coeffs
-                if any(isinstance(v, TPoly) for v in values):
-                    ring = TPoly
         zero = ring.zero()
         c = [zero] * (order + 1)
         if isinstance(coeffs, dict):
@@ -569,18 +547,14 @@ class LSeries:
             self.order, [w * v for w in self.c], self.ring)
 
     def divide(self, other):
-        """Series quotient; the divisor's constant term must be a nonzero
-        rational scalar (the standard invertibility condition here)."""
+        """Series quotient, by the recurrence out_n = self_n - (b_1
+        out_(n-1) + ... + b_n out_0); requires divisor constant term 1."""
         b = self._coerce_other(other)
         if b is None:
             raise TypeError(f"cannot divide by {type(other).__name__}")
+        if not b.c[0].is_one():
+            raise NonUnitConstantTerm("divisor constant term must be 1")
         L = min(self.order, b.order)
-        b0 = b.c[0]
-        if b0.is_zero() or not b0.is_scalar():
-            raise NonUnitConstantTerm(
-                "divisor constant term must be a nonzero scalar")
-        r = b0.scalar_value()
-        inv_r = None if r == 1 else Fraction(1, 1) / r
         b_nz = [(j, v) for j, v in enumerate(b.c[1:L + 1], start=1)
                 if not v.is_zero()]
         out = []
@@ -592,7 +566,7 @@ class LSeries:
                 prev = out[n - j]
                 if not prev.is_zero():
                     acc = acc - vj * prev
-            out.append(acc if inv_r is None else acc.scale(inv_r))
+            out.append(acc)
         return LSeries._wrap(L, out, self.ring)
 
     def log(self):
@@ -673,30 +647,11 @@ class LSeries:
         return LSeries._wrap(
             order, self.c + [zero] * (order - self.order), self.ring)
 
-    def to_double_step(self):
-        """Reinterpret in double-step units: coefficient of zeta^(2a)
-        becomes the coefficient of z^a with its area exponents halved.
-        Exact only when odd step powers vanish and area exponents are
-        even; otherwise raises InexactDivision."""
-        if self.ring is not QLaurent:
-            raise TypeError("double-step view defined for plain area series")
-        for l, v in enumerate(self.c):
-            if l % 2 and not v.is_zero():
-                raise InexactDivision("odd step power cannot be halved")
-        out = [self.c[2 * a].halved() for a in range(self.order // 2 + 1)]
-        return LSeries._wrap(self.order // 2, out, QLaurent)
-
     def map_coeffs(self, fn):
         """Apply fn to every coefficient (used to change rings)."""
         out = [fn(v) for v in self.c]
         ring = type(out[0]) if out else self.ring
         return LSeries._wrap(self.order, out, ring)
-
-    def eval_at_one(self):
-        """Per-step-power coefficient sums (forget area and marker)."""
-        if self.ring is TPoly:
-            return [v.at_t_one().eval_at_one() for v in self.c]
-        return [v.eval_at_one() for v in self.c]
 
     def __eq__(self, other):
         if not isinstance(other, LSeries):

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cluster import (c2, c2_factorial, compositions, degree_check,
-                      degree_formula, genfun_series_zq, genfun_via_cluster,
-                      log_secular, p_restricted)
+                      degree_formula, genfun_via_cluster, in_steps,
+                      log_secular)
 from .config import SpecOutOfRange, UsageError
 from .exact import LSeries, QLaurent
 from .genfun import GenSpec, check_duality, continued_fraction, genfun
@@ -113,9 +113,11 @@ def suite_genfun(k_max=5, len_max=12):
                 tab = genfun_from_table(enumerate_paths(k, m, n, len_max))
                 out.append(_eq_check("genfun", "oracle_equality",
                                      f"k={k} m={m} n={n}", gf, tab))
-                sym = genfun(GenSpec(k, n, m, len_max)).full_series()
+                # read backwards, a path from n to m has the same length
+                # and area as one from m to n
+                rev = genfun_from_table(enumerate_paths(k, n, m, len_max))
                 out.append(_eq_check("genfun", "endpoint_symmetry",
-                                     f"k={k} m={m} n={n}", gf, sym))
+                                     f"k={k} m={m} n={n}", gf, rev))
                 ok = True
                 for l, v in gf.nonzero_terms():
                     if (l - (n - m)) % 2:
@@ -229,9 +231,9 @@ def suite_cluster(k_max=4, len_max=16):
              for c in compositions(a))
     out.append(_check("cluster", "weight_two_forms", f"a<={min(a_max, 12)}",
                       ok, "c2 forms disagree"))
+    spec = GenSpec(None, 0, 0, 2 * a_max)
     out.append(_eq_check("cluster", "unbounded_exp_log", f"a_max={a_max}",
-                         p_restricted(None, 0, 0, a_max).exp(),
-                         genfun_series_zq(None, 0, 0, a_max)))
+                         genfun_via_cluster(spec), genfun(spec).full_series()))
     r_order = max(1, min(a_max, 8))
     for k in range(k_max + 1):
         for m in range(k + 1):
@@ -241,9 +243,9 @@ def suite_cluster(k_max=4, len_max=16):
                     "cluster", "restricted_exp_log", f"k={k} m={m} n={n}",
                     genfun_via_cluster(spec), genfun(spec).full_series()))
     for k in range(1, k_max + 1):
-        f = fk_polynomial(k).resized(2 * a_max).to_double_step()
         out.append(_eq_check("cluster", "determinant_log", f"k={k}",
-                             f.log(), log_secular(k, a_max)))
+                             fk_polynomial(k).resized(2 * a_max).log(),
+                             in_steps(log_secular(k, a_max), 2 * a_max)))
     for k in range(1, min(k_max, 6) + 1):
         for n in range(k + 1):
             for a in range(1, min(a_max, 10) + 1):

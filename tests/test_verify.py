@@ -4,8 +4,9 @@ import pytest
 
 from dyckgen.config import SpecOutOfRange, UsageError
 from dyckgen.exact import LSeries
-from dyckgen.genfun import GenSpec, genfun
-from dyckgen.verify import SUITE_NAMES, CheckResult, _eq_check, run_suites
+from dyckgen.genfun import GenFun, GenSpec, genfun
+from dyckgen.verify import (SUITE_NAMES, CheckResult, _eq_check, run_suites,
+                            suite_genfun)
 
 
 def test_suite_names_cover_registry():
@@ -88,3 +89,16 @@ def test_result_fields_are_frozen():
 def test_unknown_suite_name_raises():
     with pytest.raises(KeyError):
         run_suites(["spectra"])
+
+
+def test_endpoint_symmetry_fails_on_a_wrong_series(monkeypatch):
+    # the reversed endpoints are counted by the oracle, so a wrong
+    # closed form cannot agree with itself
+    def wrong(spec):
+        return GenFun(spec, genfun(spec).series + 1)
+
+    monkeypatch.setattr("dyckgen.verify.genfun", wrong)
+    results = [r for r in suite_genfun(k_max=3, len_max=8)
+               if r.name == "endpoint_symmetry"]
+    assert len(results) == 20
+    assert not any(r.ok for r in results)
