@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .config import SpecOutOfRange, check_ceiling
+from .config import SpecOutOfRange, check_ceiling, check_order
 from .exact import LSeries, QLaurent
 from .genfun import GenFun
 
@@ -46,7 +46,7 @@ def compositions(a):
     """Ordered sequences of positive parts summing to a, streamed in
     colexicographic order (last part varying slowest)."""
     if a < 1:
-        raise ValueError("need a positive total")
+        raise SpecOutOfRange("need a positive total")
 
     def rec(rem):
         if rem == 0:
@@ -56,14 +56,14 @@ def compositions(a):
             for head in rec(rem - last):
                 yield head + (last,)
 
-    yield from rec(a)
+    return rec(a)
 
 
 def c2(comp):
     """Linked-cluster weight of a composition: 1/l_1 times the product
     over adjacent parts of C(l_i + l_{i+1} - 1, l_{i+1})."""
     if not comp or any(l < 1 for l in comp):
-        raise ValueError("composition parts must be >= 1")
+        raise SpecOutOfRange("composition parts must be >= 1")
     out = Fraction(1, comp[0])
     for li, lj in zip(comp, comp[1:]):
         out *= comb(li + lj - 1, lj)
@@ -74,7 +74,7 @@ def c2_factorial(comp):
     """Same weight as a single ratio of factorials (independent form,
     cross-checked against c2 in the tests)."""
     if not comp or any(l < 1 for l in comp):
-        raise ValueError("composition parts must be >= 1")
+        raise SpecOutOfRange("composition parts must be >= 1")
     num = 1
     for li, lj in zip(comp, comp[1:]):
         num *= factorial(li + lj - 1)
@@ -109,8 +109,7 @@ def p_restricted(k, m, n, a_max):
         raise SpecOutOfRange("need 0 <= m <= n")
     if k is not None and n > k:
         raise SpecOutOfRange("endpoints must not exceed the ceiling")
-    if a_max < 0:
-        raise ValueError("need a non-negative z order")
+    check_order(a_max, "z order")
     zero = QLaurent.zero()
     p = [zero] * (a_max + 1)
     layer = {(l, l): QLaurent.const(c2((l,))) for l in range(1, a_max + 1)}
@@ -148,7 +147,7 @@ def degree_formula(k, n, a):
     if k is not None:
         check_ceiling(k)
     if n < 0 or a < 1:
-        raise ValueError("need n >= 0 and a >= 1")
+        raise SpecOutOfRange("need n >= 0 and a >= 1")
     if k is None or a <= k - n:
         return a * (a - 1) // 2 + a * n
     return (k - n - 1) * (2 * a - k + n) // 2 + a * n

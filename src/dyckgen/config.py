@@ -1,10 +1,11 @@
 """Desk-scale guards for the enumerative code paths, and the errors that
 report bad input.
 
-The closed forms are cheap at any size; the explicit enumerations are
-not.  These limits keep a casual invocation from accidentally launching
-a huge exact computation.  Setting the environment variable
-DYCKGEN_GUARD_OVERRIDE (to any non-empty value) lifts all of them.
+The explicit enumerations are slow; these limits keep a casual
+invocation from launching a huge one.  The closed forms have no guard
+yet, though an unbounded one takes seconds at order 100 and hours at
+order 200.  Setting DYCKGEN_GUARD_OVERRIDE (to any non-empty value)
+lifts all the guards.
 
 Every error a caller can cause by what it asks for is a UsageError; the
 command line turns it into exit code 2.
@@ -24,8 +25,7 @@ ENUM_PARTITION_MAX = 36
 ORACLE_LEN_MAX = 24
 
 # Entries kept by each builder cache (fk_polynomial, _inv_fk,
-# _arch_factors, tilde_secular), so a long-lived process holds bounded
-# memory.
+# tilde_secular), so a long-lived process holds bounded memory.
 CACHE_ENTRIES = 64
 
 
@@ -52,6 +52,12 @@ def check_ceiling(k, lowest=0):
     if not isinstance(k, int) or k < lowest:
         raise SpecOutOfRange(f"ceiling must be an integer >= {lowest}, "
                              f"got {k!r}")
+
+
+def check_order(order, what="truncation order"):
+    """Raise SpecOutOfRange when the order is below 0."""
+    if order < 0:
+        raise SpecOutOfRange(f"{what} must be >= 0")
 
 
 def check_guard(value, limit, what):

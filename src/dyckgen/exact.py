@@ -16,9 +16,9 @@ to Fraction only when a value is genuinely non-integral):
 Both polynomial rings are one sparse polynomial over a coefficient ring
 (_SparsePoly), QLaurent over Q and TPoly over QLaurent, so every area and
 marker product runs through one convolution (_SparsePoly.__mul__).
-A series quotient or inverse needs a divisor with constant term exactly
-1, in LSeries.divide as in PackedRing.inverse; log is the integral of
-f'/f, so it reuses LSeries.divide.
+A series quotient needs a divisor with constant term exactly 1, in
+LSeries.divide as in PackedRing.quotient, the packed ring's one
+division; log is the integral of f'/f, so it reuses LSeries.divide.
 
 The determinant, continued-fraction and touchdown routes run in a fourth
 ring, PackedRing: a series in zeta^2 whose area polynomials in theta^2
@@ -45,8 +45,7 @@ from fractions import Fraction
 
 
 class NonUnitConstantTerm(ArithmeticError):
-    """Series division and inversion need a divisor whose constant term
-    is exactly 1."""
+    """A series quotient needs a divisor with constant term exactly 1."""
 
 
 class BadConstantTerm(ArithmeticError):
@@ -678,11 +677,11 @@ class PackedRing:
 
     Substituting a power of two for q is a ring homomorphism, onto Z or,
     with an area cap, onto Z/2**(width*(cap//2+1)): dropping the theta
-    exponents above the cap is a mask.  Sums, products and the series
-    inverse are therefore exact whatever signs, cancellations or
-    overflowing slots the intermediate values hold; only the final
-    coefficients must be counts in 0..2**width - 1, so `unpack` can read
-    them slot by slot.  A cap below 0 keeps nothing.  The width is
+    exponents above the cap is a mask.  Sums, products and quotients
+    are therefore exact whatever signs, cancellations or overflowing
+    slots the intermediate values hold; only the final coefficients
+    must be counts in 0..2**width - 1, so `unpack` can read them slot
+    by slot.  A cap below 0 keeps nothing.  The width is
     rounded up to whole bytes, so that `unpack` reads each slot straight
     from the value's bytes.  A series of step order L packs into L//2 + 1
     ints, one per power of z."""
@@ -734,16 +733,16 @@ class PackedRing:
                     acc[i + j] += u * v
         return tuple(self._reduce(v) for v in acc)
 
-    def inverse(self, x):
-        """1/x for a packed series with constant term 1, by the
-        recurrence y_n = -(x_1 y_(n-1) + ... + x_n y_0)."""
-        if self._reduce(x[0]) != self._reduce(1):
-            raise NonUnitConstantTerm("packed inverse needs constant term 1")
-        x_nz = [(j, v) for j, v in enumerate(x) if j and v]
-        y = [self._reduce(1)]
-        for n in range(1, len(x)):
-            acc = 0
-            for j, v in x_nz:
+    def quotient(self, x, d):
+        """x/d to the length of d, for d with constant term 1: y_n =
+        x_n - (d_1 y_(n-1) + ... + d_n y_0), with x_n = 0 past its end."""
+        if self._reduce(d[0]) != self._reduce(1):
+            raise NonUnitConstantTerm("divisor constant term must be 1")
+        d_nz = [(j, v) for j, v in enumerate(d) if j and v]
+        y = []
+        for n in range(len(d)):
+            acc = x[n] if n < len(x) else 0
+            for j, v in d_nz:
                 if j > n:
                     break
                 acc -= v * y[n - j]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .config import CACHE_ENTRIES, SpecOutOfRange, check_ceiling
+from .config import CACHE_ENTRIES, SpecOutOfRange, UsageError, check_ceiling
 from .exact import LSeries, PackedRing, TPoly
 from .spectral import fk_polynomial
 
@@ -144,7 +144,7 @@ class GenFun:
         if self.series.ring is TPoly:
             v = v.at_t_one() if touchdowns is None else v.coeff(touchdowns)
         elif touchdowns is not None:
-            raise ValueError("floor returns are counted on touchdown results")
+            raise UsageError("floor returns are counted on touchdown results")
         return v.coeff(area - self.spec.area_shift)
 
 
@@ -154,7 +154,7 @@ def _inv_fk(k, order, width, cap):
     is everything that fixes the packed value (cap is None for a finite
     ceiling, which packs with no modulus)."""
     ring = PackedRing(width, cap)
-    return ring.inverse(ring.pack(fk_polynomial(k).resized(order)))
+    return ring.quotient((1,), ring.pack(fk_polynomial(k).resized(order)))
 
 
 def packed_genfun(ring, k, m, n, order):
@@ -211,5 +211,6 @@ def continued_fraction(k, order):
     # z: the bottom level starts that short and each level adds one
     cur = (1,) + (0,) * (order // 2 - depth)
     for j in range(depth - 1, -1, -1):
-        cur = ring.inverse((1,) + tuple(-(v << j * ring.width) for v in cur))
+        cur = ring.quotient(
+            (1,), (1,) + tuple(-(v << j * ring.width) for v in cur))
     return ring.unpack(cur, order)

@@ -40,6 +40,7 @@ def tridiagonal(above, below, order, ring=QLaurent):
     """Cells of a unit-diagonal tridiagonal matrix of truncated series in
     the given coefficient ring: above[n] (a {step power: coefficient}
     dict) at row n, column n+1 and below[n] at row n+1, column n."""
+    config.check_order(order)
     size = len(above) + 1
     zero = LSeries.zeros(order, ring)
     cells = [[zero] * size for _ in range(size)]
@@ -134,7 +135,7 @@ def qbinom(m, r):
     exact and intermediates stay small.
     """
     if m < 0:
-        raise ValueError("upper index must be >= 0")
+        raise config.SpecOutOfRange("upper index must be >= 0")
     if r < 0 or r > m:
         return QLaurent.zero()
     r = min(r, m - r)
@@ -172,9 +173,9 @@ def bosonic_partition(k, N, method="product"):
       "product"     telescoping product of (1-q^(j+N))/(1-q^j).
     """
     if k < 1:
-        raise ValueError("need at least one level")
+        raise config.SpecOutOfRange("need at least one level")
     if N < 0:
-        raise ValueError("particle number must be >= 0")
+        raise config.SpecOutOfRange("particle number must be >= 0")
     if method in ("occupation", "excitation"):
         config.check_guard(k * N, config.ENUM_PARTITION_MAX, "k*N =")
     if method == "occupation":
@@ -199,7 +200,7 @@ def bosonic_partition(k, N, method="product"):
             den = QLaurent({0: 1, j: -1})
             out = (out * num).divexact(den)
         return out
-    raise ValueError(f"unknown method {method!r}")
+    raise config.SpecOutOfRange(f"unknown method {method!r}")
 
 
 def grand_partition_exclusion(k, order):
@@ -208,6 +209,7 @@ def grand_partition_exclusion(k, order):
     (-zeta^2)^N * q^(N(N-1)) * [k-N+1 choose N]_q, exponents converted
     to internal (step, plaquette) units."""
     config.check_ceiling(k)
+    config.check_order(order)
     coeffs = {}
     for N in range((k + 1) // 2 + 1):
         if 2 * N > order:
@@ -227,8 +229,8 @@ def height_generating_function(w_order, order):
     identically (asserted here).  Returned as a list of truncated step
     series indexed by the power of w.
     """
-    if w_order < 0:
-        raise ValueError("w order must be >= 0")
+    config.check_order(w_order, "w order")
+    config.check_order(order)
     acc = [dict() for _ in range(w_order + 2)]  # index j+1 holds w^j
     for N in range((w_order + 1) // 2 + 1):
         m_max = w_order - (2 * N - 1)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .config import CACHE_ENTRIES, SpecOutOfRange, check_ceiling
+from .config import CACHE_ENTRIES, SpecOutOfRange, check_ceiling, check_order
 from .exact import LSeries, PackedRing, QLaurent, TPoly, lift_marker
 from .genfun import GenFun, GenSpec, packed_genfun
 from .spectral import det_elimination, fk_polynomial, tridiagonal
@@ -59,6 +59,7 @@ def tilde_secular(k, order):
     is typed, so a float ceiling equal to a cached int still reaches the
     ceiling check."""
     check_ceiling(k, lowest=-1)
+    check_order(order)
     if k <= 0:
         return LSeries.one(order, TPoly)
     fk = lift_marker(fk_polynomial(k).resized(order))
@@ -67,17 +68,23 @@ def tilde_secular(k, order):
     return fk.scale(_T) + fk1 - fk1.scale(_T)
 
 
+def _toprow_parts(k, order):
+    """A and C of tF_k = A - t*C: A = F_(k-1)(zeta*theta) and
+    C = zeta^2 * F_(k-2)(zeta*theta^2), or 1 and 0 when k <= 0."""
+    if k <= 0:
+        return LSeries.one(order), LSeries.zeros(order)
+    a = fk_polynomial(k - 1).substitute_scale(1).resized(order)
+    c = fk_polynomial(k - 2).substitute_scale(2).resized(order)
+    return a, c.shift_step(2)
+
+
 def tilde_secular_toprow(k, order):
     """Same determinant by expanding along the marked first row:
     F_{k-1}(zeta*theta) - t*zeta^2*F_{k-2}(zeta*theta^2)."""
     check_ceiling(k, lowest=-1)
-    if k <= 0:
-        return LSeries.one(order, TPoly)
-    fk1 = lift_marker(
-        fk_polynomial(k - 1).resized(order).substitute_scale(1))
-    fk2 = lift_marker(
-        fk_polynomial(k - 2).resized(order).substitute_scale(2))
-    return fk1 - fk2.shift_step(2).scale(_T)
+    check_order(order)
+    a, c = _toprow_parts(k, order)
+    return lift_marker(a) - lift_marker(c).scale(_T)
 
 
 def tilde_secular_direct(k, order=None):
@@ -94,33 +101,17 @@ def tilde_secular_direct(k, order=None):
 
 
 def _marker_series(ring, cols, order):
-    """The marker series whose t^s part is the packed series cols[s]."""
+    """The marker series whose t^s part is the packed series cols[s];
+    unpacked values are area polynomials already, wrapped uncoerced."""
     cols = [ring.unpack(x, order).c for x in cols]
-    return LSeries(order, [
-        TPoly({s: col[l] for s, col in enumerate(cols)})
+    return LSeries._wrap(order, [
+        TPoly._wrap({s: col[l] for s, col in enumerate(cols) if col[l]})
         for l in range(order + 1)], TPoly)
 
 
 def _marked_parts(ring, k, order):
-    """Packed A and C with tF_k = A - t*C, from the top-row expansion:
-    A = F_(k-1)(zeta*theta) and C = zeta^2 * F_(k-2)(zeta*theta^2), or
-    A = 1 and C = 0 when k <= 0.  The factor zeta^2 of C is one more
-    packed entry in front."""
-    if k <= 0:
-        return ring.pack(LSeries.one(order)), (0,) * (order // 2 + 1)
-    a = ring.pack(fk_polynomial(k - 1).resized(order), 1)
-    c = ring.pack(fk_polynomial(k - 2).resized(order), 2)
-    return a, ((0,) + c)[:len(a)]
-
-
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _arch_factors(k, order, width, cap):
-    """1/A and the arch C/A for tF_k = A - t*C, packed in
-    PackedRing(width, cap): the key is everything that fixes them."""
-    ring = PackedRing(width, cap)
-    a, c = _marked_parts(ring, k, order)
-    inv = ring.inverse(a)
-    return inv, ring.mul(c, inv)
+    """A and C of tF_k = A - t*C (_toprow_parts), packed in ring."""
+    return tuple(map(ring.pack, _toprow_parts(k, order)))
 
 
 def tilde_genfun(k, m, n, order):
@@ -128,23 +119,22 @@ def tilde_genfun(k, m, n, order):
     ceiling k (None = unbounded, computed at GenSpec.ceiling); requires
     0 <= m <= n (no endpoint symmetry here).
 
-    With tF_(m-1) = A' - t*C' and Y = F_(k-n-1)(zeta*theta^(n+1)) / A,
-    the t^s part of the series is A' * Y for s = 0 and, for s >= 1,
-    Y * (A' * C/A - C') * (C/A)^(s-1).  Y is formed first: the upper
-    factor cancels the large area terms of 1/A, so the powers of the
-    arch multiply count-sized values.  Every product runs in a packed
-    ring of slot width spec.width, modulo the area cap of an unbounded
-    spec; each t^s part is unpacked at the end and the marker
-    polynomials are assembled from them."""
+    With tF_k = A - t*C and tF_(m-1) = A' - t*C', the t^s part of the
+    series is A' * Y for s = 0 and Y * (A' * C/A - C') * (C/A)^(s-1)
+    for s >= 1, where Y = F_(k-n-1)(zeta*theta^(n+1)) / A.  Y and the
+    arch C/A are each one packed quotient by the polynomial A.  Every
+    product and quotient runs in a packed ring of slot width spec.width,
+    modulo the area cap of an unbounded spec; each t^s part is unpacked
+    at the end and the marker polynomials are assembled from them."""
     spec = GenSpec(k, m, n, order)
     if m > n:
         raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
     k = spec.ceiling
     ring = PackedRing(spec.width, spec.area_cap)
     upper = ring.pack(fk_polynomial(k - n - 1).resized(order), n + 1)
-    a, c = _marked_parts(ring, m - 1, order)
-    inv, ratio = _arch_factors(k, order, ring.width, spec.area_cap)
-    y = ring.mul(upper, inv)
+    a, c = _marked_parts(ring, k, order)
+    y, ratio = ring.quotient(upper, a), ring.quotient(c, a)
+    a, c = _marked_parts(ring, m - 1, order)   # now A' and C'
     first = tuple(u - v for u, v in zip(ring.mul(a, ratio), c))
     arches = [ring.mul(a, y), ring.mul(y, first)]
     while len(arches) <= order // 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .cluster import (c2, c2_factorial, compositions, degree_check,
                       degree_formula, genfun_via_cluster, in_steps,
                       log_secular)
-from .config import SpecOutOfRange, UsageError
+from .config import DIRECT_DET_K_MAX, SpecOutOfRange, UsageError, check_guard
 from .exact import LSeries, QLaurent
 from .genfun import GenSpec, check_duality, continued_fraction, genfun
 from .oracle import enumerate_paths, genfun_from_table, max_area
@@ -64,7 +64,9 @@ def _eq_check(suite, name, params, a, b):
 def suite_determinants(k_max=10, len_max=16):
     """Recursive / direct / variant-matrix / exclusion-sum agreement,
     determinant duality and degree, the four bosonic partition methods,
-    and the height generating function."""
+    and the height generating function.  The guard of the literal
+    eliminations is checked before the first one runs."""
+    check_guard(k_max, DIRECT_DET_K_MAX, "ceiling")
     out = []
     for k in range(k_max + 1):
         f = fk_polynomial(k)

@@ -5,12 +5,14 @@ import pytest
 
 import dyckgen
 from dyckgen import cli, cluster, exact, spectral
-from dyckgen.cluster import (degree_check, degree_formula, log_secular,
-                             p_restricted)
-from dyckgen.config import SpecOutOfRange
+from dyckgen.cluster import (c2, c2_factorial, compositions, degree_check,
+                             degree_formula, log_secular, p_restricted)
+from dyckgen.config import SpecOutOfRange, UsageError
 from dyckgen.genfun import GenSpec, continued_fraction, genfun
 from dyckgen.oracle import enumerate_paths, max_area
-from dyckgen.spectral import (fk_polynomial, grand_partition_exclusion,
+from dyckgen.spectral import (bosonic_partition, fk_polynomial,
+                              grand_partition_exclusion,
+                              height_generating_function, qbinom,
                               secular_det_direct, secular_det_tilde,
                               secular_matrix)
 from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
@@ -60,6 +62,40 @@ def test_lowest_ceiling_is_accepted(name):
     call(lowest)
     with pytest.raises(SpecOutOfRange):
         call(lowest - 1)
+
+
+# name -> a call with an argument out of range (not the ceiling)
+BAD_ARGUMENTS = {
+    "p_restricted": lambda: p_restricted(None, 0, 0, -1),
+    "log_secular": lambda: log_secular(2, -1),
+    "degree_formula-a": lambda: degree_formula(None, 0, 0),
+    "degree_formula-n": lambda: degree_formula(3, -1, 1),
+    "degree_check": lambda: degree_check(None, 0, 0, 0),
+    "compositions": lambda: compositions(0),
+    "c2": lambda: c2(()),
+    "c2_factorial": lambda: c2_factorial(()),
+    "bosonic_partition-k": lambda: bosonic_partition(0, 1),
+    "bosonic_partition-N": lambda: bosonic_partition(2, -1),
+    "bosonic_partition-method": lambda: bosonic_partition(2, 1, "nope"),
+    "qbinom": lambda: qbinom(-1, 0),
+    "height_generating_function-w": lambda: height_generating_function(-1, 4),
+    "height_generating_function-order":
+        lambda: height_generating_function(2, -1),
+    "tilde_secular": lambda: tilde_secular(2, -1),
+    "tilde_secular_toprow": lambda: tilde_secular_toprow(2, -1),
+    "tilde_secular_direct": lambda: tilde_secular_direct(2, -1),
+    "grand_partition_exclusion": lambda: grand_partition_exclusion(2, -1),
+    "secular_matrix": lambda: secular_matrix(2, -1),
+    "GenFun.coefficient": lambda: genfun(GenSpec(2, 0, 0, 4)).coefficient(
+        2, 0, touchdowns=1),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARGUMENTS)
+def test_bad_argument_is_a_usage_error(name):
+    # raised at the call, compositions included, though it streams
+    with pytest.raises(UsageError):
+        BAD_ARGUMENTS[name]()
 
 
 def test_cached_entry_point_still_checks_the_ceiling():

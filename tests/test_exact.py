@@ -377,17 +377,17 @@ class TestLSeries:
             assert g.coeff(l).is_zero()
 
 
-def _series_inverse(d):
+def _series_quotient(d):
     return LSeries.one(d.order).divide(d)
 
 
-def _packed_inverse(d):
+def _packed_quotient(d):
     ring = PackedRing(8)
-    return ring.unpack(ring.inverse(ring.pack(d)), d.order)
+    return ring.unpack(ring.quotient((1,), ring.pack(d)), d.order)
 
 
-@pytest.mark.parametrize("invert", [_series_inverse, _packed_inverse],
-                         ids=["LSeries.divide", "PackedRing.inverse"])
+@pytest.mark.parametrize("invert", [_series_quotient, _packed_quotient],
+                         ids=["LSeries.divide", "PackedRing.quotient"])
 @pytest.mark.parametrize("const", [0, 2, QLaurent({2: 1}), 1])
 def test_quotient_needs_constant_term_one(invert, const):
     # one quotient contract: 1 - zeta^2 with its constant term replaced
@@ -449,25 +449,35 @@ class TestPackedRing:
     @example((LSeries(0, [QLaurent({2: 1})]), LSeries.one(0)), None)
     @example((LSeries(3, [1, 0, 0, 0]), LSeries(3, [1, 0, QLaurent({0: -1}),
                                                     0])), 4)
-    def test_inverse_undoes_signed_product(self, pd, cap):
-        # q = p * d carries negative coefficients and 1/d more of them;
-        # q * (1/d) must cancel back to the counts of p, with every
+    def test_quotient_undoes_signed_product(self, pd, cap):
+        # p * d carries negative coefficients; dividing it by d, as the
+        # routes divide, must cancel back to the counts of p, with every
         # exponent above the cap dropped
         p, d = pd
         d = LSeries(d.order, [QLaurent.one(), *d.c[1:]])
-        q = p * d
         ring = PackedRing(WIDTH, cap)
-        quotient = ring.mul(ring.pack(q), ring.inverse(ring.pack(d)))
-        expected = [dropped_above(v, cap) for v in q.divide(d).c]
-        assert ring.unpack(quotient, q.order).c == expected
-        assert expected == [dropped_above(v, cap) for v in p.c]
+        quotient = ring.quotient(ring.pack(p * d), ring.pack(d))
+        assert ring.unpack(quotient, p.order).c == [dropped_above(v, cap)
+                                                    for v in p.c]
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_quotient_reads_a_short_dividend_as_zero_padded(self, cap):
+        # x = 1 + z q, shorter than d = 1 - z - z^2: x/d to the length of d
+        ring = PackedRing(WIDTH, cap)
+        x = LSeries(2, [1, 0, QLaurent({2: 1})])
+        d = LSeries(8, {0: 1, 2: -1, 4: -1})
+        expected = x.resized(8).divide(d)
+        quotient = ring.quotient(ring.pack(x), ring.pack(d))
+        assert len(quotient) == 5
+        assert ring.unpack(quotient, 8).c == [dropped_above(v, cap)
+                                              for v in expected.c]
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("cap", [-1, -2])
     def test_negative_cap_is_the_empty_series(self, order, cap):
         ring = PackedRing(8, cap)
-        one = ring.pack(LSeries.one(order))
-        assert (ring.unpack(ring.inverse(one), order)
+        d = ring.pack(LSeries(order, {0: 1, 2: -1}))
+        assert (ring.unpack(ring.quotient((1,), d), order)
                 == LSeries.zeros(order))
 
     @pytest.mark.parametrize("series,shift,cap", [

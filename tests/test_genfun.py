@@ -12,7 +12,7 @@ from dyckgen.genfun import (GenSpec, _inv_fk, check_duality,
                             continued_fraction, genfun)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
-from dyckgen.touchdown import _arch_factors, tilde_genfun, tilde_secular
+from dyckgen.touchdown import tilde_genfun, tilde_secular
 from dyckgen.verify import check_recursions
 
 
@@ -234,8 +234,7 @@ class TestContinuedFraction:
 
 class TestBuilderCaches:
     def test_caches_are_bounded(self):
-        for cached in (fk_polynomial, _inv_fk, tilde_secular,
-                       _arch_factors):
+        for cached in (fk_polynomial, _inv_fk, tilde_secular):
             assert cached.cache_info().maxsize == CACHE_ENTRIES
 
     def test_eviction_keeps_results_exact(self):

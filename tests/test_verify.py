@@ -2,7 +2,8 @@
 
 import pytest
 
-from dyckgen.config import SpecOutOfRange, UsageError
+from dyckgen.cli import main
+from dyckgen.config import GuardExceeded, SpecOutOfRange, UsageError
 from dyckgen.exact import LSeries
 from dyckgen.genfun import GenFun, GenSpec, genfun
 from dyckgen.verify import (SUITE_NAMES, CheckResult, _eq_check, run_suites,
@@ -47,6 +48,23 @@ def test_negative_bounds_raise():
         run_suites(["cluster"], k_max=-1)
     with pytest.raises(SpecOutOfRange):
         run_suites(["genfun"], len_max=-1)
+
+
+def test_determinants_guard_fires_before_any_elimination(monkeypatch,
+                                                         capsys):
+    # k_max above DIRECT_DET_K_MAX must fail at once, not after the
+    # eliminations at every smaller ceiling have run
+    monkeypatch.delenv("DYCKGEN_GUARD_OVERRIDE", raising=False)
+    calls = []
+    monkeypatch.setattr("dyckgen.verify.secular_det_direct", calls.append)
+    with pytest.raises(GuardExceeded, match="ceiling 33 exceeds guard 32"):
+        run_suites(["determinants"], k_max=33)
+    assert calls == []
+    assert main(["verify", "--suite", "determinants", "--k-max", "40"]) == 2
+    err = capsys.readouterr().err
+    assert "ceiling 40 exceeds guard 32" in err
+    assert "DYCKGEN_GUARD_OVERRIDE" in err
+    assert calls == []
 
 
 def test_run_without_checks_raises():
