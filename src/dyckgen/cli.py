@@ -21,7 +21,6 @@ import enum
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .cluster import genfun_via_cluster
@@ -68,15 +67,6 @@ def _parse_spec_flags(args):
                "max_len": args.max_len}
 
 
-def _enc_exp(v, halve):
-    """Exponent for JSON: exact half-integers become {"twice": int}."""
-    if not halve:
-        return v
-    if v % 2 == 0:
-        return v // 2
-    return {"twice": v}
-
-
 def _dec_exp(obj, halve):
     if isinstance(obj, dict):
         return obj["twice"]
@@ -89,9 +79,17 @@ def _enc_exp_csv(v, halve):
     return str(v // 2) if v % 2 == 0 else f"{v}/2"
 
 
-def _coeff_json(c):
-    f = Fraction(c)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+# one term of the JSON "terms" list, at the indent json.dumps gives it
+_TERM = ('    {{\n      "l": {},\n      "A": {},\n{}      "coeff": {{\n'
+         '        "num": "{}",\n        "den": "{}"\n      }}\n    }}')
+
+
+def _exp_json(v, halve):
+    """Exponent as JSON text at a term's key depth: in halved units an
+    exact half-integer becomes the block {"twice": 2v}."""
+    if halve and v % 2:
+        return '{\n        "twice": %d\n      }' % v
+    return str(v // 2 if halve else v)
 
 
 def _series_terms(full):
@@ -111,19 +109,20 @@ def _series_terms(full):
 
 def _emit(args, spec_echo, method, terms, count_label=None):
     halve = args.convention == Convention.DOUBLE_STEP_DIAMOND.value
-    with_s = any(s is not None for _, _, s, _ in terms)
     if args.format == "json":
-        jterms = []
-        for l, a, s, c in terms:
-            t = {"l": _enc_exp(l, halve), "A": _enc_exp(a, halve)}
-            if s is not None:
-                t["s"] = s
-            t["coeff"] = _coeff_json(c)
-            jterms.append(t)
+        # the bytes of json.dumps(doc, indent=2); its tail is '[]\n}'
         doc = {"spec": spec_echo, "convention": args.convention,
-               "method": method, "version": __version__, "terms": jterms}
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+               "method": method, "version": __version__, "terms": []}
+        out = json.dumps(doc, indent=2)
+        if terms:
+            body = ",\n".join(_TERM.format(
+                _exp_json(l, halve), _exp_json(a, halve),
+                "" if s is None else f'      "s": {s},\n',
+                c.numerator, c.denominator) for l, a, s, c in terms)
+            out = out[:-4] + "[\n" + body + "\n  ]\n}"
+        sys.stdout.write(out + "\n")
         return 0
+    with_s = any(s is not None for _, _, s, _ in terms)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     tail = [count_label] if count_label else ["num", "den"]
@@ -132,11 +131,9 @@ def _emit(args, spec_echo, method, terms, count_label=None):
         row = [_enc_exp_csv(l, halve), _enc_exp_csv(a, halve)]
         if with_s:
             row.append(str(s))
-        f = Fraction(c)
-        if count_label:
-            row.append(str(f.numerator))
-        else:
-            row.extend([str(f.numerator), str(f.denominator)])
+        row.append(str(c.numerator))
+        if not count_label:
+            row.append(str(c.denominator))
         writer.writerow(row)
     sys.stdout.write(buf.getvalue())
     return 0

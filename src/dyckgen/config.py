@@ -24,6 +24,9 @@ ENUM_PARTITION_MAX = 36
 # Largest path length accepted by the brute-force path counter.
 ORACLE_LEN_MAX = 24
 
+# Largest --k-max of the verify suites but determinants (cost ~ its cube).
+VERIFY_K_MAX = 12
+
 # Entries kept by each builder cache (fk_polynomial, _inv_fk,
 # tilde_secular), so a long-lived process holds bounded memory.
 CACHE_ENTRIES = 64

@@ -17,25 +17,23 @@ An unbounded ceiling is requested with k = None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .config import CACHE_ENTRIES, SpecOutOfRange, UsageError, check_ceiling
-from .exact import LSeries, PackedRing, TPoly
+from .exact import PackedRing, TPoly
 from .spectral import fk_polynomial
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(namedtuple("GenSpec", "k m n order")):
     """Request for one generating function: ceiling k (None means
-    unbounded), endpoint heights m and n, and truncation order in steps."""
+    unbounded), endpoint heights m and n, and truncation order in steps;
+    immutable, compared and hashed by value."""
 
-    k: int | None
-    m: int
-    n: int
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, k, m, n, order):
+        self = super().__new__(cls, k, m, n, order)
         for field in ("m", "n", "order"):
             value = getattr(self, field)
             if not isinstance(value, int):
@@ -50,6 +48,12 @@ class GenSpec:
             if self.m > self.k or self.n > self.k:
                 raise SpecOutOfRange(
                     f"heights ({self.m}, {self.n}) must lie in 0..{self.k}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make and _replace would skip the checks above
+        return cls(*iterable)
 
     @property
     def ceiling(self):
@@ -100,18 +104,16 @@ class GenSpec:
         return self.step_shift * (self.m + self.n - 1) // 2
 
 
-@dataclass(frozen=True)
-class GenFun:
-    """A computed generating function: the series part, whose monomial
-    prefactor is fixed by the spec (GenSpec.step_shift, area_shift).
-    Coefficients are area polynomials, or marker polynomials whose t^s
-    part counts paths with s floor returns (touchdown results).  Only
+class GenFun(namedtuple("GenFun", "spec series")):
+    """A computed generating function: the spec and the LSeries series
+    part, whose monomial prefactor the spec fixes (step_shift,
+    area_shift).  Coefficients are area polynomials, or marker
+    polynomials whose t^s part counts paths with s floor returns.  Only
     the series coefficients up to order - step_shift are part of the
     result (the ones full_series keeps); for an unbounded spec the ones
     above are not the unbounded counts."""
 
-    spec: GenSpec
-    series: LSeries
+    __slots__ = ()
 
     def _with_prefactor(self, s):
         s = s.shift_step(self.spec.step_shift)

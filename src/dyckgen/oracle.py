@@ -19,7 +19,7 @@ the closed forms is a genuine two-route check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import config
 from .config import SpecOutOfRange
@@ -30,15 +30,11 @@ class Unreachable(SpecOutOfRange):
     """No path with the requested endpoints and length exists."""
 
 
-@dataclass(frozen=True)
-class PathTable:
-    """Exact counts N[(l, A, s)] of paths from m to n below ceiling k."""
+class PathTable(namedtuple("PathTable", "k m n l_max counts")):
+    """Exact counts N[(l, A, s)] of paths from m to n below ceiling k,
+    lengths 0..l_max; counts is a dict keyed by (l, A, s)."""
 
-    k: int
-    m: int
-    n: int
-    l_max: int
-    counts: dict
+    __slots__ = ()
 
     def count(self, l, area, s):
         return self.counts.get((l, area, s), 0)

@@ -9,12 +9,13 @@ the full damage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cluster import (c2, c2_factorial, compositions, degree_check,
                       degree_formula, genfun_via_cluster, in_steps,
                       log_secular)
-from .config import DIRECT_DET_K_MAX, SpecOutOfRange, UsageError, check_guard
+from .config import (DIRECT_DET_K_MAX, VERIFY_K_MAX, SpecOutOfRange,
+                     UsageError, check_guard)
 from .exact import LSeries, QLaurent
 from .genfun import GenSpec, check_duality, continued_fraction, genfun
 from .oracle import enumerate_paths, genfun_from_table, max_area
@@ -27,13 +28,8 @@ from .touchdown import (tilde_genfun, tilde_genfun_openend,
                         tilde_secular_toprow)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    params: str
-    ok: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "suite name params ok detail",
+                         defaults=("",))
 
 
 def _series_detail(a, b):
@@ -107,6 +103,7 @@ def suite_genfun(k_max=5, len_max=12):
     """Closed forms against the oracle, endpoint symmetry, parity and
     positivity, the continued fraction, ceiling duality at the top
     corner, and unbounded stabilization."""
+    check_guard(k_max, VERIFY_K_MAX, "ceiling")
     out = []
     for k in range(k_max + 1):
         for m in range(k + 1):
@@ -152,6 +149,7 @@ def suite_genfun(k_max=5, len_max=12):
 
 def suite_duality(k_max=5, len_max=12):
     """Vertical-reflection identity at every endpoint pair."""
+    check_guard(k_max, VERIFY_K_MAX, "ceiling")
     out = []
     for k in range(k_max + 1):
         for m in range(k + 1):
@@ -214,6 +212,7 @@ def check_recursions(spec):
 def suite_recursions(k_max=5, len_max=12):
     """Transfer identities (last rise, intermediate level, last step,
     first return) at every endpoint pair."""
+    check_guard(k_max, VERIFY_K_MAX, "ceiling")
     out = []
     for k in range(k_max + 1):
         for m in range(k + 1):
@@ -226,6 +225,7 @@ def suite_cluster(k_max=4, len_max=16):
     """Cluster-weight forms, exp-log round trips (unbounded and
     restricted), the determinant logarithm, and the degree law with its
     oracle witness."""
+    check_guard(k_max, VERIFY_K_MAX, "ceiling")
     out = []
     a_max = max(1, len_max // 2)
     ok = all(c2(c) == c2_factorial(c)
@@ -270,6 +270,7 @@ def suite_touchdown(k_max=4, len_max=12):
     """Marked determinant three ways, marked functions against the
     oracle and the ratio route, t = 1 collapse, and both open-ended
     routes."""
+    check_guard(k_max, VERIFY_K_MAX, "ceiling")
     out = []
     for k in range(min(k_max + 5, 10) + 1):
         L = det_degree(k) + 2

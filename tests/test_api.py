@@ -1,5 +1,10 @@
 """The package surface: one ceiling check behind every entry point that
-takes a ceiling, and public names that all resolve."""
+takes a ceiling, public names that all resolve, value semantics of the
+record types, and a stdlib-only import."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,8 +13,9 @@ from dyckgen import cli, cluster, exact, spectral
 from dyckgen.cluster import (c2, c2_factorial, compositions, degree_check,
                              degree_formula, log_secular, p_restricted)
 from dyckgen.config import SpecOutOfRange, UsageError
-from dyckgen.genfun import GenSpec, continued_fraction, genfun
-from dyckgen.oracle import enumerate_paths, max_area
+from dyckgen.exact import LSeries
+from dyckgen.genfun import GenFun, GenSpec, continued_fraction, genfun
+from dyckgen.oracle import PathTable, enumerate_paths, max_area
 from dyckgen.spectral import (bosonic_partition, fk_polynomial,
                               grand_partition_exclusion,
                               height_generating_function, qbinom,
@@ -18,6 +24,7 @@ from dyckgen.spectral import (bosonic_partition, fk_polynomial,
 from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
                                tilde_secular, tilde_secular_direct,
                                tilde_secular_toprow)
+from dyckgen.verify import CheckResult
 
 # name -> (call with the ceiling k, lowest admissible ceiling)
 CEILING_ENTRY_POINTS = {
@@ -144,3 +151,80 @@ def test_names_without_callers_are_gone(owner, name):
 def test_convention_lives_in_the_cli():
     assert [c.value for c in cli.Convention] == [
         "step-plaquette", "double-step-diamond"]
+
+
+# record type -> (a maker of equal values, one that differs, the repr
+# of the first, its first field)
+RECORDS = {
+    "GenSpec": (lambda: GenSpec(None, 0, 0, 4),
+                lambda: GenSpec(k=None, m=0, n=0, order=5),
+                "GenSpec(k=None, m=0, n=0, order=4)", "k"),
+    "GenFun": (lambda: GenFun(GenSpec(2, 0, 0, 2), LSeries(2, {0: 1})),
+               lambda: GenFun(GenSpec(2, 0, 0, 2), LSeries(2, {2: 1})),
+               "GenFun(spec=GenSpec(k=2, m=0, n=0, order=2), series="
+               + repr(LSeries(2, {0: 1})) + ")", "spec"),
+    "PathTable": (lambda: PathTable(1, 0, 0, 2, {(0, 0, 0): 1}),
+                  lambda: PathTable(1, 0, 0, 2, {(0, 0, 0): 2}),
+                  "PathTable(k=1, m=0, n=0, l_max=2, "
+                  "counts={(0, 0, 0): 1})", "k"),
+    "CheckResult": (lambda: CheckResult("genfun", "oracle", "k=0", True),
+                    lambda: CheckResult("genfun", "oracle", "k=0", False,
+                                        "first mismatch"),
+                    "CheckResult(suite='genfun', name='oracle', "
+                    "params='k=0', ok=True, detail='')", "suite"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_repr_equality_and_immutability(name):
+    make, other, text, field = RECORDS[name]
+    a, b = make(), make()
+    assert repr(a) == text
+    assert a == b and a is not b
+    assert not a != b
+    assert a != other()
+    if name in ("GenFun", "PathTable"):   # an LSeries, a dict inside
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b, other()}) == 2
+    with pytest.raises(AttributeError):
+        setattr(a, field, 1)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+@pytest.mark.parametrize("args,message", [
+    ((None, -1, 0, 4), "heights must be >= 0"),
+    ((None, 0, 0, -1), "order must be >= 0"),
+    ((2, 3, 0, 4), r"heights \(3, 0\) must lie in 0..2"),
+    ((2, 0, 1.0, 4), "n must be an integer, got 1.0"),
+    ((-1, 0, 0, 4), "ceiling must be an integer >= 0, got -1"),
+])
+def test_genspec_validation(args, message):
+    with pytest.raises(SpecOutOfRange, match=message):
+        GenSpec(*args)
+    kwargs = dict(zip(("k", "m", "n", "order"), args))
+    with pytest.raises(SpecOutOfRange, match=message):
+        GenSpec(**kwargs)
+    with pytest.raises(SpecOutOfRange, match=message):
+        GenSpec(None, 0, 0, 4)._replace(**kwargs)
+
+
+def test_cli_import_is_stdlib_only():
+    # a fresh interpreter: the modules `import dyckgen.cli` adds must be
+    # the package's own or the standard library's, and the costly
+    # dataclasses and inspect stay out of the start-up path
+    src = os.path.dirname(os.path.dirname(dyckgen.__file__))
+    code = ("import sys; before = set(sys.modules); import dyckgen.cli; "
+            "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "dyckgen.cli" in out
+    assert "dataclasses" not in out and "inspect" not in out
+    foreign = [m for m in out if m != "dyckgen"
+               and not m.startswith("dyckgen.")
+               and m.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []

@@ -1,19 +1,23 @@
 """Command-line interface: dispatch, formats, conventions, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyckgen.cli import main, table_from_json
+from dyckgen import __version__
+from dyckgen.cli import _emit, _series_terms, main, table_from_json
 from dyckgen.exact import LSeries, TPoly
 from dyckgen.genfun import GenFun, GenSpec
 from dyckgen.oracle import enumerate_paths
+from dyckgen.touchdown import tilde_genfun
 from dyckgen.verify import SUITE_NAMES, CheckResult
 
 
@@ -237,6 +241,115 @@ class TestTableCommand:
         assert doc["spec"]["k"] == "inf"
         # the effective ceiling for an unbounded spec at this length is 3
         assert table_from_json(doc) == enumerate_paths(3, 0, 0, 6)
+
+
+def _reference_json(spec_echo, convention, method, terms):
+    """The JSON document of `terms` as json.dumps writes the nested
+    dicts, the reference for _emit's template writer."""
+    halve = convention == "double-step-diamond"
+
+    def exp(v):
+        if not halve:
+            return v
+        return v // 2 if v % 2 == 0 else {"twice": v}
+
+    jterms = []
+    for l, a, s, c in terms:
+        t = {"l": exp(l), "A": exp(a)}
+        if s is not None:
+            t["s"] = s
+        f = Fraction(c)
+        t["coeff"] = {"num": str(f.numerator), "den": str(f.denominator)}
+        jterms.append(t)
+    doc = {"spec": spec_echo, "convention": convention, "method": method,
+           "version": __version__, "terms": jterms}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _reference_csv(convention, terms, count_label=None):
+    """The CSV rows of `terms` with every coefficient read as a
+    Fraction, the reference for _emit's CSV path."""
+    halve = convention == "double-step-diamond"
+
+    def exp(v):
+        if not halve:
+            return str(v)
+        return str(v // 2) if v % 2 == 0 else f"{v}/2"
+
+    with_s = any(t[2] is not None for t in terms)
+    lines = [",".join(["l", "A"] + (["s"] if with_s else [])
+                      + ([count_label] if count_label else ["num", "den"]))]
+    for l, a, s, c in terms:
+        f = Fraction(c)
+        row = [exp(l), exp(a)] + ([str(s)] if with_s else [])
+        row += [str(f.numerator)] if count_label else [str(f.numerator),
+                                                       str(f.denominator)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+SPEC_ECHO = {"k": "inf", "m": 1, "n": 4, "max_len": 9}
+PLAIN_TERMS = [(0, 0, None, 1), (1, 3, None, Fraction(-7, 3)),
+               (3, 5, None, -2), (4, 6, None, 10 ** 30),
+               (7, 11, None, Fraction(5, 1))]
+MARKED_TERMS = [(1, 1, 0, 1), (3, 4, 2, Fraction(5, 2)), (5, 7, 1, -1),
+                (9, 15, 3, 12)]
+
+
+class TestEmitBytes:
+    @pytest.mark.parametrize("convention",
+                             ["step-plaquette", "double-step-diamond"])
+    @pytest.mark.parametrize("terms", [PLAIN_TERMS, MARKED_TERMS, []],
+                             ids=["plain", "marked", "empty"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_synthetic_terms_match_the_reference(self, capsys, convention,
+                                                 terms, fmt):
+        args = argparse.Namespace(convention=convention, format=fmt)
+        assert _emit(args, SPEC_ECHO, "cluster-exp", terms) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert out == _reference_json(SPEC_ECHO, convention,
+                                          "cluster-exp", terms)
+        else:
+            assert out == _reference_csv(convention, terms)
+
+    def test_empty_genfun(self, capsys):
+        code, out, _ = run_cli(capsys, "genfun", "--k", "inf", "--m", "0",
+                               "--n", "3", "--max-len", "1")
+        assert code == 0
+        assert out == _reference_json(
+            {"k": "inf", "m": 0, "n": 3, "max_len": 1}, "step-plaquette",
+            "determinant", [])
+        assert out.endswith('"terms": []\n}\n')
+
+    @pytest.mark.parametrize("convention",
+                             ["step-plaquette", "double-step-diamond"])
+    def test_touchdown_genfun(self, capsys, convention):
+        code, out, _ = run_cli(capsys, "genfun", "--k", "3", "--m", "0",
+                               "--n", "1", "--max-len", "9", "--touchdown",
+                               "--convention", convention)
+        assert code == 0
+        terms = _series_terms(tilde_genfun(3, 0, 1, 9).full_series())
+        assert out == _reference_json(
+            {"k": 3, "m": 0, "n": 1, "max_len": 9}, convention,
+            "determinant", terms)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("convention",
+                             ["step-plaquette", "double-step-diamond"])
+    def test_table_touchdowns(self, capsys, convention, fmt):
+        code, out, _ = run_cli(capsys, "table", "--k", "3", "--m", "1",
+                               "--n", "2", "--max-len", "9", "--touchdowns",
+                               "--convention", convention, "--format", fmt)
+        assert code == 0
+        terms = [(l, a, s, c) for (l, a, s), c
+                 in enumerate_paths(3, 1, 2, 9).sorted_items()]
+        if fmt == "json":
+            assert out == _reference_json(
+                {"k": 3, "m": 1, "n": 2, "max_len": 9}, convention,
+                "oracle", terms)
+        else:
+            assert out == _reference_csv(convention, terms, "count")
 
 
 class TestVerifyCommand:

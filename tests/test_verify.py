@@ -67,6 +67,33 @@ def test_determinants_guard_fires_before_any_elimination(monkeypatch,
     assert calls == []
 
 
+# suite -> the first call that does the suite's work
+SUITE_FIRST_WORK = {
+    "genfun": "dyckgen.verify.genfun",
+    "duality": "dyckgen.verify.check_duality",
+    "recursions": "dyckgen.verify.check_recursions",
+    "cluster": "dyckgen.verify.c2",
+    "touchdown": "dyckgen.verify.tilde_secular",
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_FIRST_WORK)
+def test_suite_guard_fires_before_any_work(suite, monkeypatch, capsys):
+    # a ceiling bound above VERIFY_K_MAX must fail at once, not after
+    # the checks at every smaller ceiling have run
+    monkeypatch.delenv("DYCKGEN_GUARD_OVERRIDE", raising=False)
+    calls = []
+    monkeypatch.setattr(SUITE_FIRST_WORK[suite],
+                        lambda *a: calls.append(a))
+    with pytest.raises(GuardExceeded, match="ceiling 13 exceeds guard 12"):
+        run_suites([suite], k_max=13)
+    assert main(["verify", "--suite", suite, "--k-max", "60"]) == 2
+    err = capsys.readouterr().err
+    assert "ceiling 60 exceeds guard 12" in err
+    assert "DYCKGEN_GUARD_OVERRIDE" in err
+    assert calls == []
+
+
 def test_run_without_checks_raises():
     with pytest.raises(UsageError):
         run_suites(["recursions"], k_max=0)
