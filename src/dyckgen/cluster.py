@@ -172,6 +172,5 @@ def genfun_via_cluster(spec):
     exponentiating the cluster logarithm; an independent multiplicative
     route to the same object as genfun."""
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-    z_order = max((spec.order - spec.step_shift) // 2, 0)
-    s = p_restricted(spec.k, m, n, z_order).exp()
-    return GenFun(spec, in_steps(s, spec.order)).full_series()
+    s = p_restricted(spec.k, m, n, spec.series_order // 2).exp()
+    return GenFun(spec, in_steps(s, spec.series_order)).full_series()

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import os
 
-# Largest ceiling height accepted by the dense determinant elimination.
+# Largest ceiling of the dense determinant elimination (and of verify's
+# determinants suite, checked with every verify bound before any suite).
 DIRECT_DET_K_MAX = 32
 
 # Largest k*N product accepted by the enumerative partition functions.
 ENUM_PARTITION_MAX = 36
 
-# Largest path length accepted by the brute-force path counter.
+# Largest path length of the brute-force path counter and verify --len-max.
 ORACLE_LEN_MAX = 24
 
 # Largest --k-max of the verify suites but determinants (cost ~ its cube).

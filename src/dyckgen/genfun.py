@@ -60,37 +60,41 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
         """Effective ceiling: a path of l steps from m to n climbs at most
         (l + m + n)/2 high, and the straight rise-and-fall path gets
         there.  When unbounded, the lowest exact one for l <= order.  A
-        finite k is clamped to the reach of the longest paths the series
-        part counts, l = order + |n - m|, so no coefficient it holds
-        changes."""
+        finite k is clamped to max(m, n) + order//2, at or above that
+        reach, so no count changes."""
         if self.k is not None:
             return min(self.k, max(self.m, self.n) + self.order // 2)
         return max(self.m, self.n, (self.order + self.m + self.n) // 2)
 
     @property
     def area_cap(self):
-        """Largest area exponent the series part can carry, or None for
-        a finite ceiling (no truncation).  When unbounded, the most area
-        at a = (order - |n - m|)/2 step pairs beyond the direct rise is
-        a(a-1) + 2an plaquettes, from the path that climbs a above the
-        higher endpoint n and comes back down.  When no path of at most
-        `order` steps joins m and n, a < 0 and the cap goes negative, so
-        the packed ring keeps nothing and the series is empty."""
+        """Largest area exponent the series part can carry: None for a
+        finite ceiling (no truncation), but -1 at any ceiling when no path
+        of at most `order` steps joins m and n (a < 0 below: the packed
+        ring keeps nothing).  When unbounded, a = (order - |n - m|)/2 step
+        pairs beyond the direct rise carry at most a(a-1) + 2an
+        plaquettes, on the path that climbs a above n and comes back."""
+        a = (self.order - self.step_shift) // 2
+        if a < 0:
+            return -1
         if self.k is not None:
             return None
-        n = max(self.m, self.n)
-        a = (self.order - abs(self.n - self.m)) // 2
-        return a * (a - 1) + 2 * a * n
+        return a * (a - 1) + 2 * a * max(self.m, self.n)
 
     @property
-    def width(self):
-        """Packed slot width, in bits, for the series part: its
-        coefficient of zeta^l counts paths of l + |n - m| <= order +
-        |n - m| steps, fewer than 2**(order + |n - m|) at each area.  A
-        finite ceiling takes |n - m| = ceiling, which covers every
-        endpoint pair, so the pairs at one ceiling share one 1/F_k."""
-        return self.order + (self.step_shift if self.k is None
-                             else self.ceiling) + 1
+    def series_order(self):
+        """Truncation order of the series part: its zeta^l coefficient
+        is the one of zeta^(l + |n - m|) in the answer, so only
+        l <= order - |n - m| are part of it (clipped to 0 when no path
+        fits, where the area cap leaves the series empty)."""
+        return max(self.order - self.step_shift, 0)
+
+    @property
+    def packed_ring(self):
+        """The PackedRing every packed route computes in: slot width
+        order + 1 bits, as fewer than 2**order paths of at most `order`
+        steps share an area, modulo the spec's area cap."""
+        return PackedRing(self.order + 1, self.area_cap)
 
     @property
     def step_shift(self):
@@ -108,15 +112,14 @@ class GenFun(namedtuple("GenFun", "spec series")):
     """A computed generating function: the spec and the LSeries series
     part, whose monomial prefactor the spec fixes (step_shift,
     area_shift).  Coefficients are area polynomials, or marker
-    polynomials whose t^s part counts paths with s floor returns.  Only
-    the series coefficients up to order - step_shift are part of the
-    result (the ones full_series keeps); for an unbounded spec the ones
-    above are not the unbounded counts."""
+    polynomials whose t^s part counts paths with s floor returns.  The
+    series runs to spec.series_order and holds the answer's coefficients
+    of zeta^step_shift .. zeta^order, shifted down, and nothing else."""
 
     __slots__ = ()
 
     def _with_prefactor(self, s):
-        s = s.shift_step(self.spec.step_shift)
+        s = s.resized(self.spec.order).shift_step(self.spec.step_shift)
         if self.spec.area_shift:
             s = s.map_coeffs(lambda v: v.shift(self.spec.area_shift))
         return s
@@ -161,8 +164,8 @@ def _inv_fk(k, order, width, cap):
 
 def packed_genfun(ring, k, m, n, order):
     """The series part F_(m-1) * F_(k-n-1)(zeta*theta^(n+1)) / F_k for
-    0 <= m <= n <= k, packed in `ring` to `order` steps; 1/F_k comes
-    from the `_inv_fk` cache under the ring's width and cap."""
+    0 <= m <= n <= k, packed in `ring` to the series order `order`;
+    1/F_k comes from the `_inv_fk` cache under the ring's width and cap."""
     num = ring.pack(fk_polynomial(m - 1).resized(order))
     upper = ring.pack(fk_polynomial(k - n - 1).resized(order), n + 1)
     inv = _inv_fk(k, order, ring.width, ring.cap)
@@ -172,14 +175,14 @@ def packed_genfun(ring, k, m, n, order):
 def genfun(spec):
     """Generating function for spec; symmetric in (m, n).
 
-    F_(m-1), F_(k-n-1)(zeta*theta^(n+1)) and 1/F_k are multiplied in one
-    packed ring in zeta^2 and theta^2 of slot width spec.width.  An
+    F_(m-1), F_(k-n-1)(zeta*theta^(n+1)) and 1/F_k are multiplied to
+    spec.series_order in spec.packed_ring, in zeta^2 and theta^2.  An
     unbounded spec computes modulo its area cap, which drops exactly the
     exponents above the cap."""
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-    ring = PackedRing(spec.width, spec.area_cap)
-    packed = packed_genfun(ring, spec.ceiling, m, n, spec.order)
-    return GenFun(spec, ring.unpack(packed, spec.order))
+    ring, order = spec.packed_ring, spec.series_order
+    packed = packed_genfun(ring, spec.ceiling, m, n, order)
+    return GenFun(spec, ring.unpack(packed, order))
 
 
 def check_duality(spec):
@@ -201,13 +204,12 @@ def continued_fraction(k, order):
     j+1), for j = k-1 down to 0, with 1 below the last level.  Depth
     order//2 is exact: no excursion of `order` steps climbs higher.
 
-    Evaluated bottom-up in the packed ring of slot width order + 1 (an
-    excursion count of at most `order` steps is below 2**order), where
-    zeta^2 theta^(2j) is a shift by one entry and j slots.  At any
-    ceiling those excursions have area at most the unbounded cap, so the
-    ring computes modulo that cap."""
+    Evaluated bottom-up in the packed ring of the unbounded excursion
+    spec, where zeta^2 theta^(2j) is a shift by one entry and j slots.
+    At any ceiling those excursions have area at most the unbounded
+    cap, so computing modulo that cap is exact."""
     check_ceiling(k)
-    ring = PackedRing(order + 1, GenSpec(None, 0, 0, order).area_cap)
+    ring = GenSpec(None, 0, 0, order).packed_ring
     depth = min(k, order // 2)
     # level j sits behind z^j, so it is needed to order//2 - j powers of
     # z: the bottom level starts that short and each level adds one

@@ -45,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .config import CACHE_ENTRIES, SpecOutOfRange, check_ceiling, check_order
-from .exact import LSeries, PackedRing, QLaurent, TPoly, lift_marker
+from .exact import LSeries, QLaurent, TPoly, lift_marker
 from .genfun import GenFun, GenSpec, packed_genfun
 from .spectral import det_elimination, fk_polynomial, tridiagonal
 
@@ -123,14 +123,13 @@ def tilde_genfun(k, m, n, order):
     series is A' * Y for s = 0 and Y * (A' * C/A - C') * (C/A)^(s-1)
     for s >= 1, where Y = F_(k-n-1)(zeta*theta^(n+1)) / A.  Y and the
     arch C/A are each one packed quotient by the polynomial A.  Every
-    product and quotient runs in a packed ring of slot width spec.width,
-    modulo the area cap of an unbounded spec; each t^s part is unpacked
-    at the end and the marker polynomials are assembled from them."""
+    product and quotient runs to spec.series_order in spec.packed_ring;
+    each t^s part is unpacked at the end and the marker polynomials are
+    assembled from them."""
     spec = GenSpec(k, m, n, order)
     if m > n:
         raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
-    k = spec.ceiling
-    ring = PackedRing(spec.width, spec.area_cap)
+    k, ring, order = spec.ceiling, spec.packed_ring, spec.series_order
     upper = ring.pack(fk_polynomial(k - n - 1).resized(order), n + 1)
     a, c = _marked_parts(ring, k, order)
     y, ratio = ring.quotient(upper, a), ring.quotient(c, a)
@@ -174,13 +173,12 @@ def tilde_genfun_ratio(k, m, n, order):
 
     The numerator is base * [1 - (t-1)(G_(m-1) - 1)], so x = base and
     y = base - base * G_(m-1) in _over_bracket.  base, G_k and G_(m-1)
-    are the unmarked series parts, packed in the ring of tilde_genfun:
-    slot width spec.width, modulo the area cap of an unbounded spec."""
+    are the unmarked series parts, to spec.series_order in
+    spec.packed_ring, as in tilde_genfun."""
     spec = GenSpec(k, m, n, order)
     if m > n:
         raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
-    k = spec.ceiling
-    ring = PackedRing(spec.width, spec.area_cap)
+    k, ring, order = spec.ceiling, spec.packed_ring, spec.series_order
     base = packed_genfun(ring, k, m, n, order)
     y = None
     if m > 0:
@@ -199,7 +197,7 @@ def tilde_genfun_openend(k, order):
     by t removes exactly that last marker."""
     check_ceiling(k)
     spec = GenSpec(k, 0, 0, order)
-    ring = PackedRing(spec.width, spec.area_cap)
+    ring = spec.packed_ring
     h = (0,) + packed_genfun(ring, spec.ceiling, 0, 0, order)[1:]
     cols = _over_bracket(ring, h, h, None, order)
     cols[0][0] += 1

@@ -14,8 +14,8 @@ from collections import namedtuple
 from .cluster import (c2, c2_factorial, compositions, degree_check,
                       degree_formula, genfun_via_cluster, in_steps,
                       log_secular)
-from .config import (DIRECT_DET_K_MAX, VERIFY_K_MAX, SpecOutOfRange,
-                     UsageError, check_guard)
+from .config import (DIRECT_DET_K_MAX, ORACLE_LEN_MAX, VERIFY_K_MAX,
+                     SpecOutOfRange, UsageError, check_guard)
 from .exact import LSeries, QLaurent
 from .genfun import GenSpec, check_duality, continued_fraction, genfun
 from .oracle import enumerate_paths, genfun_from_table, max_area
@@ -60,9 +60,7 @@ def _eq_check(suite, name, params, a, b):
 def suite_determinants(k_max=10, len_max=16):
     """Recursive / direct / variant-matrix / exclusion-sum agreement,
     determinant duality and degree, the four bosonic partition methods,
-    and the height generating function.  The guard of the literal
-    eliminations is checked before the first one runs."""
-    check_guard(k_max, DIRECT_DET_K_MAX, "ceiling")
+    and the height generating function."""
     out = []
     for k in range(k_max + 1):
         f = fk_polynomial(k)
@@ -103,7 +101,6 @@ def suite_genfun(k_max=5, len_max=12):
     """Closed forms against the oracle, endpoint symmetry, parity and
     positivity, the continued fraction, ceiling duality at the top
     corner, and unbounded stabilization."""
-    check_guard(k_max, VERIFY_K_MAX, "ceiling")
     out = []
     for k in range(k_max + 1):
         for m in range(k + 1):
@@ -149,7 +146,6 @@ def suite_genfun(k_max=5, len_max=12):
 
 def suite_duality(k_max=5, len_max=12):
     """Vertical-reflection identity at every endpoint pair."""
-    check_guard(k_max, VERIFY_K_MAX, "ceiling")
     out = []
     for k in range(k_max + 1):
         for m in range(k + 1):
@@ -212,7 +208,6 @@ def check_recursions(spec):
 def suite_recursions(k_max=5, len_max=12):
     """Transfer identities (last rise, intermediate level, last step,
     first return) at every endpoint pair."""
-    check_guard(k_max, VERIFY_K_MAX, "ceiling")
     out = []
     for k in range(k_max + 1):
         for m in range(k + 1):
@@ -225,7 +220,6 @@ def suite_cluster(k_max=4, len_max=16):
     """Cluster-weight forms, exp-log round trips (unbounded and
     restricted), the determinant logarithm, and the degree law with its
     oracle witness."""
-    check_guard(k_max, VERIFY_K_MAX, "ceiling")
     out = []
     a_max = max(1, len_max // 2)
     ok = all(c2(c) == c2_factorial(c)
@@ -270,7 +264,6 @@ def suite_touchdown(k_max=4, len_max=12):
     """Marked determinant three ways, marked functions against the
     oracle and the ratio route, t = 1 collapse, and both open-ended
     routes."""
-    check_guard(k_max, VERIFY_K_MAX, "ceiling")
     out = []
     for k in range(min(k_max + 5, 10) + 1):
         L = det_degree(k) + 2
@@ -314,24 +307,30 @@ _SUITES = {
     "touchdown": suite_touchdown,
 }
 SUITE_NAMES = tuple(_SUITES)
+# suite -> the guard on its --k-max
+_K_MAX_GUARD = dict.fromkeys(SUITE_NAMES, VERIFY_K_MAX)
+_K_MAX_GUARD["determinants"] = DIRECT_DET_K_MAX
 
 
 def run_suites(names, k_max=None, len_max=None):
     """Run the named suites (or all of them) and return the flat list of
-    results; bounds default per suite when not given.  Negative bounds,
-    and bounds at which no check runs, raise UsageError: a run that
-    checks nothing must not pass."""
-    for flag, bound in (("k_max", k_max), ("len_max", len_max)):
-        if bound is not None and bound < 0:
+    results; bounds default per suite when not given.  Every bound is
+    checked before any suite runs: negative bounds, and bounds at which
+    no check runs, raise UsageError (a run that checks nothing must not
+    pass), and a bound above its desk-scale guard GuardExceeded."""
+    bounds = {"k_max": k_max, "len_max": len_max}
+    kwargs = {f: b for f, b in bounds.items() if b is not None}
+    for flag, bound in kwargs.items():
+        if bound < 0:
             raise SpecOutOfRange(f"{flag} must be >= 0, got {bound}")
+    suites = [_SUITES[name] for name in names]
+    if k_max is not None:
+        for name in names:
+            check_guard(k_max, _K_MAX_GUARD[name], "ceiling")
+    if len_max is not None:
+        check_guard(len_max, ORACLE_LEN_MAX, "length bound")
     results = []
-    for name in names:
-        fn = _SUITES[name]
-        kwargs = {}
-        if k_max is not None:
-            kwargs["k_max"] = k_max
-        if len_max is not None:
-            kwargs["len_max"] = len_max
+    for fn in suites:
         results.extend(fn(**kwargs))
     if not results:
         raise UsageError("no checks run at these bounds")

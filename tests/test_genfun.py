@@ -12,7 +12,7 @@ from dyckgen.genfun import (GenSpec, _inv_fk, check_duality,
                             continued_fraction, genfun)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
-from dyckgen.touchdown import tilde_genfun, tilde_secular
+from dyckgen.touchdown import tilde_genfun, tilde_genfun_ratio, tilde_secular
 from dyckgen.verify import check_recursions
 
 
@@ -273,13 +273,13 @@ def test_every_route_matches_oracle(spec):
 
 
 def uncapped_series(spec):
-    """The series part by plain QLaurent arithmetic with no cap, at the
-    spec's own ceiling when finite (not the clamped one), then, for an
-    unbounded spec, with the exponents above its area cap dropped: the
-    reference for the packed ring."""
+    """The series part to its series order by plain QLaurent arithmetic
+    with no cap, at the spec's own ceiling when finite (not the clamped
+    one), then with the exponents above the spec's area cap, if it has
+    one, dropped: the reference for the packed ring."""
     k = spec.ceiling if spec.k is None else spec.k
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-    L = spec.order
+    L = spec.series_order
     num = (fk_polynomial(m - 1).resized(L)
            * fk_polynomial(k - n - 1).resized(L).substitute_scale(n + 1))
     series = num.divide(fk_polynomial(k).resized(L))
@@ -305,27 +305,56 @@ def packed_specs(draw):
 @example(GenSpec(8, 2, 6, 20))
 @example(GenSpec(None, 5, 0, 3))
 @example(GenSpec(4, 1, 3, 0))
-@example(GenSpec(20, 0, 19, 10))   # overflows slots of order + 1 bits
-@example(GenSpec(21, 0, 20, 14))   # ... also when rounded up to bytes
+@example(GenSpec(8, 0, 1, 23))     # large series orders, with
+@example(GenSpec(None, 0, 1, 31))  # order + 1 a whole number of bytes
+@example(GenSpec(7, 0, 0, 15))
 @example(GenSpec(8, 0, 1, 5))      # ceiling clamped to 3
 def test_whole_series_matches_uncapped_reference(spec):
-    # every coefficient the series holds, not only those full_series
-    # keeps: the slot width covers paths of order + |n - m| steps
+    # every coefficient and area power the series holds, to its series
+    # order
     assert genfun(spec).series == uncapped_series(spec)
+
+
+@pytest.mark.parametrize("k", [None, *range(9)])
+def test_series_runs_to_the_series_order(k):
+    # the series part holds the answer's coefficients of zeta^|n-m| ..
+    # zeta^order and nothing else; with |n - m| > order no path fits and
+    # the series is empty at any ceiling
+    top = 6 if k is None else k
+    for m in range(top + 1):
+        for n in range(m, top + 1):
+            d = n - m
+            for order in sorted({d - 1, d, d + 1, 9} - {-1}):
+                spec = GenSpec(k, m, n, order)
+                plain = genfun(spec)
+                marked = tilde_genfun(k, m, n, order)
+                for gf in (plain, marked,
+                           tilde_genfun_ratio(k, m, n, order)):
+                    assert gf.series.order == spec.series_order
+                    if d > order:
+                        assert gf.series.is_zero()
+                        assert gf.full_series().is_zero()
+                assert genfun_via_cluster(spec) == plain.full_series()
 
 
 @pytest.mark.parametrize("k,m,n,L", [
     (None, 0, 0, 23), (None, 0, 3, 21), (None, 1, 2, 19),
-    (5, 0, 0, 23), (5, 1, 4, 21), (3, 0, 1, 17)])
+    (5, 0, 0, 23), (5, 1, 4, 21), (3, 0, 1, 17),
+    (None, 0, 3, 20), (None, 2, 3, 24), (5, 1, 4, 22), (3, 0, 3, 4),
+    (None, 0, 4, 4), (6, 1, 6, 5), (2, 0, 2, 1)])
 def test_odd_order_routes_match_oracle(k, m, n, L):
-    # a packed series of odd order L holds L//2 + 1 entries, the same
-    # as at order L - 1: the odd top step must still come out
+    # a packed series of odd order holds as many entries as at the even
+    # order below: the odd top step must still come out, whether it is
+    # the order L or the series order L - |n - m|, which is 0 when
+    # |n - m| = L and clipped to 0 when no path fits
     spec = GenSpec(k, m, n, L)
     table = enumerate_paths(spec.ceiling, m, n, L)
     oracle = genfun_from_table(table)
+    marked = genfun_from_table(table, with_touchdowns=True)
     assert genfun(spec).full_series() == oracle
-    assert (tilde_genfun(k, m, n, L).full_series()
-            == genfun_from_table(table, with_touchdowns=True))
+    assert genfun_via_cluster(spec) == oracle
+    assert tilde_genfun(k, m, n, L).full_series() == marked
+    assert tilde_genfun_ratio(k, m, n, L).full_series() == marked
     if m == n == 0:
         assert continued_fraction(spec.ceiling, L) == oracle
         assert continued_fraction(2 * L, L) == genfun_from_table(

@@ -168,13 +168,13 @@ class TestOpenEnded:
 
 
 def quotient_reference(spec):
-    """tF_(m-1) * F_(k-n-1)(zeta*theta^(n+1)) / tF_k by marker-polynomial
-    arithmetic with no cap, at the spec's own ceiling when finite (not
-    the clamped one), then, for an unbounded spec, with the exponents
-    above its area cap dropped: the reference for the packed arch
-    expansion and the packed bracket expansion."""
+    """tF_(m-1) * F_(k-n-1)(zeta*theta^(n+1)) / tF_k to the series order
+    by marker-polynomial arithmetic with no cap, at the spec's own
+    ceiling when finite (not the clamped one), then with the exponents
+    above the spec's area cap, if it has one, dropped: the reference for
+    the packed arch expansion and the packed bracket expansion."""
     k = spec.ceiling if spec.k is None else spec.k
-    L = spec.order
+    L = spec.series_order
     upper = lift_marker(fk_polynomial(k - spec.n - 1).resized(L)
                         .substitute_scale(spec.n + 1))
     series = (tilde_secular(spec.m - 1, L) * upper).divide(
@@ -199,11 +199,12 @@ def marked_specs(draw):
 @example(GenSpec(8, 0, 8, 20))
 @example(GenSpec(None, 5, 6, 0))
 @example(GenSpec(0, 0, 0, 7))
-@example(GenSpec(22, 0, 21, 14))   # overflows byte-rounded order + 1 bits
+@example(GenSpec(8, 0, 1, 23))     # order + 1 is whole bytes: no
+@example(GenSpec(7, 0, 0, 15))     # slack from rounding the slot width
 @example(GenSpec(8, 0, 0, 7))      # ceiling clamped to 3
 def test_whole_series_matches_quotient_reference(spec):
-    # every coefficient the series holds, not only those full_series
-    # keeps, and every marker power
+    # every coefficient, area power and marker power the series holds,
+    # to its series order
     args = (spec.k, spec.m, spec.n, spec.order)
     reference = quotient_reference(spec)
     assert tilde_genfun(*args).series == reference

@@ -1,5 +1,9 @@
 """The identity suites behind the `verify` command."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from dyckgen.cli import main
@@ -69,6 +73,7 @@ def test_determinants_guard_fires_before_any_elimination(monkeypatch,
 
 # suite -> the first call that does the suite's work
 SUITE_FIRST_WORK = {
+    "determinants": "dyckgen.verify.secular_det_direct",
     "genfun": "dyckgen.verify.genfun",
     "duality": "dyckgen.verify.check_duality",
     "recursions": "dyckgen.verify.check_recursions",
@@ -76,22 +81,57 @@ SUITE_FIRST_WORK = {
     "touchdown": "dyckgen.verify.tilde_secular",
 }
 
+# (suite, bound, value for run_suites, value on the command line, message)
+GUARD_CASES = (
+    [pytest.param(s, "k_max", 13, 60, "ceiling {} exceeds guard 12", id=s)
+     for s in SUITE_FIRST_WORK if s != "determinants"]
+    + [pytest.param(s, "len_max", 25, 200, "length bound {} exceeds guard 24",
+                    id=s + "-len-max") for s in SUITE_FIRST_WORK]
+    + [pytest.param("all", "k_max", 13, 13, "ceiling {} exceeds guard 12",
+                    id="all")])
 
-@pytest.mark.parametrize("suite", SUITE_FIRST_WORK)
-def test_suite_guard_fires_before_any_work(suite, monkeypatch, capsys):
-    # a ceiling bound above VERIFY_K_MAX must fail at once, not after
-    # the checks at every smaller ceiling have run
+
+@pytest.mark.parametrize("suite,bound,value,cli_value,message", GUARD_CASES)
+def test_suite_guard_fires_before_any_work(suite, bound, value, cli_value,
+                                           message, monkeypatch, capsys):
+    # a bound above its guard must fail at once, not after the checks
+    # at every smaller bound (or every earlier suite) have run
     monkeypatch.delenv("DYCKGEN_GUARD_OVERRIDE", raising=False)
+    names = SUITE_NAMES if suite == "all" else (suite,)
     calls = []
-    monkeypatch.setattr(SUITE_FIRST_WORK[suite],
-                        lambda *a: calls.append(a))
-    with pytest.raises(GuardExceeded, match="ceiling 13 exceeds guard 12"):
-        run_suites([suite], k_max=13)
-    assert main(["verify", "--suite", suite, "--k-max", "60"]) == 2
+    for name in names:
+        monkeypatch.setattr(SUITE_FIRST_WORK[name],
+                            lambda *a: calls.append(a))
+    with pytest.raises(GuardExceeded, match=message.format(value)):
+        run_suites(names, **{bound: value})
+    flag = "--" + bound.replace("_", "-")
+    assert main(["verify", "--suite", suite, flag, str(cli_value)]) == 2
     err = capsys.readouterr().err
-    assert "ceiling 60 exceeds guard 12" in err
+    assert message.format(cli_value) in err
     assert "DYCKGEN_GUARD_OVERRIDE" in err
     assert calls == []
+
+
+def test_traced_run_records_every_suite_span():
+    # the benchmark tracer wraps each suite function where it is bound,
+    # the suite table included; run_suites must call the wrapped one
+    import dyckgen
+    src = os.path.dirname(os.path.dirname(dyckgen.__file__))
+    perfbench = os.path.join(os.path.dirname(src), "perfbench")
+    if not os.path.isfile(os.path.join(perfbench, "tracer.py")):
+        pytest.skip("no perfbench tracer next to the package")
+    code = ("from collections import Counter\n"
+            "from tracer import Tracer, install\n"
+            "t = Tracer()\n"
+            "install(t)\n"
+            "from dyckgen.verify import SUITE_NAMES, run_suites\n"
+            "run_suites(SUITE_NAMES, k_max=1, len_max=6)\n"
+            "spans = Counter(t.names[i] for i in t.name_ids if i >= 0)\n"
+            "print(*(spans['verify.' + s] for s in SUITE_NAMES))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, perfbench]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["1"] * len(SUITE_NAMES)
 
 
 def test_run_without_checks_raises():
