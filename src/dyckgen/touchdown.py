@@ -101,12 +101,18 @@ def tilde_secular_direct(k, order=None):
 
 
 def _marker_series(ring, cols, order):
-    """The marker series whose t^s part is the packed series cols[s];
-    unpacked values are area polynomials already, wrapped uncoerced."""
-    cols = [ring.unpack(x, order).c for x in cols]
-    return LSeries._wrap(order, [
-        TPoly._wrap({s: col[l] for s, col in enumerate(cols) if col[l]})
-        for l in range(order + 1)], TPoly)
+    """The marker series whose t^s part is the packed series cols[s]:
+    each entry is decoded once, straight into the marker polynomial of
+    its step power; decoded values are area polynomials already, so the
+    rows are wrapped uncoerced."""
+    rows = [{} for _ in range(order // 2 + 1)]
+    for s, x in enumerate(cols):
+        for row, v in zip(rows, ring.decoded(x, order)):
+            if v:
+                row[s] = v
+    out = [TPoly.zero()] * (order + 1)
+    out[::2] = map(TPoly._wrap, rows)
+    return LSeries._wrap(order, out, TPoly)
 
 
 def _marked_parts(ring, k, order):

@@ -47,6 +47,26 @@ def _series_detail(a, b):
     return "; ".join(parts)
 
 
+# suite -> the guard on its --k-max (every other suite: VERIFY_K_MAX)
+_K_MAX_GUARD = {"determinants": DIRECT_DET_K_MAX}
+
+
+def _check_bounds(names, k_max=None, len_max=None):
+    """The bound check of the named suites, before any of their work:
+    a negative bound raises SpecOutOfRange, and a bound above its
+    desk-scale guard GuardExceeded.  None stands for a suite's default,
+    which is within every guard."""
+    for flag, bound in (("k_max", k_max), ("len_max", len_max)):
+        if bound is not None and bound < 0:
+            raise SpecOutOfRange(f"{flag} must be >= 0, got {bound}")
+    if k_max is not None:
+        for name in names:
+            check_guard(k_max, _K_MAX_GUARD.get(name, VERIFY_K_MAX),
+                        "ceiling")
+    if len_max is not None:
+        check_guard(len_max, ORACLE_LEN_MAX, "length bound")
+
+
 def _check(suite, name, params, ok, detail):
     """A check result that keeps `detail` only when the check fails."""
     return CheckResult(suite, name, params, ok, "" if ok else detail)
@@ -61,6 +81,7 @@ def suite_determinants(k_max=10, len_max=16):
     """Recursive / direct / variant-matrix / exclusion-sum agreement,
     determinant duality and degree, the four bosonic partition methods,
     and the height generating function."""
+    _check_bounds(("determinants",), k_max, len_max)
     out = []
     for k in range(k_max + 1):
         f = fk_polynomial(k)
@@ -101,6 +122,7 @@ def suite_genfun(k_max=5, len_max=12):
     """Closed forms against the oracle, endpoint symmetry, parity and
     positivity, the continued fraction, ceiling duality at the top
     corner, and unbounded stabilization."""
+    _check_bounds(("genfun",), k_max, len_max)
     out = []
     for k in range(k_max + 1):
         for m in range(k + 1):
@@ -146,6 +168,7 @@ def suite_genfun(k_max=5, len_max=12):
 
 def suite_duality(k_max=5, len_max=12):
     """Vertical-reflection identity at every endpoint pair."""
+    _check_bounds(("duality",), k_max, len_max)
     out = []
     for k in range(k_max + 1):
         for m in range(k + 1):
@@ -208,6 +231,7 @@ def check_recursions(spec):
 def suite_recursions(k_max=5, len_max=12):
     """Transfer identities (last rise, intermediate level, last step,
     first return) at every endpoint pair."""
+    _check_bounds(("recursions",), k_max, len_max)
     out = []
     for k in range(k_max + 1):
         for m in range(k + 1):
@@ -220,6 +244,7 @@ def suite_cluster(k_max=4, len_max=16):
     """Cluster-weight forms, exp-log round trips (unbounded and
     restricted), the determinant logarithm, and the degree law with its
     oracle witness."""
+    _check_bounds(("cluster",), k_max, len_max)
     out = []
     a_max = max(1, len_max // 2)
     ok = all(c2(c) == c2_factorial(c)
@@ -264,6 +289,7 @@ def suite_touchdown(k_max=4, len_max=12):
     """Marked determinant three ways, marked functions against the
     oracle and the ratio route, t = 1 collapse, and both open-ended
     routes."""
+    _check_bounds(("touchdown",), k_max, len_max)
     out = []
     for k in range(min(k_max + 5, 10) + 1):
         L = det_degree(k) + 2
@@ -307,28 +333,20 @@ _SUITES = {
     "touchdown": suite_touchdown,
 }
 SUITE_NAMES = tuple(_SUITES)
-# suite -> the guard on its --k-max
-_K_MAX_GUARD = dict.fromkeys(SUITE_NAMES, VERIFY_K_MAX)
-_K_MAX_GUARD["determinants"] = DIRECT_DET_K_MAX
 
 
 def run_suites(names, k_max=None, len_max=None):
     """Run the named suites (or all of them) and return the flat list of
-    results; bounds default per suite when not given.  Every bound is
-    checked before any suite runs: negative bounds, and bounds at which
-    no check runs, raise UsageError (a run that checks nothing must not
-    pass), and a bound above its desk-scale guard GuardExceeded."""
+    results; bounds default per suite when not given.  Every bound of
+    every named suite is checked before any suite runs (each suite also
+    checks its own, through the same _check_bounds): negative bounds,
+    and bounds at which no check runs, raise UsageError (a run that
+    checks nothing must not pass), and a bound above its desk-scale
+    guard GuardExceeded."""
     bounds = {"k_max": k_max, "len_max": len_max}
     kwargs = {f: b for f, b in bounds.items() if b is not None}
-    for flag, bound in kwargs.items():
-        if bound < 0:
-            raise SpecOutOfRange(f"{flag} must be >= 0, got {bound}")
+    _check_bounds(names, k_max, len_max)
     suites = [_SUITES[name] for name in names]
-    if k_max is not None:
-        for name in names:
-            check_guard(k_max, _K_MAX_GUARD[name], "ceiling")
-    if len_max is not None:
-        check_guard(len_max, ORACLE_LEN_MAX, "length bound")
     results = []
     for fn in suites:
         results.extend(fn(**kwargs))

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyckgen.exact import (BadConstantTerm, InexactDivision, LSeries,
-                           NonUnitConstantTerm, PackedRing, QLaurent, TPoly,
-                           lift_marker)
+from dyckgen.exact import (_RUN_SLOTS, BadConstantTerm, InexactDivision,
+                           LSeries, NonUnitConstantTerm, PackedRing,
+                           QLaurent, TPoly, lift_marker)
 
 COEFFS = [1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
 
@@ -416,6 +416,36 @@ def brute_series_mul(a, b):
     return out
 
 
+def entries(width):
+    """A packed entry of the given slot width: 0 to 4 runs of slot
+    values (zero, small, saturated at 2**width - 1 or anything in
+    between), or a raw signed int as wide as 3 runs."""
+    top = 2 ** width - 1
+    slot = st.sampled_from([0, 0, 1, top]) | st.integers(0, top)
+    return (st.lists(slot, max_size=4 * _RUN_SLOTS)
+            | st.integers(-(1 << 3 * _RUN_SLOTS * width),
+                          1 << 3 * _RUN_SLOTS * width))
+
+
+def slot_by_slot(width, cap, x, order):
+    """Reference for PackedRing.unpack: each entry reduced by the cap's
+    mask, then every width-bit slot read from its bytes on its own."""
+    if len(x) != order // 2 + 1:
+        raise ValueError("entry count")
+    nb = width // 8
+    out = {}
+    for i, v in enumerate(x):
+        if cap is not None:
+            v &= (1 << width * max(cap // 2 + 1, 0)) - 1
+        if v < 0:
+            raise ArithmeticError("negative entry")
+        raw = v.to_bytes(-(-v.bit_length() // 8), "little")
+        out[2 * i] = QLaurent({
+            2 * j: int.from_bytes(raw[nb * j:nb * j + nb], "little")
+            for j in range(-(-len(raw) // nb))})
+    return LSeries(order, out)
+
+
 # A product slot sums at most 5 step pairs x 36 term pairs of counts up to
 # 4, so every final coefficient stays below 2**16.
 WIDTH = 16
@@ -528,6 +558,42 @@ class TestPackedRing:
             PackedRing(8).unpack((1, 1), 4)   # order 4 holds 3 entries
         with pytest.raises(ValueError):
             PackedRing(0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 208).flatmap(lambda w: st.tuples(
+        st.just(w), st.lists(entries(-(-w // 8) * 8), max_size=4))),
+        st.none() | st.integers(-3, 2 * 4 * _RUN_SLOTS + 4),
+        st.integers(0, 1))
+    @example((8, [[255] * (_RUN_SLOTS - 1) + [0] * (_RUN_SLOTS + 1) + [1],
+                  [0] * (_RUN_SLOTS - 1) + [255, 255]]), None, 0)
+    @example((208, [[2 ** 208 - 1] + [0] * (2 * _RUN_SLOTS) + [7]]),
+             2 * (3 * _RUN_SLOTS), 1)
+    @example((17, [[1] * _RUN_SLOTS, [0] * (4 * _RUN_SLOTS) + [2 ** 24 - 1],
+                   -1]), 2 * (2 * _RUN_SLOTS) - 1, 0)
+    @example((64, [-(1 << 64 * _RUN_SLOTS)]), 2 * (2 * _RUN_SLOTS), 0)
+    @example((40, [5, -1]), None, 1)
+    def test_unpack_matches_slot_by_slot_reference(self, wx, cap, odd):
+        # unpack decodes runs of slots at once; the reference reads every
+        # slot from the entry's bytes.  An entry is a list of slot values
+        # (empty runs and slots saturated at 2**width - 1 on run
+        # boundaries included) or a raw, possibly negative, int, which a
+        # capped ring reduces to a residue first
+        width, slots = wx
+        ring = PackedRing(width, cap)
+        w = ring.width
+        x = tuple(v if isinstance(v, int)
+                  else sum(c << w * j for j, c in enumerate(v))
+                  for v in slots) or (0,)
+        order = 2 * (len(x) - 1) + odd
+        try:
+            expected = slot_by_slot(w, cap, x, order)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                ring.unpack(x, order)
+            return
+        assert ring.unpack(x, order) == expected
+        for i, v in enumerate(x):
+            assert ring.decode(v) == expected.c[2 * i]
 
 
 # Ring laws over small random values: the cluster route rests on exp and

@@ -9,6 +9,7 @@ from dyckgen.exact import LSeries, QLaurent, TPoly, lift_marker
 from dyckgen.genfun import GenSpec, genfun
 from dyckgen.oracle import enumerate_paths, genfun_from_table
 from dyckgen.spectral import det_degree, fk_polynomial
+from dyckgen import touchdown
 from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
                                tilde_genfun_openend_shifted,
                                tilde_genfun_ratio, tilde_secular,
@@ -199,8 +200,8 @@ def marked_specs(draw):
 @example(GenSpec(8, 0, 8, 20))
 @example(GenSpec(None, 5, 6, 0))
 @example(GenSpec(0, 0, 0, 7))
-@example(GenSpec(8, 0, 1, 23))     # order + 1 is whole bytes: no
-@example(GenSpec(7, 0, 0, 15))     # slack from rounding the slot width
+@example(GenSpec(8, 0, 1, 23))     # large series orders, with
+@example(GenSpec(7, 0, 0, 15))     # order + 1 a whole number of bytes
 @example(GenSpec(8, 0, 0, 7))      # ceiling clamped to 3
 def test_whole_series_matches_quotient_reference(spec):
     # every coefficient, area power and marker power the series holds,
@@ -209,6 +210,39 @@ def test_whole_series_matches_quotient_reference(spec):
     reference = quotient_reference(spec)
     assert tilde_genfun(*args).series == reference
     assert tilde_genfun_ratio(*args).series == reference
+
+
+def column_assembly(ring, cols, order):
+    """The marker series of packed t^s parts cols[s], built column by
+    column: each part unpacked whole, then the marker polynomial of
+    every step power gathered from the unpacked columns."""
+    cols = [ring.unpack(x, order) for x in cols]
+    return LSeries(order, [TPoly({s: col.c[l] for s, col in enumerate(cols)})
+                           for l in range(order + 1)], TPoly)
+
+
+@pytest.mark.parametrize("route,args", [
+    (tilde_genfun, (None, 1, 3, 40)),
+    (tilde_genfun, (6, 0, 0, 33)),
+    (tilde_genfun, (12, 2, 5, 24)),
+    (tilde_genfun, (3, 3, 3, 0)),
+    (tilde_genfun_ratio, (None, 0, 2, 30)),
+    (tilde_genfun_openend, (5, 26)),
+])
+def test_marker_rows_match_column_assembly(route, args, monkeypatch):
+    # the routes decode each entry of each t^s part straight into the
+    # marker polynomial of its step power
+    seen = []
+
+    def spy(ring, cols, order):
+        seen.append((ring, [tuple(x) for x in cols], order))
+        return marker_series(ring, cols, order)
+
+    marker_series = touchdown._marker_series
+    monkeypatch.setattr(touchdown, "_marker_series", spy)
+    series = route(*args).series
+    [(ring, cols, order)] = seen
+    assert series == column_assembly(ring, cols, order)
 
 
 class TestAboveOracleGuard:

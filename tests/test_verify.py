@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from dyckgen import verify
 from dyckgen.cli import main
 from dyckgen.config import GuardExceeded, SpecOutOfRange, UsageError
 from dyckgen.exact import LSeries
@@ -52,6 +53,8 @@ def test_negative_bounds_raise():
         run_suites(["cluster"], k_max=-1)
     with pytest.raises(SpecOutOfRange):
         run_suites(["genfun"], len_max=-1)
+    with pytest.raises(SpecOutOfRange):
+        suite_genfun(len_max=-1)
 
 
 def test_determinants_guard_fires_before_any_elimination(monkeypatch,
@@ -63,6 +66,8 @@ def test_determinants_guard_fires_before_any_elimination(monkeypatch,
     monkeypatch.setattr("dyckgen.verify.secular_det_direct", calls.append)
     with pytest.raises(GuardExceeded, match="ceiling 33 exceeds guard 32"):
         run_suites(["determinants"], k_max=33)
+    with pytest.raises(GuardExceeded, match="ceiling 33 exceeds guard 32"):
+        verify.suite_determinants(k_max=33)
     assert calls == []
     assert main(["verify", "--suite", "determinants", "--k-max", "40"]) == 2
     err = capsys.readouterr().err
@@ -104,6 +109,9 @@ def test_suite_guard_fires_before_any_work(suite, bound, value, cli_value,
                             lambda *a: calls.append(a))
     with pytest.raises(GuardExceeded, match=message.format(value)):
         run_suites(names, **{bound: value})
+    if suite != "all":   # a suite called directly checks its own bounds
+        with pytest.raises(GuardExceeded, match=message.format(value)):
+            getattr(verify, "suite_" + suite)(**{bound: value})
     flag = "--" + bound.replace("_", "-")
     assert main(["verify", "--suite", suite, flag, str(cli_value)]) == 2
     err = capsys.readouterr().err
