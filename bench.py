@@ -1,38 +1,49 @@
 """Ladder timings of the packed kernel and the two determinant routes.
 
     python3 bench.py LABEL
+    python3 bench.py --compare OLD.json NEW.json
 
-Writes BENCH_<LABEL>.json in the current directory.  The file holds the
-commit of the checkout this script sits in (with `dirty` true when its
-tracked files differ from that commit), the Python version and the
-platform, and for each ladder point (k, m, n, order) the minimum wall
-time over repeated runs of
+The first form writes BENCH_<LABEL>.json in the current directory.  The
+file holds the commit of the checkout this script sits in (with `dirty`
+true when its tracked files differ from that commit), the Python version
+and the platform, and for each ladder point (k, m, n, order) the minimum
+wall time over repeated runs of
 
 * `PackedRing.quotient`: 1/F_k, the divisor the determinant route
   caches;
 * `PackedRing.mul`: F_(k-1)(zeta*theta) times that 1/F_k, the
   determinant route's product;
 * `PackedRing.unpack`: the packed excursion series that product is;
+* `touchdown._marker_series`: the marker series assembled from the
+  packed t^s parts that `tilde_genfun` at the point computes;
 * `genfun` and `tilde_genfun` at the point, each with every builder
-  cache cleared first (a cold call).  `tilde_genfun` is left out (null)
-  at the finite ceiling above order 80: it multiplies out the dense
-  powers of the arch there, and one call at (12, 0, 0, 200) takes
-  minutes.
+  cache cleared first (a cold call).  `tilde_genfun` and the marker
+  series are left out (null) at the finite ceiling above order 80: it
+  multiplies out the dense powers of the arch there, and one call at
+  (12, 0, 0, 200) takes minutes.
 
 Kernel operands are built once per point, outside the timed calls, in
 the spec's own ring (`GenSpec.packed_ring`, to `GenSpec.series_order`).
 Each measurement runs up to MAX_RUNS times and stops early once its runs
 add up to BUDGET_S, so the slowest points run once; the file records the
-run count beside each minimum.  The ladder is k = inf at orders
-32..120 and the finite ceiling 12 at orders 80..400, where the packed
-ints are longest.  The package is imported from the `src` directory
-next to this file, so a copy of the script in another checkout times
-that checkout.
+run count beside each minimum.  The host's speed drifts by up to a half
+over minutes (perfbench/speed.py says why), so a fixed reference call,
+which does not use the package, runs before every run and after the
+last, outside the timed spans, and the file records its minimum beside
+each minimum: a time over its reference compares across files.
+--compare prints, for every row that both files timed, NEW's minimum
+over its reference divided by OLD's.
+
+The ladder is k = inf at orders 32..120 and the finite ceiling 12 at
+orders 80..400, where the packed ints are longest.  The package is
+imported from the `src` directory next to this file, so a copy of the
+script in another checkout times that checkout.
 """
 
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -50,6 +61,7 @@ LADDER = ([(None, 0, 0, order, True) for order in (32, 48, 64, 80, 100, 120)]
              (12, 0, 0, 400, False)])
 MAX_RUNS = 20
 BUDGET_S = 3.0
+REF_TERMS = 60   # size of the reference call's product
 
 
 def clear_caches():
@@ -58,18 +70,51 @@ def clear_caches():
     touchdown.tilde_secular.cache_clear()
 
 
+def reference_work():
+    """The reference call: a sparse product of two dicts of 300-bit ints,
+    the shape of the kernel (as in perfbench/speed.py), about 1 ms on a
+    2-core VM."""
+    rng = random.Random(1)
+    a = {e: rng.getrandbits(300) for e in range(REF_TERMS)}
+    b = {e: rng.getrandbits(300) for e in range(REF_TERMS)}
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return out
+
+
+def wall(fn):
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
 def min_time(fn, cold=False):
-    """(minimum wall time, runs) of fn() over up to MAX_RUNS runs, until
-    the runs add up to BUDGET_S; cold clears the builder caches before
-    each run, outside the timed span."""
-    times = []
+    """(minimum wall time, runs, minimum reference time) of fn() over up
+    to MAX_RUNS runs, until the runs add up to BUDGET_S, with a
+    reference call before each run and after the last; cold clears the
+    builder caches before each run, outside the timed span."""
+    times, refs = [], [wall(reference_work)]
     while len(times) < MAX_RUNS and sum(times) < BUDGET_S:
         if cold:
             clear_caches()
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times), len(times)
+        times.append(wall(fn))
+        refs.append(wall(reference_work))
+    return min(times), len(times), min(refs)
+
+
+def marker_args(k, m, n, order):
+    """The (ring, cols, order) that tilde_genfun passes to
+    _marker_series at the point."""
+    seen = []
+    real = touchdown._marker_series
+    touchdown._marker_series = lambda *args: seen.append(args) or real(*args)
+    try:
+        touchdown.tilde_genfun(k, m, n, order)
+    finally:
+        touchdown._marker_series = real
+    return seen[0]
 
 
 def point(k, m, n, order, with_tilde):
@@ -81,23 +126,32 @@ def point(k, m, n, order, with_tilde):
     packed = ring.mul(upper, inv)
     timed = {
         "unpack": (lambda: ring.unpack(packed, L), False),
+        "marker_series": None,
         "mul": (lambda: ring.mul(upper, inv), False),
         "quotient": (lambda: ring.quotient((1,), fk), False),
         "genfun": (lambda: genfun(spec), True),
-        "tilde_genfun": (lambda: touchdown.tilde_genfun(k, m, n, order),
-                         True),
+        "tilde_genfun": None,
     }
+    if with_tilde:
+        args = marker_args(k, m, n, order)
+        timed["marker_series"] = (
+            lambda: touchdown._marker_series(*args), False)
+        timed["tilde_genfun"] = (
+            lambda: touchdown.tilde_genfun(k, m, n, order), True)
     out = {"k": k, "m": m, "n": n, "order": order,
            "width": ring.width, "entries": len(packed),
            "max_entry_bits": max(v.bit_length() for v in packed)}
-    if not with_tilde:
-        del timed["tilde_genfun"]
-        out["tilde_genfun_s"] = out["tilde_genfun_runs"] = None
-    for name, (fn, cold) in timed.items():
-        best, runs = min_time(fn, cold)
+    for name, job in timed.items():
+        if job is None:
+            for stat in ("_s", "_runs", "_ref_s"):
+                out[name + stat] = None
+            continue
+        best, runs, ref = min_time(*job)
         out[name + "_s"] = round(best, 6)
         out[name + "_runs"] = runs
-        print(f"{spec}: {name} {best:.4f} s ({runs} runs)", flush=True)
+        out[name + "_ref_s"] = round(ref, 6)
+        print(f"{spec}: {name} {best:.4f} s ({runs} runs, reference "
+              f"{ref:.4f} s)", flush=True)
     return out
 
 
@@ -106,7 +160,25 @@ def git(*args):
                           text=True)
 
 
+def compare(old_path, new_path):
+    """Print NEW/OLD of each row's minimum over its reference minimum."""
+    docs = []
+    for path in (old_path, new_path):
+        with open(path) as f:
+            docs.append(json.load(f))
+    for a, b in zip(docs[0]["ladder"], docs[1]["ladder"]):
+        point = tuple(a[key] for key in ("k", "m", "n", "order"))
+        for key in a:
+            ref = key[:-2] + "_ref_s"
+            if (key.endswith("_s") and not key.endswith("_ref_s")
+                    and a[key] and b.get(key) and a.get(ref) and b.get(ref)):
+                ratio = (b[key] / b[ref]) / (a[key] / a[ref])
+                print(f"{point} {key[:-2]}: {ratio:.2f}")
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 1:
         sys.exit(__doc__)
     label = argv[0]
@@ -116,6 +188,7 @@ def main(argv):
            "python": platform.python_version(),
            "platform": platform.platform(), "cpus": os.cpu_count(),
            "max_runs": MAX_RUNS, "budget_s": BUDGET_S,
+           "ref_terms": REF_TERMS,
            "ladder": [point(*p) for p in LADDER]}
     with open(f"BENCH_{label}.json", "w") as f:
         json.dump(doc, f, indent=2)

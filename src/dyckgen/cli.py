@@ -16,10 +16,7 @@ half-integers, one header row, UTF-8, LF line endings.
 from __future__ import annotations
 
 import argparse
-import csv
 import enum
-import io
-import json
 import sys
 
 from . import __version__
@@ -79,7 +76,11 @@ def _enc_exp_csv(v, halve):
     return str(v // 2) if v % 2 == 0 else f"{v}/2"
 
 
-# one term of the JSON "terms" list, at the indent json.dumps gives it
+# the JSON document up to its "terms" value, and one term of that list,
+# at the indent json.dumps(doc, indent=2) gives them; every value in the
+# head is an int or a plain ASCII string
+_HEAD = ('{{\n  "spec": {{\n{}\n  }},\n  "convention": "{}",\n'
+         '  "method": "{}",\n  "version": "{}",\n  "terms": ')
 _TERM = ('    {{\n      "l": {},\n      "A": {},\n{}      "coeff": {{\n'
          '        "num": "{}",\n        "den": "{}"\n      }}\n    }}')
 
@@ -110,23 +111,24 @@ def _series_terms(full):
 def _emit(args, spec_echo, method, terms, count_label=None):
     halve = args.convention == Convention.DOUBLE_STEP_DIAMOND.value
     if args.format == "json":
-        # the bytes of json.dumps(doc, indent=2); its tail is '[]\n}'
-        doc = {"spec": spec_echo, "convention": args.convention,
-               "method": method, "version": __version__, "terms": []}
-        out = json.dumps(doc, indent=2)
+        spec = ",\n".join(
+            f'    "{key}": ' + (f'"{v}"' if isinstance(v, str) else str(v))
+            for key, v in spec_echo.items())
+        out = _HEAD.format(spec, args.convention, method, __version__)
         if terms:
             body = ",\n".join(_TERM.format(
                 _exp_json(l, halve), _exp_json(a, halve),
                 "" if s is None else f'      "s": {s},\n',
                 c.numerator, c.denominator) for l, a, s, c in terms)
-            out = out[:-4] + "[\n" + body + "\n  ]\n}"
-        sys.stdout.write(out + "\n")
+            out += "[\n" + body + "\n  ]\n}\n"
+        else:
+            out += "[]\n}\n"
+        sys.stdout.write(out)
         return 0
+    # no field needs CSV quoting: each is a name, an int or "p/2"
     with_s = any(s is not None for _, _, s, _ in terms)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     tail = [count_label] if count_label else ["num", "den"]
-    writer.writerow(["l", "A"] + (["s"] if with_s else []) + tail)
+    lines = [",".join(["l", "A"] + (["s"] if with_s else []) + tail)]
     for l, a, s, c in terms:
         row = [_enc_exp_csv(l, halve), _enc_exp_csv(a, halve)]
         if with_s:
@@ -134,8 +136,9 @@ def _emit(args, spec_echo, method, terms, count_label=None):
         row.append(str(c.numerator))
         if not count_label:
             row.append(str(c.denominator))
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
+        lines.append(",".join(row))
+    lines.append("")
+    sys.stdout.write("\n".join(lines))
     return 0
 
 

@@ -25,9 +25,11 @@ ring, PackedRing: a series in zeta^2 whose area polynomials in theta^2
 are packed into one Python int each (theta^2 -> 2**width).  It is exact
 for series whose final coefficients are counts, and an area cap is its
 modulus, a bit mask, so no product here takes a cap.  Values are
-decoded into QLaurent once, at the edge, one packed entry at a time by
-PackedRing.decode; the touchdown routes decode the entries of each power
-of the marker t straight into the TPoly coefficients.
+decoded into QLaurent once, at the edge, all entries of a series in one
+batch by PackedRing.decoded: slots of up to 64 bits are split by one
+struct call over the whole batch, wider ones in runs of slots; the
+touchdown routes decode every entry of every power of the marker t in
+one batch, straight into the TPoly coefficients.
 
 Internally every exponent is an integer.  The double-step convention
 (z = zeta^2, q = theta^2, exponents counting step pairs and diamonds) is
@@ -41,6 +43,7 @@ objects, so values may be shared freely across threads.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 
 
@@ -58,6 +61,8 @@ class InexactDivision(ArithmeticError):
 
 def _norm(c):
     """Demote integral Fractions to int so the common path stays fast."""
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
@@ -666,10 +671,12 @@ class LSeries:
         return f"<LSeries O(z^{self.order + 1}): {body}>"
 
 
-# Slots that PackedRing.decode reads as one int: a run of them stays a
-# small int, so splitting it slot by slot is cheap, and reading the runs
-# one after another keeps the decode linear in the entry's length.
-# No run of 4, 16 or 32 slots measured faster overall than 8.
+# Slots wider than 64 bits that PackedRing._split_runs reads as one int:
+# a run of them stays a small int, so splitting it slot by slot is
+# cheap, and reading the runs one after another keeps the decode linear
+# in the entry's length.  No run of 4, 16 or 32 slots measured faster
+# overall than 8.  Slots of up to 64 bits skip runs: _split_words reads
+# them all at once.
 _RUN_SLOTS = 8
 
 
@@ -688,10 +695,11 @@ class PackedRing:
     are therefore exact whatever signs, cancellations or overflowing
     slots the intermediate values hold; only the final coefficients
     must be counts in 0..2**width - 1, so `decode` can read them slot
-    by slot.  A cap below 0 keeps nothing.  The width is
-    rounded up to whole bytes, so that every run of slots `decode`
-    reads as one int starts on a byte of the entry.  A series of step
-    order L packs into L//2 + 1 ints, one per power of z."""
+    by slot.  A cap below 0 keeps nothing.  The width is rounded up to
+    whole bytes, so that every slot, and every run of slots, starts on
+    a byte of the entry: a slot of up to 64 bits is then a whole number
+    of bytes that a strided copy moves into a 64-bit word.  A series of
+    step order L packs into L//2 + 1 ints, one per power of z."""
 
     __slots__ = ("width", "cap", "mask")
 
@@ -738,7 +746,9 @@ class PackedRing:
                     if i + j > L:
                         break
                     acc[i + j] += u * v
-        return tuple(self._reduce(v) for v in acc)
+        if self.mask is None:
+            return tuple(acc)
+        return tuple(v & self.mask for v in acc)
 
     def quotient(self, x, d):
         """x/d to the length of d, for d with constant term 1: y_n =
@@ -761,39 +771,89 @@ class PackedRing:
         the cap: slot j holds the coefficient of theta^(2j), a count
         below 2**width.  A negative entry is not a count polynomial and
         raises ArithmeticError."""
-        v = self._reduce(v)
-        if v <= 0:
-            if v:
-                raise ArithmeticError("packed value is not a count series")
-            return _QL_ZERO
+        return self.decoded([(v,)], 0)[0]
+
+    def decoded(self, cols, order):
+        """decode of every entry of the packed series in cols, in one
+        batch: the first series' area polynomials at zeta^0, zeta^2, ...,
+        then the next one's.  Each series is of step order `order` and
+        must hold order//2 + 1 entries (one tuple stands for L and L - 1
+        alike)."""
+        mask = self.mask
+        out, at, vals = [], [], []
+        for x in cols:
+            if len(x) != order // 2 + 1:
+                raise ValueError(f"{len(x)} packed entries for order {order}")
+            for v in x:
+                if mask is not None:
+                    v &= mask
+                if v > 0:
+                    at.append(len(out))
+                    vals.append(v)
+                elif v:
+                    raise ArithmeticError("packed value is not a count series")
+                out.append(_QL_ZERO)
+        split = self._split_words if self.width <= 64 else self._split_runs
+        for i, c in zip(at, split(vals)):
+            out[i] = QLaurent._wrap(c)
+        return out
+
+    def _split_words(self, vals):
+        """Coefficient dicts of the positive entries vals, slots of up to
+        64 bits: each entry is shifted past its empty bottom slots, the
+        bytes of all are spread into one 8-byte cell per slot, a strided
+        copy per byte of the width, and read by one struct call."""
+        w = self.width
+        nb = w // 8
+        spans, parts = [], []
+        for v in vals:
+            low = ((v & -v).bit_length() - 1) // w
+            if low:
+                v >>= w * low
+            n = -(-v.bit_length() // w)
+            spans.append((low, n))
+            parts.append(v.to_bytes(n * nb, "little"))
+        raw = b"".join(parts)
+        total = len(raw) // nb
+        buf = bytearray(8 * total)
+        for j in range(nb):
+            buf[j::8] = raw[j::nb]
+        words = struct.unpack_from(f"<{total}Q", buf)
+        out = []
+        end = 0
+        for low, n in spans:
+            start, end = end, end + n
+            chunk = words[start:end]
+            c = dict(zip(range(2 * low, 2 * (low + n), 2), chunk))
+            out.append({e: v for e, v in c.items() if v} if 0 in chunk
+                       else c)
+        return out
+
+    def _split_runs(self, vals):
+        """_split_words for wider slots, read in runs (see _RUN_SLOTS)."""
         w = self.width
         slot = (1 << w) - 1
         nb = w // 8 * _RUN_SLOTS
-        raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
-        out = {}
-        for start, i in enumerate(range(0, len(raw), nb)):
-            run = int.from_bytes(raw[i:i + nb], "little")
-            e = 2 * _RUN_SLOTS * start
-            while run:
-                if c := run & slot:
-                    out[e] = c
-                run >>= w
-                e += 2
-        return QLaurent._wrap(out)
-
-    def decoded(self, x, order):
-        """The area polynomials at zeta^0, zeta^2, ... of the packed
-        series x of step order `order`, which must hold order//2 + 1
-        entries (one tuple stands for L and L - 1 alike)."""
-        if len(x) != order // 2 + 1:
-            raise ValueError(f"{len(x)} packed entries for order {order}")
-        return map(self.decode, x)
+        out = []
+        for v in vals:
+            raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
+            c = {}
+            for start, i in enumerate(range(0, len(raw), nb)):
+                run = int.from_bytes(raw[i:i + nb], "little")
+                e = 2 * _RUN_SLOTS * start
+                while run:
+                    if s := run & slot:
+                        c[e] = s
+                    run >>= w
+                    e += 2
+            out.append(c)
+        return out
 
     def unpack(self, x, order):
         """The LSeries of step order `order` (odd step powers zero) that
         the packed series x stands for (see decoded)."""
         out = [_QL_ZERO] * (order + 1)
-        out[::2] = self.decoded(x, order)
+        out[::2] = self.decoded((x,), order)
         return LSeries._wrap(order, out, QLaurent)
 
 

@@ -119,9 +119,11 @@ class GenFun(namedtuple("GenFun", "spec series")):
     __slots__ = ()
 
     def _with_prefactor(self, s):
-        s = s.resized(self.spec.order).shift_step(self.spec.step_shift)
-        if self.spec.area_shift:
-            s = s.map_coeffs(lambda v: v.shift(self.spec.area_shift))
+        spec = self.spec
+        s = s.resized(spec.order).shift_step(spec.step_shift)
+        area_shift = spec.area_shift
+        if area_shift:
+            s = s.map_coeffs(lambda v: v.shift(area_shift))
         return s
 
     def full_series(self):

@@ -102,14 +102,15 @@ def tilde_secular_direct(k, order=None):
 
 def _marker_series(ring, cols, order):
     """The marker series whose t^s part is the packed series cols[s]:
-    each entry is decoded once, straight into the marker polynomial of
-    its step power; decoded values are area polynomials already, so the
-    rows are wrapped uncoerced."""
-    rows = [{} for _ in range(order // 2 + 1)]
-    for s, x in enumerate(cols):
-        for row, v in zip(rows, ring.decoded(x, order)):
-            if v:
-                row[s] = v
+    every entry of every part is decoded in one batch, straight into
+    the marker polynomial of its step power; decoded values are area
+    polynomials already, so the rows are wrapped uncoerced."""
+    size = order // 2 + 1
+    rows = [{} for _ in range(size)]
+    for j, v in enumerate(ring.decoded(cols, order)):
+        if v:
+            s, i = divmod(j, size)
+            rows[i][s] = v
     out = [TPoly.zero()] * (order + 1)
     out[::2] = map(TPoly._wrap, rows)
     return LSeries._wrap(order, out, TPoly)

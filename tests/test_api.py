@@ -215,7 +215,8 @@ def test_genspec_validation(args, message):
 def test_cli_import_is_stdlib_only():
     # a fresh interpreter: the modules `import dyckgen.cli` adds must be
     # the package's own or the standard library's, and the costly
-    # dataclasses and inspect stay out of the start-up path
+    # dataclasses and inspect, and json and csv (the writers fill string
+    # templates), stay out of the start-up path
     src = os.path.dirname(os.path.dirname(dyckgen.__file__))
     code = ("import sys; before = set(sys.modules); import dyckgen.cli; "
             "print('\\n'.join(sorted(set(sys.modules) - before)))")
@@ -224,6 +225,7 @@ def test_cli_import_is_stdlib_only():
                          capture_output=True, text=True).stdout.split()
     assert "dyckgen.cli" in out
     assert "dataclasses" not in out and "inspect" not in out
+    assert "json" not in out and "csv" not in out
     foreign = [m for m in out if m != "dyckgen"
                and not m.startswith("dyckgen.")
                and m.split(".")[0] not in sys.stdlib_module_names]

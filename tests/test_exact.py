@@ -560,8 +560,9 @@ class TestPackedRing:
             PackedRing(0)
 
     @settings(deadline=None, max_examples=200)
-    @given(st.integers(1, 208).flatmap(lambda w: st.tuples(
-        st.just(w), st.lists(entries(-(-w // 8) * 8), max_size=4))),
+    @given((st.sampled_from([56, 64, 72]) | st.integers(1, 208)).flatmap(
+        lambda w: st.tuples(st.just(w),
+                            st.lists(entries(-(-w // 8) * 8), max_size=4))),
         st.none() | st.integers(-3, 2 * 4 * _RUN_SLOTS + 4),
         st.integers(0, 1))
     @example((8, [[255] * (_RUN_SLOTS - 1) + [0] * (_RUN_SLOTS + 1) + [1],
@@ -572,10 +573,26 @@ class TestPackedRing:
                    -1]), 2 * (2 * _RUN_SLOTS) - 1, 0)
     @example((64, [-(1 << 64 * _RUN_SLOTS)]), 2 * (2 * _RUN_SLOTS), 0)
     @example((40, [5, -1]), None, 1)
+    # on both sides of the 64-bit split and at it: zero entries, empty
+    # bottom slots, an empty slot inside an entry and saturated slots
+    @example((56, [0, [0, 0, 5, 0, 2 ** 56 - 1], [3], 0, [0] * 9 + [1]]),
+             None, 0)
+    @example((64, [[0, 2 ** 64 - 1, 0, 1], 0, [0] * 20 + [2 ** 63], [7]]),
+             None, 1)
+    @example((72, [0, [0] * 3 + [2 ** 72 - 1, 0, 0, 9], [1] * 17, 0]),
+             None, 0)
+    # a negative entry between counts raises on either side of the split
+    @example((64, [[1, 2], -5, [3]]), None, 0)
+    @example((72, [[1, 2], -5, [3]]), None, 0)
+    # a capped ring reduces negative raw entries to counts first
+    @example((56, [[1, 0, 2], -(1 << 200), -1]), 2 * 5, 0)
+    @example((64, [-1, [0, 0, 4], -(1 << 64) + 3]), 2 * 3, 1)
+    @example((72, [-(1 << 72 * 3) - 1, -1]), 2 * 4, 0)
     def test_unpack_matches_slot_by_slot_reference(self, wx, cap, odd):
-        # unpack decodes runs of slots at once; the reference reads every
-        # slot from the entry's bytes.  An entry is a list of slot values
-        # (empty runs and slots saturated at 2**width - 1 on run
+        # unpack decodes a series in one batch, splitting slots of up to
+        # 64 bits by struct and wider ones in runs; the reference reads
+        # every slot from the entry's bytes.  An entry is a list of slot
+        # values (empty runs and slots saturated at 2**width - 1 on run
         # boundaries included) or a raw, possibly negative, int, which a
         # capped ring reduces to a residue first
         width, slots = wx
@@ -592,6 +609,7 @@ class TestPackedRing:
                 ring.unpack(x, order)
             return
         assert ring.unpack(x, order) == expected
+        assert ring.decoded((x, x), order) == 2 * expected.c[::2]
         for i, v in enumerate(x):
             assert ring.decode(v) == expected.c[2 * i]
 
