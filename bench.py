@@ -20,7 +20,10 @@ wall time over repeated runs of
   cache cleared first (a cold call).  `tilde_genfun` and the marker
   series are left out (null) at the finite ceiling above order 80: it
   multiplies out the dense powers of the arch there, and one call at
-  (12, 0, 0, 200) takes minutes.
+  (12, 0, 0, 200) takes minutes;
+* `genfun_full` and `tilde_genfun_full`: the same cold calls up to the
+  return of their `full_series()`, the span a `sweep` job of
+  perfbench/sweep_session.py times.
 
 Kernel operands are built once per point, outside the timed calls, in
 the spec's own ring (`GenSpec.packed_ring`, to `GenSpec.series_order`).
@@ -105,7 +108,7 @@ def min_time(fn, cold=False):
 
 
 def marker_args(k, m, n, order):
-    """The (ring, cols, order) that tilde_genfun passes to
+    """The (ring, cols, spec) that tilde_genfun passes to
     _marker_series at the point."""
     seen = []
     real = touchdown._marker_series
@@ -131,6 +134,8 @@ def point(k, m, n, order, with_tilde):
         "quotient": (lambda: ring.quotient((1,), fk), False),
         "genfun": (lambda: genfun(spec), True),
         "tilde_genfun": None,
+        "genfun_full": (lambda: genfun(spec).full_series(), True),
+        "tilde_genfun_full": None,
     }
     if with_tilde:
         args = marker_args(k, m, n, order)
@@ -138,6 +143,9 @@ def point(k, m, n, order, with_tilde):
             lambda: touchdown._marker_series(*args), False)
         timed["tilde_genfun"] = (
             lambda: touchdown.tilde_genfun(k, m, n, order), True)
+        timed["tilde_genfun_full"] = (
+            lambda: touchdown.tilde_genfun(k, m, n, order).full_series(),
+            True)
     out = {"k": k, "m": m, "n": n, "order": order,
            "width": ring.width, "entries": len(packed),
            "max_entry_bits": max(v.bit_length() for v in packed)}

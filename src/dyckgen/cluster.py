@@ -29,7 +29,7 @@ series computed here.
 
 The other routes work in single steps zeta and plaquettes theta, with
 z = zeta^2 and q = theta^2.  Cluster series meet them there: in_steps is
-the one conversion, and it runs only from z, q to zeta, theta.
+the one conversion, from z, q to zeta, theta, prefactor included.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from math import comb, factorial
 
 from .config import SpecOutOfRange, check_ceiling, check_order
 from .exact import LSeries, QLaurent
-from .genfun import GenFun
 
 
 def compositions(a):
@@ -160,17 +159,19 @@ def degree_check(k, m, n, a):
     return value.degree() == degree_formula(k, n, a)
 
 
-def in_steps(s, order):
+def in_steps(s, order, step=0, shift=0):
     """The series s in z, q rewritten in zeta, theta to step order
-    `order`: z^a q^e becomes zeta^(2a) theta^(2e)."""
-    return LSeries(order,
-                   {2 * a: v.scale_exponents(2) for a, v in enumerate(s.c)})
+    `order`, times zeta^step theta^shift: z^a q^e becomes
+    zeta^(2a + step) theta^(2e + shift)."""
+    return LSeries(order, {2 * a + step: QLaurent._wrap(
+        {2 * e + shift: c for e, c in v.terms()}) for a, v in enumerate(s.c)})
 
 
 def genfun_via_cluster(spec):
     """Full generating-function series (internal units) reconstructed by
     exponentiating the cluster logarithm; an independent multiplicative
-    route to the same object as genfun."""
+    route to the same object as genfun (in_steps puts the prefactor
+    on)."""
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
     s = p_restricted(spec.k, m, n, spec.series_order // 2).exp()
-    return GenFun(spec, in_steps(s, spec.series_order)).full_series()
+    return in_steps(s, spec.order, spec.step_shift, spec.area_shift)

@@ -27,7 +27,8 @@ for series whose final coefficients are counts, and an area cap is its
 modulus, a bit mask, so no product here takes a cap.  Values are
 decoded into QLaurent once, at the edge, all entries of a series in one
 batch by PackedRing.decoded: slots of up to 64 bits are split by one
-struct call over the whole batch, wider ones in runs of slots; the
+struct call over the whole batch, wider ones in runs of slots, and the
+endpoint prefactor is a shift of the exponents as they are read; the
 touchdown routes decode every entry of every power of the marker t in
 one batch, straight into the TPoly coefficients.
 
@@ -694,7 +695,7 @@ class PackedRing:
     exponents above the cap is a mask.  Sums, products and quotients
     are therefore exact whatever signs, cancellations or overflowing
     slots the intermediate values hold; only the final coefficients
-    must be counts in 0..2**width - 1, so `decode` can read them slot
+    must be counts in 0..2**width - 1, so `decoded` can read them slot
     by slot.  A cap below 0 keeps nothing.  The width is rounded up to
     whole bytes, so that every slot, and every run of slots, starts on
     a byte of the entry: a slot of up to 64 bits is then a whole number
@@ -766,19 +767,14 @@ class PackedRing:
             y.append(self._reduce(acc))
         return tuple(y)
 
-    def decode(self, v):
-        """The area polynomial that packed entry v stands for, reduced by
-        the cap: slot j holds the coefficient of theta^(2j), a count
-        below 2**width.  A negative entry is not a count polynomial and
-        raises ArithmeticError."""
-        return self.decoded([(v,)], 0)[0]
-
-    def decoded(self, cols, order):
-        """decode of every entry of the packed series in cols, in one
-        batch: the first series' area polynomials at zeta^0, zeta^2, ...,
-        then the next one's.  Each series is of step order `order` and
-        must hold order//2 + 1 entries (one tuple stands for L and L - 1
-        alike)."""
+    def decoded(self, cols, order, shift=0):
+        """The area polynomials, times theta^shift, that the entries of
+        the packed series in cols stand for, in one batch: the first
+        series' at zeta^0, zeta^2, ..., then the next one's.  Each entry
+        is reduced by the cap; slot j holds the coefficient of
+        theta^(2j + shift), a count below 2**width, and a negative entry
+        raises ArithmeticError.  Each series is of step order `order` and
+        must hold order//2 + 1 entries (L and L - 1 alike)."""
         mask = self.mask
         out, at, vals = [], [], []
         for x in cols:
@@ -794,15 +790,16 @@ class PackedRing:
                     raise ArithmeticError("packed value is not a count series")
                 out.append(_QL_ZERO)
         split = self._split_words if self.width <= 64 else self._split_runs
-        for i, c in zip(at, split(vals)):
+        for i, c in zip(at, split(vals, shift)):
             out[i] = QLaurent._wrap(c)
         return out
 
-    def _split_words(self, vals):
-        """Coefficient dicts of the positive entries vals, slots of up to
-        64 bits: each entry is shifted past its empty bottom slots, the
-        bytes of all are spread into one 8-byte cell per slot, a strided
-        copy per byte of the width, and read by one struct call."""
+    def _split_words(self, vals, shift):
+        """Coefficient dicts of the positive entries vals (exponents from
+        shift), slots of up to 64 bits: each entry is shifted past its
+        empty bottom slots, the bytes of all are spread into one 8-byte
+        cell per slot, a strided copy per byte of the width, and read by
+        one struct call."""
         w = self.width
         nb = w // 8
         spans, parts = [], []
@@ -811,7 +808,7 @@ class PackedRing:
             if low:
                 v >>= w * low
             n = -(-v.bit_length() // w)
-            spans.append((low, n))
+            spans.append((2 * low + shift, n))
             parts.append(v.to_bytes(n * nb, "little"))
         raw = b"".join(parts)
         total = len(raw) // nb
@@ -821,15 +818,15 @@ class PackedRing:
         words = struct.unpack_from(f"<{total}Q", buf)
         out = []
         end = 0
-        for low, n in spans:
+        for e0, n in spans:
             start, end = end, end + n
             chunk = words[start:end]
-            c = dict(zip(range(2 * low, 2 * (low + n), 2), chunk))
+            c = dict(zip(range(e0, e0 + 2 * n, 2), chunk))
             out.append({e: v for e, v in c.items() if v} if 0 in chunk
                        else c)
         return out
 
-    def _split_runs(self, vals):
+    def _split_runs(self, vals, shift):
         """_split_words for wider slots, read in runs (see _RUN_SLOTS)."""
         w = self.width
         slot = (1 << w) - 1
@@ -840,7 +837,7 @@ class PackedRing:
             c = {}
             for start, i in enumerate(range(0, len(raw), nb)):
                 run = int.from_bytes(raw[i:i + nb], "little")
-                e = 2 * _RUN_SLOTS * start
+                e = 2 * _RUN_SLOTS * start + shift
                 while run:
                     if s := run & slot:
                         c[e] = s
@@ -849,12 +846,13 @@ class PackedRing:
             out.append(c)
         return out
 
-    def unpack(self, x, order):
-        """The LSeries of step order `order` (odd step powers zero) that
-        the packed series x stands for (see decoded)."""
-        out = [_QL_ZERO] * (order + 1)
-        out[::2] = self.decoded((x,), order)
-        return LSeries._wrap(order, out, QLaurent)
+    def unpack(self, x, order, step=0, shift=0):
+        """The LSeries of step order `order` that zeta^step theta^shift
+        times the packed series x stands for (see decoded): x is of step
+        order max(order - step, 0), and what lands past `order` drops."""
+        out = [_QL_ZERO] * (max(order, step) + 1)
+        out[step::2] = self.decoded((x,), max(order - step, 0), shift)
+        return LSeries._wrap(order, out[:order + 1], QLaurent)
 
 
 def lift_marker(series):

@@ -8,9 +8,9 @@ zeta^(n-m) theta^((n-m)(n+m-1)/2) times an even series equal to
 
     F_{m-1}(zeta, theta) * F_{k-n-1}(zeta*theta^(n+1), theta) / F_k,
 
-where F is the ceiling determinant; the prefactor is kept separate so
-that callers can work with the polynomial part alone (its area exponents
-stay integral even after the double-step rescale).
+where F is the ceiling determinant.  The routes compute the series
+part and decode it once, straight into the answer, the prefactor being
+a shift of the decoded exponents; GenFun.series divides it out again.
 
 An unbounded ceiling is requested with k = None.
 """
@@ -21,7 +21,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .config import CACHE_ENTRIES, SpecOutOfRange, UsageError, check_ceiling
-from .exact import PackedRing, TPoly
+from .exact import LSeries, PackedRing, TPoly
 from .spectral import fk_polynomial
 
 
@@ -108,34 +108,33 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
         return self.step_shift * (self.m + self.n - 1) // 2
 
 
-class GenFun(namedtuple("GenFun", "spec series")):
-    """A computed generating function: the spec and the LSeries series
-    part, whose monomial prefactor the spec fixes (step_shift,
-    area_shift).  Coefficients are area polynomials, or marker
-    polynomials whose t^s part counts paths with s floor returns.  The
-    series runs to spec.series_order and holds the answer's coefficients
-    of zeta^step_shift .. zeta^order, shifted down, and nothing else."""
+class GenFun(namedtuple("GenFun", "spec full")):
+    """A computed generating function: the spec and the answer to
+    spec.order, monomial prefactor included, as one LSeries.  Its
+    coefficients are area polynomials, or marker polynomials whose t^s
+    part counts paths with s floor returns."""
 
     __slots__ = ()
 
-    def _with_prefactor(self, s):
-        spec = self.spec
-        s = s.resized(spec.order).shift_step(spec.step_shift)
-        area_shift = spec.area_shift
-        if area_shift:
-            s = s.map_coeffs(lambda v: v.shift(area_shift))
-        return s
+    @property
+    def series(self):
+        """The series part, the answer over its prefactor, to
+        spec.series_order (zero when no path fits)."""
+        spec, full = self.spec, self.full
+        c = [v.shift(-spec.area_shift) for v in full.c[spec.step_shift:]]
+        return LSeries._wrap(spec.series_order, c or [full.ring.zero()],
+                             full.ring)
 
     def full_series(self):
-        """Prefactor folded back in, truncated at the spec order."""
-        return self._with_prefactor(self.series)
+        """The answer, truncated at the spec order."""
+        return self.full
 
     def at_t_one(self):
         """Forget the touchdown statistic: the plain area series (the
         full series itself when unmarked)."""
-        if self.series.ring is not TPoly:
-            return self.full_series()
-        return self._with_prefactor(self.series.map_coeffs(TPoly.at_t_one))
+        if self.full.ring is not TPoly:
+            return self.full
+        return self.full.map_coeffs(TPoly.at_t_one)
 
     def coefficient(self, l, area, touchdowns=None):
         """Exact number of paths with l steps, area `area` and, on a
@@ -144,15 +143,12 @@ class GenFun(namedtuple("GenFun", "spec series")):
         if l > self.spec.order:
             raise IndexError(
                 f"step power {l} beyond truncation {self.spec.order}")
-        lp = l - self.spec.step_shift
-        if lp < 0:
-            return 0
-        v = self.series.coeff(lp)
-        if self.series.ring is TPoly:
+        v = self.full.coeff(l)
+        if self.full.ring is TPoly:
             v = v.at_t_one() if touchdowns is None else v.coeff(touchdowns)
         elif touchdowns is not None:
             raise UsageError("floor returns are counted on touchdown results")
-        return v.coeff(area - self.spec.area_shift)
+        return v.coeff(area)
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
@@ -178,13 +174,14 @@ def genfun(spec):
     """Generating function for spec; symmetric in (m, n).
 
     F_(m-1), F_(k-n-1)(zeta*theta^(n+1)) and 1/F_k are multiplied to
-    spec.series_order in spec.packed_ring, in zeta^2 and theta^2.  An
-    unbounded spec computes modulo its area cap, which drops exactly the
-    exponents above the cap."""
+    spec.series_order in spec.packed_ring, in zeta^2 and theta^2, and
+    decoded straight into the answer.  An unbounded spec computes modulo
+    its area cap, which drops exactly the exponents above the cap."""
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-    ring, order = spec.packed_ring, spec.series_order
-    packed = packed_genfun(ring, spec.ceiling, m, n, order)
-    return GenFun(spec, ring.unpack(packed, order))
+    ring = spec.packed_ring
+    packed = packed_genfun(ring, spec.ceiling, m, n, spec.series_order)
+    return GenFun(spec, ring.unpack(packed, spec.order, spec.step_shift,
+                                    spec.area_shift))
 
 
 def check_duality(spec):

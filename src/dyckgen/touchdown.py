@@ -68,23 +68,17 @@ def tilde_secular(k, order):
     return fk.scale(_T) + fk1 - fk1.scale(_T)
 
 
-def _toprow_parts(k, order):
-    """A and C of tF_k = A - t*C: A = F_(k-1)(zeta*theta) and
-    C = zeta^2 * F_(k-2)(zeta*theta^2), or 1 and 0 when k <= 0."""
-    if k <= 0:
-        return LSeries.one(order), LSeries.zeros(order)
-    a = fk_polynomial(k - 1).substitute_scale(1).resized(order)
-    c = fk_polynomial(k - 2).substitute_scale(2).resized(order)
-    return a, c.shift_step(2)
-
-
 def tilde_secular_toprow(k, order):
     """Same determinant by expanding along the marked first row:
-    F_{k-1}(zeta*theta) - t*zeta^2*F_{k-2}(zeta*theta^2)."""
+    A - t*C with A = F_{k-1}(zeta*theta), C = zeta^2*F_{k-2}(zeta*theta^2)
+    (1 when k <= 0), by series substitutions."""
     check_ceiling(k, lowest=-1)
     check_order(order)
-    a, c = _toprow_parts(k, order)
-    return lift_marker(a) - lift_marker(c).scale(_T)
+    if k <= 0:
+        return LSeries.one(order, TPoly)
+    a = fk_polynomial(k - 1).substitute_scale(1).resized(order)
+    c = fk_polynomial(k - 2).substitute_scale(2).resized(order)
+    return lift_marker(a) - lift_marker(c.shift_step(2)).scale(_T)
 
 
 def tilde_secular_direct(k, order=None):
@@ -100,25 +94,31 @@ def tilde_secular_direct(k, order=None):
     return det_elimination(tridiagonal(down, up, L, TPoly))
 
 
-def _marker_series(ring, cols, order):
-    """The marker series whose t^s part is the packed series cols[s]:
-    every entry of every part is decoded in one batch, straight into
-    the marker polynomial of its step power; decoded values are area
-    polynomials already, so the rows are wrapped uncoerced."""
+def _marker_series(ring, cols, spec):
+    """The answer to spec whose series part has the packed t^s part
+    cols[s]: every entry of every part is decoded in one batch, straight
+    into the marker polynomial of its step power (as in unpack);
+    decoded values are area polynomials already, so the rows are
+    wrapped uncoerced."""
+    order, step = spec.series_order, spec.step_shift
     size = order // 2 + 1
     rows = [{} for _ in range(size)]
-    for j, v in enumerate(ring.decoded(cols, order)):
+    for j, v in enumerate(ring.decoded(cols, order, spec.area_shift)):
         if v:
             s, i = divmod(j, size)
             rows[i][s] = v
-    out = [TPoly.zero()] * (order + 1)
-    out[::2] = map(TPoly._wrap, rows)
-    return LSeries._wrap(order, out, TPoly)
+    out = [TPoly.zero()] * (max(spec.order, step) + 1)
+    out[step::2] = map(TPoly._wrap, rows)
+    return LSeries._wrap(spec.order, out[:spec.order + 1], TPoly)
 
 
 def _marked_parts(ring, k, order):
-    """A and C of tF_k = A - t*C (_toprow_parts), packed in ring."""
-    return tuple(map(ring.pack, _toprow_parts(k, order)))
+    """A and C of tF_k = A - t*C (tilde_secular_toprow), packed in ring:
+    zeta -> zeta*theta, zeta*theta^2 are pack shifts, zeta^2 one entry."""
+    if k <= 0:
+        return ring.pack(LSeries.one(order)), (0,) * (order // 2 + 1)
+    c = ring.pack(fk_polynomial(k - 2).resized(order), 2)
+    return ring.pack(fk_polynomial(k - 1).resized(order), 1), (0,) + c[:-1]
 
 
 def tilde_genfun(k, m, n, order):
@@ -131,8 +131,8 @@ def tilde_genfun(k, m, n, order):
     for s >= 1, where Y = F_(k-n-1)(zeta*theta^(n+1)) / A.  Y and the
     arch C/A are each one packed quotient by the polynomial A.  Every
     product and quotient runs to spec.series_order in spec.packed_ring;
-    each t^s part is unpacked at the end and the marker polynomials are
-    assembled from them."""
+    the t^s parts are decoded at the end, straight into the marker
+    polynomials of the answer."""
     spec = GenSpec(k, m, n, order)
     if m > n:
         raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
@@ -145,7 +145,7 @@ def tilde_genfun(k, m, n, order):
     arches = [ring.mul(a, y), ring.mul(y, first)]
     while len(arches) <= order // 2:
         arches.append(ring.mul(arches[-1], ratio))
-    return GenFun(spec, _marker_series(ring, arches, order))
+    return GenFun(spec, _marker_series(ring, arches, spec))
 
 
 def _over_bracket(ring, h, x, y, order):
@@ -194,7 +194,7 @@ def tilde_genfun_ratio(k, m, n, order):
     # G_k is the base series itself when m = n = 0
     g = base if n == 0 else packed_genfun(ring, k, 0, 0, order)
     cols = _over_bracket(ring, (0,) + g[1:], base, y, order)
-    return GenFun(spec, _marker_series(ring, cols, order))
+    return GenFun(spec, _marker_series(ring, cols, spec))
 
 
 def tilde_genfun_openend(k, order):
@@ -208,13 +208,13 @@ def tilde_genfun_openend(k, order):
     h = (0,) + packed_genfun(ring, spec.ceiling, 0, 0, order)[1:]
     cols = _over_bracket(ring, h, h, None, order)
     cols[0][0] += 1
-    return GenFun(spec, _marker_series(ring, cols, order))
+    return GenFun(spec, _marker_series(ring, cols, spec))
 
 
 def tilde_genfun_openend_shifted(k, order):
     """Cross-check route for the open-ended function: divide the marked
     excursion function minus 1 by t, coefficient by coefficient."""
-    g = tilde_genfun(k, 0, 0, order).series - LSeries.one(order, TPoly)
-    shifted = g.map_coeffs(TPoly.div_t_exact)
-    series = shifted + LSeries.one(order, TPoly)
-    return GenFun(GenSpec(k, 0, 0, order), series)
+    one = LSeries.one(order, TPoly)
+    g = tilde_genfun(k, 0, 0, order).full_series() - one
+    return GenFun(GenSpec(k, 0, 0, order),
+                  g.map_coeffs(TPoly.div_t_exact) + one)

@@ -150,7 +150,7 @@ def suite_genfun(k_max=5, len_max=12):
         out.append(_eq_check("genfun", "continued_fraction",
                              f"k={k}", cf,
                              genfun(GenSpec(k, 0, 0, len_max)).full_series()))
-        ceil_dual = genfun(GenSpec(k, k, k, len_max)).series
+        ceil_dual = genfun(GenSpec(k, k, k, len_max)).full_series()
         plain = (fk_polynomial(k - 1).resized(len_max)
                  .divide(fk_polynomial(k).resized(len_max)))
         out.append(_eq_check("genfun", "ceiling_excursions",
@@ -309,15 +309,17 @@ def suite_touchdown(k_max=4, len_max=12):
                                      tg.full_series(), tab))
                 out.append(_eq_check(
                     "touchdown", "ratio_route", f"k={k} m={m} n={n}",
-                    tg.series, tilde_genfun_ratio(k, m, n, len_max).series))
+                    tg.full_series(),
+                    tilde_genfun_ratio(k, m, n, len_max).full_series()))
                 out.append(_eq_check(
                     "touchdown", "collapse_at_one", f"k={k} m={m} n={n}",
                     tg.at_t_one(),
                     genfun(GenSpec(k, m, n, len_max)).full_series()))
         oe = tilde_genfun_openend(k, len_max)
         out.append(_eq_check("touchdown", "openend_routes", f"k={k}",
-                             oe.series,
-                             tilde_genfun_openend_shifted(k, len_max).series))
+                             oe.full_series(),
+                             tilde_genfun_openend_shifted(k, len_max)
+                             .full_series()))
         out.append(_eq_check("touchdown", "openend_collapse", f"k={k}",
                              oe.at_t_one(),
                              genfun(GenSpec(k, 0, 0, len_max)).full_series()))

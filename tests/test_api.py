@@ -159,9 +159,9 @@ RECORDS = {
     "GenSpec": (lambda: GenSpec(None, 0, 0, 4),
                 lambda: GenSpec(k=None, m=0, n=0, order=5),
                 "GenSpec(k=None, m=0, n=0, order=4)", "k"),
-    "GenFun": (lambda: GenFun(GenSpec(2, 0, 0, 2), LSeries(2, {0: 1})),
-               lambda: GenFun(GenSpec(2, 0, 0, 2), LSeries(2, {2: 1})),
-               "GenFun(spec=GenSpec(k=2, m=0, n=0, order=2), series="
+    "GenFun": (lambda: GenFun(GenSpec(2, 0, 0, 2), full=LSeries(2, {0: 1})),
+               lambda: GenFun(GenSpec(2, 0, 0, 2), full=LSeries(2, {2: 1})),
+               "GenFun(spec=GenSpec(k=2, m=0, n=0, order=2), full="
                + repr(LSeries(2, {0: 1})) + ")", "spec"),
     "PathTable": (lambda: PathTable(1, 0, 0, 2, {(0, 0, 0): 1}),
                   lambda: PathTable(1, 0, 0, 2, {(0, 0, 0): 2}),

@@ -420,7 +420,7 @@ class TestExitCodes:
 
     def test_touchdown_mismatch_exits_three(self, capsys, monkeypatch):
         fake = GenFun(GenSpec(1, 0, 0, 4),
-                      LSeries(4, {0: TPoly.one()}, ring=TPoly))
+                      full=LSeries(4, {0: TPoly.one()}, ring=TPoly))
         monkeypatch.setattr("dyckgen.cli.tilde_genfun_ratio",
                             lambda k, m, n, order: fake)
         code, _, err = run_cli(capsys, "genfun", "--k", "1", "--m", "0",

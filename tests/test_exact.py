@@ -427,9 +427,10 @@ def entries(width):
                           1 << 3 * _RUN_SLOTS * width))
 
 
-def slot_by_slot(width, cap, x, order):
+def slot_by_slot(width, cap, x, order, step=0, shift=0):
     """Reference for PackedRing.unpack: each entry reduced by the cap's
-    mask, then every width-bit slot read from its bytes on its own."""
+    mask, then every width-bit slot read from its bytes on its own, and
+    the series multiplied by zeta^step theta^shift to order + step."""
     if len(x) != order // 2 + 1:
         raise ValueError("entry count")
     nb = width // 8
@@ -440,10 +441,10 @@ def slot_by_slot(width, cap, x, order):
         if v < 0:
             raise ArithmeticError("negative entry")
         raw = v.to_bytes(-(-v.bit_length() // 8), "little")
-        out[2 * i] = QLaurent({
-            2 * j: int.from_bytes(raw[nb * j:nb * j + nb], "little")
+        out[2 * i + step] = QLaurent({
+            2 * j + shift: int.from_bytes(raw[nb * j:nb * j + nb], "little")
             for j in range(-(-len(raw) // nb))})
-    return LSeries(order, out)
+    return LSeries(order + step, out)
 
 
 # A product slot sums at most 5 step pairs x 36 term pairs of counts up to
@@ -557,6 +558,16 @@ class TestPackedRing:
         with pytest.raises(ValueError):
             PackedRing(8).unpack((1, 1), 4)   # order 4 holds 3 entries
         with pytest.raises(ValueError):
+            PackedRing(8).unpack((1, 1), 5, 1)   # zeta^1..zeta^5: 3 entries
+        with pytest.raises(ValueError):
+            PackedRing(8).unpack((0, 0), 2, 3)   # past the order: 1 entry
+
+    def test_unpack_past_the_order_is_empty(self):
+        # with step > order nothing fits; the one entry is still checked
+        assert PackedRing(8, -1).unpack((0,), 2, 3) == LSeries.zeros(2)
+        with pytest.raises(ArithmeticError):
+            PackedRing(8).unpack((-1,), 2, 3)
+        with pytest.raises(ValueError):
             PackedRing(0)
 
     @settings(deadline=None, max_examples=200)
@@ -564,37 +575,47 @@ class TestPackedRing:
         lambda w: st.tuples(st.just(w),
                             st.lists(entries(-(-w // 8) * 8), max_size=4))),
         st.none() | st.integers(-3, 2 * 4 * _RUN_SLOTS + 4),
-        st.integers(0, 1))
+        st.integers(0, 1), st.integers(0, 3), st.integers(0, 9))
     @example((8, [[255] * (_RUN_SLOTS - 1) + [0] * (_RUN_SLOTS + 1) + [1],
-                  [0] * (_RUN_SLOTS - 1) + [255, 255]]), None, 0)
+                  [0] * (_RUN_SLOTS - 1) + [255, 255]]), None, 0, 0, 0)
     @example((208, [[2 ** 208 - 1] + [0] * (2 * _RUN_SLOTS) + [7]]),
-             2 * (3 * _RUN_SLOTS), 1)
+             2 * (3 * _RUN_SLOTS), 1, 0, 0)
     @example((17, [[1] * _RUN_SLOTS, [0] * (4 * _RUN_SLOTS) + [2 ** 24 - 1],
-                   -1]), 2 * (2 * _RUN_SLOTS) - 1, 0)
-    @example((64, [-(1 << 64 * _RUN_SLOTS)]), 2 * (2 * _RUN_SLOTS), 0)
-    @example((40, [5, -1]), None, 1)
+                   -1]), 2 * (2 * _RUN_SLOTS) - 1, 0, 0, 0)
+    @example((64, [-(1 << 64 * _RUN_SLOTS)]), 2 * (2 * _RUN_SLOTS), 0, 0, 0)
+    @example((40, [5, -1]), None, 1, 0, 0)
     # on both sides of the 64-bit split and at it: zero entries, empty
     # bottom slots, an empty slot inside an entry and saturated slots
     @example((56, [0, [0, 0, 5, 0, 2 ** 56 - 1], [3], 0, [0] * 9 + [1]]),
-             None, 0)
+             None, 0, 0, 0)
     @example((64, [[0, 2 ** 64 - 1, 0, 1], 0, [0] * 20 + [2 ** 63], [7]]),
-             None, 1)
+             None, 1, 0, 0)
     @example((72, [0, [0] * 3 + [2 ** 72 - 1, 0, 0, 9], [1] * 17, 0]),
-             None, 0)
+             None, 0, 0, 0)
+    # the same batches decoded with an odd area shift, and placed from an
+    # odd step, on both sides of the split
+    @example((56, [0, [0, 0, 5, 0, 2 ** 56 - 1], [3], 0, [0] * 9 + [1]]),
+             None, 0, 1, 3)
+    @example((64, [[0, 2 ** 64 - 1, 0, 1], 0, [0] * 20 + [2 ** 63], [7]]),
+             None, 1, 3, 5)
+    @example((72, [0, [0] * 3 + [2 ** 72 - 1, 0, 0, 9], [1] * 17, 0]),
+             None, 0, 2, 7)
     # a negative entry between counts raises on either side of the split
-    @example((64, [[1, 2], -5, [3]]), None, 0)
-    @example((72, [[1, 2], -5, [3]]), None, 0)
+    @example((64, [[1, 2], -5, [3]]), None, 0, 0, 0)
+    @example((72, [[1, 2], -5, [3]]), None, 0, 0, 0)
     # a capped ring reduces negative raw entries to counts first
-    @example((56, [[1, 0, 2], -(1 << 200), -1]), 2 * 5, 0)
-    @example((64, [-1, [0, 0, 4], -(1 << 64) + 3]), 2 * 3, 1)
-    @example((72, [-(1 << 72 * 3) - 1, -1]), 2 * 4, 0)
-    def test_unpack_matches_slot_by_slot_reference(self, wx, cap, odd):
+    @example((56, [[1, 0, 2], -(1 << 200), -1]), 2 * 5, 0, 0, 0)
+    @example((64, [-1, [0, 0, 4], -(1 << 64) + 3]), 2 * 3, 1, 0, 0)
+    @example((72, [-(1 << 72 * 3) - 1, -1]), 2 * 4, 0, 0, 0)
+    def test_unpack_matches_slot_by_slot_reference(self, wx, cap, odd, step,
+                                                   shift):
         # unpack decodes a series in one batch, splitting slots of up to
-        # 64 bits by struct and wider ones in runs; the reference reads
-        # every slot from the entry's bytes.  An entry is a list of slot
-        # values (empty runs and slots saturated at 2**width - 1 on run
-        # boundaries included) or a raw, possibly negative, int, which a
-        # capped ring reduces to a residue first
+        # 64 bits by struct and wider ones in runs, each exponent raised
+        # by the area shift as it is read, and places it from zeta^step;
+        # the reference reads every slot from the entry's bytes.  An
+        # entry is a list of slot values (empty runs and slots saturated
+        # at 2**width - 1 on run boundaries included) or a raw, possibly
+        # negative, int, which a capped ring reduces to a residue first
         width, slots = wx
         ring = PackedRing(width, cap)
         w = ring.width
@@ -603,15 +624,14 @@ class TestPackedRing:
                   for v in slots) or (0,)
         order = 2 * (len(x) - 1) + odd
         try:
-            expected = slot_by_slot(w, cap, x, order)
+            expected = slot_by_slot(w, cap, x, order, step, shift)
         except ArithmeticError:
             with pytest.raises(ArithmeticError):
-                ring.unpack(x, order)
+                ring.unpack(x, order + step, step, shift)
             return
-        assert ring.unpack(x, order) == expected
-        assert ring.decoded((x, x), order) == 2 * expected.c[::2]
-        for i, v in enumerate(x):
-            assert ring.decode(v) == expected.c[2 * i]
+        assert ring.unpack(x, order + step, step, shift) == expected
+        assert (ring.decoded((x, x), order, shift)
+                == 2 * expected.c[step::2])
 
 
 # Ring laws over small random values: the cluster route rests on exp and

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from dyckgen.cluster import degree_formula, genfun_via_cluster
 from dyckgen.config import CACHE_ENTRIES, SpecOutOfRange
-from dyckgen.exact import LSeries, QLaurent
+from dyckgen.exact import LSeries, QLaurent, TPoly
 from dyckgen.genfun import (GenSpec, _inv_fk, check_duality,
                             continued_fraction, genfun)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
-from dyckgen.touchdown import tilde_genfun, tilde_genfun_ratio, tilde_secular
+from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
+                               tilde_genfun_ratio, tilde_secular)
 from dyckgen.verify import check_recursions
 
 
@@ -335,6 +336,67 @@ def test_series_runs_to_the_series_order(k):
                         assert gf.series.is_zero()
                         assert gf.full_series().is_zero()
                 assert genfun_via_cluster(spec) == plain.full_series()
+
+
+def with_prefactor(spec, s):
+    """The answer rebuilt from a series part s: s to spec.order, times
+    zeta^step_shift theta^area_shift, by series operations."""
+    s = s.resized(spec.order).shift_step(spec.step_shift)
+    return s.map_coeffs(lambda v: v.shift(spec.area_shift))
+
+
+def coefficient_reference(spec, s, l, area, touchdowns=None):
+    """GenFun.coefficient read off the series part s instead."""
+    lp = l - spec.step_shift
+    if lp < 0:
+        return 0
+    v = s.coeff(lp)
+    if s.ring is TPoly:
+        v = v.at_t_one() if touchdowns is None else v.coeff(touchdowns)
+    return v.coeff(area - spec.area_shift)
+
+
+@st.composite
+def route_specs(draw):
+    k = draw(st.sampled_from([None, *range(9)]))
+    n = draw(st.integers(0, 6 if k is None else min(k, 6)))
+    return GenSpec(k, draw(st.integers(0, n)), n, draw(st.integers(0, 24)))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(route_specs())
+@example(GenSpec(5, 0, 3, 17))      # area shift 3, odd
+@example(GenSpec(None, 2, 5, 24))   # unbounded, capped, odd area shift
+@example(GenSpec(8, 1, 6, 4))       # |n - m| > order: no path fits
+def test_answer_is_the_series_part_times_the_prefactor(spec):
+    # every route decodes straight into the answer; the answer, its
+    # t = 1 collapse and its coefficients are the series part with the
+    # prefactor put back on
+    k, m, n, L = spec
+    results = [genfun(spec), tilde_genfun(k, m, n, L),
+               tilde_genfun_ratio(k, m, n, L)]
+    if k is not None and m == n == 0:
+        results.append(tilde_genfun_openend(k, L))
+    for gf in results:
+        s = gf.series
+        assert s.order == spec.series_order
+        full = with_prefactor(spec, s)
+        assert gf.full_series() == full
+        plain = s if s.ring is not TPoly else s.map_coeffs(TPoly.at_t_one)
+        assert gf.at_t_one() == with_prefactor(spec, plain)
+        with pytest.raises(IndexError):
+            gf.coefficient(L + 1, 0)
+        for l, v in [(-1, full.ring.zero()), *enumerate(full.c)]:
+            marks = [None]
+            if full.ring is TPoly:
+                top = max((t for t, _ in v.terms()), default=-1)
+                marks += range(top + 2)
+                v = v.at_t_one()
+            areas = {e for e, _ in v.terms()} | {spec.area_shift - 1, -1}
+            for area in areas:
+                for t in marks:
+                    assert (gf.coefficient(l, area, t)
+                            == coefficient_reference(spec, s, l, area, t))
 
 
 @pytest.mark.parametrize("k,m,n,L", [

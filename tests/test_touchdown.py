@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckgen.config import SpecOutOfRange
-from dyckgen.exact import LSeries, QLaurent, TPoly, lift_marker
+from dyckgen.exact import LSeries, PackedRing, QLaurent, TPoly, lift_marker
 from dyckgen.genfun import GenSpec, genfun
 from dyckgen.oracle import enumerate_paths, genfun_from_table
 from dyckgen.spectral import det_degree, fk_polynomial
@@ -212,6 +212,25 @@ def test_whole_series_matches_quotient_reference(spec):
     assert tilde_genfun_ratio(*args).series == reference
 
 
+@pytest.mark.parametrize("cap", [None, -1, 0, 6, 13])
+def test_marked_parts_are_the_packed_top_row(cap):
+    # A and C are packed by the ring's own shift, straight from F_(k-1)
+    # and F_(k-2); the t^0 part and minus the t^1 part of the top-row
+    # expansion by series substitutions, packed, are the reference.
+    # k <= 0 (A = 1, C = 0), orders below 2 (C = 0 at zeta^0) and a cap
+    # of -1 (everything 0) included
+    ring = PackedRing(8, cap)
+    for k in range(-1, 9):
+        for order in range(13):
+            toprow = tilde_secular_toprow(k, order)
+            expected = tuple(
+                ring.pack(sign * toprow.map_coeffs(lambda v: v.coeff(s)))
+                for s, sign in ((0, 1), (1, -1)))
+            assert touchdown._marked_parts(ring, k, order) == expected
+            if cap == -1:
+                assert not any(map(any, expected))
+
+
 def column_assembly(ring, cols, order):
     """The marker series of packed t^s parts cols[s], built column by
     column: each part unpacked whole, then the marker polynomial of
@@ -234,9 +253,9 @@ def test_marker_rows_match_column_assembly(route, args, monkeypatch):
     # marker polynomial of its step power
     seen = []
 
-    def spy(ring, cols, order):
-        seen.append((ring, [tuple(x) for x in cols], order))
-        return marker_series(ring, cols, order)
+    def spy(ring, cols, spec):
+        seen.append((ring, [tuple(x) for x in cols], spec.series_order))
+        return marker_series(ring, cols, spec)
 
     marker_series = touchdown._marker_series
     monkeypatch.setattr(touchdown, "_marker_series", spy)

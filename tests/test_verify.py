@@ -188,7 +188,7 @@ def test_endpoint_symmetry_fails_on_a_wrong_series(monkeypatch):
     # the reversed endpoints are counted by the oracle, so a wrong
     # closed form cannot agree with itself
     def wrong(spec):
-        return GenFun(spec, genfun(spec).series + 1)
+        return GenFun(spec, genfun(spec).full_series() + 1)
 
     monkeypatch.setattr("dyckgen.verify.genfun", wrong)
     results = [r for r in suite_genfun(k_max=3, len_max=8)
