@@ -18,7 +18,7 @@ wall time over repeated runs of
   packed t^s parts that `tilde_genfun` at the point computes;
 * `genfun` and `tilde_genfun` at the point, each with every builder
   cache cleared first (a cold call).  `tilde_genfun` and the marker
-  series are left out (null) at the finite ceiling above order 80: it
+  series are left out (null) at the finite ceilings above order 80: it
   multiplies out the dense powers of the arch there, and one call at
   (12, 0, 0, 200) takes minutes;
 * `genfun_full` and `tilde_genfun_full`: the same cold calls up to the
@@ -37,9 +37,13 @@ each minimum: a time over its reference compares across files.
 --compare prints, for every row that both files timed, NEW's minimum
 over its reference divided by OLD's.
 
-The ladder is k = inf at orders 32..120 and the finite ceiling 12 at
-orders 80..400, where the packed ints are longest.  The package is
-imported from the `src` directory next to this file, so a copy of the
+The ladder is k = inf at orders 32..120, the finite ceiling 12 at
+orders 80..400, where the packed ints are longest, the ceiling 4 at
+orders 80..400, where the slots are narrowest for their order (320 bits
+at order 400), and the endpoints 2 -> 5 at k = inf, order 48, where the
+decode adds the endpoint prefactor.  Rows are paired by their point, so
+--compare reads files with fewer points too.  The package is imported
+from the `src` directory next to this file, so a copy of the
 script in another checkout times that checkout.
 """
 
@@ -61,7 +65,9 @@ from dyckgen.spectral import fk_polynomial  # noqa: E402
 # (k, m, n, order, whether tilde_genfun is timed there)
 LADDER = ([(None, 0, 0, order, True) for order in (32, 48, 64, 80, 100, 120)]
           + [(12, 0, 0, 80, True), (12, 0, 0, 200, False),
-             (12, 0, 0, 400, False)])
+             (12, 0, 0, 400, False)]
+          + [(4, 0, 0, 80, True), (4, 0, 0, 200, False),
+             (4, 0, 0, 400, False), (None, 2, 5, 48, True)])
 MAX_RUNS = 20
 BUDGET_S = 3.0
 REF_TERMS = 60   # size of the reference call's product
@@ -170,12 +176,14 @@ def git(*args):
 
 def compare(old_path, new_path):
     """Print NEW/OLD of each row's minimum over its reference minimum."""
-    docs = []
+    rows = []
     for path in (old_path, new_path):
         with open(path) as f:
-            docs.append(json.load(f))
-    for a, b in zip(docs[0]["ladder"], docs[1]["ladder"]):
-        point = tuple(a[key] for key in ("k", "m", "n", "order"))
+            rows.append({tuple(row[key] for key in ("k", "m", "n", "order")):
+                         row for row in json.load(f)["ladder"]})
+    old, new = rows
+    for point, a in old.items():
+        b = new.get(point, {})
         for key in a:
             ref = key[:-2] + "_ref_s"
             if (key.endswith("_s") and not key.endswith("_ref_s")

@@ -29,7 +29,8 @@ ORACLE_LEN_MAX = 24
 VERIFY_K_MAX = 12
 
 # Entries kept by each builder cache (fk_polynomial, _inv_fk,
-# tilde_secular), so a long-lived process holds bounded memory.
+# tilde_secular, and _largest_count, which sizes the packed slots), so a
+# long-lived process holds bounded memory.
 CACHE_ENTRIES = 64
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import add
 
 from .config import CACHE_ENTRIES, SpecOutOfRange, UsageError, check_ceiling
 from .exact import LSeries, PackedRing, TPoly
@@ -91,10 +92,20 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
 
     @property
     def packed_ring(self):
-        """The PackedRing every packed route computes in: slot width
-        order + 1 bits, as fewer than 2**order paths of at most `order`
-        steps share an area, modulo the spec's area cap."""
-        return PackedRing(self.order + 1, self.area_cap)
+        """The PackedRing every packed route computes in, modulo the
+        spec's area cap, its slots just wide enough for N, the largest
+        number of `order`-step paths in the strip 0..ceiling from any
+        start height (_largest_count).
+
+        Only the decoded coefficients must be below 2**width (PackedRing
+        says why), and each counts paths m -> n of one length l <= order
+        with one area, or the t^s part of them.  At a ceiling >= 1 every
+        height of the strip has a step that stays in it, so each such
+        path extends to an `order`-step path from m, distinct paths to
+        distinct ones: there are at most N.  At ceiling 0 only the empty
+        path fits, and N is 1."""
+        return PackedRing(_largest_count(self.ceiling, self.order)
+                          .bit_length(), self.area_cap)
 
     @property
     def step_shift(self):
@@ -149,6 +160,20 @@ class GenFun(namedtuple("GenFun", "spec full")):
         elif touchdowns is not None:
             raise UsageError("floor returns are counted on touchdown results")
         return v.coeff(area)
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _largest_count(ceiling, order):
+    """Largest number of `order`-step paths in the strip 0..ceiling from
+    any start height (1 at ceiling 0, for the empty path): paths[h + 1]
+    counts the paths of the steps so far from h, and one more step
+    from h goes to h - 1 or h + 1 (the 0 at each end is off the strip)."""
+    if ceiling == 0:
+        return 1
+    paths = [0] + [1] * (ceiling + 1) + [0]
+    for _ in range(order):
+        paths[1:-1] = map(add, paths, paths[2:])
+    return max(paths)
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)

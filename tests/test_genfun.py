@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dyckgen.cluster import degree_formula, genfun_via_cluster
 from dyckgen.config import CACHE_ENTRIES, SpecOutOfRange
 from dyckgen.exact import LSeries, QLaurent, TPoly
-from dyckgen.genfun import (GenSpec, _inv_fk, check_duality,
-                            continued_fraction, genfun)
+from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count,
+                            check_duality, continued_fraction, genfun)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
 from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
@@ -68,6 +68,48 @@ class TestGenSpec:
                     if a >= 1:
                         assert spec.area_cap == 2 * degree_formula(None, n, a)
         assert GenSpec(4, 1, 2, 10).area_cap is None
+
+    def test_packed_ring_width_follows_the_largest_count(self):
+        # strip 0..1 holds one path from each height; order + 1 would be
+        # 33, 33, 65 and 10 bits
+        assert GenSpec(1, 0, 0, 32).packed_ring.width == 8
+        assert GenSpec(8, 0, 0, 32).packed_ring.width == 32
+        assert GenSpec(None, 0, 0, 64).packed_ring.width == 64
+        # ceiling 0: only the empty path, count 1
+        assert GenSpec(0, 0, 0, 9).packed_ring.width == 8
+
+    def test_largest_count_is_the_oracle_count(self):
+        # the most `order`-step paths from one start height, any end
+        assert _largest_count(0, 7) == 1
+        for c in range(1, 7):
+            for order in range(13):
+                counts = [sum(enumerate_paths(c, m, n, order).total(order)
+                              for n in range(c + 1))
+                          for m in range(c + 1)]
+                assert _largest_count(c, order) == max(counts), (c, order)
+
+
+@st.composite
+def width_specs(draw):
+    k = draw(st.sampled_from([None, *range(13)]))
+    top = 6 if k is None else min(k, 6)
+    return GenSpec(k, draw(st.integers(0, top)), draw(st.integers(0, top)),
+                   draw(st.integers(0, 30)))
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(width_specs())
+@example(GenSpec(12, 6, 6, 24))
+@example(GenSpec(None, 0, 6, 24))
+@example(GenSpec(0, 0, 0, 5))
+def test_every_count_fits_a_packed_slot(spec):
+    # the slot holds every length's count over all areas and floor
+    # returns together, at every length the oracle reaches
+    width = spec.packed_ring.width
+    table = enumerate_paths(spec.ceiling, spec.m, spec.n,
+                            min(spec.order, 24))
+    for l in range(table.l_max + 1):
+        assert table.total(l) < 2 ** width, (spec, l)
 
 
 class TestAgainstOracle:
@@ -235,7 +277,8 @@ class TestContinuedFraction:
 
 class TestBuilderCaches:
     def test_caches_are_bounded(self):
-        for cached in (fk_polynomial, _inv_fk, tilde_secular):
+        for cached in (fk_polynomial, _inv_fk, tilde_secular,
+                       _largest_count):
             assert cached.cache_info().maxsize == CACHE_ENTRIES
 
     def test_eviction_keeps_results_exact(self):
@@ -308,6 +351,9 @@ def packed_specs(draw):
 @example(GenSpec(4, 1, 3, 0))
 @example(GenSpec(8, 0, 1, 23))     # large series orders, with
 @example(GenSpec(None, 0, 1, 31))  # order + 1 a whole number of bytes
+@example(GenSpec(4, 0, 0, 39))     # and with the largest count of
+@example(GenSpec(8, 0, 1, 25))     # 32, 24 and 24 bits
+@example(GenSpec(None, 1, 3, 24))
 @example(GenSpec(7, 0, 0, 15))
 @example(GenSpec(8, 0, 1, 5))      # ceiling clamped to 3
 def test_whole_series_matches_uncapped_reference(spec):

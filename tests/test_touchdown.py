@@ -82,9 +82,9 @@ class TestMarkedGenFun:
 
     def test_one_level_closed_form(self):
         # the zigzag: (UD)^a carries exactly a markers
-        tg = tilde_genfun(1, 0, 0, 12)
+        series = tilde_genfun(1, 0, 0, 12).series
         for a in range(7):
-            assert tg.series.coeff(2 * a) == TPoly({a: 1})
+            assert series.coeff(2 * a) == TPoly({a: 1})
 
     def test_first_excursion_carries_one_marker(self):
         for k in range(1, 5):
@@ -144,10 +144,10 @@ class TestOpenEnded:
 
     def test_one_level_closed_form(self):
         # 1 + zeta^2/(1 - t zeta^2): (UD)^a carries a-1 markers
-        oe = tilde_genfun_openend(1, 12)
-        assert oe.series.coeff(0) == TPoly.one()
+        series = tilde_genfun_openend(1, 12).series
+        assert series.coeff(0) == TPoly.one()
         for a in range(1, 7):
-            assert oe.series.coeff(2 * a) == TPoly({a - 1: 1})
+            assert series.coeff(2 * a) == TPoly({a - 1: 1})
 
     def test_empty_path_unmarked(self):
         for k in range(0, 4):
@@ -202,6 +202,9 @@ def marked_specs(draw):
 @example(GenSpec(0, 0, 0, 7))
 @example(GenSpec(8, 0, 1, 23))     # large series orders, with
 @example(GenSpec(7, 0, 0, 15))     # order + 1 a whole number of bytes
+@example(GenSpec(4, 0, 0, 39))     # and with the largest count of
+@example(GenSpec(8, 0, 1, 25))     # 32, 24 and 24 bits
+@example(GenSpec(None, 1, 3, 24))
 @example(GenSpec(8, 0, 0, 7))      # ceiling clamped to 3
 def test_whole_series_matches_quotient_reference(spec):
     # every coefficient, area power and marker power the series holds,
