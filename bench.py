@@ -16,11 +16,11 @@ wall time over repeated runs of
 * `PackedRing.unpack`: the packed excursion series that product is;
 * `touchdown._marker_series`: the marker series assembled from the
   packed t^s parts that `tilde_genfun` at the point computes;
-* `genfun` and `tilde_genfun` at the point, each with every builder
-  cache cleared first (a cold call).  `tilde_genfun` and the marker
-  series are left out (null) at the finite ceilings above order 80: it
-  multiplies out the dense powers of the arch there, and one call at
-  (12, 0, 0, 200) takes minutes;
+* `genfun`, `tilde_genfun` and `tilde_genfun_ratio` at the point, each
+  with every builder cache cleared first (a cold call).  The two marked
+  routes and the marker series are left out (null) at the finite
+  ceilings above order 80: they multiply out the dense powers of the
+  arch there, and one call at (12, 0, 0, 200) takes minutes;
 * `genfun_full` and `tilde_genfun_full`: the same cold calls up to the
   return of their `full_series()`, the span a `sweep` job of
   perfbench/sweep_session.py times.
@@ -62,7 +62,7 @@ from dyckgen import touchdown  # noqa: E402
 from dyckgen.genfun import GenSpec, _inv_fk, genfun  # noqa: E402
 from dyckgen.spectral import fk_polynomial  # noqa: E402
 
-# (k, m, n, order, whether tilde_genfun is timed there)
+# (k, m, n, order, whether the marked routes are timed there)
 LADDER = ([(None, 0, 0, order, True) for order in (32, 48, 64, 80, 100, 120)]
           + [(12, 0, 0, 80, True), (12, 0, 0, 200, False),
              (12, 0, 0, 400, False)]
@@ -140,6 +140,7 @@ def point(k, m, n, order, with_tilde):
         "quotient": (lambda: ring.quotient((1,), fk), False),
         "genfun": (lambda: genfun(spec), True),
         "tilde_genfun": None,
+        "tilde_genfun_ratio": None,
         "genfun_full": (lambda: genfun(spec).full_series(), True),
         "tilde_genfun_full": None,
     }
@@ -149,6 +150,8 @@ def point(k, m, n, order, with_tilde):
             lambda: touchdown._marker_series(*args), False)
         timed["tilde_genfun"] = (
             lambda: touchdown.tilde_genfun(k, m, n, order), True)
+        timed["tilde_genfun_ratio"] = (
+            lambda: touchdown.tilde_genfun_ratio(k, m, n, order), True)
         timed["tilde_genfun_full"] = (
             lambda: touchdown.tilde_genfun(k, m, n, order).full_series(),
             True)

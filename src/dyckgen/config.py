@@ -60,7 +60,9 @@ def check_ceiling(k, lowest=0):
 
 
 def check_order(order, what="truncation order"):
-    """Raise SpecOutOfRange when the order is below 0."""
+    """Raise SpecOutOfRange unless the order is an int >= 0."""
+    if not isinstance(order, int):
+        raise SpecOutOfRange(f"{what} must be an integer, got {order!r}")
     if order < 0:
         raise SpecOutOfRange(f"{what} must be >= 0")
 

@@ -59,8 +59,7 @@ def enumerate_paths(k, m, n, l_max):
     Returns a PathTable keyed by (length, area, touchdowns).
     """
     _check_heights(k, m, n)
-    if l_max < 0:
-        raise SpecOutOfRange("length bound must be >= 0")
+    config.check_order(l_max, "length bound")
     config.check_guard(l_max, config.ORACLE_LEN_MAX, "length bound")
     counts = {}
     state = {(m, 0, 0): 1}
@@ -86,8 +85,7 @@ def max_area(k, m, n, l):
     """Largest area statistic over paths of exactly l steps; raises
     Unreachable when no such path exists."""
     _check_heights(k, m, n)
-    if l < 0:
-        raise SpecOutOfRange("length must be >= 0")
+    config.check_order(l, "length")
     best = [None] * (k + 1)
     best[m] = 0
     for _ in range(l):

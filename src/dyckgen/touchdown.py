@@ -12,23 +12,28 @@ marked versions:
 
     tG_{k,mn} = prefactor * tF_{m-1} * F_{k-n-1}(zeta*theta^(n+1)) / tF_k,
 
-for 0 <= m <= n <= k (the marked operator is not symmetric in the
-endpoints, so the order matters here).  Coefficients live in the marker
-ring: the t^s part of the zeta^l coefficient counts paths with exactly
-s floor returns.  t is formal throughout; specialize with at_t_one() or
-by extracting marker coefficients.
+for 0 <= m <= n <= k.  Coefficients live in the marker ring: the t^s
+part of the zeta^l coefficient counts paths with exactly s floor
+returns.  t is formal throughout; specialize with at_t_one() or by
+extracting marker coefficients.  The marked operator is not symmetric
+in the endpoints, but a path read backwards keeps its length and area
+and turns each step onto the floor into one off it, and a path from
+m > 0 to 0 lands on the floor once more than it leaves it.  So
+tG_(m,n) = tG_(n,m) for n >= 1 and tG_(m,0) = t * tG_(0,m), and the
+routes accept any endpoints in 0..k.
 
 The marked determinant is linear in t.  Its top-row expansion is
 
     tF_k = A - t * C,  A = F_{k-1}(zeta*theta),
                        C = zeta^2 * F_{k-2}(zeta*theta^2),
 
-so 1/tF_k = sum_s t^s C^s / A^(s+1), and C/A = zeta^2 G_{k-1}(zeta*theta)
-is one arch: an up-step, an excursion one level higher, and the marked
-down-step back to the floor.  The t^s part of tG is therefore a plain
-count series, the paths with s arches, and tilde_genfun computes one
-per s in the packed ring of the determinant route, under the same area
-cap.
+so 1/tF_k = sum_s t^s C^s / A^(s+1), and R = C/A = zeta^2
+G_{k-1}(zeta*theta) is one arch: an up-step, an excursion one level
+higher, and the marked down-step back to the floor.  An excursion is a
+sequence of arches, so every marked route is geometric in R: for
+s >= 1 its t^s part, the count series of the paths with s floor
+returns, is R^(s-1) times its t^1 part (_geometric).  The routes build
+the parts in the packed ring of the determinant route, under its cap.
 
 Every route is cross-checkable: the determinant has a top-row expansion
 and a literal matrix form, and the quotient has an equivalent expression
@@ -36,15 +41,16 @@ through ratios of unmarked excursion functions,
 
     tG_{k,mn} = G_{k,mn} * [t + (1-t) G_{m-1}] / [t + (1-t) G_k],
 
-which tilde_genfun_ratio evaluates in the same packed ring, expanding
-1/[t + (1-t) G_k] in powers of G_k - 1.
+which tilde_genfun_ratio evaluates in the same packed ring, with the
+same arch written as R = (G_k - 1)/G_k: 1/[t + (1-t) G_k] =
+(1/G_k) * sum_s t^s R^s.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .config import CACHE_ENTRIES, SpecOutOfRange, check_ceiling, check_order
+from .config import CACHE_ENTRIES, check_ceiling, check_order
 from .exact import LSeries, QLaurent, TPoly, lift_marker
 from .genfun import GenFun, GenSpec, packed_genfun
 from .spectral import det_elimination, fk_polynomial, tridiagonal
@@ -121,94 +127,83 @@ def _marked_parts(ring, k, order):
     return ring.pack(fk_polynomial(k - 1).resized(order), 1), (0,) + c[:-1]
 
 
+def _geometric(spec, ring, p0, p1, ratio):
+    """The answer to spec whose series part, with the endpoints in
+    order, is p0 + t*p1 / (1 - t*R) for the packed arch R: its t^s
+    parts are [p0, p1, p1*R, p1*R^2, ...] to s = max(L//2, 1) for the
+    series order L (R and p1 start at z^1, so no part past L//2 holds
+    a term).  For m > n = 0, tG_(m,0) = t * tG_(0,m) puts one zero part
+    in front."""
+    top = spec.series_order // 2
+    parts = [p0, p1]
+    while len(parts) <= top:
+        parts.append(ring.mul(parts[-1], ratio))
+    if spec.m > spec.n == 0:
+        parts.insert(0, (0,) * (top + 1))
+    return GenFun(spec, _marker_series(ring, parts, spec))
+
+
 def tilde_genfun(k, m, n, order):
     """Floor-return-marked generating function for paths m -> n under
-    ceiling k (None = unbounded, computed at GenSpec.ceiling); requires
-    0 <= m <= n (no endpoint symmetry here).
+    ceiling k (None = unbounded, computed at GenSpec.ceiling); m > n
+    by path reversal from n -> m.
 
-    With tF_k = A - t*C and tF_(m-1) = A' - t*C', the t^s part of the
-    series is A' * Y for s = 0 and Y * (A' * C/A - C') * (C/A)^(s-1)
-    for s >= 1, where Y = F_(k-n-1)(zeta*theta^(n+1)) / A.  Y and the
-    arch C/A are each one packed quotient by the polynomial A.  Every
-    product and quotient runs to spec.series_order in spec.packed_ring;
-    the t^s parts are decoded at the end, straight into the marker
-    polynomials of the answer."""
+    With tF_k = A - t*C and tF_(m-1) = A' - t*C' (m <= n), the t^0
+    part is A' * Y and the t^1 part Y * (A' * R - C'), then geometric in
+    the arch R = C/A, where Y = F_(k-n-1)(zeta*theta^(n+1)) / A.  Y and
+    R are each one packed quotient by the polynomial A.  Every product
+    and quotient runs to spec.series_order in spec.packed_ring; the t^s
+    parts are decoded at the end, straight into the marker polynomials
+    of the answer."""
     spec = GenSpec(k, m, n, order)
-    if m > n:
-        raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
     k, ring, order = spec.ceiling, spec.packed_ring, spec.series_order
+    m, n = sorted((m, n))
     upper = ring.pack(fk_polynomial(k - n - 1).resized(order), n + 1)
     a, c = _marked_parts(ring, k, order)
     y, ratio = ring.quotient(upper, a), ring.quotient(c, a)
     a, c = _marked_parts(ring, m - 1, order)   # now A' and C'
     first = tuple(u - v for u, v in zip(ring.mul(a, ratio), c))
-    arches = [ring.mul(a, y), ring.mul(y, first)]
-    while len(arches) <= order // 2:
-        arches.append(ring.mul(arches[-1], ratio))
-    return GenFun(spec, _marker_series(ring, arches, spec))
-
-
-def _over_bracket(ring, h, x, y, order):
-    """Packed t^s parts, s = 0..order//2, of (x + (t-1)*y) / [t + (1-t)*G]
-    for an excursion function G, given h = G - 1 packed; y = None stands
-    for 0, else it must start at z^1.
-
-    The bracket is 1 - (t-1)*h, so the quotient is sum_r (t-1)^r * a_r
-    with a_0 = x and a_r = h^(r-1) * (h*x + y) for r >= 1.  h starts at
-    z^1, so a_r starts at z^r and r <= order//2 suffices.  A Taylor
-    shift by -1 (a_j -= a_(j+1), sweeping down) turns the powers of t-1
-    into powers of t by subtractions alone; the masked ring makes it
-    exact whatever the intermediate signs."""
-    top = order // 2
-    cur = ring.mul(h, x)
-    if y is not None:
-        cur = tuple(u + v for u, v in zip(cur, y))
-    a = [list(x), list(cur)]
-    while len(a) <= top:
-        a.append(list(ring.mul(a[-1], h)))
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
-            aj, above = a[j], a[j + 1]
-            for e in range(j + 1, top + 1):   # a_(j+1) is 0 below z^(j+1)
-                aj[e] -= above[e]
-    return a[:top + 1]
+    return _geometric(spec, ring, ring.mul(a, y), ring.mul(y, first),
+                      ratio)
 
 
 def tilde_genfun_ratio(k, m, n, order):
     """Cross-check route: the marked function equals the unmarked one
-    times [t + (1-t) G_(m-1)] / [t + (1-t) G_k], with G_(-1) = 1.
+    times [t + (1-t) G_(m-1)] / [t + (1-t) G_k], with G_(-1) = 1 (m > n
+    by path reversal, as in tilde_genfun).
 
-    The numerator is base * [1 - (t-1)(G_(m-1) - 1)], so x = base and
-    y = base - base * G_(m-1) in _over_bracket.  base, G_k and G_(m-1)
-    are the unmarked series parts, to spec.series_order in
-    spec.packed_ring, as in tilde_genfun."""
+    With x = base/G_k and the arch R = (G_k - 1)/G_k, the t^0 part is
+    p0 = x * G_(m-1) and the t^1 part p1 = x + p0 * R - p0, then
+    geometric in R.  base, G_k and G_(m-1) are unmarked series parts
+    (packed_genfun, never the marked determinant), to
+    spec.series_order in spec.packed_ring, as in tilde_genfun."""
     spec = GenSpec(k, m, n, order)
-    if m > n:
-        raise SpecOutOfRange("need 0 <= m <= n <= ceiling")
     k, ring, order = spec.ceiling, spec.packed_ring, spec.series_order
+    m, n = sorted((m, n))
     base = packed_genfun(ring, k, m, n, order)
-    y = None
-    if m > 0:
-        lower = ring.mul(base, packed_genfun(ring, m - 1, 0, 0, order))
-        y = tuple(u - v for u, v in zip(base, lower))
     # G_k is the base series itself when m = n = 0
     g = base if n == 0 else packed_genfun(ring, k, 0, 0, order)
-    cols = _over_bracket(ring, (0,) + g[1:], base, y, order)
-    return GenFun(spec, _marker_series(ring, cols, spec))
+    ratio, x = ring.quotient((0,) + g[1:], g), ring.quotient(base, g)
+    lower = (packed_genfun(ring, m - 1, 0, 0, order) if m
+             else (1,) + (0,) * (order // 2))
+    p0 = ring.mul(x, lower)
+    p1 = tuple(u + v - w for u, v, w in zip(x, ring.mul(p0, ratio), p0))
+    return _geometric(spec, ring, p0, p1, ratio)
 
 
 def tilde_genfun_openend(k, order):
     """Marked excursions with the final floor return left unmarked:
     1 + (G_k - 1) / [t + (1-t) G_k].  Every closed excursion ends with a
     return, so dividing the nontrivial part of the fully marked function
-    by t removes exactly that last marker."""
+    by t removes exactly that last marker.  It is 1 + R/(1 - t*R) for
+    the arch R = (G_k - 1)/G_k: the t^0 part 1 + R, then R^2, R^3..."""
     check_ceiling(k)
     spec = GenSpec(k, 0, 0, order)
     ring = spec.packed_ring
-    h = (0,) + packed_genfun(ring, spec.ceiling, 0, 0, order)[1:]
-    cols = _over_bracket(ring, h, h, None, order)
-    cols[0][0] += 1
-    return GenFun(spec, _marker_series(ring, cols, spec))
+    g = packed_genfun(ring, spec.ceiling, 0, 0, spec.series_order)
+    ratio = ring.quotient((0,) + g[1:], g)
+    return _geometric(spec, ring, (1,) + ratio[1:], ring.mul(ratio, ratio),
+                      ratio)
 
 
 def tilde_genfun_openend_shifted(k, order):

@@ -123,6 +123,31 @@ def test_non_integer_height_or_order_is_a_spec_error(route, args, field):
         route(*args)
 
 
+# name -> a call with a whole but non-int order (or length bound)
+NON_INT_ORDERS = {
+    "tilde_secular": lambda: tilde_secular(3, 4.0),
+    "tilde_secular_toprow": lambda: tilde_secular_toprow(3, 4.0),
+    "tilde_secular_direct": lambda: tilde_secular_direct(3, 4.0),
+    "p_restricted": lambda: p_restricted(None, 0, 0, 2.0),
+    "log_secular": lambda: log_secular(2, 2.0),
+    "grand_partition_exclusion": lambda: grand_partition_exclusion(2, 4.0),
+    "height_generating_function-w":
+        lambda: height_generating_function(2.0, 4),
+    "height_generating_function-order":
+        lambda: height_generating_function(2, 4.0),
+    "secular_matrix": lambda: secular_matrix(2, 4.0),
+    "enumerate_paths": lambda: enumerate_paths(3, 0, 0, 4.0),
+    "max_area": lambda: max_area(3, 0, 0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", NON_INT_ORDERS)
+def test_non_integer_order_is_a_spec_error(name):
+    # one order check (config.check_order) behind every entry point
+    with pytest.raises(SpecOutOfRange, match="must be an integer, got "):
+        NON_INT_ORDERS[name]()
+
+
 def test_openend_checks_the_order_before_building_a_series():
     with pytest.raises(SpecOutOfRange, match="order must be >= 0"):
         tilde_genfun_openend(3, -1)

@@ -27,6 +27,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _touchdown_rows(out):
+    """(l, A, s, count) of each row of `genfun --touchdown` CSV output,
+    whose coefficients must be whole counts."""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert all(row["den"] == "1" for row in rows)
+    return [tuple(int(row[f]) for f in ("l", "A", "s", "num"))
+            for row in rows]
+
+
 class TestGenfunCommand:
     def test_zigzag_csv(self, capsys):
         code, out, _ = run_cli(capsys, "genfun", "--k", "1", "--m", "0",
@@ -123,8 +132,31 @@ class TestGenfunCommand:
                 "--format", "csv", *command[1:])
         unbounded = run_cli(capsys, command[0], "--k", "inf", *argv)
         assert unbounded == run_cli(capsys, command[0], "--k", "8", *argv)
-        assert unbounded[0] == (2 if m > n and "--touchdown" in command
-                                else 0)
+        assert unbounded[0] == 0
+        if "--touchdown" in command:
+            # m > n too, by path reversal: the enumerator's rows
+            ceiling = GenSpec(None, m, n, max_len).ceiling
+            assert _touchdown_rows(unbounded[1]) == [
+                (l, a, s, c) for (l, a, s), c
+                in enumerate_paths(ceiling, m, n, max_len).sorted_items()]
+
+    @pytest.mark.parametrize("k,m,n,max_len", [
+        ("3", 2, 0, 10), ("3", 3, 1, 11), ("inf", 4, 0, 12),
+        ("inf", 5, 2, 13), ("4", 4, 3, 9)])
+    def test_touchdown_endpoints_in_either_order(self, capsys, k, m, n,
+                                                 max_len):
+        # the marked routes reverse a path from m > n; the table counts
+        # it directly
+        argv = ("--k", k, "--m", str(m), "--n", str(n),
+                "--max-len", str(max_len), "--format", "csv")
+        code, out, err = run_cli(capsys, "genfun", *argv, "--touchdown",
+                                 "--check")
+        assert code == 0, err
+        table = run_cli(capsys, "table", *argv, "--touchdowns")[1]
+        assert _touchdown_rows(out) == [
+            tuple(map(int, row)) for row in csv.reader(io.StringIO(table))
+            if row[0] != "l"]
+        assert _touchdown_rows(out)
 
     @pytest.mark.parametrize("k,flags", [
         (2000, ()), (2000, ("--check",)), (600, ("--touchdown",)),

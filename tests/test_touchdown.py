@@ -109,11 +109,26 @@ class TestMarkedGenFun:
         with pytest.raises(ValueError):
             gf.coefficient(13, 21, 1)
 
-    def test_endpoint_order_enforced(self):
-        with pytest.raises(SpecOutOfRange):
-            tilde_genfun(4, 3, 1, 8)
-        with pytest.raises(SpecOutOfRange):
-            tilde_genfun(2, 0, 3, 8)
+    @pytest.mark.parametrize("k", [None, 4])
+    @pytest.mark.parametrize("m,n", [(3, 1), (4, 0), (2, 0), (1, 0)])
+    def test_endpoints_in_either_order(self, k, m, n):
+        # m > n by path reversal: tG_(m,n) = tG_(n,m) for n >= 1 and
+        # tG_(m,0) = t * tG_(0,m), against the enumerator
+        spec = GenSpec(k, m, n, 13)
+        table = genfun_from_table(enumerate_paths(spec.ceiling, m, n, 13),
+                                  with_touchdowns=True)
+        for route in (tilde_genfun, tilde_genfun_ratio):
+            assert route(k, m, n, 13).full_series() == table
+        swapped = tilde_genfun(k, n, m, 13).series
+        if n == 0:
+            swapped = swapped.map_coeffs(lambda v: v * TPoly.marker())
+        assert tilde_genfun(k, m, n, 13).series == swapped
+
+    def test_end_above_the_ceiling_is_refused(self):
+        for route in (tilde_genfun, tilde_genfun_ratio):
+            for m, n in [(0, 3), (3, 0)]:
+                with pytest.raises(SpecOutOfRange):
+                    route(2, m, n, 8)
 
     @pytest.mark.parametrize("m,n,L", [(0, 0, 8), (1, 2, 11), (0, 3, 9),
                                        (2, 2, 10), (0, 7, 3)])
@@ -129,18 +144,20 @@ class TestMarkedGenFun:
                                                      spec.area_cap)
 
     @pytest.mark.parametrize("k", [None, 4])
-    @pytest.mark.parametrize("m,n", [(-1, 2), (3, 1)])
-    def test_bad_start_height_is_a_usage_error(self, k, m, n):
+    @pytest.mark.parametrize("m,n", [(-1, 2), (2, -1)])
+    def test_negative_height_is_a_usage_error(self, k, m, n):
         for route in (tilde_genfun, tilde_genfun_ratio):
             with pytest.raises(SpecOutOfRange):
                 route(k, m, n, 8)
 
 
 class TestOpenEnded:
-    @pytest.mark.parametrize("k", range(0, 6))
-    def test_two_routes_agree(self, k):
-        assert (tilde_genfun_openend(k, 12).series
-                == tilde_genfun_openend_shifted(k, 12).series)
+    @pytest.mark.parametrize("order", [0, 1, 2, 12])
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_two_routes_agree(self, k, order):
+        # orders 0 and 1 have the one t^0 part
+        assert (tilde_genfun_openend(k, order).series
+                == tilde_genfun_openend_shifted(k, order).series)
 
     def test_one_level_closed_form(self):
         # 1 + zeta^2/(1 - t zeta^2): (UD)^a carries a-1 markers
@@ -153,10 +170,11 @@ class TestOpenEnded:
         for k in range(0, 4):
             assert tilde_genfun_openend(k, 8).series.coeff(0) == TPoly.one()
 
-    @pytest.mark.parametrize("k", range(0, 5))
-    def test_collapse_is_plain_excursions(self, k):
-        assert (tilde_genfun_openend(k, 12).at_t_one()
-                == genfun(GenSpec(k, 0, 0, 12)).full_series())
+    @pytest.mark.parametrize("order", [0, 1, 12])
+    @pytest.mark.parametrize("k", range(0, 9))
+    def test_collapse_is_plain_excursions(self, k, order):
+        assert (tilde_genfun_openend(k, order).at_t_one()
+                == genfun(GenSpec(k, 0, 0, order)).full_series())
 
     def test_shifted_marker_counts(self):
         # every monomial's marker degree is the oracle count minus one
@@ -173,7 +191,9 @@ def quotient_reference(spec):
     by marker-polynomial arithmetic with no cap, at the spec's own
     ceiling when finite (not the clamped one), then with the exponents
     above the spec's area cap, if it has one, dropped: the reference for
-    the packed arch expansion and the packed bracket expansion."""
+    the packed arch expansions of both routes, whatever arch each
+    writes.  It needs m <= n; the routes take any endpoints, m > n by
+    path reversal, which the oracle checks instead."""
     k = spec.ceiling if spec.k is None else spec.k
     L = spec.series_order
     upper = lift_marker(fk_polynomial(k - spec.n - 1).resized(L)
@@ -188,8 +208,8 @@ def quotient_reference(spec):
 @st.composite
 def marked_specs(draw):
     k = draw(st.sampled_from([None, *range(9)]))
-    n = draw(st.integers(0, 6 if k is None else min(k, 6)))
-    return GenSpec(k, draw(st.integers(0, n)), n, draw(st.integers(0, 20)))
+    ends = st.integers(0, 6 if k is None else min(k, 6))
+    return GenSpec(k, draw(ends), draw(ends), draw(st.integers(0, 20)))
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
@@ -206,13 +226,23 @@ def marked_specs(draw):
 @example(GenSpec(8, 0, 1, 25))     # 32, 24 and 24 bits
 @example(GenSpec(None, 1, 3, 24))
 @example(GenSpec(8, 0, 0, 7))      # ceiling clamped to 3
+@example(GenSpec(None, 6, 0, 20))  # reversed, one zero part in front
+@example(GenSpec(5, 4, 2, 17))
+@example(GenSpec(3, 3, 0, 2))      # no path fits
 def test_whole_series_matches_quotient_reference(spec):
     # every coefficient, area power and marker power the series holds,
     # to its series order
     args = (spec.k, spec.m, spec.n, spec.order)
-    reference = quotient_reference(spec)
-    assert tilde_genfun(*args).series == reference
-    assert tilde_genfun_ratio(*args).series == reference
+    if spec.m <= spec.n:
+        reference = quotient_reference(spec)
+        assert tilde_genfun(*args).series == reference
+        assert tilde_genfun_ratio(*args).series == reference
+    else:
+        reference = genfun_from_table(
+            enumerate_paths(spec.ceiling, spec.m, spec.n, spec.order),
+            with_touchdowns=True)
+        assert tilde_genfun(*args).full_series() == reference
+        assert tilde_genfun_ratio(*args).full_series() == reference
 
 
 @pytest.mark.parametrize("cap", [None, -1, 0, 6, 13])
@@ -248,7 +278,9 @@ def column_assembly(ring, cols, order):
     (tilde_genfun, (6, 0, 0, 33)),
     (tilde_genfun, (12, 2, 5, 24)),
     (tilde_genfun, (3, 3, 3, 0)),
+    (tilde_genfun, (5, 4, 0, 21)),     # reversed: a zero t^0 part
     (tilde_genfun_ratio, (None, 0, 2, 30)),
+    (tilde_genfun_ratio, (None, 3, 0, 19)),
     (tilde_genfun_openend, (5, 26)),
 ])
 def test_marker_rows_match_column_assembly(route, args, monkeypatch):
