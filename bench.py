@@ -1,4 +1,5 @@
-"""Ladder timings of the packed kernel and the two determinant routes.
+"""Ladder timings of the packed kernel, the two determinant routes and
+cold command-line jobs.
 
     python3 bench.py LABEL
     python3 bench.py --compare OLD.json NEW.json
@@ -37,6 +38,15 @@ each minimum: a time over its reference compares across files.
 --compare prints, for every row that both files timed, NEW's minimum
 over its reference divided by OLD's.
 
+The file's "cli" rows time cold processes, each run a fresh interpreter
+with PYTHONDONTWRITEBYTECODE=1, as a benchmark job runs, on a copy of
+the package with no bytecode cache, so that every run compiles the
+modules it loads from source: `python -c pass` (the interpreter and
+`site`), `import dyckgen.cli`, and the commands `genfun --k inf --m 0
+--n 0 --max-len 24`, `table --k 4 --m 0 --n 0 --max-len 24
+--touchdowns` and `verify --suite genfun`.  Each has the same reference
+call beside it, run in this process between its runs.
+
 The ladder is k = inf at orders 32..120, the finite ceiling 12 at
 orders 80..400, where the packed ints are longest, the ceiling 4 at
 orders 80..400, where the slots are narrowest for their order (320 bits
@@ -51,8 +61,10 @@ import json
 import os
 import platform
 import random
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -68,6 +80,16 @@ LADDER = ([(None, 0, 0, order, True) for order in (32, 48, 64, 80, 100, 120)]
              (12, 0, 0, 400, False)]
           + [(4, 0, 0, 80, True), (4, 0, 0, 200, False),
              (4, 0, 0, 400, False), (None, 2, 5, 48, True)])
+# (row name, interpreter arguments) of the cold-process rows
+CLI_ROWS = (
+    ("python", ["-c", "pass"]),
+    ("import_cli", ["-c", "import dyckgen.cli"]),
+    ("genfun", ["-m", "dyckgen.cli", "genfun", "--k", "inf", "--m", "0",
+                "--n", "0", "--max-len", "24"]),
+    ("table", ["-m", "dyckgen.cli", "table", "--k", "4", "--m", "0",
+               "--n", "0", "--max-len", "24", "--touchdowns"]),
+    ("verify", ["-m", "dyckgen.cli", "verify", "--suite", "genfun"]),
+)
 MAX_RUNS = 20
 BUDGET_S = 3.0
 REF_TERMS = 60   # size of the reference call's product
@@ -172,6 +194,25 @@ def point(k, m, n, order, with_tilde):
     return out
 
 
+def cli_rows():
+    """The cold-process rows, run on a copy of src/ without __pycache__."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(HERE, "src"), src,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        rows = []
+        for name, args in CLI_ROWS:
+            cmd = [sys.executable, *args]
+            best, runs, ref = min_time(lambda: subprocess.run(
+                cmd, env=env, stdout=subprocess.DEVNULL, check=True))
+            rows.append({"name": name, "argv": args, "s": round(best, 6),
+                         "runs": runs, "ref_s": round(ref, 6)})
+            print(f"cli {name}: {best:.4f} s ({runs} runs, reference "
+                  f"{ref:.4f} s)", flush=True)
+    return rows
+
+
 def git(*args):
     return subprocess.run(["git", "-C", HERE, *args], capture_output=True,
                           text=True)
@@ -179,11 +220,13 @@ def git(*args):
 
 def compare(old_path, new_path):
     """Print NEW/OLD of each row's minimum over its reference minimum."""
-    rows = []
+    rows, cli = [], []
     for path in (old_path, new_path):
         with open(path) as f:
-            rows.append({tuple(row[key] for key in ("k", "m", "n", "order")):
-                         row for row in json.load(f)["ladder"]})
+            doc = json.load(f)
+        rows.append({tuple(row[key] for key in ("k", "m", "n", "order")):
+                     row for row in doc["ladder"]})
+        cli.append({row["name"]: row for row in doc.get("cli", ())})
     old, new = rows
     for point, a in old.items():
         b = new.get(point, {})
@@ -193,6 +236,11 @@ def compare(old_path, new_path):
                     and a[key] and b.get(key) and a.get(ref) and b.get(ref)):
                 ratio = (b[key] / b[ref]) / (a[key] / a[ref])
                 print(f"{point} {key[:-2]}: {ratio:.2f}")
+    for name, a in cli[0].items():
+        b = cli[1].get(name)
+        if b:
+            ratio = (b["s"] / b["ref_s"]) / (a["s"] / a["ref_s"])
+            print(f"cli {name}: {ratio:.2f}")
 
 
 def main(argv):
@@ -208,6 +256,7 @@ def main(argv):
            "platform": platform.platform(), "cpus": os.cpu_count(),
            "max_runs": MAX_RUNS, "budget_s": BUDGET_S,
            "ref_terms": REF_TERMS,
+           "cli": cli_rows(),
            "ladder": [point(*p) for p in LADDER]}
     with open(f"BENCH_{label}.json", "w") as f:
         json.dump(doc, f, indent=2)

@@ -15,41 +15,78 @@ the heights 0..k, by several independent routes:
 all cross-checked against a brute-force dynamic-programming enumerator
 (`oracle`) and bundled into identity suites (`verify`) behind the
 `dyckgen` command-line tool (`cli`).
+
+Submodules load on first use: `import dyckgen` registers each through
+importlib's LazyLoader, which runs its code at the first attribute read,
+and serves the names of `__all__` from their defining modules (PEP 562).
+The package attribute `genfun` is the function; its module is
+sys.modules["dyckgen.genfun"].  So a `dyckgen genfun` job runs only
+cli, config, exact, spectral and genfun; `--touchdown` adds touchdown,
+the cluster-exp route (`--check`, `--method cluster-exp`) cluster,
+`table` oracle, and `verify` runs every module.
 """
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-from .cluster import (c2, c2_factorial, composition_energy, compositions,
-                      degree_check, degree_formula, genfun_via_cluster,
-                      log_secular, p_restricted)
-from .config import GuardExceeded, SpecOutOfRange, UsageError
-from .exact import (BadConstantTerm, InexactDivision, LSeries,
-                    NonUnitConstantTerm, QLaurent, TPoly, lift_marker)
-from .genfun import (GenFun, GenSpec, check_duality, continued_fraction,
-                     genfun)
-from .oracle import (PathTable, Unreachable, enumerate_paths,
-                     genfun_from_table, max_area)
-from .spectral import (bosonic_partition, det_degree, fk_polynomial,
-                       grand_partition_exclusion, height_generating_function,
-                       qbinom, secular_det_direct, secular_det_tilde,
-                       secular_matrix)
-from .touchdown import (tilde_genfun, tilde_genfun_openend,
-                        tilde_genfun_ratio, tilde_secular,
-                        tilde_secular_direct, tilde_secular_toprow)
-from .verify import CheckResult, check_recursions, run_suites
+# defining submodule -> the public names it serves
+_EXPORTS = {
+    "config": ("GuardExceeded", "SpecOutOfRange", "UsageError"),
+    "exact": ("BadConstantTerm", "InexactDivision", "LSeries",
+              "NonUnitConstantTerm", "QLaurent", "TPoly", "lift_marker"),
+    "spectral": ("bosonic_partition", "det_degree", "fk_polynomial",
+                 "grand_partition_exclusion", "height_generating_function",
+                 "qbinom", "secular_det_direct", "secular_det_tilde",
+                 "secular_matrix"),
+    "genfun": ("GenFun", "GenSpec", "check_duality", "continued_fraction",
+               "genfun"),
+    "cluster": ("c2", "c2_factorial", "composition_energy", "compositions",
+                "degree_check", "degree_formula", "genfun_via_cluster",
+                "log_secular", "p_restricted"),
+    "oracle": ("PathTable", "Unreachable", "enumerate_paths",
+               "genfun_from_table", "max_area"),
+    "touchdown": ("tilde_genfun", "tilde_genfun_openend",
+                  "tilde_genfun_ratio", "tilde_secular",
+                  "tilde_secular_direct", "tilde_secular_toprow"),
+    "verify": ("CheckResult", "check_recursions", "run_suites"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+__all__ = sorted(_HOME)
 
-__all__ = [
-    "BadConstantTerm", "CheckResult", "GenFun", "GenSpec", "GuardExceeded",
-    "InexactDivision", "LSeries", "NonUnitConstantTerm", "PathTable",
-    "QLaurent", "SpecOutOfRange", "TPoly", "Unreachable", "UsageError",
-    "bosonic_partition", "c2", "c2_factorial", "check_duality",
-    "check_recursions", "composition_energy", "compositions",
-    "continued_fraction", "degree_check", "degree_formula", "det_degree",
-    "enumerate_paths", "fk_polynomial", "genfun", "genfun_from_table",
-    "genfun_via_cluster", "grand_partition_exclusion",
-    "height_generating_function", "lift_marker", "log_secular", "max_area",
-    "p_restricted", "qbinom", "run_suites", "secular_det_direct",
-    "secular_det_tilde", "secular_matrix", "tilde_genfun",
-    "tilde_genfun_openend", "tilde_genfun_ratio", "tilde_secular",
-    "tilde_secular_direct", "tilde_secular_toprow",
-]
+
+def _register_lazily(name):
+    """Put the submodule `name` in sys.modules, its code left to run at
+    the first attribute read."""
+    fullname = f"{__name__}.{name}"
+    if fullname in sys.modules:   # a reload of the package keeps it
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# cli stays out: a pre-registered module makes `python -m dyckgen.cli`
+# warn that it is found in sys.modules before it runs
+for _name in _EXPORTS:
+    _module = _register_lazily(_name)
+    if _name != "genfun":
+        globals()[_name] = _module
+del _name, _module
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -20,13 +20,8 @@ import enum
 import sys
 
 from . import __version__
-from .cluster import genfun_via_cluster
-from .config import UsageError
-from .exact import TPoly
-from .genfun import GenSpec, continued_fraction, genfun
-from .oracle import PathTable, enumerate_paths
-from .touchdown import tilde_genfun, tilde_genfun_ratio
-from .verify import SUITE_NAMES, run_suites
+from .config import SUITE_NAMES, UsageError
+from .genfun import GenSpec
 
 
 class Convention(enum.Enum):
@@ -95,6 +90,7 @@ def _exp_json(v, halve):
 
 def _series_terms(full):
     """Flatten a series into sorted (l, A, s-or-None, coeff) tuples."""
+    from .exact import TPoly
     out = []
     for l, v in full.nonzero_terms():
         if isinstance(v, TPoly):
@@ -142,20 +138,29 @@ def _emit(args, spec_echo, method, terms, count_label=None):
     return 0
 
 
+def _via_cluster(spec):
+    from .cluster import genfun_via_cluster
+    return genfun_via_cluster(spec)
+
+
 def cmd_genfun(args):
+    # each route's module is imported here, so a job loads only those
+    # of the routes it runs
     k, spec_echo = _parse_spec_flags(args)
     m, n, order = args.m, args.n, args.max_len
     if args.touchdown:
         if args.method != "determinant":
             raise UsageError(
                 "--touchdown supports only --method determinant")
+        from .touchdown import tilde_genfun, tilde_genfun_ratio
         routes = {
             "determinant": lambda: tilde_genfun(k, m, n, order).full_series(),
             "ratio": lambda: tilde_genfun_ratio(k, m, n, order).full_series()}
     else:
+        from .genfun import continued_fraction, genfun
         spec = GenSpec(k, m, n, order)
         routes = {"determinant": lambda: genfun(spec).full_series(),
-                  "cluster-exp": lambda: genfun_via_cluster(spec)}
+                  "cluster-exp": lambda: _via_cluster(spec)}
         if m == n == 0:
             routes["continued-fraction"] = (
                 lambda: continued_fraction(spec.ceiling, spec.order))
@@ -173,6 +178,7 @@ def cmd_genfun(args):
 
 
 def cmd_table(args):
+    from .oracle import enumerate_paths
     k, spec_echo = _parse_spec_flags(args)
     ceiling = GenSpec(k, args.m, args.n, args.max_len).ceiling
     table = enumerate_paths(ceiling, args.m, args.n, args.max_len)
@@ -189,6 +195,7 @@ def cmd_table(args):
 def table_from_json(doc):
     """Rebuild a PathTable from cmd_table JSON output (round-trip
     helper; requires touchdown-resolved terms)."""
+    from .oracle import PathTable
     halve = doc["convention"] == Convention.DOUBLE_STEP_DIAMOND.value
     spec = doc["spec"]
     k = None if spec["k"] == "inf" else spec["k"]
@@ -204,6 +211,7 @@ def table_from_json(doc):
 
 
 def cmd_verify(args):
+    from .verify import run_suites
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suites(names, args.k_max, args.len_max)
     failures = 0

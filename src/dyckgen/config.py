@@ -33,6 +33,12 @@ VERIFY_K_MAX = 12
 # long-lived process holds bounded memory.
 CACHE_ENTRIES = 64
 
+# The identity suites of verify, in running order: verify's suite_<name>
+# functions, named here so that the command line can offer them without
+# loading verify.
+SUITE_NAMES = ("determinants", "genfun", "duality", "recursions", "cluster",
+               "touchdown")
+
 
 class UsageError(ValueError):
     """A request that cannot be served as asked."""

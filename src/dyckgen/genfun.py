@@ -10,7 +10,7 @@ zeta^(n-m) theta^((n-m)(n+m-1)/2) times an even series equal to
 
 where F is the ceiling determinant.  The routes compute the series
 part and decode it once, straight into the answer, the prefactor being
-a shift of the decoded exponents; GenFun.series divides it out again.
+a shift of the decoded exponents.
 
 An unbounded ceiling is requested with k = None.
 """
@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import add
 
 from .config import CACHE_ENTRIES, SpecOutOfRange, UsageError, check_ceiling
-from .exact import LSeries, PackedRing, TPoly
+from .exact import PackedRing, TPoly
 from .spectral import fk_polynomial
 
 
@@ -126,15 +126,6 @@ class GenFun(namedtuple("GenFun", "spec full")):
     part counts paths with s floor returns."""
 
     __slots__ = ()
-
-    @property
-    def series(self):
-        """The series part, the answer over its prefactor, to
-        spec.series_order (zero when no path fits)."""
-        spec, full = self.spec, self.full
-        c = [v.shift(-spec.area_shift) for v in full.c[spec.step_shift:]]
-        return LSeries._wrap(spec.series_order, c or [full.ring.zero()],
-                             full.ring)
 
     def full_series(self):
         """The answer, truncated at the spec order."""

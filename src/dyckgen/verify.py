@@ -14,8 +14,8 @@ from collections import namedtuple
 from .cluster import (c2, c2_factorial, compositions, degree_check,
                       degree_formula, genfun_via_cluster, in_steps,
                       log_secular)
-from .config import (DIRECT_DET_K_MAX, ORACLE_LEN_MAX, VERIFY_K_MAX,
-                     SpecOutOfRange, UsageError, check_guard)
+from .config import (DIRECT_DET_K_MAX, ORACLE_LEN_MAX, SUITE_NAMES,
+                     VERIFY_K_MAX, SpecOutOfRange, UsageError, check_guard)
 from .exact import LSeries, QLaurent
 from .genfun import GenSpec, check_duality, continued_fraction, genfun
 from .oracle import enumerate_paths, genfun_from_table, max_area
@@ -326,15 +326,9 @@ def suite_touchdown(k_max=4, len_max=12):
     return out
 
 
-_SUITES = {
-    "determinants": suite_determinants,
-    "genfun": suite_genfun,
-    "duality": suite_duality,
-    "recursions": suite_recursions,
-    "cluster": suite_cluster,
-    "touchdown": suite_touchdown,
-}
-SUITE_NAMES = tuple(_SUITES)
+# the suites are named once, in config.SUITE_NAMES: each name is the
+# suite_<name> above (a KeyError at import if not)
+_SUITES = {name: globals()["suite_" + name] for name in SUITE_NAMES}
 
 
 def run_suites(names, k_max=None, len_max=None):

@@ -2,9 +2,12 @@
 takes a ceiling, public names that all resolve, value semantics of the
 record types, and a stdlib-only import."""
 
+import importlib
+import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -237,17 +240,25 @@ def test_genspec_validation(args, message):
         GenSpec(None, 0, 0, 4)._replace(**kwargs)
 
 
+def _fresh_python(*args):
+    """Run the interpreter on args with the package's source on the path,
+    as a fresh process."""
+    src = os.path.dirname(os.path.dirname(dyckgen.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
 def test_cli_import_is_stdlib_only():
     # a fresh interpreter: the modules `import dyckgen.cli` adds must be
     # the package's own or the standard library's, and the costly
     # dataclasses and inspect, and json and csv (the writers fill string
     # templates), stay out of the start-up path
-    src = os.path.dirname(os.path.dirname(dyckgen.__file__))
     code = ("import sys; before = set(sys.modules); import dyckgen.cli; "
             "print('\\n'.join(sorted(set(sys.modules) - before)))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
+    run = _fresh_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    out = run.stdout.split()
     assert "dyckgen.cli" in out
     assert "dataclasses" not in out and "inspect" not in out
     assert "json" not in out and "csv" not in out
@@ -255,3 +266,87 @@ def test_cli_import_is_stdlib_only():
                and not m.startswith("dyckgen.")
                and m.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+# the modules a plain `genfun` job runs
+PLAIN_JOB = {"cli", "config", "exact", "spectral", "genfun"}
+SPEC = ("--k", "3", "--m", "0", "--n", "0", "--max-len", "6")
+
+# a fresh process records the package modules whose code runs: importlib
+# execs a module's code object, so an audit hook sees it, and a module
+# that is registered but never read does not count
+RECORD_RAN = """
+import json, os, sys
+ran = set()
+def hook(event, args):
+    if event == "exec" and isinstance(args[0], type(hook.__code__)):
+        path = args[0].co_filename
+        if os.path.basename(os.path.dirname(path)) == "dyckgen":
+            ran.add(os.path.basename(path)[:-3])
+sys.addaudithook(hook)
+"""
+
+# ... runs the command in process, with stdout discarded, and prints its
+# exit code and the submodules that ran
+RUN_COMMAND = RECORD_RAN + """
+import io
+from contextlib import redirect_stdout
+from dyckgen.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(ran - {"__init__"})]))
+"""
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (("genfun",) + SPEC, set()),
+    (("genfun",) + SPEC + ("--touchdown",), {"touchdown"}),
+    (("genfun",) + SPEC + ("--check",), {"cluster"}),
+    (("genfun",) + SPEC + ("--method", "cluster-exp"), {"cluster"}),
+    (("table",) + SPEC + ("--touchdowns",), {"oracle"}),
+    (("verify", "--suite", "genfun", "--k-max", "1", "--len-max", "4"),
+     {"cluster", "oracle", "touchdown", "verify"}),
+], ids=["genfun", "touchdown", "check", "cluster-exp", "table", "verify"])
+def test_a_command_runs_only_the_modules_it_uses(argv, extra):
+    run = _fresh_python("-c", RUN_COMMAND, *argv)
+    assert run.returncode == 0, run.stderr
+    code, ran = json.loads(run.stdout)
+    assert code == 0
+    assert set(ran) == PLAIN_JOB | extra
+
+
+def test_package_attributes_load_on_first_use():
+    # the package attribute genfun is the function, every other
+    # submodule is its module, and each public name resolves to the
+    # object its defining module holds
+    assert isinstance(dyckgen.genfun, types.FunctionType)
+    assert dyckgen.genfun is sys.modules["dyckgen.genfun"].genfun
+    assert dyckgen.verify is sys.modules["dyckgen.verify"]
+    assert dyckgen.run_suites is dyckgen.verify.run_suites
+    namespace = {}
+    exec("from dyckgen import *", namespace)
+    for name in dyckgen.__all__:
+        assert namespace[name] is getattr(dyckgen, name), name
+    assert set(dyckgen.__all__) <= set(dir(dyckgen))
+    assert len(set(dyckgen.__all__)) == len(dyckgen.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dyckgen.no_such_name
+    # a reload keeps the loaded modules, and so the classes they define
+    verify = sys.modules["dyckgen.verify"]
+    importlib.reload(dyckgen)
+    assert sys.modules["dyckgen.verify"] is verify is dyckgen.verify
+
+
+def test_import_loads_no_submodule_code():
+    run = _fresh_python("-c", RECORD_RAN + "import dyckgen\n"
+                        "print(json.dumps(sorted(ran - {'__init__'})))")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == []
+
+
+def test_module_run_warns_nothing():
+    # cli is not registered ahead of its run: runpy would warn
+    run = _fresh_python("-W", "error", "-m", "dyckgen.cli", "genfun", *SPEC)
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert run.stdout.startswith('{\n  "spec"')

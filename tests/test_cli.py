@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -397,7 +398,7 @@ class TestVerifyCommand:
         fake = [CheckResult("genfun", "oracle_equality", "k=0", True),
                 CheckResult("genfun", "oracle_equality", "k=1", False,
                             "first mismatch at step power 2")]
-        monkeypatch.setattr("dyckgen.cli.run_suites",
+        monkeypatch.setattr("dyckgen.verify.run_suites",
                             lambda names, k_max, len_max: fake)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
@@ -443,8 +444,9 @@ class TestExitCodes:
 
     def test_internal_mismatch_exits_three(self, capsys, monkeypatch):
         wrong = LSeries(4, {0: 1})
-        monkeypatch.setattr("dyckgen.cli.continued_fraction",
-                            lambda k, order: wrong)
+        # the package attribute dyckgen.genfun is the function
+        monkeypatch.setattr(sys.modules["dyckgen.genfun"],
+                            "continued_fraction", lambda k, order: wrong)
         code, out, err = run_cli(capsys, "genfun", "--k", "1", "--m", "0",
                                  "--n", "0", "--max-len", "4", "--check")
         assert code == 3
@@ -453,7 +455,7 @@ class TestExitCodes:
     def test_touchdown_mismatch_exits_three(self, capsys, monkeypatch):
         fake = GenFun(GenSpec(1, 0, 0, 4),
                       full=LSeries(4, {0: TPoly.one()}, ring=TPoly))
-        monkeypatch.setattr("dyckgen.cli.tilde_genfun_ratio",
+        monkeypatch.setattr("dyckgen.touchdown.tilde_genfun_ratio",
                             lambda k, m, n, order: fake)
         code, _, err = run_cli(capsys, "genfun", "--k", "1", "--m", "0",
                                "--n", "0", "--max-len", "4", "--touchdown",

@@ -13,6 +13,7 @@ from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count,
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
 from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
+                               tilde_genfun_openend_shifted,
                                tilde_genfun_ratio, tilde_secular)
 from dyckgen.verify import check_recursions
 
@@ -150,8 +151,9 @@ class TestStructure:
         gf = genfun(GenSpec(5, 1, 4, 10))
         assert gf.spec.step_shift == 3
         assert gf.spec.area_shift == 3 * (4 + 1 - 1) // 2  # == 6
-        # series part carries only even powers
-        assert all(l % 2 == 0 for l, _ in gf.series.nonzero_terms())
+        # past the prefactor the answer carries only even powers
+        assert all((l - 3) % 2 == 0
+                   for l, _ in gf.full_series().nonzero_terms())
 
     def test_endpoint_symmetry(self):
         # a path from 3 to 1, read backwards, goes from 1 to 3
@@ -173,7 +175,8 @@ class TestStructure:
 
     def test_ceiling_corner_is_plain_determinant_ratio(self):
         for k in range(1, 6):
-            corner = genfun(GenSpec(k, k, k, 12)).series
+            # m = n = k: the prefactor is 1
+            corner = genfun(GenSpec(k, k, k, 12)).full_series()
             plain = fk_polynomial(k - 1).resized(12).divide(
                 fk_polynomial(k).resized(12))
             assert corner == plain
@@ -357,16 +360,17 @@ def packed_specs(draw):
 @example(GenSpec(7, 0, 0, 15))
 @example(GenSpec(8, 0, 1, 5))      # ceiling clamped to 3
 def test_whole_series_matches_uncapped_reference(spec):
-    # every coefficient and area power the series holds, to its series
-    # order
-    assert genfun(spec).series == uncapped_series(spec)
+    # every coefficient and area power the answer holds, to its order
+    assert (genfun(spec).full_series()
+            == with_prefactor(spec, uncapped_series(spec)))
 
 
 @pytest.mark.parametrize("k", [None, *range(9)])
 def test_series_runs_to_the_series_order(k):
-    # the series part holds the answer's coefficients of zeta^|n-m| ..
-    # zeta^order and nothing else; with |n - m| > order no path fits and
-    # the series is empty at any ceiling
+    # the answer runs to the spec order and starts at zeta^|n-m|, the
+    # shortest path, its series part filling the series order; with
+    # |n - m| > order no path fits and the answer is empty at any
+    # ceiling
     top = 6 if k is None else k
     for m in range(top + 1):
         for n in range(m, top + 1):
@@ -377,10 +381,12 @@ def test_series_runs_to_the_series_order(k):
                 marked = tilde_genfun(k, m, n, order)
                 for gf in (plain, marked,
                            tilde_genfun_ratio(k, m, n, order)):
-                    assert gf.series.order == spec.series_order
+                    full = gf.full_series()
+                    assert full.order == order
                     if d > order:
-                        assert gf.series.is_zero()
-                        assert gf.full_series().is_zero()
+                        assert full.is_zero()
+                    else:
+                        assert min(l for l, _ in full.nonzero_terms()) == d
                 assert genfun_via_cluster(spec) == plain.full_series()
 
 
@@ -391,15 +397,15 @@ def with_prefactor(spec, s):
     return s.map_coeffs(lambda v: v.shift(spec.area_shift))
 
 
-def coefficient_reference(spec, s, l, area, touchdowns=None):
-    """GenFun.coefficient read off the series part s instead."""
-    lp = l - spec.step_shift
-    if lp < 0:
+def coefficient_reference(answer, l, area, touchdowns=None):
+    """GenFun.coefficient read off a reference answer instead (0 at a
+    negative step power)."""
+    if l < 0:
         return 0
-    v = s.coeff(lp)
-    if s.ring is TPoly:
+    v = answer.coeff(l)
+    if answer.ring is TPoly:
         v = v.at_t_one() if touchdowns is None else v.coeff(touchdowns)
-    return v.coeff(area - spec.area_shift)
+    return v.coeff(area)
 
 
 @st.composite
@@ -417,24 +423,28 @@ def route_specs(draw):
 def test_answer_is_the_series_part_times_the_prefactor(spec):
     # every route decodes straight into the answer; the answer, its
     # t = 1 collapse and its coefficients are the series part with the
-    # prefactor put back on
+    # prefactor put back on: the uncapped quotient, of which the
+    # enumerator's marked counts, the marked routes' reference, are a
+    # refinement, and for the open end its shifted route
     k, m, n, L = spec
-    results = [genfun(spec), tilde_genfun(k, m, n, L),
-               tilde_genfun_ratio(k, m, n, L)]
+    plain = with_prefactor(spec, uncapped_series(spec))
+    marked = genfun_from_table(enumerate_paths(spec.ceiling, m, n, L),
+                               with_touchdowns=True)
+    assert marked.map_coeffs(TPoly.at_t_one) == plain
+    results = [(genfun(spec), plain), (tilde_genfun(k, m, n, L), marked),
+               (tilde_genfun_ratio(k, m, n, L), marked)]
     if k is not None and m == n == 0:
-        results.append(tilde_genfun_openend(k, L))
-    for gf in results:
-        s = gf.series
-        assert s.order == spec.series_order
-        full = with_prefactor(spec, s)
-        assert gf.full_series() == full
-        plain = s if s.ring is not TPoly else s.map_coeffs(TPoly.at_t_one)
-        assert gf.at_t_one() == with_prefactor(spec, plain)
+        results.append((tilde_genfun_openend(k, L),
+                        tilde_genfun_openend_shifted(k, L).full_series()))
+    for gf, answer in results:
+        assert gf.full_series() == answer
+        assert gf.at_t_one() == (answer if answer.ring is not TPoly
+                                 else answer.map_coeffs(TPoly.at_t_one))
         with pytest.raises(IndexError):
             gf.coefficient(L + 1, 0)
-        for l, v in [(-1, full.ring.zero()), *enumerate(full.c)]:
+        for l, v in [(-1, answer.ring.zero()), *enumerate(answer.c)]:
             marks = [None]
-            if full.ring is TPoly:
+            if answer.ring is TPoly:
                 top = max((t for t, _ in v.terms()), default=-1)
                 marks += range(top + 2)
                 v = v.at_t_one()
@@ -442,7 +452,7 @@ def test_answer_is_the_series_part_times_the_prefactor(spec):
             for area in areas:
                 for t in marks:
                     assert (gf.coefficient(l, area, t)
-                            == coefficient_reference(spec, s, l, area, t))
+                            == coefficient_reference(answer, l, area, t))
 
 
 @pytest.mark.parametrize("k,m,n,L", [

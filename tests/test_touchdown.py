@@ -16,6 +16,13 @@ from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
                                tilde_secular_direct, tilde_secular_toprow)
 
 
+def with_prefactor(spec, series):
+    """The answer of a marker series part: to spec.order, times
+    zeta^step_shift theta^area_shift."""
+    series = series.resized(spec.order).shift_step(spec.step_shift)
+    return series.map_coeffs(lambda v: v.shift(spec.area_shift))
+
+
 def dropped_above(series, cap):
     """A marker series with the area exponents above cap dropped."""
     return LSeries(series.order, [
@@ -70,8 +77,8 @@ class TestMarkedGenFun:
     def test_ratio_route(self, k):
         for m in range(k + 1):
             for n in range(m, k + 1):
-                assert (tilde_genfun(k, m, n, 12).series
-                        == tilde_genfun_ratio(k, m, n, 12).series)
+                assert (tilde_genfun(k, m, n, 12).full_series()
+                        == tilde_genfun_ratio(k, m, n, 12).full_series())
 
     @pytest.mark.parametrize("k", range(0, 6))
     def test_collapse_at_one(self, k):
@@ -82,13 +89,14 @@ class TestMarkedGenFun:
 
     def test_one_level_closed_form(self):
         # the zigzag: (UD)^a carries exactly a markers
-        series = tilde_genfun(1, 0, 0, 12).series
+        series = tilde_genfun(1, 0, 0, 12).full_series()
         for a in range(7):
             assert series.coeff(2 * a) == TPoly({a: 1})
 
     def test_first_excursion_carries_one_marker(self):
         for k in range(1, 5):
-            assert tilde_genfun(k, 0, 0, 4).series.coeff(2) == TPoly({1: 1})
+            assert (tilde_genfun(k, 0, 0, 4).full_series().coeff(2)
+                    == TPoly({1: 1}))
 
     def test_coefficient_accessor(self):
         tg = tilde_genfun(4, 1, 2, 13)
@@ -119,10 +127,11 @@ class TestMarkedGenFun:
                                   with_touchdowns=True)
         for route in (tilde_genfun, tilde_genfun_ratio):
             assert route(k, m, n, 13).full_series() == table
-        swapped = tilde_genfun(k, n, m, 13).series
+        # the reversed spec has the same prefactor
+        swapped = tilde_genfun(k, n, m, 13).full_series()
         if n == 0:
             swapped = swapped.map_coeffs(lambda v: v * TPoly.marker())
-        assert tilde_genfun(k, m, n, 13).series == swapped
+        assert tilde_genfun(k, m, n, 13).full_series() == swapped
 
     def test_end_above_the_ceiling_is_refused(self):
         for route in (tilde_genfun, tilde_genfun_ratio):
@@ -139,9 +148,10 @@ class TestMarkedGenFun:
         for route in (tilde_genfun, tilde_genfun_ratio):
             unbounded = route(None, m, n, L)
             assert unbounded.spec == spec
-            at_ceiling = route(spec.ceiling, m, n, L).series
-            assert unbounded.series == dropped_above(at_ceiling,
-                                                     spec.area_cap)
+            # the cap bounds the series part, past the prefactor
+            at_ceiling = route(spec.ceiling, m, n, L).full_series()
+            assert unbounded.full_series() == dropped_above(
+                at_ceiling, spec.area_cap + spec.area_shift)
 
     @pytest.mark.parametrize("k", [None, 4])
     @pytest.mark.parametrize("m,n", [(-1, 2), (2, -1)])
@@ -156,19 +166,20 @@ class TestOpenEnded:
     @pytest.mark.parametrize("k", range(0, 9))
     def test_two_routes_agree(self, k, order):
         # orders 0 and 1 have the one t^0 part
-        assert (tilde_genfun_openend(k, order).series
-                == tilde_genfun_openend_shifted(k, order).series)
+        assert (tilde_genfun_openend(k, order).full_series()
+                == tilde_genfun_openend_shifted(k, order).full_series())
 
     def test_one_level_closed_form(self):
         # 1 + zeta^2/(1 - t zeta^2): (UD)^a carries a-1 markers
-        series = tilde_genfun_openend(1, 12).series
+        series = tilde_genfun_openend(1, 12).full_series()
         assert series.coeff(0) == TPoly.one()
         for a in range(1, 7):
             assert series.coeff(2 * a) == TPoly({a - 1: 1})
 
     def test_empty_path_unmarked(self):
         for k in range(0, 4):
-            assert tilde_genfun_openend(k, 8).series.coeff(0) == TPoly.one()
+            assert (tilde_genfun_openend(k, 8).full_series().coeff(0)
+                    == TPoly.one())
 
     @pytest.mark.parametrize("order", [0, 1, 12])
     @pytest.mark.parametrize("k", range(0, 9))
@@ -230,13 +241,13 @@ def marked_specs(draw):
 @example(GenSpec(5, 4, 2, 17))
 @example(GenSpec(3, 3, 0, 2))      # no path fits
 def test_whole_series_matches_quotient_reference(spec):
-    # every coefficient, area power and marker power the series holds,
-    # to its series order
+    # every coefficient, area power and marker power the answer holds,
+    # to its order
     args = (spec.k, spec.m, spec.n, spec.order)
     if spec.m <= spec.n:
-        reference = quotient_reference(spec)
-        assert tilde_genfun(*args).series == reference
-        assert tilde_genfun_ratio(*args).series == reference
+        reference = with_prefactor(spec, quotient_reference(spec))
+        assert tilde_genfun(*args).full_series() == reference
+        assert tilde_genfun_ratio(*args).full_series() == reference
     else:
         reference = genfun_from_table(
             enumerate_paths(spec.ceiling, spec.m, spec.n, spec.order),
@@ -289,14 +300,15 @@ def test_marker_rows_match_column_assembly(route, args, monkeypatch):
     seen = []
 
     def spy(ring, cols, spec):
-        seen.append((ring, [tuple(x) for x in cols], spec.series_order))
+        seen.append((ring, [tuple(x) for x in cols], spec))
         return marker_series(ring, cols, spec)
 
     marker_series = touchdown._marker_series
     monkeypatch.setattr(touchdown, "_marker_series", spy)
-    series = route(*args).series
-    [(ring, cols, order)] = seen
-    assert series == column_assembly(ring, cols, order)
+    answer = route(*args).full_series()
+    [(ring, cols, spec)] = seen
+    assert answer == with_prefactor(
+        spec, column_assembly(ring, cols, spec.series_order))
 
 
 class TestAboveOracleGuard:
@@ -315,5 +327,5 @@ class TestAboveOracleGuard:
 
 def test_ratio_route_at_a_finite_ceiling_above_the_grid():
     # m > 0 takes the two-term numerator base * [t + (1-t) G_(m-1)]
-    assert (tilde_genfun_ratio(10, 1, 1, 40).series
-            == tilde_genfun(10, 1, 1, 40).series)
+    assert (tilde_genfun_ratio(10, 1, 1, 40).full_series()
+            == tilde_genfun(10, 1, 1, 40).full_series())

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dyckgen import verify
+from dyckgen import config, verify
 from dyckgen.cli import main
 from dyckgen.config import GuardExceeded, SpecOutOfRange, UsageError
 from dyckgen.exact import LSeries
@@ -18,6 +18,11 @@ from dyckgen.verify import (SUITE_NAMES, CheckResult, _eq_check, run_suites,
 def test_suite_names_cover_registry():
     assert SUITE_NAMES == ("determinants", "genfun", "duality",
                            "recursions", "cluster", "touchdown")
+    # named once, in config, where the command line reads them, and
+    # naming every suite function of verify
+    assert SUITE_NAMES is config.SUITE_NAMES
+    assert ({name for name in vars(verify) if name.startswith("suite_")}
+            == {"suite_" + name for name in SUITE_NAMES})
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
