@@ -71,7 +71,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "src"))
 
 from dyckgen import touchdown  # noqa: E402
-from dyckgen.genfun import GenSpec, _inv_fk, genfun  # noqa: E402
+from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count,  # noqa: E402
+                            genfun)
 from dyckgen.spectral import fk_polynomial  # noqa: E402
 
 # (k, m, n, order, whether the marked routes are timed there)
@@ -98,6 +99,7 @@ REF_TERMS = 60   # size of the reference call's product
 def clear_caches():
     fk_polynomial.cache_clear()
     _inv_fk.cache_clear()
+    _largest_count.cache_clear()
     touchdown.tilde_secular.cache_clear()
 
 

@@ -2,7 +2,8 @@
 path counts, and run the verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (any
-config.UsageError), 3 internal cross-method mismatch (never expected).
+config.UsageError), 3 internal error: a cross-method mismatch or any
+other exception, its traceback on stderr (never expected).
 
 JSON payloads keep a stable shape: {"spec": {...}, "convention": str,
 "method": str, "version": str, "terms": [...]}, each term carrying "l",
@@ -178,18 +179,13 @@ def cmd_genfun(args):
 
 
 def cmd_table(args):
-    from .oracle import enumerate_paths
+    from .oracle import enumerate_paths, genfun_from_table
     k, spec_echo = _parse_spec_flags(args)
     ceiling = GenSpec(k, args.m, args.n, args.max_len).ceiling
     table = enumerate_paths(ceiling, args.m, args.n, args.max_len)
-    if args.touchdowns:
-        terms = [(l, a, s, c) for (l, a, s), c in table.sorted_items()]
-    else:
-        merged = {}
-        for (l, a, _), c in table.sorted_items():
-            merged[(l, a)] = merged.get((l, a), 0) + c
-        terms = [(l, a, None, c) for (l, a), c in sorted(merged.items())]
-    return _emit(args, spec_echo, "oracle", terms, count_label="count")
+    full = genfun_from_table(table, with_touchdowns=args.touchdowns)
+    return _emit(args, spec_echo, "oracle", _series_terms(full),
+                 count_label="count")
 
 
 def table_from_json(doc):
@@ -280,6 +276,10 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback   # off the start-up path of every job
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import add
 
-from .config import CACHE_ENTRIES, SpecOutOfRange, UsageError, check_ceiling
+from .config import (CACHE_ENTRIES, SpecOutOfRange, UsageError,
+                     check_ceiling, check_heights)
 from .exact import PackedRing, TPoly
 from .spectral import fk_polynomial
 
@@ -45,10 +46,7 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
         if self.m < 0 or self.n < 0:
             raise SpecOutOfRange("heights must be >= 0")
         if self.k is not None:
-            check_ceiling(self.k)
-            if self.m > self.k or self.n > self.k:
-                raise SpecOutOfRange(
-                    f"heights ({self.m}, {self.n}) must lie in 0..{self.k}")
+            check_heights(self.k, self.m, self.n)
         return self
 
     @classmethod

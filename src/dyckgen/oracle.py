@@ -43,22 +43,13 @@ class PathTable(namedtuple("PathTable", "k m n l_max counts")):
         """Number of paths of length l regardless of area/touchdowns."""
         return sum(c for (ll, _, _), c in self.counts.items() if ll == l)
 
-    def sorted_items(self):
-        return sorted(self.counts.items())
-
-
-def _check_heights(k, m, n):
-    config.check_ceiling(k)
-    if not (0 <= m <= k and 0 <= n <= k):
-        raise SpecOutOfRange(f"heights ({m}, {n}) must lie in 0..{k}")
-
 
 def enumerate_paths(k, m, n, l_max):
     """Count all strip paths from height m to height n, lengths 0..l_max.
 
     Returns a PathTable keyed by (length, area, touchdowns).
     """
-    _check_heights(k, m, n)
+    config.check_heights(k, m, n)
     config.check_order(l_max, "length bound")
     config.check_guard(l_max, config.ORACLE_LEN_MAX, "length bound")
     counts = {}
@@ -84,7 +75,7 @@ def enumerate_paths(k, m, n, l_max):
 def max_area(k, m, n, l):
     """Largest area statistic over paths of exactly l steps; raises
     Unreachable when no such path exists."""
-    _check_heights(k, m, n)
+    config.check_heights(k, m, n)
     config.check_order(l, "length")
     best = [None] * (k + 1)
     best[m] = 0

@@ -26,6 +26,7 @@ safe for concurrent readers; cached values are immutable.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 
 from . import config
 from .exact import LSeries, QLaurent
@@ -52,29 +53,27 @@ def tridiagonal(above, below, order, ring=QLaurent):
     return cells
 
 
-def secular_matrix(k, order=None):
+def secular_matrix(k):
     """1 minus the height-hopping walk operator, entrywise as truncated
-    series: symmetric tridiagonal, 1 on the diagonal, -zeta*theta^n
-    between heights n and n+1."""
+    series to order k + 3: symmetric tridiagonal, 1 on the diagonal,
+    -zeta*theta^n between heights n and n+1."""
     config.check_ceiling(k)
     hops = [{1: QLaurent.mono(n, -1)} for n in range(k)]
-    return tridiagonal(hops, hops, order if order is not None else k + 3)
+    return tridiagonal(hops, hops, k + 3)
 
 
 @lru_cache(maxsize=config.CACHE_ENTRIES)
 def fk_polynomial(k):
     """Exact ceiling-k determinant at its natural degree, by the
     recursion F_k = F_{k-1}(zeta*theta) - zeta^2 * F_{k-2}(zeta*theta^2),
-    anchored at F_{-1} = F_0 = 1."""
+    anchored at F_{-1} = F_0 = 1; guarded by config.DET_CEILING_MAX."""
     config.check_ceiling(k, lowest=-1)
+    config.check_guard(k, config.DET_CEILING_MAX, "determinant ceiling")
     if k <= 0:
         return LSeries.one(0)
     deg = det_degree(k)
     a = fk_polynomial(k - 1).resized(deg).substitute_scale(1)
-    if k == 1:
-        b = LSeries.one(deg)
-    else:
-        b = fk_polynomial(k - 2).resized(deg).substitute_scale(2)
+    b = fk_polynomial(k - 2).resized(deg).substitute_scale(2)
     return a - b.shift_step(2)
 
 
@@ -147,20 +146,6 @@ def qbinom(m, r):
     return out
 
 
-def _compositions_nonneg(total, parts):
-    """All tuples of `parts` integers >= 0 summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_nonneg(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def bosonic_partition(k, N, method="product"):
     """Energy generating function Z_{k,N} for N bosons on the k levels
     0..k-1, exponents in diamond (q) units.
@@ -168,7 +153,8 @@ def bosonic_partition(k, N, method="product"):
     methods:
       "occupation"  enumerate level multisets directly (guarded);
       "excitation"  enumerate gap increments m_0..m_N >= 0 summing to
-                    k-1 with weight q^(sum j*m_j) (guarded);
+                    k-1 with weight q^(sum j*m_j), by stars and bars:
+                    N bars among k-1+N places (guarded);
       "qbinomial"   the Gaussian binomial [k+N-1 choose N]_q;
       "product"     telescoping product of (1-q^(j+N))/(1-q^j).
     """
@@ -179,7 +165,6 @@ def bosonic_partition(k, N, method="product"):
     if method in ("occupation", "excitation"):
         config.check_guard(k * N, config.ENUM_PARTITION_MAX, "k*N =")
     if method == "occupation":
-        from itertools import combinations_with_replacement
         out = {}
         for levels in combinations_with_replacement(range(k), N):
             e = sum(levels)
@@ -187,8 +172,10 @@ def bosonic_partition(k, N, method="product"):
         return QLaurent(out)
     if method == "excitation":
         out = {}
-        for gaps in _compositions_nonneg(k - 1, N + 1):
-            e = sum(j * mj for j, mj in enumerate(gaps))
+        for bars in combinations(range(k - 1 + N), N):
+            # m_j is the number of stars between bars j - 1 and j
+            ends = (-1,) + bars + (k - 1 + N,)
+            e = sum(j * (ends[j + 1] - ends[j] - 1) for j in range(N + 1))
             out[e] = out.get(e, 0) + 1
         return QLaurent(out)
     if method == "qbinomial":

@@ -87,12 +87,13 @@ def tilde_secular_toprow(k, order):
     return lift_marker(a) - lift_marker(c.shift_step(2)).scale(_T)
 
 
-def tilde_secular_direct(k, order=None):
-    """Same determinant by literal elimination on the marked matrix:
-    the hop from height 1 down to 0 carries weight t*zeta, its partner
-    up-hop plain zeta, all other hops the usual zeta*theta^n."""
+def tilde_secular_direct(k):
+    """Same determinant by literal elimination on the marked matrix, to
+    two steps past its degree: the hop from height 1 down to 0 carries
+    weight t*zeta, its partner up-hop plain zeta, all other hops the
+    usual zeta*theta^n."""
     check_ceiling(k)
-    L = order if order is not None else 2 * ((k + 1) // 2) + 2
+    L = 2 * ((k + 1) // 2) + 2
     up = [{1: TPoly({0: QLaurent.mono(n, -1)})} for n in range(k)]
     # row n, column n+1: amplitude n+1 -> n
     down = [{1: TPoly({1: QLaurent.const(-1)})} if n == 0 else up[n]

@@ -23,7 +23,7 @@ from dyckgen.spectral import (bosonic_partition, fk_polynomial,
                               grand_partition_exclusion,
                               height_generating_function, qbinom,
                               secular_det_direct, secular_det_tilde,
-                              secular_matrix)
+                              secular_matrix, tridiagonal)
 from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
                                tilde_secular, tilde_secular_direct,
                                tilde_secular_toprow)
@@ -93,9 +93,8 @@ BAD_ARGUMENTS = {
         lambda: height_generating_function(2, -1),
     "tilde_secular": lambda: tilde_secular(2, -1),
     "tilde_secular_toprow": lambda: tilde_secular_toprow(2, -1),
-    "tilde_secular_direct": lambda: tilde_secular_direct(2, -1),
     "grand_partition_exclusion": lambda: grand_partition_exclusion(2, -1),
-    "secular_matrix": lambda: secular_matrix(2, -1),
+    "tridiagonal": lambda: tridiagonal([{1: -1}], [{1: -1}], -1),
     "GenFun.coefficient": lambda: genfun(GenSpec(2, 0, 0, 4)).coefficient(
         2, 0, touchdowns=1),
 }
@@ -130,7 +129,6 @@ def test_non_integer_height_or_order_is_a_spec_error(route, args, field):
 NON_INT_ORDERS = {
     "tilde_secular": lambda: tilde_secular(3, 4.0),
     "tilde_secular_toprow": lambda: tilde_secular_toprow(3, 4.0),
-    "tilde_secular_direct": lambda: tilde_secular_direct(3, 4.0),
     "p_restricted": lambda: p_restricted(None, 0, 0, 2.0),
     "log_secular": lambda: log_secular(2, 2.0),
     "grand_partition_exclusion": lambda: grand_partition_exclusion(2, 4.0),
@@ -138,7 +136,7 @@ NON_INT_ORDERS = {
         lambda: height_generating_function(2.0, 4),
     "height_generating_function-order":
         lambda: height_generating_function(2, 4.0),
-    "secular_matrix": lambda: secular_matrix(2, 4.0),
+    "tridiagonal": lambda: tridiagonal([{1: -1}], [{1: -1}], 4.0),
     "enumerate_paths": lambda: enumerate_paths(3, 0, 0, 4.0),
     "max_area": lambda: max_area(3, 0, 0, 2.0),
 }

@@ -4,6 +4,9 @@ import argparse
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,13 +16,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyckgen import __version__
+import dyckgen
+from dyckgen import __version__, config
 from dyckgen.cli import _emit, _series_terms, main, table_from_json
 from dyckgen.exact import LSeries, TPoly
 from dyckgen.genfun import GenFun, GenSpec
 from dyckgen.oracle import enumerate_paths
+from dyckgen.spectral import fk_polynomial
 from dyckgen.touchdown import tilde_genfun
 from dyckgen.verify import SUITE_NAMES, CheckResult
+
+# the directory that holds the package, for a fresh interpreter's path
+SRC = os.path.dirname(os.path.dirname(dyckgen.__file__))
 
 
 def run_cli(capsys, *argv):
@@ -139,7 +147,8 @@ class TestGenfunCommand:
             ceiling = GenSpec(None, m, n, max_len).ceiling
             assert _touchdown_rows(unbounded[1]) == [
                 (l, a, s, c) for (l, a, s), c
-                in enumerate_paths(ceiling, m, n, max_len).sorted_items()]
+                in sorted(enumerate_paths(ceiling, m, n, max_len)
+                          .counts.items())]
 
     @pytest.mark.parametrize("k,m,n,max_len", [
         ("3", 2, 0, 10), ("3", 3, 1, 11), ("inf", 4, 0, 12),
@@ -376,7 +385,7 @@ class TestEmitBytes:
                                "--convention", convention, "--format", fmt)
         assert code == 0
         terms = [(l, a, s, c) for (l, a, s), c
-                 in enumerate_paths(3, 1, 2, 9).sorted_items()]
+                 in sorted(enumerate_paths(3, 1, 2, 9).counts.items())]
         if fmt == "json":
             assert out == _reference_json(
                 {"k": 3, "m": 1, "n": 2, "max_len": 9}, convention,
@@ -462,6 +471,55 @@ class TestExitCodes:
                                "--check")
         assert code == 3
         assert "determinant vs ratio" in err
+
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        # exit code 1 means a failed check and nothing else
+        def boom(spec):
+            raise RuntimeError("route broke")
+        monkeypatch.setattr(sys.modules["dyckgen.genfun"], "genfun", boom)
+        code, out, err = run_cli(capsys, "genfun", "--k", "2", "--m", "0",
+                                 "--n", "0", "--max-len", "4")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("Traceback")
+        assert "RuntimeError: route broke" in err
+
+    @pytest.mark.parametrize("heights", [
+        ("--m", "900", "--n", "900"), ("--m", "5000", "--n", "0"),
+        ("--m", "5000", "--n", "0", "--touchdown"),
+        ("--m", "400", "--n", "400")])
+    def test_large_heights_hit_the_determinant_guard(self, capsys, heights):
+        # a fresh process under a 1 GiB address-space limit, so that a
+        # missing guard fails here instead of filling the memory
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        argv = ("--k", "inf", *heights, "--max-len", "4", "--format", "csv")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("DYCKGEN_GUARD_OVERRIDE", None)
+        t0 = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "dyckgen.cli", "genfun", *argv], env=env,
+            capture_output=True, text=True, timeout=60, preexec_fn=limit)
+        assert (run.returncode, run.stdout) == (2, ""), run.stderr
+        assert run.stderr.startswith("error: determinant ceiling ")
+        assert "DYCKGEN_GUARD_OVERRIDE" in run.stderr
+        assert time.perf_counter() - t0 < 10
+        # the table builds no determinant, so it still answers
+        table = [a for a in argv if a != "--touchdown"]
+        assert run_cli(capsys, "table", *table)[0] == 0
+
+    def test_determinant_guard_and_override(self, capsys, monkeypatch):
+        argv = ("genfun", "--k", "inf", "--m", "3", "--n", "3",
+                "--max-len", "4", "--format", "csv")
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
+        monkeypatch.setattr(config, "DET_CEILING_MAX", 1)
+        fk_polynomial.cache_clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "determinant ceiling 2 exceeds guard 1" in err
+        monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
+        assert run_cli(capsys, *argv) == expected
 
     def test_oracle_guard_and_override(self, capsys, monkeypatch):
         argv = ("table", "--k", "1", "--m", "0", "--n", "0",
