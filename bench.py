@@ -44,7 +44,8 @@ the package with no bytecode cache, so that every run compiles the
 modules it loads from source: `python -c pass` (the interpreter and
 `site`), `import dyckgen.cli`, and the commands `genfun --k inf --m 0
 --n 0 --max-len 24`, `table --k 4 --m 0 --n 0 --max-len 24
---touchdowns` and `verify --suite genfun`.  Each has the same reference
+--touchdowns`, `genfun --k 4 --m 0 --n 0 --max-len 24 --touchdown` and
+`verify --suite genfun`.  Each has the same reference
 call beside it, run in this process between its runs.
 
 The ladder is k = inf at orders 32..120, the finite ceiling 12 at
@@ -89,6 +90,8 @@ CLI_ROWS = (
                 "--n", "0", "--max-len", "24"]),
     ("table", ["-m", "dyckgen.cli", "table", "--k", "4", "--m", "0",
                "--n", "0", "--max-len", "24", "--touchdowns"]),
+    ("touchdown", ["-m", "dyckgen.cli", "genfun", "--k", "4", "--m", "0",
+                   "--n", "0", "--max-len", "24", "--touchdown"]),
     ("verify", ["-m", "dyckgen.cli", "verify", "--suite", "genfun"]),
 )
 MAX_RUNS = 20

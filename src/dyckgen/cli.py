@@ -1,9 +1,17 @@
 """Command-line interface: compute generating functions, tabulate raw
 path counts, and run the verification suites.
 
+Arguments are read by parse_args from one table, COMMANDS, that gives
+each command its options; -h or --help prints the usage built from the
+same table.  Flags are spelled out in full (never abbreviated) and come
+in any order, as `--flag value` or `--flag=value`; a repeated flag keeps
+its last value.  A cold job imports only the standard library modules
+it needs: no argparse, and no fractions while its values stay integral.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (any
-config.UsageError), 3 internal error: a cross-method mismatch or any
-other exception, its traceback on stderr (never expected).
+config.UsageError, malformed arguments included: "error: ..." on
+stderr, naming the flag), 3 internal error: a cross-method mismatch or
+any other exception, its traceback on stderr (never expected).
 
 JSON payloads keep a stable shape: {"spec": {...}, "convention": str,
 "method": str, "version": str, "terms": [...]}, each term carrying "l",
@@ -14,11 +22,9 @@ convention halves them and encodes a half-integer value v as
 half-integers, one header row, UTF-8, LF line endings.
 """
 
-from __future__ import annotations
-
-import argparse
 import enum
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .config import SUITE_NAMES, UsageError
@@ -222,56 +228,132 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="dyckgen",
-        description="Exact length-and-area generating functions for "
-                    "height-restricted up-down lattice paths.")
-    sub = p.add_subparsers(dest="command", required=True)
+# The options of each command: (flag, kind, default, help).  A kind is
+# int, str, a tuple of the accepted strings, or bool for a switch (no
+# value; present means True); a default of REQUIRED makes the flag
+# required.  Each flag's value lands on the namespace attribute named
+# after it, "--max-len" on max_len.
+REQUIRED = object()
+_SPEC_OPTIONS = (
+    ("--k", str, REQUIRED, "ceiling height, or 'inf' for unbounded"),
+    ("--m", int, REQUIRED, "start height"),
+    ("--n", int, REQUIRED, "end height"),
+    ("--max-len", int, REQUIRED, "truncation order in steps"),
+    ("--convention", tuple(c.value for c in Convention),
+     Convention.STEP_PLAQUETTE.value, "units of the reported exponents"),
+    ("--format", ("json", "csv"), "json", "output format"),
+)
+COMMANDS = {
+    "genfun": (cmd_genfun, "closed-form generating function coefficients",
+               _SPEC_OPTIONS + (
+                   ("--touchdown", bool, False,
+                    "mark floor returns with the t variable"),
+                   ("--method", ("determinant", "continued-fraction",
+                                 "cluster-exp"), "determinant",
+                    "route that computes the series"),
+                   ("--check", bool, False,
+                    "recompute by every applicable method; exit 3 on any "
+                    "mismatch"))),
+    "table": (cmd_table, "brute-force path count table",
+              _SPEC_OPTIONS + (
+                  ("--touchdowns", bool, False,
+                   "keep counts resolved by number of floor returns"),)),
+    "verify": (cmd_verify, "run exact identity suites", (
+        ("--suite", SUITE_NAMES + ("all",), "all", "suite to run"),
+        ("--k-max", int, None, "largest ceiling the suites take"),
+        ("--len-max", int, None, "largest length the suites take"))),
+}
+_HELP_FLAGS = ("-h", "--help")
 
-    def common(sp):
-        sp.add_argument("--k", required=True,
-                        help="ceiling height, or 'inf' for unbounded")
-        sp.add_argument("--m", type=int, required=True, help="start height")
-        sp.add_argument("--n", type=int, required=True, help="end height")
-        sp.add_argument("--max-len", type=int, required=True,
-                        dest="max_len", help="truncation order in steps")
-        sp.add_argument("--convention",
-                        choices=[c.value for c in Convention],
-                        default=Convention.STEP_PLAQUETTE.value)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
-    g = sub.add_parser("genfun",
-                       help="closed-form generating function coefficients")
-    common(g)
-    g.add_argument("--touchdown", action="store_true",
-                   help="mark floor returns with the t variable")
-    g.add_argument("--method",
-                   choices=("determinant", "continued-fraction",
-                            "cluster-exp"),
-                   default="determinant")
-    g.add_argument("--check", action="store_true",
-                   help="recompute via every applicable method and fail "
-                        "with exit code 3 on any mismatch")
-    g.set_defaults(func=cmd_genfun)
+def usage(command=None):
+    """Help text, from COMMANDS: the command list, or one command's
+    options."""
+    if command is None:
+        lines = ["usage: dyckgen {%s} [options]" % ",".join(COMMANDS), "",
+                 "Exact length-and-area generating functions for "
+                 "height-restricted up-down lattice paths.", "", "commands:"]
+        lines += [f"  {name:8}{about}"
+                  for name, (_, about, _) in COMMANDS.items()]
+        lines += ["", "dyckgen COMMAND --help lists the options of COMMAND."]
+        return "\n".join(lines) + "\n"
+    _, about, options = COMMANDS[command]
+    lines = [f"usage: dyckgen {command} [options]", "", about, "", "options:"]
+    for flag, kind, default, text in options:
+        if isinstance(kind, tuple):
+            flag += " {%s}" % ",".join(kind)
+        elif kind is not bool:
+            flag += " " + flag[2:].upper()
+        if default is REQUIRED:
+            text += " (required)"
+        elif default not in (None, False):
+            text += f" (default {default})"
+        lines += [f"  {flag}", f"      {text}"]
+    return "\n".join(lines) + "\n"
 
-    t = sub.add_parser("table", help="brute-force path count table")
-    common(t)
-    t.add_argument("--touchdowns", action="store_true",
-                   help="keep counts resolved by number of floor returns")
-    t.set_defaults(func=cmd_table)
 
-    v = sub.add_parser("verify", help="run exact identity suites")
-    v.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    v.add_argument("--k-max", type=int, default=None, dest="k_max")
-    v.add_argument("--len-max", type=int, default=None, dest="len_max")
-    v.set_defaults(func=cmd_verify)
-    return p
+def _cmd_help(args):
+    sys.stdout.write(usage(args.command))
+    return 0
+
+
+def parse_args(argv):
+    """The namespace a command function takes, read from argv (the
+    arguments after the program name): the command's function as
+    `func`, its name as `command` and one attribute per option.  Flags
+    come in any order, as `--flag value` or `--flag=value`, and a
+    repeated flag keeps its last value; -h or --help gives a namespace
+    whose func prints the help.  Anything else raises UsageError."""
+    if argv and argv[0] in _HELP_FLAGS:
+        return SimpleNamespace(command=None, func=_cmd_help)
+    if not argv or argv[0] not in COMMANDS:
+        got = f", got {argv[0]!r}" if argv else ""
+        raise UsageError(f"the command must be one of "
+                         f"{', '.join(COMMANDS)}{got}")
+    command, rest = argv[0], iter(argv[1:])
+    func, _, options = COMMANDS[command]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    given = {}
+    for token in rest:
+        if token in _HELP_FLAGS:
+            return SimpleNamespace(command=command, func=_cmd_help)
+        flag, eq, text = token.partition("=")
+        kind = kinds.get(flag)
+        if kind is None:
+            raise UsageError(
+                f"{command} has no flag {flag} (flags are never abbreviated)"
+                if flag.startswith("--") else f"unexpected argument {token!r}")
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            given[flag] = True
+            continue
+        if not eq:
+            text = next(rest, None)
+            if text is None or text.startswith("--"):
+                raise UsageError(f"{flag} needs a value")
+        if kind is int:
+            try:
+                text = int(text)
+            except ValueError:
+                raise UsageError(f"{flag} must be an integer, got {text!r}")
+        elif kind is not str and text not in kind:
+            raise UsageError(f"{flag} must be one of {', '.join(kind)}, "
+                             f"got {text!r}")
+        given[flag] = text
+    missing = [flag for flag, _, default, _ in options
+               if default is REQUIRED and flag not in given]
+    if missing:
+        raise UsageError(f"{command} needs {', '.join(missing)}")
+    args = SimpleNamespace(command=command, func=func)
+    for flag, _, default, _ in options:
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

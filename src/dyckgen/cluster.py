@@ -32,8 +32,6 @@ z = zeta^2 and q = theta^2.  Cluster series meet them there: in_steps is
 the one conversion, from z, q to zeta, theta, prefactor included.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import comb, factorial
 

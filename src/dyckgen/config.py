@@ -12,8 +12,6 @@ Every error a caller can cause by what it asks for is a UsageError; the
 command line turns it into exit code 2.
 """
 
-from __future__ import annotations
-
 import os
 
 # Largest ceiling of the dense determinant elimination (and of verify's

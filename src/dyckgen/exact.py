@@ -1,7 +1,10 @@
 """Exact arithmetic kernel for path generating functions.
 
 Three layers, all with exact rational coefficients (Python ints, promoted
-to Fraction only when a value is genuinely non-integral):
+to Fraction only when a value is genuinely non-integral; the fractions
+module itself loads then, at the first series log or exp or the first
+coefficient quotient that is not an int, so a job whose values all stay
+integral never imports it):
 
 * QLaurent -- sparse Laurent polynomial in the area variable theta over
   the rationals; one unit of exponent is one plaquette of area.
@@ -42,10 +45,8 @@ Everything here is immutable after construction: operations return new
 objects, so values may be shared freely across threads.
 """
 
-from __future__ import annotations
-
 import struct
-from fractions import Fraction
+import sys
 
 
 class NonUnitConstantTerm(ArithmeticError):
@@ -60,11 +61,23 @@ class InexactDivision(ArithmeticError):
     """Polynomial division left a remainder."""
 
 
+def _is_fraction(c):
+    """Whether c is a Fraction.  None exists before the fractions module
+    loads, so a job that never makes one never imports it."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(c, fractions.Fraction)
+
+
+def _is_rational(c):
+    """Whether c is an exact rational: an int or a Fraction."""
+    return isinstance(c, int) or _is_fraction(c)
+
+
 def _norm(c):
     """Demote integral Fractions to int so the common path stays fast."""
     if type(c) is int:
         return c
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if _is_fraction(c) and c.denominator == 1:
         return c.numerator
     return c
 
@@ -72,7 +85,9 @@ def _norm(c):
 def _rational(c):
     """c as an exact rational coefficient (see _norm); TypeError for
     anything else, such as a float or a polynomial."""
-    if not isinstance(c, (int, Fraction)):
+    if type(c) is int:
+        return c
+    if not _is_rational(c):
         raise TypeError(f"coefficient must be an int or a Fraction, "
                         f"got {type(c).__name__}")
     return _norm(c)
@@ -85,9 +100,10 @@ class _SparsePoly:
     The algebra both polynomial rings share is written here once: sums,
     the one convolution product, scaling, equality and hashing.  A
     subclass names its coefficient ring through class attributes:
-    _SCALARS, the types lifted as constants (the scalars of the
-    coefficient ring); _COEFF_ZERO, that ring's zero; and _coerce_coeff,
-    which brings a scalar into it.  _zero and _one are its own constants.
+    _is_scalar, which tells the values lifted as constants (the scalars
+    of the coefficient ring); _COEFF_ZERO, that ring's zero; and
+    _coerce_coeff, which brings a scalar into it.  _zero and _one are
+    its own constants.
     """
 
     __slots__ = ("_c",)
@@ -121,7 +137,7 @@ class _SparsePoly:
         becomes a constant."""
         if type(v) is cls:
             return v
-        if not isinstance(v, cls._SCALARS):
+        if not cls._is_scalar(v):
             raise TypeError(
                 f"cannot coerce {type(v).__name__} to {cls.__name__}")
         v = cls._coerce_coeff(v)
@@ -145,7 +161,7 @@ class _SparsePoly:
 
     def __add__(self, other):
         if type(other) is not type(self):
-            if not isinstance(other, self._SCALARS):
+            if not self._is_scalar(other):
                 return NotImplemented
             other = self.coerce(other)
         if not other._c:
@@ -170,8 +186,7 @@ class _SparsePoly:
         return self._wrap({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other):
-        if type(other) is not type(self) and not isinstance(
-                other, self._SCALARS):
+        if type(other) is not type(self) and not self._is_scalar(other):
             return NotImplemented
         return self + (-other)
 
@@ -186,7 +201,7 @@ class _SparsePoly:
         number of term pairs is accumulated in a dict, so it does not pay
         for the span.  Sums start from the coefficient ring's own zero."""
         if type(other) is not type(self):
-            if isinstance(other, self._SCALARS):
+            if self._is_scalar(other):
                 return self.scale(other)
             return NotImplemented
         a, b = self._c, other._c
@@ -218,7 +233,7 @@ class _SparsePoly:
     def scale(self, r):
         """Multiply every coefficient by r, a scalar of the coefficient
         ring."""
-        if not isinstance(r, self._SCALARS):
+        if not self._is_scalar(r):
             raise TypeError(f"cannot scale {type(self).__name__} "
                             f"by {type(r).__name__}")
         r = _norm(r)
@@ -237,7 +252,7 @@ class _SparsePoly:
 
     def __eq__(self, other):
         if type(other) is not type(self):
-            if not isinstance(other, self._SCALARS):
+            if not self._is_scalar(other):
                 return NotImplemented
             other = self.coerce(other)
         return self._c == other._c
@@ -260,7 +275,7 @@ class QLaurent(_SparsePoly):
     """
 
     __slots__ = ()
-    _SCALARS = (int, Fraction)
+    _is_scalar = staticmethod(_is_rational)
     _COEFF_ZERO = 0
     _coerce_coeff = staticmethod(_rational)
     # Bound here rather than inherited, so that each ring's own class
@@ -324,7 +339,12 @@ class QLaurent(_SparsePoly):
             qe = e - e0
             if qe > top:
                 raise InexactDivision("polynomial division left a remainder")
-            qc = _norm(Fraction(rem[e]) / c0)
+            r = rem[e]
+            if type(r) is int and type(c0) is int and not r % c0:
+                qc = r // c0
+            else:
+                from fractions import Fraction
+                qc = _norm(Fraction(r) / c0)
             out[qe] = qc
             for oe, oc in o_items:
                 ne = oe + qe
@@ -365,7 +385,8 @@ class TPoly(_SparsePoly):
     """
 
     __slots__ = ()
-    _SCALARS = (int, Fraction, QLaurent)
+    _is_scalar = staticmethod(
+        lambda v: isinstance(v, QLaurent) or _is_rational(v))
     _COEFF_ZERO = _QL_ZERO
     _coerce_coeff = staticmethod(QLaurent.coerce)
     __mul__ = __rmul__ = _SparsePoly.__mul__   # see QLaurent
@@ -486,7 +507,7 @@ class LSeries:
             if self.ring is not other.ring:
                 raise TypeError("mixed coefficient rings; lift explicitly")
             return other
-        if isinstance(other, (int, Fraction, _SparsePoly)):
+        if isinstance(other, (int, _SparsePoly)) or _is_fraction(other):
             return LSeries(self.order, {0: self.ring.coerce(other)}, self.ring)
         return None
 
@@ -519,7 +540,7 @@ class LSeries:
 
     def __mul__(self, other):
         if not isinstance(other, LSeries):
-            if isinstance(other, (int, Fraction, _SparsePoly)):
+            if isinstance(other, (int, _SparsePoly)) or _is_fraction(other):
                 return self.scale(other)
             return NotImplemented
         if self.ring is not other.ring:
@@ -577,6 +598,7 @@ class LSeries:
     def log(self):
         """Series logarithm, the integral of f'/f; requires constant
         term 1."""
+        from fractions import Fraction
         if not self.c[0].is_one():
             raise BadConstantTerm("log needs constant term 1")
         L = self.order
@@ -593,6 +615,7 @@ class LSeries:
 
     def exp(self):
         """Series exponential; requires constant term 0."""
+        from fractions import Fraction
         if not self.c[0].is_zero():
             raise BadConstantTerm("exp needs constant term 0")
         L = self.order

@@ -15,8 +15,6 @@ a shift of the decoded exponents.
 An unbounded ceiling is requested with k = None.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from operator import add

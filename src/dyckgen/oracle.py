@@ -17,8 +17,6 @@ and never consults the generating-function machinery, so agreement with
 the closed forms is a genuine two-route check.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import config

@@ -23,8 +23,6 @@ Module-level caches are lru_caches of config.CACHE_ENTRIES entries,
 safe for concurrent readers; cached values are immutable.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -62,6 +60,13 @@ def secular_matrix(k):
     return tridiagonal(hops, hops, k + 3)
 
 
+# A cold fk_polynomial(k) first builds the _FILL_SPAN levels below k,
+# lowest first, so each finds its two predecessors cached and F_k nests
+# about k / _FILL_SPAN calls deep, not k.  The span is under half the
+# cache, so those levels are still cached when they are read.
+_FILL_SPAN = 16
+
+
 @lru_cache(maxsize=config.CACHE_ENTRIES)
 def fk_polynomial(k):
     """Exact ceiling-k determinant at its natural degree, by the
@@ -71,6 +76,8 @@ def fk_polynomial(k):
     config.check_guard(k, config.DET_CEILING_MAX, "determinant ceiling")
     if k <= 0:
         return LSeries.one(0)
+    for j in range(max(1, k - _FILL_SPAN), k):
+        fk_polynomial(j)
     deg = det_degree(k)
     a = fk_polynomial(k - 1).resized(deg).substitute_scale(1)
     b = fk_polynomial(k - 2).resized(deg).substitute_scale(2)

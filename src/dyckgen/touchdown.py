@@ -46,8 +46,6 @@ same arch written as R = (G_k - 1)/G_k: 1/[t + (1-t) G_k] =
 (1/G_k) * sum_s t^s R^s.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .config import CACHE_ENTRIES, check_ceiling, check_order

@@ -7,8 +7,6 @@ mismatching coefficient; the suites never stop early, so one run shows
 the full damage.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .cluster import (c2, c2_factorial, compositions, degree_check,

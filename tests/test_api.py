@@ -250,8 +250,9 @@ def _fresh_python(*args):
 def test_cli_import_is_stdlib_only():
     # a fresh interpreter: the modules `import dyckgen.cli` adds must be
     # the package's own or the standard library's, and the costly
-    # dataclasses and inspect, and json and csv (the writers fill string
-    # templates), stay out of the start-up path
+    # dataclasses and inspect, json and csv (the writers fill string
+    # templates), argparse and what it loads (the parser reads a table),
+    # and fractions and what it loads, stay out of the start-up path
     code = ("import sys; before = set(sys.modules); import dyckgen.cli; "
             "print('\\n'.join(sorted(set(sys.modules) - before)))")
     run = _fresh_python("-c", code)
@@ -260,6 +261,7 @@ def test_cli_import_is_stdlib_only():
     assert "dyckgen.cli" in out
     assert "dataclasses" not in out and "inspect" not in out
     assert "json" not in out and "csv" not in out
+    assert not set(out) & (ARGPARSE_MODULES | FRACTIONS_MODULES)
     foreign = [m for m in out if m != "dyckgen"
                and not m.startswith("dyckgen.")
                and m.split(".")[0] not in sys.stdlib_module_names]
@@ -268,6 +270,12 @@ def test_cli_import_is_stdlib_only():
 
 # the modules a plain `genfun` job runs
 PLAIN_JOB = {"cli", "config", "exact", "spectral", "genfun"}
+# standard library modules that no job loads: argparse and the modules
+# it imports ...
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+# ... and fractions with its own, which a job loads only through the
+# cluster route, or at a value that is not an int
+FRACTIONS_MODULES = {"fractions", "decimal", "numbers"}
 SPEC = ("--k", "3", "--m", "0", "--n", "0", "--max-len", "6")
 
 # a fresh process records the package modules whose code runs: importlib
@@ -285,32 +293,37 @@ sys.addaudithook(hook)
 """
 
 # ... runs the command in process, with stdout discarded, and prints its
-# exit code and the submodules that ran
+# exit code, the submodules that ran and every module loaded in the end
 RUN_COMMAND = RECORD_RAN + """
 import io
 from contextlib import redirect_stdout
 from dyckgen.cli import main
 with redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(ran - {"__init__"})]))
+print(json.dumps([code, sorted(ran - {"__init__"}), sorted(sys.modules)]))
 """
 
 
-@pytest.mark.parametrize("argv,extra", [
-    (("genfun",) + SPEC, set()),
-    (("genfun",) + SPEC + ("--touchdown",), {"touchdown"}),
-    (("genfun",) + SPEC + ("--check",), {"cluster"}),
-    (("genfun",) + SPEC + ("--method", "cluster-exp"), {"cluster"}),
-    (("table",) + SPEC + ("--touchdowns",), {"oracle"}),
+# (argv, submodules run beyond PLAIN_JOB, whether the cluster route
+# loads fractions)
+@pytest.mark.parametrize("argv,extra,cluster", [
+    (("genfun",) + SPEC, set(), False),
+    (("genfun",) + SPEC + ("--touchdown",), {"touchdown"}, False),
+    (("genfun",) + SPEC + ("--check",), {"cluster"}, True),
+    (("genfun",) + SPEC + ("--method", "cluster-exp"), {"cluster"}, True),
+    (("table",) + SPEC + ("--touchdowns",), {"oracle"}, False),
     (("verify", "--suite", "genfun", "--k-max", "1", "--len-max", "4"),
-     {"cluster", "oracle", "touchdown", "verify"}),
+     {"cluster", "oracle", "touchdown", "verify"}, True),
 ], ids=["genfun", "touchdown", "check", "cluster-exp", "table", "verify"])
-def test_a_command_runs_only_the_modules_it_uses(argv, extra):
+def test_a_command_runs_only_the_modules_it_uses(argv, extra, cluster):
     run = _fresh_python("-c", RUN_COMMAND, *argv)
     assert run.returncode == 0, run.stderr
-    code, ran = json.loads(run.stdout)
+    code, ran, loaded = json.loads(run.stdout)
     assert code == 0
     assert set(ran) == PLAIN_JOB | extra
+    assert not set(loaded) & ARGPARSE_MODULES
+    if not cluster:
+        assert not set(loaded) & FRACTIONS_MODULES
 
 
 def test_package_attributes_load_on_first_use():

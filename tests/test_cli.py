@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 import dyckgen
 from dyckgen import __version__, config
-from dyckgen.cli import _emit, _series_terms, main, table_from_json
+from dyckgen.cli import (COMMANDS, REQUIRED, Convention, _emit,
+                         _series_terms, cmd_genfun, cmd_table, cmd_verify,
+                         main, parse_args, table_from_json)
 from dyckgen.exact import LSeries, TPoly
 from dyckgen.genfun import GenFun, GenSpec
 from dyckgen.oracle import enumerate_paths
@@ -447,9 +449,10 @@ class TestExitCodes:
             assert err.startswith("error: ")
 
     def test_missing_subcommand_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_internal_mismatch_exits_three(self, capsys, monkeypatch):
         wrong = LSeries(4, {0: 1})
@@ -610,3 +613,135 @@ def test_verify_fuzz_exits_cleanly(suite, k_max, len_max):
         lines = out.splitlines()
         assert all(l.startswith("PASS ") for l in lines[:-1])
         assert lines[-1] == f"{len(lines) - 1} checks, 0 failures"
+
+
+# -- argv parsing ---------------------------------------------------------
+
+def build_parser():
+    """The argparse parser the command line used before parse_args: the
+    reference its namespaces are checked against."""
+    p = argparse.ArgumentParser(prog="dyckgen")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def common(sp):
+        sp.add_argument("--k", required=True)
+        sp.add_argument("--m", type=int, required=True)
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--max-len", type=int, required=True,
+                        dest="max_len")
+        sp.add_argument("--convention",
+                        choices=[c.value for c in Convention],
+                        default=Convention.STEP_PLAQUETTE.value)
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
+
+    g = sub.add_parser("genfun")
+    common(g)
+    g.add_argument("--touchdown", action="store_true")
+    g.add_argument("--method",
+                   choices=("determinant", "continued-fraction",
+                            "cluster-exp"),
+                   default="determinant")
+    g.add_argument("--check", action="store_true")
+    g.set_defaults(func=cmd_genfun)
+
+    t = sub.add_parser("table")
+    common(t)
+    t.add_argument("--touchdowns", action="store_true")
+    t.set_defaults(func=cmd_table)
+
+    v = sub.add_parser("verify")
+    v.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    v.add_argument("--k-max", type=int, default=None, dest="k_max")
+    v.add_argument("--len-max", type=int, default=None, dest="len_max")
+    v.set_defaults(func=cmd_verify)
+    return p
+
+
+def _values(kind, flag):
+    """Strategy for the text of a valid value of an option."""
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    if flag == "--k":
+        return st.sampled_from(["0", "3", "12", "-1", "inf"])
+    return st.integers(-3, 40).map(str)
+
+
+@st.composite
+def _argvs(draw):
+    """A valid argv: every required flag and some optional ones, each
+    spelled `--flag value` or `--flag=value`, some given twice, in a
+    shuffled order."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    pairs = []
+    for flag, kind, default, _ in COMMANDS[command][2]:
+        times = draw(st.integers(1 if default is REQUIRED else 0, 2))
+        for _ in range(times):
+            if kind is bool:
+                pairs.append([flag])
+            elif draw(st.booleans()):
+                pairs.append([f"{flag}={draw(_values(kind, flag))}"])
+            else:
+                pairs.append([flag, draw(_values(kind, flag))])
+    pairs = draw(st.permutations(pairs))
+    return [command] + [token for pair in pairs for token in pair]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(["genfun", "--k", "-1", "--m=-2", "--n", "0", "--max-len", "4"])
+@example(["genfun", "--m", "1", "--k", "inf", "--n", "0", "--max-len=3",
+          "--m", "0", "--check", "--check"])
+@given(argv=_argvs())
+def test_parse_args_matches_argparse(argv):
+    assert vars(parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+SPEC_ARGV = ["--k", "1", "--m", "0", "--n", "0", "--max-len", "4"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["genfun"] + SPEC_ARGV + ["--bogus"], "--bogus"),
+    (["genfun", "--k", "1", "--m", "0", "--n", "0", "--max", "4"], "--max"),
+    (["table"] + SPEC_ARGV + ["--touchdown"], "--touchdown"),
+    (["genfun"] + SPEC_ARGV + ["stray"], "stray"),
+    (["genfun"] + SPEC_ARGV + ["--format"], "--format"),
+    (["genfun", "--k", "--m", "0", "--n", "0", "--max-len", "4"], "--k"),
+    (["genfun", "--k", "1", "--m", "x", "--n", "0", "--max-len", "4"],
+     "--m"),
+    (["verify", "--k-max=2.5"], "--k-max"),
+    (["genfun"] + SPEC_ARGV + ["--format", "xml"], "--format"),
+    (["verify", "--suite", "nope"], "--suite"),
+    (["genfun"] + SPEC_ARGV + ["--check=yes"], "--check"),
+    (["genfun", "--k", "1", "--m", "0", "--max-len", "4"], "--n"),
+    (["table"], "--max-len"),
+    ([], "genfun"),
+    (["frobnicate"] + SPEC_ARGV, "frobnicate"),
+    (["--k", "1"], "genfun"),
+], ids=["unknown-flag", "abbreviation", "other-command-flag", "positional",
+        "missing-value", "flag-as-value", "bad-int", "non-int",
+        "bad-choice", "bad-suite", "switch-with-value", "missing-required",
+        "all-required-missing", "no-command", "unknown-command",
+        "flag-before-command"])
+def test_malformed_argv_exits_two(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert named in err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_flag(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, flag)
+    assert code == 0
+    assert err == ""
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("  --")]
+    assert listed == [option[0] for option in COMMANDS[command][2]]
+
+
+def test_help_lists_every_command(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0
+    assert err == ""
+    assert all(f"  {command} " in out for command in COMMANDS)

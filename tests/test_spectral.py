@@ -1,8 +1,13 @@
 """Ceiling determinants, partition functions, and the height generating
 function."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import dyckgen
 from dyckgen.exact import LSeries, QLaurent
 from dyckgen.oracle import enumerate_paths, genfun_from_table
 from dyckgen.config import GuardExceeded, SpecOutOfRange
@@ -54,6 +59,25 @@ class TestDeterminants:
             f = fk_polynomial(k)
             assert f.coeff(0).is_one()
             assert not f.coeff(det_degree(k)).is_zero()
+
+    def test_deep_ceiling_builds_a_few_calls_deep(self):
+        # a cold F_80 fills the cache bottom-up, so it nests a few calls
+        # deep, not 80: it builds under a recursion limit of 60 in a
+        # fresh interpreter; its step-2 coefficient is minus the sum of
+        # the 80 squared hop weights
+        code = ("import sys\n"
+                "from dyckgen.exact import QLaurent\n"
+                "from dyckgen.spectral import fk_polynomial\n"
+                "sys.setrecursionlimit(60)\n"
+                "f = fk_polynomial(80)\n"
+                "print(f.order, f.coeff(2) == "
+                "QLaurent({2 * n: -1 for n in range(80)}))\n")
+        src = os.path.dirname(os.path.dirname(dyckgen.__file__))
+        run = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr[-2000:]
+        assert run.stdout.split() == ["80", "True"]
 
     def test_matrix_shape(self):
         m = secular_matrix(3)
