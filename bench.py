@@ -48,10 +48,11 @@ modules it loads from source: `python -c pass` (the interpreter and
 `verify --suite genfun`.  Each has the same reference
 call beside it, run in this process between its runs.
 
-The ladder is k = inf at orders 32..120, the finite ceiling 12 at
-orders 80..400, where the packed ints are longest, the ceiling 4 at
-orders 80..400, where the slots are narrowest for their order (320 bits
-at order 400), and the endpoints 2 -> 5 at k = inf, order 48, where the
+The ladder is k = inf at orders 32..120, with order 66, where the
+slots first grow past 64 bits (to 72), the finite ceiling 12 at orders
+80..400, where the packed ints are longest, the ceiling 4 at orders
+80..400, where the slots are narrowest for their order (320 bits at
+order 400), and the endpoints 2 -> 5 at k = inf, order 48, where the
 decode adds the endpoint prefactor.  Rows are paired by their point, so
 --compare reads files with fewer points too.  The package is imported
 from the `src` directory next to this file, so a copy of the
@@ -77,7 +78,8 @@ from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count,  # noqa: E402
 from dyckgen.spectral import fk_polynomial  # noqa: E402
 
 # (k, m, n, order, whether the marked routes are timed there)
-LADDER = ([(None, 0, 0, order, True) for order in (32, 48, 64, 80, 100, 120)]
+LADDER = ([(None, 0, 0, order, True)
+           for order in (32, 48, 64, 66, 80, 100, 120)]
           + [(12, 0, 0, 80, True), (12, 0, 0, 200, False),
              (12, 0, 0, 400, False)]
           + [(4, 0, 0, 80, True), (4, 0, 0, 200, False),

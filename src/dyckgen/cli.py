@@ -26,8 +26,9 @@ import enum
 import sys
 from types import SimpleNamespace
 
-from . import __version__
+from . import __version__, cluster, oracle, touchdown, verify
 from .config import SUITE_NAMES, UsageError
+from .exact import TPoly
 from .genfun import GenSpec
 
 
@@ -97,7 +98,6 @@ def _exp_json(v, halve):
 
 def _series_terms(full):
     """Flatten a series into sorted (l, A, s-or-None, coeff) tuples."""
-    from .exact import TPoly
     out = []
     for l, v in full.nonzero_terms():
         if isinstance(v, TPoly):
@@ -145,29 +145,24 @@ def _emit(args, spec_echo, method, terms, count_label=None):
     return 0
 
 
-def _via_cluster(spec):
-    from .cluster import genfun_via_cluster
-    return genfun_via_cluster(spec)
-
-
 def cmd_genfun(args):
-    # each route's module is imported here, so a job loads only those
-    # of the routes it runs
+    # genfun's routes are read from its module here: the package
+    # attribute genfun is the function
     k, spec_echo = _parse_spec_flags(args)
     m, n, order = args.m, args.n, args.max_len
     if args.touchdown:
         if args.method != "determinant":
             raise UsageError(
                 "--touchdown supports only --method determinant")
-        from .touchdown import tilde_genfun, tilde_genfun_ratio
-        routes = {
-            "determinant": lambda: tilde_genfun(k, m, n, order).full_series(),
-            "ratio": lambda: tilde_genfun_ratio(k, m, n, order).full_series()}
+        routes = {"determinant": lambda: touchdown.tilde_genfun(
+                      k, m, n, order).full_series(),
+                  "ratio": lambda: touchdown.tilde_genfun_ratio(
+                      k, m, n, order).full_series()}
     else:
         from .genfun import continued_fraction, genfun
         spec = GenSpec(k, m, n, order)
         routes = {"determinant": lambda: genfun(spec).full_series(),
-                  "cluster-exp": lambda: _via_cluster(spec)}
+                  "cluster-exp": lambda: cluster.genfun_via_cluster(spec)}
         if m == n == 0:
             routes["continued-fraction"] = (
                 lambda: continued_fraction(spec.ceiling, spec.order))
@@ -185,11 +180,10 @@ def cmd_genfun(args):
 
 
 def cmd_table(args):
-    from .oracle import enumerate_paths, genfun_from_table
     k, spec_echo = _parse_spec_flags(args)
     ceiling = GenSpec(k, args.m, args.n, args.max_len).ceiling
-    table = enumerate_paths(ceiling, args.m, args.n, args.max_len)
-    full = genfun_from_table(table, with_touchdowns=args.touchdowns)
+    table = oracle.enumerate_paths(ceiling, args.m, args.n, args.max_len)
+    full = oracle.genfun_from_table(table, with_touchdowns=args.touchdowns)
     return _emit(args, spec_echo, "oracle", _series_terms(full),
                  count_label="count")
 
@@ -197,7 +191,6 @@ def cmd_table(args):
 def table_from_json(doc):
     """Rebuild a PathTable from cmd_table JSON output (round-trip
     helper; requires touchdown-resolved terms)."""
-    from .oracle import PathTable
     halve = doc["convention"] == Convention.DOUBLE_STEP_DIAMOND.value
     spec = doc["spec"]
     k = None if spec["k"] == "inf" else spec["k"]
@@ -209,13 +202,12 @@ def table_from_json(doc):
         key = (_dec_exp(t["l"], halve), _dec_exp(t["A"], halve), t["s"])
         counts[key] = counts.get(key, 0) + int(t["coeff"]["num"])
     ceiling = GenSpec(k, m, n, l_max).ceiling   # clamped when finite
-    return PathTable(ceiling if k is None else k, m, n, l_max, counts)
+    return oracle.PathTable(ceiling if k is None else k, m, n, l_max, counts)
 
 
 def cmd_verify(args):
-    from .verify import run_suites
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = run_suites(names, args.k_max, args.len_max)
+    results = verify.run_suites(names, args.k_max, args.len_max)
     failures = 0
     for r in results:
         if r.ok:

@@ -29,11 +29,11 @@ are packed into one Python int each (theta^2 -> 2**width).  It is exact
 for series whose final coefficients are counts, and an area cap is its
 modulus, a bit mask, so no product here takes a cap.  Values are
 decoded into QLaurent once, at the edge, all entries of a series in one
-batch by PackedRing.decoded: slots of up to 64 bits are split by one
-struct call over the whole batch, wider ones in runs of slots, and the
-endpoint prefactor is a shift of the exponents as they are read; the
-touchdown routes decode every entry of every power of the marker t in
-one batch, straight into the TPoly coefficients.
+batch by PackedRing.decoded: the slots of the whole batch, of any
+width, are split by one struct call, and the endpoint prefactor is a
+shift of the exponents as they are read; the touchdown routes decode
+every entry of every power of the marker t in one batch, straight into
+the TPoly coefficients.
 
 Internally every exponent is an integer.  The double-step convention
 (z = zeta^2, q = theta^2, exponents counting step pairs and diamonds) is
@@ -47,6 +47,7 @@ objects, so values may be shared freely across threads.
 
 import struct
 import sys
+from itertools import repeat
 
 
 class NonUnitConstantTerm(ArithmeticError):
@@ -695,15 +696,6 @@ class LSeries:
         return f"<LSeries O(z^{self.order + 1}): {body}>"
 
 
-# Slots wider than 64 bits that PackedRing._split_runs reads as one int:
-# a run of them stays a small int, so splitting it slot by slot is
-# cheap, and reading the runs one after another keeps the decode linear
-# in the entry's length.  No run of 4, 16 or 32 slots measured faster
-# overall than 8.  Slots of up to 64 bits skip runs: _split_words reads
-# them all at once.
-_RUN_SLOTS = 8
-
-
 class PackedRing:
     """Truncated series in z = zeta^2 whose area polynomials in
     q = theta^2 are packed into one int each: q -> 2**width, so the
@@ -720,9 +712,9 @@ class PackedRing:
     slots the intermediate values hold; only the final coefficients
     must be counts in 0..2**width - 1, so `decoded` can read them slot
     by slot.  A cap below 0 keeps nothing.  The width is rounded up to
-    whole bytes, so that every slot, and every run of slots, starts on
-    a byte of the entry: a slot of up to 64 bits is then a whole number
-    of bytes that a strided copy moves into a 64-bit word.  A series of
+    whole bytes, so that every slot starts on a byte of the entry and
+    is a whole number of bytes: one struct field, or, up to 64 bits,
+    what a strided copy moves into a 64-bit word.  A series of
     step order L packs into L//2 + 1 ints, one per power of z."""
 
     __slots__ = ("width", "cap", "mask")
@@ -812,17 +804,18 @@ class PackedRing:
                 elif v:
                     raise ArithmeticError("packed value is not a count series")
                 out.append(_QL_ZERO)
-        split = self._split_words if self.width <= 64 else self._split_runs
-        for i, c in zip(at, split(vals, shift)):
+        for i, c in zip(at, self._split(vals, shift)):
             out[i] = QLaurent._wrap(c)
         return out
 
-    def _split_words(self, vals, shift):
+    def _split(self, vals, shift):
         """Coefficient dicts of the positive entries vals (exponents from
-        shift), slots of up to 64 bits: each entry is shifted past its
-        empty bottom slots, the bytes of all are spread into one 8-byte
-        cell per slot, a strided copy per byte of the width, and read by
-        one struct call."""
+        shift): each entry is shifted past its empty bottom slots, and
+        the bytes of all are read by one struct call, slots of up to 64
+        bits as words (a strided copy per byte of the width spreads them
+        into 8-byte cells), wider ones as byte strings made ints.  The
+        wide format is a Struct of its own: struct's module functions
+        would cache it, one field per slot."""
         w = self.width
         nb = w // 8
         spans, parts = [], []
@@ -835,10 +828,14 @@ class PackedRing:
             parts.append(v.to_bytes(n * nb, "little"))
         raw = b"".join(parts)
         total = len(raw) // nb
-        buf = bytearray(8 * total)
-        for j in range(nb):
-            buf[j::8] = raw[j::nb]
-        words = struct.unpack_from(f"<{total}Q", buf)
+        if nb <= 8:
+            buf = bytearray(8 * total)
+            for j in range(nb):
+                buf[j::8] = raw[j::nb]
+            words = struct.unpack_from(f"<{total}Q", buf)
+        else:
+            cells = struct.Struct("<" + f"{nb}s" * total).unpack(raw)
+            words = tuple(map(int.from_bytes, cells, repeat("little")))
         out = []
         end = 0
         for e0, n in spans:
@@ -847,26 +844,6 @@ class PackedRing:
             c = dict(zip(range(e0, e0 + 2 * n, 2), chunk))
             out.append({e: v for e, v in c.items() if v} if 0 in chunk
                        else c)
-        return out
-
-    def _split_runs(self, vals, shift):
-        """_split_words for wider slots, read in runs (see _RUN_SLOTS)."""
-        w = self.width
-        slot = (1 << w) - 1
-        nb = w // 8 * _RUN_SLOTS
-        out = []
-        for v in vals:
-            raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
-            c = {}
-            for start, i in enumerate(range(0, len(raw), nb)):
-                run = int.from_bytes(raw[i:i + nb], "little")
-                e = 2 * _RUN_SLOTS * start + shift
-                while run:
-                    if s := run & slot:
-                        c[e] = s
-                    run >>= w
-                    e += 2
-            out.append(c)
         return out
 
     def unpack(self, x, order, step=0, shift=0):

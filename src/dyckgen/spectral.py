@@ -136,21 +136,21 @@ def qbinom(m, r):
     """Gaussian binomial coefficient [m choose r]_q, exponents in
     diamond (q) units.
 
-    Computed by interleaved multiply-and-divide: after s factors the
-    partial result is itself a Gaussian binomial, so every division is
-    exact and intermediates stay small.
+    Computed row by row by the q-Pascal rule [i choose j] =
+    [i-1 choose j-1] + q^j [i-1 choose j]: additions and shifts only, so
+    it shares no division with the product formula it is checked
+    against.
     """
     if m < 0:
         raise config.SpecOutOfRange("upper index must be >= 0")
     if r < 0 or r > m:
         return QLaurent.zero()
     r = min(r, m - r)
-    out = QLaurent.one()
-    for j in range(1, r + 1):
-        num = QLaurent({0: 1, m - r + j: -1})
-        den = QLaurent({0: 1, j: -1})
-        out = (out * num).divexact(den)
-    return out
+    row = [QLaurent.one()] + [QLaurent.zero()] * r
+    for i in range(1, m + 1):
+        for j in range(min(i, r), 0, -1):
+            row[j] = row[j - 1] + row[j].shift(j)
+    return row[r]
 
 
 def bosonic_partition(k, N, method="product"):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyckgen.exact import (_RUN_SLOTS, BadConstantTerm, InexactDivision,
-                           LSeries, NonUnitConstantTerm, PackedRing,
-                           QLaurent, TPoly, lift_marker)
+from dyckgen.exact import (BadConstantTerm, InexactDivision, LSeries,
+                           NonUnitConstantTerm, PackedRing, QLaurent, TPoly,
+                           lift_marker)
 
 COEFFS = [1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
 
@@ -416,15 +416,18 @@ def brute_series_mul(a, b):
     return out
 
 
+RUN_SLOTS = 8   # slots per run of a drawn packed entry
+
+
 def entries(width):
     """A packed entry of the given slot width: 0 to 4 runs of slot
     values (zero, small, saturated at 2**width - 1 or anything in
     between), or a raw signed int as wide as 3 runs."""
     top = 2 ** width - 1
     slot = st.sampled_from([0, 0, 1, top]) | st.integers(0, top)
-    return (st.lists(slot, max_size=4 * _RUN_SLOTS)
-            | st.integers(-(1 << 3 * _RUN_SLOTS * width),
-                          1 << 3 * _RUN_SLOTS * width))
+    return (st.lists(slot, max_size=4 * RUN_SLOTS)
+            | st.integers(-(1 << 3 * RUN_SLOTS * width),
+                          1 << 3 * RUN_SLOTS * width))
 
 
 def slot_by_slot(width, cap, x, order, step=0, shift=0):
@@ -574,15 +577,15 @@ class TestPackedRing:
     @given((st.sampled_from([56, 64, 72]) | st.integers(1, 208)).flatmap(
         lambda w: st.tuples(st.just(w),
                             st.lists(entries(-(-w // 8) * 8), max_size=4))),
-        st.none() | st.integers(-3, 2 * 4 * _RUN_SLOTS + 4),
+        st.none() | st.integers(-3, 2 * 4 * RUN_SLOTS + 4),
         st.integers(0, 1), st.integers(0, 3), st.integers(0, 9))
-    @example((8, [[255] * (_RUN_SLOTS - 1) + [0] * (_RUN_SLOTS + 1) + [1],
-                  [0] * (_RUN_SLOTS - 1) + [255, 255]]), None, 0, 0, 0)
-    @example((208, [[2 ** 208 - 1] + [0] * (2 * _RUN_SLOTS) + [7]]),
-             2 * (3 * _RUN_SLOTS), 1, 0, 0)
-    @example((17, [[1] * _RUN_SLOTS, [0] * (4 * _RUN_SLOTS) + [2 ** 24 - 1],
-                   -1]), 2 * (2 * _RUN_SLOTS) - 1, 0, 0, 0)
-    @example((64, [-(1 << 64 * _RUN_SLOTS)]), 2 * (2 * _RUN_SLOTS), 0, 0, 0)
+    @example((8, [[255] * (RUN_SLOTS - 1) + [0] * (RUN_SLOTS + 1) + [1],
+                  [0] * (RUN_SLOTS - 1) + [255, 255]]), None, 0, 0, 0)
+    @example((208, [[2 ** 208 - 1] + [0] * (2 * RUN_SLOTS) + [7]]),
+             2 * (3 * RUN_SLOTS), 1, 0, 0)
+    @example((17, [[1] * RUN_SLOTS, [0] * (4 * RUN_SLOTS) + [2 ** 24 - 1],
+                   -1]), 2 * (2 * RUN_SLOTS) - 1, 0, 0, 0)
+    @example((64, [-(1 << 64 * RUN_SLOTS)]), 2 * (2 * RUN_SLOTS), 0, 0, 0)
     @example((40, [5, -1]), None, 1, 0, 0)
     # on both sides of the 64-bit split and at it: zero entries, empty
     # bottom slots, an empty slot inside an entry and saturated slots
@@ -609,9 +612,9 @@ class TestPackedRing:
     @example((72, [-(1 << 72 * 3) - 1, -1]), 2 * 4, 0, 0, 0)
     def test_unpack_matches_slot_by_slot_reference(self, wx, cap, odd, step,
                                                    shift):
-        # unpack decodes a series in one batch, splitting slots of up to
-        # 64 bits by struct and wider ones in runs, each exponent raised
-        # by the area shift as it is read, and places it from zeta^step;
+        # unpack decodes a series in one batch, splitting the slots of
+        # any width by one struct call, each exponent raised by the area
+        # shift as it is read, and places it from zeta^step;
         # the reference reads every slot from the entry's bytes.  An
         # entry is a list of slot values (empty runs and slots saturated
         # at 2**width - 1 on run boundaries included) or a raw, possibly

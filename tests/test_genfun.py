@@ -482,7 +482,8 @@ def test_odd_order_routes_match_oracle(k, m, n, L):
 class TestAboveOracleGuard:
     """The routes against brute force at lengths the guard refuses."""
 
-    @pytest.mark.parametrize("m,n,L", [(0, 0, 64), (2, 5, 56), (0, 3, 41)])
+    @pytest.mark.parametrize("m,n,L", [(0, 0, 64), (0, 0, 66), (2, 5, 56),
+                                       (0, 3, 41)])
     def test_unbounded_genfun(self, monkeypatch, m, n, L):
         monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
         spec = GenSpec(None, m, n, L)

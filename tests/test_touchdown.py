@@ -316,7 +316,7 @@ class TestAboveOracleGuard:
     refuses."""
 
     @pytest.mark.parametrize("route", [tilde_genfun, tilde_genfun_ratio])
-    @pytest.mark.parametrize("m,n,L", [(0, 0, 48), (1, 3, 40)])
+    @pytest.mark.parametrize("m,n,L", [(0, 0, 48), (0, 0, 66), (1, 3, 40)])
     def test_unbounded_tilde_genfun(self, monkeypatch, m, n, L, route):
         monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
         ceiling = GenSpec(None, m, n, L).ceiling

@@ -9,10 +9,10 @@ import pytest
 from dyckgen import config, verify
 from dyckgen.cli import main
 from dyckgen.config import GuardExceeded, SpecOutOfRange, UsageError
-from dyckgen.exact import LSeries
+from dyckgen.exact import LSeries, QLaurent
 from dyckgen.genfun import GenFun, GenSpec, genfun
 from dyckgen.verify import (SUITE_NAMES, CheckResult, _eq_check, run_suites,
-                            suite_genfun)
+                            suite_determinants, suite_genfun)
 
 
 def test_suite_names_cover_registry():
@@ -199,4 +199,15 @@ def test_endpoint_symmetry_fails_on_a_wrong_series(monkeypatch):
     results = [r for r in suite_genfun(k_max=3, len_max=8)
                if r.name == "endpoint_symmetry"]
     assert len(results) == 20
+    assert not any(r.ok for r in results)
+
+
+def test_qbinomial_check_fails_on_a_wrong_division(monkeypatch):
+    # the Gaussian binomial is built by additions and shifts, so a wrong
+    # exact division breaks the product formula alone
+    monkeypatch.setattr(QLaurent, "divexact", lambda self, other: self)
+    results = [r for r in suite_determinants(k_max=4, len_max=8)
+               if r.name == "partition_qbinomial_vs_product"
+               and not r.params.startswith("k=1 ")]
+    assert len(results) == 15
     assert not any(r.ok for r in results)
