@@ -15,6 +15,8 @@ wall time over repeated runs of
 * `PackedRing.mul`: F_(k-1)(zeta*theta) times that 1/F_k, the
   determinant route's product;
 * `PackedRing.unpack`: the packed excursion series that product is;
+  beside its time, `unpack_peak_ratio`, the tracemalloc peak of one
+  unpack over the memory its result holds;
 * `touchdown._marker_series`: the marker series assembled from the
   packed t^s parts that `tilde_genfun` at the point computes;
 * `genfun`, `tilde_genfun` and `tilde_genfun_ratio` at the point, each
@@ -36,7 +38,7 @@ which does not use the package, runs before every run and after the
 last, outside the timed spans, and the file records its minimum beside
 each minimum: a time over its reference compares across files.
 --compare prints, for every row that both files timed, NEW's minimum
-over its reference divided by OLD's.
+over its reference divided by OLD's, and both files' peak ratios.
 
 The file's "cli" rows time cold processes, each run a fresh interpreter
 with PYTHONDONTWRITEBYTECODE=1, as a benchmark job runs, on a copy of
@@ -59,6 +61,7 @@ from the `src` directory next to this file, so a copy of the
 script in another checkout times that checkout.
 """
 
+import gc
 import json
 import os
 import platform
@@ -68,6 +71,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "src"))
@@ -142,6 +146,18 @@ def min_time(fn, cold=False):
     return min(times), len(times), min(refs)
 
 
+def peak_ratio(fn):
+    """tracemalloc peak of one fn() over the memory its result holds."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 - held while the memory is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round(peak / held, 3)
+
+
 def marker_args(k, m, n, order):
     """The (ring, cols, spec) that tilde_genfun passes to
     _marker_series at the point."""
@@ -186,7 +202,8 @@ def point(k, m, n, order, with_tilde):
             True)
     out = {"k": k, "m": m, "n": n, "order": order,
            "width": ring.width, "entries": len(packed),
-           "max_entry_bits": max(v.bit_length() for v in packed)}
+           "max_entry_bits": max(v.bit_length() for v in packed),
+           "unpack_peak_ratio": peak_ratio(lambda: ring.unpack(packed, L))}
     for name, job in timed.items():
         if job is None:
             for stat in ("_s", "_runs", "_ref_s"):
@@ -243,6 +260,8 @@ def compare(old_path, new_path):
                     and a[key] and b.get(key) and a.get(ref) and b.get(ref)):
                 ratio = (b[key] / b[ref]) / (a[key] / a[ref])
                 print(f"{point} {key[:-2]}: {ratio:.2f}")
+            elif key.endswith("_peak_ratio") and b.get(key):
+                print(f"{point} {key}: {a[key]} -> {b[key]}")
     for name, a in cli[0].items():
         b = cli[1].get(name)
         if b:

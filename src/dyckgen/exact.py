@@ -26,14 +26,14 @@ division; log is the integral of f'/f, so it reuses LSeries.divide.
 The determinant, continued-fraction and touchdown routes run in a fourth
 ring, PackedRing: a series in zeta^2 whose area polynomials in theta^2
 are packed into one Python int each (theta^2 -> 2**width).  It is exact
-for series whose final coefficients are counts, and an area cap is its
-modulus, a bit mask, so no product here takes a cap.  Values are
-decoded into QLaurent once, at the edge, all entries of a series in one
-batch by PackedRing.decoded: the slots of the whole batch, of any
-width, are split by one struct call, and the endpoint prefactor is a
-shift of the exponents as they are read; the touchdown routes decode
-every entry of every power of the marker t in one batch, straight into
-the TPoly coefficients.
+for series whose final coefficients are counts, and every ring reduces
+by its mask (an area cap's modulus, or -1, keeping every bit), so no
+product here takes a cap.  Values are decoded into QLaurent once, at
+the edge, all entries of a series in one pass and one struct read by
+PackedRing.decoded, and the endpoint prefactor is a shift of the
+exponents as they are read; the touchdown routes decode every entry
+of every power of the marker t in one batch, straight into the TPoly
+coefficients.
 
 Internally every exponent is an integer.  The double-step convention
 (z = zeta^2, q = theta^2, exponents counting step pairs and diamonds) is
@@ -47,7 +47,7 @@ objects, so values may be shared freely across threads.
 
 import struct
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 
 
 class NonUnitConstantTerm(ArithmeticError):
@@ -696,6 +696,12 @@ class LSeries:
         return f"<LSeries O(z^{self.order + 1}): {body}>"
 
 
+# Slots wider than 64 bits are read _WIDE_RUN at a time, so one run's
+# bytes objects, not the batch's, live beside the buffer and the result;
+# a run this long still spreads the per-call cost of the struct read.
+_WIDE_RUN = 1024
+
+
 class PackedRing:
     """Truncated series in z = zeta^2 whose area polynomials in
     q = theta^2 are packed into one int each: q -> 2**width, so the
@@ -707,15 +713,15 @@ class PackedRing:
 
     Substituting a power of two for q is a ring homomorphism, onto Z or,
     with an area cap, onto Z/2**(width*(cap//2+1)): dropping the theta
-    exponents above the cap is a mask.  Sums, products and quotients
-    are therefore exact whatever signs, cancellations or overflowing
-    slots the intermediate values hold; only the final coefficients
-    must be counts in 0..2**width - 1, so `decoded` can read them slot
-    by slot.  A cap below 0 keeps nothing.  The width is rounded up to
-    whole bytes, so that every slot starts on a byte of the entry and
-    is a whole number of bytes: one struct field, or, up to 64 bits,
-    what a strided copy moves into a 64-bit word.  A series of
-    step order L packs into L//2 + 1 ints, one per power of z."""
+    exponents above the cap is a mask, and with no cap the mask is -1.
+    Sums, products and quotients are therefore exact whatever signs,
+    cancellations or overflowing slots the intermediate values hold;
+    only the final coefficients must be counts in 0..2**width - 1, so
+    `decoded` can read them slot by slot.  A cap below 0 keeps nothing.
+    The width is rounded up to whole bytes, so that every slot starts on
+    a byte of the entry and is a whole number of bytes: up to 64 bits,
+    what a strided copy moves into a 64-bit word.  A series of step
+    order L packs into L//2 + 1 ints, one per power of z."""
 
     __slots__ = ("width", "cap", "mask")
 
@@ -725,16 +731,14 @@ class PackedRing:
         width = -(-width // 8) * 8
         self.width = width
         self.cap = cap
-        self.mask = (None if cap is None
+        self.mask = (-1 if cap is None
                      else (1 << width * max(cap // 2 + 1, 0)) - 1)
-
-    def _reduce(self, v):
-        return v if self.mask is None else v & self.mask
 
     def pack(self, series, shift=0):
         """Packed form of an integral area series, after substituting
         zeta -> zeta * theta^shift: zeta^l theta^e goes to slot
-        (e + shift*l)/2 of entry l/2, which must be whole and >= 0."""
+        (e + shift*l)/2 of entry l/2, which must be whole and >= 0.  It
+        does not mask: a negative residue is full width, slowing quotients."""
         if not all(v.is_zero() for v in series.c[1::2]):
             raise ValueError("odd step power in the packed ring")
         w, cap = self.width, self.cap
@@ -762,14 +766,14 @@ class PackedRing:
                     if i + j > L:
                         break
                     acc[i + j] += u * v
-        if self.mask is None:
-            return tuple(acc)
-        return tuple(v & self.mask for v in acc)
+        mask = self.mask
+        return tuple(v & mask for v in acc)
 
     def quotient(self, x, d):
         """x/d to the length of d, for d with constant term 1: y_n =
         x_n - (d_1 y_(n-1) + ... + d_n y_0), with x_n = 0 past its end."""
-        if self._reduce(d[0]) != self._reduce(1):
+        mask = self.mask
+        if (d[0] - 1) & mask:
             raise NonUnitConstantTerm("divisor constant term must be 1")
         d_nz = [(j, v) for j, v in enumerate(d) if j and v]
         y = []
@@ -779,54 +783,37 @@ class PackedRing:
                 if j > n:
                     break
                 acc -= v * y[n - j]
-            y.append(self._reduce(acc))
+            y.append(acc & mask)
         return tuple(y)
 
     def decoded(self, cols, order, shift=0):
         """The area polynomials, times theta^shift, that the entries of
         the packed series in cols stand for, in one batch: the first
         series' at zeta^0, zeta^2, ..., then the next one's.  Each entry
-        is reduced by the cap; slot j holds the coefficient of
+        is reduced by the mask; slot j holds the coefficient of
         theta^(2j + shift), a count below 2**width, and a negative entry
         raises ArithmeticError.  Each series is of step order `order` and
-        must hold order//2 + 1 entries (L and L - 1 alike)."""
-        mask = self.mask
-        out, at, vals = [], [], []
+        must hold order//2 + 1 entries (L and L - 1 alike).  The bytes of
+        each entry, past its empty bottom slots, join one buffer that one
+        struct format reads: slots of up to 64 bits as words (a strided
+        copy spreads them into 8-byte cells), wider ones as byte strings."""
+        w, mask = self.width, self.mask
+        nb = w // 8
+        out, spans, raw = [], [], bytearray()
         for x in cols:
             if len(x) != order // 2 + 1:
                 raise ValueError(f"{len(x)} packed entries for order {order}")
             for v in x:
-                if mask is not None:
-                    v &= mask
-                if v > 0:
-                    at.append(len(out))
-                    vals.append(v)
-                elif v:
+                v &= mask
+                if v < 0:
                     raise ArithmeticError("packed value is not a count series")
+                if v:
+                    low = ((v & -v).bit_length() - 1) // w
+                    v >>= w * low
+                    n = -(-v.bit_length() // w)
+                    spans.append((len(out), 2 * low + shift, n))
+                    raw += v.to_bytes(n * nb, "little")
                 out.append(_QL_ZERO)
-        for i, c in zip(at, self._split(vals, shift)):
-            out[i] = QLaurent._wrap(c)
-        return out
-
-    def _split(self, vals, shift):
-        """Coefficient dicts of the positive entries vals (exponents from
-        shift): each entry is shifted past its empty bottom slots, and
-        the bytes of all are read by one struct call, slots of up to 64
-        bits as words (a strided copy per byte of the width spreads them
-        into 8-byte cells), wider ones as byte strings made ints.  The
-        wide format is a Struct of its own: struct's module functions
-        would cache it, one field per slot."""
-        w = self.width
-        nb = w // 8
-        spans, parts = [], []
-        for v in vals:
-            low = ((v & -v).bit_length() - 1) // w
-            if low:
-                v >>= w * low
-            n = -(-v.bit_length() // w)
-            spans.append((2 * low + shift, n))
-            parts.append(v.to_bytes(n * nb, "little"))
-        raw = b"".join(parts)
         total = len(raw) // nb
         if nb <= 8:
             buf = bytearray(8 * total)
@@ -834,16 +821,18 @@ class PackedRing:
                 buf[j::8] = raw[j::nb]
             words = struct.unpack_from(f"<{total}Q", buf)
         else:
-            cells = struct.Struct("<" + f"{nb}s" * total).unpack(raw)
-            words = tuple(map(int.from_bytes, cells, repeat("little")))
-        out = []
+            run = min(total, _WIDE_RUN) or 1
+            raw += bytes(-total % run * nb)
+            cells = struct.Struct("<" + f"{nb}s" * run).iter_unpack(raw)
+            words = tuple(map(int.from_bytes, chain.from_iterable(cells),
+                              repeat("little")))
         end = 0
-        for e0, n in spans:
+        for i, e0, n in spans:
             start, end = end, end + n
             chunk = words[start:end]
             c = dict(zip(range(e0, e0 + 2 * n, 2), chunk))
-            out.append({e: v for e, v in c.items() if v} if 0 in chunk
-                       else c)
+            out[i] = QLaurent._wrap({e: v for e, v in c.items() if v}
+                                    if 0 in chunk else c)
         return out
 
     def unpack(self, x, order, step=0, shift=0):

@@ -1,16 +1,21 @@
 """Exact-arithmetic kernel: Laurent polynomials, marker polynomials,
 truncated series."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyckgen.exact import (BadConstantTerm, InexactDivision, LSeries,
-                           NonUnitConstantTerm, PackedRing, QLaurent, TPoly,
-                           lift_marker)
+from dyckgen.exact import (_WIDE_RUN, BadConstantTerm, InexactDivision,
+                           LSeries, NonUnitConstantTerm, PackedRing,
+                           QLaurent, TPoly, lift_marker)
+from dyckgen.genfun import GenSpec
+from dyckgen.spectral import fk_polynomial
 
 COEFFS = [1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
 
@@ -565,6 +570,39 @@ class TestPackedRing:
         with pytest.raises(ValueError):
             PackedRing(8).unpack((0, 0), 2, 3)   # past the order: 1 entry
 
+    def test_pack_keeps_negative_entries_short(self):
+        # F_k's odd powers of zeta^2 are negative; pack drops the area
+        # above the cap but does not mask, so they stay short negative
+        # ints, not residues as wide as the mask
+        ring = PackedRing(32, 20)
+        fk = fk_polynomial(12).resized(40)
+        packed = ring.pack(fk)
+        assert packed == tuple(
+            sum(c << 32 * (e // 2) for e, c in v.terms() if e <= 20)
+            for v in fk.c[::2])
+        assert min(packed) < 0
+
+    def test_wide_decode_peaks_near_its_result(self):
+        # one decode of the packed excursion series at (12, 0, 0, 200),
+        # 200-bit slots, holds its batch of bytes and one run of slot
+        # strings beside the result, not one bytes object per slot
+        spec = GenSpec(12, 0, 0, 200)
+        ring, L = spec.packed_ring, spec.series_order
+        upper = ring.pack(fk_polynomial(11).resized(L), 1)
+        fk = ring.pack(fk_polynomial(12).resized(L))
+        packed = ring.mul(upper, ring.quotient((1,), fk))
+        assert ring.width > 64
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = ring.decoded((packed,), L)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [sum(c for _, c in v.terms()) for v in out[:13]] == [
+            comb(2 * i, i) // (i + 1) for i in range(13)]   # Catalan
+        assert peak < 1.75 * held
+
     def test_unpack_past_the_order_is_empty(self):
         # with step > order nothing fits; the one entry is still checked
         assert PackedRing(8, -1).unpack((0,), 2, 3) == LSeries.zeros(2)
@@ -610,11 +648,26 @@ class TestPackedRing:
     @example((56, [[1, 0, 2], -(1 << 200), -1]), 2 * 5, 0, 0, 0)
     @example((64, [-1, [0, 0, 4], -(1 << 64) + 3]), 2 * 3, 1, 0, 0)
     @example((72, [-(1 << 72 * 3) - 1, -1]), 2 * 4, 0, 0, 0)
+    # wide batches of a run of slots less one, a run, a run and one, and
+    # two runs and one, over one entry or two, capped and not
+    @example((72, [[1] * (_WIDE_RUN - 1)]), None, 0, 0, 0)
+    @example((208, [[2 ** 208 - 1] * (_WIDE_RUN - 1) + [0, 0, 5]]),
+             2 * (_WIDE_RUN - 2), 1, 0, 0)
+    @example((72, [[0] * 3 + [2 ** 72 - 1] * _WIDE_RUN]),
+             2 * (_WIDE_RUN + 3), 0, 0, 0)
+    @example((208, [[7] * 24, [0] * 5 + [1, 2] * (_WIDE_RUN // 2 - 12)]),
+             None, 1, 1, 1)
+    @example((72, [[3] * _WIDE_RUN, [0] * 9 + [1]]), None, 0, 0, 0)
+    @example((208, [-1]), 2 * _WIDE_RUN, 0, 0, 0)
+    @example((72, [[5] * _WIDE_RUN, [0] * 4 + [9] * (_WIDE_RUN + 1)]),
+             2 * (_WIDE_RUN + 4), 0, 0, 0)
+    @example((208, [[1] + [0] * (2 * _WIDE_RUN - 1) + [2 ** 208 - 1]]),
+             None, 0, 0, 0)
     def test_unpack_matches_slot_by_slot_reference(self, wx, cap, odd, step,
                                                    shift):
-        # unpack decodes a series in one batch, splitting the slots of
-        # any width by one struct call, each exponent raised by the area
-        # shift as it is read, and places it from zeta^step;
+        # unpack decodes a series in one batch, reading the slots of
+        # any width through one struct format, each exponent raised by
+        # the area shift as it is read, and places it from zeta^step;
         # the reference reads every slot from the entry's bytes.  An
         # entry is a list of slot values (empty runs and slots saturated
         # at 2**width - 1 on run boundaries included) or a raw, possibly
