@@ -54,11 +54,13 @@ The ladder is k = inf at orders 32..120, with order 66, where the
 slots first grow past 64 bits (to 72), the finite ceiling 12 at orders
 80..400, where the packed ints are longest, the ceiling 4 at orders
 80..400, where the slots are narrowest for their order (320 bits at
-order 400), and the endpoints 2 -> 5 at k = inf, order 48, where the
-decode adds the endpoint prefactor.  Rows are paired by their point, so
---compare reads files with fewer points too.  The package is imported
-from the `src` directory next to this file, so a copy of the
-script in another checkout times that checkout.
+order 400), the endpoints 2 -> 5 at k = inf, order 48, where the
+decode adds the endpoint prefactor, and (4, 0, 0, 32) and (8, 1, 4, 32),
+the shape of a perfbench `sweep` job: finite ceilings with no area
+cap, where the ring's ints are exact and every call is small.  Rows are
+paired by their point, so --compare reads files with fewer points too.
+The package is imported from the `src` directory next to this file, so
+a copy of the script in another checkout times that checkout.
 """
 
 import gc
@@ -87,7 +89,8 @@ LADDER = ([(None, 0, 0, order, True)
           + [(12, 0, 0, 80, True), (12, 0, 0, 200, False),
              (12, 0, 0, 400, False)]
           + [(4, 0, 0, 80, True), (4, 0, 0, 200, False),
-             (4, 0, 0, 400, False), (None, 2, 5, 48, True)])
+             (4, 0, 0, 400, False), (None, 2, 5, 48, True)]
+          + [(4, 0, 0, 32, True), (8, 1, 4, 32, True)])
 # (row name, interpreter arguments) of the cold-process rows
 CLI_ROWS = (
     ("python", ["-c", "pass"]),

@@ -26,10 +26,10 @@ division; log is the integral of f'/f, so it reuses LSeries.divide.
 The determinant, continued-fraction and touchdown routes run in a fourth
 ring, PackedRing: a series in zeta^2 whose area polynomials in theta^2
 are packed into one Python int each (theta^2 -> 2**width).  It is exact
-for series whose final coefficients are counts, and every ring reduces
-by its mask (an area cap's modulus, or -1, keeping every bit), so no
-product here takes a cap.  Values are decoded into QLaurent once, at
-the edge, all entries of a series in one pass and one struct read by
+for series whose final coefficients are counts, and a ring with an area
+cap reduces by its modulus (a mask) while one without holds exact ints,
+so no product here takes a cap.  Values are decoded into QLaurent once,
+at the edge, all entries of a series in one pass and one struct read by
 PackedRing.decoded, and the endpoint prefactor is a shift of the
 exponents as they are read; the touchdown routes decode every entry
 of every power of the marker t in one batch, straight into the TPoly
@@ -713,15 +713,16 @@ class PackedRing:
 
     Substituting a power of two for q is a ring homomorphism, onto Z or,
     with an area cap, onto Z/2**(width*(cap//2+1)): dropping the theta
-    exponents above the cap is a mask, and with no cap the mask is -1.
-    Sums, products and quotients are therefore exact whatever signs,
-    cancellations or overflowing slots the intermediate values hold;
-    only the final coefficients must be counts in 0..2**width - 1, so
-    `decoded` can read them slot by slot.  A cap below 0 keeps nothing.
-    The width is rounded up to whole bytes, so that every slot starts on
-    a byte of the entry and is a whole number of bytes: up to 64 bits,
-    what a strided copy moves into a 64-bit word.  A series of step
-    order L packs into L//2 + 1 ints, one per power of z."""
+    exponents above the cap is a mask, and with no cap nothing drops, so
+    the ring keeps its exact ints unmasked.  Sums, products and
+    quotients are therefore exact whatever signs, cancellations or
+    overflowing slots the intermediate values hold; only the final
+    coefficients must be counts in 0..2**width - 1, so `decoded` can
+    read them slot by slot.  A cap below 0 keeps nothing.  The width is
+    rounded up to whole bytes, so that every slot starts on a byte of
+    the entry and is a whole number of bytes: up to 64 bits, what a
+    strided copy moves into a 64-bit word.  A series of step order L
+    packs into L//2 + 1 ints, one per power of z."""
 
     __slots__ = ("width", "cap", "mask")
 
@@ -739,7 +740,7 @@ class PackedRing:
         zeta -> zeta * theta^shift: zeta^l theta^e goes to slot
         (e + shift*l)/2 of entry l/2, which must be whole and >= 0.  It
         does not mask: a negative residue is full width, slowing quotients."""
-        if not all(v.is_zero() for v in series.c[1::2]):
+        if any(v._c for v in series.c[1::2]):
             raise ValueError("odd step power in the packed ring")
         w, cap = self.width, self.cap
         out = []
@@ -756,7 +757,8 @@ class PackedRing:
         return tuple(out)
 
     def mul(self, x, y):
-        """Product of two packed series, truncated to the shorter."""
+        """Product of two packed series, truncated to the shorter (and
+        reduced by the mask under a cap)."""
         L = min(len(x), len(y)) - 1
         acc = [0] * (L + 1)
         y_nz = [(j, v) for j, v in enumerate(y[:L + 1]) if v]
@@ -766,13 +768,15 @@ class PackedRing:
                     if i + j > L:
                         break
                     acc[i + j] += u * v
+        if self.cap is None:
+            return tuple(acc)
         mask = self.mask
         return tuple(v & mask for v in acc)
 
     def quotient(self, x, d):
         """x/d to the length of d, for d with constant term 1: y_n =
         x_n - (d_1 y_(n-1) + ... + d_n y_0), with x_n = 0 past its end."""
-        mask = self.mask
+        mask, capped = self.mask, self.cap is not None
         if (d[0] - 1) & mask:
             raise NonUnitConstantTerm("divisor constant term must be 1")
         d_nz = [(j, v) for j, v in enumerate(d) if j and v]
@@ -783,56 +787,57 @@ class PackedRing:
                 if j > n:
                     break
                 acc -= v * y[n - j]
-            y.append(acc & mask)
+            y.append(acc & mask if capped else acc)
         return tuple(y)
 
     def decoded(self, cols, order, shift=0):
         """The area polynomials, times theta^shift, that the entries of
         the packed series in cols stand for, in one batch: the first
-        series' at zeta^0, zeta^2, ..., then the next one's.  Each entry
-        is reduced by the mask; slot j holds the coefficient of
-        theta^(2j + shift), a count below 2**width, and a negative entry
-        raises ArithmeticError.  Each series is of step order `order` and
-        must hold order//2 + 1 entries (L and L - 1 alike).  The bytes of
-        each entry, past its empty bottom slots, join one buffer that one
-        struct format reads: slots of up to 64 bits as words (a strided
-        copy spreads them into 8-byte cells), wider ones as byte strings."""
-        w, mask = self.width, self.mask
+        series' at zeta^0, zeta^2, ..., then the next one's.  Under a
+        cap each entry is reduced by the mask; slot j holds the
+        coefficient of theta^(2j + shift), a count below 2**width, and a
+        negative entry raises ArithmeticError.  Each series is of step
+        order `order` and must hold order//2 + 1 entries (L and L - 1
+        alike).  The bytes of each nonzero entry, past its empty bottom
+        slots, join one buffer that one struct format reads: slots of up
+        to 64 bits as words (a strided copy spreads them into 8-byte
+        cells), wider ones as byte strings; each entry's dict takes its
+        slots in turn from one iterator over them."""
+        w, mask, capped = self.width, self.mask, self.cap is not None
         nb = w // 8
         out, spans, raw = [], [], bytearray()
         for x in cols:
             if len(x) != order // 2 + 1:
                 raise ValueError(f"{len(x)} packed entries for order {order}")
             for v in x:
-                v &= mask
-                if v < 0:
-                    raise ArithmeticError("packed value is not a count series")
-                if v:
+                if capped:
+                    v &= mask
+                if v > 0:
                     low = ((v & -v).bit_length() - 1) // w
                     v >>= w * low
                     n = -(-v.bit_length() // w)
                     spans.append((len(out), 2 * low + shift, n))
                     raw += v.to_bytes(n * nb, "little")
+                elif v:
+                    raise ArithmeticError("packed value is not a count series")
                 out.append(_QL_ZERO)
         total = len(raw) // nb
         if nb <= 8:
             buf = bytearray(8 * total)
             for j in range(nb):
                 buf[j::8] = raw[j::nb]
-            words = struct.unpack_from(f"<{total}Q", buf)
+            words = iter(struct.unpack_from(f"<{total}Q", buf))
         else:
             run = min(total, _WIDE_RUN) or 1
             raw += bytes(-total % run * nb)
             cells = struct.Struct("<" + f"{nb}s" * run).iter_unpack(raw)
-            words = tuple(map(int.from_bytes, chain.from_iterable(cells),
-                              repeat("little")))
-        end = 0
+            words = map(int.from_bytes, chain.from_iterable(cells),
+                        repeat("little"))
         for i, e0, n in spans:
-            start, end = end, end + n
-            chunk = words[start:end]
-            c = dict(zip(range(e0, e0 + 2 * n, 2), chunk))
+            # the range comes first, so zip stops before an extra word
+            c = dict(zip(range(e0, e0 + 2 * n, 2), words))
             out[i] = QLaurent._wrap({e: v for e, v in c.items() if v}
-                                    if 0 in chunk else c)
+                                    if 0 in c.values() else c)
         return out
 
     def unpack(self, x, order, step=0, shift=0):

@@ -101,17 +101,18 @@ def tilde_secular_direct(k):
 
 def _marker_series(ring, cols, spec):
     """The answer to spec whose series part has the packed t^s part
-    cols[s]: every entry of every part is decoded in one batch, straight
-    into the marker polynomial of its step power (as in unpack);
-    decoded values are area polynomials already, so the rows are
-    wrapped uncoerced."""
+    cols[s]: every entry of every part is decoded in one batch, and part
+    s's slice of it fills the t^s terms of the marker polynomials, one
+    per step power (as in unpack); decoded values are area polynomials
+    already, so the rows are wrapped uncoerced."""
     order, step = spec.series_order, spec.step_shift
     size = order // 2 + 1
     rows = [{} for _ in range(size)]
-    for j, v in enumerate(ring.decoded(cols, order, spec.area_shift)):
-        if v:
-            s, i = divmod(j, size)
-            rows[i][s] = v
+    vals = ring.decoded(cols, order, spec.area_shift)
+    for s in range(len(cols)):
+        for row, v in zip(rows, vals[s * size:(s + 1) * size]):
+            if v._c:
+                row[s] = v
     out = [TPoly.zero()] * (max(spec.order, step) + 1)
     out[step::2] = map(TPoly._wrap, rows)
     return LSeries._wrap(spec.order, out[:spec.order + 1], TPoly)

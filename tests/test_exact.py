@@ -663,6 +663,18 @@ class TestPackedRing:
              2 * (_WIDE_RUN + 4), 0, 0, 0)
     @example((208, [[1] + [0] * (2 * _WIDE_RUN - 1) + [2 ** 208 - 1]]),
              None, 0, 0, 0)
+    # every entry takes its slots in turn from the batch's one stream of
+    # words: an entry whose bits all lie above the cap, between one with
+    # empty slots inside and a zero entry, then one with empty bottom
+    # slots, on each side of the split and with no cap
+    @example((8, [[255, 0, 0, 2], [0] * 4 + [5, 0, 7], 0, [0, 0, 3]]),
+             2 * 3, 0, 0, 1)
+    @example((64, [[2 ** 64 - 1, 0, 0, 2], [0] * 4 + [5, 0, 7], 0,
+                   [0, 0, 3]]), 2 * 3, 1, 0, 0)
+    @example((72, [[2 ** 72 - 1, 0, 0, 2], [0] * 4 + [5, 0, 7], 0,
+                   [0, 0, 3]]), 2 * 3, 0, 1, 2)
+    @example((72, [[2 ** 72 - 1, 0, 0, 2], [0] * 4 + [5, 0, 7], 0,
+                   [0, 0, 3]]), None, 0, 0, 0)
     def test_unpack_matches_slot_by_slot_reference(self, wx, cap, odd, step,
                                                    shift):
         # unpack decodes a series in one batch, reading the slots of
@@ -688,6 +700,28 @@ class TestPackedRing:
         assert ring.unpack(x, order + step, step, shift) == expected
         assert (ring.decoded((x, x), order, shift)
                 == 2 * expected.c[step::2])
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 9).flatmap(
+        lambda o: st.tuples(packed_series(signed, o),
+                            packed_series(signed, o))),
+        st.integers(-3, 30), st.integers(0, 3))
+    @example((LSeries(2, [QLaurent({0: -1}), 0, QLaurent({4: 3})]),
+              LSeries(2, [1, 0, QLaurent({0: -2, 2: 1})])), 2, 1)
+    def test_capped_ring_is_the_uncapped_ring_masked(self, ab, cap, shift):
+        # an uncapped ring keeps its exact ints and a capped one reduces
+        # each product and quotient step by its mask; both are the same
+        # ring homomorphism, so on signed operands the uncapped results
+        # reduced by the mask are the capped ring's, from its own packs
+        a, d = ab
+        d = LSeries(d.order, [QLaurent.one(), *d.c[1:]])
+        exact, capped = PackedRing(WIDTH), PackedRing(WIDTH, cap)
+        mask = capped.mask
+        x, y = exact.pack(a), exact.pack(d, shift)
+        cx, cy = capped.pack(a), capped.pack(d, shift)
+        assert capped.mul(cx, cy) == tuple(v & mask for v in exact.mul(x, y))
+        assert capped.quotient(cx, cy) == tuple(
+            v & mask for v in exact.quotient(x, y))
 
 
 # Ring laws over small random values: the cluster route rests on exp and
