@@ -35,7 +35,7 @@ the one conversion, from z, q to zeta, theta, prefactor included.
 from fractions import Fraction
 from math import comb, factorial
 
-from .config import SpecOutOfRange, check_ceiling, check_order
+from .config import SpecOutOfRange, check_ceiling, check_heights, check_order
 from .exact import LSeries, QLaurent
 
 
@@ -101,11 +101,9 @@ def p_restricted(k, m, n, a_max):
     the j-part compositions ending that way, and appending a part l2 at
     index j multiplies it by C(l+l2-1, l2) * q^(j*l2)."""
     if k is not None:
-        check_ceiling(k)
+        check_heights(k, m, n)
     if not 0 <= m <= n:
         raise SpecOutOfRange("need 0 <= m <= n")
-    if k is not None and n > k:
-        raise SpecOutOfRange("endpoints must not exceed the ceiling")
     check_order(a_max, "z order")
     zero = QLaurent.zero()
     p = [zero] * (a_max + 1)

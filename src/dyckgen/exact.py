@@ -718,7 +718,8 @@ class PackedRing:
     quotients are therefore exact whatever signs, cancellations or
     overflowing slots the intermediate values hold; only the final
     coefficients must be counts in 0..2**width - 1, so `decoded` can
-    read them slot by slot.  A cap below 0 keeps nothing.  The width is
+    read them slot by slot.  A cap below 0 keeps nothing; no GenSpec
+    has one, so only a direct caller passes it.  The width is
     rounded up to whole bytes, so that every slot starts on a byte of
     the entry and is a whole number of bytes: up to 64 bits, what a
     strided copy moves into a 64-bit word.  A series of step order L

@@ -66,16 +66,15 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
     @property
     def area_cap(self):
         """Largest area exponent the series part can carry: None for a
-        finite ceiling (no truncation), but -1 at any ceiling when no path
-        of at most `order` steps joins m and n (a < 0 below: the packed
-        ring keeps nothing).  When unbounded, a = (order - |n - m|)/2 step
-        pairs beyond the direct rise carry at most a(a-1) + 2an
-        plaquettes, on the path that climbs a above n and comes back."""
-        a = (self.order - self.step_shift) // 2
-        if a < 0:
-            return -1
+        finite ceiling (no truncation).  When unbounded, a = (order -
+        |n - m|)/2 step pairs beyond the direct rise carry at most
+        a(a-1) + 2an plaquettes, on the path that climbs a above n and
+        comes back; a is clamped at 0, so the cap is 0 when no path of
+        at most `order` steps joins m and n (every placement drops the
+        one entry such a series holds, past the order)."""
         if self.k is not None:
             return None
+        a = max((self.order - self.step_shift) // 2, 0)
         return a * (a - 1) + 2 * a * max(self.m, self.n)
 
     @property
@@ -83,15 +82,16 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
         """Truncation order of the series part: its zeta^l coefficient
         is the one of zeta^(l + |n - m|) in the answer, so only
         l <= order - |n - m| are part of it (clipped to 0 when no path
-        fits, where the area cap leaves the series empty)."""
+        fits: the one entry then lands past the order)."""
         return max(self.order - self.step_shift, 0)
 
     @property
     def packed_ring(self):
-        """The PackedRing every packed route computes in, modulo the
-        spec's area cap, its slots just wide enough for N, the largest
-        number of `order`-step paths in the strip 0..ceiling from any
-        start height (_largest_count).
+        """The PackedRing every packed route computes in (the determinant
+        and continued-fraction routes and both touchdown routes), modulo
+        the spec's area cap, its slots just wide enough for N, the
+        largest number of `order`-step paths in the strip 0..ceiling
+        from any start height (_largest_count).
 
         Only the decoded coefficients must be below 2**width (PackedRing
         says why), and each counts paths m -> n of one length l <= order
@@ -165,9 +165,10 @@ def _largest_count(ceiling, order):
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _inv_fk(k, order, width, cap):
-    """1/F_k to `order` steps, packed in PackedRing(width, cap): the key
-    is everything that fixes the packed value (cap is None for a finite
-    ceiling, which packs with no modulus)."""
+    """1/F_k to `order` steps, packed in PackedRing(width, cap), a
+    spec's packed_ring: the key is everything that fixes the packed
+    value (cap is None at a finite ceiling, which packs with no modulus,
+    and a spec's area cap >= 0 when unbounded)."""
     ring = PackedRing(width, cap)
     return ring.quotient((1,), ring.pack(fk_polynomial(k).resized(order)))
 
@@ -210,18 +211,16 @@ def check_duality(spec):
 
 
 def continued_fraction(k, order):
-    """Excursion generating function as a depth-k continued fraction:
-    level j contributes a denominator 1 - zeta^2 theta^(2j) * (level
-    j+1), for j = k-1 down to 0, with 1 below the last level.  Depth
-    order//2 is exact: no excursion of `order` steps climbs higher.
+    """Excursion generating function as a continued fraction: level j
+    contributes a denominator 1 - zeta^2 theta^(2j) * (level j+1), for
+    j = c-1 down to 0, with 1 below the last level, at the depth
+    c = GenSpec(k, 0, 0, order).ceiling that genfun builds F_c at.
 
-    Evaluated bottom-up in the packed ring of the unbounded excursion
-    spec, where zeta^2 theta^(2j) is a shift by one entry and j slots.
-    At any ceiling those excursions have area at most the unbounded
-    cap, so computing modulo that cap is exact."""
+    Evaluated bottom-up in that spec's packed ring, where zeta^2
+    theta^(2j) is a shift by one entry and j slots."""
     check_ceiling(k)
-    ring = GenSpec(None, 0, 0, order).packed_ring
-    depth = min(k, order // 2)
+    spec = GenSpec(k, 0, 0, order)
+    ring, depth = spec.packed_ring, spec.ceiling
     # level j sits behind z^j, so it is needed to order//2 - j powers of
     # z: the bottom level starts that short and each level adds one
     cur = (1,) + (0,) * (order // 2 - depth)

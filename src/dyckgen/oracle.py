@@ -96,22 +96,17 @@ def genfun_from_table(table, with_touchdowns=False):
     """Package exact counts as a truncated series for coefficientwise
     comparison with the closed forms.
 
-    Plain: coefficient of zeta^l is the area polynomial of the length-l
-    counts.  With touchdowns: coefficients are marker polynomials whose
-    t^s parts are the area polynomials of the s-touchdown counts.
+    With touchdowns: coefficients are marker polynomials whose t^s
+    parts are the area polynomials of the s-touchdown counts.  Plain:
+    that series at t = 1, whose zeta^l coefficient is the area
+    polynomial of the length-l counts (as GenFun.at_t_one).
     """
-    if with_touchdowns:
-        per_l = {}
-        for (l, a, s), c in table.counts.items():
-            per_l.setdefault(l, {}).setdefault(s, {})[a] = c
-        coeffs = {
-            l: TPoly({s: QLaurent(av) for s, av in sv.items()})
-            for l, sv in per_l.items()
-        }
-        return LSeries(table.l_max, coeffs, ring=TPoly)
     per_l = {}
-    for (l, a, _), c in table.counts.items():
-        d = per_l.setdefault(l, {})
-        d[a] = d.get(a, 0) + c
-    coeffs = {l: QLaurent(av) for l, av in per_l.items()}
-    return LSeries(table.l_max, coeffs, ring=QLaurent)
+    for (l, a, s), c in table.counts.items():
+        per_l.setdefault(l, {}).setdefault(s, {})[a] = c
+    coeffs = {
+        l: TPoly({s: QLaurent(av) for s, av in sv.items()})
+        for l, sv in per_l.items()
+    }
+    marked = LSeries(table.l_max, coeffs, ring=TPoly)
+    return marked if with_touchdowns else marked.map_coeffs(TPoly.at_t_one)

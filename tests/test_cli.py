@@ -366,6 +366,18 @@ class TestEmitBytes:
             "determinant", [])
         assert out.endswith('"terms": []\n}\n')
 
+    @pytest.mark.parametrize("k", ["inf", "5"])
+    @pytest.mark.parametrize("m,n", [("0", "4"), ("4", "0")])
+    @pytest.mark.parametrize("touchdown", [(), ("--touchdown",)])
+    def test_empty_answer_checks(self, capsys, k, m, n, touchdown):
+        # no path of 2 steps joins heights 4 apart: every route agrees
+        # on the empty answer
+        code, out, err = run_cli(capsys, "genfun", "--k", k, "--m", m,
+                                 "--n", n, "--max-len", "2", "--check",
+                                 *touchdown)
+        assert (code, err) == (0, "")
+        assert out.endswith('"terms": []\n}\n')
+
     @pytest.mark.parametrize("convention",
                              ["step-plaquette", "double-step-diamond"])
     def test_touchdown_genfun(self, capsys, convention):

@@ -216,7 +216,32 @@ class TestStructure:
         assert tall == genfun_from_table(enumerate_paths(12, m, n, L))
         assert genfun(spec).full_series() == tall
         if abs(n - m) > L:
-            assert spec.area_cap < 0 and tall.is_zero()
+            assert spec.area_cap == 0 and tall.is_zero()
+            assert_every_route_is_empty(spec)
+
+    @pytest.mark.parametrize("k", [None, 4, 9])
+    @pytest.mark.parametrize("m,n,L", [(0, 3, 2), (3, 0, 2), (1, 4, 1),
+                                       (4, 0, 3), (0, 4, 0), (4, 1, 0)])
+    def test_no_path_is_the_empty_answer(self, k, m, n, L):
+        # |n - m| > L: no spec has a negative area cap, and every route
+        # drops the one entry of its series part, past the order
+        spec = GenSpec(k, m, n, L)
+        assert spec.area_cap == (0 if k is None else None)
+        assert_every_route_is_empty(spec)
+
+
+def assert_every_route_is_empty(spec):
+    """Every plain and marked route answers spec with the oracle's empty
+    series of the spec's order."""
+    k, m, n, L = spec
+    table = enumerate_paths(spec.ceiling, m, n, L)
+    plain = genfun_from_table(table)
+    marked = genfun_from_table(table, with_touchdowns=True)
+    assert plain.is_zero() and marked.is_zero() and plain.order == L
+    assert genfun(spec).full_series() == plain
+    assert genfun_via_cluster(spec) == plain
+    assert tilde_genfun(k, m, n, L).full_series() == marked
+    assert tilde_genfun_ratio(k, m, n, L).full_series() == marked
 
 
 class TestDuality:
@@ -261,6 +286,16 @@ class TestContinuedFraction:
             if k >= 0:
                 assert continued_fraction(k, L) == genfun(
                     GenSpec(k, 0, 0, L)).full_series(), (k, L)
+
+    @pytest.mark.parametrize("k,L", [(3, 40), (12, 40), (20, 40),
+                                     (40, 80), (None, 48), (None, 80)])
+    def test_matches_genfun_above_the_verify_grid(self, k, L):
+        # ceilings below and at L//2, and the unbounded spec's clamped
+        # ceiling, whose genfun is area-capped where the continued
+        # fraction's finite spec is not
+        spec = GenSpec(k, 0, 0, L)
+        assert continued_fraction(spec.ceiling, L) == genfun(
+            spec).full_series()
 
     def test_depth_matters(self):
         # one level too few or too many changes the series

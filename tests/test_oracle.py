@@ -3,7 +3,7 @@
 import pytest
 
 from dyckgen.config import GuardExceeded, SpecOutOfRange
-from dyckgen.exact import QLaurent, TPoly
+from dyckgen.exact import LSeries, QLaurent, TPoly
 from dyckgen.oracle import (Unreachable, enumerate_paths, genfun_from_table,
                             max_area)
 
@@ -100,6 +100,19 @@ class TestPackaging:
         assert s.order == 6
         assert s.coeff(4) == QLaurent({0: 1, 2: 1})
         assert s.coeff(6) == QLaurent({0: 1, 2: 2, 4: 1})
+
+    @pytest.mark.parametrize("k,m,n,L", [(2, 0, 0, 10), (5, 1, 3, 14),
+                                         (6, 4, 0, 12), (3, 0, 3, 2)])
+    def test_plain_series_sums_the_counts_over_touchdowns(self, k, m, n, L):
+        # the plain series is the marked one at t = 1: each (l, A) sums
+        # its counts over every number of touchdowns
+        t = enumerate_paths(k, m, n, L)
+        per_l = {}
+        for (l, a, _), c in t.counts.items():
+            d = per_l.setdefault(l, {})
+            d[a] = d.get(a, 0) + c
+        reference = LSeries(L, {l: QLaurent(av) for l, av in per_l.items()})
+        assert genfun_from_table(t) == reference
 
     def test_marked_series(self):
         t = enumerate_paths(2, 0, 0, 4)
