@@ -25,10 +25,7 @@ wall time over repeated runs of
   ceilings above order 80: they multiply out the dense powers of the
   arch there, and one call at (12, 0, 0, 200) takes minutes;
 * `continued_fraction` at the spec's ceiling, as `genfun --check` runs
-  it, also cold, at the points with m = n = 0 where the marked routes
-  are timed (null elsewhere): its levels are dense series, so one call
-  at (12, 0, 0, 200) takes about 30 s, at (4, 0, 0, 400) about 40 s and
-  at (12, 0, 0, 400) more than 14 minutes;
+  it, also cold, at every point with m = n = 0 (null elsewhere);
 * `genfun_full` and `tilde_genfun_full`: the same cold calls up to the
   return of their `full_series()`, the span a `sweep` job of
   perfbench/sweep_session.py times.
@@ -85,11 +82,10 @@ sys.path.insert(0, os.path.join(HERE, "src"))
 
 from dyckgen import touchdown  # noqa: E402
 from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count,  # noqa: E402
-                            continued_fraction, genfun)
+                            _packed_fk, continued_fraction, genfun)
 from dyckgen.spectral import fk_polynomial  # noqa: E402
 
-# (k, m, n, order, whether the marked routes and, at m = n = 0, the
-# continued fraction are timed there)
+# (k, m, n, order, whether the marked routes are timed there)
 LADDER = ([(None, 0, 0, order, True)
            for order in (32, 48, 64, 66, 80, 100, 120)]
           + [(12, 0, 0, 80, True), (12, 0, 0, 200, False),
@@ -116,7 +112,9 @@ REF_TERMS = 60   # size of the reference call's product
 
 def clear_caches():
     fk_polynomial.cache_clear()
+    _packed_fk.cache_clear()
     _inv_fk.cache_clear()
+    touchdown._arch.cache_clear()
     _largest_count.cache_clear()
     touchdown.tilde_secular.cache_clear()
 
@@ -210,9 +208,9 @@ def point(k, m, n, order, with_tilde):
         timed["tilde_genfun_full"] = (
             lambda: touchdown.tilde_genfun(k, m, n, order).full_series(),
             True)
-        if m == n == 0:
-            timed["continued_fraction"] = (
-                lambda: continued_fraction(ceiling, order), True)
+    if m == n == 0:
+        timed["continued_fraction"] = (
+            lambda: continued_fraction(ceiling, order), True)
     out = {"k": k, "m": m, "n": n, "order": order,
            "width": ring.width, "entries": len(packed),
            "max_entry_bits": max(v.bit_length() for v in packed),

@@ -32,9 +32,9 @@ ORACLE_LEN_MAX = 24
 # Largest --k-max of the verify suites but determinants (cost ~ its cube).
 VERIFY_K_MAX = 12
 
-# Entries kept by each builder cache (fk_polynomial, _inv_fk,
-# tilde_secular, and _largest_count, which sizes the packed slots), so a
-# long-lived process holds bounded memory.
+# Entries kept by each builder cache (fk_polynomial, _packed_fk, _inv_fk,
+# touchdown._arch, tilde_secular, and _largest_count, which sizes the
+# packed slots), so a long-lived process holds bounded memory.
 CACHE_ENTRIES = 64
 
 # The identity suites of verify, in running order: verify's suite_<name>

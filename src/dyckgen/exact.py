@@ -803,7 +803,10 @@ class PackedRing:
         slots, join one buffer that one struct format reads: slots of up
         to 64 bits as words (a strided copy spreads them into 8-byte
         cells), wider ones as byte strings; each entry's dict takes its
-        slots in turn from one iterator over them."""
+        slots in turn from one iterator over them.  An entry's top and
+        bottom slots are nonzero, so only an interior slot can be empty:
+        the per-entry filter that drops empty slots runs on wide slots,
+        and on words only when the batch holds a zero word."""
         w, mask, capped = self.width, self.mask, self.cap is not None
         nb = w // 8
         out, spans, raw = [], [], bytearray()
@@ -827,18 +830,22 @@ class PackedRing:
             buf = bytearray(8 * total)
             for j in range(nb):
                 buf[j::8] = raw[j::nb]
-            words = iter(struct.unpack_from(f"<{total}Q", buf))
+            words = struct.unpack_from(f"<{total}Q", buf)
+            gaps = 0 in words
+            words = iter(words)
         else:
             run = min(total, _WIDE_RUN) or 1
             raw += bytes(-total % run * nb)
             cells = struct.Struct("<" + f"{nb}s" * run).iter_unpack(raw)
             words = map(int.from_bytes, chain.from_iterable(cells),
                         repeat("little"))
+            gaps = True
         for i, e0, n in spans:
             # the range comes first, so zip stops before an extra word
             c = dict(zip(range(e0, e0 + 2 * n, 2), words))
-            out[i] = QLaurent._wrap({e: v for e, v in c.items() if v}
-                                    if 0 in c.values() else c)
+            if gaps and 0 in c.values():
+                c = {e: v for e, v in c.items() if v}
+            out[i] = QLaurent._wrap(c)
         return out
 
     def unpack(self, x, order, step=0, shift=0):

@@ -22,7 +22,7 @@ from operator import add
 from .config import (CACHE_ENTRIES, SpecOutOfRange, UsageError,
                      check_ceiling, check_heights)
 from .exact import PackedRing, TPoly
-from .spectral import fk_polynomial
+from .spectral import det_degree, fk_polynomial
 
 
 class GenSpec(namedtuple("GenSpec", "k m n order")):
@@ -164,21 +164,40 @@ def _largest_count(ceiling, order):
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
+def _packed_fk(j, width, cap, shift, length):
+    """F_j(zeta*theta^shift) to `length` steps, packed in
+    PackedRing(width, cap): length is at most F_j's degree, so the key
+    is the same for every order that reaches past it."""
+    return PackedRing(width, cap).pack(fk_polynomial(j).resized(length),
+                                       shift)
+
+
+def packed_fk(ring, j, order, shift=0):
+    """F_j(zeta*theta^shift) packed in `ring` to the series order
+    `order` (order//2 + 1 entries): the `_packed_fk` cache holds it to
+    the lesser of order and F_j's degree, and the zero entries past that
+    are padded on."""
+    x = _packed_fk(j, ring.width, ring.cap, shift,
+                   min(order, det_degree(j)))
+    return x + (0,) * (order // 2 + 1 - len(x))
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _inv_fk(k, order, width, cap):
     """1/F_k to `order` steps, packed in PackedRing(width, cap), a
     spec's packed_ring: the key is everything that fixes the packed
     value (cap is None at a finite ceiling, which packs with no modulus,
     and a spec's area cap >= 0 when unbounded)."""
     ring = PackedRing(width, cap)
-    return ring.quotient((1,), ring.pack(fk_polynomial(k).resized(order)))
+    return ring.quotient((1,), packed_fk(ring, k, order))
 
 
 def packed_genfun(ring, k, m, n, order):
     """The series part F_(m-1) * F_(k-n-1)(zeta*theta^(n+1)) / F_k for
     0 <= m <= n <= k, packed in `ring` to the series order `order`;
     1/F_k comes from the `_inv_fk` cache under the ring's width and cap."""
-    num = ring.pack(fk_polynomial(m - 1).resized(order))
-    upper = ring.pack(fk_polynomial(k - n - 1).resized(order), n + 1)
+    num = packed_fk(ring, m - 1, order)
+    upper = packed_fk(ring, k - n - 1, order, n + 1)
     inv = _inv_fk(k, order, ring.width, ring.cap)
     return ring.mul(ring.mul(num, upper), inv)
 
@@ -213,18 +232,26 @@ def check_duality(spec):
 def continued_fraction(k, order):
     """Excursion generating function as a continued fraction: level j
     contributes a denominator 1 - zeta^2 theta^(2j) * (level j+1), for
-    j = c-1 down to 0, with 1 below the last level, at the depth
+    j = 0 .. c-1, with 1 below the last level, at the depth
     c = GenSpec(k, 0, 0, order).ceiling that genfun builds F_c at.
 
-    Evaluated bottom-up in that spec's packed ring, where zeta^2
-    theta^(2j) is a shift by one entry and j slots."""
+    Its convergents come from the Euler-Wallis recurrence: adding level
+    j turns each of the numerator and denominator into X - zeta^2
+    theta^(2j) X_prev, a shift by one entry and j slots in that spec's
+    packed ring, from num = den = den_prev = 1 and num_prev = 0.  One
+    quotient num/den then gives the series."""
     check_ceiling(k)
     spec = GenSpec(k, 0, 0, order)
-    ring, depth = spec.packed_ring, spec.ceiling
-    # level j sits behind z^j, so it is needed to order//2 - j powers of
-    # z: the bottom level starts that short and each level adds one
-    cur = (1,) + (0,) * (order // 2 - depth)
-    for j in range(depth - 1, -1, -1):
-        cur = ring.quotient(
-            (1,), (1,) + tuple(-(v << j * ring.width) for v in cur))
-    return ring.unpack(cur, order)
+    ring, size = spec.packed_ring, order // 2 + 1
+    one = (1,) + (0,) * (size - 1)
+    num, num_prev, den, den_prev = one, (0,) * size, one, one
+    for j in range(spec.ceiling):
+        s = j * ring.width
+        num, num_prev = _wallis_step(num, num_prev, s), num
+        den, den_prev = _wallis_step(den, den_prev, s), den
+    return ring.unpack(ring.quotient(num, den), order)
+
+
+def _wallis_step(x, prev, s):
+    """x - z * 2**s * prev, truncated to the length of x."""
+    return x[:1] + tuple(u - (v << s) for u, v in zip(x[1:], prev))

@@ -49,8 +49,8 @@ same arch written as R = (G_k - 1)/G_k: 1/[t + (1-t) G_k] =
 from functools import lru_cache
 
 from .config import CACHE_ENTRIES, check_ceiling, check_order
-from .exact import LSeries, QLaurent, TPoly, lift_marker
-from .genfun import GenFun, GenSpec, packed_genfun
+from .exact import LSeries, PackedRing, QLaurent, TPoly, lift_marker
+from .genfun import GenFun, GenSpec, packed_fk, packed_genfun
 from .spectral import det_elimination, fk_polynomial, tridiagonal
 
 _T = TPoly.marker()
@@ -122,9 +122,18 @@ def _marked_parts(ring, k, order):
     """A and C of tF_k = A - t*C (tilde_secular_toprow), packed in ring:
     zeta -> zeta*theta, zeta*theta^2 are pack shifts, zeta^2 one entry."""
     if k <= 0:
-        return ring.pack(LSeries.one(order)), (0,) * (order // 2 + 1)
-    c = ring.pack(fk_polynomial(k - 2).resized(order), 2)
-    return ring.pack(fk_polynomial(k - 1).resized(order), 1), (0,) + c[:-1]
+        return packed_fk(ring, 0, order), (0,) * (order // 2 + 1)
+    c = packed_fk(ring, k - 2, order, 2)
+    return packed_fk(ring, k - 1, order, 1), (0,) + c[:-1]
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _arch(k, order, width, cap):
+    """(A, R = C/A) of tF_k = A - t*C to `order` steps, packed in
+    PackedRing(width, cap), a spec's packed_ring (keyed as _inv_fk)."""
+    ring = PackedRing(width, cap)
+    a, c = _marked_parts(ring, k, order)
+    return a, ring.quotient(c, a)
 
 
 def _geometric(spec, ring, p0, p1, ratio):
@@ -151,16 +160,16 @@ def tilde_genfun(k, m, n, order):
     With tF_k = A - t*C and tF_(m-1) = A' - t*C' (m <= n), the t^0
     part is A' * Y and the t^1 part Y * (A' * R - C'), then geometric in
     the arch R = C/A, where Y = F_(k-n-1)(zeta*theta^(n+1)) / A.  Y and
-    R are each one packed quotient by the polynomial A.  Every product
+    R are each one packed quotient by the polynomial A; A and R come
+    from the `_arch` cache under the ring's width and cap.  Every product
     and quotient runs to spec.series_order in spec.packed_ring; the t^s
     parts are decoded at the end, straight into the marker polynomials
     of the answer."""
     spec = GenSpec(k, m, n, order)
     k, ring, order = spec.ceiling, spec.packed_ring, spec.series_order
     m, n = sorted((m, n))
-    upper = ring.pack(fk_polynomial(k - n - 1).resized(order), n + 1)
-    a, c = _marked_parts(ring, k, order)
-    y, ratio = ring.quotient(upper, a), ring.quotient(c, a)
+    a, ratio = _arch(k, order, ring.width, ring.cap)
+    y = ring.quotient(packed_fk(ring, k - n - 1, order, n + 1), a)
     a, c = _marked_parts(ring, m - 1, order)   # now A' and C'
     first = tuple(u - v for u, v in zip(ring.mul(a, ratio), c))
     return _geometric(spec, ring, ring.mul(a, y), ring.mul(y, first),

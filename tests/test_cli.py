@@ -22,7 +22,7 @@ from dyckgen.cli import (COMMANDS, REQUIRED, Convention, _emit,
                          _series_terms, cmd_genfun, cmd_table, cmd_verify,
                          main, parse_args, table_from_json)
 from dyckgen.exact import LSeries, TPoly
-from dyckgen.genfun import GenFun, GenSpec
+from dyckgen.genfun import GenFun, GenSpec, _packed_fk
 from dyckgen.oracle import enumerate_paths
 from dyckgen.spectral import fk_polynomial
 from dyckgen.touchdown import tilde_genfun
@@ -529,7 +529,9 @@ class TestExitCodes:
         expected = run_cli(capsys, *argv)
         assert expected[0] == 0
         monkeypatch.setattr(config, "DET_CEILING_MAX", 1)
+        # a cold build trips the guard: the packed F_j come from the dict
         fk_polynomial.cache_clear()
+        _packed_fk.cache_clear()
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert "determinant ceiling 2 exceeds guard 1" in err

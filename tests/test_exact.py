@@ -675,6 +675,17 @@ class TestPackedRing:
                    [0, 0, 3]]), 2 * 3, 0, 1, 2)
     @example((72, [[2 ** 72 - 1, 0, 0, 2], [0] * 4 + [5, 0, 7], 0,
                    [0, 0, 3]]), None, 0, 0, 0)
+    # the batch's words are tested for a zero once, at slots of 64 bits
+    # or fewer: exactly one entry of several has an empty slot inside,
+    # in the middle of the batch or last, and no entry has one (empty
+    # bottom slots, zero entries and saturated slots around them)
+    @example((16, [[3, 4], [0, 9, 0, 2], [2 ** 16 - 1], [0, 0, 1, 1]]),
+             None, 0, 0, 0)
+    @example((64, [[1], [0, 2 ** 64 - 1, 5], 0, [7, 0, 0, 8]]), None, 1, 0, 1)
+    @example((24, [[1, 2, 3], 0, [0, 0, 5, 6], [2 ** 24 - 1] * 3, [4]]),
+             None, 0, 1, 2)
+    @example((64, [[0, 2 ** 64 - 1], [1, 1], 0, [0] * 7 + [2]]), 2 * 9, 1,
+             0, 0)
     def test_unpack_matches_slot_by_slot_reference(self, wx, cap, odd, step,
                                                    shift):
         # unpack decodes a series in one batch, reading the slots of

@@ -1,18 +1,22 @@
 """Endpoint generating functions and the identities tying them
 together."""
 
+import random
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyckgen.cluster import degree_formula, genfun_via_cluster
 from dyckgen.config import CACHE_ENTRIES, SpecOutOfRange
-from dyckgen.exact import LSeries, QLaurent, TPoly
-from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count,
-                            check_duality, continued_fraction, genfun)
+from dyckgen.exact import LSeries, PackedRing, QLaurent, TPoly
+from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count, _packed_fk,
+                            check_duality, continued_fraction, genfun,
+                            packed_fk)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
-from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
+from dyckgen.touchdown import (_arch, tilde_genfun, tilde_genfun_openend,
                                tilde_genfun_openend_shifted,
                                tilde_genfun_ratio, tilde_secular)
 from dyckgen.verify import check_recursions
@@ -279,23 +283,29 @@ class TestContinuedFraction:
 
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 7, 12, 13, 24, 31])
     def test_truncated_levels_at_every_depth(self, L):
-        # each level is built only to the powers of z that survive: the
-        # bottom one shortest, so depths below, at and above L/2 (where
-        # the depth is clamped) must all still match the determinant
+        # the convergents are truncated to the powers of z that survive,
+        # so depths below, at and above L/2 (where the depth is clamped)
+        # must all still match the determinant
         for k in sorted({0, 1, 2, 3, L // 2 - 1, L // 2, L // 2 + 3}):
             if k >= 0:
                 assert continued_fraction(k, L) == genfun(
                     GenSpec(k, 0, 0, L)).full_series(), (k, L)
 
     @pytest.mark.parametrize("k,L", [(3, 40), (12, 40), (20, 40),
-                                     (40, 80), (None, 48), (None, 80)])
+                                     (40, 80), (12, 200), (None, 48),
+                                     (None, 80)])
     def test_matches_genfun_above_the_verify_grid(self, k, L):
         # ceilings below and at L//2, and the unbounded spec's clamped
         # ceiling, whose genfun is area-capped where the continued
-        # fraction's finite spec is not
+        # fraction's finite spec is not.  The Euler-Wallis recurrence
+        # adds a level by one shift of each convergent and divides once,
+        # so the fraction alone keeps to a 10 s budget: (12, 200) takes
+        # well under a second, where dividing level by level took 30 s
         spec = GenSpec(k, 0, 0, L)
-        assert continued_fraction(spec.ceiling, L) == genfun(
-            spec).full_series()
+        t0 = time.perf_counter()
+        cf = continued_fraction(spec.ceiling, L)
+        assert time.perf_counter() - t0 < 10
+        assert cf == genfun(spec).full_series()
 
     def test_depth_matters(self):
         # one level too few or too many changes the series
@@ -315,9 +325,47 @@ class TestContinuedFraction:
 
 class TestBuilderCaches:
     def test_caches_are_bounded(self):
-        for cached in (fk_polynomial, _inv_fk, tilde_secular,
-                       _largest_count):
+        for cached in (fk_polynomial, _packed_fk, _inv_fk, _arch,
+                       tilde_secular, _largest_count):
             assert cached.cache_info().maxsize == CACHE_ENTRIES
+
+    @pytest.mark.parametrize("cap", [None, 30])
+    def test_packed_fk_is_the_packed_determinant(self, cap):
+        # the cache holds F_j to the lesser of the order and its degree:
+        # orders below the degree truncate it, orders past it pad zero
+        # entries on, and a cap drops the same exponents as pack
+        ring = PackedRing(8, cap)
+        for j in range(-1, 14):
+            for order in range(41):
+                for shift in range(5):
+                    assert packed_fk(ring, j, order, shift) == ring.pack(
+                        fk_polynomial(j).resized(order), shift), (j, order)
+
+    def test_shared_caches_replay_cold_answers(self):
+        # the perfbench sweep's jobs, every 0 <= m <= n <= k <= 8 at
+        # order 32 on both routes, in two shuffled orders sharing every
+        # cache (with evictions), each give the answer of a cold call
+        def run(job):
+            route, k, m, n = job
+            return route(k, m, n, 32).full_series()
+
+        def unmarked(k, m, n, order):
+            return genfun(GenSpec(k, m, n, order))
+
+        jobs = [(route, k, m, n) for k in range(1, 9)
+                for m in range(k + 1) for n in range(m, k + 1)
+                for route in (unmarked, tilde_genfun)]
+        cold = []
+        for job in jobs:
+            for cached in (fk_polynomial, _packed_fk, _inv_fk, _arch,
+                           tilde_secular, _largest_count):
+                cached.cache_clear()
+            cold.append(run(job))
+        for seed in (1, 2):
+            replay = list(range(len(jobs)))
+            random.Random(seed).shuffle(replay)
+            for i in replay:
+                assert run(jobs[i]) == cold[i], jobs[i][1:]
 
     def test_eviction_keeps_results_exact(self):
         first = _inv_fk(2, 5, 6, None)
