@@ -26,6 +26,10 @@ wall time over repeated runs of
   arch there, and one call at (12, 0, 0, 200) takes minutes;
 * `continued_fraction` at the spec's ceiling, as `genfun --check` runs
   it, also cold, at every point with m = n = 0 (null elsewhere);
+* `genfun_via_cluster`, the cluster route `genfun --check` runs, cold,
+  at every point but those in CLUSTER_SKIP (null there), where one call
+  takes most of a minute or more: 54 s at (12, 0, 0, 200) and 152 s at
+  (4, 0, 0, 400), and longer at (12, 0, 0, 400);
 * `genfun_full` and `tilde_genfun_full`: the same cold calls up to the
   return of their `full_series()`, the span a `sweep` job of
   perfbench/sweep_session.py times.
@@ -81,6 +85,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "src"))
 
 from dyckgen import touchdown  # noqa: E402
+from dyckgen.cluster import genfun_via_cluster  # noqa: E402
 from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count,  # noqa: E402
                             _packed_fk, continued_fraction, genfun)
 from dyckgen.spectral import fk_polynomial  # noqa: E402
@@ -93,6 +98,8 @@ LADDER = ([(None, 0, 0, order, True)
           + [(4, 0, 0, 80, True), (4, 0, 0, 200, False),
              (4, 0, 0, 400, False), (None, 2, 5, 48, True)]
           + [(4, 0, 0, 32, True), (8, 1, 4, 32, True)])
+# ladder points where one cold genfun_via_cluster call takes a minute or more
+CLUSTER_SKIP = {(12, 0, 0, 200), (12, 0, 0, 400), (4, 0, 0, 400)}
 # (row name, interpreter arguments) of the cold-process rows
 CLI_ROWS = (
     ("python", ["-c", "pass"]),
@@ -192,6 +199,7 @@ def point(k, m, n, order, with_tilde):
         "quotient": (lambda: ring.quotient((1,), fk), False),
         "genfun": (lambda: genfun(spec), True),
         "continued_fraction": None,
+        "genfun_via_cluster": None,
         "tilde_genfun": None,
         "tilde_genfun_ratio": None,
         "genfun_full": (lambda: genfun(spec).full_series(), True),
@@ -211,6 +219,8 @@ def point(k, m, n, order, with_tilde):
     if m == n == 0:
         timed["continued_fraction"] = (
             lambda: continued_fraction(ceiling, order), True)
+    if (k, m, n, order) not in CLUSTER_SKIP:
+        timed["genfun_via_cluster"] = (lambda: genfun_via_cluster(spec), True)
     out = {"k": k, "m": m, "n": n, "order": order,
            "width": ring.width, "entries": len(packed),
            "max_entry_bits": max(v.bit_length() for v in packed),

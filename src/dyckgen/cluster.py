@@ -18,9 +18,16 @@ rational functions.
 
 c_2 is 1/l_1 times a product over adjacent parts, and the energy adds
 (i-1) l_i at part i, so the sum over compositions runs as a transfer
-matrix over adjacent parts (p_restricted): polynomial in a, where
-listing the 2^(a-1) compositions is not.  The explicit compositions
-remain as the brute-force reference for the weights.
+matrix over adjacent parts (_scaled_log), polynomial in a, where the
+2^(a-1) compositions, the weights' reference, are not.  Times D =
+lcm(1..a) every weight is an int, and with q -> 2**w an area polynomial
+is one int, so a step is an int product and a shift.  Width: exp(sum_s
+p_s z^s) is the series part of G, b_s <= N counting paths (N as in
+GenSpec.packed_ring), and every term of s*D*b_s = sum_i i*P_i*b_(s-i)
+is >= 0 with b_0 = 1, so P_s = D*p_s is at most D*N < 2**w slotwise
+for w = bits(N) + bits(D), the bound the final read needs (carries in
+between are exact).  genfun_via_cluster runs that recurrence in int
+QLaurent; it shares no arithmetic helper with the determinant routes.
 
 For m != n the monomial prefactor of the generating function carries
 fractional powers in these units; its logarithm, step_shift/2 * ln z
@@ -33,10 +40,11 @@ the one conversion, from z, q to zeta, theta, prefactor included.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .config import SpecOutOfRange, check_ceiling, check_heights, check_order
 from .exact import LSeries, QLaurent
+from .genfun import GenSpec, _largest_count
 
 
 def compositions(a):
@@ -96,35 +104,47 @@ def p_restricted(k, m, n, a_max):
     The z^a coefficient sums c2 * q^energy over the compositions of a
     with at most k parts (any number when unbounded), each with j parts
     summed over the base levels r with max(m-j, 0) <= r <= n and, for
-    finite k, r <= k-j.  The sum runs as a transfer matrix over adjacent
-    parts: layer j maps (last part l, running total s) to the weight of
-    the j-part compositions ending that way, and appending a part l2 at
-    index j multiplies it by C(l+l2-1, l2) * q^(j*l2)."""
+    finite k, r <= k-j: _scaled_log's sum, divided by D at the edge."""
     if k is not None:
         check_heights(k, m, n)
     if not 0 <= m <= n:
         raise SpecOutOfRange("need 0 <= m <= n")
     check_order(a_max, "z order")
-    zero = QLaurent.zero()
-    p = [zero] * (a_max + 1)
-    layer = {(l, l): QLaurent.const(c2((l,))) for l in range(1, a_max + 1)}
+    d, sums = _scaled_log(k, m, n, a_max)
+    return LSeries(a_max, [v.scale(Fraction(1, d)) for v in sums])
+
+
+def _scaled_log(k, m, n, a_max):
+    """D = lcm(1..a_max) and the z^a coefficients of D * p_restricted(k,
+    m, n, a_max) as int QLaurents: layer j maps (last part l, total s) to
+    the packed weight of the j-part compositions ending that way."""
+    d = lcm(*range(1, a_max + 1))
+    order = 2 * a_max + n - m
+    count = _largest_count(GenSpec(k, m, n, order).ceiling, order)
+    w = -(-(count.bit_length() + d.bit_length()) // 8) * 8
+    p = [0] * (a_max + 1)
+    layer = {(l, l): int(d * c2((l,))) for l in range(1, a_max + 1)}
     j = 1
     while layer and (k is None or j <= k):
         r_max = n if k is None else min(n, k - j)
         totals = {}
         for (_, s), v in layer.items():
-            totals[s] = totals.get(s, zero) + v
+            totals[s] = totals.get(s, 0) + v
         for s, v in totals.items():
             for r in range(max(m - j, 0), r_max + 1):
-                p[s] = p[s] + v.shift(s * r)
+                p[s] += v << w * s * r
         grown = {}
         for (l, s), v in layer.items():
             for l2 in range(1, a_max - s + 1):
-                w = v.scale(comb(l + l2 - 1, l2))
-                grown[l2, s + l2] = grown.get((l2, s + l2), zero) + w
-        layer = {(l2, s): v.shift(j * l2) for (l2, s), v in grown.items()}
+                key = l2, s + l2
+                grown[key] = grown.get(key, 0) + v * comb(l + l2 - 1, l2)
+        layer = {(l2, s): v << w * j * l2 for (l2, s), v in grown.items()}
         j += 1
-    return LSeries(a_max, p)
+    nb, raws = w // 8, [v.to_bytes(-(-v.bit_length() // 8), "little")
+                        for v in p]
+    return d, [QLaurent._wrap({e: c for e, c in enumerate(int.from_bytes(
+        r[i:i + nb], "little") for i in range(0, len(r), nb)) if c})
+        for r in raws]
 
 
 def log_secular(k, a_max):
@@ -165,9 +185,18 @@ def in_steps(s, order, step=0, shift=0):
 
 def genfun_via_cluster(spec):
     """Full generating-function series (internal units) reconstructed by
-    exponentiating the cluster logarithm; an independent multiplicative
-    route to the same object as genfun (in_steps puts the prefactor
-    on)."""
+    exponentiating the cluster logarithm, by the Newton recurrence on
+    _scaled_log's sums; an independent multiplicative route to the same
+    object as genfun (in_steps puts the prefactor on)."""
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-    s = p_restricted(spec.k, m, n, spec.series_order // 2).exp()
-    return in_steps(s, spec.order, spec.step_shift, spec.area_shift)
+    d, sums = _scaled_log(spec.k, m, n, spec.series_order // 2)
+    terms = [(i, v.scale(i)) for i, v in enumerate(sums) if v]
+    b = [QLaurent.one()]
+    for s in range(1, len(sums)):
+        acc = sum((v * b[s - i] for i, v in terms if i <= s), QLaurent.zero())
+        parts = {e: divmod(c, s * d) for e, c in acc._c.items()}
+        if any(rem for _, rem in parts.values()):
+            raise ArithmeticError("cluster exp left a remainder")
+        b.append(QLaurent._wrap({e: c for e, (c, _) in parts.items()}))
+    return in_steps(LSeries(len(b) - 1, b), spec.order, spec.step_shift,
+                    spec.area_shift)

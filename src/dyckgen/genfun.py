@@ -174,9 +174,11 @@ def _packed_fk(j, width, cap, shift, length):
 
 def packed_fk(ring, j, order, shift=0):
     """F_j(zeta*theta^shift) packed in `ring` to the series order
-    `order` (order//2 + 1 entries): the `_packed_fk` cache holds it to
-    the lesser of order and F_j's degree, and the zero entries past that
-    are padded on."""
+    `order` (order//2 + 1 entries): F_(-1) = F_0 = 1 (masked) directly,
+    else the `_packed_fk` cache holds it to the lesser of order and
+    F_j's degree, and the zero entries past that are padded on."""
+    if j <= 0:
+        return (ring.mask & 1,) + (0,) * (order // 2)
     x = _packed_fk(j, ring.width, ring.cap, shift,
                    min(order, det_degree(j)))
     return x + (0,) * (order // 2 + 1 - len(x))

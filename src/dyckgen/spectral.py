@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from . import config
-from .exact import LSeries, QLaurent
+from .exact import LSeries, NonUnitConstantTerm, QLaurent
 
 
 def det_degree(k):
@@ -87,28 +87,37 @@ def fk_polynomial(k):
 def det_elimination(cells):
     """Fraction-free determinant of a square matrix of truncated series.
 
-    One-step condensation: each trailing entry is replaced by
-    (pivot*entry - column*row) / previous pivot.  Every entry produced
-    this way is a genuine minor of the original matrix, so the division
-    is exact; the previous pivot is a leading principal minor with
-    constant term 1, so it is invertible in the series ring.  No
-    rational-function arithmetic ever appears.
+    Bareiss's one-step condensation: step p turns each trailing entry
+    of a row into (pivot*entry - column*pivot row) / M_p, a genuine minor
+    of the matrix, so the division by M_p, the leading principal minor
+    of order p, is exact; M_p must have constant term 1
+    (NonUnitConstantTerm otherwise).  A row below p + 1 with a zero in
+    the pivot column would only be multiplied by M_(p+1)/M_p, so it stays
+    as step r - 1 left it, and dividing by M_r when it is next
+    eliminated brings it up to date.  Row p + 1 is always eliminated, so
+    the pivot rows and the last entry are current, and on a tridiagonal
+    matrix each step touches one row.  No rational-function arithmetic
+    ever appears.
     """
     n = len(cells)
     if n == 0:
         raise ValueError("empty matrix")
     m = [list(row) for row in cells]
-    prev = None
+    minors, stage = [None], [0] * n  # M_0 = 1 is None
     for p in range(n - 1):
-        pivot = m[p][p]
+        row = m[p]
+        if p and not minors[p].c[0].is_one():
+            raise NonUnitConstantTerm("divisor constant term must be 1")
+        minors.append(row[p])
         for i in range(p + 1, n):
-            rip = m[i][p]
+            target, div = m[i], minors[stage[i]]
+            if i > p + 1 and target[p].is_zero():
+                continue
             for j in range(p + 1, n):
-                t = pivot * m[i][j]
-                if not rip.is_zero() and not m[p][j].is_zero():
-                    t = t - rip * m[p][j]
-                m[i][j] = t if prev is None else t.divide(prev)
-        prev = pivot
+                if not (row[j].is_zero() and target[j].is_zero()):
+                    t = row[p] * target[j] - target[p] * row[j]
+                    target[j] = t if div is None else t.divide(div)
+            stage[i] = p + 1
     return m[n - 1][n - 1]
 
 

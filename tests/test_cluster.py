@@ -1,13 +1,20 @@
 """Cluster expansion of the generating-function logarithms."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyckgen.cluster import (c2, c2_factorial, composition_energy,
+import dyckgen
+from dyckgen import cluster
+from dyckgen.cluster import (_scaled_log, c2, c2_factorial, composition_energy,
                              compositions, degree_check, degree_formula,
                              genfun_via_cluster, in_steps, log_secular,
                              p_restricted)
@@ -239,3 +246,60 @@ class TestDegreeLaw:
             l = 2 * a + n
             predicted = 2 * degree_formula(k, n, a) + n * (n - 1) // 2
             assert predicted == max_area(k, 0, n, l), (k, n, a)
+
+
+class TestScaledRoute:
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(cluster_specs())
+    def test_scaled_sums_are_d_times_the_composition_sum(self, spec):
+        d, sums = _scaled_log(*spec)
+        assert d == lcm(*range(1, spec[3] + 1))
+        assert all(type(c) is int for v in sums for _, c in v.terms())
+        assert LSeries(spec[3], sums) == brute_p(*spec).scale(d)
+
+    @pytest.mark.parametrize("k", [None] + list(range(1, 13)))
+    def test_route_matches_genfun(self, k):
+        # both endpoint orders, heights up to 3, orders up to 40
+        top = 3 if k is None else min(k, 3)
+        for m in range(top + 1):
+            for n in range(top + 1):
+                for order in (0, 1, 6, 13, 40):
+                    spec = GenSpec(k, m, n, order)
+                    assert (genfun_via_cluster(spec)
+                            == genfun(spec).full_series()), spec
+
+    def test_exp_divides_exactly(self, monkeypatch):
+        # one unit too many in D * p_1 leaves b_1 = P_1 / D a remainder
+        real = cluster._scaled_log
+
+        def off_by_one(*args):
+            d, sums = real(*args)
+            return d, [sums[0], sums[1] + 1, *sums[2:]]
+
+        monkeypatch.setattr(cluster, "_scaled_log", off_by_one)
+        with pytest.raises(ArithmeticError, match="remainder"):
+            genfun_via_cluster(GenSpec(None, 0, 0, 12))
+
+
+SRC = os.path.dirname(os.path.dirname(dyckgen.__file__))
+
+
+@pytest.mark.parametrize("k,order,budget", [("inf", 80, 3.0),
+                                            ("12", 120, 10.0)])
+def test_check_jobs_keep_to_their_budget(k, order, budget):
+    """`genfun --check` runs the cluster route beside genfun and the
+    continued fraction.  Cold, as a subprocess on a 2-core VM (Python
+    3.11), (inf, 80) took 1.4-1.9 s and (12, 120) 4.0-4.7 s; with the
+    route's sums and exp on Fractions the jobs took 3.2-4.4 s and
+    12.4-14.2 s, past these budgets.  The shared host's speed drifts by
+    up to a half, so a job over budget runs again, up to three times."""
+    argv = [sys.executable, "-m", "dyckgen.cli", "genfun", "--k", k, "--m",
+            "0", "--n", "0", "--max-len", str(order), "--check"]
+    times = []
+    while len(times) < 3 and not any(t < budget for t in times):
+        t0 = time.perf_counter()
+        run = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=SRC),
+                             capture_output=True, text=True, timeout=120)
+        times.append(time.perf_counter() - t0)
+        assert run.returncode == 0, run.stderr[-2000:]
+    assert min(times) < budget, times

@@ -341,6 +341,18 @@ class TestBuilderCaches:
                     assert packed_fk(ring, j, order, shift) == ring.pack(
                         fk_polynomial(j).resized(order), shift), (j, order)
 
+    def test_packed_constant_skips_the_cache(self):
+        # F_(-1) = F_0 = 1 is served directly, masked by the ring, so it
+        # takes no cache slot
+        _packed_fk.cache_clear()
+        for cap in (None, -1, 0, 30):
+            ring = PackedRing(8, cap)
+            for j in (-1, 0):
+                assert packed_fk(ring, j, 6, 2) == ring.pack(
+                    fk_polynomial(j).resized(6), 2)
+        info = _packed_fk.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+
     def test_shared_caches_replay_cold_answers(self):
         # the perfbench sweep's jobs, every 0 <= m <= n <= k <= 8 at
         # order 32 on both routes, in two shuffled orders sharing every

@@ -2,16 +2,21 @@
 function."""
 
 import os
+import random
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dyckgen
-from dyckgen.exact import LSeries, QLaurent
+from dyckgen.exact import LSeries, NonUnitConstantTerm, QLaurent, TPoly
 from dyckgen.oracle import enumerate_paths, genfun_from_table
 from dyckgen.config import GuardExceeded, SpecOutOfRange
-from dyckgen.spectral import (bosonic_partition, det_degree, fk_polynomial,
+from dyckgen.spectral import (bosonic_partition, det_degree,
+                              det_elimination, fk_polynomial,
                               grand_partition_exclusion,
                               height_generating_function, qbinom,
                               secular_det_direct, secular_det_tilde,
@@ -172,3 +177,125 @@ class TestHeightGF:
         hs = height_generating_function(6, 12)
         for k in range(7):
             assert hs[k] == fk_polynomial(k).resized(12), k
+
+
+def condensation_reference(cells):
+    """One-step condensation that updates every trailing entry of every
+    row at every step, dividing by the previous pivot each time (the
+    form det_elimination had before it left idle rows alone)."""
+    n = len(cells)
+    m = [list(row) for row in cells]
+    prev = None
+    for p in range(n - 1):
+        pivot = m[p][p]
+        for i in range(p + 1, n):
+            rip = m[i][p]
+            for j in range(p + 1, n):
+                t = pivot * m[i][j]
+                if not rip.is_zero() and not m[p][j].is_zero():
+                    t = t - rip * m[p][j]
+                m[i][j] = t if prev is None else t.divide(prev)
+        prev = pivot
+    return m[n - 1][n - 1]
+
+
+def leibniz(cells):
+    """Determinant as the signed sum over permutations."""
+    n = len(cells)
+    total = LSeries.zeros(cells[0][0].order, cells[0][0].ring)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n)
+                         for b in range(a + 1, n))
+        term = LSeries.one(total.order, total.ring)
+        for i, j in enumerate(perm):
+            term = term * cells[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+RINGS = {"area": lambda c: QLaurent(c),
+         "marked": lambda c: TPoly({s: QLaurent({e: v}) for (e, v), s
+                                    in zip(c.items(), (0, 1, 0, 1))})}
+
+
+@st.composite
+def elimination_matrices(draw):
+    """Square matrices of truncated series, dense, banded or tridiagonal,
+    in either coefficient ring.  Unit matrices have constant term 1 on
+    the diagonal and 0 off it, so every leading minor is invertible; the
+    others draw constant terms freely, so some pivot may not be."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.integers(0, 4))
+    band = draw(st.sampled_from([n, 2, 1]))  # dense, banded, tridiagonal
+    ring = draw(st.sampled_from(sorted(RINGS)))
+    unit = draw(st.booleans())
+    coeff = st.dictionaries(st.integers(-1, 3), st.integers(-2, 2),
+                            max_size=2)
+    cells = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = {}
+            if abs(i - j) <= band and draw(st.integers(0, 4)):
+                terms = {l: RINGS[ring](draw(coeff))
+                         for l in range(1, order + 1)}
+                if unit:
+                    terms[0] = RINGS[ring]({0: int(i == j)})
+                else:
+                    terms[0] = RINGS[ring](draw(coeff))
+            elif i == j and unit:
+                terms = {0: RINGS[ring]({0: 1})}
+            row.append(LSeries(order, terms, TPoly if ring == "marked"
+                               else QLaurent))
+        cells.append(row)
+    return cells
+
+
+def assert_same_outcome(cells):
+    """det_elimination returns what the reference returns, or raises
+    NonUnitConstantTerm exactly where it does; the input is unchanged.
+    Returns whether it raised."""
+    before = [list(row) for row in cells]
+    try:
+        expected = condensation_reference(cells)
+    except NonUnitConstantTerm:
+        with pytest.raises(NonUnitConstantTerm):
+            det_elimination(cells)
+        return True
+    assert det_elimination(cells) == expected
+    assert cells == before
+    if len(cells) <= 4 and cells[0][0].ring is QLaurent:
+        assert expected == leibniz(cells)
+    return False
+
+
+class TestElimination:
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(elimination_matrices())
+    def test_matches_full_condensation(self, cells):
+        assert_same_outcome(cells)
+
+    def test_raises_where_full_condensation_does(self):
+        # a unit-free dense draw often has a pivot with a constant term
+        # other than 1; both forms must raise on exactly those matrices
+        rng = random.Random(7)
+        raised = 0
+        for _ in range(200):
+            n, order = rng.randint(3, 5), rng.randint(0, 3)
+            cells = [[LSeries(order, {l: QLaurent(
+                {rng.randint(0, 2): rng.choice((-1, 0, 1, 1, 2))})
+                for l in range(order + 1)}) for _ in range(n)]
+                for _ in range(n)]
+            raised += assert_same_outcome(cells)
+        assert 0 < raised < 200
+
+    def test_idle_rows_catch_up(self):
+        # block-diagonal: row 3 has nothing to eliminate at steps 0 and
+        # 1, so it stays as given until step 2 divides it by M_0 = 1
+        z = {1: QLaurent({2: 1})}
+        a, b = LSeries(4, {0: 1, 1: QLaurent({0: -1})}), LSeries(4, z)
+        o = LSeries.zeros(4)
+        cells = [[a, b, o, o], [b, a, o, o], [o, o, a, b], [o, o, b, a]]
+        block = a * a - b * b
+        assert det_elimination(cells) == block * block
+        assert_same_outcome(cells)
