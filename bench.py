@@ -62,8 +62,8 @@ slots first grow past 64 bits (to 72), the finite ceiling 12 at orders
 80..400, where the slots are narrowest for their order (320 bits at
 order 400), the endpoints 2 -> 5 at k = inf, order 48, where the
 decode adds the endpoint prefactor, and (4, 0, 0, 32) and (8, 1, 4, 32),
-the shape of a perfbench `sweep` job: finite ceilings with no area
-cap, where the ring's ints are exact and every call is small.  Rows are
+the shape of a perfbench `sweep` job: finite ceilings, where every
+call is small.  Rows are
 paired by their point, so --compare reads files with fewer points too.
 The package is imported from the `src` directory next to this file, so
 a copy of the script in another checkout times that checkout.

@@ -25,15 +25,13 @@ division; log is the integral of f'/f, so it reuses LSeries.divide.
 
 The determinant, continued-fraction and touchdown routes run in a fourth
 ring, PackedRing: a series in zeta^2 whose area polynomials in theta^2
-are packed into one Python int each (theta^2 -> 2**width).  It is exact
-for series whose final coefficients are counts, and a ring with an area
-cap reduces by its modulus (a mask) while one without holds exact ints,
-so no product here takes a cap.  Values are decoded into QLaurent once,
-at the edge, all entries of a series in one pass and one struct read by
-PackedRing.decoded, and the endpoint prefactor is a shift of the
-exponents as they are read; the touchdown routes decode every entry
-of every power of the marker t in one batch, straight into the TPoly
-coefficients.
+are packed into one Python int each (theta^2 -> 2**width), exact ints
+with no modulus, so it is exact for series whose final coefficients are
+counts.  Values are decoded into QLaurent once, at the edge, all entries
+of a series in one pass and one struct read by PackedRing.decoded, and
+the endpoint prefactor is a shift of the exponents as they are read;
+the touchdown routes decode every entry of every power of the marker t
+in one batch, straight into the TPoly coefficients.
 
 Internally every exponent is an integer.  The double-step convention
 (z = zeta^2, q = theta^2, exponents counting step pairs and diamonds) is
@@ -711,39 +709,30 @@ class PackedRing:
     zeta*theta^h with its down-hop: z*q^h.  `pack` raises ValueError on
     a term outside this ring, which would land in the wrong slot.
 
-    Substituting a power of two for q is a ring homomorphism, onto Z or,
-    with an area cap, onto Z/2**(width*(cap//2+1)): dropping the theta
-    exponents above the cap is a mask, and with no cap nothing drops, so
-    the ring keeps its exact ints unmasked.  Sums, products and
-    quotients are therefore exact whatever signs, cancellations or
-    overflowing slots the intermediate values hold; only the final
-    coefficients must be counts in 0..2**width - 1, so `decoded` can
-    read them slot by slot.  A cap below 0 keeps nothing; no GenSpec
-    has one, so only a direct caller passes it.  The width is
-    rounded up to whole bytes, so that every slot starts on a byte of
-    the entry and is a whole number of bytes: up to 64 bits, what a
-    strided copy moves into a 64-bit word.  A series of step order L
-    packs into L//2 + 1 ints, one per power of z."""
+    Substituting a power of two for q is a ring homomorphism onto Z, so
+    sums, products and quotients are exact whatever signs,
+    cancellations or overflowing slots the intermediate values hold;
+    only the final coefficients must be counts in 0..2**width - 1, so
+    `decoded` can read them slot by slot.  The width is rounded up to
+    whole bytes, so that every slot starts on a byte of the entry and
+    is a whole number of bytes: up to 64 bits, what a strided copy
+    moves into a 64-bit word.  A series of step order L packs into
+    L//2 + 1 ints, one per power of z."""
 
-    __slots__ = ("width", "cap", "mask")
+    __slots__ = ("width",)
 
-    def __init__(self, width, cap=None):
+    def __init__(self, width):
         if width < 1:
             raise ValueError("slot width must be >= 1")
-        width = -(-width // 8) * 8
-        self.width = width
-        self.cap = cap
-        self.mask = (-1 if cap is None
-                     else (1 << width * max(cap // 2 + 1, 0)) - 1)
+        self.width = -(-width // 8) * 8
 
     def pack(self, series, shift=0):
         """Packed form of an integral area series, after substituting
         zeta -> zeta * theta^shift: zeta^l theta^e goes to slot
-        (e + shift*l)/2 of entry l/2, which must be whole and >= 0.  It
-        does not mask: a negative residue is full width, slowing quotients."""
+        (e + shift*l)/2 of entry l/2, which must be whole and >= 0."""
         if any(v._c for v in series.c[1::2]):
             raise ValueError("odd step power in the packed ring")
-        w, cap = self.width, self.cap
+        w = self.width
         out = []
         for i, v in enumerate(series.c[::2]):
             acc = 0
@@ -752,14 +741,12 @@ class PackedRing:
                 if e % 2:
                     raise ValueError(f"odd area exponent {e} in the "
                                      "packed ring")
-                if cap is None or e <= cap:
-                    acc += c << w * (e >> 1)
+                acc += c << w * (e >> 1)
             out.append(acc)
         return tuple(out)
 
     def mul(self, x, y):
-        """Product of two packed series, truncated to the shorter (and
-        reduced by the mask under a cap)."""
+        """Product of two packed series, truncated to the shorter."""
         L = min(len(x), len(y)) - 1
         acc = [0] * (L + 1)
         y_nz = [(j, v) for j, v in enumerate(y[:L + 1]) if v]
@@ -769,16 +756,12 @@ class PackedRing:
                     if i + j > L:
                         break
                     acc[i + j] += u * v
-        if self.cap is None:
-            return tuple(acc)
-        mask = self.mask
-        return tuple(v & mask for v in acc)
+        return tuple(acc)
 
     def quotient(self, x, d):
         """x/d to the length of d, for d with constant term 1: y_n =
         x_n - (d_1 y_(n-1) + ... + d_n y_0), with x_n = 0 past its end."""
-        mask, capped = self.mask, self.cap is not None
-        if (d[0] - 1) & mask:
+        if d[0] != 1:
             raise NonUnitConstantTerm("divisor constant term must be 1")
         d_nz = [(j, v) for j, v in enumerate(d) if j and v]
         y = []
@@ -788,34 +771,32 @@ class PackedRing:
                 if j > n:
                     break
                 acc -= v * y[n - j]
-            y.append(acc & mask if capped else acc)
+            y.append(acc)
         return tuple(y)
 
     def decoded(self, cols, order, shift=0):
         """The area polynomials, times theta^shift, that the entries of
         the packed series in cols stand for, in one batch: the first
-        series' at zeta^0, zeta^2, ..., then the next one's.  Under a
-        cap each entry is reduced by the mask; slot j holds the
-        coefficient of theta^(2j + shift), a count below 2**width, and a
-        negative entry raises ArithmeticError.  Each series is of step
-        order `order` and must hold order//2 + 1 entries (L and L - 1
-        alike).  The bytes of each nonzero entry, past its empty bottom
-        slots, join one buffer that one struct format reads: slots of up
-        to 64 bits as words (a strided copy spreads them into 8-byte
-        cells), wider ones as byte strings; each entry's dict takes its
-        slots in turn from one iterator over them.  An entry's top and
-        bottom slots are nonzero, so only an interior slot can be empty:
-        the per-entry filter that drops empty slots runs on wide slots,
-        and on words only when the batch holds a zero word."""
-        w, mask, capped = self.width, self.mask, self.cap is not None
+        series' at zeta^0, zeta^2, ..., then the next one's.  Slot j
+        holds the coefficient of theta^(2j + shift), a count below
+        2**width, and a negative entry raises ArithmeticError.  Each
+        series is of step order `order` and must hold order//2 + 1
+        entries (L and L - 1 alike).  The bytes of each nonzero entry,
+        past its empty bottom slots, join one buffer that one struct
+        format reads: slots of up to 64 bits as words (a strided copy
+        spreads them into 8-byte cells), wider ones as byte strings;
+        each entry's dict takes its slots in turn from one iterator over
+        them.  An entry's top and bottom slots are nonzero, so only an
+        interior slot can be empty: the per-entry filter that drops
+        empty slots runs on wide slots, and on words only when the batch
+        holds a zero word."""
+        w = self.width
         nb = w // 8
         out, spans, raw = [], [], bytearray()
         for x in cols:
             if len(x) != order // 2 + 1:
                 raise ValueError(f"{len(x)} packed entries for order {order}")
             for v in x:
-                if capped:
-                    v &= mask
                 if v > 0:
                     low = ((v & -v).bit_length() - 1) // w
                     v >>= w * low

@@ -64,20 +64,6 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
         return max(self.m, self.n, (self.order + self.m + self.n) // 2)
 
     @property
-    def area_cap(self):
-        """Largest area exponent the series part can carry: None for a
-        finite ceiling (no truncation).  When unbounded, a = (order -
-        |n - m|)/2 step pairs beyond the direct rise carry at most
-        a(a-1) + 2an plaquettes, on the path that climbs a above n and
-        comes back; a is clamped at 0, so the cap is 0 when no path of
-        at most `order` steps joins m and n (every placement drops the
-        one entry such a series holds, past the order)."""
-        if self.k is not None:
-            return None
-        a = max((self.order - self.step_shift) // 2, 0)
-        return a * (a - 1) + 2 * a * max(self.m, self.n)
-
-    @property
     def series_order(self):
         """Truncation order of the series part: its zeta^l coefficient
         is the one of zeta^(l + |n - m|) in the answer, so only
@@ -88,10 +74,12 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
     @property
     def packed_ring(self):
         """The PackedRing every packed route computes in (the determinant
-        and continued-fraction routes and both touchdown routes), modulo
-        the spec's area cap, its slots just wide enough for N, the
-        largest number of `order`-step paths in the strip 0..ceiling
-        from any start height (_largest_count).
+        and continued-fraction routes and both touchdown routes), its
+        slots just wide enough for N, the largest number of `order`-step
+        paths in the strip 0..ceiling from any start height
+        (_largest_count).  It depends on the ceiling and the order
+        alone, so an unbounded spec shares it, and every cached packed
+        value, with GenSpec(spec.ceiling, m, n, order).
 
         Only the decoded coefficients must be below 2**width (PackedRing
         says why), and each counts paths m -> n of one length l <= order
@@ -101,7 +89,7 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
         distinct ones: there are at most N.  At ceiling 0 only the empty
         path fits, and N is 1."""
         return PackedRing(_largest_count(self.ceiling, self.order)
-                          .bit_length(), self.area_cap)
+                          .bit_length())
 
     @property
     def step_shift(self):
@@ -164,43 +152,39 @@ def _largest_count(ceiling, order):
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
-def _packed_fk(j, width, cap, shift, length):
+def _packed_fk(j, width, shift, length):
     """F_j(zeta*theta^shift) to `length` steps, packed in
-    PackedRing(width, cap): length is at most F_j's degree, so the key
-    is the same for every order that reaches past it."""
-    return PackedRing(width, cap).pack(fk_polynomial(j).resized(length),
-                                       shift)
+    PackedRing(width): length is at most F_j's degree, so the key is the
+    same for every order that reaches past it."""
+    return PackedRing(width).pack(fk_polynomial(j).resized(length), shift)
 
 
 def packed_fk(ring, j, order, shift=0):
     """F_j(zeta*theta^shift) packed in `ring` to the series order
-    `order` (order//2 + 1 entries): F_(-1) = F_0 = 1 (masked) directly,
+    `order` (order//2 + 1 entries): F_(-1) = F_0 = 1 directly,
     else the `_packed_fk` cache holds it to the lesser of order and
     F_j's degree, and the zero entries past that are padded on."""
     if j <= 0:
-        return (ring.mask & 1,) + (0,) * (order // 2)
-    x = _packed_fk(j, ring.width, ring.cap, shift,
-                   min(order, det_degree(j)))
+        return (1,) + (0,) * (order // 2)
+    x = _packed_fk(j, ring.width, shift, min(order, det_degree(j)))
     return x + (0,) * (order // 2 + 1 - len(x))
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
-def _inv_fk(k, order, width, cap):
-    """1/F_k to `order` steps, packed in PackedRing(width, cap), a
-    spec's packed_ring: the key is everything that fixes the packed
-    value (cap is None at a finite ceiling, which packs with no modulus,
-    and a spec's area cap >= 0 when unbounded)."""
-    ring = PackedRing(width, cap)
+def _inv_fk(k, order, width):
+    """1/F_k to `order` steps, packed in PackedRing(width), a spec's
+    packed_ring: the key is everything that fixes the packed value."""
+    ring = PackedRing(width)
     return ring.quotient((1,), packed_fk(ring, k, order))
 
 
 def packed_genfun(ring, k, m, n, order):
     """The series part F_(m-1) * F_(k-n-1)(zeta*theta^(n+1)) / F_k for
     0 <= m <= n <= k, packed in `ring` to the series order `order`;
-    1/F_k comes from the `_inv_fk` cache under the ring's width and cap."""
+    1/F_k comes from the `_inv_fk` cache under the ring's width."""
     num = packed_fk(ring, m - 1, order)
     upper = packed_fk(ring, k - n - 1, order, n + 1)
-    inv = _inv_fk(k, order, ring.width, ring.cap)
+    inv = _inv_fk(k, order, ring.width)
     return ring.mul(ring.mul(num, upper), inv)
 
 
@@ -209,8 +193,8 @@ def genfun(spec):
 
     F_(m-1), F_(k-n-1)(zeta*theta^(n+1)) and 1/F_k are multiplied to
     spec.series_order in spec.packed_ring, in zeta^2 and theta^2, and
-    decoded straight into the answer.  An unbounded spec computes modulo
-    its area cap, which drops exactly the exponents above the cap."""
+    decoded straight into the answer.  An unbounded spec is computed at
+    spec.ceiling, exactly as GenSpec(spec.ceiling, m, n, order) is."""
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
     ring = spec.packed_ring
     packed = packed_genfun(ring, spec.ceiling, m, n, spec.series_order)

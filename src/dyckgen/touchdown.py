@@ -33,7 +33,7 @@ higher, and the marked down-step back to the floor.  An excursion is a
 sequence of arches, so every marked route is geometric in R: for
 s >= 1 its t^s part, the count series of the paths with s floor
 returns, is R^(s-1) times its t^1 part (_geometric).  The routes build
-the parts in the packed ring of the determinant route, under its cap.
+the parts in the packed ring of the determinant route.
 
 Every route is cross-checkable: the determinant has a top-row expansion
 and a literal matrix form, and the quotient has an equivalent expression
@@ -128,10 +128,10 @@ def _marked_parts(ring, k, order):
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
-def _arch(k, order, width, cap):
+def _arch(k, order, width):
     """(A, R = C/A) of tF_k = A - t*C to `order` steps, packed in
-    PackedRing(width, cap), a spec's packed_ring (keyed as _inv_fk)."""
-    ring = PackedRing(width, cap)
+    PackedRing(width), a spec's packed_ring (keyed as _inv_fk)."""
+    ring = PackedRing(width)
     a, c = _marked_parts(ring, k, order)
     return a, ring.quotient(c, a)
 
@@ -161,14 +161,14 @@ def tilde_genfun(k, m, n, order):
     part is A' * Y and the t^1 part Y * (A' * R - C'), then geometric in
     the arch R = C/A, where Y = F_(k-n-1)(zeta*theta^(n+1)) / A.  Y and
     R are each one packed quotient by the polynomial A; A and R come
-    from the `_arch` cache under the ring's width and cap.  Every product
+    from the `_arch` cache under the ring's width.  Every product
     and quotient runs to spec.series_order in spec.packed_ring; the t^s
     parts are decoded at the end, straight into the marker polynomials
     of the answer."""
     spec = GenSpec(k, m, n, order)
     k, ring, order = spec.ceiling, spec.packed_ring, spec.series_order
     m, n = sorted((m, n))
-    a, ratio = _arch(k, order, ring.width, ring.cap)
+    a, ratio = _arch(k, order, ring.width)
     y = ring.quotient(packed_fk(ring, k - n - 1, order, n + 1), a)
     a, c = _marked_parts(ring, m - 1, order)   # now A' and C'
     first = tuple(u - v for u, v in zip(ring.mul(a, ratio), c))

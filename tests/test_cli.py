@@ -187,8 +187,8 @@ class TestGenfunCommand:
     @pytest.mark.parametrize("m,n,max_len", [(1, 3, 12), (0, 2, 9),
                                              (2, 5, 14)])
     def test_unbounded_touchdown_check_passes(self, capsys, m, n, max_len):
-        # both routes compute modulo the area cap: the check compares
-        # the results both print
+        # both routes compute at the unbounded ceiling: the check
+        # compares the results both print
         argv = ("genfun", "--k", "inf", "--m", str(m), "--n", str(n),
                 "--max-len", str(max_len), "--format", "csv", "--touchdown")
         plain = run_cli(capsys, *argv)

@@ -42,12 +42,6 @@ laurents = st.dictionaries(
     max_size=4).map(QLaurent)
 
 
-def dropped_above(q, cap):
-    if cap is None:
-        return q
-    return QLaurent({e: c for e, c in q.terms() if e <= cap})
-
-
 def brute_mul(a, b):
     """Schoolbook product over every pair of terms, accumulated in a
     dict: the reference for the one convolution kernel."""
@@ -435,17 +429,15 @@ def entries(width):
                           1 << 3 * RUN_SLOTS * width))
 
 
-def slot_by_slot(width, cap, x, order, step=0, shift=0):
-    """Reference for PackedRing.unpack: each entry reduced by the cap's
-    mask, then every width-bit slot read from its bytes on its own, and
-    the series multiplied by zeta^step theta^shift to order + step."""
+def slot_by_slot(width, x, order, step=0, shift=0):
+    """Reference for PackedRing.unpack: every width-bit slot of each
+    entry read from its bytes on its own, and the series multiplied by
+    zeta^step theta^shift to order + step."""
     if len(x) != order // 2 + 1:
         raise ValueError("entry count")
     nb = width // 8
     out = {}
     for i, v in enumerate(x):
-        if cap is not None:
-            v &= (1 << width * max(cap // 2 + 1, 0)) - 1
         if v < 0:
             raise ArithmeticError("negative entry")
         raw = v.to_bytes(-(-v.bit_length() // 8), "little")
@@ -458,7 +450,6 @@ def slot_by_slot(width, cap, x, order, step=0, shift=0):
 # A product slot sums at most 5 step pairs x 36 term pairs of counts up to
 # 4, so every final coefficient stays below 2**16.
 WIDTH = 16
-caps = st.none() | st.integers(-3, 30)
 
 
 class TestPackedRing:
@@ -466,70 +457,54 @@ class TestPackedRing:
     @given(st.integers(0, 9).flatmap(
         lambda o: st.tuples(packed_series(counts, o),
                             packed_series(counts, o))),
-        st.integers(0, 3), caps)
+        st.integers(0, 3))
     @example((LSeries(0, [QLaurent({4: 2})]), LSeries(0, [QLaurent({2: 3})])),
-             0, None)
-    @example((LSeries(2, [1, 0, QLaurent({6: 1})]), LSeries.one(2)), 1, -1)
+             0)
+    @example((LSeries(2, [1, 0, QLaurent({6: 1})]), LSeries.one(2)), 1)
     @example((LSeries(3, [1, 0, QLaurent({2: 1})]),
-              LSeries(3, [QLaurent({0: 1, 2: 1}), 0, 1])), 1, 5)
-    def test_product_matches_brute_mul(self, ab, shift, cap):
+              LSeries(3, [QLaurent({0: 1, 2: 1}), 0, 1])), 1)
+    def test_product_matches_brute_mul(self, ab, shift):
         a, b = ab
-        ring = PackedRing(WIDTH, cap)
+        ring = PackedRing(WIDTH)
         product = ring.mul(ring.pack(a), ring.pack(b, shift))
         expected = brute_series_mul(a, b.substitute_scale(shift))
-        assert ring.unpack(product, a.order).c == [dropped_above(v, cap)
-                                                   for v in expected]
+        assert ring.unpack(product, a.order).c == expected
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 9).flatmap(
         lambda o: st.tuples(packed_series(counts, o),
-                            packed_series(signed, o))),
-        caps)
-    @example((LSeries(0, [QLaurent({2: 1})]), LSeries.one(0)), None)
+                            packed_series(signed, o))))
+    @example((LSeries(0, [QLaurent({2: 1})]), LSeries.one(0)))
     @example((LSeries(3, [1, 0, 0, 0]), LSeries(3, [1, 0, QLaurent({0: -1}),
-                                                    0])), 4)
-    def test_quotient_undoes_signed_product(self, pd, cap):
+                                                    0])))
+    def test_quotient_undoes_signed_product(self, pd):
         # p * d carries negative coefficients; dividing it by d, as the
-        # routes divide, must cancel back to the counts of p, with every
-        # exponent above the cap dropped
+        # routes divide, must cancel back to the counts of p
         p, d = pd
         d = LSeries(d.order, [QLaurent.one(), *d.c[1:]])
-        ring = PackedRing(WIDTH, cap)
+        ring = PackedRing(WIDTH)
         quotient = ring.quotient(ring.pack(p * d), ring.pack(d))
-        assert ring.unpack(quotient, p.order).c == [dropped_above(v, cap)
-                                                    for v in p.c]
+        assert ring.unpack(quotient, p.order).c == p.c
 
-    @pytest.mark.parametrize("cap", [None, 0])
-    def test_quotient_reads_a_short_dividend_as_zero_padded(self, cap):
+    def test_quotient_reads_a_short_dividend_as_zero_padded(self):
         # x = 1 + z q, shorter than d = 1 - z - z^2: x/d to the length of d
-        ring = PackedRing(WIDTH, cap)
+        ring = PackedRing(WIDTH)
         x = LSeries(2, [1, 0, QLaurent({2: 1})])
         d = LSeries(8, {0: 1, 2: -1, 4: -1})
-        expected = x.resized(8).divide(d)
         quotient = ring.quotient(ring.pack(x), ring.pack(d))
         assert len(quotient) == 5
-        assert ring.unpack(quotient, 8).c == [dropped_above(v, cap)
-                                              for v in expected.c]
+        assert ring.unpack(quotient, 8) == x.resized(8).divide(d)
 
-    @pytest.mark.parametrize("order", [3, 4])
-    @pytest.mark.parametrize("cap", [-1, -2])
-    def test_negative_cap_is_the_empty_series(self, order, cap):
-        ring = PackedRing(8, cap)
-        d = ring.pack(LSeries(order, {0: 1, 2: -1}))
-        assert (ring.unpack(ring.quotient((1,), d), order)
-                == LSeries.zeros(order))
-
-    @pytest.mark.parametrize("series,shift,cap", [
-        (LSeries(2, [1, QLaurent({0: 1})]), 0, None),     # odd step power
-        (LSeries(3, [1, 0, 0, QLaurent({4: 2})]), 1, 2),
-        (LSeries(0, [QLaurent({1: 1})]), 0, None),        # odd area
-        (LSeries(2, [1, 0, QLaurent({3: 1})]), 1, None),  # e + 2 = 5
-        (LSeries(0, [QLaurent({0: 1, 3: 1})]), 0, 0),     # odd above cap
+    @pytest.mark.parametrize("series,shift", [
+        (LSeries(2, [1, QLaurent({0: 1})]), 0),     # odd step power
+        (LSeries(3, [1, 0, 0, QLaurent({4: 2})]), 1),
+        (LSeries(0, [QLaurent({1: 1})]), 0),        # odd area
+        (LSeries(2, [1, 0, QLaurent({3: 1})]), 1),  # e + 2 = 5
+        (LSeries(0, [QLaurent({0: 1, 3: 1})]), 0),  # odd beside even
     ])
-    def test_pack_rejects_series_outside_the_even_ring(self, series, shift,
-                                                        cap):
+    def test_pack_rejects_series_outside_the_even_ring(self, series, shift):
         with pytest.raises(ValueError, match="odd"):
-            PackedRing(8, cap).pack(series, shift)
+            PackedRing(8).pack(series, shift)
 
     @pytest.mark.parametrize("width", range(1, 71))
     def test_unpack_round_trips_every_width(self, width):
@@ -571,15 +546,13 @@ class TestPackedRing:
             PackedRing(8).unpack((0, 0), 2, 3)   # past the order: 1 entry
 
     def test_pack_keeps_negative_entries_short(self):
-        # F_k's odd powers of zeta^2 are negative; pack drops the area
-        # above the cap but does not mask, so they stay short negative
-        # ints, not residues as wide as the mask
-        ring = PackedRing(32, 20)
+        # F_k's odd powers of zeta^2 are negative; pack sums each entry's
+        # signed slots as they are, so they stay short negative ints
+        ring = PackedRing(32)
         fk = fk_polynomial(12).resized(40)
         packed = ring.pack(fk)
-        assert packed == tuple(
-            sum(c << 32 * (e // 2) for e, c in v.terms() if e <= 20)
-            for v in fk.c[::2])
+        assert packed == tuple(sum(c << 32 * (e // 2) for e, c in v.terms())
+                               for v in fk.c[::2])
         assert min(packed) < 0
 
     def test_wide_decode_peaks_near_its_result(self):
@@ -605,7 +578,8 @@ class TestPackedRing:
 
     def test_unpack_past_the_order_is_empty(self):
         # with step > order nothing fits; the one entry is still checked
-        assert PackedRing(8, -1).unpack((0,), 2, 3) == LSeries.zeros(2)
+        assert PackedRing(8).unpack((0,), 2, 3) == LSeries.zeros(2)
+        assert PackedRing(8).unpack((1,), 2, 3) == LSeries.zeros(2)
         with pytest.raises(ArithmeticError):
             PackedRing(8).unpack((-1,), 2, 3)
         with pytest.raises(ValueError):
@@ -615,78 +589,67 @@ class TestPackedRing:
     @given((st.sampled_from([56, 64, 72]) | st.integers(1, 208)).flatmap(
         lambda w: st.tuples(st.just(w),
                             st.lists(entries(-(-w // 8) * 8), max_size=4))),
-        st.none() | st.integers(-3, 2 * 4 * RUN_SLOTS + 4),
         st.integers(0, 1), st.integers(0, 3), st.integers(0, 9))
     @example((8, [[255] * (RUN_SLOTS - 1) + [0] * (RUN_SLOTS + 1) + [1],
-                  [0] * (RUN_SLOTS - 1) + [255, 255]]), None, 0, 0, 0)
-    @example((208, [[2 ** 208 - 1] + [0] * (2 * RUN_SLOTS) + [7]]),
-             2 * (3 * RUN_SLOTS), 1, 0, 0)
-    @example((17, [[1] * RUN_SLOTS, [0] * (4 * RUN_SLOTS) + [2 ** 24 - 1],
-                   -1]), 2 * (2 * RUN_SLOTS) - 1, 0, 0, 0)
-    @example((64, [-(1 << 64 * RUN_SLOTS)]), 2 * (2 * RUN_SLOTS), 0, 0, 0)
-    @example((40, [5, -1]), None, 1, 0, 0)
+                  [0] * (RUN_SLOTS - 1) + [255, 255]]), 0, 0, 0)
+    @example((208, [[2 ** 208 - 1] + [0] * (2 * RUN_SLOTS) + [7]]), 1, 0, 0)
+    @example((40, [5, -1]), 1, 0, 0)
     # on both sides of the 64-bit split and at it: zero entries, empty
     # bottom slots, an empty slot inside an entry and saturated slots
     @example((56, [0, [0, 0, 5, 0, 2 ** 56 - 1], [3], 0, [0] * 9 + [1]]),
-             None, 0, 0, 0)
+             0, 0, 0)
     @example((64, [[0, 2 ** 64 - 1, 0, 1], 0, [0] * 20 + [2 ** 63], [7]]),
-             None, 1, 0, 0)
+             1, 0, 0)
     @example((72, [0, [0] * 3 + [2 ** 72 - 1, 0, 0, 9], [1] * 17, 0]),
-             None, 0, 0, 0)
+             0, 0, 0)
     # the same batches decoded with an odd area shift, and placed from an
     # odd step, on both sides of the split
     @example((56, [0, [0, 0, 5, 0, 2 ** 56 - 1], [3], 0, [0] * 9 + [1]]),
-             None, 0, 1, 3)
+             0, 1, 3)
     @example((64, [[0, 2 ** 64 - 1, 0, 1], 0, [0] * 20 + [2 ** 63], [7]]),
-             None, 1, 3, 5)
+             1, 3, 5)
     @example((72, [0, [0] * 3 + [2 ** 72 - 1, 0, 0, 9], [1] * 17, 0]),
-             None, 0, 2, 7)
+             0, 2, 7)
     # a negative entry between counts raises on either side of the split
-    @example((64, [[1, 2], -5, [3]]), None, 0, 0, 0)
-    @example((72, [[1, 2], -5, [3]]), None, 0, 0, 0)
-    # a capped ring reduces negative raw entries to counts first
-    @example((56, [[1, 0, 2], -(1 << 200), -1]), 2 * 5, 0, 0, 0)
-    @example((64, [-1, [0, 0, 4], -(1 << 64) + 3]), 2 * 3, 1, 0, 0)
-    @example((72, [-(1 << 72 * 3) - 1, -1]), 2 * 4, 0, 0, 0)
+    @example((64, [[1, 2], -5, [3]]), 0, 0, 0)
+    @example((72, [[1, 2], -5, [3]]), 0, 0, 0)
+    @example((208, [-1]), 0, 0, 0)
     # wide batches of a run of slots less one, a run, a run and one, and
-    # two runs and one, over one entry or two, capped and not
-    @example((72, [[1] * (_WIDE_RUN - 1)]), None, 0, 0, 0)
-    @example((208, [[2 ** 208 - 1] * (_WIDE_RUN - 1) + [0, 0, 5]]),
-             2 * (_WIDE_RUN - 2), 1, 0, 0)
-    @example((72, [[0] * 3 + [2 ** 72 - 1] * _WIDE_RUN]),
-             2 * (_WIDE_RUN + 3), 0, 0, 0)
+    # two runs and one, over one entry or two
+    @example((72, [[1] * (_WIDE_RUN - 1)]), 0, 0, 0)
+    @example((208, [[2 ** 208 - 1] * (_WIDE_RUN - 1)]), 1, 0, 0)
+    @example((72, [[0] * 3 + [2 ** 72 - 1] * _WIDE_RUN]), 0, 0, 0)
     @example((208, [[7] * 24, [0] * 5 + [1, 2] * (_WIDE_RUN // 2 - 12)]),
-             None, 1, 1, 1)
-    @example((72, [[3] * _WIDE_RUN, [0] * 9 + [1]]), None, 0, 0, 0)
-    @example((208, [-1]), 2 * _WIDE_RUN, 0, 0, 0)
+             1, 1, 1)
+    @example((72, [[3] * _WIDE_RUN, [0] * 9 + [1]]), 0, 0, 0)
+    @example((208, [[2 ** 208 - 1] * (_WIDE_RUN + 1)]), 0, 0, 0)
     @example((72, [[5] * _WIDE_RUN, [0] * 4 + [9] * (_WIDE_RUN + 1)]),
-             2 * (_WIDE_RUN + 4), 0, 0, 0)
+             0, 0, 0)
     @example((208, [[1] + [0] * (2 * _WIDE_RUN - 1) + [2 ** 208 - 1]]),
-             None, 0, 0, 0)
+             0, 0, 0)
     # every entry takes its slots in turn from the batch's one stream of
-    # words: an entry whose bits all lie above the cap, between one with
-    # empty slots inside and a zero entry, then one with empty bottom
-    # slots, on each side of the split and with no cap
+    # words: one with empty slots inside, then one with empty bottom
+    # slots and an empty slot inside, a zero entry and one with empty
+    # bottom slots, on each side of the split
     @example((8, [[255, 0, 0, 2], [0] * 4 + [5, 0, 7], 0, [0, 0, 3]]),
-             2 * 3, 0, 0, 1)
+             0, 0, 1)
     @example((64, [[2 ** 64 - 1, 0, 0, 2], [0] * 4 + [5, 0, 7], 0,
-                   [0, 0, 3]]), 2 * 3, 1, 0, 0)
+                   [0, 0, 3]]), 1, 0, 0)
     @example((72, [[2 ** 72 - 1, 0, 0, 2], [0] * 4 + [5, 0, 7], 0,
-                   [0, 0, 3]]), 2 * 3, 0, 1, 2)
+                   [0, 0, 3]]), 0, 1, 2)
     @example((72, [[2 ** 72 - 1, 0, 0, 2], [0] * 4 + [5, 0, 7], 0,
-                   [0, 0, 3]]), None, 0, 0, 0)
+                   [0, 0, 3]]), 0, 0, 0)
     # the batch's words are tested for a zero once, at slots of 64 bits
     # or fewer: exactly one entry of several has an empty slot inside,
     # in the middle of the batch or last, and no entry has one (empty
     # bottom slots, zero entries and saturated slots around them)
     @example((16, [[3, 4], [0, 9, 0, 2], [2 ** 16 - 1], [0, 0, 1, 1]]),
-             None, 0, 0, 0)
-    @example((64, [[1], [0, 2 ** 64 - 1, 5], 0, [7, 0, 0, 8]]), None, 1, 0, 1)
+             0, 0, 0)
+    @example((64, [[1], [0, 2 ** 64 - 1, 5], 0, [7, 0, 0, 8]]), 1, 0, 1)
     @example((24, [[1, 2, 3], 0, [0, 0, 5, 6], [2 ** 24 - 1] * 3, [4]]),
-             None, 0, 1, 2)
-    @example((64, [[0, 2 ** 64 - 1], [1, 1], 0, [0] * 7 + [2]]), 2 * 9, 1,
-             0, 0)
-    def test_unpack_matches_slot_by_slot_reference(self, wx, cap, odd, step,
+             0, 1, 2)
+    @example((64, [[0, 2 ** 64 - 1], [1, 1], 0, [0] * 7 + [2]]), 1, 0, 0)
+    def test_unpack_matches_slot_by_slot_reference(self, wx, odd, step,
                                                    shift):
         # unpack decodes a series in one batch, reading the slots of
         # any width through one struct format, each exponent raised by
@@ -694,16 +657,16 @@ class TestPackedRing:
         # the reference reads every slot from the entry's bytes.  An
         # entry is a list of slot values (empty runs and slots saturated
         # at 2**width - 1 on run boundaries included) or a raw, possibly
-        # negative, int, which a capped ring reduces to a residue first
+        # negative, int
         width, slots = wx
-        ring = PackedRing(width, cap)
+        ring = PackedRing(width)
         w = ring.width
         x = tuple(v if isinstance(v, int)
                   else sum(c << w * j for j, c in enumerate(v))
                   for v in slots) or (0,)
         order = 2 * (len(x) - 1) + odd
         try:
-            expected = slot_by_slot(w, cap, x, order, step, shift)
+            expected = slot_by_slot(w, x, order, step, shift)
         except ArithmeticError:
             with pytest.raises(ArithmeticError):
                 ring.unpack(x, order + step, step, shift)
@@ -711,28 +674,6 @@ class TestPackedRing:
         assert ring.unpack(x, order + step, step, shift) == expected
         assert (ring.decoded((x, x), order, shift)
                 == 2 * expected.c[step::2])
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.integers(0, 9).flatmap(
-        lambda o: st.tuples(packed_series(signed, o),
-                            packed_series(signed, o))),
-        st.integers(-3, 30), st.integers(0, 3))
-    @example((LSeries(2, [QLaurent({0: -1}), 0, QLaurent({4: 3})]),
-              LSeries(2, [1, 0, QLaurent({0: -2, 2: 1})])), 2, 1)
-    def test_capped_ring_is_the_uncapped_ring_masked(self, ab, cap, shift):
-        # an uncapped ring keeps its exact ints and a capped one reduces
-        # each product and quotient step by its mask; both are the same
-        # ring homomorphism, so on signed operands the uncapped results
-        # reduced by the mask are the capped ring's, from its own packs
-        a, d = ab
-        d = LSeries(d.order, [QLaurent.one(), *d.c[1:]])
-        exact, capped = PackedRing(WIDTH), PackedRing(WIDTH, cap)
-        mask = capped.mask
-        x, y = exact.pack(a), exact.pack(d, shift)
-        cx, cy = capped.pack(a), capped.pack(d, shift)
-        assert capped.mul(cx, cy) == tuple(v & mask for v in exact.mul(x, y))
-        assert capped.quotient(cx, cy) == tuple(
-            v & mask for v in exact.quotient(x, y))
 
 
 # Ring laws over small random values: the cluster route rests on exp and

@@ -60,7 +60,11 @@ class TestGenSpec:
                         below = enumerate_paths(c - 1, m, n, L).counts
                         assert below != at, (m, n, L)
 
-    def test_area_cap_is_largest_reachable_area(self):
+    def test_top_area_is_largest_reachable_area(self):
+        # the answer's top area power at the longest length is the
+        # oracle's largest area, the path that climbs a step pairs above
+        # n and comes back: twice the cluster degree law, plus the
+        # prefactor
         for m in range(5):
             for n in range(m, 5):
                 for L in range(n, 17):
@@ -68,11 +72,11 @@ class TestGenSpec:
                     top = L - (L - n + m) % 2   # longest admissible length
                     shift = (n - m) * (n + m - 1) // 2
                     widest = max_area(L + n, m, n, top)   # no ceiling in reach
-                    assert spec.area_cap == widest - shift, (m, n, L)
+                    answer = genfun(spec).full_series()
+                    assert answer.coeff(top).degree() == widest, (m, n, L)
                     a = (L - n + m) // 2
                     if a >= 1:
-                        assert spec.area_cap == 2 * degree_formula(None, n, a)
-        assert GenSpec(4, 1, 2, 10).area_cap is None
+                        assert widest == 2 * degree_formula(None, n, a) + shift
 
     def test_packed_ring_width_follows_the_largest_count(self):
         # strip 0..1 holds one path from each height; order + 1 would be
@@ -191,16 +195,16 @@ class TestStructure:
             higher = genfun(GenSpec(spec.ceiling + 5, m, n, L))
             assert genfun(spec).full_series() == higher.full_series()
 
-    def test_capped_unbounded_matches_uncapped_finite_ceiling(self):
-        # one finite ceiling per order, at or above every endpoint pair's
-        # unbounded ceiling, so the finite spec has no area cap
+    def test_unbounded_answer_is_its_at_ceiling_answer(self):
+        # an unbounded spec is computed at its ceiling, in the ring of
+        # the finite spec there
         for L in (*range(17), 23, 32):
-            finite_k = L // 2 + 3
             for m in range(4):
                 for n in range(m, min(3, L) + 1):
-                    finite = GenSpec(finite_k, m, n, L)
-                    assert finite.area_cap is None
-                    assert (genfun(GenSpec(None, m, n, L)).full_series()
+                    spec = GenSpec(None, m, n, L)
+                    finite = GenSpec(spec.ceiling, m, n, L)
+                    assert finite.ceiling == spec.ceiling
+                    assert (genfun(spec).full_series()
                             == genfun(finite).full_series()), (m, n, L)
 
     def test_unbounded_matches_tall_oracle(self):
@@ -220,18 +224,16 @@ class TestStructure:
         assert tall == genfun_from_table(enumerate_paths(12, m, n, L))
         assert genfun(spec).full_series() == tall
         if abs(n - m) > L:
-            assert spec.area_cap == 0 and tall.is_zero()
+            assert tall.is_zero()
             assert_every_route_is_empty(spec)
 
     @pytest.mark.parametrize("k", [None, 4, 9])
     @pytest.mark.parametrize("m,n,L", [(0, 3, 2), (3, 0, 2), (1, 4, 1),
                                        (4, 0, 3), (0, 4, 0), (4, 1, 0)])
     def test_no_path_is_the_empty_answer(self, k, m, n, L):
-        # |n - m| > L: no spec has a negative area cap, and every route
-        # drops the one entry of its series part, past the order
-        spec = GenSpec(k, m, n, L)
-        assert spec.area_cap == (0 if k is None else None)
-        assert_every_route_is_empty(spec)
+        # |n - m| > L: every route drops the one entry of its series
+        # part, past the order
+        assert_every_route_is_empty(GenSpec(k, m, n, L))
 
 
 def assert_every_route_is_empty(spec):
@@ -296,11 +298,11 @@ class TestContinuedFraction:
                                      (None, 80)])
     def test_matches_genfun_above_the_verify_grid(self, k, L):
         # ceilings below and at L//2, and the unbounded spec's clamped
-        # ceiling, whose genfun is area-capped where the continued
-        # fraction's finite spec is not.  The Euler-Wallis recurrence
-        # adds a level by one shift of each convergent and divides once,
-        # so the fraction alone keeps to a 10 s budget: (12, 200) takes
-        # well under a second, where dividing level by level took 30 s
+        # ceiling, where both routes run in the same ring.  The
+        # Euler-Wallis recurrence adds a level by one shift of each
+        # convergent and divides once, so the fraction alone keeps to a
+        # 10 s budget: (12, 200) takes well under a second, where
+        # dividing level by level took 30 s
         spec = GenSpec(k, 0, 0, L)
         t0 = time.perf_counter()
         cf = continued_fraction(spec.ceiling, L)
@@ -329,12 +331,11 @@ class TestBuilderCaches:
                        tilde_secular, _largest_count):
             assert cached.cache_info().maxsize == CACHE_ENTRIES
 
-    @pytest.mark.parametrize("cap", [None, 30])
-    def test_packed_fk_is_the_packed_determinant(self, cap):
+    def test_packed_fk_is_the_packed_determinant(self):
         # the cache holds F_j to the lesser of the order and its degree:
         # orders below the degree truncate it, orders past it pad zero
-        # entries on, and a cap drops the same exponents as pack
-        ring = PackedRing(8, cap)
+        # entries on
+        ring = PackedRing(8)
         for j in range(-1, 14):
             for order in range(41):
                 for shift in range(5):
@@ -342,14 +343,12 @@ class TestBuilderCaches:
                         fk_polynomial(j).resized(order), shift), (j, order)
 
     def test_packed_constant_skips_the_cache(self):
-        # F_(-1) = F_0 = 1 is served directly, masked by the ring, so it
-        # takes no cache slot
+        # F_(-1) = F_0 = 1 is served directly, so it takes no cache slot
         _packed_fk.cache_clear()
-        for cap in (None, -1, 0, 30):
-            ring = PackedRing(8, cap)
-            for j in (-1, 0):
-                assert packed_fk(ring, j, 6, 2) == ring.pack(
-                    fk_polynomial(j).resized(6), 2)
+        ring = PackedRing(8)
+        for j in (-1, 0):
+            assert packed_fk(ring, j, 6, 2) == ring.pack(
+                fk_polynomial(j).resized(6), 2)
         info = _packed_fk.cache_info()
         assert (info.hits, info.misses) == (0, 0)
 
@@ -380,15 +379,35 @@ class TestBuilderCaches:
                 assert run(jobs[i]) == cold[i], jobs[i][1:]
 
     def test_eviction_keeps_results_exact(self):
-        first = _inv_fk(2, 5, 6, None)
+        # 70 other keys (widths of 9 and up) evict the first one
+        first = _inv_fk(2, 5, 6)
         for k in range(7):
             for order in range(10):
-                _inv_fk(k, order, order + 1, 50)
+                _inv_fk(k, order, order + 9)
         assert _inv_fk.cache_info().currsize <= CACHE_ENTRIES
         misses = _inv_fk.cache_info().misses
-        again = _inv_fk(2, 5, 6, None)
+        again = _inv_fk(2, 5, 6)
         assert _inv_fk.cache_info().misses == misses + 1
         assert again == first and again is not first
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 30))
+    @example(0, 1, 41)
+    def test_unbounded_spec_shares_its_finite_twins_caches(self, m, n, L):
+        # the packed ring depends on the ceiling and the order alone, so
+        # the finite spec at an unbounded spec's ceiling reads the 1/F_k
+        # and the arch the unbounded one cached, and answers the same
+        spec = GenSpec(None, m, n, L)
+        twin = GenSpec(spec.ceiling, m, n, L)
+        assert spec.packed_ring.width == twin.packed_ring.width
+        plain = genfun(spec).full_series()
+        hits = _inv_fk.cache_info().hits
+        assert genfun(twin).full_series() == plain
+        assert _inv_fk.cache_info().hits == hits + 1
+        marked = tilde_genfun(None, m, n, L).full_series()
+        hits = _arch.cache_info().hits
+        assert tilde_genfun(spec.ceiling, m, n, L).full_series() == marked
+        assert _arch.cache_info().hits == hits + 1
 
 
 @st.composite
@@ -414,22 +433,16 @@ def test_every_route_matches_oracle(spec):
     assert marked.at_t_one() == oracle
 
 
-def uncapped_series(spec):
-    """The series part to its series order by plain QLaurent arithmetic
-    with no cap, at the spec's own ceiling when finite (not the clamped
-    one), then with the exponents above the spec's area cap, if it has
-    one, dropped: the reference for the packed ring."""
+def quotient_series(spec):
+    """The series part to its series order by plain QLaurent arithmetic,
+    at the spec's own ceiling when finite (not the clamped one): the
+    reference for the packed ring."""
     k = spec.ceiling if spec.k is None else spec.k
     m, n = min(spec.m, spec.n), max(spec.m, spec.n)
     L = spec.series_order
     num = (fk_polynomial(m - 1).resized(L)
            * fk_polynomial(k - n - 1).resized(L).substitute_scale(n + 1))
-    series = num.divide(fk_polynomial(k).resized(L))
-    if spec.area_cap is None:
-        return series
-    return LSeries(L, [QLaurent({e: c for e, c in v.terms()
-                                 if e <= spec.area_cap})
-                       for v in series.c])
+    return num.divide(fk_polynomial(k).resized(L))
 
 
 @st.composite
@@ -454,10 +467,10 @@ def packed_specs(draw):
 @example(GenSpec(None, 1, 3, 24))
 @example(GenSpec(7, 0, 0, 15))
 @example(GenSpec(8, 0, 1, 5))      # ceiling clamped to 3
-def test_whole_series_matches_uncapped_reference(spec):
+def test_whole_series_matches_quotient_reference(spec):
     # every coefficient and area power the answer holds, to its order
     assert (genfun(spec).full_series()
-            == with_prefactor(spec, uncapped_series(spec)))
+            == with_prefactor(spec, quotient_series(spec)))
 
 
 @pytest.mark.parametrize("k", [None, *range(9)])
@@ -513,16 +526,16 @@ def route_specs(draw):
 @settings(deadline=None, max_examples=150, derandomize=True)
 @given(route_specs())
 @example(GenSpec(5, 0, 3, 17))      # area shift 3, odd
-@example(GenSpec(None, 2, 5, 24))   # unbounded, capped, odd area shift
+@example(GenSpec(None, 2, 5, 24))   # unbounded, odd area shift
 @example(GenSpec(8, 1, 6, 4))       # |n - m| > order: no path fits
 def test_answer_is_the_series_part_times_the_prefactor(spec):
     # every route decodes straight into the answer; the answer, its
     # t = 1 collapse and its coefficients are the series part with the
-    # prefactor put back on: the uncapped quotient, of which the
+    # prefactor put back on: the plain quotient, of which the
     # enumerator's marked counts, the marked routes' reference, are a
     # refinement, and for the open end its shifted route
     k, m, n, L = spec
-    plain = with_prefactor(spec, uncapped_series(spec))
+    plain = with_prefactor(spec, quotient_series(spec))
     marked = genfun_from_table(enumerate_paths(spec.ceiling, m, n, L),
                                with_touchdowns=True)
     assert marked.map_coeffs(TPoly.at_t_one) == plain

@@ -23,14 +23,6 @@ def with_prefactor(spec, series):
     return series.map_coeffs(lambda v: v.shift(spec.area_shift))
 
 
-def dropped_above(series, cap):
-    """A marker series with the area exponents above cap dropped."""
-    return LSeries(series.order, [
-        TPoly({s: QLaurent({e: c for e, c in v.terms() if e <= cap})
-               for s, v in coeff.terms()})
-        for coeff in series.c], TPoly)
-
-
 class TestMarkedDeterminant:
     def test_frozen_small_cases(self):
         # k=1: 1 - t zeta^2 (marked corner of the 2x2 matrix)
@@ -142,16 +134,14 @@ class TestMarkedGenFun:
     @pytest.mark.parametrize("m,n,L", [(0, 0, 8), (1, 2, 11), (0, 3, 9),
                                        (2, 2, 10), (0, 7, 3)])
     def test_unbounded_is_computed_at_the_ceiling(self, m, n, L):
-        # both routes compute modulo the area cap, so each holds the
-        # ceiling's series with the exponents above the cap dropped
+        # both routes compute an unbounded spec at its ceiling, in the
+        # ring of the finite spec there, so each answers as at the ceiling
         spec = GenSpec(None, m, n, L)
         for route in (tilde_genfun, tilde_genfun_ratio):
             unbounded = route(None, m, n, L)
             assert unbounded.spec == spec
-            # the cap bounds the series part, past the prefactor
-            at_ceiling = route(spec.ceiling, m, n, L).full_series()
-            assert unbounded.full_series() == dropped_above(
-                at_ceiling, spec.area_cap + spec.area_shift)
+            assert (unbounded.full_series()
+                    == route(spec.ceiling, m, n, L).full_series())
 
     @pytest.mark.parametrize("k", [None, 4])
     @pytest.mark.parametrize("m,n", [(-1, 2), (2, -1)])
@@ -199,21 +189,16 @@ class TestOpenEnded:
 
 def quotient_reference(spec):
     """tF_(m-1) * F_(k-n-1)(zeta*theta^(n+1)) / tF_k to the series order
-    by marker-polynomial arithmetic with no cap, at the spec's own
-    ceiling when finite (not the clamped one), then with the exponents
-    above the spec's area cap, if it has one, dropped: the reference for
-    the packed arch expansions of both routes, whatever arch each
-    writes.  It needs m <= n; the routes take any endpoints, m > n by
+    by marker-polynomial arithmetic, at the spec's own ceiling when
+    finite (not the clamped one): the reference for the packed arch
+    expansions of both routes, whatever arch each writes.  It needs m <= n; the routes take any endpoints, m > n by
     path reversal, which the oracle checks instead."""
     k = spec.ceiling if spec.k is None else spec.k
     L = spec.series_order
     upper = lift_marker(fk_polynomial(k - spec.n - 1).resized(L)
                         .substitute_scale(spec.n + 1))
-    series = (tilde_secular(spec.m - 1, L) * upper).divide(
+    return (tilde_secular(spec.m - 1, L) * upper).divide(
         tilde_secular(k, L))
-    if spec.area_cap is None:
-        return series
-    return dropped_above(series, spec.area_cap)
 
 
 @st.composite
@@ -256,14 +241,12 @@ def test_whole_series_matches_quotient_reference(spec):
         assert tilde_genfun_ratio(*args).full_series() == reference
 
 
-@pytest.mark.parametrize("cap", [None, -1, 0, 6, 13])
-def test_marked_parts_are_the_packed_top_row(cap):
+def test_marked_parts_are_the_packed_top_row():
     # A and C are packed by the ring's own shift, straight from F_(k-1)
     # and F_(k-2); the t^0 part and minus the t^1 part of the top-row
     # expansion by series substitutions, packed, are the reference.
-    # k <= 0 (A = 1, C = 0), orders below 2 (C = 0 at zeta^0) and a cap
-    # of -1 (everything 0) included
-    ring = PackedRing(8, cap)
+    # k <= 0 (A = 1, C = 0) and orders below 2 (C = 0 at zeta^0) included
+    ring = PackedRing(8)
     for k in range(-1, 9):
         for order in range(13):
             toprow = tilde_secular_toprow(k, order)
@@ -271,8 +254,6 @@ def test_marked_parts_are_the_packed_top_row(cap):
                 ring.pack(sign * toprow.map_coeffs(lambda v: v.coeff(s)))
                 for s, sign in ((0, 1), (1, -1)))
             assert touchdown._marked_parts(ring, k, order) == expected
-            if cap == -1:
-                assert not any(map(any, expected))
 
 
 def column_assembly(ring, cols, order):
