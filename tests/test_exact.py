@@ -387,9 +387,11 @@ def _packed_quotient(d):
 
 @pytest.mark.parametrize("invert", [_series_quotient, _packed_quotient],
                          ids=["LSeries.divide", "PackedRing.quotient"])
-@pytest.mark.parametrize("const", [0, 2, QLaurent({2: 1}), 1])
+@pytest.mark.parametrize("const", [0, 2, QLaurent({2: 1}),
+                                   QLaurent({0: 1, 4: 1}), 1])
 def test_quotient_needs_constant_term_one(invert, const):
-    # one quotient contract: 1 - zeta^2 with its constant term replaced
+    # one quotient contract: 1 - zeta^2 with its constant term replaced;
+    # 1 + q^2 is no unit either, whatever slot its area term packs into
     d = LSeries(4, [const, 0, -1])
     if const == 1:
         assert invert(d) == LSeries(4, [1, 0, 1, 0, 1])
@@ -486,9 +488,43 @@ class TestPackedRing:
         quotient = ring.quotient(ring.pack(p * d), ring.pack(d))
         assert ring.unpack(quotient, p.order).c == p.c
 
-    def test_quotient_reads_a_short_dividend_as_zero_padded(self):
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 16), st.integers(0, 9).flatmap(
+        lambda o: st.tuples(packed_series(signed, o),
+                            packed_series(signed, o))),
+        st.integers(0, 3))
+    @example(1, (LSeries(2, [QLaurent({0: -4, 2: 4}), 0, 3]),
+                 LSeries(2, [QLaurent({0: 4}), 0, QLaurent({4: -3})])), 2)
+    def test_signed_product_is_the_packed_product(self, width, ab, shift):
+        # q -> 2**width is a ring homomorphism onto Z, so the product of
+        # signed packs is the pack of the product, also when its slots
+        # overflow into each other at narrow widths
+        a, b = ab
+        ring = PackedRing(width)
+        product = LSeries(a.order,
+                          brute_series_mul(a, b.substitute_scale(shift)))
+        assert (ring.mul(ring.pack(a), ring.pack(b, shift))
+                == ring.pack(product))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 16), st.integers(0, 9).flatmap(
+        lambda o: st.tuples(packed_series(signed, o),
+                            packed_series(signed, o))))
+    @example(1, (LSeries(4, [QLaurent({2: 4}), 0, 0, 0, 1]),
+                 LSeries(4, [1, 0, QLaurent({0: -4, 2: 4}), 0, 0])))
+    def test_signed_quotient_is_the_packed_quotient(self, width, xd):
+        # the same homomorphism carries x/d, whatever signs and
+        # overflowing slots its coefficients hold
+        x, d = xd
+        d = LSeries(d.order, [QLaurent.one(), *d.c[1:]])
+        ring = PackedRing(width)
+        assert (ring.quotient(ring.pack(x), ring.pack(d))
+                == ring.pack(x.divide(d)))
+
+    @pytest.mark.parametrize("width", [8, WIDTH, 72])
+    def test_quotient_reads_a_short_dividend_as_zero_padded(self, width):
         # x = 1 + z q, shorter than d = 1 - z - z^2: x/d to the length of d
-        ring = PackedRing(WIDTH)
+        ring = PackedRing(width)
         x = LSeries(2, [1, 0, QLaurent({2: 1})])
         d = LSeries(8, {0: 1, 2: -1, 4: -1})
         quotient = ring.quotient(ring.pack(x), ring.pack(d))

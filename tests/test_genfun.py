@@ -331,11 +331,12 @@ class TestBuilderCaches:
                        tilde_secular, _largest_count):
             assert cached.cache_info().maxsize == CACHE_ENTRIES
 
-    def test_packed_fk_is_the_packed_determinant(self):
+    @pytest.mark.parametrize("width", [8, 72])
+    def test_packed_fk_is_the_packed_determinant(self, width):
         # the cache holds F_j to the lesser of the order and its degree:
         # orders below the degree truncate it, orders past it pad zero
-        # entries on
-        ring = PackedRing(8)
+        # entries on; slots of up to 64 bits and wider alike
+        ring = PackedRing(width)
         for j in range(-1, 14):
             for order in range(41):
                 for shift in range(5):

@@ -241,12 +241,14 @@ def test_whole_series_matches_quotient_reference(spec):
         assert tilde_genfun_ratio(*args).full_series() == reference
 
 
-def test_marked_parts_are_the_packed_top_row():
+@pytest.mark.parametrize("width", [1, 8, 16, 64, 72])
+def test_marked_parts_are_the_packed_top_row(width):
     # A and C are packed by the ring's own shift, straight from F_(k-1)
     # and F_(k-2); the t^0 part and minus the t^1 part of the top-row
     # expansion by series substitutions, packed, are the reference.
-    # k <= 0 (A = 1, C = 0) and orders below 2 (C = 0 at zeta^0) included
-    ring = PackedRing(8)
+    # k <= 0 (A = 1, C = 0) and orders below 2 (C = 0 at zeta^0) included,
+    # at every slot size the routes pick, up to 64 bits and wider
+    ring = PackedRing(width)
     for k in range(-1, 9):
         for order in range(13):
             toprow = tilde_secular_toprow(k, order)
