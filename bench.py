@@ -52,9 +52,11 @@ the package with no bytecode cache, so that every run compiles the
 modules it loads from source: `python -c pass` (the interpreter and
 `site`), `import dyckgen.cli`, and the commands `genfun --k inf --m 0
 --n 0 --max-len 24`, `table --k 4 --m 0 --n 0 --max-len 24
---touchdowns`, `genfun --k 4 --m 0 --n 0 --max-len 24 --touchdown` and
-`verify --suite genfun`.  Each has the same reference
-call beside it, run in this process between its runs.
+--touchdowns`, `genfun --k 4 --m 0 --n 0 --max-len 24 --touchdown`,
+`verify --suite genfun` and `verify --suite duality`, the last almost
+all start-up, so its row shows what a verify job compiles.  Each has
+the same reference call beside it, run in this process between its
+runs.
 
 The ladder is k = inf at orders 32..120, with order 66, where the
 slots first grow past 64 bits (to 72), the finite ceiling 12 at orders
@@ -111,6 +113,8 @@ CLI_ROWS = (
     ("touchdown", ["-m", "dyckgen.cli", "genfun", "--k", "4", "--m", "0",
                    "--n", "0", "--max-len", "24", "--touchdown"]),
     ("verify", ["-m", "dyckgen.cli", "verify", "--suite", "genfun"]),
+    ("verify_duality", ["-m", "dyckgen.cli", "verify", "--suite",
+                        "duality"]),
 )
 MAX_RUNS = 20
 BUDGET_S = 3.0

@@ -20,10 +20,14 @@ Submodules load on first use: `import dyckgen` registers each through
 importlib's LazyLoader, which runs its code at the first attribute read,
 and serves the names of `__all__` from their defining modules (PEP 562).
 The package attribute `genfun` is the function; its module is
-sys.modules["dyckgen.genfun"].  So a `dyckgen genfun` job runs only
-cli, config, exact, spectral and genfun; `--touchdown` adds touchdown,
-the cluster-exp route (`--check`, `--method cluster-exp`) cluster,
-`table` oracle, and `verify` runs every module.
+sys.modules["dyckgen.genfun"].  cli, genfun and verify call the route
+modules through their module objects, so a job runs only cli, config,
+exact and genfun, and the modules its routes use: spectral where a
+determinant F_j with j >= 1 is built (not for `table`, `--method
+cluster-exp` or k = 0), touchdown for `--touchdown`, cluster for the
+cluster-exp route (`--check`, `--method cluster-exp`), oracle for
+`table`, and for `verify` the verify module and the route modules of
+the suites it runs.
 """
 
 import importlib.util

@@ -19,10 +19,10 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import add
 
+from . import spectral
 from .config import (CACHE_ENTRIES, SpecOutOfRange, UsageError,
                      check_ceiling, check_heights)
 from .exact import PackedRing, TPoly
-from .spectral import det_degree, fk_polynomial
 
 
 class GenSpec(namedtuple("GenSpec", "k m n order")):
@@ -156,7 +156,8 @@ def _packed_fk(j, width, shift, length):
     """F_j(zeta*theta^shift) to `length` steps, packed in
     PackedRing(width): length is at most F_j's degree, so the key is the
     same for every order that reaches past it."""
-    return PackedRing(width).pack(fk_polynomial(j).resized(length), shift)
+    return PackedRing(width).pack(spectral.fk_polynomial(j).resized(length),
+                                  shift)
 
 
 def packed_fk(ring, j, order, shift=0):
@@ -166,7 +167,7 @@ def packed_fk(ring, j, order, shift=0):
     F_j's degree, and the zero entries past that are padded on."""
     if j <= 0:
         return (1,) + (0,) * (order // 2)
-    x = _packed_fk(j, ring.width, shift, min(order, det_degree(j)))
+    x = _packed_fk(j, ring.width, shift, min(order, spectral.det_degree(j)))
     return x + (0,) * (order // 2 + 1 - len(x))
 
 

@@ -8,22 +8,13 @@ the full damage.
 """
 
 from collections import namedtuple
+from itertools import combinations_with_replacement
 
-from .cluster import (c2, c2_factorial, compositions, degree_formula,
-                      genfun_via_cluster, in_steps, log_secular,
-                      p_restricted)
+from . import cluster, oracle, spectral, touchdown
 from .config import (DIRECT_DET_K_MAX, ORACLE_LEN_MAX, SUITE_NAMES,
                      VERIFY_K_MAX, SpecOutOfRange, UsageError, check_guard)
 from .exact import LSeries, QLaurent
 from .genfun import GenSpec, check_duality, continued_fraction, genfun
-from .oracle import enumerate_paths, genfun_from_table, max_area
-from .spectral import (bosonic_partition, det_degree, fk_polynomial,
-                       grand_partition_exclusion, height_generating_function,
-                       secular_det_direct, secular_det_tilde)
-from .touchdown import (tilde_genfun, tilde_genfun_openend,
-                        tilde_genfun_openend_shifted, tilde_genfun_ratio,
-                        tilde_secular, tilde_secular_direct,
-                        tilde_secular_toprow)
 
 
 CheckResult = namedtuple("CheckResult", "suite name params ok detail",
@@ -75,6 +66,12 @@ def _eq_check(suite, name, params, a, b):
     return _check(suite, name, params, ok, "" if ok else _series_detail(a, b))
 
 
+def _endpoints(k):
+    """The endpoint pairs 0 <= m <= n <= k, in increasing m and, for
+    each m, increasing n: the order of every endpoint suite's checks."""
+    return combinations_with_replacement(range(k + 1), 2)
+
+
 def suite_determinants(k_max=10, len_max=16):
     """Recursive / direct / variant-matrix / exclusion-sum agreement,
     determinant duality and degree, the four bosonic partition methods,
@@ -82,37 +79,37 @@ def suite_determinants(k_max=10, len_max=16):
     _check_bounds(("determinants",), k_max, len_max)
     out = []
     for k in range(k_max + 1):
-        f = fk_polynomial(k)
+        f, top = spectral.fk_polynomial(k), spectral.det_degree(k)
         out.append(_eq_check("determinants", "recursive_vs_direct",
-                             f"k={k}", f, secular_det_direct(k)))
+                             f"k={k}", f, spectral.secular_det_direct(k)))
         out.append(_eq_check("determinants", "recursive_vs_variant",
-                             f"k={k}", f, secular_det_tilde(k)))
+                             f"k={k}", f, spectral.secular_det_tilde(k)))
         out.append(_eq_check("determinants", "recursive_vs_exclusion",
                              f"k={k}", f,
-                             grand_partition_exclusion(k, det_degree(k))))
+                             spectral.grand_partition_exclusion(k, top)))
         dual = f.invert_q().substitute_scale(k - 1)
         out.append(_eq_check("determinants", "determinant_duality",
                              f"k={k}", f, dual))
         deg_ok = (f.coeff(0).is_one()
                   and all(v.degree() is not None for _, v in f.nonzero_terms()))
-        top = det_degree(k)
         deg_ok = deg_ok and (k == 0 or not f.coeff(top).is_zero())
         out.append(_check("determinants", "constant_and_degree", f"k={k}",
                           deg_ok, "degree or constant term off"))
     for k in range(1, min(k_max, 6) + 1):
         for n in range(0, min(k_max, 6) + 1):
-            ref = bosonic_partition(k, n, "product")
+            ref = spectral.bosonic_partition(k, n, "product")
             for meth in ("occupation", "excitation", "qbinomial"):
                 out.append(_check(
                     "determinants", f"partition_{meth}_vs_product",
-                    f"k={k} N={n}", bosonic_partition(k, n, meth) == ref,
+                    f"k={k} N={n}",
+                    spectral.bosonic_partition(k, n, meth) == ref,
                     "partition polynomials differ"))
     w_max = min(k_max, 8)
-    hs = height_generating_function(w_max, len_max)
+    hs = spectral.height_generating_function(w_max, len_max)
     for k in range(w_max + 1):
         out.append(_eq_check("determinants", "height_gf_coefficient",
                              f"k={k}", hs[k],
-                             fk_polynomial(k).resized(len_max)))
+                             spectral.fk_polynomial(k).resized(len_max)))
     return out
 
 
@@ -123,34 +120,35 @@ def suite_genfun(k_max=5, len_max=12):
     _check_bounds(("genfun",), k_max, len_max)
     out = []
     for k in range(k_max + 1):
-        for m in range(k + 1):
-            for n in range(m, k + 1):
-                gf = genfun(GenSpec(k, m, n, len_max)).full_series()
-                tab = genfun_from_table(enumerate_paths(k, m, n, len_max))
-                out.append(_eq_check("genfun", "oracle_equality",
-                                     f"k={k} m={m} n={n}", gf, tab))
-                # read backwards, a path from n to m has the same length
-                # and area as one from m to n
-                rev = genfun_from_table(enumerate_paths(k, n, m, len_max))
-                out.append(_eq_check("genfun", "endpoint_symmetry",
-                                     f"k={k} m={m} n={n}", gf, rev))
-                ok = True
-                for l, v in gf.nonzero_terms():
-                    if (l - (n - m)) % 2:
+        for m, n in _endpoints(k):
+            gf = genfun(GenSpec(k, m, n, len_max)).full_series()
+            tab = oracle.genfun_from_table(
+                oracle.enumerate_paths(k, m, n, len_max))
+            out.append(_eq_check("genfun", "oracle_equality",
+                                 f"k={k} m={m} n={n}", gf, tab))
+            # read backwards, a path from n to m has the same length and
+            # area as one from m to n
+            rev = oracle.genfun_from_table(
+                oracle.enumerate_paths(k, n, m, len_max))
+            out.append(_eq_check("genfun", "endpoint_symmetry",
+                                 f"k={k} m={m} n={n}", gf, rev))
+            ok = True
+            for l, v in gf.nonzero_terms():
+                if (l - (n - m)) % 2:
+                    ok = False
+                for _, cv in v.terms():
+                    if not isinstance(cv, int) or cv < 0:
                         ok = False
-                    for _, cv in v.terms():
-                        if not isinstance(cv, int) or cv < 0:
-                            ok = False
-                out.append(_check("genfun", "parity_and_positivity",
-                                  f"k={k} m={m} n={n}", ok,
-                                  "non-count coefficient found"))
+            out.append(_check("genfun", "parity_and_positivity",
+                              f"k={k} m={m} n={n}", ok,
+                              "non-count coefficient found"))
         cf = continued_fraction(k, len_max)
         out.append(_eq_check("genfun", "continued_fraction",
                              f"k={k}", cf,
                              genfun(GenSpec(k, 0, 0, len_max)).full_series()))
         ceil_dual = genfun(GenSpec(k, k, k, len_max)).full_series()
-        plain = (fk_polynomial(k - 1).resized(len_max)
-                 .divide(fk_polynomial(k).resized(len_max)))
+        plain = (spectral.fk_polynomial(k - 1).resized(len_max)
+                 .divide(spectral.fk_polynomial(k).resized(len_max)))
         out.append(_eq_check("genfun", "ceiling_excursions",
                              f"k={k}", ceil_dual, plain))
     for m, n in ((0, 0), (0, 1), (1, 1), (0, 2)):
@@ -167,15 +165,10 @@ def suite_genfun(k_max=5, len_max=12):
 def suite_duality(k_max=5, len_max=12):
     """Vertical-reflection identity at every endpoint pair."""
     _check_bounds(("duality",), k_max, len_max)
-    out = []
-    for k in range(k_max + 1):
-        for m in range(k + 1):
-            for n in range(m, k + 1):
-                out.append(_check(
-                    "duality", "reflection", f"k={k} m={m} n={n}",
-                    check_duality(GenSpec(k, m, n, len_max)),
-                    "reflected series differs"))
-    return out
+    return [_check("duality", "reflection", f"k={k} m={m} n={n}",
+                   check_duality(GenSpec(k, m, n, len_max)),
+                   "reflected series differs")
+            for k in range(k_max + 1) for m, n in _endpoints(k)]
 
 
 def _mono(order, step, area):
@@ -232,9 +225,8 @@ def suite_recursions(k_max=5, len_max=12):
     _check_bounds(("recursions",), k_max, len_max)
     out = []
     for k in range(k_max + 1):
-        for m in range(k + 1):
-            for n in range(m, k + 1):
-                out.extend(check_recursions(GenSpec(k, m, n, len_max)))
+        for m, n in _endpoints(k):
+            out.extend(check_recursions(GenSpec(k, m, n, len_max)))
     return out
 
 
@@ -245,42 +237,43 @@ def suite_cluster(k_max=4, len_max=16):
     _check_bounds(("cluster",), k_max, len_max)
     out = []
     a_max = max(1, len_max // 2)
-    ok = all(c2(c) == c2_factorial(c)
+    ok = all(cluster.c2(c) == cluster.c2_factorial(c)
              for a in range(1, min(a_max, 12) + 1)
-             for c in compositions(a))
+             for c in cluster.compositions(a))
     out.append(_check("cluster", "weight_two_forms", f"a<={min(a_max, 12)}",
                       ok, "c2 forms disagree"))
     spec = GenSpec(None, 0, 0, 2 * a_max)
     out.append(_eq_check("cluster", "unbounded_exp_log", f"a_max={a_max}",
-                         genfun_via_cluster(spec), genfun(spec).full_series()))
+                         cluster.genfun_via_cluster(spec),
+                         genfun(spec).full_series()))
     r_order = max(1, min(a_max, 8))
     for k in range(k_max + 1):
-        for m in range(k + 1):
-            for n in range(m, k + 1):
-                spec = GenSpec(k, m, n, 2 * r_order + (n - m))
-                out.append(_eq_check(
-                    "cluster", "restricted_exp_log", f"k={k} m={m} n={n}",
-                    genfun_via_cluster(spec), genfun(spec).full_series()))
+        for m, n in _endpoints(k):
+            spec = GenSpec(k, m, n, 2 * r_order + (n - m))
+            out.append(_eq_check(
+                "cluster", "restricted_exp_log", f"k={k} m={m} n={n}",
+                cluster.genfun_via_cluster(spec), genfun(spec).full_series()))
     for k in range(1, k_max + 1):
-        out.append(_eq_check("cluster", "determinant_log", f"k={k}",
-                             fk_polynomial(k).resized(2 * a_max).log(),
-                             in_steps(log_secular(k, a_max), 2 * a_max)))
+        out.append(_eq_check(
+            "cluster", "determinant_log", f"k={k}",
+            spectral.fk_polynomial(k).resized(2 * a_max).log(),
+            cluster.in_steps(cluster.log_secular(k, a_max), 2 * a_max)))
     a_top = min(a_max, 10)
     for k in range(1, min(k_max, 6) + 1):
         for n in range(k + 1):
             # one sum per (k, n): a z^a coefficient ignores the truncation
-            p = p_restricted(k, 0, n, a_top)
+            p = cluster.p_restricted(k, 0, n, a_top)
             for a in range(1, a_top + 1):
-                ok = p.coeff(a).degree() == degree_formula(k, n, a)
+                ok = p.coeff(a).degree() == cluster.degree_formula(k, n, a)
                 out.append(_check("cluster", "degree_law",
                                   f"k={k} n={n} a={a}", ok,
                                   "degree formula missed"))
     for k, n, a in ((2, 0, 3), (3, 1, 4), (4, 2, 6)):
         if k > k_max:
             continue
-        l = 2 * a + n
-        witness = max_area(k, 0, n, l)
-        ok = witness == 2 * degree_formula(k, n, a) + n * (n - 1) // 2
+        witness = oracle.max_area(k, 0, n, 2 * a + n)
+        ok = witness == (2 * cluster.degree_formula(k, n, a)
+                         + n * (n - 1) // 2)
         out.append(_check("cluster", "degree_oracle_witness",
                           f"k={k} n={n} a={a}", ok, f"max area {witness} off"))
     return out
@@ -293,34 +286,32 @@ def suite_touchdown(k_max=4, len_max=12):
     _check_bounds(("touchdown",), k_max, len_max)
     out = []
     for k in range(min(k_max + 5, 10) + 1):
-        L = det_degree(k) + 2
-        a = tilde_secular(k, L)
+        L = spectral.det_degree(k) + 2
+        a = touchdown.tilde_secular(k, L)
         out.append(_eq_check("touchdown", "marked_det_toprow", f"k={k}",
-                             a, tilde_secular_toprow(k, L)))
+                             a, touchdown.tilde_secular_toprow(k, L)))
         out.append(_eq_check("touchdown", "marked_det_direct", f"k={k}",
-                             a, tilde_secular_direct(k)))
+                             a, touchdown.tilde_secular_direct(k)))
     for k in range(k_max + 1):
-        for m in range(k + 1):
-            for n in range(m, k + 1):
-                tg = tilde_genfun(k, m, n, len_max)
-                tab = genfun_from_table(
-                    enumerate_paths(k, m, n, len_max), with_touchdowns=True)
-                out.append(_eq_check("touchdown", "oracle_equality",
-                                     f"k={k} m={m} n={n}",
-                                     tg.full_series(), tab))
-                out.append(_eq_check(
-                    "touchdown", "ratio_route", f"k={k} m={m} n={n}",
-                    tg.full_series(),
-                    tilde_genfun_ratio(k, m, n, len_max).full_series()))
-                out.append(_eq_check(
-                    "touchdown", "collapse_at_one", f"k={k} m={m} n={n}",
-                    tg.at_t_one(),
-                    genfun(GenSpec(k, m, n, len_max)).full_series()))
-        oe = tilde_genfun_openend(k, len_max)
+        for m, n in _endpoints(k):
+            tg = touchdown.tilde_genfun(k, m, n, len_max)
+            tab = oracle.genfun_from_table(
+                oracle.enumerate_paths(k, m, n, len_max),
+                with_touchdowns=True)
+            out.append(_eq_check("touchdown", "oracle_equality",
+                                 f"k={k} m={m} n={n}", tg.full_series(), tab))
+            ratio = touchdown.tilde_genfun_ratio(k, m, n, len_max)
+            out.append(_eq_check("touchdown", "ratio_route",
+                                 f"k={k} m={m} n={n}", tg.full_series(),
+                                 ratio.full_series()))
+            out.append(_eq_check(
+                "touchdown", "collapse_at_one", f"k={k} m={m} n={n}",
+                tg.at_t_one(),
+                genfun(GenSpec(k, m, n, len_max)).full_series()))
+        oe = touchdown.tilde_genfun_openend(k, len_max)
+        shifted = touchdown.tilde_genfun_openend_shifted(k, len_max)
         out.append(_eq_check("touchdown", "openend_routes", f"k={k}",
-                             oe.full_series(),
-                             tilde_genfun_openend_shifted(k, len_max)
-                             .full_series()))
+                             oe.full_series(), shifted.full_series()))
         out.append(_eq_check("touchdown", "openend_collapse", f"k={k}",
                              oe.at_t_one(),
                              genfun(GenSpec(k, 0, 0, len_max)).full_series()))

@@ -268,8 +268,8 @@ def test_cli_import_is_stdlib_only():
     assert foreign == []
 
 
-# the modules a plain `genfun` job runs
-PLAIN_JOB = {"cli", "config", "exact", "spectral", "genfun"}
+# the modules every job runs: `cli` reads the spec into a GenSpec
+EVERY_JOB = {"cli", "config", "exact", "genfun"}
 # standard library modules that no job loads: argparse and the modules
 # it imports ...
 ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
@@ -277,6 +277,7 @@ ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 # cluster route, or at a value that is not an int
 FRACTIONS_MODULES = {"fractions", "decimal", "numbers"}
 SPEC = ("--k", "3", "--m", "0", "--n", "0", "--max-len", "6")
+VERIFY_BOUNDS = ("--k-max", "2", "--len-max", "4")
 
 # a fresh process records the package modules whose code runs: importlib
 # execs a module's code object, so an audit hook sees it, and a module
@@ -303,27 +304,41 @@ with redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(ran - {"__init__"}), sorted(sys.modules)]))
 """
 
-
-# (argv, submodules run beyond PLAIN_JOB, whether the cluster route
-# loads fractions)
-@pytest.mark.parametrize("argv,extra,cluster", [
-    (("genfun",) + SPEC, set(), False),
-    (("genfun",) + SPEC + ("--touchdown",), {"touchdown"}, False),
-    (("genfun",) + SPEC + ("--check",), {"cluster"}, True),
+# (argv, submodules run beyond the command line and the genfun module,
+# whether the job loads fractions)
+@pytest.mark.parametrize("argv,extra,loads_fractions", [
+    (("genfun",) + SPEC, {"spectral"}, False),
+    (("genfun",) + SPEC + ("--touchdown",), {"spectral", "touchdown"}, False),
+    (("genfun",) + SPEC + ("--check",), {"spectral", "cluster"}, True),
     (("genfun",) + SPEC + ("--method", "cluster-exp"), {"cluster"}, True),
+    # F_(-1) = F_0 = 1: no determinant is built
+    (("genfun", "--k", "0", "--m", "0", "--n", "0", "--max-len", "6"),
+     set(), False),
     (("table",) + SPEC + ("--touchdowns",), {"oracle"}, False),
-    (("verify", "--suite", "genfun", "--k-max", "1", "--len-max", "4"),
-     {"cluster", "oracle", "touchdown", "verify"}, True),
-], ids=["genfun", "touchdown", "check", "cluster-exp", "table", "verify"])
-def test_a_command_runs_only_the_modules_it_uses(argv, extra, cluster):
+    (("verify", "--suite", "determinants") + VERIFY_BOUNDS,
+     {"spectral", "verify"}, False),
+    (("verify", "--suite", "genfun") + VERIFY_BOUNDS,
+     {"spectral", "oracle", "verify"}, False),
+    (("verify", "--suite", "duality") + VERIFY_BOUNDS,
+     {"spectral", "verify"}, False),
+    (("verify", "--suite", "recursions") + VERIFY_BOUNDS,
+     {"spectral", "verify"}, False),
+    (("verify", "--suite", "cluster") + VERIFY_BOUNDS,
+     {"spectral", "cluster", "oracle", "verify"}, True),
+    (("verify", "--suite", "touchdown") + VERIFY_BOUNDS,
+     {"spectral", "oracle", "touchdown", "verify"}, False),
+], ids=["genfun", "touchdown", "check", "cluster-exp", "genfun-k0", "table",
+        "verify-determinants", "verify-genfun", "verify-duality",
+        "verify-recursions", "verify-cluster", "verify-touchdown"])
+def test_a_command_runs_only_the_modules_it_uses(argv, extra,
+                                                 loads_fractions):
     run = _fresh_python("-c", RUN_COMMAND, *argv)
     assert run.returncode == 0, run.stderr
     code, ran, loaded = json.loads(run.stdout)
     assert code == 0
-    assert set(ran) == PLAIN_JOB | extra
+    assert set(ran) == EVERY_JOB | extra
     assert not set(loaded) & ARGPARSE_MODULES
-    if not cluster:
-        assert not set(loaded) & FRACTIONS_MODULES
+    assert bool(set(loaded) & FRACTIONS_MODULES) == loads_fractions
 
 
 def test_package_attributes_load_on_first_use():

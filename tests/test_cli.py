@@ -17,12 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyckgen
-from dyckgen import __version__, config
+from dyckgen import __version__, config, touchdown
 from dyckgen.cli import (COMMANDS, REQUIRED, Convention, _emit,
                          _series_terms, cmd_genfun, cmd_table, cmd_verify,
                          main, parse_args, table_from_json)
-from dyckgen.exact import LSeries, TPoly
-from dyckgen.genfun import GenFun, GenSpec, _packed_fk
+from dyckgen.exact import LSeries, PackedRing, TPoly
+from dyckgen.genfun import (GenFun, GenSpec, _inv_fk, _largest_count,
+                            _packed_fk)
 from dyckgen.oracle import enumerate_paths
 from dyckgen.spectral import fk_polynomial
 from dyckgen.touchdown import tilde_genfun
@@ -548,6 +549,78 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert "26,0,1\n" in out
+
+
+def _off_by_one(real):
+    """`real` with one coefficient of each result one too high: the last
+    entry of a packed series or of a decoded batch, or the constant term
+    of a series."""
+    def faulty(*args):
+        out = real(*args)
+        if isinstance(out, LSeries):
+            return out + 1
+        return out[:-1] + type(out)([out[-1] + 1])
+    return faulty
+
+
+@pytest.fixture
+def cold_caches():
+    """Every builder cache empty before the test, so that no clean
+    cached value hides a fault, and after it, so that no faulty one
+    outlives it."""
+    def clear():
+        for cached in (fk_polynomial, _packed_fk, _inv_fk, _largest_count,
+                       touchdown._arch, touchdown.tilde_secular):
+            cached.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+FAULT_SPEC = ("--k", "4", "--max-len", "12", "--check")
+FAULT_HEIGHTS = {"0-0": ("--m", "0", "--n", "0"),
+                 "1-2": ("--m", "1", "--n", "2")}
+# (helper, heights) whose fault --touchdown --check misses: both marked
+# routes decode through _marker_series, and at 0 -> 0 the top entry of
+# the products they share in _geometric
+TOUCHDOWN_MISSES = {("decoded", "0-0"), ("decoded", "1-2"),
+                    ("_marker_series", "0-0"), ("_marker_series", "1-2"),
+                    ("mul", "0-0")}
+TOUCHDOWN_FAULTS = [
+    pytest.param(owner, name, heights, id=f"{name}-{key}",
+                 marks=pytest.mark.xfail(
+                     strict=True, reason="ROADMAP item 11: a helper both "
+                     "marked routes share")
+                 if (name, key) in TOUCHDOWN_MISSES else ())
+    for owner, name in ((PackedRing, "decoded"), (PackedRing, "mul"),
+                        (PackedRing, "quotient"),
+                        (touchdown, "_marker_series"))
+    for key, heights in FAULT_HEIGHTS.items()]
+
+
+class TestCheckCatchesFaults:
+    """A one-coefficient fault in a helper that a --check route shares
+    must exit 3, as a mismatch with a route that does not share it."""
+
+    @pytest.mark.parametrize("name", ["decoded", "mul", "quotient"])
+    @pytest.mark.parametrize("heights", FAULT_HEIGHTS.values(),
+                             ids=FAULT_HEIGHTS)
+    def test_plain_check(self, capsys, monkeypatch, cold_caches, name,
+                         heights):
+        monkeypatch.setattr(PackedRing, name,
+                            _off_by_one(getattr(PackedRing, name)))
+        code, _, err = run_cli(capsys, "genfun", *FAULT_SPEC, *heights)
+        assert code == 3
+        assert "internal mismatch" in err
+
+    @pytest.mark.parametrize("owner,name,heights", TOUCHDOWN_FAULTS)
+    def test_touchdown_check(self, capsys, monkeypatch, cold_caches, owner,
+                             name, heights):
+        monkeypatch.setattr(owner, name, _off_by_one(getattr(owner, name)))
+        code, _, err = run_cli(capsys, "genfun", *FAULT_SPEC, *heights,
+                               "--touchdown")
+        assert code == 3
+        assert "internal mismatch" in err
 
 
 def _run_quietly(argv):

@@ -68,7 +68,7 @@ def test_determinants_guard_fires_before_any_elimination(monkeypatch,
     # eliminations at every smaller ceiling have run
     monkeypatch.delenv("DYCKGEN_GUARD_OVERRIDE", raising=False)
     calls = []
-    monkeypatch.setattr("dyckgen.verify.secular_det_direct", calls.append)
+    monkeypatch.setattr("dyckgen.spectral.secular_det_direct", calls.append)
     with pytest.raises(GuardExceeded, match="ceiling 33 exceeds guard 32"):
         run_suites(["determinants"], k_max=33)
     with pytest.raises(GuardExceeded, match="ceiling 33 exceeds guard 32"):
@@ -83,12 +83,12 @@ def test_determinants_guard_fires_before_any_elimination(monkeypatch,
 
 # suite -> the first call that does the suite's work
 SUITE_FIRST_WORK = {
-    "determinants": "dyckgen.verify.secular_det_direct",
+    "determinants": "dyckgen.spectral.secular_det_direct",
     "genfun": "dyckgen.verify.genfun",
     "duality": "dyckgen.verify.check_duality",
     "recursions": "dyckgen.verify.check_recursions",
-    "cluster": "dyckgen.verify.c2",
-    "touchdown": "dyckgen.verify.tilde_secular",
+    "cluster": "dyckgen.cluster.c2",
+    "touchdown": "dyckgen.touchdown.tilde_secular",
 }
 
 # (suite, bound, value for run_suites, value on the command line, message)
