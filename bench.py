@@ -10,11 +10,12 @@ true when its tracked files differ from that commit), the Python version
 and the platform, and for each ladder point (k, m, n, order) the minimum
 wall time over repeated runs of
 
-* `PackedRing.quotient`: 1/F_k, the divisor the determinant route
-  caches;
-* `PackedRing.mul`: F_(k-1)(zeta*theta) times that 1/F_k, the
-  determinant route's product;
-* `PackedRing.unpack`: the packed excursion series that product is;
+* `PackedRing.quotient` ("divide"): F_(k-1)(zeta*theta) divided by
+  F_k, the determinant route's one quotient;
+* `PackedRing.quotient` ("quotient"): 1/F_k, and `PackedRing.mul`
+  ("mul"): F_(k-1)(zeta*theta) times that 1/F_k, the retired inverse
+  path, which built and cached the dense 1/F_k;
+* `PackedRing.unpack`: the packed excursion series that quotient is;
   beside its time, `unpack_peak_ratio`, the tracemalloc peak of one
   unpack over the memory its result holds;
 * `touchdown._marker_series`: the marker series assembled from the
@@ -22,14 +23,15 @@ wall time over repeated runs of
 * `genfun`, `tilde_genfun` and `tilde_genfun_ratio` at the point, each
   with every builder cache cleared first (a cold call).  The two marked
   routes and the marker series are left out (null) at the finite
-  ceilings above order 80: they multiply out the dense powers of the
-  arch there, and one call at (12, 0, 0, 200) takes minutes;
+  ceilings above order 80 and at k = inf, order 160: they multiply out
+  the dense powers of the arch there, and one call at (12, 0, 0, 200)
+  takes minutes;
 * `continued_fraction` at the spec's ceiling, as `genfun --check` runs
   it, also cold, at every point with m = n = 0 (null elsewhere);
 * `genfun_via_cluster`, the cluster route `genfun --check` runs, cold,
   at every point but those in CLUSTER_SKIP (null there), where one call
   takes most of a minute or more: 54 s at (12, 0, 0, 200) and 152 s at
-  (4, 0, 0, 400), and longer at (12, 0, 0, 400);
+  (4, 0, 0, 400), and longer at (12, 0, 0, 400) and (None, 0, 0, 160);
 * `genfun_full` and `tilde_genfun_full`: the same cold calls up to the
   return of their `full_series()`, the span a `sweep` job of
   perfbench/sweep_session.py times.
@@ -58,11 +60,11 @@ all start-up, so its row shows what a verify job compiles.  Each has
 the same reference call beside it, run in this process between its
 runs.
 
-The ladder is k = inf at orders 32..120, with order 66, where the
-slots first grow past 64 bits (to 72), the finite ceiling 12 at orders
-80..400, where the packed ints are longest, the ceiling 4 at orders
-80..400, where the slots are narrowest for their order (320 bits at
-order 400), the endpoints 2 -> 5 at k = inf, order 48, where the
+The ladder is k = inf at orders 32..120 and 160, with order 66, where
+the slots first grow past 64 bits (to 72), the finite ceiling 12 at
+orders 80..400, where the packed ints are longest, the ceiling 4 at
+orders 80..400, where the slots are narrowest for their order (320 bits
+at order 400), the endpoints 2 -> 5 at k = inf, order 48, where the
 decode adds the endpoint prefactor, and (4, 0, 0, 32) and (8, 1, 4, 32),
 the shape of a perfbench `sweep` job: finite ceilings, where every
 call is small.  Rows are
@@ -95,13 +97,15 @@ from dyckgen.spectral import fk_polynomial  # noqa: E402
 # (k, m, n, order, whether the marked routes are timed there)
 LADDER = ([(None, 0, 0, order, True)
            for order in (32, 48, 64, 66, 80, 100, 120)]
+          + [(None, 0, 0, 160, False)]
           + [(12, 0, 0, 80, True), (12, 0, 0, 200, False),
              (12, 0, 0, 400, False)]
           + [(4, 0, 0, 80, True), (4, 0, 0, 200, False),
              (4, 0, 0, 400, False), (None, 2, 5, 48, True)]
           + [(4, 0, 0, 32, True), (8, 1, 4, 32, True)])
 # ladder points where one cold genfun_via_cluster call takes a minute or more
-CLUSTER_SKIP = {(12, 0, 0, 200), (12, 0, 0, 400), (4, 0, 0, 400)}
+CLUSTER_SKIP = {(12, 0, 0, 200), (12, 0, 0, 400), (4, 0, 0, 400),
+                (None, 0, 0, 160)}
 # (row name, interpreter arguments) of the cold-process rows
 CLI_ROWS = (
     ("python", ["-c", "pass"]),
@@ -195,10 +199,11 @@ def point(k, m, n, order, with_tilde):
     fk = ring.pack(fk_polynomial(ceiling).resized(L))
     upper = ring.pack(fk_polynomial(ceiling - 1).resized(L), 1)
     inv = ring.quotient((1,), fk)
-    packed = ring.mul(upper, inv)
+    packed = ring.quotient(upper, fk)
     timed = {
         "unpack": (lambda: ring.unpack(packed, L), False),
         "marker_series": None,
+        "divide": (lambda: ring.quotient(upper, fk), False),
         "mul": (lambda: ring.mul(upper, inv), False),
         "quotient": (lambda: ring.quotient((1,), fk), False),
         "genfun": (lambda: genfun(spec), True),

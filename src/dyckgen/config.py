@@ -4,9 +4,9 @@ report bad input.
 The explicit enumerations are slow; these limits keep a casual
 invocation from launching a huge one.  The closed forms are guarded
 only through the ceiling determinant they all build (DET_CEILING_MAX),
-though an unbounded one takes seconds at order 100 and hours at order
-200.  Setting DYCKGEN_GUARD_OVERRIDE (to any non-empty value) lifts all
-the guards.
+though a cold unbounded genfun takes 0.19 s at order 100 and 16 s at
+order 200, the most the guard admits (Python 3.11, 2-core VM).  Setting
+DYCKGEN_GUARD_OVERRIDE (to any non-empty value) lifts all the guards.
 
 Every error a caller can cause by what it asks for is a UsageError; the
 command line turns it into exit code 2.

@@ -173,26 +173,26 @@ def packed_fk(ring, j, order, shift=0):
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _inv_fk(k, order, width):
-    """1/F_k to `order` steps, packed in PackedRing(width), a spec's
-    packed_ring: the key is everything that fixes the packed value."""
+    """1/F_k to `order` steps, packed in PackedRing(width).  No route
+    calls it (packed_genfun divides by F_k); it is deleted with ROADMAP
+    items 1 and 14, as perfbench's tracer still looks it up."""
     ring = PackedRing(width)
     return ring.quotient((1,), packed_fk(ring, k, order))
 
 
 def packed_genfun(ring, k, m, n, order):
     """The series part F_(m-1) * F_(k-n-1)(zeta*theta^(n+1)) / F_k for
-    0 <= m <= n <= k, packed in `ring` to the series order `order`;
-    1/F_k comes from the `_inv_fk` cache under the ring's width."""
+    0 <= m <= n <= k, packed in `ring` to the series order `order`: one
+    quotient by the packed F_k, at most k/2 + 1 nonzero entries."""
     num = packed_fk(ring, m - 1, order)
     upper = packed_fk(ring, k - n - 1, order, n + 1)
-    inv = _inv_fk(k, order, ring.width)
-    return ring.mul(ring.mul(num, upper), inv)
+    return ring.quotient(ring.mul(num, upper), packed_fk(ring, k, order))
 
 
 def genfun(spec):
     """Generating function for spec; symmetric in (m, n).
 
-    F_(m-1), F_(k-n-1)(zeta*theta^(n+1)) and 1/F_k are multiplied to
+    F_(m-1) times F_(k-n-1)(zeta*theta^(n+1)), divided by F_k, to
     spec.series_order in spec.packed_ring, in zeta^2 and theta^2, and
     decoded straight into the answer.  An unbounded spec is computed at
     spec.ceiling, exactly as GenSpec(spec.ceiling, m, n, order) is."""

@@ -130,7 +130,7 @@ def _marked_parts(ring, k, order):
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _arch(k, order, width):
     """(A, R = C/A) of tF_k = A - t*C to `order` steps, packed in
-    PackedRing(width), a spec's packed_ring (keyed as _inv_fk)."""
+    PackedRing(width), a spec's packed_ring; the key fixes the value."""
     ring = PackedRing(width)
     a, c = _marked_parts(ring, k, order)
     return a, ring.quotient(c, a)

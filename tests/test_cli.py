@@ -581,11 +581,9 @@ FAULT_SPEC = ("--k", "4", "--max-len", "12", "--check")
 FAULT_HEIGHTS = {"0-0": ("--m", "0", "--n", "0"),
                  "1-2": ("--m", "1", "--n", "2")}
 # (helper, heights) whose fault --touchdown --check misses: both marked
-# routes decode through _marker_series, and at 0 -> 0 the top entry of
-# the products they share in _geometric
+# routes decode through _marker_series
 TOUCHDOWN_MISSES = {("decoded", "0-0"), ("decoded", "1-2"),
-                    ("_marker_series", "0-0"), ("_marker_series", "1-2"),
-                    ("mul", "0-0")}
+                    ("_marker_series", "0-0"), ("_marker_series", "1-2")}
 TOUCHDOWN_FAULTS = [
     pytest.param(owner, name, heights, id=f"{name}-{key}",
                  marks=pytest.mark.xfail(

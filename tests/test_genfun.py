@@ -1,19 +1,23 @@
 """Endpoint generating functions and the identities tying them
 together."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dyckgen
 from dyckgen.cluster import degree_formula, genfun_via_cluster
 from dyckgen.config import CACHE_ENTRIES, SpecOutOfRange
 from dyckgen.exact import LSeries, PackedRing, QLaurent, TPoly
 from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count, _packed_fk,
                             check_duality, continued_fraction, genfun,
-                            packed_fk)
+                            packed_fk, packed_genfun)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.spectral import fk_polynomial
 from dyckgen.touchdown import (_arch, tilde_genfun, tilde_genfun_openend,
@@ -325,10 +329,13 @@ class TestContinuedFraction:
         assert continued_fraction(2, 10) == num.divide(den)
 
 
+BUILDER_CACHES = (fk_polynomial, _packed_fk, _inv_fk, _arch, tilde_secular,
+                  _largest_count)
+
+
 class TestBuilderCaches:
     def test_caches_are_bounded(self):
-        for cached in (fk_polynomial, _packed_fk, _inv_fk, _arch,
-                       tilde_secular, _largest_count):
+        for cached in BUILDER_CACHES:
             assert cached.cache_info().maxsize == CACHE_ENTRIES
 
     @pytest.mark.parametrize("width", [8, 72])
@@ -369,8 +376,7 @@ class TestBuilderCaches:
                 for route in (unmarked, tilde_genfun)]
         cold = []
         for job in jobs:
-            for cached in (fk_polynomial, _packed_fk, _inv_fk, _arch,
-                           tilde_secular, _largest_count):
+            for cached in BUILDER_CACHES:
                 cached.cache_clear()
             cold.append(run(job))
         for seed in (1, 2):
@@ -396,19 +402,38 @@ class TestBuilderCaches:
     @example(0, 1, 41)
     def test_unbounded_spec_shares_its_finite_twins_caches(self, m, n, L):
         # the packed ring depends on the ceiling and the order alone, so
-        # the finite spec at an unbounded spec's ceiling reads the 1/F_k
-        # and the arch the unbounded one cached, and answers the same
+        # the finite spec at an unbounded spec's ceiling reads the packed
+        # F_j and the arch the unbounded one cached, and answers the same
         spec = GenSpec(None, m, n, L)
         twin = GenSpec(spec.ceiling, m, n, L)
         assert spec.packed_ring.width == twin.packed_ring.width
         plain = genfun(spec).full_series()
-        hits = _inv_fk.cache_info().hits
+        misses = _packed_fk.cache_info().misses
         assert genfun(twin).full_series() == plain
-        assert _inv_fk.cache_info().hits == hits + 1
+        assert _packed_fk.cache_info().misses == misses
         marked = tilde_genfun(None, m, n, L).full_series()
         hits = _arch.cache_info().hits
         assert tilde_genfun(spec.ceiling, m, n, L).full_series() == marked
         assert _arch.cache_info().hits == hits + 1
+
+    def test_no_route_fills_the_inverse_cache(self):
+        # every route divides by the packed F_k itself: cold, none of
+        # them builds the dense 1/F_k
+        for cached in BUILDER_CACHES:
+            cached.cache_clear()
+        for k, m, n, L in [(None, 0, 0, 24), (None, 2, 5, 20),
+                           (None, 4, 1, 17), (6, 0, 0, 30), (6, 1, 3, 25),
+                           (5, 5, 2, 16), (0, 0, 0, 4)]:
+            genfun(GenSpec(k, m, n, L))
+            tilde_genfun(k, m, n, L)
+            tilde_genfun_ratio(k, m, n, L)
+            if m == n == 0:
+                ceiling = GenSpec(k, 0, 0, L).ceiling
+                continued_fraction(ceiling, L)
+                tilde_genfun_openend(ceiling, L)
+            if k is not None:
+                check_duality(GenSpec(k, m, n, L))
+        assert _inv_fk.cache_info().misses == 0
 
 
 @st.composite
@@ -472,6 +497,62 @@ def test_whole_series_matches_quotient_reference(spec):
     # every coefficient and area power the answer holds, to its order
     assert (genfun(spec).full_series()
             == with_prefactor(spec, quotient_series(spec)))
+
+
+def inverse_product(ring, k, m, n, order):
+    """The series part as the product of F_(m-1),
+    F_(k-n-1)(zeta*theta^(n+1)) and the dense 1/F_k: the reference for
+    the one quotient of packed_genfun."""
+    num = packed_fk(ring, m - 1, order)
+    upper = packed_fk(ring, k - n - 1, order, n + 1)
+    inv = ring.quotient((1,), packed_fk(ring, k, order))
+    return ring.mul(ring.mul(num, upper), inv)
+
+
+@st.composite
+def packed_genfun_args(draw):
+    k = draw(st.integers(0, 12))
+    n = draw(st.integers(0, k))
+    return (PackedRing(draw(st.integers(1, 144))), k,
+            draw(st.integers(0, n)), n, draw(st.integers(0, 40)))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(packed_genfun_args())
+@example((PackedRing(64), 12, 0, 0, 40))
+@example((PackedRing(72), 12, 3, 7, 40))
+@example((PackedRing(8), 0, 0, 0, 0))
+def test_packed_genfun_is_the_inverse_product(args):
+    # dividing by F_k gives the same packed ints as multiplying by
+    # 1/F_k, with slots of up to 64 bits and wider, whether or not the
+    # slots can hold the counts
+    assert packed_genfun(*args) == inverse_product(*args)
+
+
+# bytes that stay traced after the nine cold genfun calls below
+MEMORY_BUDGET = 8 * 2**20
+
+
+def test_cold_genfun_holds_memory_to_a_budget():
+    # nine distinct large specs in a fresh interpreter, each answer
+    # dropped: what stays reachable is the builder caches, the packed
+    # F_j and fk_polynomial's dicts, about 5.8 MiB by tracemalloc; a
+    # dense 1/F_k cached per spec would bring it to 10 MiB
+    code = ("import gc, tracemalloc\n"
+            "from dyckgen.genfun import GenSpec, genfun\n"
+            "tracemalloc.start()\n"
+            "for spec in ([(None, 0, 0, L) for L in (64, 72, 80, 88, 96)]\n"
+            "             + [(None, 2, 5, 80), (12, 0, 0, 120),\n"
+            "                (12, 0, 0, 160), (12, 1, 3, 180)]):\n"
+            "    genfun(GenSpec(*spec))\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0])\n")
+    src = os.path.dirname(os.path.dirname(dyckgen.__file__))
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert int(run.stdout) < MEMORY_BUDGET
 
 
 @pytest.mark.parametrize("k", [None, *range(9)])
