@@ -90,8 +90,8 @@ sys.path.insert(0, os.path.join(HERE, "src"))
 
 from dyckgen import touchdown  # noqa: E402
 from dyckgen.cluster import genfun_via_cluster  # noqa: E402
-from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count,  # noqa: E402
-                            _packed_fk, continued_fraction, genfun)
+from dyckgen.genfun import (GenSpec, continued_fraction,  # noqa: E402
+                            genfun)
 from dyckgen.spectral import fk_polynomial  # noqa: E402
 
 # (k, m, n, order, whether the marked routes are timed there)
@@ -126,12 +126,12 @@ REF_TERMS = 60   # size of the reference call's product
 
 
 def clear_caches():
-    fk_polynomial.cache_clear()
-    _packed_fk.cache_clear()
-    _inv_fk.cache_clear()
-    touchdown._arch.cache_clear()
-    _largest_count.cache_clear()
-    touchdown.tilde_secular.cache_clear()
+    """Empty every functools cache of the modules that build series, so
+    that adding or deleting a cache needs no edit here."""
+    for name in ("spectral", "genfun", "touchdown"):
+        for value in vars(sys.modules["dyckgen." + name]).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def reference_work():

@@ -47,6 +47,8 @@ import struct
 import sys
 from itertools import chain, repeat
 
+from .config import SpecOutOfRange, check_order
+
 
 class NonUnitConstantTerm(ArithmeticError):
     """A series quotient needs a divisor with constant term exactly 1."""
@@ -309,7 +311,7 @@ class QLaurent(_SparsePoly):
     def scale_exponents(self, f):
         """Substitute theta -> theta^f (multiply exponents by f != 0)."""
         if f == 0:
-            raise ValueError("exponent scale must be nonzero")
+            raise SpecOutOfRange("exponent scale must be nonzero")
         if f == 1:
             return self
         return QLaurent._wrap({e * f: v for e, v in self._c.items()})
@@ -392,7 +394,7 @@ class TPoly(_SparsePoly):
 
     def __init__(self, coeffs=None):
         if coeffs and min(coeffs) < 0:
-            raise ValueError("negative marker exponent")
+            raise SpecOutOfRange("negative marker exponent")
         super().__init__(coeffs)
 
     @classmethod
@@ -452,8 +454,7 @@ class LSeries:
     __slots__ = ("order", "c", "ring")
 
     def __init__(self, order, coeffs=None, ring=QLaurent):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        check_order(order)
         zero = ring.zero()
         c = [zero] * (order + 1)
         if isinstance(coeffs, dict):
@@ -461,7 +462,7 @@ class LSeries:
                 if 0 <= l <= order:
                     c[l] = ring.coerce(v)
                 elif l < 0:
-                    raise ValueError("negative step exponent")
+                    raise SpecOutOfRange("negative step exponent")
         elif coeffs is not None:
             for l, v in enumerate(coeffs):
                 if l > order:
@@ -651,7 +652,7 @@ class LSeries:
     def shift_step(self, d):
         """Multiply by zeta^d (d >= 0), keeping the truncation order."""
         if d < 0:
-            raise ValueError("negative step shift")
+            raise SpecOutOfRange("negative step shift")
         if d == 0:
             return self
         if d > self.order:
@@ -664,8 +665,7 @@ class LSeries:
         """Same series re-truncated (padded with zeros when growing; only
         valid for growth when the tail is known to vanish, e.g. an exact
         polynomial)."""
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        check_order(order)
         if order == self.order:
             return self
         if order < self.order:

@@ -21,7 +21,7 @@ from operator import add
 
 from . import spectral
 from .config import (CACHE_ENTRIES, SpecOutOfRange, UsageError,
-                     check_ceiling, check_heights)
+                     check_ceiling, check_heights, check_order)
 from .exact import PackedRing, TPoly
 
 
@@ -34,13 +34,12 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
 
     def __new__(cls, k, m, n, order):
         self = super().__new__(cls, k, m, n, order)
-        for field in ("m", "n", "order"):
+        for field in ("m", "n"):
             value = getattr(self, field)
             if not isinstance(value, int):
                 raise SpecOutOfRange(f"{field} must be an integer, "
                                      f"got {value!r}")
-        if self.order < 0:
-            raise SpecOutOfRange("order must be >= 0")
+        check_order(order, "order")
         if self.m < 0 or self.n < 0:
             raise SpecOutOfRange("heights must be >= 0")
         if self.k is not None:
@@ -56,12 +55,10 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
     def ceiling(self):
         """Effective ceiling: a path of l steps from m to n climbs at most
         (l + m + n)/2 high, and the straight rise-and-fall path gets
-        there.  When unbounded, the lowest exact one for l <= order.  A
-        finite k is clamped to max(m, n) + order//2, at or above that
-        reach, so no count changes."""
-        if self.k is not None:
-            return min(self.k, max(self.m, self.n) + self.order // 2)
-        return max(self.m, self.n, (self.order + self.m + self.n) // 2)
+        there, so the reach of l <= order is the lowest exact ceiling.
+        A finite k above that reach is clamped to it; no count changes."""
+        reach = max(self.m, self.n, (self.order + self.m + self.n) // 2)
+        return reach if self.k is None else min(self.k, reach)
 
     @property
     def series_order(self):

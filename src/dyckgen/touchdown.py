@@ -193,32 +193,29 @@ def tilde_genfun_ratio(k, m, n, order):
     # G_k is the base series itself when m = n = 0
     g = base if n == 0 else packed_genfun(ring, k, 0, 0, order)
     ratio, x = ring.quotient((0,) + g[1:], g), ring.quotient(base, g)
-    lower = (packed_genfun(ring, m - 1, 0, 0, order) if m
-             else (1,) + (0,) * (order // 2))
-    p0 = ring.mul(x, lower)
+    p0 = ring.mul(x, packed_genfun(ring, m - 1, 0, 0, order))
     p1 = tuple(u + v - w for u, v, w in zip(x, ring.mul(p0, ratio), p0))
     return _geometric(spec, ring, p0, p1, ratio)
 
 
+def _open_end(gf):
+    """1 + (gf - 1)/t for a marked excursion function gf: every closed
+    excursion ends with a return, so dividing its nontrivial part by t,
+    coefficient by coefficient, leaves that last return unmarked."""
+    one = LSeries.one(gf.spec.order, TPoly)
+    g = gf.full_series() - one
+    return GenFun(gf.spec, g.map_coeffs(TPoly.div_t_exact) + one)
+
+
 def tilde_genfun_openend(k, order):
     """Marked excursions with the final floor return left unmarked:
-    1 + (G_k - 1) / [t + (1-t) G_k].  Every closed excursion ends with a
-    return, so dividing the nontrivial part of the fully marked function
-    by t removes exactly that last marker.  It is 1 + R/(1 - t*R) for
-    the arch R = (G_k - 1)/G_k: the t^0 part 1 + R, then R^2, R^3..."""
+    1 + (G_k - 1) / [t + (1-t) G_k], the ratio route's excursion
+    function with its last marker divided out (_open_end)."""
     check_ceiling(k)
-    spec = GenSpec(k, 0, 0, order)
-    ring = spec.packed_ring
-    g = packed_genfun(ring, spec.ceiling, 0, 0, spec.series_order)
-    ratio = ring.quotient((0,) + g[1:], g)
-    return _geometric(spec, ring, (1,) + ratio[1:], ring.mul(ratio, ratio),
-                      ratio)
+    return _open_end(tilde_genfun_ratio(k, 0, 0, order))
 
 
 def tilde_genfun_openend_shifted(k, order):
-    """Cross-check route for the open-ended function: divide the marked
-    excursion function minus 1 by t, coefficient by coefficient."""
-    one = LSeries.one(order, TPoly)
-    g = tilde_genfun(k, 0, 0, order).full_series() - one
-    return GenFun(GenSpec(k, 0, 0, order),
-                  g.map_coeffs(TPoly.div_t_exact) + one)
+    """Cross-check route for the open-ended function: the determinant
+    route's excursion function with its last marker divided out."""
+    return _open_end(tilde_genfun(k, 0, 0, order))

@@ -16,7 +16,7 @@ from dyckgen import cli, cluster, exact, spectral
 from dyckgen.cluster import (c2, c2_factorial, compositions, degree_check,
                              degree_formula, log_secular, p_restricted)
 from dyckgen.config import SpecOutOfRange, UsageError
-from dyckgen.exact import LSeries
+from dyckgen.exact import LSeries, QLaurent, TPoly
 from dyckgen.genfun import GenFun, GenSpec, continued_fraction, genfun
 from dyckgen.oracle import PathTable, enumerate_paths, max_area
 from dyckgen.spectral import (bosonic_partition, fk_polynomial,
@@ -97,6 +97,13 @@ BAD_ARGUMENTS = {
     "tridiagonal": lambda: tridiagonal([{1: -1}], [{1: -1}], -1),
     "GenFun.coefficient": lambda: genfun(GenSpec(2, 0, 0, 4)).coefficient(
         2, 0, touchdowns=1),
+    "LSeries-order": lambda: LSeries(-1),
+    "LSeries-non-int-order": lambda: LSeries(2.5),
+    "LSeries-step": lambda: LSeries(3, {-1: 1}),
+    "LSeries.resized": lambda: LSeries.one(3).resized(-1),
+    "LSeries.shift_step": lambda: LSeries.one(3).shift_step(-1),
+    "TPoly": lambda: TPoly({-1: 1}),
+    "QLaurent.scale_exponents": lambda: QLaurent.mono(1).scale_exponents(0),
 }
 
 

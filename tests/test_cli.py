@@ -22,8 +22,7 @@ from dyckgen.cli import (COMMANDS, REQUIRED, Convention, _emit,
                          _series_terms, cmd_genfun, cmd_table, cmd_verify,
                          main, parse_args, table_from_json)
 from dyckgen.exact import LSeries, PackedRing, TPoly
-from dyckgen.genfun import (GenFun, GenSpec, _inv_fk, _largest_count,
-                            _packed_fk)
+from dyckgen.genfun import GenFun, GenSpec, _packed_fk
 from dyckgen.oracle import enumerate_paths
 from dyckgen.spectral import fk_polynomial
 from dyckgen.touchdown import tilde_genfun
@@ -569,9 +568,11 @@ def cold_caches():
     cached value hides a fault, and after it, so that no faulty one
     outlives it."""
     def clear():
-        for cached in (fk_polynomial, _packed_fk, _inv_fk, _largest_count,
-                       touchdown._arch, touchdown.tilde_secular):
-            cached.cache_clear()
+        # every functools cache found, so a new one needs no edit here
+        for name in ("spectral", "genfun", "touchdown"):
+            for value in vars(sys.modules["dyckgen." + name]).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
     clear()
     yield
     clear()

@@ -44,15 +44,24 @@ class TestGenSpec:
         # and the straight rise-and-fall path gets there
         assert GenSpec(None, 2, 2, 2).ceiling == 3
         assert GenSpec(None, 0, 0, 10).ceiling == 5
-        # a finite ceiling out of reach of order + |n - m| steps, the
-        # longest paths the series part counts, is clamped to that reach
+        # a finite ceiling above the reach of the paths of <= L steps,
+        # the longest the answer holds, is clamped to that reach, which
+        # is exact and the lowest exact ceiling
         assert GenSpec(7, 1, 1, 4).ceiling == 3
         assert GenSpec(7, 1, 1, 12).ceiling == 7
-        assert GenSpec(9, 0, 3, 5).ceiling == 5
-        for k, m, n, L in ((7, 1, 1, 4), (9, 0, 3, 5), (6, 2, 2, 3)):
-            c, reach = GenSpec(k, m, n, L).ceiling, L + n - m
-            assert (enumerate_paths(c, m, n, reach).counts
-                    == enumerate_paths(k, m, n, reach).counts)
+        assert GenSpec(9, 0, 3, 5).ceiling == 4
+        for k in range(9):
+            for m in range(k + 1):
+                for n in range(k + 1):
+                    for L in range(13):
+                        c = GenSpec(k, m, n, L).ceiling
+                        assert c == min(k, max(m, n, (L + m + n) // 2))
+                        at = enumerate_paths(c, m, n, L).counts
+                        assert enumerate_paths(k, m, n, L).counts == at
+                        # below max(m, n) no strip holds the endpoints
+                        if max(m, n) < c < k:
+                            below = enumerate_paths(c - 1, m, n, L).counts
+                            assert below != at, (k, m, n, L)
         for m in range(4):
             for n in range(m, 4):
                 for L in range(n, 13):

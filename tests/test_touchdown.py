@@ -177,14 +177,20 @@ class TestOpenEnded:
         assert (tilde_genfun_openend(k, order).at_t_one()
                 == genfun(GenSpec(k, 0, 0, order)).full_series())
 
-    def test_shifted_marker_counts(self):
-        # every monomial's marker degree is the oracle count minus one
-        oe = tilde_genfun_openend(3, 10)
-        tab = enumerate_paths(3, 0, 0, 10)
-        for (l, a, s), c in tab.counts.items():
-            if l == 0:
-                continue
-            assert oe.coefficient(l, a, s - 1) == c
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(st.integers(0, 6), st.integers(0, 14))
+    @example(0, 14)
+    @example(3, 10)
+    @example(6, 14)
+    def test_oracle_with_last_return_unmarked(self, k, L):
+        # every nonempty excursion ends with a return: its count moves
+        # from t^s to t^(s-1), and the empty path stays at t^0
+        table = enumerate_paths(k, 0, 0, L)
+        counts = {(l, a, s - (l > 0)): c
+                  for (l, a, s), c in table.counts.items()}
+        expected = genfun_from_table(table._replace(counts=counts),
+                                     with_touchdowns=True)
+        assert tilde_genfun_openend(k, L).full_series() == expected
 
 
 def quotient_reference(spec):
@@ -275,7 +281,7 @@ def column_assembly(ring, cols, order):
     (tilde_genfun, (5, 4, 0, 21)),     # reversed: a zero t^0 part
     (tilde_genfun_ratio, (None, 0, 2, 30)),
     (tilde_genfun_ratio, (None, 3, 0, 19)),
-    (tilde_genfun_openend, (5, 26)),
+    (tilde_genfun_ratio, (5, 0, 0, 26)),
 ])
 def test_marker_rows_match_column_assembly(route, args, monkeypatch):
     # the routes decode each entry of each t^s part straight into the
