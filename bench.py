@@ -1,4 +1,4 @@
-"""Ladder timings of the packed kernel, the two determinant routes and
+"""Ladder timings of the packed kernel, the builders, the routes and
 cold command-line jobs.
 
     python3 bench.py LABEL
@@ -34,7 +34,11 @@ wall time over repeated runs of
   (4, 0, 0, 400), and longer at (12, 0, 0, 400) and (None, 0, 0, 160);
 * `genfun_full` and `tilde_genfun_full`: the same cold calls up to the
   return of their `full_series()`, the span a `sweep` job of
-  perfbench/sweep_session.py times.
+  perfbench/sweep_session.py times;
+* the builders: `fk_polynomial` at the spec's ceiling, cold, at every
+  point, and `touchdown.tilde_secular_toprow` (the marked determinant
+  from the exclusion sums) at the ceiling and the order, cold, at the
+  finite-ceiling points (null at k = inf).
 
 Kernel operands are built once per point, outside the timed calls, in
 the spec's own ring (`GenSpec.packed_ring`, to `GenSpec.series_order`).
@@ -213,6 +217,8 @@ def point(k, m, n, order, with_tilde):
         "tilde_genfun_ratio": None,
         "genfun_full": (lambda: genfun(spec).full_series(), True),
         "tilde_genfun_full": None,
+        "fk_polynomial": (lambda: fk_polynomial(ceiling), True),
+        "tilde_secular_toprow": None,
     }
     if with_tilde:
         args = marker_args(k, m, n, order)
@@ -225,6 +231,9 @@ def point(k, m, n, order, with_tilde):
         timed["tilde_genfun_full"] = (
             lambda: touchdown.tilde_genfun(k, m, n, order).full_series(),
             True)
+    if k is not None:
+        timed["tilde_secular_toprow"] = (
+            lambda: touchdown.tilde_secular_toprow(ceiling, order), True)
     if m == n == 0:
         timed["continued_fraction"] = (
             lambda: continued_fraction(ceiling, order), True)

@@ -49,20 +49,15 @@ def _parse_k(text):
     if text == "inf":
         return None
     try:
-        k = int(text)
+        return int(text)
     except ValueError:
         raise UsageError(f"--k must be an integer or 'inf', got {text!r}")
-    if k < 0:
-        raise UsageError("--k must be >= 0")
-    return k
 
 
 def _parse_spec_flags(args):
     """The ceiling from --k (None for 'inf') and the spec echoed in the
-    output, after checking --max-len."""
+    output; GenSpec checks the ranges."""
     k = _parse_k(args.k)
-    if args.max_len < 0:
-        raise UsageError("--max-len must be >= 0")
     return k, {"k": "inf" if k is None else k, "m": args.m, "n": args.n,
                "max_len": args.max_len}
 

@@ -42,7 +42,7 @@ the one conversion, from z, q to zeta, theta, prefactor included.
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .config import SpecOutOfRange, check_ceiling, check_heights, check_order
+from .config import check_ceiling, check_heights, check_order
 from .exact import LSeries, QLaurent
 from .genfun import GenSpec, _largest_count
 
@@ -50,8 +50,7 @@ from .genfun import GenSpec, _largest_count
 def compositions(a):
     """Ordered sequences of positive parts summing to a, streamed in
     colexicographic order (last part varying slowest)."""
-    if a < 1:
-        raise SpecOutOfRange("need a positive total")
+    check_order(a, "total", 1)
 
     def rec(rem):
         if rem == 0:
@@ -64,11 +63,18 @@ def compositions(a):
     return rec(a)
 
 
+def _check_parts(comp):
+    """Raise SpecOutOfRange unless comp has at least one part, each an
+    int >= 1."""
+    check_order(len(comp), "number of parts", 1)
+    for l in comp:
+        check_order(l, "composition part", 1)
+
+
 def c2(comp):
     """Linked-cluster weight of a composition: 1/l_1 times the product
     over adjacent parts of C(l_i + l_{i+1} - 1, l_{i+1})."""
-    if not comp or any(l < 1 for l in comp):
-        raise SpecOutOfRange("composition parts must be >= 1")
+    _check_parts(comp)
     out = Fraction(1, comp[0])
     for li, lj in zip(comp, comp[1:]):
         out *= comb(li + lj - 1, lj)
@@ -78,8 +84,7 @@ def c2(comp):
 def c2_factorial(comp):
     """Same weight as a single ratio of factorials (independent form,
     cross-checked against c2 in the tests)."""
-    if not comp or any(l < 1 for l in comp):
-        raise SpecOutOfRange("composition parts must be >= 1")
+    _check_parts(comp)
     num = 1
     for li, lj in zip(comp, comp[1:]):
         num *= factorial(li + lj - 1)
@@ -94,6 +99,7 @@ def c2_factorial(comp):
 
 def composition_energy(comp):
     """q-exponent of a cluster at base level 0: sum of (i-1)*l_i."""
+    _check_parts(comp)
     return sum(i * l for i, l in enumerate(comp))
 
 
@@ -105,10 +111,11 @@ def p_restricted(k, m, n, a_max):
     with at most k parts (any number when unbounded), each with j parts
     summed over the base levels r with max(m-j, 0) <= r <= n and, for
     finite k, r <= k-j: _scaled_log's sum, divided by D at the edge."""
-    if k is not None:
+    if k is None:
+        check_order(m, "m")
+    else:
         check_heights(k, m, n)
-    if not 0 <= m <= n:
-        raise SpecOutOfRange("need 0 <= m <= n")
+    check_order(n, "n", m)
     check_order(a_max, "z order")
     d, sums = _scaled_log(k, m, n, a_max)
     return LSeries(a_max, [v.scale(Fraction(1, d)) for v in sums])
@@ -161,8 +168,8 @@ def degree_formula(k, n, a):
     ceiling), then (k-n-1)(2a-k+n)/2 + a*n once it bites."""
     if k is not None:
         check_ceiling(k)
-    if n < 0 or a < 1:
-        raise SpecOutOfRange("need n >= 0 and a >= 1")
+    check_order(n, "n")
+    check_order(a, "a", 1)
     if k is None or a <= k - n:
         return a * (a - 1) // 2 + a * n
     return (k - n - 1) * (2 * a - k + n) // 2 + a * n

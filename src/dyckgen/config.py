@@ -3,9 +3,10 @@ report bad input.
 
 The explicit enumerations are slow; these limits keep a casual
 invocation from launching a huge one.  The closed forms are guarded
-only through the ceiling determinant they all build (DET_CEILING_MAX),
-though a cold unbounded genfun takes 0.19 s at order 100 and 16 s at
-order 200, the most the guard admits (Python 3.11, 2-core VM).  Setting
+only through the ceiling determinant they all build (DET_CEILING_MAX):
+a cold unbounded genfun takes 0.19 s at order 100 and 16 s at order 200
+(Python 3.11, 2-core VM), and the guard admits a reach (L + m + n)//2
+of at most 100, so floor to floor order 201 runs and 202 exits 2.  Setting
 DYCKGEN_GUARD_OVERRIDE (to any non-empty value) lifts all the guards.
 
 Every error a caller can cause by what it asks for is a UsageError; the
@@ -61,28 +62,30 @@ def guards_lifted() -> bool:
     return bool(os.environ.get("DYCKGEN_GUARD_OVERRIDE"))
 
 
+def check_order(value, what="truncation order", lowest=0):
+    """Raise SpecOutOfRange unless value is an int >= lowest: the one
+    check of an integer argument, `what` naming it in the message."""
+    if not isinstance(value, int):
+        raise SpecOutOfRange(f"{what} must be an integer, got {value!r}")
+    if value < lowest:
+        raise SpecOutOfRange(f"{what} must be an integer >= {lowest}, "
+                             f"got {value!r}")
+
+
 def check_ceiling(k, lowest=0):
-    """Raise SpecOutOfRange unless the ceiling k is an int >= lowest;
-    an unbounded ceiling (None) is not one."""
-    if not isinstance(k, int) or k < lowest:
-        raise SpecOutOfRange(f"ceiling must be an integer >= {lowest}, "
-                             f"got {k!r}")
+    """check_order of the ceiling k; an unbounded ceiling (None) is not
+    an int, so it fails."""
+    check_order(k, "ceiling", lowest)
 
 
 def check_heights(k, m, n):
     """Raise SpecOutOfRange unless the ceiling k passes check_ceiling
-    and both heights m and n lie in 0..k."""
+    and both heights m and n are ints in 0..k."""
     check_ceiling(k)
-    if not (0 <= m <= k and 0 <= n <= k):
+    check_order(m, "m")
+    check_order(n, "n")
+    if m > k or n > k:
         raise SpecOutOfRange(f"heights ({m}, {n}) must lie in 0..{k}")
-
-
-def check_order(order, what="truncation order"):
-    """Raise SpecOutOfRange unless the order is an int >= 0."""
-    if not isinstance(order, int):
-        raise SpecOutOfRange(f"{what} must be an integer, got {order!r}")
-    if order < 0:
-        raise SpecOutOfRange(f"{what} must be >= 0")
 
 
 def check_guard(value, limit, what):

@@ -292,10 +292,6 @@ class QLaurent(_SparsePoly):
             return _QL_ZERO
         return cls._wrap({int(exp): coeff})
 
-    @classmethod
-    def const(cls, c):
-        return cls.mono(0, c)
-
     def degree(self):
         return max(self._c) if self._c else None
 
@@ -401,11 +397,6 @@ class TPoly(_SparsePoly):
     def marker(cls):
         """The bare marker t."""
         return _TP_T
-
-    @classmethod
-    def from_area(cls, q):
-        """The area polynomial (or rational) q as a constant in t."""
-        return cls.coerce(QLaurent.coerce(q))
 
     def shift(self, j):
         """Multiply every coefficient by theta^j."""
@@ -651,8 +642,7 @@ class LSeries:
 
     def shift_step(self, d):
         """Multiply by zeta^d (d >= 0), keeping the truncation order."""
-        if d < 0:
-            raise SpecOutOfRange("negative step shift")
+        check_order(d, "step shift")
         if d == 0:
             return self
         if d > self.order:
@@ -722,8 +712,7 @@ class PackedRing:
     __slots__ = ("width",)
 
     def __init__(self, width):
-        if width < 1:
-            raise ValueError("slot width must be >= 1")
+        check_order(width, "slot width", 1)
         self.width = -(-width // 8) * 8
 
     def pack(self, series, shift=0):
@@ -843,5 +832,5 @@ def lift_marker(series):
     coefficient becomes a t^0 term)."""
     if series.ring is TPoly:
         return series
-    return series.map_coeffs(TPoly.from_area)
+    return series.map_coeffs(TPoly.coerce)
 

@@ -33,18 +33,13 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
     __slots__ = ()
 
     def __new__(cls, k, m, n, order):
-        self = super().__new__(cls, k, m, n, order)
-        for field in ("m", "n"):
-            value = getattr(self, field)
-            if not isinstance(value, int):
-                raise SpecOutOfRange(f"{field} must be an integer, "
-                                     f"got {value!r}")
+        if k is None:
+            check_order(m, "m")
+            check_order(n, "n")
+        else:
+            check_heights(k, m, n)
         check_order(order, "order")
-        if self.m < 0 or self.n < 0:
-            raise SpecOutOfRange("heights must be >= 0")
-        if self.k is not None:
-            check_heights(self.k, self.m, self.n)
-        return self
+        return super().__new__(cls, k, m, n, order)
 
     @classmethod
     def _make(cls, iterable):

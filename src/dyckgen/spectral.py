@@ -62,9 +62,10 @@ def secular_matrix(k):
 
 # A cold fk_polynomial(k) first builds the _FILL_SPAN levels below k,
 # lowest first, so each finds its two predecessors cached and F_k nests
-# about k / _FILL_SPAN calls deep, not k.  The span is under half the
-# cache, so those levels are still cached when they are read.
-_FILL_SPAN = 16
+# about k / _FILL_SPAN calls deep, not k.  The span is a quarter of the
+# cache, so those levels are still cached when they are read (a fixed
+# span in a smaller cache could evict them first, and rebuild each).
+_FILL_SPAN = config.CACHE_ENTRIES // 4
 
 
 @lru_cache(maxsize=config.CACHE_ENTRIES)
@@ -150,8 +151,9 @@ def qbinom(m, r):
     it shares no division with the product formula it is checked
     against.
     """
-    if m < 0:
-        raise config.SpecOutOfRange("upper index must be >= 0")
+    config.check_order(m, "upper index")
+    # any int lower index: one out of range gives 0
+    config.check_order(r, "lower index", float("-inf"))
     if r < 0 or r > m:
         return QLaurent.zero()
     r = min(r, m - r)
@@ -174,10 +176,8 @@ def bosonic_partition(k, N, method="product"):
       "qbinomial"   the Gaussian binomial [k+N-1 choose N]_q;
       "product"     telescoping product of (1-q^(j+N))/(1-q^j).
     """
-    if k < 1:
-        raise config.SpecOutOfRange("need at least one level")
-    if N < 0:
-        raise config.SpecOutOfRange("particle number must be >= 0")
+    config.check_order(k, "level count", 1)
+    config.check_order(N, "particle number")
     if method in ("occupation", "excitation"):
         config.check_guard(k * N, config.ENUM_PARTITION_MAX, "k*N =")
     if method == "occupation":

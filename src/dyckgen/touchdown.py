@@ -51,7 +51,8 @@ from functools import lru_cache
 from .config import CACHE_ENTRIES, check_ceiling, check_order
 from .exact import LSeries, PackedRing, QLaurent, TPoly, lift_marker
 from .genfun import GenFun, GenSpec, packed_fk, packed_genfun
-from .spectral import det_elimination, fk_polynomial, tridiagonal
+from .spectral import (det_elimination, fk_polynomial,
+                       grand_partition_exclusion, tridiagonal)
 
 _T = TPoly.marker()
 
@@ -75,13 +76,16 @@ def tilde_secular(k, order):
 def tilde_secular_toprow(k, order):
     """Same determinant by expanding along the marked first row:
     A - t*C with A = F_{k-1}(zeta*theta), C = zeta^2*F_{k-2}(zeta*theta^2)
-    (1 when k <= 0), by series substitutions."""
+    (1 when k <= 0), by series substitutions, each F_j the exclusion sum
+    (F_(-1) = 1): t*F_k + (1-t)*A = A - t*C by fk_polynomial's own
+    recursion, so built from it the two would agree from any base."""
     check_ceiling(k, lowest=-1)
     check_order(order)
     if k <= 0:
         return LSeries.one(order, TPoly)
-    a = fk_polynomial(k - 1).substitute_scale(1).resized(order)
-    c = fk_polynomial(k - 2).substitute_scale(2).resized(order)
+    a = grand_partition_exclusion(k - 1, order).substitute_scale(1)
+    c = (grand_partition_exclusion(k - 2, order) if k > 1
+         else LSeries.one(order)).substitute_scale(2)
     return lift_marker(a) - lift_marker(c.shift_step(2)).scale(_T)
 
 
@@ -94,7 +98,7 @@ def tilde_secular_direct(k):
     L = 2 * ((k + 1) // 2) + 2
     up = [{1: TPoly({0: QLaurent.mono(n, -1)})} for n in range(k)]
     # row n, column n+1: amplitude n+1 -> n
-    down = [{1: TPoly({1: QLaurent.const(-1)})} if n == 0 else up[n]
+    down = [{1: TPoly({1: -1})} if n == 0 else up[n]
             for n in range(k)]
     return det_elimination(tridiagonal(down, up, L, TPoly))
 

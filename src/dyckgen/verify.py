@@ -12,7 +12,8 @@ from itertools import combinations_with_replacement
 
 from . import cluster, oracle, spectral, touchdown
 from .config import (DIRECT_DET_K_MAX, ORACLE_LEN_MAX, SUITE_NAMES,
-                     VERIFY_K_MAX, SpecOutOfRange, UsageError, check_guard)
+                     VERIFY_K_MAX, SpecOutOfRange, UsageError, check_guard,
+                     check_order)
 from .exact import LSeries, QLaurent
 from .genfun import GenSpec, check_duality, continued_fraction, genfun
 
@@ -42,12 +43,12 @@ _K_MAX_GUARD = {"determinants": DIRECT_DET_K_MAX}
 
 def _check_bounds(names, k_max=None, len_max=None):
     """The bound check of the named suites, before any of their work:
-    a negative bound raises SpecOutOfRange, and a bound above its
-    desk-scale guard GuardExceeded.  None stands for a suite's default,
-    which is within every guard."""
+    a bound that is not an int >= 0 raises SpecOutOfRange, and one
+    above its desk-scale guard GuardExceeded.  None stands for a
+    suite's default, which is within every guard."""
     for flag, bound in (("k_max", k_max), ("len_max", len_max)):
-        if bound is not None and bound < 0:
-            raise SpecOutOfRange(f"{flag} must be >= 0, got {bound}")
+        if bound is not None:
+            check_order(bound, flag)
     if k_max is not None:
         for name in names:
             check_guard(k_max, _K_MAX_GUARD.get(name, VERIFY_K_MAX),

@@ -1,6 +1,6 @@
-"""The package surface: one ceiling check behind every entry point that
-takes a ceiling, public names that all resolve, value semantics of the
-record types, and a stdlib-only import."""
+"""The package surface: one integer check behind every integer argument
+(the ceiling's among them), public names that all resolve, value
+semantics of the record types, and a stdlib-only import."""
 
 import importlib
 import json
@@ -13,8 +13,9 @@ import pytest
 
 import dyckgen
 from dyckgen import cli, cluster, exact, spectral
-from dyckgen.cluster import (c2, c2_factorial, compositions, degree_check,
-                             degree_formula, log_secular, p_restricted)
+from dyckgen.cluster import (c2, c2_factorial, composition_energy,
+                             compositions, degree_check, degree_formula,
+                             log_secular, p_restricted)
 from dyckgen.config import SpecOutOfRange, UsageError
 from dyckgen.exact import LSeries, QLaurent, TPoly
 from dyckgen.genfun import GenFun, GenSpec, continued_fraction, genfun
@@ -27,7 +28,7 @@ from dyckgen.spectral import (bosonic_partition, fk_polynomial,
 from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
                                tilde_secular, tilde_secular_direct,
                                tilde_secular_toprow)
-from dyckgen.verify import CheckResult
+from dyckgen.verify import CheckResult, run_suites
 
 # name -> (call with the ceiling k, lowest admissible ceiling)
 CEILING_ENTRY_POINTS = {
@@ -104,13 +105,18 @@ BAD_ARGUMENTS = {
     "LSeries.shift_step": lambda: LSeries.one(3).shift_step(-1),
     "TPoly": lambda: TPoly({-1: 1}),
     "QLaurent.scale_exponents": lambda: QLaurent.mono(1).scale_exponents(0),
+    "composition_energy": lambda: composition_energy((0, -1)),
+    "LSeries.shift_step-type": lambda: LSeries.one(3).shift_step(1.0),
+    "PackedRing": lambda: exact.PackedRing(0),
 }
 
 
 @pytest.mark.parametrize("name", BAD_ARGUMENTS)
 def test_bad_argument_is_a_usage_error(name):
-    # raised at the call, compositions included, though it streams
-    with pytest.raises(UsageError):
+    # raised at the call, compositions included, though it streams; an
+    # argument out of its range is a SpecOutOfRange
+    error = UsageError if name == "GenFun.coefficient" else SpecOutOfRange
+    with pytest.raises(error):
         BAD_ARGUMENTS[name]()
 
 
@@ -132,7 +138,8 @@ def test_non_integer_height_or_order_is_a_spec_error(route, args, field):
         route(*args)
 
 
-# name -> a call with a whole but non-int order (or length bound)
+# name -> a call with a non-int order, length bound or other integer
+# argument (a whole float included)
 NON_INT_ORDERS = {
     "tilde_secular": lambda: tilde_secular(3, 4.0),
     "tilde_secular_toprow": lambda: tilde_secular_toprow(3, 4.0),
@@ -146,18 +153,33 @@ NON_INT_ORDERS = {
     "tridiagonal": lambda: tridiagonal([{1: -1}], [{1: -1}], 4.0),
     "enumerate_paths": lambda: enumerate_paths(3, 0, 0, 4.0),
     "max_area": lambda: max_area(3, 0, 0, 2.0),
+    "enumerate_paths-m": lambda: enumerate_paths(3, 0.5, 0, 4),
+    "max_area-m": lambda: max_area(3, 0.0, 0, 2),
+    "bosonic_partition-N": lambda: bosonic_partition(2, 1.5),
+    "bosonic_partition-k": lambda: bosonic_partition(2.5, 1),
+    "qbinom-upper": lambda: qbinom(3.0, 1),
+    "qbinom-lower": lambda: qbinom(3, 1.5),
+    "compositions": lambda: compositions(2.5),
+    "c2": lambda: c2((1.5, 2)),
+    "c2_factorial": lambda: c2_factorial((1.5, 2)),
+    "composition_energy": lambda: composition_energy((1, 2.0)),
+    "degree_formula-n": lambda: degree_formula(None, 0.5, 3),
+    "degree_formula-a": lambda: degree_formula(3, 0, 2.0),
+    "p_restricted-n": lambda: p_restricted(None, 0, "1", 3),
+    "run_suites": lambda: run_suites(["genfun"], k_max=2.5),
 }
 
 
 @pytest.mark.parametrize("name", NON_INT_ORDERS)
 def test_non_integer_order_is_a_spec_error(name):
-    # one order check (config.check_order) behind every entry point
+    # one integer check (config.check_order) behind every entry point
     with pytest.raises(SpecOutOfRange, match="must be an integer, got "):
         NON_INT_ORDERS[name]()
 
 
 def test_openend_checks_the_order_before_building_a_series():
-    with pytest.raises(SpecOutOfRange, match="order must be >= 0"):
+    with pytest.raises(SpecOutOfRange,
+                       match="order must be an integer >= 0, got -1"):
         tilde_genfun_openend(3, -1)
 
 
@@ -229,8 +251,9 @@ def test_record_repr_equality_and_immutability(name):
 
 
 @pytest.mark.parametrize("args,message", [
-    ((None, -1, 0, 4), "heights must be >= 0"),
-    ((None, 0, 0, -1), "order must be >= 0"),
+    ((None, -1, 0, 4), "m must be an integer >= 0, got -1"),
+    ((2, 0, -1, 4), "n must be an integer >= 0, got -1"),
+    ((None, 0, 0, -1), "order must be an integer >= 0, got -1"),
     ((2, 3, 0, 4), r"heights \(3, 0\) must lie in 0..2"),
     ((2, 0, 1.0, 4), "n must be an integer, got 1.0"),
     ((-1, 0, 0, 4), "ceiling must be an integer >= 0, got -1"),

@@ -164,11 +164,11 @@ class TestQLaurent:
         # a constant equals its value, in either ring, so it hashes as it
         q = QLaurent({1: 1, 3: Fraction(1, 2)})
         for poly, value in [
-                (QLaurent.const(1), 1), (QLaurent.zero(), 0),
-                (QLaurent.const(Fraction(1, 2)), Fraction(1, 2)),
-                (TPoly.from_area(q), q), (TPoly.one(), 1), (TPoly.zero(), 0),
+                (QLaurent.coerce(1), 1), (QLaurent.zero(), 0),
+                (QLaurent.coerce(Fraction(1, 2)), Fraction(1, 2)),
+                (TPoly.coerce(q), q), (TPoly.one(), 1), (TPoly.zero(), 0),
                 (TPoly.one(), QLaurent.one()),
-                (TPoly.from_area(Fraction(2, 3)), Fraction(2, 3))]:
+                (TPoly.coerce(Fraction(2, 3)), Fraction(2, 3))]:
             assert poly == value and value == poly
             assert hash(poly) == hash(value)
             assert len({poly, value}) == 1
@@ -233,8 +233,8 @@ class TestTPoly:
     @given(tpolys, laurents,
            st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3))
     def test_mixed_products_agree(self, tp, q, r):
-        assert q * tp == tp * q == TPoly.from_area(q) * tp
-        assert r * tp == tp * r == TPoly.from_area(r) * tp
+        assert q * tp == tp * q == TPoly.coerce(q) * tp
+        assert r * tp == tp * r == TPoly.coerce(r) * tp
         assert tp.scale(q) == tp * q and tp.scale(r) == tp * r
 
     def test_scale_by_an_area_polynomial(self):
@@ -274,7 +274,8 @@ class TestLSeries:
         assert a.coeff(-3).is_zero()
 
     def test_resized_rejects_negative_order(self):
-        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        with pytest.raises(ValueError,
+                           match="truncation order must be an integer >= 0"):
             LSeries(3, {0: 1, 2: 1}).resized(-1)
 
     def test_mul_truncates_to_shorter(self):
@@ -720,7 +721,7 @@ def series(order=4, unit=None):
     coeffs = st.lists(laurents, min_size=order + 1, max_size=order + 1)
     if unit is None:
         return coeffs.map(lambda c: LSeries(order, c))
-    return coeffs.map(lambda c: LSeries(order, [QLaurent.const(unit), *c[1:]]))
+    return coeffs.map(lambda c: LSeries(order, [QLaurent.coerce(unit), *c[1:]]))
 
 
 class TestRingLaws:

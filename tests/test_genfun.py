@@ -538,30 +538,50 @@ def test_packed_genfun_is_the_inverse_product(args):
     assert packed_genfun(*args) == inverse_product(*args)
 
 
-# bytes that stay traced after the nine cold genfun calls below
-MEMORY_BUDGET = 8 * 2**20
-
-
-def test_cold_genfun_holds_memory_to_a_budget():
-    # nine distinct large specs in a fresh interpreter, each answer
-    # dropped: what stays reachable is the builder caches, the packed
-    # F_j and fk_polynomial's dicts, about 5.8 MiB by tracemalloc; a
-    # dense 1/F_k cached per spec would bring it to 10 MiB
-    code = ("import gc, tracemalloc\n"
-            "from dyckgen.genfun import GenSpec, genfun\n"
-            "tracemalloc.start()\n"
-            "for spec in ([(None, 0, 0, L) for L in (64, 72, 80, 88, 96)]\n"
-            "             + [(None, 2, 5, 80), (12, 0, 0, 120),\n"
-            "                (12, 0, 0, 160), (12, 1, 3, 180)]):\n"
-            "    genfun(GenSpec(*spec))\n"
-            "gc.collect()\n"
-            "print(tracemalloc.get_traced_memory()[0])\n")
+def _held_after(imports, call, specs):
+    """Bytes tracemalloc still traces after gc.collect() in a fresh
+    interpreter that ran `call` (an expression in `spec`) on each of
+    specs, dropping each answer: what the builder caches keep."""
+    code = (f"import gc, tracemalloc\n{imports}\ntracemalloc.start()\n"
+            f"for spec in {specs!r}:\n    {call}\n"
+            "gc.collect()\nprint(tracemalloc.get_traced_memory()[0])\n")
     src = os.path.dirname(os.path.dirname(dyckgen.__file__))
     run = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
-    assert int(run.stdout) < MEMORY_BUDGET
+    return int(run.stdout)
+
+
+# bytes that stay traced after the nine cold genfun calls below
+MEMORY_BUDGET = 8 * 2**20
+
+
+def test_cold_genfun_holds_memory_to_a_budget():
+    # nine distinct large specs: what stays reachable is the builder
+    # caches, the packed F_j and fk_polynomial's dicts, about 5.8 MiB
+    # by tracemalloc; a dense 1/F_k cached per spec would bring it to
+    # 10 MiB
+    specs = ([(None, 0, 0, L) for L in (64, 72, 80, 88, 96)]
+             + [(None, 2, 5, 80), (12, 0, 0, 120), (12, 0, 0, 160),
+                (12, 1, 3, 180)])
+    assert _held_after("from dyckgen.genfun import GenSpec, genfun",
+                       "genfun(GenSpec(*spec))", specs) < MEMORY_BUDGET
+
+
+# bytes that stay traced after the nine cold tilde_genfun calls below
+MARKED_MEMORY_BUDGET = 3 * 2**20
+
+
+def test_cold_tilde_genfun_holds_memory_to_a_budget():
+    # the same for the marked determinant route: the packed F_j,
+    # fk_polynomial's dicts and the _arch cache's dense (A, R) per spec,
+    # about 1.9 MiB by tracemalloc, 0.4 MiB of it _arch
+    specs = ([(None, 0, 0, L) for L in (48, 56, 64, 72)]
+             + [(None, 2, 5, 64), (None, 1, 3, 64), (12, 0, 0, 64),
+                (12, 1, 3, 80), (4, 0, 0, 96)])
+    assert _held_after("from dyckgen.touchdown import tilde_genfun",
+                       "tilde_genfun(*spec)", specs) < MARKED_MEMORY_BUDGET
 
 
 @pytest.mark.parametrize("k", [None, *range(9)])

@@ -38,7 +38,8 @@ class TestMarkedDeterminant:
         with pytest.raises(SpecOutOfRange):
             tilde_secular(-2, 4)
         # a negative order is the truncation's error, not a ring mismatch
-        with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        with pytest.raises(ValueError,
+                           match="truncation order must be an integer >= 0"):
             tilde_secular(3, -1)
 
     @pytest.mark.parametrize("k", range(0, 11))

@@ -6,13 +6,14 @@ import sys
 
 import pytest
 
-from dyckgen import config, verify
+from dyckgen import config, touchdown, verify
 from dyckgen.cli import main
 from dyckgen.config import GuardExceeded, SpecOutOfRange, UsageError
 from dyckgen.exact import LSeries, QLaurent
 from dyckgen.genfun import GenFun, GenSpec, genfun
 from dyckgen.verify import (SUITE_NAMES, CheckResult, _eq_check, run_suites,
-                            suite_determinants, suite_genfun)
+                            suite_determinants, suite_genfun,
+                            suite_touchdown)
 
 
 def test_suite_names_cover_registry():
@@ -210,4 +211,32 @@ def test_qbinomial_check_fails_on_a_wrong_division(monkeypatch):
                if r.name == "partition_qbinomial_vs_product"
                and not r.params.startswith("k=1 ")]
     assert len(results) == 15
+    assert not any(r.ok for r in results)
+
+
+def _wrong_base_fk(k):
+    """fk_polynomial's recursion F_k = F_(k-1)(zeta*theta) -
+    zeta^2 F_(k-2)(zeta*theta^2) from the wrong base F_0 = 1 + zeta^2
+    (F_(-1) = 1), to step order 16, past every order the marked
+    determinant checks read."""
+    if k <= 0:
+        return LSeries(16, {0: 1, 2: 1} if k == 0 else {0: 1})
+    a = _wrong_base_fk(k - 1).substitute_scale(1)
+    b = _wrong_base_fk(k - 2).substitute_scale(2)
+    return a - b.shift_step(2)
+
+
+def test_marked_determinant_checks_fail_on_a_wrong_family(monkeypatch):
+    # t*F_k + (1-t)*A equals A - t*C by fk_polynomial's own recursion,
+    # so a top-row route built from that recursion would pass on any
+    # family it makes; it reads the exclusion sum instead, and both
+    # marked-determinant checks fail at every k >= 1
+    monkeypatch.setattr(touchdown, "fk_polynomial", _wrong_base_fk)
+    touchdown.tilde_secular.cache_clear()
+    try:
+        results = [r for r in suite_touchdown(k_max=2, len_max=4)
+                   if r.name.startswith("marked_det_") and r.params != "k=0"]
+    finally:
+        touchdown.tilde_secular.cache_clear()
+    assert len(results) == 14
     assert not any(r.ok for r in results)
