@@ -95,8 +95,7 @@ sys.path.insert(0, os.path.join(HERE, "src"))
 from dyckgen import touchdown  # noqa: E402
 from dyckgen.cluster import genfun_via_cluster  # noqa: E402
 from dyckgen.genfun import (GenSpec, continued_fraction,  # noqa: E402
-                            genfun)
-from dyckgen.spectral import fk_polynomial  # noqa: E402
+                            fk_polynomial, genfun)
 
 # (k, m, n, order, whether the marked routes are timed there)
 LADDER = ([(None, 0, 0, order, True)
@@ -132,7 +131,7 @@ REF_TERMS = 60   # size of the reference call's product
 def clear_caches():
     """Empty every functools cache of the modules that build series, so
     that adding or deleting a cache needs no edit here."""
-    for name in ("spectral", "genfun", "touchdown"):
+    for name in ("genfun", "touchdown"):
         for value in vars(sys.modules["dyckgen." + name]).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

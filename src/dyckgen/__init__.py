@@ -5,8 +5,8 @@ The package computes, with exact rational arithmetic throughout, the
 joint length/area (and optionally floor-return) statistics of paths on
 the heights 0..k, by several independent routes:
 
-* ceiling determinants and their two-term recursion (`spectral`),
-* matrix-element quotients for arbitrary endpoints (`genfun`),
+* ceiling determinants by their two-term recursion and matrix-element
+  quotients for arbitrary endpoints (`genfun`),
 * exclusion-statistics partition functions (`spectral`),
 * cluster expansions of the logarithm (`cluster`),
 * continued fractions (`genfun`),
@@ -22,12 +22,11 @@ and serves the names of `__all__` from their defining modules (PEP 562).
 The package attribute `genfun` is the function; its module is
 sys.modules["dyckgen.genfun"].  cli, genfun and verify call the route
 modules through their module objects, so a job runs only cli, config,
-exact and genfun, and the modules its routes use: spectral where a
-determinant F_j with j >= 1 is built (not for `table`, `--method
-cluster-exp` or k = 0), touchdown for `--touchdown`, cluster for the
-cluster-exp route (`--check`, `--method cluster-exp`), oracle for
-`table`, and for `verify` the verify module and the route modules of
-the suites it runs.
+exact and genfun, and the modules its routes use: touchdown for
+`--touchdown`, cluster for the cluster-exp route (`--check`, `--method
+cluster-exp`), oracle for `table`, and for `verify` the verify module
+and the route modules of the suites it runs, spectral among them where
+a suite reproduces or reads F_j.
 """
 
 import importlib.util
@@ -40,12 +39,11 @@ _EXPORTS = {
     "config": ("GuardExceeded", "SpecOutOfRange", "UsageError"),
     "exact": ("BadConstantTerm", "InexactDivision", "LSeries",
               "NonUnitConstantTerm", "QLaurent", "TPoly", "lift_marker"),
-    "spectral": ("bosonic_partition", "det_degree", "fk_polynomial",
-                 "grand_partition_exclusion", "height_generating_function",
-                 "qbinom", "secular_det_direct", "secular_det_tilde",
-                 "secular_matrix"),
+    "spectral": ("bosonic_partition", "grand_partition_exclusion",
+                 "height_generating_function", "qbinom",
+                 "secular_det_direct", "secular_det_tilde", "secular_matrix"),
     "genfun": ("GenFun", "GenSpec", "check_duality", "continued_fraction",
-               "genfun"),
+               "det_degree", "fk_polynomial", "genfun"),
     "cluster": ("c2", "c2_factorial", "composition_energy", "compositions",
                 "degree_check", "degree_formula", "genfun_via_cluster",
                 "log_secular", "p_restricted"),

@@ -2,11 +2,12 @@
 report bad input.
 
 The explicit enumerations are slow; these limits keep a casual
-invocation from launching a huge one.  The closed forms are guarded
-only through the ceiling determinant they all build (DET_CEILING_MAX):
-a cold unbounded genfun takes 0.19 s at order 100 and 16 s at order 200
+invocation from launching a huge one.  Every packed route checks its
+effective ceiling against DET_CEILING_MAX once, before any work: a cold
+unbounded genfun takes 0.19 s at order 100 and 16 s at order 200
 (Python 3.11, 2-core VM), and the guard admits a reach (L + m + n)//2
-of at most 100, so floor to floor order 201 runs and 202 exits 2.  Setting
+of at most 100, so floor to floor order 201 runs and 202 exits 2, on
+every packed route.  The cluster-exp route is not guarded yet.  Setting
 DYCKGEN_GUARD_OVERRIDE (to any non-empty value) lifts all the guards.
 
 Every error a caller can cause by what it asks for is a UsageError; the
@@ -19,9 +20,10 @@ import os
 # determinants suite, checked with every verify bound before any suite).
 DIRECT_DET_K_MAX = 32
 
-# Largest ceiling of the determinant recursion (fk_polynomial), which
-# every closed form builds.  F_k holds about k^3/23 terms; built cold
-# (Python 3.11, 2-core Xeon VM) F_100 took 0.9 s and 130 MB, F_150 5 s.
+# Largest ceiling of the determinant recursion (fk_polynomial), checked
+# once per packed-route request on its effective ceiling.  F_k holds about
+# k^3/23 terms; built cold (Python 3.11, 2-core Xeon VM) F_100 took 0.9 s
+# and 130 MB, F_150 5 s.
 DET_CEILING_MAX = 100
 
 # Largest k*N product accepted by the enumerative partition functions.

@@ -8,9 +8,10 @@ zeta^(n-m) theta^((n-m)(n+m-1)/2) times an even series equal to
 
     F_{m-1}(zeta, theta) * F_{k-n-1}(zeta*theta^(n+1), theta) / F_k,
 
-where F is the ceiling determinant.  The routes compute the series
-part and decode it once, straight into the answer, the prefactor being
-a shift of the decoded exponents.
+where F is the ceiling determinant, built here by its recursion in the
+ceiling (fk_polynomial).  The routes compute the series part and decode
+it once, straight into the answer, the prefactor being a shift of the
+decoded exponents.
 
 An unbounded ceiling is requested with k = None.
 """
@@ -19,10 +20,10 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import add
 
-from . import spectral
+from . import config
 from .config import (CACHE_ENTRIES, SpecOutOfRange, UsageError,
-                     check_ceiling, check_heights, check_order)
-from .exact import PackedRing, TPoly
+                     check_ceiling, check_guard, check_heights, check_order)
+from .exact import LSeries, PackedRing, TPoly
 
 
 class GenSpec(namedtuple("GenSpec", "k m n order")):
@@ -79,7 +80,10 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
         height of the strip has a step that stays in it, so each such
         path extends to an `order`-step path from m, distinct paths to
         distinct ones: there are at most N.  At ceiling 0 only the empty
-        path fits, and N is 1."""
+        path fits, and N is 1.  Reading it is each packed route's one
+        determinant guard, on the ceiling, before anything is built."""
+        check_guard(self.ceiling, config.DET_CEILING_MAX,
+                    "determinant ceiling")
         return PackedRing(_largest_count(self.ceiling, self.order)
                           .bit_length())
 
@@ -143,13 +147,42 @@ def _largest_count(ceiling, order):
     return max(paths)
 
 
+def det_degree(k):
+    """Step degree of the ceiling-k determinant: 2*floor((k+1)/2)."""
+    return 2 * ((k + 1) // 2)
+
+
+# A cold fk_polynomial(k) first builds the _FILL_SPAN levels below k,
+# lowest first, so each finds its two predecessors cached and F_k nests
+# about k / _FILL_SPAN calls deep, not k.  The span is a quarter of the
+# cache, so those levels are still cached when they are read (a fixed
+# span in a smaller cache could evict them first, and rebuild each).
+_FILL_SPAN = CACHE_ENTRIES // 4
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def fk_polynomial(k):
+    """Exact ceiling-k determinant at its natural degree, by the
+    recursion F_k = F_{k-1}(zeta*theta) - zeta^2 * F_{k-2}(zeta*theta^2),
+    anchored at F_{-1} = F_0 = 1; guarded by config.DET_CEILING_MAX."""
+    check_ceiling(k, lowest=-1)
+    check_guard(k, config.DET_CEILING_MAX, "determinant ceiling")
+    if k <= 0:
+        return LSeries.one(0)
+    for j in range(max(1, k - _FILL_SPAN), k):
+        fk_polynomial(j)
+    deg = det_degree(k)
+    a = fk_polynomial(k - 1).resized(deg).substitute_scale(1)
+    b = fk_polynomial(k - 2).resized(deg).substitute_scale(2)
+    return a - b.shift_step(2)
+
+
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _packed_fk(j, width, shift, length):
     """F_j(zeta*theta^shift) to `length` steps, packed in
     PackedRing(width): length is at most F_j's degree, so the key is the
     same for every order that reaches past it."""
-    return PackedRing(width).pack(spectral.fk_polynomial(j).resized(length),
-                                  shift)
+    return PackedRing(width).pack(fk_polynomial(j).resized(length), shift)
 
 
 def packed_fk(ring, j, order, shift=0):
@@ -159,7 +192,7 @@ def packed_fk(ring, j, order, shift=0):
     F_j's degree, and the zero entries past that are padded on."""
     if j <= 0:
         return (1,) + (0,) * (order // 2)
-    x = _packed_fk(j, ring.width, shift, min(order, spectral.det_degree(j)))
+    x = _packed_fk(j, ring.width, shift, min(order, det_degree(j)))
     return x + (0,) * (order // 2 + 1 - len(x))
 
 

@@ -1,5 +1,5 @@
-"""Ceiling determinants and the exclusion-statistics partition functions
-that reproduce them.
+"""Exclusion-statistics partition functions and matrix eliminations
+that reproduce the ceiling determinant.
 
 The walk operator on heights 0..k hops between neighbours n and n+1 with
 weight zeta*theta^n (the step picks up the plaquettes under it).  The
@@ -8,31 +8,24 @@ object everything else is built from is the determinant
     F_k = det(1 - walk operator),
 
 a polynomial in zeta of degree 2*floor((k+1)/2) whose inverse generates
-the strip paths.  It is computed three independent ways:
+the strip paths.  genfun builds it by a two-term recursion in the
+ceiling height (fk_polynomial, served here too); this module computes
+it independently by
 
-* a two-term recursion in the ceiling height (with variable rescalings),
 * literal fraction-free elimination on the (k+1) x (k+1) matrix,
 * an alternating sum over N of Gaussian-binomial partition functions,
   i.e. the grand partition function of particles with exclusion-2
   statistics on the levels theta^(2n) with fugacity -zeta^2.
 
-The bosonic building block of the third route is itself computed four
+The bosonic building block of the exclusion sum is itself computed four
 ways (two enumerations, a Gaussian binomial, a telescoping product).
-
-Module-level caches are lru_caches of config.CACHE_ENTRIES entries,
-safe for concurrent readers; cached values are immutable.
 """
 
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from . import config
 from .exact import LSeries, NonUnitConstantTerm, QLaurent
-
-
-def det_degree(k):
-    """Step degree of the ceiling-k determinant: 2*floor((k+1)/2)."""
-    return 2 * ((k + 1) // 2)
+from .genfun import det_degree, fk_polynomial  # noqa: F401  (re-exported)
 
 
 def tridiagonal(above, below, order, ring=QLaurent):
@@ -58,31 +51,6 @@ def secular_matrix(k):
     config.check_ceiling(k)
     hops = [{1: QLaurent.mono(n, -1)} for n in range(k)]
     return tridiagonal(hops, hops, k + 3)
-
-
-# A cold fk_polynomial(k) first builds the _FILL_SPAN levels below k,
-# lowest first, so each finds its two predecessors cached and F_k nests
-# about k / _FILL_SPAN calls deep, not k.  The span is a quarter of the
-# cache, so those levels are still cached when they are read (a fixed
-# span in a smaller cache could evict them first, and rebuild each).
-_FILL_SPAN = config.CACHE_ENTRIES // 4
-
-
-@lru_cache(maxsize=config.CACHE_ENTRIES)
-def fk_polynomial(k):
-    """Exact ceiling-k determinant at its natural degree, by the
-    recursion F_k = F_{k-1}(zeta*theta) - zeta^2 * F_{k-2}(zeta*theta^2),
-    anchored at F_{-1} = F_0 = 1; guarded by config.DET_CEILING_MAX."""
-    config.check_ceiling(k, lowest=-1)
-    config.check_guard(k, config.DET_CEILING_MAX, "determinant ceiling")
-    if k <= 0:
-        return LSeries.one(0)
-    for j in range(max(1, k - _FILL_SPAN), k):
-        fk_polynomial(j)
-    deg = det_degree(k)
-    a = fk_polynomial(k - 1).resized(deg).substitute_scale(1)
-    b = fk_polynomial(k - 2).resized(deg).substitute_scale(2)
-    return a - b.shift_step(2)
 
 
 def det_elimination(cells):

@@ -48,11 +48,11 @@ same arch written as R = (G_k - 1)/G_k: 1/[t + (1-t) G_k] =
 
 from functools import lru_cache
 
+from . import spectral
 from .config import CACHE_ENTRIES, check_ceiling, check_order
 from .exact import LSeries, PackedRing, QLaurent, TPoly, lift_marker
-from .genfun import GenFun, GenSpec, packed_fk, packed_genfun
-from .spectral import (det_elimination, fk_polynomial,
-                       grand_partition_exclusion, tridiagonal)
+from .genfun import (GenFun, GenSpec, det_degree, fk_polynomial, packed_fk,
+                     packed_genfun)
 
 _T = TPoly.marker()
 
@@ -83,8 +83,8 @@ def tilde_secular_toprow(k, order):
     check_order(order)
     if k <= 0:
         return LSeries.one(order, TPoly)
-    a = grand_partition_exclusion(k - 1, order).substitute_scale(1)
-    c = (grand_partition_exclusion(k - 2, order) if k > 1
+    a = spectral.grand_partition_exclusion(k - 1, order).substitute_scale(1)
+    c = (spectral.grand_partition_exclusion(k - 2, order) if k > 1
          else LSeries.one(order)).substitute_scale(2)
     return lift_marker(a) - lift_marker(c.shift_step(2)).scale(_T)
 
@@ -95,12 +95,12 @@ def tilde_secular_direct(k):
     weight t*zeta, its partner up-hop plain zeta, all other hops the
     usual zeta*theta^n."""
     check_ceiling(k)
-    L = 2 * ((k + 1) // 2) + 2
+    L = det_degree(k) + 2
     up = [{1: TPoly({0: QLaurent.mono(n, -1)})} for n in range(k)]
     # row n, column n+1: amplitude n+1 -> n
     down = [{1: TPoly({1: -1})} if n == 0 else up[n]
             for n in range(k)]
-    return det_elimination(tridiagonal(down, up, L, TPoly))
+    return spectral.det_elimination(spectral.tridiagonal(down, up, L, TPoly))
 
 
 def _marker_series(ring, cols, spec):

@@ -337,9 +337,9 @@ print(json.dumps([code, sorted(ran - {"__init__"}), sorted(sys.modules)]))
 # (argv, submodules run beyond the command line and the genfun module,
 # whether the job loads fractions)
 @pytest.mark.parametrize("argv,extra,loads_fractions", [
-    (("genfun",) + SPEC, {"spectral"}, False),
-    (("genfun",) + SPEC + ("--touchdown",), {"spectral", "touchdown"}, False),
-    (("genfun",) + SPEC + ("--check",), {"spectral", "cluster"}, True),
+    (("genfun",) + SPEC, set(), False),
+    (("genfun",) + SPEC + ("--touchdown",), {"touchdown"}, False),
+    (("genfun",) + SPEC + ("--check",), {"cluster"}, True),
     (("genfun",) + SPEC + ("--method", "cluster-exp"), {"cluster"}, True),
     # F_(-1) = F_0 = 1: no determinant is built
     (("genfun", "--k", "0", "--m", "0", "--n", "0", "--max-len", "6"),
@@ -349,17 +349,18 @@ print(json.dumps([code, sorted(ran - {"__init__"}), sorted(sys.modules)]))
      {"spectral", "verify"}, False),
     (("verify", "--suite", "genfun") + VERIFY_BOUNDS,
      {"spectral", "oracle", "verify"}, False),
-    (("verify", "--suite", "duality") + VERIFY_BOUNDS,
-     {"spectral", "verify"}, False),
-    (("verify", "--suite", "recursions") + VERIFY_BOUNDS,
-     {"spectral", "verify"}, False),
+    (("verify", "--suite", "duality") + VERIFY_BOUNDS, {"verify"}, False),
+    (("verify", "--suite", "recursions") + VERIFY_BOUNDS, {"verify"}, False),
     (("verify", "--suite", "cluster") + VERIFY_BOUNDS,
      {"spectral", "cluster", "oracle", "verify"}, True),
     (("verify", "--suite", "touchdown") + VERIFY_BOUNDS,
      {"spectral", "oracle", "touchdown", "verify"}, False),
+    # the ratio route builds its F_j in genfun too
+    (("genfun",) + SPEC + ("--touchdown", "--check"), {"touchdown"}, False),
 ], ids=["genfun", "touchdown", "check", "cluster-exp", "genfun-k0", "table",
         "verify-determinants", "verify-genfun", "verify-duality",
-        "verify-recursions", "verify-cluster", "verify-touchdown"])
+        "verify-recursions", "verify-cluster", "verify-touchdown",
+        "touchdown-check"])
 def test_a_command_runs_only_the_modules_it_uses(argv, extra,
                                                  loads_fractions):
     run = _fresh_python("-c", RUN_COMMAND, *argv)
@@ -379,6 +380,8 @@ def test_package_attributes_load_on_first_use():
     assert dyckgen.genfun is sys.modules["dyckgen.genfun"].genfun
     assert dyckgen.verify is sys.modules["dyckgen.verify"]
     assert dyckgen.run_suites is dyckgen.verify.run_suites
+    # spectral serves genfun's determinant builder, one cache for both
+    assert dyckgen.spectral.fk_polynomial is dyckgen.fk_polynomial
     namespace = {}
     exec("from dyckgen import *", namespace)
     for name in dyckgen.__all__:

@@ -22,9 +22,8 @@ from dyckgen.cli import (COMMANDS, REQUIRED, Convention, _emit,
                          _series_terms, cmd_genfun, cmd_table, cmd_verify,
                          main, parse_args, table_from_json)
 from dyckgen.exact import LSeries, PackedRing, TPoly
-from dyckgen.genfun import GenFun, GenSpec, _packed_fk
+from dyckgen.genfun import GenFun, GenSpec
 from dyckgen.oracle import enumerate_paths
-from dyckgen.spectral import fk_polynomial
 from dyckgen.touchdown import tilde_genfun
 from dyckgen.verify import SUITE_NAMES, CheckResult
 
@@ -499,16 +498,14 @@ class TestExitCodes:
         assert err.startswith("Traceback")
         assert "RuntimeError: route broke" in err
 
-    @pytest.mark.parametrize("heights", [
-        ("--m", "900", "--n", "900"), ("--m", "5000", "--n", "0"),
-        ("--m", "5000", "--n", "0", "--touchdown"),
-        ("--m", "400", "--n", "400")])
-    def test_large_heights_hit_the_determinant_guard(self, capsys, heights):
-        # a fresh process under a 1 GiB address-space limit, so that a
-        # missing guard fails here instead of filling the memory
+    @staticmethod
+    def guarded_genfun(argv):
+        """stderr of `genfun argv`, run in a fresh process under a 1 GiB
+        address-space limit, so that a missing guard fails here instead
+        of filling the memory, after checking that it exits 2 at the
+        determinant guard within 10 s."""
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        argv = ("--k", "inf", *heights, "--max-len", "4", "--format", "csv")
         env = dict(os.environ, PYTHONPATH=SRC)
         env.pop("DYCKGEN_GUARD_OVERRIDE", None)
         t0 = time.perf_counter()
@@ -519,9 +516,29 @@ class TestExitCodes:
         assert run.stderr.startswith("error: determinant ceiling ")
         assert "DYCKGEN_GUARD_OVERRIDE" in run.stderr
         assert time.perf_counter() - t0 < 10
+        return run.stderr
+
+    @pytest.mark.parametrize("heights", [
+        ("--m", "900", "--n", "900"), ("--m", "5000", "--n", "0"),
+        ("--m", "5000", "--n", "0", "--touchdown"),
+        ("--m", "400", "--n", "400")])
+    def test_large_heights_hit_the_determinant_guard(self, capsys, heights):
+        argv = ("--k", "inf", *heights, "--max-len", "4", "--format", "csv")
+        self.guarded_genfun(argv)
         # the table builds no determinant, so it still answers
         table = [a for a in argv if a != "--touchdown"]
         assert run_cli(capsys, "table", *table)[0] == 0
+
+    @pytest.mark.parametrize("k,length,route", [
+        ("inf", "202", ()), ("inf", "202", ("--method", "continued-fraction")),
+        ("inf", "203", ("--touchdown",)), ("101", "202", ("--touchdown",))],
+        ids=["genfun", "continued-fraction", "touchdown", "touchdown-k101"])
+    def test_reach_above_the_guard_exits_at_once(self, k, length, route):
+        # every packed route checks the request's effective ceiling, 101
+        # here, before it builds any F_j
+        argv = ("--k", k, "--m", "0", "--n", "0", "--max-len", length)
+        err = self.guarded_genfun(argv + route)
+        assert "determinant ceiling 101 exceeds guard 100" in err
 
     def test_determinant_guard_and_override(self, capsys, monkeypatch):
         argv = ("genfun", "--k", "inf", "--m", "3", "--n", "3",
@@ -529,12 +546,11 @@ class TestExitCodes:
         expected = run_cli(capsys, *argv)
         assert expected[0] == 0
         monkeypatch.setattr(config, "DET_CEILING_MAX", 1)
-        # a cold build trips the guard: the packed F_j come from the dict
-        fk_polynomial.cache_clear()
-        _packed_fk.cache_clear()
+        # the request's effective ceiling trips the guard before any
+        # F_j is read, so warm caches do not hide it
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert "determinant ceiling 2 exceeds guard 1" in err
+        assert "determinant ceiling 5 exceeds guard 1" in err
         monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
         assert run_cli(capsys, *argv) == expected
 
@@ -569,7 +585,7 @@ def cold_caches():
     outlives it."""
     def clear():
         # every functools cache found, so a new one needs no edit here
-        for name in ("spectral", "genfun", "touchdown"):
+        for name in ("genfun", "touchdown"):
             for value in vars(sys.modules["dyckgen." + name]).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()

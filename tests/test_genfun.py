@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 import dyckgen
 from dyckgen.cluster import degree_formula, genfun_via_cluster
-from dyckgen.config import CACHE_ENTRIES, SpecOutOfRange
+from dyckgen import config
+from dyckgen.config import CACHE_ENTRIES, GuardExceeded, SpecOutOfRange
 from dyckgen.exact import LSeries, PackedRing, QLaurent, TPoly
 from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count, _packed_fk,
-                            check_duality, continued_fraction, genfun,
-                            packed_fk, packed_genfun)
+                            check_duality, continued_fraction, fk_polynomial,
+                            genfun, packed_fk, packed_genfun)
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
-from dyckgen.spectral import fk_polynomial
 from dyckgen.touchdown import (_arch, tilde_genfun, tilde_genfun_openend,
                                tilde_genfun_openend_shifted,
                                tilde_genfun_ratio, tilde_secular)
@@ -340,6 +340,33 @@ class TestContinuedFraction:
 
 BUILDER_CACHES = (fk_polynomial, _packed_fk, _inv_fk, _arch, tilde_secular,
                   _largest_count)
+
+
+# a request on each packed route whose effective ceiling is 7
+CEILING_7 = {
+    "genfun": lambda: genfun(GenSpec(None, 0, 0, 14)),
+    "continued_fraction": lambda: continued_fraction(7, 14),
+    "check_duality": lambda: check_duality(GenSpec(7, 0, 1, 14)),
+    "tilde_genfun-unbounded": lambda: tilde_genfun(None, 0, 0, 14),
+    "tilde_genfun": lambda: tilde_genfun(7, 0, 0, 14),
+    "tilde_genfun_ratio": lambda: tilde_genfun_ratio(None, 0, 0, 14),
+    "tilde_genfun_openend": lambda: tilde_genfun_openend(7, 14),
+}
+
+
+@pytest.mark.parametrize("route", CEILING_7)
+def test_guard_fires_before_any_determinant_is_built(monkeypatch, route):
+    # under a guard of 6, each request refuses its ceiling before it
+    # builds or packs a single F_j
+    monkeypatch.setattr(config, "DET_CEILING_MAX", 6)
+    monkeypatch.delenv("DYCKGEN_GUARD_OVERRIDE", raising=False)
+    for cached in BUILDER_CACHES:
+        cached.cache_clear()
+    with pytest.raises(GuardExceeded,
+                       match="determinant ceiling 7 exceeds guard 6"):
+        CEILING_7[route]()
+    assert fk_polynomial.cache_info().misses == 0
+    assert _packed_fk.cache_info().misses == 0
 
 
 class TestBuilderCaches:

@@ -53,7 +53,7 @@ def check_routes(touchdown, k, m, n, order):
 
 
 def clear_caches():
-    for name in ("spectral", "genfun", "touchdown"):
+    for name in ("genfun", "touchdown"):
         for value in vars(sys.modules["dyckgen." + name]).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

@@ -45,12 +45,15 @@ class TestDeterminants:
         assert fk_polynomial(k) == expected
         assert fk_polynomial(k).order == det_degree(k)
 
-    @pytest.mark.parametrize("k", range(0, 11))
+    @pytest.mark.parametrize("k", [*range(0, 11), 16, 24, 40])
     def test_three_routes_agree(self, k):
+        # the routes build F_j far past the elimination guard (32), so
+        # the deep ceilings are checked against the exclusion sum alone
         f = fk_polynomial(k)
-        assert f == secular_det_direct(k)
-        assert f == secular_det_tilde(k)
         assert f == grand_partition_exclusion(k, det_degree(k))
+        if k <= 10:
+            assert f == secular_det_direct(k)
+            assert f == secular_det_tilde(k)
 
     @pytest.mark.parametrize("k", range(0, 9))
     def test_determinant_duality(self, k):
