@@ -25,8 +25,8 @@ modules through their module objects, so a job runs only cli, config,
 exact and genfun, and the modules its routes use: touchdown for
 `--touchdown`, cluster for the cluster-exp route (`--check`, `--method
 cluster-exp`), oracle for `table`, and for `verify` the verify module
-and the route modules of the suites it runs, spectral among them where
-a suite reproduces or reads F_j.
+and the route modules of the suites it runs, spectral only where a
+suite reproduces F_j (verify reads F_j from genfun).
 """
 
 import importlib.util

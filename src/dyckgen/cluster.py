@@ -23,7 +23,7 @@ matrix over adjacent parts (_scaled_log), polynomial in a, where the
 lcm(1..a) every weight is an int, and with q -> 2**w an area polynomial
 is one int, so a step is an int product and a shift.  Width: exp(sum_s
 p_s z^s) is the series part of G, b_s <= N counting paths (N as in
-GenSpec.packed_ring), and every term of s*D*b_s = sum_i i*P_i*b_(s-i)
+GenSpec.largest_count), and every term of s*D*b_s = sum_i i*P_i*b_(s-i)
 is >= 0 with b_0 = 1, so P_s = D*p_s is at most D*N < 2**w slotwise
 for w = bits(N) + bits(D), the bound the final read needs (carries in
 between are exact).  genfun_via_cluster runs that recurrence in int
@@ -42,9 +42,9 @@ the one conversion, from z, q to zeta, theta, prefactor included.
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .config import check_ceiling, check_heights, check_order
+from .config import check_ceiling, check_order
 from .exact import LSeries, QLaurent
-from .genfun import GenSpec, _largest_count
+from .genfun import GenSpec
 
 
 def compositions(a):
@@ -111,24 +111,22 @@ def p_restricted(k, m, n, a_max):
     with at most k parts (any number when unbounded), each with j parts
     summed over the base levels r with max(m-j, 0) <= r <= n and, for
     finite k, r <= k-j: _scaled_log's sum, divided by D at the edge."""
-    if k is None:
-        check_order(m, "m")
-    else:
-        check_heights(k, m, n)
+    check_order(m, "m")
     check_order(n, "n", m)
     check_order(a_max, "z order")
-    d, sums = _scaled_log(k, m, n, a_max)
+    d, sums = _scaled_log(GenSpec(k, m, n, 2 * a_max + n - m))
     return LSeries(a_max, [v.scale(Fraction(1, d)) for v in sums])
 
 
-def _scaled_log(k, m, n, a_max):
-    """D = lcm(1..a_max) and the z^a coefficients of D * p_restricted(k,
-    m, n, a_max) as int QLaurents: layer j maps (last part l, total s) to
-    the packed weight of the j-part compositions ending that way."""
+def _scaled_log(spec):
+    """D = lcm(1..a_max) and the z^a coefficients of D * p_restricted
+    as int QLaurents for the spec (k, m <= n, a_max = series_order//2):
+    layer j maps (last part l, total s) to the packed weight of the
+    j-part compositions ending that way."""
+    k, m, n = spec.k, min(spec.m, spec.n), max(spec.m, spec.n)
+    a_max = spec.series_order // 2
     d = lcm(*range(1, a_max + 1))
-    order = 2 * a_max + n - m
-    count = _largest_count(GenSpec(k, m, n, order).ceiling, order)
-    w = -(-(count.bit_length() + d.bit_length()) // 8) * 8
+    w = -(-(spec.largest_count.bit_length() + d.bit_length()) // 8) * 8
     p = [0] * (a_max + 1)
     layer = {(l, l): int(d * c2((l,))) for l in range(1, a_max + 1)}
     j = 1
@@ -195,8 +193,7 @@ def genfun_via_cluster(spec):
     exponentiating the cluster logarithm, by the Newton recurrence on
     _scaled_log's sums; an independent multiplicative route to the same
     object as genfun (in_steps puts the prefactor on)."""
-    m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-    d, sums = _scaled_log(spec.k, m, n, spec.series_order // 2)
+    d, sums = _scaled_log(spec)
     terms = [(i, v.scale(i)) for i, v in enumerate(sums) if v]
     b = [QLaurent.one()]
     for s in range(1, len(sums)):

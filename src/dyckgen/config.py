@@ -2,13 +2,13 @@
 report bad input.
 
 The explicit enumerations are slow; these limits keep a casual
-invocation from launching a huge one.  Every packed route checks its
-effective ceiling against DET_CEILING_MAX once, before any work: a cold
-unbounded genfun takes 0.19 s at order 100 and 16 s at order 200
-(Python 3.11, 2-core VM), and the guard admits a reach (L + m + n)//2
-of at most 100, so floor to floor order 201 runs and 202 exits 2, on
-every packed route.  The cluster-exp route is not guarded yet.  Setting
-DYCKGEN_GUARD_OVERRIDE (to any non-empty value) lifts all the guards.
+invocation from launching a huge one.  Every route checks its
+effective ceiling against DET_CEILING_MAX once, in GenSpec.largest_count,
+before any work: a cold unbounded genfun takes 0.19 s at order 100 and
+16 s at order 200 (Python 3.11, 2-core VM), and the guard admits a reach
+(L + m + n)//2 of at most 100, so floor to floor order 201 runs and 202
+exits 2, on every route.  Setting DYCKGEN_GUARD_OVERRIDE (to any
+non-empty value) lifts all the guards.
 
 Every error a caller can cause by what it asks for is a UsageError; the
 command line turns it into exit code 2.
@@ -21,7 +21,7 @@ import os
 DIRECT_DET_K_MAX = 32
 
 # Largest ceiling of the determinant recursion (fk_polynomial), checked
-# once per packed-route request on its effective ceiling.  F_k holds about
+# once per request, on every route, on its effective ceiling.  F_k holds about
 # k^3/23 terms; built cold (Python 3.11, 2-core Xeon VM) F_100 took 0.9 s
 # and 130 MB, F_150 5 s.
 DET_CEILING_MAX = 100
@@ -36,8 +36,8 @@ ORACLE_LEN_MAX = 24
 VERIFY_K_MAX = 12
 
 # Entries kept by each builder cache (fk_polynomial, _packed_fk, _inv_fk,
-# touchdown._arch, tilde_secular, and _largest_count, which sizes the
-# packed slots), so a long-lived process holds bounded memory.
+# touchdown._arch, tilde_secular, and _largest_count, which sizes every
+# route's slots), so a long-lived process holds bounded memory.
 CACHE_ENTRIES = 64
 
 # The identity suites of verify, in running order: verify's suite_<name>

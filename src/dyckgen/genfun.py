@@ -65,27 +65,29 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
         return max(self.order - self.step_shift, 0)
 
     @property
-    def packed_ring(self):
-        """The PackedRing every packed route computes in (the determinant
-        and continued-fraction routes and both touchdown routes), its
-        slots just wide enough for N, the largest number of `order`-step
-        paths in the strip 0..ceiling from any start height
-        (_largest_count).  It depends on the ceiling and the order
-        alone, so an unbounded spec shares it, and every cached packed
-        value, with GenSpec(spec.ceiling, m, n, order).
-
-        Only the decoded coefficients must be below 2**width (PackedRing
-        says why), and each counts paths m -> n of one length l <= order
-        with one area, or the t^s part of them.  At a ceiling >= 1 every
-        height of the strip has a step that stays in it, so each such
-        path extends to an `order`-step path from m, distinct paths to
-        distinct ones: there are at most N.  At ceiling 0 only the empty
-        path fits, and N is 1.  Reading it is each packed route's one
-        determinant guard, on the ceiling, before anything is built."""
+    def largest_count(self):
+        """N, the largest number of `order`-step paths in the strip
+        0..ceiling from any start height (_largest_count), bounds every
+        count a route decodes: each counts paths m -> n of one length
+        l <= order with one area, or the t^s part of them.  At a ceiling
+        >= 1 every height of the strip has a step that stays in it, so
+        each such path extends to an `order`-step path from m, distinct
+        paths to distinct ones.  At ceiling 0 only the empty path fits,
+        and N is 1.  Reading it is every route's one guard, on the
+        ceiling, before any work: each route sizes its slots by N."""
         check_guard(self.ceiling, config.DET_CEILING_MAX,
                     "determinant ceiling")
-        return PackedRing(_largest_count(self.ceiling, self.order)
-                          .bit_length())
+        return _largest_count(self.ceiling, self.order)
+
+    @property
+    def packed_ring(self):
+        """The PackedRing every packed route computes in (the determinant
+        and continued-fraction routes and both touchdown routes), slots
+        just wide enough for largest_count (PackedRing says why that
+        suffices).  It depends on the ceiling and the order alone, so an
+        unbounded spec shares it, and every cached packed value, with
+        GenSpec(spec.ceiling, m, n, order)."""
+        return PackedRing(self.largest_count.bit_length())
 
     @property
     def step_shift(self):

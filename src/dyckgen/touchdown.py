@@ -222,4 +222,5 @@ def tilde_genfun_openend(k, order):
 def tilde_genfun_openend_shifted(k, order):
     """Cross-check route for the open-ended function: the determinant
     route's excursion function with its last marker divided out."""
+    check_ceiling(k)
     return _open_end(tilde_genfun(k, 0, 0, order))

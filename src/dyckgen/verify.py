@@ -15,7 +15,8 @@ from .config import (DIRECT_DET_K_MAX, ORACLE_LEN_MAX, SUITE_NAMES,
                      VERIFY_K_MAX, SpecOutOfRange, UsageError, check_guard,
                      check_order)
 from .exact import LSeries, QLaurent
-from .genfun import GenSpec, check_duality, continued_fraction, genfun
+from .genfun import (GenSpec, check_duality, continued_fraction, det_degree,
+                     fk_polynomial, genfun)
 
 
 CheckResult = namedtuple("CheckResult", "suite name params ok detail",
@@ -80,7 +81,7 @@ def suite_determinants(k_max=10, len_max=16):
     _check_bounds(("determinants",), k_max, len_max)
     out = []
     for k in range(k_max + 1):
-        f, top = spectral.fk_polynomial(k), spectral.det_degree(k)
+        f, top = fk_polynomial(k), det_degree(k)
         out.append(_eq_check("determinants", "recursive_vs_direct",
                              f"k={k}", f, spectral.secular_det_direct(k)))
         out.append(_eq_check("determinants", "recursive_vs_variant",
@@ -110,7 +111,7 @@ def suite_determinants(k_max=10, len_max=16):
     for k in range(w_max + 1):
         out.append(_eq_check("determinants", "height_gf_coefficient",
                              f"k={k}", hs[k],
-                             spectral.fk_polynomial(k).resized(len_max)))
+                             fk_polynomial(k).resized(len_max)))
     return out
 
 
@@ -148,8 +149,8 @@ def suite_genfun(k_max=5, len_max=12):
                              f"k={k}", cf,
                              genfun(GenSpec(k, 0, 0, len_max)).full_series()))
         ceil_dual = genfun(GenSpec(k, k, k, len_max)).full_series()
-        plain = (spectral.fk_polynomial(k - 1).resized(len_max)
-                 .divide(spectral.fk_polynomial(k).resized(len_max)))
+        plain = (fk_polynomial(k - 1).resized(len_max)
+                 .divide(fk_polynomial(k).resized(len_max)))
         out.append(_eq_check("genfun", "ceiling_excursions",
                              f"k={k}", ceil_dual, plain))
     for m, n in ((0, 0), (0, 1), (1, 1), (0, 2)):
@@ -257,7 +258,7 @@ def suite_cluster(k_max=4, len_max=16):
     for k in range(1, k_max + 1):
         out.append(_eq_check(
             "cluster", "determinant_log", f"k={k}",
-            spectral.fk_polynomial(k).resized(2 * a_max).log(),
+            fk_polynomial(k).resized(2 * a_max).log(),
             cluster.in_steps(cluster.log_secular(k, a_max), 2 * a_max)))
     a_top = min(a_max, 10)
     for k in range(1, min(k_max, 6) + 1):
@@ -287,7 +288,7 @@ def suite_touchdown(k_max=4, len_max=12):
     _check_bounds(("touchdown",), k_max, len_max)
     out = []
     for k in range(min(k_max + 5, 10) + 1):
-        L = spectral.det_degree(k) + 2
+        L = det_degree(k) + 2
         a = touchdown.tilde_secular(k, L)
         out.append(_eq_check("touchdown", "marked_det_toprow", f"k={k}",
                              a, touchdown.tilde_secular_toprow(k, L)))

@@ -531,11 +531,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("k,length,route", [
         ("inf", "202", ()), ("inf", "202", ("--method", "continued-fraction")),
-        ("inf", "203", ("--touchdown",)), ("101", "202", ("--touchdown",))],
-        ids=["genfun", "continued-fraction", "touchdown", "touchdown-k101"])
+        ("inf", "203", ("--touchdown",)), ("101", "202", ("--touchdown",)),
+        ("inf", "202", ("--method", "cluster-exp"))],
+        ids=["genfun", "continued-fraction", "touchdown", "touchdown-k101",
+             "cluster-exp"])
     def test_reach_above_the_guard_exits_at_once(self, k, length, route):
-        # every packed route checks the request's effective ceiling, 101
-        # here, before it builds any F_j
+        # every route checks the request's effective ceiling, 101 here,
+        # before it builds any F_j or sums any composition
         argv = ("--k", k, "--m", "0", "--n", "0", "--max-len", length)
         err = self.guarded_genfun(argv + route)
         assert "determinant ceiling 101 exceeds guard 100" in err

@@ -252,7 +252,8 @@ class TestScaledRoute:
     @settings(deadline=None, max_examples=60, derandomize=True)
     @given(cluster_specs())
     def test_scaled_sums_are_d_times_the_composition_sum(self, spec):
-        d, sums = _scaled_log(*spec)
+        k, m, n, a = spec
+        d, sums = _scaled_log(GenSpec(k, m, n, 2 * a + n - m))
         assert d == lcm(*range(1, spec[3] + 1))
         assert all(type(c) is int for v in sums for _, c in v.terms())
         assert LSeries(spec[3], sums) == brute_p(*spec).scale(d)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyckgen
-from dyckgen.cluster import degree_formula, genfun_via_cluster
+from dyckgen.cluster import degree_formula, genfun_via_cluster, p_restricted
 from dyckgen import config
 from dyckgen.config import CACHE_ENTRIES, GuardExceeded, SpecOutOfRange
 from dyckgen.exact import LSeries, PackedRing, QLaurent, TPoly
@@ -342,7 +342,7 @@ BUILDER_CACHES = (fk_polynomial, _packed_fk, _inv_fk, _arch, tilde_secular,
                   _largest_count)
 
 
-# a request on each packed route whose effective ceiling is 7
+# a request on each route whose effective ceiling is 7
 CEILING_7 = {
     "genfun": lambda: genfun(GenSpec(None, 0, 0, 14)),
     "continued_fraction": lambda: continued_fraction(7, 14),
@@ -351,13 +351,15 @@ CEILING_7 = {
     "tilde_genfun": lambda: tilde_genfun(7, 0, 0, 14),
     "tilde_genfun_ratio": lambda: tilde_genfun_ratio(None, 0, 0, 14),
     "tilde_genfun_openend": lambda: tilde_genfun_openend(7, 14),
+    "genfun_via_cluster": lambda: genfun_via_cluster(GenSpec(None, 0, 0, 14)),
+    "p_restricted": lambda: p_restricted(None, 0, 0, 7),
 }
 
 
 @pytest.mark.parametrize("route", CEILING_7)
 def test_guard_fires_before_any_determinant_is_built(monkeypatch, route):
     # under a guard of 6, each request refuses its ceiling before it
-    # builds or packs a single F_j
+    # counts its slots or builds or packs a single F_j
     monkeypatch.setattr(config, "DET_CEILING_MAX", 6)
     monkeypatch.delenv("DYCKGEN_GUARD_OVERRIDE", raising=False)
     for cached in BUILDER_CACHES:
@@ -367,6 +369,7 @@ def test_guard_fires_before_any_determinant_is_built(monkeypatch, route):
         CEILING_7[route]()
     assert fk_polynomial.cache_info().misses == 0
     assert _packed_fk.cache_info().misses == 0
+    assert _largest_count.cache_info().misses == 0
 
 
 class TestBuilderCaches:
