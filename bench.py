@@ -38,7 +38,13 @@ wall time over repeated runs of
 * the builders: `fk_polynomial` at the spec's ceiling, cold, at every
   point, and `touchdown.tilde_secular_toprow` (the marked determinant
   from the exclusion sums) at the ceiling and the order, cold, at the
-  finite-ceiling points (null at k = inf).
+  finite-ceiling points (null at k = inf);
+* the write phase: `cli.cmd_genfun` at the point with its route
+  patched to return the answer, computed once beforehand, into a
+  stdout that throws the text away, as JSON ("write_json") and as CSV
+  ("write_csv") of the plain answer, and as JSON of the marked answer
+  ("write_marked_json") where the marked routes are timed (null
+  elsewhere).
 
 Kernel operands are built once per point, outside the timed calls, in
 the spec's own ring (`GenSpec.packed_ring`, to `GenSpec.series_order`).
@@ -60,9 +66,10 @@ modules it loads from source: `python -c pass` (the interpreter and
 --n 0 --max-len 24`, `table --k 4 --m 0 --n 0 --max-len 24
 --touchdowns`, `genfun --k 4 --m 0 --n 0 --max-len 24 --touchdown`,
 `verify --suite genfun` and `verify --suite duality`, the last almost
-all start-up, so its row shows what a verify job compiles.  Each has
-the same reference call beside it, run in this process between its
-runs.
+all start-up, so its row shows what a verify job compiles, and `genfun
+--k 12 --m 0 --n 0 --max-len 400 --format csv`, whose answer of 0.2 M
+terms makes the write phase a visible share of a job.  Each has the
+same reference call beside it, run in this process between its runs.
 
 The ladder is k = inf at orders 32..120 and 160, with order 66, where
 the slots first grow past 64 bits (to 72), the finite ceiling 12 at
@@ -78,6 +85,7 @@ a copy of the script in another checkout times that checkout.
 """
 
 import gc
+import io
 import json
 import os
 import platform
@@ -92,7 +100,7 @@ import tracemalloc
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "src"))
 
-from dyckgen import touchdown  # noqa: E402
+from dyckgen import cli, touchdown  # noqa: E402
 from dyckgen.cluster import genfun_via_cluster  # noqa: E402
 from dyckgen.genfun import (GenSpec, continued_fraction,  # noqa: E402
                             fk_polynomial, genfun)
@@ -122,6 +130,9 @@ CLI_ROWS = (
     ("verify", ["-m", "dyckgen.cli", "verify", "--suite", "genfun"]),
     ("verify_duality", ["-m", "dyckgen.cli", "verify", "--suite",
                         "duality"]),
+    ("genfun_csv_400", ["-m", "dyckgen.cli", "genfun", "--k", "12", "--m",
+                        "0", "--n", "0", "--max-len", "400", "--format",
+                        "csv"]),
 )
 MAX_RUNS = 20
 BUDGET_S = 3.0
@@ -196,6 +207,36 @@ def marker_args(k, m, n, order):
     return seen[0]
 
 
+class Discard(io.TextIOBase):
+    """A stdout that throws away the text written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def write_job(k, m, n, order, fmt, answer, marked=False):
+    """The write phase of `genfun` at the point in format fmt: cmd_genfun
+    with the route it runs patched to return `answer`, stdout a
+    Discard."""
+    args = cli.parse_args(
+        ["genfun", "--k", "inf" if k is None else str(k), "--m", str(m),
+         "--n", str(n), "--max-len", str(order), "--format", fmt]
+        + ["--touchdown"] * marked)
+    owner, name = ((touchdown, "tilde_genfun") if marked
+                   else (sys.modules["dyckgen.genfun"], "genfun"))
+
+    def run():
+        real, out = getattr(owner, name), sys.stdout
+        setattr(owner, name, lambda *spec: answer)
+        sys.stdout = Discard()
+        try:
+            cli.cmd_genfun(args)
+        finally:
+            setattr(owner, name, real)
+            sys.stdout = out
+    return run
+
+
 def point(k, m, n, order, with_tilde):
     spec = GenSpec(k, m, n, order)
     ring, L, ceiling = spec.packed_ring, spec.series_order, spec.ceiling
@@ -203,6 +244,7 @@ def point(k, m, n, order, with_tilde):
     upper = ring.pack(fk_polynomial(ceiling - 1).resized(L), 1)
     inv = ring.quotient((1,), fk)
     packed = ring.quotient(upper, fk)
+    answer = genfun(spec)
     timed = {
         "unpack": (lambda: ring.unpack(packed, L), False),
         "marker_series": None,
@@ -218,6 +260,9 @@ def point(k, m, n, order, with_tilde):
         "tilde_genfun_full": None,
         "fk_polynomial": (lambda: fk_polynomial(ceiling), True),
         "tilde_secular_toprow": None,
+        "write_json": (write_job(k, m, n, order, "json", answer), False),
+        "write_csv": (write_job(k, m, n, order, "csv", answer), False),
+        "write_marked_json": None,
     }
     if with_tilde:
         args = marker_args(k, m, n, order)
@@ -230,6 +275,9 @@ def point(k, m, n, order, with_tilde):
         timed["tilde_genfun_full"] = (
             lambda: touchdown.tilde_genfun(k, m, n, order).full_series(),
             True)
+        timed["write_marked_json"] = (write_job(
+            k, m, n, order, "json", touchdown.tilde_genfun(k, m, n, order),
+            marked=True), False)
     if k is not None:
         timed["tilde_secular_toprow"] = (
             lambda: touchdown.tilde_secular_toprow(ceiling, order), True)

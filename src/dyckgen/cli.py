@@ -19,7 +19,8 @@ JSON payloads keep a stable shape: {"spec": {...}, "convention": str,
 are integers in the step-plaquette convention; the double-step-diamond
 convention halves them and encodes a half-integer value v as
 {"twice": 2v}.  CSV output mirrors the same rows with "p/2" strings for
-half-integers, one header row, UTF-8, LF line endings.
+half-integers, one header row (with the s column whenever touchdowns
+are tracked), UTF-8, LF line endings.
 """
 
 import enum
@@ -68,75 +69,68 @@ def _dec_exp(obj, halve):
     return obj * 2 if halve else obj
 
 
-def _enc_exp_csv(v, halve):
-    if not halve:
-        return str(v)
-    return str(v // 2) if v % 2 == 0 else f"{v}/2"
+def _exp_csv(v):
+    """v/2 as CSV text: the string "v/2" when v is odd."""
+    return f"{v}/2" if v % 2 else str(v // 2)
 
 
-# the JSON document up to its "terms" value, and one term of that list,
-# at the indent json.dumps(doc, indent=2) gives them; every value in the
-# head is an int or a plain ASCII string
+def _exp_json(v):
+    """v/2 as JSON text at a term's key depth: the block {"twice": v}
+    when v is odd."""
+    return '{\n        "twice": %d\n      }' % v if v % 2 else str(v // 2)
+
+
+# the JSON document up to its "terms" value, at the indent
+# json.dumps(doc, indent=2) gives it; every value in it is an int or a
+# plain ASCII string
 _HEAD = ('{{\n  "spec": {{\n{}\n  }},\n  "convention": "{}",\n'
          '  "method": "{}",\n  "version": "{}",\n  "terms": ')
-_TERM = ('    {{\n      "l": {},\n      "A": {},\n{}      "coeff": {{\n'
-         '        "num": "{}",\n        "den": "{}"\n      }}\n    }}')
 
 
-def _exp_json(v, halve):
-    """Exponent as JSON text at a term's key depth: in halved units an
-    exact half-integer becomes the block {"twice": 2v}."""
-    if halve and v % 2:
-        return '{\n        "twice": %d\n      }' % v
-    return str(v // 2 if halve else v)
+def _row(v, exp, s_sep):
+    """The terms of one length of the answer as (text, coeff) pairs in
+    (A, s) order, the text being A through `exp` and, in a marker
+    polynomial, s after `s_sep`.  An area polynomial's terms are in
+    area order already; a marker polynomial's t^s parts are merged by
+    one sort of the row."""
+    if not isinstance(v, TPoly):
+        return [(exp(a), c) for a, c in v.terms()]
+    return [(f"{exp(a)}{s_sep}{s}", c) for a, s, c in sorted(
+        (a, s, c) for s, q in v.terms() for a, c in q.terms())]
 
 
-def _series_terms(full):
-    """Flatten a series into sorted (l, A, s-or-None, coeff) tuples."""
-    out = []
-    for l, v in full.nonzero_terms():
-        if isinstance(v, TPoly):
-            for s, ql in v.terms():
-                for a, c in ql.terms():
-                    out.append((l, a, s, c))
-        else:
-            for a, c in v.terms():
-                out.append((l, a, None, c))
-    out.sort(key=lambda t: (t[0], t[1], t[2] if t[2] is not None else 0))
-    return out
-
-
-def _emit(args, spec_echo, method, terms, count_label=None):
+def _emit(args, spec_echo, method, full, count_label=None):
+    """Write the answer series `full` length by length, one string per
+    term in (l, A, s) order, each length's text made once (see _row).  A
+    CSV has the s column whenever the series is marked, empty or not."""
     halve = args.convention == Convention.DOUBLE_STEP_DIAMOND.value
+    out = []
     if args.format == "json":
+        exp = _exp_json if halve else str
+        for l, v in full.nonzero_terms():
+            head = f'    {{\n      "l": {exp(l)},\n      "A": '
+            out += [f'{head}{text},\n      "coeff": {{\n        "num": '
+                    f'"{c.numerator}",\n        "den": "{c.denominator}"'
+                    '\n      }\n    }'
+                    for text, c in _row(v, exp, ',\n      "s": ')]
         spec = ",\n".join(
             f'    "{key}": ' + (f'"{v}"' if isinstance(v, str) else str(v))
             for key, v in spec_echo.items())
-        out = _HEAD.format(spec, args.convention, method, __version__)
-        if terms:
-            body = ",\n".join(_TERM.format(
-                _exp_json(l, halve), _exp_json(a, halve),
-                "" if s is None else f'      "s": {s},\n',
-                c.numerator, c.denominator) for l, a, s, c in terms)
-            out += "[\n" + body + "\n  ]\n}\n"
-        else:
-            out += "[]\n}\n"
-        sys.stdout.write(out)
+        body = "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
+        sys.stdout.write(_HEAD.format(spec, args.convention, method,
+                                      __version__) + body + "\n}\n")
         return 0
     # no field needs CSV quoting: each is a name, an int or "p/2"
-    with_s = any(s is not None for _, _, s, _ in terms)
+    exp = _exp_csv if halve else str
     tail = [count_label] if count_label else ["num", "den"]
-    lines = [",".join(["l", "A"] + (["s"] if with_s else []) + tail)]
-    for l, a, s, c in terms:
-        row = [_enc_exp_csv(l, halve), _enc_exp_csv(a, halve)]
-        if with_s:
-            row.append(str(s))
-        row.append(str(c.numerator))
-        if not count_label:
-            row.append(str(c.denominator))
-        lines.append(",".join(row))
-    lines.append("")
-    sys.stdout.write("\n".join(lines))
+    out.append(",".join(["l", "A"] + ["s"] * (full.ring is TPoly) + tail))
+    for l, v in full.nonzero_terms():
+        head = exp(l)
+        out += [f"{head},{text},{c.numerator}" if count_label else
+                f"{head},{text},{c.numerator},{c.denominator}"
+                for text, c in _row(v, exp, ",")]
+    out.append("")
+    sys.stdout.write("\n".join(out))
     return 0
 
 
@@ -171,7 +165,7 @@ def cmd_genfun(args):
                 print(f"internal mismatch: {args.method} vs {name}",
                       file=sys.stderr)
                 return 3
-    return _emit(args, spec_echo, args.method, _series_terms(full))
+    return _emit(args, spec_echo, args.method, full)
 
 
 def cmd_table(args):
@@ -179,8 +173,7 @@ def cmd_table(args):
     ceiling = GenSpec(k, args.m, args.n, args.max_len).ceiling
     table = oracle.enumerate_paths(ceiling, args.m, args.n, args.max_len)
     full = oracle.genfun_from_table(table, with_touchdowns=args.touchdowns)
-    return _emit(args, spec_echo, "oracle", _series_terms(full),
-                 count_label="count")
+    return _emit(args, spec_echo, "oracle", full, count_label="count")
 
 
 def table_from_json(doc):

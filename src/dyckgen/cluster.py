@@ -124,9 +124,9 @@ def _scaled_log(spec):
     layer j maps (last part l, total s) to the packed weight of the
     j-part compositions ending that way."""
     k, m, n = spec.k, min(spec.m, spec.n), max(spec.m, spec.n)
-    a_max = spec.series_order // 2
+    a_max, bits = spec.series_order // 2, spec.largest_count.bit_length()
     d = lcm(*range(1, a_max + 1))
-    w = -(-(spec.largest_count.bit_length() + d.bit_length()) // 8) * 8
+    w = -(-(bits + d.bit_length()) // 8) * 8
     p = [0] * (a_max + 1)
     layer = {(l, l): int(d * c2((l,))) for l in range(1, a_max + 1)}
     j = 1

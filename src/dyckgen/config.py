@@ -3,11 +3,13 @@ report bad input.
 
 The explicit enumerations are slow; these limits keep a casual
 invocation from launching a huge one.  Every route checks its
-effective ceiling against DET_CEILING_MAX once, in GenSpec.largest_count,
+effective ceiling against DET_CEILING_MAX, then a closed-form bound on
+its answer's size against ANSWER_BITS_MAX, in GenSpec.check_guards,
 before any work: a cold unbounded genfun takes 0.19 s at order 100 and
 16 s at order 200 (Python 3.11, 2-core VM), and the guard admits a reach
 (L + m + n)//2 of at most 100, so floor to floor order 201 runs and 202
-exits 2, on every route.  Setting DYCKGEN_GUARD_OVERRIDE (to any
+exits 2, on every route, as do order 10^9 at ceiling 5 and marked
+unbounded orders above 125.  Setting DYCKGEN_GUARD_OVERRIDE (to any
 non-empty value) lifts all the guards.
 
 Every error a caller can cause by what it asks for is a UsageError; the
@@ -25,6 +27,11 @@ DIRECT_DET_K_MAX = 32
 # k^3/23 terms; built cold (Python 3.11, 2-core Xeon VM) F_100 took 0.9 s
 # and 130 MB, F_150 5 s.
 DET_CEILING_MAX = 100
+
+# Largest answer size in bits (GenSpec.check_guards).  Built cold, marked
+# unbounded order 120 (1.6e9 bits) took 5.5 s and 95 MiB, 128 (2.2e9)
+# 9.4 s, and plain (12, 0, 0, 800) (1.4e9) 26 s and 361 MiB.
+ANSWER_BITS_MAX = 2 * 10 ** 9
 
 # Largest k*N product accepted by the enumerative partition functions.
 ENUM_PARTITION_MAX = 36

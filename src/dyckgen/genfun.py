@@ -64,6 +64,18 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
         fits: the one entry then lands past the order)."""
         return max(self.order - self.step_shift, 0)
 
+    def check_guards(self, marked=False):
+        """Every route's guards, before any work: the effective ceiling c
+        against DET_CEILING_MAX, then the answer's size in bits against
+        ANSWER_BITS_MAX, in closed form: order//2 + 1 rows, of at most
+        order*(c - 1)/2 + 1 areas each, times order//2 + 1 touchdown
+        counts when `marked`, of at most `order` bits each."""
+        c, rows = self.ceiling, self.order // 2 + 1
+        check_guard(c, config.DET_CEILING_MAX, "determinant ceiling")
+        size = rows * (self.order * max(c - 1, 0) // 2 + 1) * self.order
+        check_guard(size * rows if marked else size, config.ANSWER_BITS_MAX,
+                    "answer size in bits")
+
     @property
     def largest_count(self):
         """N, the largest number of `order`-step paths in the strip
@@ -73,10 +85,9 @@ class GenSpec(namedtuple("GenSpec", "k m n order")):
         >= 1 every height of the strip has a step that stays in it, so
         each such path extends to an `order`-step path from m, distinct
         paths to distinct ones.  At ceiling 0 only the empty path fits,
-        and N is 1.  Reading it is every route's one guard, on the
-        ceiling, before any work: each route sizes its slots by N."""
-        check_guard(self.ceiling, config.DET_CEILING_MAX,
-                    "determinant ceiling")
+        and N is 1.  Reading it runs every route's guards (check_guards,
+        unmarked) before any work: each route sizes its slots by N."""
+        self.check_guards()
         return _largest_count(self.ceiling, self.order)
 
     @property

@@ -170,6 +170,7 @@ def tilde_genfun(k, m, n, order):
     parts are decoded at the end, straight into the marker polynomials
     of the answer."""
     spec = GenSpec(k, m, n, order)
+    spec.check_guards(marked=True)
     k, ring, order = spec.ceiling, spec.packed_ring, spec.series_order
     m, n = sorted((m, n))
     a, ratio = _arch(k, order, ring.width)
@@ -191,6 +192,7 @@ def tilde_genfun_ratio(k, m, n, order):
     (packed_genfun, never the marked determinant), to
     spec.series_order in spec.packed_ring, as in tilde_genfun."""
     spec = GenSpec(k, m, n, order)
+    spec.check_guards(marked=True)
     k, ring, order = spec.ceiling, spec.packed_ring, spec.series_order
     m, n = sorted((m, n))
     base = packed_genfun(ring, k, m, n, order)

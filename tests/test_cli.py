@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 import dyckgen
 from dyckgen import __version__, config, touchdown
-from dyckgen.cli import (COMMANDS, REQUIRED, Convention, _emit,
-                         _series_terms, cmd_genfun, cmd_table, cmd_verify,
-                         main, parse_args, table_from_json)
-from dyckgen.exact import LSeries, PackedRing, TPoly
+from dyckgen.cli import (COMMANDS, REQUIRED, Convention, _emit, cmd_genfun,
+                         cmd_table, cmd_verify, main, parse_args,
+                         table_from_json)
+from dyckgen.exact import LSeries, PackedRing, QLaurent, TPoly
 from dyckgen.genfun import GenFun, GenSpec
 from dyckgen.oracle import enumerate_paths
 from dyckgen.touchdown import tilde_genfun
@@ -309,9 +309,10 @@ def _reference_json(spec_echo, convention, method, terms):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _reference_csv(convention, terms, count_label=None):
+def _reference_csv(convention, terms, count_label=None, marked=False):
     """The CSV rows of `terms` with every coefficient read as a
-    Fraction, the reference for _emit's CSV path."""
+    Fraction, the reference for _emit's CSV path; a marked answer has
+    the s column even when it has no term."""
     halve = convention == "double-step-diamond"
 
     def exp(v):
@@ -319,42 +320,110 @@ def _reference_csv(convention, terms, count_label=None):
             return str(v)
         return str(v // 2) if v % 2 == 0 else f"{v}/2"
 
-    with_s = any(t[2] is not None for t in terms)
-    lines = [",".join(["l", "A"] + (["s"] if with_s else [])
+    lines = [",".join(["l", "A"] + (["s"] if marked else [])
                       + ([count_label] if count_label else ["num", "den"]))]
     for l, a, s, c in terms:
         f = Fraction(c)
-        row = [exp(l), exp(a)] + ([str(s)] if with_s else [])
+        row = [exp(l), exp(a)] + ([str(s)] if marked else [])
         row += [str(f.numerator)] if count_label else [str(f.numerator),
                                                        str(f.denominator)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
+def _series(terms, marked, order=9):
+    """The LSeries of `terms`, (l, A, s, coeff) tuples with distinct
+    (l, A, s), s None throughout when unmarked."""
+    rows = {}
+    for l, a, s, c in terms:
+        rows.setdefault(l, {}).setdefault(s, {})[a] = c
+    if marked:
+        return LSeries(order, {l: TPoly({s: QLaurent(p)
+                                         for s, p in row.items()})
+                               for l, row in rows.items()}, TPoly)
+    return LSeries(order, {l: QLaurent(row[None])
+                           for l, row in rows.items()})
+
+
+def _flat_terms(full):
+    """The (l, A, s, coeff) terms of a series in (l, A, s) order, s
+    None throughout when unmarked: what the writer writes, in order."""
+    out = []
+    for l, v in full.nonzero_terms():
+        parts = v.terms() if full.ring is TPoly else [(None, v)]
+        out += [(l, a, s, c) for s, q in parts for a, c in q.terms()]
+    return sorted(out, key=lambda t: (t[0], t[1], t[2] or 0))
+
+
 SPEC_ECHO = {"k": "inf", "m": 1, "n": 4, "max_len": 9}
+# the terms of each answer in the order the writer writes them; the
+# marked length 4 interleaves its t^0 and t^1 parts by area
 PLAIN_TERMS = [(0, 0, None, 1), (1, 3, None, Fraction(-7, 3)),
                (3, 5, None, -2), (4, 6, None, 10 ** 30),
                (7, 11, None, Fraction(5, 1))]
-MARKED_TERMS = [(1, 1, 0, 1), (3, 4, 2, Fraction(5, 2)), (5, 7, 1, -1),
-                (9, 15, 3, 12)]
+MARKED_TERMS = [(1, 1, 0, 1), (3, 4, 2, Fraction(5, 2)), (4, 2, 0, 3),
+                (4, 2, 1, Fraction(-1, 7)), (4, 3, 0, 10 ** 30),
+                (4, 5, 1, -4), (5, 7, 1, -1), (9, 15, 3, 12)]
+ANSWERS = {"plain": (PLAIN_TERMS, False), "marked": (MARKED_TERMS, True),
+           "empty": ([], False), "empty-marked": ([], True)}
+CONVENTIONS = ["step-plaquette", "double-step-diamond"]
+
+
+def _check_emit(terms, marked, convention, fmt, count_label=None):
+    """_emit of the series of `terms` writes what the reference writes
+    of `terms`."""
+    args = argparse.Namespace(convention=convention, format=fmt)
+    full = _series(terms, marked)
+    with redirect_stdout(io.StringIO()) as sink:
+        assert _emit(args, SPEC_ECHO, "cluster-exp", full, count_label) == 0
+    out = sink.getvalue()
+    if fmt == "json":
+        assert out == _reference_json(SPEC_ECHO, convention, "cluster-exp",
+                                      terms)
+    else:
+        assert out == _reference_csv(convention, terms, count_label, marked)
+
+
+_TERM_KEYS = st.tuples(st.integers(0, 9), st.integers(-6, 20),
+                       st.integers(0, 4))
+_COEFFS = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                    st.fractions(-10 ** 30, 10 ** 30, max_denominator=50),
+                    st.sampled_from([10 ** 30, -10 ** 30])).filter(bool)
 
 
 class TestEmitBytes:
-    @pytest.mark.parametrize("convention",
-                             ["step-plaquette", "double-step-diamond"])
-    @pytest.mark.parametrize("terms", [PLAIN_TERMS, MARKED_TERMS, []],
-                             ids=["plain", "marked", "empty"])
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("answer", ANSWERS)
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_synthetic_terms_match_the_reference(self, capsys, convention,
-                                                 terms, fmt):
-        args = argparse.Namespace(convention=convention, format=fmt)
-        assert _emit(args, SPEC_ECHO, "cluster-exp", terms) == 0
-        out = capsys.readouterr().out
-        if fmt == "json":
-            assert out == _reference_json(SPEC_ECHO, convention,
-                                          "cluster-exp", terms)
-        else:
-            assert out == _reference_csv(convention, terms)
+    def test_synthetic_terms_match_the_reference(self, convention, answer,
+                                                 fmt):
+        terms, marked = ANSWERS[answer]
+        _check_emit(terms, marked, convention, fmt)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(terms=st.dictionaries(_TERM_KEYS, _COEFFS, max_size=30),
+           marked=st.booleans(), convention=st.sampled_from(CONVENTIONS),
+           fmt=st.sampled_from(["json", "csv"]),
+           count_label=st.sampled_from([None, "count"]))
+    def test_random_series_match_the_reference(self, terms, marked,
+                                               convention, fmt, count_label):
+        terms = sorted((l, a, s if marked else None, c)
+                       for (l, a, s), c in terms.items()
+                       if marked or s == 0)
+        _check_emit(terms, marked, convention, fmt, count_label)
+
+    @pytest.mark.parametrize("argv,label", [
+        (("genfun", "--k", "inf", "--m", "0", "--n", "3", "--max-len", "1",
+          "--touchdown"), None),
+        (("table", "--k", "3", "--m", "0", "--n", "3", "--max-len", "1",
+          "--touchdowns"), "count")], ids=["genfun", "table"])
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_empty_marked_csv_has_the_s_column(self, capsys, argv, label,
+                                               convention):
+        code, out, _ = run_cli(capsys, *argv, "--convention", convention,
+                               "--format", "csv")
+        assert code == 0
+        assert out == _reference_csv(convention, [], label, marked=True)
 
     def test_empty_genfun(self, capsys):
         code, out, _ = run_cli(capsys, "genfun", "--k", "inf", "--m", "0",
@@ -384,7 +453,7 @@ class TestEmitBytes:
                                "--n", "1", "--max-len", "9", "--touchdown",
                                "--convention", convention)
         assert code == 0
-        terms = _series_terms(tilde_genfun(3, 0, 1, 9).full_series())
+        terms = _flat_terms(tilde_genfun(3, 0, 1, 9).full_series())
         assert out == _reference_json(
             {"k": 3, "m": 0, "n": 1, "max_len": 9}, convention,
             "determinant", terms)
@@ -404,7 +473,8 @@ class TestEmitBytes:
                 {"k": 3, "m": 1, "n": 2, "max_len": 9}, convention,
                 "oracle", terms)
         else:
-            assert out == _reference_csv(convention, terms, "count")
+            assert out == _reference_csv(convention, terms, "count",
+                                         marked=True)
 
 
 class TestVerifyCommand:
@@ -502,8 +572,8 @@ class TestExitCodes:
     def guarded_genfun(argv):
         """stderr of `genfun argv`, run in a fresh process under a 1 GiB
         address-space limit, so that a missing guard fails here instead
-        of filling the memory, after checking that it exits 2 at the
-        determinant guard within 10 s."""
+        of filling the memory, after checking that it exits 2 at a
+        guard within 10 s."""
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -513,7 +583,8 @@ class TestExitCodes:
             [sys.executable, "-m", "dyckgen.cli", "genfun", *argv], env=env,
             capture_output=True, text=True, timeout=60, preexec_fn=limit)
         assert (run.returncode, run.stdout) == (2, ""), run.stderr
-        assert run.stderr.startswith("error: determinant ceiling ")
+        assert run.stderr.startswith("error: ")
+        assert "exceeds guard" in run.stderr
         assert "DYCKGEN_GUARD_OVERRIDE" in run.stderr
         assert time.perf_counter() - t0 < 10
         return run.stderr
@@ -524,7 +595,7 @@ class TestExitCodes:
         ("--m", "400", "--n", "400")])
     def test_large_heights_hit_the_determinant_guard(self, capsys, heights):
         argv = ("--k", "inf", *heights, "--max-len", "4", "--format", "csv")
-        self.guarded_genfun(argv)
+        assert "error: determinant ceiling " in self.guarded_genfun(argv)
         # the table builds no determinant, so it still answers
         table = [a for a in argv if a != "--touchdown"]
         assert run_cli(capsys, "table", *table)[0] == 0
@@ -541,6 +612,35 @@ class TestExitCodes:
         argv = ("--k", k, "--m", "0", "--n", "0", "--max-len", length)
         err = self.guarded_genfun(argv + route)
         assert "determinant ceiling 101 exceeds guard 100" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--k", "5", "--m", "0", "--n", "0", "--max-len", "999999999"),
+        ("--k", "5", "--m", "0", "--n", "0", "--max-len", "999999999",
+         "--method", "cluster-exp"),
+        ("--k", "inf", "--m", "0", "--n", "0", "--max-len", "200",
+         "--touchdown")], ids=["huge-order", "huge-order-cluster-exp",
+                               "touchdown-200"])
+    def test_answer_size_above_the_guard_exits_at_once(self, argv):
+        # the size of the answer is bounded in closed form before any
+        # path is counted
+        err = self.guarded_genfun(argv)
+        assert "error: answer size in bits " in err
+
+    def test_size_guard_is_marked_only_on_marked_routes(self, capsys,
+                                                        monkeypatch):
+        # at (inf, 3, 3, 4): 3 rows of at most 9 areas of 4-bit counts,
+        # times 3 touchdown counts when marked
+        argv = ("genfun", "--k", "inf", "--m", "3", "--n", "3",
+                "--max-len", "4", "--format", "csv")
+        expected = run_cli(capsys, *argv, "--touchdown")
+        assert expected[0] == 0
+        monkeypatch.setattr(config, "ANSWER_BITS_MAX", 108)
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(capsys, *argv, "--touchdown")
+        assert (code, out) == (2, "")
+        assert "answer size in bits 324 exceeds guard 108" in err
+        monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
+        assert run_cli(capsys, *argv, "--touchdown") == expected
 
     def test_determinant_guard_and_override(self, capsys, monkeypatch):
         argv = ("genfun", "--k", "inf", "--m", "3", "--n", "3",

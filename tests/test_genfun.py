@@ -356,16 +356,21 @@ CEILING_7 = {
 }
 
 
+@pytest.mark.parametrize("guard,limit,message", [
+    ("DET_CEILING_MAX", 6, "determinant ceiling 7 exceeds guard 6"),
+    ("ANSWER_BITS_MAX", 10, r"answer size in bits \d+ exceeds guard 10")],
+    ids=["ceiling", "size"])
 @pytest.mark.parametrize("route", CEILING_7)
-def test_guard_fires_before_any_determinant_is_built(monkeypatch, route):
-    # under a guard of 6, each request refuses its ceiling before it
-    # counts its slots or builds or packs a single F_j
-    monkeypatch.setattr(config, "DET_CEILING_MAX", 6)
+def test_guard_fires_before_any_determinant_is_built(monkeypatch, route,
+                                                     guard, limit, message):
+    # under a low guard, each request refuses its ceiling or the size of
+    # its answer before it counts its slots or builds or packs a single
+    # F_j
+    monkeypatch.setattr(config, guard, limit)
     monkeypatch.delenv("DYCKGEN_GUARD_OVERRIDE", raising=False)
     for cached in BUILDER_CACHES:
         cached.cache_clear()
-    with pytest.raises(GuardExceeded,
-                       match="determinant ceiling 7 exceeds guard 6"):
+    with pytest.raises(GuardExceeded, match=message):
         CEILING_7[route]()
     assert fk_polynomial.cache_info().misses == 0
     assert _packed_fk.cache_info().misses == 0
