@@ -1,111 +1,92 @@
 """Ladder timings of the packed kernel, the builders, the routes and
-cold command-line jobs.
+cold command-line jobs, of one checkout or of two side by side.
 
-    python3 bench.py LABEL
-    python3 bench.py --compare OLD.json NEW.json
+    python3 bench.py LABEL [--against DIR]
 
-The first form writes BENCH_<LABEL>.json in the current directory.  The
-file holds the commit of the checkout this script sits in (with `dirty`
-true when its tracked files differ from that commit), the Python version
-and the platform, and for each ladder point (k, m, n, order) the minimum
-wall time over repeated runs of
+writes BENCH_<LABEL>.json in the current directory.  It times the
+package in the `src` directory next to this file and, with --against,
+that of the checkout DIR as well, imported a second time into this
+process under another name, so that the two checkouts' modules and
+caches live side by side.  Each row runs the sides in rounds, the order
+reversed every other round, so the host's drift over minutes and any
+bias of running first fall on both sides alike.  The rounds stop at
+MAX_RUNS or once the row's calls on both sides add up to BUDGET_S, so
+the slowest rows run one round.  A row records each side's minimum
+("s", this checkout first) and the round count ("runs"); with two sides
+timed, also the ratio of the minima (this checkout over DIR, so below 1
+is faster) and the first and third quartiles of the per-round ratios
+("ratio_q1", "ratio_q3").  A row that one side cannot build, because a
+name timed here is not there, is null on that side and has no ratio.
+The file also holds each side's directory (relative to this file's),
+commit and `dirty` (true when `git status --porcelain -- src bench.py`
+there prints anything), the Python version and the platform.
+
+For each ladder point (k, m, n, order) the rows are
 
 * `PackedRing.quotient` ("divide"): F_(k-1)(zeta*theta) divided by
-  F_k, the determinant route's one quotient;
-* `PackedRing.quotient` ("quotient"): 1/F_k, and `PackedRing.mul`
-  ("mul"): F_(k-1)(zeta*theta) times that 1/F_k, the retired inverse
-  path, which built and cached the dense 1/F_k;
+  F_k, the determinant route's one quotient, and `PackedRing.mul`
+  ("mul"): F_(k-1)(zeta*theta) times that quotient, a sparse F_j times
+  a dense series, the shape of `tilde_genfun`'s products;
 * `PackedRing.unpack`: the packed excursion series that quotient is;
-  beside its time, `unpack_peak_ratio`, the tracemalloc peak of one
-  unpack over the memory its result holds;
+  beside it, `unpack_peak_ratio`, the tracemalloc peak of one unpack
+  over the memory its result holds;
 * `touchdown._marker_series`: the marker series assembled from the
   packed t^s parts that `tilde_genfun` at the point computes;
 * `genfun`, `tilde_genfun` and `tilde_genfun_ratio` at the point, each
-  with every builder cache cleared first (a cold call).  The two marked
-  routes and the marker series are left out (null) at the finite
-  ceilings above order 80 and at k = inf, order 160: they multiply out
-  the dense powers of the arch there, and one call at (12, 0, 0, 200)
-  takes minutes;
+  with every builder cache of its side cleared first (a cold call); the
+  marked routes and the marker series are null where LADDER says so,
+  since they multiply out the dense powers of the arch there;
 * `continued_fraction` at the spec's ceiling, as `genfun --check` runs
   it, also cold, at every point with m = n = 0 (null elsewhere);
 * `genfun_via_cluster`, the cluster route `genfun --check` runs, cold,
-  at every point but those in CLUSTER_SKIP (null there), where one call
-  takes most of a minute or more: 54 s at (12, 0, 0, 200) and 152 s at
-  (4, 0, 0, 400), and longer at (12, 0, 0, 400) and (None, 0, 0, 160);
+  at every point but those in CLUSTER_SKIP (null there);
 * `genfun_full` and `tilde_genfun_full`: the same cold calls up to the
   return of their `full_series()`, the span a `sweep` job of
   perfbench/sweep_session.py times;
-* the builders: `fk_polynomial` at the spec's ceiling, cold, at every
-  point, and `touchdown.tilde_secular_toprow` (the marked determinant
-  from the exclusion sums) at the ceiling and the order, cold, at the
-  finite-ceiling points (null at k = inf);
-* the write phase: `cli.cmd_genfun` at the point with its route
-  patched to return the answer, computed once beforehand, into a
-  stdout that throws the text away, as JSON ("write_json") and as CSV
-  ("write_csv") of the plain answer, and as JSON of the marked answer
-  ("write_marked_json") where the marked routes are timed (null
-  elsewhere).
+* the builders, cold: `fk_polynomial` at the spec's ceiling, and at a
+  finite ceiling `touchdown.tilde_secular_toprow` (the marked
+  determinant from the exclusion sums) at the ceiling and the order;
+* the write phase: `cli.cmd_genfun` with its route patched to return
+  the point's answer, computed beforehand, into a stdout that throws the
+  text away, as JSON ("write_json") and CSV ("write_csv") of the plain
+  answer, and as JSON of the marked one ("write_marked_json").
 
-Kernel operands are built once per point, outside the timed calls, in
-the spec's own ring (`GenSpec.packed_ring`, to `GenSpec.series_order`).
-Each measurement runs up to MAX_RUNS times and stops early once its runs
-add up to BUDGET_S, so the slowest points run once; the file records the
-run count beside each minimum.  The host's speed drifts by up to a half
-over minutes (perfbench/speed.py says why), so a fixed reference call,
-which does not use the package, runs before every run and after the
-last, outside the timed spans, and the file records its minimum beside
-each minimum: a time over its reference compares across files.
---compare prints, for every row that both files timed, NEW's minimum
-over its reference divided by OLD's, and both files' peak ratios.
+Kernel operands are built once per point and side, outside the timed
+calls, in the spec's own ring (`GenSpec.packed_ring`, to
+`GenSpec.series_order`).
 
-The file's "cli" rows time cold processes, each run a fresh interpreter
-with PYTHONDONTWRITEBYTECODE=1, as a benchmark job runs, on a copy of
-the package with no bytecode cache, so that every run compiles the
-modules it loads from source: `python -c pass` (the interpreter and
-`site`), `import dyckgen.cli`, and the commands `genfun --k inf --m 0
---n 0 --max-len 24`, `table --k 4 --m 0 --n 0 --max-len 24
---touchdowns`, `genfun --k 4 --m 0 --n 0 --max-len 24 --touchdown`,
-`verify --suite genfun` and `verify --suite duality`, the last almost
-all start-up, so its row shows what a verify job compiles, and `genfun
---k 12 --m 0 --n 0 --max-len 400 --format csv`, whose answer of 0.2 M
-terms makes the write phase a visible share of a job.  Each has the
-same reference call beside it, run in this process between its runs.
-
-The ladder is k = inf at orders 32..120 and 160, with order 66, where
-the slots first grow past 64 bits (to 72), the finite ceiling 12 at
-orders 80..400, where the packed ints are longest, the ceiling 4 at
-orders 80..400, where the slots are narrowest for their order (320 bits
-at order 400), the endpoints 2 -> 5 at k = inf, order 48, where the
-decode adds the endpoint prefactor, and (4, 0, 0, 32) and (8, 1, 4, 32),
-the shape of a perfbench `sweep` job: finite ceilings, where every
-call is small.  Rows are
-paired by their point, so --compare reads files with fewer points too.
-The package is imported from the `src` directory next to this file, so
-a copy of the script in another checkout times that checkout.
+The "cli" rows time the cold processes of CLI_ROWS, each run a fresh
+interpreter with PYTHONDONTWRITEBYTECODE=1, as a benchmark job runs, on
+a copy of each side's package with no bytecode cache, so that every run
+compiles the modules it loads from source.  `python -c pass` is the
+interpreter and `site`, `verify --suite duality` is almost all start-up,
+and `genfun_csv_400` writes 0.2 M terms, so the write phase is a
+visible share of its job.
 """
 
 import gc
+import importlib.util
 import io
 import json
 import os
 import platform
-import random
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "src"))
 
-from dyckgen import cli, touchdown  # noqa: E402
-from dyckgen.cluster import genfun_via_cluster  # noqa: E402
-from dyckgen.genfun import (GenSpec, continued_fraction,  # noqa: E402
-                            fk_polynomial, genfun)
-
-# (k, m, n, order, whether the marked routes are timed there)
+# (k, m, n, order, whether the marked routes are timed there): k = inf at
+# orders 32..120 and 160 (at 66 the slots first pass 64 bits), the
+# ceilings 12 (the longest packed ints) and 4 (the narrowest slots for
+# their order) at orders 80..400, endpoints 2 -> 5, where the decode adds
+# the endpoint prefactor, and two points the shape of a `sweep` job
 LADDER = ([(None, 0, 0, order, True)
            for order in (32, 48, 64, 66, 80, 100, 120)]
           + [(None, 0, 0, 160, False)]
@@ -114,7 +95,8 @@ LADDER = ([(None, 0, 0, order, True)
           + [(4, 0, 0, 80, True), (4, 0, 0, 200, False),
              (4, 0, 0, 400, False), (None, 2, 5, 48, True)]
           + [(4, 0, 0, 32, True), (8, 1, 4, 32, True)])
-# ladder points where one cold genfun_via_cluster call takes a minute or more
+# ladder points where one cold genfun_via_cluster call takes most of a
+# minute or more: 54 s at (12, 0, 0, 200), 152 s at (4, 0, 0, 400)
 CLUSTER_SKIP = {(12, 0, 0, 200), (12, 0, 0, 400), (4, 0, 0, 400),
                 (None, 0, 0, 160)}
 # (row name, interpreter arguments) of the cold-process rows
@@ -136,30 +118,33 @@ CLI_ROWS = (
 )
 MAX_RUNS = 20
 BUDGET_S = 3.0
-REF_TERMS = 60   # size of the reference call's product
 
 
-def clear_caches():
-    """Empty every functools cache of the modules that build series, so
-    that adding or deleting a cache needs no edit here."""
+def load(root, name):
+    """The package of the checkout at root, imported as `name`.  Its
+    modules import each other relatively, so each loads under that name,
+    with caches of its own."""
+    init = os.path.join(root, "src", "dyckgen", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def mod(package, name):
+    """The submodule `name` of the package imported as `package`."""
+    return importlib.import_module(f"{package}.{name}")
+
+
+def clear_caches(package):
+    """Empty every functools cache of the package's modules that build
+    series, so that adding or deleting a cache needs no edit here."""
     for name in ("genfun", "touchdown"):
-        for value in vars(sys.modules["dyckgen." + name]).values():
+        for value in vars(mod(package, name)).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-
-
-def reference_work():
-    """The reference call: a sparse product of two dicts of 300-bit ints,
-    the shape of the kernel (as in perfbench/speed.py), about 1 ms on a
-    2-core VM."""
-    rng = random.Random(1)
-    a = {e: rng.getrandbits(300) for e in range(REF_TERMS)}
-    b = {e: rng.getrandbits(300) for e in range(REF_TERMS)}
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-    return out
 
 
 def wall(fn):
@@ -168,18 +153,31 @@ def wall(fn):
     return time.perf_counter() - t0
 
 
-def min_time(fn, cold=False):
-    """(minimum wall time, runs, minimum reference time) of fn() over up
-    to MAX_RUNS runs, until the runs add up to BUDGET_S, with a
-    reference call before each run and after the last; cold clears the
-    builder caches before each run, outside the timed span."""
-    times, refs = [], [wall(reference_work)]
-    while len(times) < MAX_RUNS and sum(times) < BUDGET_S:
-        if cold:
-            clear_caches()
-        times.append(wall(fn))
-        refs.append(wall(reference_work))
-    return min(times), len(times), min(refs)
+def pair(what, jobs):
+    """The row `what` of jobs, one (fn, before) or None per side, printed:
+    rounds of one fn() per timed side, the order reversed every other
+    round, before() (if any) run first, outside the timed span, until
+    MAX_RUNS rounds or until the calls add up to BUDGET_S."""
+    timed = [i for i, job in enumerate(jobs) if job]
+    times = [[] for _ in jobs]
+    rounds = 0
+    while timed and rounds < MAX_RUNS and sum(map(sum, times)) < BUDGET_S:
+        for i in timed[::-1] if rounds % 2 else timed:
+            fn, before = jobs[i]
+            if before:
+                before()
+            times[i].append(wall(fn))
+        rounds += 1
+    row = {"s": [round(min(t), 6) if t else None for t in times],
+           "runs": rounds}
+    if len(timed) == 2:
+        ratios = [a / b for a, b in zip(*times)]
+        q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                     if rounds > 1 else ratios * 3)
+        row.update(ratio=round(min(times[0]) / min(times[1]), 4),
+                   ratio_q1=round(q1, 4), ratio_q3=round(q3, 4))
+    print(what, row, flush=True)
+    return row
 
 
 def peak_ratio(fn):
@@ -194,7 +192,7 @@ def peak_ratio(fn):
     return round(peak / held, 3)
 
 
-def marker_args(k, m, n, order):
+def marker_args(touchdown, k, m, n, order):
     """The (ring, cols, spec) that tilde_genfun passes to
     _marker_series at the point."""
     seen = []
@@ -214,163 +212,155 @@ class Discard(io.TextIOBase):
         return len(text)
 
 
-def write_job(k, m, n, order, fmt, answer, marked=False):
+def write_job(package, k, m, n, order, fmt, answer, marked=False):
     """The write phase of `genfun` at the point in format fmt: cmd_genfun
     with the route it runs patched to return `answer`, stdout a
     Discard."""
+    cli = mod(package, "cli")
     args = cli.parse_args(
         ["genfun", "--k", "inf" if k is None else str(k), "--m", str(m),
          "--n", str(n), "--max-len", str(order), "--format", fmt]
         + ["--touchdown"] * marked)
-    owner, name = ((touchdown, "tilde_genfun") if marked
-                   else (sys.modules["dyckgen.genfun"], "genfun"))
+    owner, name = ((mod(package, "touchdown"), "tilde_genfun") if marked
+                   else (mod(package, "genfun"), "genfun"))
+    real, cmd = getattr(owner, name), cli.cmd_genfun
 
     def run():
-        real, out = getattr(owner, name), sys.stdout
+        out = sys.stdout
         setattr(owner, name, lambda *spec: answer)
         sys.stdout = Discard()
         try:
-            cli.cmd_genfun(args)
+            cmd(args)
         finally:
             setattr(owner, name, real)
             sys.stdout = out
     return run
 
 
-def point(k, m, n, order, with_tilde):
-    spec = GenSpec(k, m, n, order)
-    ring, L, ceiling = spec.packed_ring, spec.series_order, spec.ceiling
-    fk = ring.pack(fk_polynomial(ceiling).resized(L))
-    upper = ring.pack(fk_polynomial(ceiling - 1).resized(L), 1)
-    inv = ring.quotient((1,), fk)
-    packed = ring.quotient(upper, fk)
-    answer = genfun(spec)
-    timed = {
-        "unpack": (lambda: ring.unpack(packed, L), False),
-        "marker_series": None,
-        "divide": (lambda: ring.quotient(upper, fk), False),
-        "mul": (lambda: ring.mul(upper, inv), False),
-        "quotient": (lambda: ring.quotient((1,), fk), False),
-        "genfun": (lambda: genfun(spec), True),
-        "continued_fraction": None,
-        "genfun_via_cluster": None,
-        "tilde_genfun": None,
-        "tilde_genfun_ratio": None,
-        "genfun_full": (lambda: genfun(spec).full_series(), True),
-        "tilde_genfun_full": None,
-        "fk_polynomial": (lambda: fk_polynomial(ceiling), True),
-        "tilde_secular_toprow": None,
-        "write_json": (write_job(k, m, n, order, "json", answer), False),
-        "write_csv": (write_job(k, m, n, order, "csv", answer), False),
-        "write_marked_json": None,
+def full_series(route):
+    """route() up to the return of its full_series()."""
+    return lambda: route().full_series()
+
+
+def jobs(package, k, m, n, order, with_tilde):
+    """(facts, rows) of one side at the point: facts about its packed
+    operands, and each row's (fn, before), None where the row is not
+    timed at the point or the side cannot build it."""
+    g, td = mod(package, "genfun"), mod(package, "touchdown")
+    try:
+        spec = g.GenSpec(k, m, n, order)
+        ring, L, ceiling = spec.packed_ring, spec.series_order, spec.ceiling
+        fk = ring.pack(g.fk_polynomial(ceiling).resized(L))
+        upper = ring.pack(g.fk_polynomial(ceiling - 1).resized(L), 1)
+        packed = ring.quotient(upper, fk)
+        answer = g.genfun(spec)
+    except AttributeError:
+        return {}, {}
+    tilde = lambda: partial(td.tilde_genfun, k, m, n, order)  # noqa: E731
+    makers = {  # name -> (cold, timed at the point, maker of fn)
+        "unpack": (False, True, lambda: partial(ring.unpack, packed, L)),
+        "marker_series": (False, with_tilde, lambda: partial(
+            td._marker_series, *marker_args(td, k, m, n, order))),
+        "divide": (False, True, lambda: partial(ring.quotient, upper, fk)),
+        "mul": (False, True, lambda: partial(ring.mul, upper, packed)),
+        "genfun": (True, True, lambda: partial(g.genfun, spec)),
+        "continued_fraction": (True, m == n == 0, lambda: partial(
+            g.continued_fraction, ceiling, order)),
+        "genfun_via_cluster": (
+            True, (k, m, n, order) not in CLUSTER_SKIP,
+            lambda: partial(mod(package, "cluster").genfun_via_cluster,
+                            spec)),
+        "tilde_genfun": (True, with_tilde, tilde),
+        "tilde_genfun_ratio": (True, with_tilde, lambda: partial(
+            td.tilde_genfun_ratio, k, m, n, order)),
+        "genfun_full": (True, True,
+                        lambda: full_series(partial(g.genfun, spec))),
+        "tilde_genfun_full": (True, with_tilde,
+                              lambda: full_series(tilde())),
+        "fk_polynomial": (True, True, lambda: partial(
+            g.fk_polynomial, ceiling)),
+        "tilde_secular_toprow": (True, k is not None, lambda: partial(
+            td.tilde_secular_toprow, ceiling, order)),
+        "write_json": (False, True, lambda: write_job(
+            package, k, m, n, order, "json", answer)),
+        "write_csv": (False, True, lambda: write_job(
+            package, k, m, n, order, "csv", answer)),
+        "write_marked_json": (False, with_tilde, lambda: write_job(
+            package, k, m, n, order, "json", tilde()(), marked=True)),
     }
-    if with_tilde:
-        args = marker_args(k, m, n, order)
-        timed["marker_series"] = (
-            lambda: touchdown._marker_series(*args), False)
-        timed["tilde_genfun"] = (
-            lambda: touchdown.tilde_genfun(k, m, n, order), True)
-        timed["tilde_genfun_ratio"] = (
-            lambda: touchdown.tilde_genfun_ratio(k, m, n, order), True)
-        timed["tilde_genfun_full"] = (
-            lambda: touchdown.tilde_genfun(k, m, n, order).full_series(),
-            True)
-        timed["write_marked_json"] = (write_job(
-            k, m, n, order, "json", touchdown.tilde_genfun(k, m, n, order),
-            marked=True), False)
-    if k is not None:
-        timed["tilde_secular_toprow"] = (
-            lambda: touchdown.tilde_secular_toprow(ceiling, order), True)
-    if m == n == 0:
-        timed["continued_fraction"] = (
-            lambda: continued_fraction(ceiling, order), True)
-    if (k, m, n, order) not in CLUSTER_SKIP:
-        timed["genfun_via_cluster"] = (lambda: genfun_via_cluster(spec), True)
-    out = {"k": k, "m": m, "n": n, "order": order,
-           "width": ring.width, "entries": len(packed),
-           "max_entry_bits": max(v.bit_length() for v in packed),
-           "unpack_peak_ratio": peak_ratio(lambda: ring.unpack(packed, L))}
-    for name, job in timed.items():
-        if job is None:
-            for stat in ("_s", "_runs", "_ref_s"):
-                out[name + stat] = None
-            continue
-        best, runs, ref = min_time(*job)
-        out[name + "_s"] = round(best, 6)
-        out[name + "_runs"] = runs
-        out[name + "_ref_s"] = round(ref, 6)
-        print(f"{spec}: {name} {best:.4f} s ({runs} runs, reference "
-              f"{ref:.4f} s)", flush=True)
+    clear = partial(clear_caches, package)
+    rows = {}
+    for name, (cold, when, make) in makers.items():
+        try:
+            rows[name] = (make(), clear if cold else None) if when else None
+        except AttributeError:
+            rows[name] = None
+    facts = {"width": ring.width, "entries": len(packed),
+             "max_entry_bits": max(v.bit_length() for v in packed),
+             "unpack_peak_ratio": peak_ratio(partial(ring.unpack, packed, L))}
+    return facts, rows
+
+
+def point(packages, k, m, n, order, with_tilde):
+    """The ladder point's record: each fact and row, one entry per
+    side."""
+    sides = [jobs(package, k, m, n, order, with_tilde)
+             for package in packages]
+    out = {"k": k, "m": m, "n": n, "order": order}
+    for fact in dict.fromkeys(f for facts, _ in sides for f in facts):
+        out[fact] = [facts.get(fact) for facts, _ in sides]
+    for name in dict.fromkeys(r for _, rows in sides for r in rows):
+        out[name] = pair(f"({k}, {m}, {n}, {order}) {name}",
+                         [rows.get(name) for _, rows in sides])
     return out
 
 
-def cli_rows():
-    """The cold-process rows, run on a copy of src/ without __pycache__."""
+def cli_rows(roots):
+    """The cold-process rows, each side run on a copy of its src/
+    without __pycache__."""
     with tempfile.TemporaryDirectory() as tmp:
-        src = os.path.join(tmp, "src")
-        shutil.copytree(os.path.join(HERE, "src"), src,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        envs = []
+        for i, root in enumerate(roots):
+            src = os.path.join(tmp, str(i))
+            shutil.copytree(os.path.join(root, "src"), src,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            envs.append(dict(os.environ, PYTHONPATH=src,
+                             PYTHONDONTWRITEBYTECODE="1"))
         rows = []
         for name, args in CLI_ROWS:
-            cmd = [sys.executable, *args]
-            best, runs, ref = min_time(lambda: subprocess.run(
-                cmd, env=env, stdout=subprocess.DEVNULL, check=True))
-            rows.append({"name": name, "argv": args, "s": round(best, 6),
-                         "runs": runs, "ref_s": round(ref, 6)})
-            print(f"cli {name}: {best:.4f} s ({runs} runs, reference "
-                  f"{ref:.4f} s)", flush=True)
+            run = partial(subprocess.run, [sys.executable, *args],
+                          stdout=subprocess.DEVNULL, check=True)
+            rows.append({"name": name, "argv": args, **pair(
+                f"cli {name}", [(partial(run, env=env), None)
+                                for env in envs])})
     return rows
 
 
-def git(*args):
-    return subprocess.run(["git", "-C", HERE, *args], capture_output=True,
-                          text=True)
-
-
-def compare(old_path, new_path):
-    """Print NEW/OLD of each row's minimum over its reference minimum."""
-    rows, cli = [], []
-    for path in (old_path, new_path):
-        with open(path) as f:
-            doc = json.load(f)
-        rows.append({tuple(row[key] for key in ("k", "m", "n", "order")):
-                     row for row in doc["ladder"]})
-        cli.append({row["name"]: row for row in doc.get("cli", ())})
-    old, new = rows
-    for point, a in old.items():
-        b = new.get(point, {})
-        for key in a:
-            ref = key[:-2] + "_ref_s"
-            if (key.endswith("_s") and not key.endswith("_ref_s")
-                    and a[key] and b.get(key) and a.get(ref) and b.get(ref)):
-                ratio = (b[key] / b[ref]) / (a[key] / a[ref])
-                print(f"{point} {key[:-2]}: {ratio:.2f}")
-            elif key.endswith("_peak_ratio") and b.get(key):
-                print(f"{point} {key}: {a[key]} -> {b[key]}")
-    for name, a in cli[0].items():
-        b = cli[1].get(name)
-        if b:
-            ratio = (b["s"] / b["ref_s"]) / (a["s"] / a["ref_s"])
-            print(f"cli {name}: {ratio:.2f}")
+def checkout(root):
+    """The side's directory, relative to this file's, its commit, and
+    whether its timed files differ from that commit."""
+    def git(*args):
+        return subprocess.run(["git", "-C", root, *args],
+                              capture_output=True, text=True).stdout.strip()
+    return {"dir": os.path.relpath(root, HERE),
+            "commit": git("rev-parse", "HEAD") or None,
+            "dirty": bool(git("status", "--porcelain", "--", "src",
+                              "bench.py"))}
 
 
 def main(argv):
-    if len(argv) == 3 and argv[0] == "--compare":
-        return compare(argv[1], argv[2])
-    if len(argv) != 1:
+    if len(argv) not in (1, 3) or argv[1:2] not in ([], ["--against"]):
         sys.exit(__doc__)
-    label = argv[0]
-    commit = git("rev-parse", "HEAD").stdout.strip() or None
-    dirty = git("diff", "--quiet", "HEAD", "--").returncode != 0
-    doc = {"label": label, "commit": commit, "dirty": dirty,
+    roots = [HERE] + [os.path.abspath(root) for root in argv[2:]]
+    packages = ["dyckgen"] + [load(root, "dyckgen_against").__name__
+                              for root in roots[1:]]
+    doc = {"label": argv[0], "sides": [checkout(root) for root in roots],
            "python": platform.python_version(),
            "platform": platform.platform(), "cpus": os.cpu_count(),
            "max_runs": MAX_RUNS, "budget_s": BUDGET_S,
-           "ref_terms": REF_TERMS,
-           "cli": cli_rows(),
-           "ladder": [point(*p) for p in LADDER]}
-    with open(f"BENCH_{label}.json", "w") as f:
+           "cli": cli_rows(roots),
+           "ladder": [point(packages, *p) for p in LADDER]}
+    with open(f"BENCH_{argv[0]}.json", "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
 

@@ -523,12 +523,6 @@ class LSeries:
         return LSeries._wrap(
             L, [self.c[l] - b.c[l] for l in range(L + 1)], self.ring)
 
-    def __rsub__(self, other):
-        b = self._coerce_other(other)
-        if b is None:
-            return NotImplemented
-        return b - self
-
     def __mul__(self, other):
         if not isinstance(other, LSeries):
             if isinstance(other, (int, _SparsePoly)) or _is_fraction(other):

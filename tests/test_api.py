@@ -200,6 +200,7 @@ def test_every_public_name_resolves():
     (cluster, "log_genfun_restricted"), (cluster, "MeanderLog"),
     (spectral, "spectral_function"), (spectral, "secular_det_recursive"),
     (exact.TPoly, "invert_q"), (exact, "Convention"),
+    (exact.LSeries, "__rsub__"),
 ])
 def test_names_without_callers_are_gone(owner, name):
     assert not hasattr(owner, name)
