@@ -40,16 +40,13 @@ For each ladder point (k, m, n, order) the rows are
   it, also cold, at every point with m = n = 0 (null elsewhere);
 * `genfun_via_cluster`, the cluster route `genfun --check` runs, cold,
   at every point but those in CLUSTER_SKIP (null there);
-* `genfun_full` and `tilde_genfun_full`: the same cold calls up to the
-  return of their `full_series()`, the span a `sweep` job of
-  perfbench/sweep_session.py times;
 * the builders, cold: `fk_polynomial` at the spec's ceiling, and at a
   finite ceiling `touchdown.tilde_secular_toprow` (the marked
   determinant from the exclusion sums) at the ceiling and the order;
-* the write phase: `cli.cmd_genfun` with its route patched to return
-  the point's answer, computed beforehand, into a stdout that throws the
-  text away, as JSON ("write_json") and CSV ("write_csv") of the plain
-  answer, and as JSON of the marked one ("write_marked_json").
+* the write phase: `cli._emit` of the point's answer, computed
+  beforehand, into a stdout that throws the text away, as JSON
+  ("write_json") and CSV ("write_csv") of the plain answer, and as JSON
+  of the marked one ("write_marked_json").
 
 Kernel operands are built once per point and side, outside the timed
 calls, in the spec's own ring (`GenSpec.packed_ring`, to
@@ -212,34 +209,23 @@ class Discard(io.TextIOBase):
         return len(text)
 
 
-def write_job(package, k, m, n, order, fmt, answer, marked=False):
-    """The write phase of `genfun` at the point in format fmt: cmd_genfun
-    with the route it runs patched to return `answer`, stdout a
-    Discard."""
+def write_job(package, k, m, n, order, fmt, answer):
+    """The write phase of `genfun` at the point in format fmt: cli._emit
+    of the GenFun `answer`, stdout a Discard."""
     cli = mod(package, "cli")
     args = cli.parse_args(
         ["genfun", "--k", "inf" if k is None else str(k), "--m", str(m),
-         "--n", str(n), "--max-len", str(order), "--format", fmt]
-        + ["--touchdown"] * marked)
-    owner, name = ((mod(package, "touchdown"), "tilde_genfun") if marked
-                   else (mod(package, "genfun"), "genfun"))
-    real, cmd = getattr(owner, name), cli.cmd_genfun
+         "--n", str(n), "--max-len", str(order), "--format", fmt])
+    _, echo = cli._parse_spec_flags(args)
+    full = answer.full_series()
 
     def run():
-        out = sys.stdout
-        setattr(owner, name, lambda *spec: answer)
-        sys.stdout = Discard()
+        out, sys.stdout = sys.stdout, Discard()
         try:
-            cmd(args)
+            cli._emit(args, echo, "determinant", full)
         finally:
-            setattr(owner, name, real)
             sys.stdout = out
     return run
-
-
-def full_series(route):
-    """route() up to the return of its full_series()."""
-    return lambda: route().full_series()
 
 
 def jobs(package, k, m, n, order, with_tilde):
@@ -256,7 +242,6 @@ def jobs(package, k, m, n, order, with_tilde):
         answer = g.genfun(spec)
     except AttributeError:
         return {}, {}
-    tilde = lambda: partial(td.tilde_genfun, k, m, n, order)  # noqa: E731
     makers = {  # name -> (cold, timed at the point, maker of fn)
         "unpack": (False, True, lambda: partial(ring.unpack, packed, L)),
         "marker_series": (False, with_tilde, lambda: partial(
@@ -270,13 +255,10 @@ def jobs(package, k, m, n, order, with_tilde):
             True, (k, m, n, order) not in CLUSTER_SKIP,
             lambda: partial(mod(package, "cluster").genfun_via_cluster,
                             spec)),
-        "tilde_genfun": (True, with_tilde, tilde),
+        "tilde_genfun": (True, with_tilde, lambda: partial(
+            td.tilde_genfun, k, m, n, order)),
         "tilde_genfun_ratio": (True, with_tilde, lambda: partial(
             td.tilde_genfun_ratio, k, m, n, order)),
-        "genfun_full": (True, True,
-                        lambda: full_series(partial(g.genfun, spec))),
-        "tilde_genfun_full": (True, with_tilde,
-                              lambda: full_series(tilde())),
         "fk_polynomial": (True, True, lambda: partial(
             g.fk_polynomial, ceiling)),
         "tilde_secular_toprow": (True, k is not None, lambda: partial(
@@ -286,7 +268,8 @@ def jobs(package, k, m, n, order, with_tilde):
         "write_csv": (False, True, lambda: write_job(
             package, k, m, n, order, "csv", answer)),
         "write_marked_json": (False, with_tilde, lambda: write_job(
-            package, k, m, n, order, "json", tilde()(), marked=True)),
+            package, k, m, n, order, "json",
+            td.tilde_genfun(k, m, n, order))),
     }
     clear = partial(clear_caches, package)
     rows = {}

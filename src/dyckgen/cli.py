@@ -46,19 +46,13 @@ class Convention(enum.Enum):
     DOUBLE_STEP_DIAMOND = "double-step-diamond"
 
 
-def _parse_k(text):
-    if text == "inf":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"--k must be an integer or 'inf', got {text!r}")
-
-
 def _parse_spec_flags(args):
     """The ceiling from --k (None for 'inf') and the spec echoed in the
     output; GenSpec checks the ranges."""
-    k = _parse_k(args.k)
+    try:
+        k = None if args.k == "inf" else int(args.k)
+    except ValueError:
+        raise UsageError(f"--k must be an integer or 'inf', got {args.k!r}")
     return k, {"k": "inf" if k is None else k, "m": args.m, "n": args.n,
                "max_len": args.max_len}
 
@@ -134,33 +128,40 @@ def _emit(args, spec_echo, method, full, count_label=None):
     return 0
 
 
-def cmd_genfun(args):
+def routes(spec, marked=False):
+    """The routes that compute the answer to `spec`, by the names that
+    --method gives them: {name: call returning the answer series}.
+    Plain, the determinant and the cluster logarithm, and the continued
+    fraction at m = n = 0; marked (--touchdown), the determinant and the
+    ratio route.  `genfun --check` runs them all, and the independence
+    census of the tests reads them from here."""
+    if marked:
+        return {"determinant": lambda: touchdown.tilde_genfun(
+                    *spec).full_series(),
+                "ratio": lambda: touchdown.tilde_genfun_ratio(
+                    *spec).full_series()}
     # genfun's routes are read from its module here: the package
     # attribute genfun is the function
+    from .genfun import continued_fraction, genfun
+    table = {"determinant": lambda: genfun(spec).full_series(),
+             "cluster-exp": lambda: cluster.genfun_via_cluster(spec)}
+    if spec.m == spec.n == 0:
+        table["continued-fraction"] = (
+            lambda: continued_fraction(spec.ceiling, spec.order))
+    return table
+
+
+def cmd_genfun(args):
     k, spec_echo = _parse_spec_flags(args)
-    m, n, order = args.m, args.n, args.max_len
-    if args.touchdown:
-        if args.method != "determinant":
-            raise UsageError(
-                "--touchdown supports only --method determinant")
-        routes = {"determinant": lambda: touchdown.tilde_genfun(
-                      k, m, n, order).full_series(),
-                  "ratio": lambda: touchdown.tilde_genfun_ratio(
-                      k, m, n, order).full_series()}
-    else:
-        from .genfun import continued_fraction, genfun
-        spec = GenSpec(k, m, n, order)
-        routes = {"determinant": lambda: genfun(spec).full_series(),
-                  "cluster-exp": lambda: cluster.genfun_via_cluster(spec)}
-        if m == n == 0:
-            routes["continued-fraction"] = (
-                lambda: continued_fraction(spec.ceiling, spec.order))
-        if args.method not in routes:
-            raise UsageError(
-                f"--method {args.method} needs m = n = 0 (floor excursions)")
-    full = routes[args.method]()
+    if args.touchdown and args.method != "determinant":
+        raise UsageError("--touchdown supports only --method determinant")
+    table = routes(GenSpec(k, args.m, args.n, args.max_len), args.touchdown)
+    if args.method not in table:
+        raise UsageError(
+            f"--method {args.method} needs m = n = 0 (floor excursions)")
+    full = table[args.method]()
     if args.check:
-        for name, fn in routes.items():
+        for name, fn in table.items():
             if name != args.method and fn() != full:
                 print(f"internal mismatch: {args.method} vs {name}",
                       file=sys.stderr)

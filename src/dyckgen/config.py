@@ -67,10 +67,6 @@ class GuardExceeded(UsageError):
     DYCKGEN_GUARD_OVERRIDE to lift the limit."""
 
 
-def guards_lifted() -> bool:
-    return bool(os.environ.get("DYCKGEN_GUARD_OVERRIDE"))
-
-
 def check_order(value, what="truncation order", lowest=0):
     """Raise SpecOutOfRange unless value is an int >= lowest: the one
     check of an integer argument, `what` naming it in the message."""
@@ -99,8 +95,9 @@ def check_heights(k, m, n):
 
 def check_guard(value, limit, what):
     """Raise GuardExceeded when value is above limit and the guards are
-    not lifted; `what` names the value in the message."""
-    if value > limit and not guards_lifted():
+    not lifted (DYCKGEN_GUARD_OVERRIDE unset or empty); `what` names the
+    value in the message."""
+    if value > limit and not os.environ.get("DYCKGEN_GUARD_OVERRIDE"):
         raise GuardExceeded(
             f"{what} {value} exceeds guard {limit} "
             "(set DYCKGEN_GUARD_OVERRIDE=1 to lift)")

@@ -161,7 +161,7 @@ def test_one_point_over_two_sides(tmp_path, monkeypatch):
     point, = doc["ladder"]
     rows = [doc["cli"][0]] + [row for row in point.values()
                               if isinstance(row, dict)]
-    assert len(rows) == 1 + 16
+    assert len(rows) == 1 + 14
     for row in rows:
         assert row["runs"] == 1 and None not in row["s"]
         assert len(row["s"]) == 2 and row["ratio"] > 0

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import dyckgen
 from dyckgen import __version__, config, touchdown
 from dyckgen.cli import (COMMANDS, REQUIRED, Convention, _emit, cmd_genfun,
-                         cmd_table, cmd_verify, main, parse_args,
+                         cmd_table, cmd_verify, main, parse_args, routes,
                          table_from_json)
 from dyckgen.exact import LSeries, PackedRing, QLaurent, TPoly
 from dyckgen.genfun import GenFun, GenSpec
@@ -556,6 +556,32 @@ class TestExitCodes:
         assert code == 3
         assert "determinant vs ratio" in err
 
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_check_runs_every_entry_of_the_route_table(self, capsys,
+                                                       monkeypatch, marked):
+        def with_faulty_entry(spec, marked=False):
+            table = routes(spec, marked)
+            table["faulty"] = lambda: table["determinant"]() + 1
+            return table
+        monkeypatch.setattr(sys.modules["dyckgen.cli"], "routes",
+                            with_faulty_entry)
+        code, out, err = run_cli(capsys, "genfun", "--k", "4", "--m", "1",
+                                 "--n", "2", "--max-len", "8", "--check",
+                                 *["--touchdown"] * marked)
+        assert code == 3
+        assert out == ""
+        assert "internal mismatch: determinant vs faulty" in err
+
+    @pytest.mark.parametrize("heights,marked,names", [
+        ((0, 0), False, ["determinant", "cluster-exp", "continued-fraction"]),
+        ((1, 2), False, ["determinant", "cluster-exp"]),
+        ((0, 0), True, ["determinant", "ratio"]),
+        ((1, 2), True, ["determinant", "ratio"])])
+    def test_route_table_names_the_routes_of_each_form(self, heights,
+                                                       marked, names):
+        for k in (4, None):
+            assert list(routes(GenSpec(k, *heights, 8), marked)) == names
+
     def test_internal_error_exits_three(self, capsys, monkeypatch):
         # exit code 1 means a failed check and nothing else
         def boom(spec):
@@ -678,22 +704,6 @@ def _off_by_one(real):
             return out + 1
         return out[:-1] + type(out)([out[-1] + 1])
     return faulty
-
-
-@pytest.fixture
-def cold_caches():
-    """Every builder cache empty before the test, so that no clean
-    cached value hides a fault, and after it, so that no faulty one
-    outlives it."""
-    def clear():
-        # every functools cache found, so a new one needs no edit here
-        for name in ("genfun", "touchdown"):
-            for value in vars(sys.modules["dyckgen." + name]).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-    clear()
-    yield
-    clear()
 
 
 FAULT_SPEC = ("--k", "4", "--max-len", "12", "--check")

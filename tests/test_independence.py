@@ -1,5 +1,5 @@
-"""Route independence: the routes each `genfun --check` form compares
-must not share the arithmetic they check.
+"""Route independence: the routes each `genfun --check` form compares,
+read from cli.routes, must not share the arithmetic they check.
 
 Each route runs with every builder cache empty under sys.setprofile,
 which collects the package functions it calls (a comprehension counts
@@ -13,11 +13,11 @@ import sys
 from itertools import combinations
 
 import pytest
+from conftest import clear_caches
 
 import dyckgen
-from dyckgen.cluster import genfun_via_cluster
-from dyckgen.genfun import GenSpec, continued_fraction, genfun
-from dyckgen.touchdown import tilde_genfun, tilde_genfun_ratio
+from dyckgen.cli import routes
+from dyckgen.genfun import GenSpec
 
 PACKAGE = os.path.dirname(dyckgen.__file__)
 README = os.path.join(os.path.dirname(os.path.dirname(PACKAGE)),
@@ -33,30 +33,6 @@ ALLOWED = {"LSeries.__init__", "_SparsePoly._wrap", "_SparsePoly.coerce",
 # the specs of the census: ceilings 4 and unbounded, heights (0, 0) and
 # (1, 2), length 12
 SPECS = [(k, m, n, 12) for k in (4, None) for m, n in ((0, 0), (1, 2))]
-
-
-def check_routes(touchdown, k, m, n, order):
-    """The routes `genfun --check` compares at the spec, by the names
-    its --method takes (as cli.cmd_genfun builds them)."""
-    if touchdown:
-        return {"determinant": lambda: tilde_genfun(
-                    k, m, n, order).full_series(),
-                "ratio": lambda: tilde_genfun_ratio(
-                    k, m, n, order).full_series()}
-    spec = GenSpec(k, m, n, order)
-    routes = {"determinant": lambda: genfun(spec).full_series(),
-              "cluster-exp": lambda: genfun_via_cluster(spec)}
-    if m == n == 0:
-        routes["continued-fraction"] = (
-            lambda: continued_fraction(spec.ceiling, spec.order))
-    return routes
-
-
-def clear_caches():
-    for name in ("genfun", "touchdown"):
-        for value in vars(sys.modules["dyckgen." + name]).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
 
 
 def called(route):
@@ -81,17 +57,18 @@ def called(route):
 
 
 def beyond_allowed(functions):
-    """The qualified names of functions outside the allowlist."""
+    """The qualified names of functions outside the allowlist, the
+    route table's own calls (cli.routes) aside."""
     return {name for module, name in functions
             if module != "config" and not name.startswith("GenSpec.")
-            and name not in ALLOWED}
+            and name not in ALLOWED and (module, name) != ("cli", "routes")}
 
 
 def shared(touchdown, spec):
     """{(route, route): the functions both call} for each pair of the
     form's routes at spec."""
     calls = {name: called(route)
-             for name, route in check_routes(touchdown, *spec).items()}
+             for name, route in routes(GenSpec(*spec), touchdown).items()}
     return {(a, b): calls[a] & calls[b] for a, b in combinations(calls, 2)}
 
 
