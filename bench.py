@@ -31,26 +31,25 @@ For each ladder point (k, m, n, order) the rows are
   beside it, `unpack_peak_ratio`, the tracemalloc peak of one unpack
   over the memory its result holds;
 * `touchdown._marker_series`: the marker series assembled from the
-  packed t^s parts that `tilde_genfun` at the point computes;
-* `genfun`, `tilde_genfun` and `tilde_genfun_ratio` at the point, each
-  with every builder cache of its side cleared first (a cold call); the
-  marked routes and the marker series are null where LADDER says so,
-  since they multiply out the dense powers of the arch there;
-* `continued_fraction` at the spec's ceiling, as `genfun --check` runs
-  it, also cold, at every point with m = n = 0 (null elsewhere);
-* `genfun_via_cluster`, the cluster route `genfun --check` runs, cold,
-  at every point but those in CLUSTER_SKIP (null there);
+  packed t^s parts that the marked determinant computes at the point;
+* the routes, cold (every cache of the side cleared first): each entry
+  of `cli.routes` at the point, the routes `genfun --check` compares,
+  named by its key, and where LADDER says so each entry of the marked
+  table, named "marked " and its key (elsewhere the marked rows are left
+  out and the marked fixed rows are null, since they multiply out the
+  dense powers of the arch there); `cluster-exp` is null at the points
+  of CLUSTER_SKIP;
 * the builders, cold: `fk_polynomial` at the spec's ceiling, and at a
   finite ceiling `touchdown.tilde_secular_toprow` (the marked
   determinant from the exclusion sums) at the ceiling and the order;
-* the write phase: `cli._emit` of the point's answer, computed
-  beforehand, into a stdout that throws the text away, as JSON
+* the write phase: `cli._emit` of the `determinant` entry's answer,
+  computed beforehand, into a stdout that throws the text away, as JSON
   ("write_json") and CSV ("write_csv") of the plain answer, and as JSON
   of the marked one ("write_marked_json").
 
 Kernel operands are built once per point and side, outside the timed
-calls, in the spec's own ring (`GenSpec.packed_ring`, to
-`GenSpec.series_order`).
+calls, by `genfun.packed_fk` in the spec's own ring
+(`GenSpec.packed_ring`, to `GenSpec.series_order`).
 
 The "cli" rows time the cold processes of CLI_ROWS, each run a fresh
 interpreter with PYTHONDONTWRITEBYTECODE=1, as a benchmark job runs, on
@@ -74,7 +73,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "src"))
@@ -92,7 +91,7 @@ LADDER = ([(None, 0, 0, order, True)
           + [(4, 0, 0, 80, True), (4, 0, 0, 200, False),
              (4, 0, 0, 400, False), (None, 2, 5, 48, True)]
           + [(4, 0, 0, 32, True), (8, 1, 4, 32, True)])
-# ladder points where one cold genfun_via_cluster call takes most of a
+# ladder points where one cold call of the cluster-exp route takes most of a
 # minute or more: 54 s at (12, 0, 0, 200), 152 s at (4, 0, 0, 400)
 CLUSTER_SKIP = {(12, 0, 0, 200), (12, 0, 0, 400), (4, 0, 0, 400),
                 (None, 0, 0, 160)}
@@ -136,12 +135,14 @@ def mod(package, name):
 
 
 def clear_caches(package):
-    """Empty every functools cache of the package's modules that build
-    series, so that adding or deleting a cache needs no edit here."""
-    for name in ("genfun", "touchdown"):
-        for value in vars(mod(package, name)).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    """Empty every functools cache of every loaded module of the package
+    imported as `package`, so that adding or deleting a cache needs no
+    edit here.  Reading a lazily registered module's names loads it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(package + "."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 def wall(fn):
@@ -189,17 +190,17 @@ def peak_ratio(fn):
     return round(peak / held, 3)
 
 
-def marker_args(touchdown, k, m, n, order):
-    """The (ring, cols, spec) that tilde_genfun passes to
-    _marker_series at the point."""
+def marker_args(touchdown, route):
+    """The (ring, cols, spec) that the marked route `route` passes to
+    _marker_series, and the answer it returns."""
     seen = []
     real = touchdown._marker_series
     touchdown._marker_series = lambda *args: seen.append(args) or real(*args)
     try:
-        touchdown.tilde_genfun(k, m, n, order)
+        full = route()
     finally:
         touchdown._marker_series = real
-    return seen[0]
+    return seen[0], full
 
 
 class Discard(io.TextIOBase):
@@ -209,15 +210,14 @@ class Discard(io.TextIOBase):
         return len(text)
 
 
-def write_job(package, k, m, n, order, fmt, answer):
-    """The write phase of `genfun` at the point in format fmt: cli._emit
-    of the GenFun `answer`, stdout a Discard."""
-    cli = mod(package, "cli")
+def write_job(cli, spec, fmt, full):
+    """The write phase of `genfun` at spec in format fmt: cli._emit of
+    the answer series `full`, stdout a Discard."""
+    k, m, n, order = spec
     args = cli.parse_args(
         ["genfun", "--k", "inf" if k is None else str(k), "--m", str(m),
          "--n", str(n), "--max-len", str(order), "--format", fmt])
     _, echo = cli._parse_spec_flags(args)
-    full = answer.full_series()
 
     def run():
         out, sys.stdout = sys.stdout, Discard()
@@ -232,44 +232,43 @@ def jobs(package, k, m, n, order, with_tilde):
     """(facts, rows) of one side at the point: facts about its packed
     operands, and each row's (fn, before), None where the row is not
     timed at the point or the side cannot build it."""
-    g, td = mod(package, "genfun"), mod(package, "touchdown")
+    g, td, cli = (mod(package, name)
+                  for name in ("genfun", "touchdown", "cli"))
     try:
         spec = g.GenSpec(k, m, n, order)
         ring, L, ceiling = spec.packed_ring, spec.series_order, spec.ceiling
-        fk = ring.pack(g.fk_polynomial(ceiling).resized(L))
-        upper = ring.pack(g.fk_polynomial(ceiling - 1).resized(L), 1)
+        fk = g.packed_fk(ring, ceiling, L)
+        upper = g.packed_fk(ring, ceiling - 1, L, 1)
         packed = ring.quotient(upper, fk)
-        answer = g.genfun(spec)
     except AttributeError:
         return {}, {}
+    # the route tables: none on a side whose cli predates them
+    tables = ([cli.routes(spec), cli.routes(spec, True)][:1 + with_tilde]
+              if hasattr(cli, "routes") else [])
+    skip = {"cluster-exp"} if (k, m, n, order) in CLUSTER_SKIP else set()
+    # each determinant entry's answer, computed once for the rows it feeds
+    plain = cache(lambda: cli.routes(spec)["determinant"]())
+    marked = cache(lambda: marker_args(
+        td, cli.routes(spec, True)["determinant"]))
     makers = {  # name -> (cold, timed at the point, maker of fn)
         "unpack": (False, True, lambda: partial(ring.unpack, packed, L)),
         "marker_series": (False, with_tilde, lambda: partial(
-            td._marker_series, *marker_args(td, k, m, n, order))),
+            td._marker_series, *marked()[0])),
         "divide": (False, True, lambda: partial(ring.quotient, upper, fk)),
         "mul": (False, True, lambda: partial(ring.mul, upper, packed)),
-        "genfun": (True, True, lambda: partial(g.genfun, spec)),
-        "continued_fraction": (True, m == n == 0, lambda: partial(
-            g.continued_fraction, ceiling, order)),
-        "genfun_via_cluster": (
-            True, (k, m, n, order) not in CLUSTER_SKIP,
-            lambda: partial(mod(package, "cluster").genfun_via_cluster,
-                            spec)),
-        "tilde_genfun": (True, with_tilde, lambda: partial(
-            td.tilde_genfun, k, m, n, order)),
-        "tilde_genfun_ratio": (True, with_tilde, lambda: partial(
-            td.tilde_genfun_ratio, k, m, n, order)),
+        **{prefix + name: (True, name not in skip, lambda fn=fn: fn)
+           for prefix, table in zip(("", "marked "), tables)
+           for name, fn in table.items()},
         "fk_polynomial": (True, True, lambda: partial(
             g.fk_polynomial, ceiling)),
         "tilde_secular_toprow": (True, k is not None, lambda: partial(
             td.tilde_secular_toprow, ceiling, order)),
         "write_json": (False, True, lambda: write_job(
-            package, k, m, n, order, "json", answer)),
+            cli, spec, "json", plain())),
         "write_csv": (False, True, lambda: write_job(
-            package, k, m, n, order, "csv", answer)),
+            cli, spec, "csv", plain())),
         "write_marked_json": (False, with_tilde, lambda: write_job(
-            package, k, m, n, order, "json",
-            td.tilde_genfun(k, m, n, order))),
+            cli, spec, "json", marked()[1])),
     }
     clear = partial(clear_caches, package)
     rows = {}

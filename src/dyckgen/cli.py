@@ -129,12 +129,12 @@ def _emit(args, spec_echo, method, full, count_label=None):
 
 
 def routes(spec, marked=False):
-    """The routes that compute the answer to `spec`, by the names that
-    --method gives them: {name: call returning the answer series}.
-    Plain, the determinant and the cluster logarithm, and the continued
-    fraction at m = n = 0; marked (--touchdown), the determinant and the
-    ratio route.  `genfun --check` runs them all, and the independence
-    census of the tests reads them from here."""
+    """The routes that compute the answer to `spec`: {name: call
+    returning the answer series}.  Plain, the --method choices
+    determinant and cluster-exp, and continued-fraction at m = n = 0;
+    marked (--touchdown), determinant and the ratio route, `ratio`.
+    `genfun --check` runs them all; the tests' independence census and
+    guard test and bench.py's route rows read them from here."""
     if marked:
         return {"determinant": lambda: touchdown.tilde_genfun(
                     *spec).full_series(),

@@ -113,9 +113,11 @@ class _SparsePoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
+                if type(e) is not int:
+                    check_order(e, "exponent", float("-inf"))
                 v = self._coerce_coeff(v)
                 if v:
-                    c[int(e)] = v
+                    c[e] = v
         self._c = c
 
     @classmethod
@@ -287,10 +289,12 @@ class QLaurent(_SparsePoly):
 
     @classmethod
     def mono(cls, exp, coeff=1):
+        if type(exp) is not int:
+            check_order(exp, "exponent", float("-inf"))
         coeff = _rational(coeff)
         if not coeff:
             return _QL_ZERO
-        return cls._wrap({int(exp): coeff})
+        return cls._wrap({exp: coeff})
 
     def degree(self):
         return max(self._c) if self._c else None
@@ -300,12 +304,16 @@ class QLaurent(_SparsePoly):
 
     def shift(self, j):
         """Multiply by theta^j (add j to every exponent)."""
+        if type(j) is not int:
+            check_order(j, "exponent shift", float("-inf"))
         if not j or not self._c:
             return self
         return QLaurent._wrap({e + j: v for e, v in self._c.items()})
 
     def scale_exponents(self, f):
         """Substitute theta -> theta^f (multiply exponents by f != 0)."""
+        if type(f) is not int:
+            check_order(f, "exponent scale", float("-inf"))
         if f == 0:
             raise SpecOutOfRange("exponent scale must be nonzero")
         if f == 1:
@@ -389,9 +397,9 @@ class TPoly(_SparsePoly):
     __mul__ = __rmul__ = _SparsePoly.__mul__   # see QLaurent
 
     def __init__(self, coeffs=None):
+        super().__init__(coeffs)
         if coeffs and min(coeffs) < 0:
             raise SpecOutOfRange("negative marker exponent")
-        super().__init__(coeffs)
 
     @classmethod
     def marker(cls):
@@ -450,6 +458,8 @@ class LSeries:
         c = [zero] * (order + 1)
         if isinstance(coeffs, dict):
             for l, v in coeffs.items():
+                if type(l) is not int:
+                    check_order(l, "step exponent", float("-inf"))
                 if 0 <= l <= order:
                     c[l] = ring.coerce(v)
                 elif l < 0:
@@ -622,6 +632,8 @@ class LSeries:
     def substitute_scale(self, j):
         """Substitute zeta -> zeta * theta^j: the zeta^l coefficient picks
         up a factor theta^(j*l)."""
+        if type(j) is not int:
+            check_order(j, "exponent scale", float("-inf"))
         if j == 0:
             return self
         return LSeries._wrap(

@@ -2,6 +2,7 @@
 second import of a checkout under another name, a one-point run over
 two sides, and the `dirty` flag of a side."""
 
+import functools
 import importlib.util
 import json
 import os
@@ -9,6 +10,9 @@ import subprocess
 import sys
 
 import pytest
+
+from dyckgen.cli import routes
+from dyckgen.genfun import GenSpec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -135,6 +139,39 @@ class TestTwin:
         monkeypatch.delattr(bench.mod(twin, "genfun").GenSpec, "packed_ring")
         assert bench.jobs(twin, 4, 0, 0, 8, True) == ({}, {})
 
+    def test_an_entry_added_to_the_route_table_gets_a_row(
+            self, twin, monkeypatch):
+        cli = bench.mod(twin, "cli")
+        table = cli.routes
+        monkeypatch.setattr(cli, "routes", lambda spec, marked=False: {
+            **table(spec, marked), "probe": lambda: None})
+        _, rows = bench.jobs(twin, 4, 0, 0, 8, True)
+        assert rows["probe"] and rows["marked probe"]
+        _, rows = bench.jobs(twin, 4, 0, 0, 8, False)
+        assert rows["probe"] and "marked probe" not in rows
+
+    def test_clearing_a_side_empties_a_cache_in_any_module(
+            self, twin, monkeypatch):
+        probe = functools.lru_cache(maxsize=4)(abs)
+        monkeypatch.setattr(bench.mod(twin, "cluster"), "probe", probe,
+                            raising=False)
+        probe(-1)
+        bench.clear_caches(twin)
+        assert probe.cache_info().currsize == 0
+
+    def test_a_side_without_the_route_table_times_the_other_rows(
+            self, twin, monkeypatch):
+        monkeypatch.delattr(bench.mod(twin, "cli"), "routes")
+        monkeypatch.setattr(bench, "MAX_RUNS", 1)
+        point = bench.point(["dyckgen", twin], 4, 0, 0, 8, True)
+        spec = GenSpec(4, 0, 0, 8)
+        names = [*routes(spec)] + [f"marked {name}"
+                                   for name in routes(spec, True)]
+        for name in names + ["write_json", "marker_series"]:
+            assert point[name]["s"][0] is not None
+            assert point[name]["s"][1] is None, name
+        assert None not in point["unpack"]["s"]
+
 
 def test_importing_the_script_loads_no_second_package():
     out = subprocess.run(
@@ -159,9 +196,14 @@ def test_one_point_over_two_sides(tmp_path, monkeypatch):
         doc = json.load(f)
     assert [side["dir"] for side in doc["sides"]] == [".", "."]
     point, = doc["ladder"]
+    spec = GenSpec(4, 0, 0, 8)
+    assert [name for name, row in point.items() if isinstance(row, dict)
+            ] == ["unpack", "marker_series", "divide", "mul", *routes(spec),
+                  *(f"marked {name}" for name in routes(spec, True)),
+                  "fk_polynomial", "tilde_secular_toprow", "write_json",
+                  "write_csv", "write_marked_json"]
     rows = [doc["cli"][0]] + [row for row in point.values()
                               if isinstance(row, dict)]
-    assert len(rows) == 1 + 14
     for row in rows:
         assert row["runs"] == 1 and None not in row["s"]
         assert len(row["s"]) == 2 and row["ratio"] > 0

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dyckgen.config import SpecOutOfRange
 from dyckgen.exact import (_WIDE_RUN, BadConstantTerm, InexactDivision,
                            LSeries, NonUnitConstantTerm, PackedRing,
                            QLaurent, TPoly, lift_marker)
@@ -80,6 +81,28 @@ def rand_series(rng, order=8, ring=QLaurent):
     return LSeries(order, {l: TPoly({s: rand_qlaurent(rng, 2)
                                      for s in range(3)})
                            for l in range(order + 1)}, ring=TPoly)
+
+
+# exponents that are not ints, which int() would truncate or parse and a
+# comparison with an int would refuse with a bare TypeError
+NON_INT_EXPONENTS = {
+    "float-key": lambda: QLaurent({1.5: 1}),
+    "str-key": lambda: QLaurent({"2": 3}),
+    "mono": lambda: QLaurent.mono(2.7),
+    "shift": lambda: QLaurent.mono(0).shift(0.5),
+    "scale_exponents": lambda: QLaurent.mono(1).scale_exponents(0.5),
+    "marker-float-key": lambda: TPoly({1.9: 1}),
+    "marker-str-key": lambda: TPoly({"2": 1}),
+    "step-key": lambda: LSeries(3, {1.5: 1}),
+    "substitute_scale": lambda: LSeries.one(3).substitute_scale(0.5),
+}
+
+
+@pytest.mark.parametrize("build", NON_INT_EXPONENTS.values(),
+                         ids=NON_INT_EXPONENTS)
+def test_an_exponent_must_be_an_int(build):
+    with pytest.raises(SpecOutOfRange, match="must be an integer"):
+        build()
 
 
 class TestQLaurent:

@@ -1,19 +1,23 @@
 """Endpoint generating functions and the identities tying them
 together."""
 
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
 import time
 
 import pytest
+from conftest import clear_caches
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyckgen
 from dyckgen.cluster import degree_formula, genfun_via_cluster, p_restricted
 from dyckgen import config
+from dyckgen.cli import routes
 from dyckgen.config import CACHE_ENTRIES, GuardExceeded, SpecOutOfRange
 from dyckgen.exact import LSeries, PackedRing, QLaurent, TPoly
 from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count, _packed_fk,
@@ -22,7 +26,7 @@ from dyckgen.genfun import (GenSpec, _inv_fk, _largest_count, _packed_fk,
 from dyckgen.oracle import enumerate_paths, genfun_from_table, max_area
 from dyckgen.touchdown import (_arch, tilde_genfun, tilde_genfun_openend,
                                tilde_genfun_openend_shifted,
-                               tilde_genfun_ratio, tilde_secular)
+                               tilde_genfun_ratio)
 from dyckgen.verify import check_recursions
 
 
@@ -338,20 +342,15 @@ class TestContinuedFraction:
         assert continued_fraction(2, 10) == num.divide(den)
 
 
-BUILDER_CACHES = (fk_polynomial, _packed_fk, _inv_fk, _arch, tilde_secular,
-                  _largest_count)
-
-
-# a request on each route whose effective ceiling is 7
+# a request on each route whose effective ceiling is 7: every entry of
+# the route table, plain and marked, and the entry points no table lists
+_SPEC_7 = GenSpec(None, 0, 0, 14)
 CEILING_7 = {
-    "genfun": lambda: genfun(GenSpec(None, 0, 0, 14)),
-    "continued_fraction": lambda: continued_fraction(7, 14),
+    **routes(_SPEC_7),
+    **{f"marked {name}": fn for name, fn in routes(_SPEC_7, True).items()},
     "check_duality": lambda: check_duality(GenSpec(7, 0, 1, 14)),
-    "tilde_genfun-unbounded": lambda: tilde_genfun(None, 0, 0, 14),
     "tilde_genfun": lambda: tilde_genfun(7, 0, 0, 14),
-    "tilde_genfun_ratio": lambda: tilde_genfun_ratio(None, 0, 0, 14),
     "tilde_genfun_openend": lambda: tilde_genfun_openend(7, 14),
-    "genfun_via_cluster": lambda: genfun_via_cluster(GenSpec(None, 0, 0, 14)),
     "p_restricted": lambda: p_restricted(None, 0, 0, 7),
 }
 
@@ -368,8 +367,7 @@ def test_guard_fires_before_any_determinant_is_built(monkeypatch, route,
     # F_j
     monkeypatch.setattr(config, guard, limit)
     monkeypatch.delenv("DYCKGEN_GUARD_OVERRIDE", raising=False)
-    for cached in BUILDER_CACHES:
-        cached.cache_clear()
+    clear_caches()
     with pytest.raises(GuardExceeded, match=message):
         CEILING_7[route]()
     assert fk_polynomial.cache_info().misses == 0
@@ -379,8 +377,15 @@ def test_guard_fires_before_any_determinant_is_built(monkeypatch, route,
 
 class TestBuilderCaches:
     def test_caches_are_bounded(self):
-        for cached in BUILDER_CACHES:
-            assert cached.cache_info().maxsize == CACHE_ENTRIES
+        # every functools cache of every module of the package
+        caches = set()
+        for module in pkgutil.iter_modules(dyckgen.__path__):
+            names = vars(importlib.import_module(f"dyckgen.{module.name}"))
+            caches.update(value for value in names.values()
+                          if hasattr(value, "cache_info"))
+        assert fk_polynomial in caches
+        for cached in caches:
+            assert cached.cache_info().maxsize == CACHE_ENTRIES, cached
 
     @pytest.mark.parametrize("width", [8, 72])
     def test_packed_fk_is_the_packed_determinant(self, width):
@@ -420,8 +425,7 @@ class TestBuilderCaches:
                 for route in (unmarked, tilde_genfun)]
         cold = []
         for job in jobs:
-            for cached in BUILDER_CACHES:
-                cached.cache_clear()
+            clear_caches()
             cold.append(run(job))
         for seed in (1, 2):
             replay = list(range(len(jobs)))
@@ -463,8 +467,7 @@ class TestBuilderCaches:
     def test_no_route_fills_the_inverse_cache(self):
         # every route divides by the packed F_k itself: cold, none of
         # them builds the dense 1/F_k
-        for cached in BUILDER_CACHES:
-            cached.cache_clear()
+        clear_caches()
         for k, m, n, L in [(None, 0, 0, 24), (None, 2, 5, 20),
                            (None, 4, 1, 17), (6, 0, 0, 30), (6, 1, 3, 25),
                            (5, 5, 2, 16), (0, 0, 0, 4)]:
