@@ -147,6 +147,8 @@ class _SparsePoly:
         return cls._wrap({0: v}) if v else cls._zero
 
     def coeff(self, exp):
+        if type(exp) is not int:
+            check_order(exp, "exponent", float("-inf"))
         return self._c.get(exp, self._COEFF_ZERO)
 
     def terms(self):
@@ -491,6 +493,8 @@ class LSeries:
 
     def coeff(self, l):
         """Coefficient of zeta^l; IndexError beyond the truncation."""
+        if type(l) is not int:
+            check_order(l, "step exponent", float("-inf"))
         if l < 0:
             return self.ring.zero()
         if l > self.order:

@@ -134,10 +134,8 @@ class GenFun(namedtuple("GenFun", "spec full")):
     def coefficient(self, l, area, touchdowns=None):
         """Exact number of paths with l steps, area `area` and, on a
         touchdown result, the given number of floor returns (any number
-        when None); IndexError beyond the spec order."""
-        if l > self.spec.order:
-            raise IndexError(
-                f"step power {l} beyond truncation {self.spec.order}")
+        when None); IndexError beyond the spec order, which is the
+        answer's."""
         v = self.full.coeff(l)
         if self.full.ring is TPoly:
             v = v.at_t_one() if touchdowns is None else v.coeff(touchdowns)

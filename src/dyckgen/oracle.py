@@ -35,10 +35,15 @@ class PathTable(namedtuple("PathTable", "k m n l_max counts")):
     __slots__ = ()
 
     def count(self, l, area, s):
+        for value in (l, area, s):
+            if type(value) is not int:
+                config.check_order(value, "path statistic", float("-inf"))
         return self.counts.get((l, area, s), 0)
 
     def total(self, l):
         """Number of paths of length l regardless of area/touchdowns."""
+        if type(l) is not int:
+            config.check_order(l, "length", float("-inf"))
         return sum(c for (ll, _, _), c in self.counts.items() if ll == l)
 
 

@@ -326,13 +326,17 @@ _SUITES = {name: globals()["suite_" + name] for name in SUITE_NAMES}
 
 
 def run_suites(names, k_max=None, len_max=None):
-    """Run the named suites (or all of them) and return the flat list of
-    results; bounds default per suite when not given.  Every bound of
-    every named suite is checked before any suite runs (each suite also
-    checks its own, through the same _check_bounds): negative bounds,
-    and bounds at which no check runs, raise UsageError (a run that
-    checks nothing must not pass), and a bound above its desk-scale
-    guard GuardExceeded."""
+    """Run the named suites, a sequence of names from SUITE_NAMES (a
+    bare string or any other name raises SpecOutOfRange first), and
+    return the flat list of results; bounds default per suite when not
+    given.  Every bound of every named suite is checked before any suite
+    runs (each suite also checks its own, through the same
+    _check_bounds): negative bounds, and bounds at which no check runs,
+    raise UsageError (a run that checks nothing must not pass), and a
+    bound above its desk-scale guard GuardExceeded."""
+    if isinstance(names, str) or not set(names) <= _SUITES.keys():
+        raise SpecOutOfRange(f"the suites are {', '.join(SUITE_NAMES)}, "
+                             f"got {names!r}")
     bounds = {"k_max": k_max, "len_max": len_max}
     kwargs = {f: b for f, b in bounds.items() if b is not None}
     _check_bounds(names, k_max, len_max)

@@ -1,8 +1,12 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 
 import sys
 
 import pytest
+
+from dyckgen import cli
+from dyckgen.config import GuardExceeded
+from dyckgen.oracle import enumerate_paths, genfun_from_table
 
 
 def clear_caches():
@@ -23,3 +27,34 @@ def cold_caches():
     clear_caches()
     yield
     clear_caches()
+
+
+def assert_routes_match_oracle(spec):
+    """Run every entry of cli.routes(spec) and cli.routes(spec,
+    marked=True) and assert that each answers spec with the
+    enumerator's plain or marked series, so that an entry added to the
+    table is checked on every grid that calls this, with no test edit.
+    Past the enumerator's length guard the table's determinant entry is
+    the reference instead.  Returns the plain and the marked reference."""
+    try:
+        table = enumerate_paths(spec.ceiling, spec.m, spec.n, spec.order)
+    except GuardExceeded:
+        table = None
+    references = []
+    for marked in (False, True):
+        answers = {name: route()
+                   for name, route in cli.routes(spec, marked).items()}
+        assert answers, f"no route answers {spec} (marked={marked})"
+        reference = (answers["determinant"] if table is None else
+                     genfun_from_table(table, with_touchdowns=marked))
+        for name, answer in answers.items():
+            assert answer == reference, f"{name} (marked={marked}) on {spec}"
+        references.append(reference)
+    return references
+
+
+def with_prefactor(spec, series):
+    """The answer rebuilt from a series part: series to spec.order,
+    times zeta^step_shift theta^area_shift, by series operations."""
+    series = series.resized(spec.order).shift_step(spec.step_shift)
+    return series.map_coeffs(lambda v: v.shift(spec.area_shift))

@@ -140,6 +140,11 @@ def test_non_integer_height_or_order_is_a_spec_error(route, args, field):
         route(*args)
 
 
+# 72 paths of 13 steps and area 21 from height 1 to 2 under ceiling 4,
+# 34 of them with one floor return
+_MEANDER = genfun(GenSpec(4, 1, 2, 13))
+_MEANDERS = enumerate_paths(4, 1, 2, 13)
+
 # name -> a call with a non-int order, length bound or other integer
 # argument (a whole float included)
 NON_INT_ORDERS = {
@@ -171,6 +176,20 @@ NON_INT_ORDERS = {
     "degree_formula-a": lambda: degree_formula(3, 0, 2.0),
     "p_restricted-n": lambda: p_restricted(None, 0, "1", 3),
     "run_suites": lambda: run_suites(["genfun"], k_max=2.5),
+    # the read-outs: a wrong type must not read as a count of 0
+    "GenFun.coefficient-l": lambda: _MEANDER.coefficient(13.0, 21),
+    "GenFun.coefficient-l-None": lambda: _MEANDER.coefficient(None, 21),
+    "GenFun.coefficient-area": lambda: _MEANDER.coefficient(13, "21"),
+    "GenFun.coefficient-area-half": lambda: _MEANDER.coefficient(13, 20.5),
+    "GenFun.coefficient-touchdowns":
+        lambda: tilde_genfun(4, 1, 2, 13).coefficient(13, 21, "1"),
+    "LSeries.coeff": lambda: LSeries(4, {0: 1}).coeff(1.0),
+    "QLaurent.coeff": lambda: QLaurent({0: 1}).coeff(0.5),
+    "TPoly.coeff": lambda: TPoly({0: 1}).coeff("0"),
+    "PathTable.count-l": lambda: _MEANDERS.count(13.0, 21, 1),
+    "PathTable.count-area": lambda: _MEANDERS.count(13, "21", 1),
+    "PathTable.count-s": lambda: _MEANDERS.count(13, 21, 1.0),
+    "PathTable.total": lambda: _MEANDERS.total(13.0),
 }
 
 

@@ -31,6 +31,12 @@ from dyckgen.verify import SUITE_NAMES, CheckResult
 SRC = os.path.dirname(os.path.dirname(dyckgen.__file__))
 
 
+def choices(command, flag):
+    """The values cli.COMMANDS accepts for a command's flag."""
+    return next(kind for option, kind, _, _ in COMMANDS[command][2]
+                if option == flag)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -108,7 +114,7 @@ class TestGenfunCommand:
         assert int(hits[0]["coeff"]["num"]) >= 1
 
     def test_methods_agree_under_check(self, capsys):
-        for method in ("determinant", "continued-fraction", "cluster-exp"):
+        for method in routes(GenSpec(2, 0, 0, 8)):
             code, out, err = run_cli(capsys, "genfun", "--k", "2", "--m", "0",
                                      "--n", "0", "--max-len", "8",
                                      "--method", method, "--check")
@@ -366,7 +372,7 @@ MARKED_TERMS = [(1, 1, 0, 1), (3, 4, 2, Fraction(5, 2)), (4, 2, 0, 3),
                 (4, 5, 1, -4), (5, 7, 1, -1), (9, 15, 3, 12)]
 ANSWERS = {"plain": (PLAIN_TERMS, False), "marked": (MARKED_TERMS, True),
            "empty": ([], False), "empty-marked": ([], True)}
-CONVENTIONS = ["step-plaquette", "double-step-diamond"]
+CONVENTIONS = choices("genfun", "--convention")
 
 
 def _check_emit(terms, marked, convention, fmt, count_label=None):
@@ -769,10 +775,9 @@ def _emitted_lengths(fmt, out):
 @given(k=st.sampled_from(["0", "1", "2", "3", "4", "5", "inf"]),
        m=st.integers(-1, 6), n=st.integers(-1, 6),
        max_len=st.integers(0, 10),
-       method=st.sampled_from(["determinant", "continued-fraction",
-                               "cluster-exp"]),
+       method=st.sampled_from(choices("genfun", "--method")),
        check=st.booleans(), touchdown=st.booleans(),
-       fmt=st.sampled_from(["json", "csv"]))
+       fmt=st.sampled_from(choices("genfun", "--format")))
 def test_genfun_fuzz_exits_cleanly_within_max_len(k, m, n, max_len, method,
                                                   check, touchdown, fmt):
     argv = ["genfun", "--k", k, f"--m={m}", f"--n={n}",
@@ -791,9 +796,8 @@ def test_genfun_fuzz_exits_cleanly_within_max_len(k, m, n, max_len, method,
 @given(k=st.sampled_from(["0", "1", "2", "3", "4", "5", "inf"]),
        m=st.integers(-1, 6), n=st.integers(-1, 6),
        max_len=st.integers(0, 12), touchdowns=st.booleans(),
-       convention=st.sampled_from(["step-plaquette",
-                                   "double-step-diamond"]),
-       fmt=st.sampled_from(["json", "csv"]))
+       convention=st.sampled_from(choices("table", "--convention")),
+       fmt=st.sampled_from(choices("table", "--format")))
 def test_table_fuzz_exits_cleanly_and_round_trips(k, m, n, max_len,
                                                   touchdowns, convention,
                                                   fmt):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from conftest import assert_routes_match_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,11 +127,6 @@ class TestUnbounded:
         assert (in_steps(zs.exp(), 20)
                 == genfun(GenSpec(None, 0, 0, 20)).full_series())
 
-    def test_exp_matches_determinant_route_at_order_48(self):
-        # far past the reach of composition enumeration (2^23 at a = 24)
-        spec = GenSpec(None, 0, 0, 48)
-        assert genfun_via_cluster(spec) == genfun(spec).full_series()
-
     def test_sum_partitioning_is_exact(self):
         # the composition sum may be chunked arbitrarily; rational
         # arithmetic makes the result identical, not just close
@@ -169,13 +165,7 @@ class TestRestricted:
         for k in range(0, 5):
             for m in range(k + 1):
                 for n in range(m, k + 1):
-                    spec = GenSpec(k, m, n, 16 + (n - m))
-                    assert (genfun_via_cluster(spec)
-                            == genfun(spec).full_series()), (k, m, n)
-
-    def test_exp_recovers_genfun_unbounded_endpoints(self):
-        spec = GenSpec(None, 1, 2, 13)
-        assert genfun_via_cluster(spec) == genfun(spec).full_series()
+                    assert_routes_match_oracle(GenSpec(k, m, n, 16 + n - m))
 
     def test_series_zq_unbounded_covers_its_top_power(self):
         # z^4 of (0, 2) counts 10-step paths, which climb to height 6
@@ -260,14 +250,13 @@ class TestScaledRoute:
 
     @pytest.mark.parametrize("k", [None] + list(range(1, 13)))
     def test_route_matches_genfun(self, k):
-        # both endpoint orders, heights up to 3, orders up to 40
+        # both endpoint orders, heights up to 3, orders up to 40: past
+        # the enumerator's guard, the entries against each other
         top = 3 if k is None else min(k, 3)
         for m in range(top + 1):
             for n in range(top + 1):
                 for order in (0, 1, 6, 13, 40):
-                    spec = GenSpec(k, m, n, order)
-                    assert (genfun_via_cluster(spec)
-                            == genfun(spec).full_series()), spec
+                    assert_routes_match_oracle(GenSpec(k, m, n, order))
 
     def test_exp_divides_exactly(self, monkeypatch):
         # one unit too many in D * p_1 leaves b_1 = P_1 / D a remainder

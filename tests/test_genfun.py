@@ -10,13 +10,14 @@ import sys
 import time
 
 import pytest
-from conftest import clear_caches
+from conftest import (assert_routes_match_oracle, clear_caches,
+                      with_prefactor)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyckgen
-from dyckgen.cluster import degree_formula, genfun_via_cluster, p_restricted
-from dyckgen import config
+from dyckgen.cluster import degree_formula, p_restricted
+from dyckgen import cli, config
 from dyckgen.cli import routes
 from dyckgen.config import CACHE_ENTRIES, GuardExceeded, SpecOutOfRange
 from dyckgen.exact import LSeries, PackedRing, QLaurent, TPoly
@@ -143,9 +144,7 @@ class TestAgainstOracle:
     def test_all_endpoints(self, k):
         for m in range(k + 1):
             for n in range(m, k + 1):
-                gf = genfun(GenSpec(k, m, n, 12))
-                tab = genfun_from_table(enumerate_paths(k, m, n, 12))
-                assert gf.full_series() == tab, (k, m, n)
+                assert_routes_match_oracle(GenSpec(k, m, n, 12))
 
     def test_coefficient_accessor(self):
         gf = genfun(GenSpec(4, 1, 2, 13))
@@ -256,15 +255,8 @@ class TestStructure:
 def assert_every_route_is_empty(spec):
     """Every plain and marked route answers spec with the oracle's empty
     series of the spec's order."""
-    k, m, n, L = spec
-    table = enumerate_paths(spec.ceiling, m, n, L)
-    plain = genfun_from_table(table)
-    marked = genfun_from_table(table, with_touchdowns=True)
-    assert plain.is_zero() and marked.is_zero() and plain.order == L
-    assert genfun(spec).full_series() == plain
-    assert genfun_via_cluster(spec) == plain
-    assert tilde_genfun(k, m, n, L).full_series() == marked
-    assert tilde_genfun_ratio(k, m, n, L).full_series() == marked
+    plain, marked = assert_routes_match_oracle(spec)
+    assert plain.is_zero() and marked.is_zero() and plain.order == spec.order
 
 
 class TestDuality:
@@ -297,8 +289,7 @@ class TestRecursions:
 class TestContinuedFraction:
     @pytest.mark.parametrize("k", range(0, 7))
     def test_matches_excursions(self, k):
-        assert continued_fraction(k, 16) == genfun(
-            GenSpec(k, 0, 0, 16)).full_series()
+        assert_routes_match_oracle(GenSpec(k, 0, 0, 16))
 
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 7, 12, 13, 24, 31])
     def test_truncated_levels_at_every_depth(self, L):
@@ -494,16 +485,8 @@ def route_specs(draw):
 @settings(deadline=None, max_examples=100, derandomize=True)
 @given(route_specs())
 def test_every_route_matches_oracle(spec):
-    table = enumerate_paths(spec.ceiling, spec.m, spec.n, spec.order)
-    oracle = genfun_from_table(table)
-    assert genfun(spec).full_series() == oracle
-    assert genfun_via_cluster(spec) == oracle
-    if spec.m == spec.n == 0:
-        assert continued_fraction(spec.ceiling, spec.order) == oracle
-    marked = tilde_genfun(spec.k, spec.m, spec.n, spec.order)
-    assert marked.full_series() == genfun_from_table(table,
-                                                     with_touchdowns=True)
-    assert marked.at_t_one() == oracle
+    plain, _ = assert_routes_match_oracle(spec)
+    assert tilde_genfun(*spec).at_t_one() == plain
 
 
 def quotient_series(spec):
@@ -633,25 +616,13 @@ def test_series_runs_to_the_series_order(k):
         for n in range(m, top + 1):
             d = n - m
             for order in sorted({d - 1, d, d + 1, 9} - {-1}):
-                spec = GenSpec(k, m, n, order)
-                plain = genfun(spec)
-                marked = tilde_genfun(k, m, n, order)
-                for gf in (plain, marked,
-                           tilde_genfun_ratio(k, m, n, order)):
-                    full = gf.full_series()
+                for full in assert_routes_match_oracle(
+                        GenSpec(k, m, n, order)):
                     assert full.order == order
                     if d > order:
                         assert full.is_zero()
                     else:
                         assert min(l for l, _ in full.nonzero_terms()) == d
-                assert genfun_via_cluster(spec) == plain.full_series()
-
-
-def with_prefactor(spec, s):
-    """The answer rebuilt from a series part s: s to spec.order, times
-    zeta^step_shift theta^area_shift, by series operations."""
-    s = s.resized(spec.order).shift_step(spec.step_shift)
-    return s.map_coeffs(lambda v: v.shift(spec.area_shift))
 
 
 def coefficient_reference(answer, l, area, touchdowns=None):
@@ -666,14 +637,14 @@ def coefficient_reference(answer, l, area, touchdowns=None):
 
 
 @st.composite
-def route_specs(draw):
+def prefactor_specs(draw):
     k = draw(st.sampled_from([None, *range(9)]))
     n = draw(st.integers(0, 6 if k is None else min(k, 6)))
     return GenSpec(k, draw(st.integers(0, n)), n, draw(st.integers(0, 24)))
 
 
 @settings(deadline=None, max_examples=150, derandomize=True)
-@given(route_specs())
+@given(prefactor_specs())
 @example(GenSpec(5, 0, 3, 17))      # area shift 3, odd
 @example(GenSpec(None, 2, 5, 24))   # unbounded, odd area shift
 @example(GenSpec(8, 1, 6, 4))       # |n - m| > order: no path fits
@@ -722,34 +693,44 @@ def test_odd_order_routes_match_oracle(k, m, n, L):
     # order below: the odd top step must still come out, whether it is
     # the order L or the series order L - |n - m|, which is 0 when
     # |n - m| = L and clipped to 0 when no path fits
-    spec = GenSpec(k, m, n, L)
-    table = enumerate_paths(spec.ceiling, m, n, L)
-    oracle = genfun_from_table(table)
-    marked = genfun_from_table(table, with_touchdowns=True)
-    assert genfun(spec).full_series() == oracle
-    assert genfun_via_cluster(spec) == oracle
-    assert tilde_genfun(k, m, n, L).full_series() == marked
-    assert tilde_genfun_ratio(k, m, n, L).full_series() == marked
+    assert_routes_match_oracle(GenSpec(k, m, n, L))
     if m == n == 0:
-        assert continued_fraction(spec.ceiling, L) == oracle
         assert continued_fraction(2 * L, L) == genfun_from_table(
             enumerate_paths(L, 0, 0, L))
 
 
-class TestAboveOracleGuard:
-    """The routes against brute force at lengths the guard refuses."""
+@pytest.mark.parametrize("m,n,L", [(0, 0, 48), (0, 0, 64), (0, 0, 66),
+                                   (2, 5, 56), (0, 3, 41), (1, 3, 40)])
+def test_routes_match_oracle_above_its_guard(monkeypatch, m, n, L):
+    # every entry of the route table, plain and marked, against brute
+    # force at lengths the guard refuses
+    monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
+    assert_routes_match_oracle(GenSpec(None, m, n, L))
 
-    @pytest.mark.parametrize("m,n,L", [(0, 0, 64), (0, 0, 66), (2, 5, 56),
-                                       (0, 3, 41)])
-    def test_unbounded_genfun(self, monkeypatch, m, n, L):
-        monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
-        spec = GenSpec(None, m, n, L)
-        table = enumerate_paths(spec.ceiling, m, n, L)
-        assert genfun(spec).full_series() == genfun_from_table(table)
 
-    def test_unbounded_continued_fraction(self, monkeypatch):
-        monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
-        spec = GenSpec(None, 0, 0, 48)
-        table = enumerate_paths(spec.ceiling, 0, 0, 48)
-        assert (continued_fraction(spec.ceiling, 48)
-                == genfun_from_table(table))
+@pytest.mark.parametrize("marked", [False, True])
+@pytest.mark.parametrize("order", [8, 30], ids=["oracle", "past-guard"])
+def test_oracle_helper_fails_a_faulty_entry(monkeypatch, order, marked):
+    # below the enumerator's length guard and past it, where the
+    # determinant entry is the reference
+    real = cli.routes
+
+    def with_faulty_entry(spec, form=False):
+        table = real(spec, form)
+        if form == marked:
+            table["faulty"] = lambda: table["determinant"]() + 1
+        return table
+
+    monkeypatch.setattr(cli, "routes", with_faulty_entry)
+    monkeypatch.delenv("DYCKGEN_GUARD_OVERRIDE", raising=False)
+    with pytest.raises(AssertionError, match=f"faulty .marked={marked}"):
+        assert_routes_match_oracle(GenSpec(4, 1, 2, order))
+
+
+@pytest.mark.parametrize("marked", [False, True])
+def test_oracle_helper_fails_an_empty_table(monkeypatch, marked):
+    real = cli.routes
+    monkeypatch.setattr(cli, "routes", lambda spec, form=False:
+                        {} if form == marked else real(spec, form))
+    with pytest.raises(AssertionError, match=f"marked={marked}"):
+        assert_routes_match_oracle(GenSpec(4, 1, 2, 8))

@@ -1,6 +1,7 @@
 """Floor-return-marked generating functions."""
 
 import pytest
+from conftest import assert_routes_match_oracle, with_prefactor
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,13 +15,6 @@ from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
                                tilde_genfun_openend_shifted,
                                tilde_genfun_ratio, tilde_secular,
                                tilde_secular_direct, tilde_secular_toprow)
-
-
-def with_prefactor(spec, series):
-    """The answer of a marker series part: to spec.order, times
-    zeta^step_shift theta^area_shift."""
-    series = series.resized(spec.order).shift_step(spec.step_shift)
-    return series.map_coeffs(lambda v: v.shift(spec.area_shift))
 
 
 class TestMarkedDeterminant:
@@ -57,22 +51,6 @@ class TestMarkedDeterminant:
 
 
 class TestMarkedGenFun:
-    @pytest.mark.parametrize("k", range(0, 6))
-    def test_oracle_equality_with_markers(self, k):
-        for m in range(k + 1):
-            for n in range(m, k + 1):
-                tg = tilde_genfun(k, m, n, 12)
-                tab = genfun_from_table(enumerate_paths(k, m, n, 12),
-                                        with_touchdowns=True)
-                assert tg.full_series() == tab, (k, m, n)
-
-    @pytest.mark.parametrize("k", range(0, 6))
-    def test_ratio_route(self, k):
-        for m in range(k + 1):
-            for n in range(m, k + 1):
-                assert (tilde_genfun(k, m, n, 12).full_series()
-                        == tilde_genfun_ratio(k, m, n, 12).full_series())
-
     @pytest.mark.parametrize("k", range(0, 6))
     def test_collapse_at_one(self, k):
         for m in range(k + 1):
@@ -115,16 +93,12 @@ class TestMarkedGenFun:
     def test_endpoints_in_either_order(self, k, m, n):
         # m > n by path reversal: tG_(m,n) = tG_(n,m) for n >= 1 and
         # tG_(m,0) = t * tG_(0,m), against the enumerator
-        spec = GenSpec(k, m, n, 13)
-        table = genfun_from_table(enumerate_paths(spec.ceiling, m, n, 13),
-                                  with_touchdowns=True)
-        for route in (tilde_genfun, tilde_genfun_ratio):
-            assert route(k, m, n, 13).full_series() == table
+        _, marked = assert_routes_match_oracle(GenSpec(k, m, n, 13))
         # the reversed spec has the same prefactor
         swapped = tilde_genfun(k, n, m, 13).full_series()
         if n == 0:
             swapped = swapped.map_coeffs(lambda v: v * TPoly.marker())
-        assert tilde_genfun(k, m, n, 13).full_series() == swapped
+        assert marked == swapped
 
     def test_end_above_the_ceiling_is_refused(self):
         for route in (tilde_genfun, tilde_genfun_ratio):
@@ -198,8 +172,9 @@ def quotient_reference(spec):
     """tF_(m-1) * F_(k-n-1)(zeta*theta^(n+1)) / tF_k to the series order
     by marker-polynomial arithmetic, at the spec's own ceiling when
     finite (not the clamped one): the reference for the packed arch
-    expansions of both routes, whatever arch each writes.  It needs m <= n; the routes take any endpoints, m > n by
-    path reversal, which the oracle checks instead."""
+    expansions of both routes, whatever arch each writes.  It needs
+    m <= n; the routes take any endpoints, m > n by path reversal,
+    which the oracle checks instead."""
     k = spec.ceiling if spec.k is None else spec.k
     L = spec.series_order
     upper = lift_marker(fk_polynomial(k - spec.n - 1).resized(L)
@@ -234,18 +209,10 @@ def marked_specs(draw):
 @example(GenSpec(3, 3, 0, 2))      # no path fits
 def test_whole_series_matches_quotient_reference(spec):
     # every coefficient, area power and marker power the answer holds,
-    # to its order
-    args = (spec.k, spec.m, spec.n, spec.order)
+    # to its order; the quotient needs m <= n
+    _, marked = assert_routes_match_oracle(spec)
     if spec.m <= spec.n:
-        reference = with_prefactor(spec, quotient_reference(spec))
-        assert tilde_genfun(*args).full_series() == reference
-        assert tilde_genfun_ratio(*args).full_series() == reference
-    else:
-        reference = genfun_from_table(
-            enumerate_paths(spec.ceiling, spec.m, spec.n, spec.order),
-            with_touchdowns=True)
-        assert tilde_genfun(*args).full_series() == reference
-        assert tilde_genfun_ratio(*args).full_series() == reference
+        assert marked == with_prefactor(spec, quotient_reference(spec))
 
 
 @pytest.mark.parametrize("width", [1, 8, 16, 64, 72])
@@ -301,21 +268,6 @@ def test_marker_rows_match_column_assembly(route, args, monkeypatch):
         spec, column_assembly(ring, cols, spec.series_order))
 
 
-class TestAboveOracleGuard:
-    """The packed marked routes against brute force at lengths the guard
-    refuses."""
-
-    @pytest.mark.parametrize("route", [tilde_genfun, tilde_genfun_ratio])
-    @pytest.mark.parametrize("m,n,L", [(0, 0, 48), (0, 0, 66), (1, 3, 40)])
-    def test_unbounded_tilde_genfun(self, monkeypatch, m, n, L, route):
-        monkeypatch.setenv("DYCKGEN_GUARD_OVERRIDE", "1")
-        ceiling = GenSpec(None, m, n, L).ceiling
-        table = enumerate_paths(ceiling, m, n, L)
-        assert (route(None, m, n, L).full_series()
-                == genfun_from_table(table, with_touchdowns=True))
-
-
 def test_ratio_route_at_a_finite_ceiling_above_the_grid():
     # m > 0 takes the two-term numerator base * [t + (1-t) G_(m-1)]
-    assert (tilde_genfun_ratio(10, 1, 1, 40).full_series()
-            == tilde_genfun(10, 1, 1, 40).full_series())
+    assert_routes_match_oracle(GenSpec(10, 1, 1, 40))

@@ -185,9 +185,14 @@ def test_result_fields_are_frozen():
         r.ok = False
 
 
-def test_unknown_suite_name_raises():
-    with pytest.raises(KeyError):
-        run_suites(["spectra"])
+@pytest.mark.parametrize("names", [["spectra"], "genfun", ["all"],
+                                   ["genfun", "bogus"]],
+                         ids=["unknown", "bare-string", "all", "one-unknown"])
+def test_unknown_suite_name_raises(names):
+    # a bare string, "all" and any name outside SUITE_NAMES, before the
+    # bound check: k_max=99 is past every suite's guard
+    with pytest.raises(SpecOutOfRange, match="the suites are determinants"):
+        run_suites(names, k_max=99)
 
 
 def test_endpoint_symmetry_fails_on_a_wrong_series(monkeypatch):
