@@ -9,9 +9,10 @@ that of the checkout DIR as well, imported a second time into this
 process under another name, so that the two checkouts' modules and
 caches live side by side.  Each row runs the sides in rounds, the order
 reversed every other round, so the host's drift over minutes and any
-bias of running first fall on both sides alike.  The rounds stop at
-MAX_RUNS or once the row's calls on both sides add up to BUDGET_S, so
-the slowest rows run one round.  A row records each side's minimum
+bias of running first fall on both sides alike.  Every row runs
+MIN_RUNS rounds, so that each side runs first in two of them; past
+those the rounds stop at MAX_RUNS or once the row's calls on both sides
+add up to BUDGET_S.  A row records each side's minimum
 ("s", this checkout first) and the round count ("runs"); with two sides
 timed, also the ratio of the minima (this checkout over DIR, so below 1
 is faster) and the first and third quartiles of the per-round ratios
@@ -112,6 +113,7 @@ CLI_ROWS = (
                         "0", "--n", "0", "--max-len", "400", "--format",
                         "csv"]),
 )
+MIN_RUNS = 4
 MAX_RUNS = 20
 BUDGET_S = 3.0
 
@@ -155,11 +157,13 @@ def pair(what, jobs):
     """The row `what` of jobs, one (fn, before) or None per side, printed:
     rounds of one fn() per timed side, the order reversed every other
     round, before() (if any) run first, outside the timed span, until
-    MAX_RUNS rounds or until the calls add up to BUDGET_S."""
+    MAX_RUNS rounds or, past MIN_RUNS rounds, until the calls add up to
+    BUDGET_S."""
     timed = [i for i, job in enumerate(jobs) if job]
     times = [[] for _ in jobs]
     rounds = 0
-    while timed and rounds < MAX_RUNS and sum(map(sum, times)) < BUDGET_S:
+    while timed and rounds < MAX_RUNS and (
+            rounds < MIN_RUNS or sum(map(sum, times)) < BUDGET_S):
         for i in timed[::-1] if rounds % 2 else timed:
             fn, before = jobs[i]
             if before:
@@ -339,7 +343,8 @@ def main(argv):
     doc = {"label": argv[0], "sides": [checkout(root) for root in roots],
            "python": platform.python_version(),
            "platform": platform.platform(), "cpus": os.cpu_count(),
-           "max_runs": MAX_RUNS, "budget_s": BUDGET_S,
+           "min_runs": MIN_RUNS, "max_runs": MAX_RUNS,
+           "budget_s": BUDGET_S,
            "cli": cli_rows(roots),
            "ladder": [point(packages, *p) for p in LADDER]}
     with open(f"BENCH_{argv[0]}.json", "w") as f:

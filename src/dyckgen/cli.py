@@ -8,10 +8,10 @@ in any order, as `--flag value` or `--flag=value`; a repeated flag keeps
 its last value.  A cold job imports only the standard library modules
 it needs: no argparse, and no fractions while its values stay integral.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (any
-config.UsageError, malformed arguments included: "error: ..." on
-stderr, naming the flag), 3 internal error: a cross-method mismatch or
-any other exception, its traceback on stderr (never expected).
+Exit codes: 0 success (stdout's reader gone included), 1 verification
+failure, 2 usage error (any config.UsageError, malformed arguments included:
+"error: ..." on stderr, naming the flag), 3 internal error: a cross-method
+mismatch or any other exception, its traceback on stderr (never expected).
 
 JSON payloads keep a stable shape: {"spec": {...}, "convention": str,
 "method": str, "version": str, "terms": [...]}, each term carrying "l",
@@ -94,37 +94,37 @@ def _row(v, exp, s_sep):
 
 
 def _emit(args, spec_echo, method, full, count_label=None):
-    """Write the answer series `full` length by length, one string per
-    term in (l, A, s) order, each length's text made once (see _row).  A
+    """Write the answer series `full` in (l, A, s) order, each length's
+    text made once (see _row) and written before the next is made.  A
     CSV has the s column whenever the series is marked, empty or not."""
     halve = args.convention == Convention.DOUBLE_STEP_DIAMOND.value
-    out = []
+    write = sys.stdout.write
     if args.format == "json":
         exp = _exp_json if halve else str
-        for l, v in full.nonzero_terms():
-            head = f'    {{\n      "l": {exp(l)},\n      "A": '
-            out += [f'{head}{text},\n      "coeff": {{\n        "num": '
-                    f'"{c.numerator}",\n        "den": "{c.denominator}"'
-                    '\n      }\n    }'
-                    for text, c in _row(v, exp, ',\n      "s": ')]
         spec = ",\n".join(
             f'    "{key}": ' + (f'"{v}"' if isinstance(v, str) else str(v))
             for key, v in spec_echo.items())
-        body = "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
-        sys.stdout.write(_HEAD.format(spec, args.convention, method,
-                                      __version__) + body + "\n}\n")
+        write(_HEAD.format(spec, args.convention, method, __version__))
+        sep = "[\n"
+        for l, v in full.nonzero_terms():
+            head = f'    {{\n      "l": {exp(l)},\n      "A": '
+            write(sep + ",\n".join(
+                f'{head}{text},\n      "coeff": {{\n        "num": '
+                f'"{c.numerator}",\n        "den": "{c.denominator}"'
+                '\n      }\n    }'
+                for text, c in _row(v, exp, ',\n      "s": ')))
+            sep = ",\n"
+        write("[]\n}\n" if sep == "[\n" else "\n  ]\n}\n")
         return 0
     # no field needs CSV quoting: each is a name, an int or "p/2"
     exp = _exp_csv if halve else str
     tail = [count_label] if count_label else ["num", "den"]
-    out.append(",".join(["l", "A"] + ["s"] * (full.ring is TPoly) + tail))
+    write(",".join(["l", "A"] + ["s"] * (full.ring is TPoly) + tail) + "\n")
     for l, v in full.nonzero_terms():
         head = exp(l)
-        out += [f"{head},{text},{c.numerator}" if count_label else
-                f"{head},{text},{c.numerator},{c.denominator}"
-                for text, c in _row(v, exp, ",")]
-    out.append("")
-    sys.stdout.write("\n".join(out))
+        write("".join(f"{head},{text},{c.numerator}\n" if count_label else
+                      f"{head},{text},{c.numerator},{c.denominator}\n"
+                      for text, c in _row(v, exp, ",")))
     return 0
 
 
@@ -339,6 +339,8 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:   # the reader stopped early, as `| head` does
+        return 0
     except Exception:
         import traceback   # off the start-up path of every job
         traceback.print_exc()

@@ -30,7 +30,7 @@ DET_CEILING_MAX = 100
 
 # Largest answer size in bits (GenSpec.check_guards).  Built cold, marked
 # unbounded order 120 (1.6e9 bits) took 5.5 s and 95 MiB, 128 (2.2e9)
-# 9.4 s, and plain (12, 0, 0, 800) (1.4e9) 26 s and 361 MiB.
+# 9.4 s; a cold genfun job at (12, 0, 0, 800) (1.4e9) 33 s, peak RSS 361 MiB.
 ANSWER_BITS_MAX = 2 * 10 ** 9
 
 # Largest k*N product accepted by the enumerative partition functions.
@@ -68,9 +68,9 @@ class GuardExceeded(UsageError):
 
 
 def check_order(value, what="truncation order", lowest=0):
-    """Raise SpecOutOfRange unless value is an int >= lowest: the one
-    check of an integer argument, `what` naming it in the message."""
-    if not isinstance(value, int):
+    """Raise SpecOutOfRange unless value is an int, not a bool, >= lowest:
+    the one check of an integer argument, `what` naming it in the message."""
+    if type(value) is not int:
         raise SpecOutOfRange(f"{what} must be an integer, got {value!r}")
     if value < lowest:
         raise SpecOutOfRange(f"{what} must be an integer >= {lowest}, "

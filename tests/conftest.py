@@ -1,12 +1,51 @@
-"""Fixtures and helpers shared by the test modules."""
+"""Fixtures and helpers shared by the test modules: the one Hypothesis
+profile, the spec strategy and the fresh-interpreter runner."""
 
+import os
+import subprocess
 import sys
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
+import dyckgen
 from dyckgen import cli
 from dyckgen.config import GuardExceeded
+from dyckgen.genfun import GenSpec
 from dyckgen.oracle import enumerate_paths, genfun_from_table
+
+# Every property test draws the same examples on every run, so that the
+# result of a run depends on the tree alone; a @settings keeps only its
+# max_examples.
+settings.register_profile("dyckgen", deadline=None, derandomize=True)
+settings.load_profile("dyckgen")
+
+SRC = os.path.dirname(os.path.dirname(dyckgen.__file__))
+
+
+@st.composite
+def specs(draw, k_max, order_max, ordered=False):
+    """GenSpecs of ceiling None or 0..k_max, heights up to min(k, 6) and
+    order up to order_max; with `ordered`, n is drawn first and m <= n."""
+    k = draw(st.sampled_from([None, *range(k_max + 1)]))
+    heights = st.integers(0, 6 if k is None else min(k, 6))
+    if ordered:
+        n = draw(heights)
+        m = draw(st.integers(0, n))
+    else:
+        m, n = draw(heights), draw(heights)
+    return GenSpec(k, m, n, draw(st.integers(0, order_max)))
+
+
+def run_python(*args, path=(), env=None, **kwargs):
+    """Run a fresh interpreter on args, with the package's source and the
+    directories `path` on its import path and the variables `env` set
+    over the caller's; the CompletedProcess, its output as text."""
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join([SRC, *path])}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, **kwargs)
 
 
 def clear_caches():

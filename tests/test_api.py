@@ -4,12 +4,11 @@ semantics of the record types, and a stdlib-only import."""
 
 import importlib
 import json
-import os
-import subprocess
 import sys
 import types
 
 import pytest
+from conftest import run_python
 
 import dyckgen
 from dyckgen import cli, cluster, exact, spectral
@@ -28,7 +27,7 @@ from dyckgen.spectral import (bosonic_partition, fk_polynomial,
 from dyckgen.touchdown import (tilde_genfun, tilde_genfun_openend,
                                tilde_genfun_openend_shifted, tilde_secular,
                                tilde_secular_direct, tilde_secular_toprow)
-from dyckgen.verify import CheckResult, run_suites
+from dyckgen.verify import CheckResult, check_recursions, run_suites
 
 # name -> (call with the ceiling k, lowest admissible ceiling)
 CEILING_ENTRY_POINTS = {
@@ -190,6 +189,11 @@ NON_INT_ORDERS = {
     "PathTable.count-area": lambda: _MEANDERS.count(13, "21", 1),
     "PathTable.count-s": lambda: _MEANDERS.count(13, 21, 1.0),
     "PathTable.total": lambda: _MEANDERS.total(13.0),
+    # a bool is no integer: not a field, an exponent or a read-out
+    "GenSpec-bool": lambda: GenSpec(True, 0, False, 4),
+    "tilde_genfun-bool": lambda: tilde_genfun(True, 0, 0, 4),
+    "QLaurent-bool-exponent": lambda: QLaurent({True: 3}),
+    "GenFun.coefficient-bool": lambda: _MEANDER.coefficient(True, True),
 }
 
 
@@ -198,6 +202,34 @@ def test_non_integer_order_is_a_spec_error(name):
     # one integer check (config.check_order) behind every entry point
     with pytest.raises(SpecOutOfRange, match="must be an integer, got "):
         NON_INT_ORDERS[name]()
+
+
+# a count of 1/2 in a table's JSON
+_HALF_COUNT = {"convention": "step-plaquette",
+               "spec": {"k": 2, "m": 0, "n": 0, "max_len": 2},
+               "terms": [{"l": 0, "A": 0, "s": 0,
+                          "coeff": {"num": "1", "den": "2"}}]}
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: check_recursions(GenSpec(None, 0, 0, 4)),
+                 SpecOutOfRange, "at finite ceiling", id="check_recursions"),
+    pytest.param(lambda: cli.table_from_json(_HALF_COUNT), ValueError,
+                 "path counts must be integers", id="table_from_json"),
+    pytest.param(lambda: QLaurent({0: 1}).divexact(QLaurent.zero()),
+                 ZeroDivisionError, "zero polynomial", id="divexact"),
+    pytest.param(lambda: LSeries.one(4).divide("1"), TypeError,
+                 "cannot divide by str", id="divide"),
+    pytest.param(lambda: LSeries.one(4) + LSeries.one(4, TPoly), TypeError,
+                 "mixed coefficient rings", id="mixed-rings"),
+    pytest.param(lambda: QLaurent.coerce(1.5), TypeError,
+                 "cannot coerce float", id="coerce"),
+    pytest.param(lambda: spectral.det_elimination([]), ValueError,
+                 "empty matrix", id="det_elimination"),
+])
+def test_each_error_branch_raises_with_a_message(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_openend_checks_the_order_before_building_a_series():
@@ -292,15 +324,6 @@ def test_genspec_validation(args, message):
         GenSpec(None, 0, 0, 4)._replace(**kwargs)
 
 
-def _fresh_python(*args):
-    """Run the interpreter on args with the package's source on the path,
-    as a fresh process."""
-    src = os.path.dirname(os.path.dirname(dyckgen.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True)
-
-
 def test_cli_import_is_stdlib_only():
     # a fresh interpreter: the modules `import dyckgen.cli` adds must be
     # the package's own or the standard library's, and the costly
@@ -309,7 +332,7 @@ def test_cli_import_is_stdlib_only():
     # and fractions and what it loads, stay out of the start-up path
     code = ("import sys; before = set(sys.modules); import dyckgen.cli; "
             "print('\\n'.join(sorted(set(sys.modules) - before)))")
-    run = _fresh_python("-c", code)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     out = run.stdout.split()
     assert "dyckgen.cli" in out
@@ -387,7 +410,7 @@ print(json.dumps([code, sorted(ran - {"__init__"}), sorted(sys.modules)]))
         "touchdown-check"])
 def test_a_command_runs_only_the_modules_it_uses(argv, extra,
                                                  loads_fractions):
-    run = _fresh_python("-c", RUN_COMMAND, *argv)
+    run = run_python("-c", RUN_COMMAND, *argv)
     assert run.returncode == 0, run.stderr
     code, ran, loaded = json.loads(run.stdout)
     assert code == 0
@@ -421,15 +444,15 @@ def test_package_attributes_load_on_first_use():
 
 
 def test_import_loads_no_submodule_code():
-    run = _fresh_python("-c", RECORD_RAN + "import dyckgen\n"
-                        "print(json.dumps(sorted(ran - {'__init__'})))")
+    run = run_python("-c", RECORD_RAN + "import dyckgen\n"
+                     "print(json.dumps(sorted(ran - {'__init__'})))")
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == []
 
 
 def test_module_run_warns_nothing():
     # cli is not registered ahead of its run: runpy would warn
-    run = _fresh_python("-W", "error", "-m", "dyckgen.cli", "genfun", *SPEC)
+    run = run_python("-W", "error", "-m", "dyckgen.cli", "genfun", *SPEC)
     assert run.returncode == 0
     assert run.stderr == ""
     assert run.stdout.startswith('{\n  "spec"')

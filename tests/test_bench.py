@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import run_python
 
 from dyckgen.cli import routes
 from dyckgen.genfun import GenSpec
@@ -61,11 +62,12 @@ class TestPair:
         assert calls == ["clear a", "a", "b", "b", "clear a", "a"]
 
     def test_rounds_stop_at_the_budget(self, stub_wall, monkeypatch):
+        # past four rounds: each side ran first in two of them
         calls, costs = stub_wall
         costs.update(a=iter([1.0] * 9), b=iter([1.0] * 9))
         monkeypatch.setattr(bench, "BUDGET_S", 3.0)
         row = bench.pair("stub", [("a", None), ("b", None)])
-        assert row["runs"] == 2 and calls == ["a", "b", "b", "a"]
+        assert row["runs"] == 4 and calls == ["a", "b", "b", "a"] * 2
 
     def test_quartiles_are_of_the_per_round_ratios(
             self, stub_wall, monkeypatch):
@@ -174,12 +176,10 @@ class TestTwin:
 
 
 def test_importing_the_script_loads_no_second_package():
-    out = subprocess.run(
-        [sys.executable, "-c", "import bench, sys; print(sorted({name.split("
-         "'.')[0] for name in sys.modules if 'dyckgen' in name} - "
-         "{'dyckgen'}))"],
-        cwd=ROOT, capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1")).stdout
+    out = run_python(
+        "-c", "import bench, sys; print(sorted({name.split('.')[0] for name "
+        "in sys.modules if 'dyckgen' in name} - {'dyckgen'}))",
+        cwd=ROOT, env={"PYTHONDONTWRITEBYTECODE": "1"}, check=True).stdout
     assert out.strip() == "[]"
 
 

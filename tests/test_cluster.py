@@ -1,19 +1,14 @@
 """Cluster expansion of the generating-function logarithms."""
 
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import assert_routes_match_oracle
+from conftest import assert_routes_match_oracle, run_python, specs
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import dyckgen
 from dyckgen import cluster
 from dyckgen.cluster import (_scaled_log, c2, c2_factorial, composition_energy,
                              compositions, degree_check, degree_formula,
@@ -41,14 +36,6 @@ def brute_p(k, m, n, a_max):
                     composition_energy(comp) + a * r, c2(comp))
         coeffs[a] = total
     return LSeries(a_max, coeffs)
-
-
-@st.composite
-def cluster_specs(draw):
-    k = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6]))
-    n = draw(st.integers(0, 4 if k is None else k))
-    m = draw(st.integers(0, n))
-    return k, m, n, draw(st.integers(0, 10))
 
 
 class TestCompositions:
@@ -156,9 +143,10 @@ class TestRestricted:
                 (QLaurent.mono(composition_energy(c), c2(c))
                  for c in compositions(a)), QLaurent.zero())
 
-    @settings(deadline=None, max_examples=60, derandomize=True)
-    @given(cluster_specs())
+    @settings(max_examples=60)
+    @given(specs(6, 10, ordered=True))
     def test_transfer_matrix_matches_composition_sum(self, spec):
+        # the order read as the cluster count a
         assert p_restricted(*spec) == brute_p(*spec)
 
     def test_exp_recovers_genfun(self):
@@ -239,14 +227,14 @@ class TestDegreeLaw:
 
 
 class TestScaledRoute:
-    @settings(deadline=None, max_examples=60, derandomize=True)
-    @given(cluster_specs())
+    @settings(max_examples=60)
+    @given(specs(6, 10, ordered=True))
     def test_scaled_sums_are_d_times_the_composition_sum(self, spec):
         k, m, n, a = spec
         d, sums = _scaled_log(GenSpec(k, m, n, 2 * a + n - m))
-        assert d == lcm(*range(1, spec[3] + 1))
+        assert d == lcm(*range(1, a + 1))
         assert all(type(c) is int for v in sums for _, c in v.terms())
-        assert LSeries(spec[3], sums) == brute_p(*spec).scale(d)
+        assert LSeries(a, sums) == brute_p(*spec).scale(d)
 
     @pytest.mark.parametrize("k", [None] + list(range(1, 13)))
     def test_route_matches_genfun(self, k):
@@ -271,9 +259,6 @@ class TestScaledRoute:
             genfun_via_cluster(GenSpec(None, 0, 0, 12))
 
 
-SRC = os.path.dirname(os.path.dirname(dyckgen.__file__))
-
-
 @pytest.mark.parametrize("k,order,budget", [("inf", 80, 3.0),
                                             ("12", 120, 10.0)])
 def test_check_jobs_keep_to_their_budget(k, order, budget):
@@ -283,13 +268,12 @@ def test_check_jobs_keep_to_their_budget(k, order, budget):
     route's sums and exp on Fractions the jobs took 3.2-4.4 s and
     12.4-14.2 s, past these budgets.  The shared host's speed drifts by
     up to a half, so a job over budget runs again, up to three times."""
-    argv = [sys.executable, "-m", "dyckgen.cli", "genfun", "--k", k, "--m",
-            "0", "--n", "0", "--max-len", str(order), "--check"]
+    argv = ["-m", "dyckgen.cli", "genfun", "--k", k, "--m", "0", "--n", "0",
+            "--max-len", str(order), "--check"]
     times = []
     while len(times) < 3 and not any(t < budget for t in times):
         t0 = time.perf_counter()
-        run = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=SRC),
-                             capture_output=True, text=True, timeout=120)
+        run = run_python(*argv, timeout=120)
         times.append(time.perf_counter() - t0)
         assert run.returncode == 0, run.stderr[-2000:]
     assert min(times) < budget, times

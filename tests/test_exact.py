@@ -2,7 +2,6 @@
 truncated series."""
 
 import gc
-import random
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -17,14 +16,6 @@ from dyckgen.exact import (_WIDE_RUN, BadConstantTerm, InexactDivision,
                            QLaurent, TPoly, lift_marker)
 from dyckgen.genfun import GenSpec
 from dyckgen.spectral import fk_polynomial
-
-COEFFS = [1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
-
-
-def rand_qlaurent(rng, max_terms=4, span=6):
-    return QLaurent({rng.randrange(-span, span + 1): rng.choice(COEFFS)
-                     for _ in range(rng.randrange(max_terms + 1))})
-
 
 # integral polynomials in q = theta^2, the area values a packed ring
 # holds (even exponents only): counts (what it may return) and signed
@@ -72,15 +63,6 @@ def brute_tmul(a, b):
     for (s, e), c in acc.items():
         rows.setdefault(s, {})[e] = c
     return TPoly({s: QLaurent(row) for s, row in rows.items()})
-
-
-def rand_series(rng, order=8, ring=QLaurent):
-    if ring is QLaurent:
-        return LSeries(order, {l: rand_qlaurent(rng)
-                               for l in range(order + 1)})
-    return LSeries(order, {l: TPoly({s: rand_qlaurent(rng, 2)
-                                     for s in range(3)})
-                           for l in range(order + 1)}, ring=TPoly)
 
 
 # exponents that are not ints, which int() would truncate or parse and a
@@ -133,15 +115,6 @@ class TestQLaurent:
         assert 1 - a == QLaurent({0: 1, 1: -2})
         assert (a * Fraction(1, 2)).terms() == [(1, 1)]
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_ring_axioms_random(self, seed):
-        rng = random.Random(seed)
-        a, b, c = (rand_qlaurent(rng) for _ in range(3))
-        assert a * b == b * a
-        assert (a + b) * c == a * c + b * c
-        assert (a * b) * c == a * (b * c)
-        assert (a * b).eval_at_one() == a.eval_at_one() * b.eval_at_one()
-
     def test_shift_and_exponent_maps(self):
         a = QLaurent({0: 1, 3: 2})
         assert a.shift(2).terms() == [(2, 1), (5, 2)]
@@ -150,20 +123,10 @@ class TestQLaurent:
         with pytest.raises(ValueError):
             a.scale_exponents(0)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_divexact_roundtrip(self, seed):
-        rng = random.Random(100 + seed)
-        a = rand_qlaurent(rng)
-        b = rand_qlaurent(rng)
-        if b.is_zero():
-            b = QLaurent({0: 1, 1: -1})
-        assert (a * b).divexact(b) == a
-
     def test_divexact_remainder_raises(self):
         with pytest.raises(InexactDivision):
             QLaurent({0: 1, 1: 1}).divexact(QLaurent({0: 1, 1: -1}))
 
-    @settings(deadline=None)
     @given(laurents, laurents)
     @example(QLaurent({-1: 1, 0: Fraction(1, 2)}), QLaurent({-1: 2, 0: -1}))
     @example(QLaurent({0: Fraction(1, 2), 3: Fraction(2, 3)}),
@@ -214,7 +177,7 @@ class TestTPoly:
         assert p.coeff(1).is_zero()
         assert p.at_t_one() == QLaurent({0: 1, 2: -1})
 
-    @settings(deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(tpolys, tpolys)
     def test_at_t_one_is_ring_map(self, a, b):
         # both coefficient sums: t = 1, then theta = 1
@@ -226,7 +189,6 @@ class TestTPoly:
         assert (x * y).eval_at_one() == x.eval_at_one() * y.eval_at_one()
         assert (x + y).eval_at_one() == x.eval_at_one() + y.eval_at_one()
 
-    @settings(deadline=None)
     @given(tpolys, tpolys)
     @example(TPoly({0: QLaurent({1: 1}), 1: 1}),
              TPoly({0: QLaurent({1: -1}), 1: 1}))
@@ -244,7 +206,7 @@ class TestTPoly:
             for _, c in v.terms():
                 assert type(c) is int or c.denominator != 1
 
-    @settings(deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(tpolys, tpolys, tpolys)
     def test_ring_laws(self, a, b, c):
         assert a * b == b * a
@@ -252,7 +214,7 @@ class TestTPoly:
         assert a * (b + c) == a * b + a * c
         assert (a - b) + b == a
 
-    @settings(deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(tpolys, laurents,
            st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3))
     def test_mixed_products_agree(self, tp, q, r):
@@ -306,22 +268,6 @@ class TestLSeries:
         b = LSeries(4, {0: 1})
         assert (a * b).order == 4
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_series_algebra_random(self, seed):
-        rng = random.Random(200 + seed)
-        a, b, c = (rand_series(rng) for _ in range(3))
-        assert a * b == b * a
-        assert (a + b) * c == a * c + b * c
-        assert (a * b) * c == a * (b * c)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_divide_roundtrip(self, seed):
-        rng = random.Random(300 + seed)
-        a = rand_series(rng)
-        b = rand_series(rng)
-        b = b - b.coeff(0) + 1  # force unit constant term
-        assert (a * b).divide(b) == a
-
     def test_divide_requires_scalar_unit(self):
         bad = LSeries(4, {0: QLaurent({1: 1})})
         with pytest.raises(NonUnitConstantTerm):
@@ -333,15 +279,6 @@ class TestLSeries:
         with pytest.raises(NonUnitConstantTerm):
             half.divide(half)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_exp_log_inverse(self, seed):
-        rng = random.Random(400 + seed)
-        a = rand_series(rng, order=7)
-        a = a - a.coeff(0)  # constant term 0
-        assert a.exp().log() == a
-        one_plus = a + 1
-        assert one_plus.log().exp() == one_plus
-
     def test_exp_log_preconditions(self):
         with pytest.raises(BadConstantTerm):
             LSeries(4, {0: 2}).log()
@@ -352,13 +289,6 @@ class TestLSeries:
         # no derivative to divide at order 0: the log is the zero series
         assert LSeries.one(0).log() == LSeries.zeros(0)
         assert LSeries.one(0, TPoly).log() == LSeries.zeros(0, TPoly)
-
-    def test_log_of_product_is_sum(self):
-        rng = random.Random(17)
-        a = rand_series(rng, 7) - 1
-        b = rand_series(rng, 7) - 1
-        a, b = a - a.coeff(0) + 1, b - b.coeff(0) + 1
-        assert (a * b).log() == a.log() + b.log()
 
     def test_substitute_scale_and_shift(self):
         s = LSeries(6, {2: QLaurent({1: 3})})
@@ -479,7 +409,7 @@ WIDTH = 16
 
 
 class TestPackedRing:
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.integers(0, 9).flatmap(
         lambda o: st.tuples(packed_series(counts, o),
                             packed_series(counts, o))),
@@ -496,7 +426,7 @@ class TestPackedRing:
         expected = brute_series_mul(a, b.substitute_scale(shift))
         assert ring.unpack(product, a.order).c == expected
 
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.integers(0, 9).flatmap(
         lambda o: st.tuples(packed_series(counts, o),
                             packed_series(signed, o))))
@@ -512,7 +442,7 @@ class TestPackedRing:
         quotient = ring.quotient(ring.pack(p * d), ring.pack(d))
         assert ring.unpack(quotient, p.order).c == p.c
 
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.integers(1, 16), st.integers(0, 9).flatmap(
         lambda o: st.tuples(packed_series(signed, o),
                             packed_series(signed, o))),
@@ -530,7 +460,7 @@ class TestPackedRing:
         assert (ring.mul(ring.pack(a), ring.pack(b, shift))
                 == ring.pack(product))
 
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.integers(1, 16), st.integers(0, 9).flatmap(
         lambda o: st.tuples(packed_series(signed, o),
                             packed_series(signed, o))))
@@ -580,7 +510,7 @@ class TestPackedRing:
                 4: QLaurent({0: top, 2: 1})})
             assert ring.unpack(ring.pack(series), order) == series
 
-    @settings(deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(st.integers(1, 70).flatmap(lambda w: st.tuples(
         st.just(w), st.lists(st.dictionaries(
             st.integers(0, 20).map(lambda e: 2 * e),
@@ -645,7 +575,7 @@ class TestPackedRing:
         with pytest.raises(ValueError):
             PackedRing(0)
 
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given((st.sampled_from([56, 64, 72]) | st.integers(1, 208)).flatmap(
         lambda w: st.tuples(st.just(w),
                             st.lists(entries(-(-w // 8) * 8), max_size=4))),
@@ -736,41 +666,84 @@ class TestPackedRing:
                 == 2 * expected.c[step::2])
 
 
-# Ring laws over small random values: the cluster route rests on exp and
-# the determinant route on divide, so both inverses are checked too.
+# Ring laws over small drawn values in the three rings the routes compute
+# in: Laurent polynomials and series over them or marker polynomials. The
+# cluster route rests on exp, the determinant route on divide: both inverses.
 
-def series(order=4, unit=None):
-    """Series of the given order; `unit` fixes the constant term."""
-    coeffs = st.lists(laurents, min_size=order + 1, max_size=order + 1)
+def series(order=8, unit=None, ring=QLaurent):
+    """Series of the given order over `ring`; `unit` fixes the constant
+    term."""
+    coeffs = st.lists(laurents if ring is QLaurent else tpolys,
+                      min_size=order + 1, max_size=order + 1)
     if unit is None:
-        return coeffs.map(lambda c: LSeries(order, c))
-    return coeffs.map(lambda c: LSeries(order, [QLaurent.coerce(unit), *c[1:]]))
+        return coeffs.map(lambda c: LSeries(order, c, ring))
+    return coeffs.map(lambda c: LSeries(order, [unit, *c[1:]], ring))
+
+
+SERIES = {"series": series,
+          "marked-series": lambda unit=None: series(4, unit, TPoly)}
+LAWS = {
+    "commutative": lambda a, b, c: a * b == b * a,
+    "associative": lambda a, b, c: (a * b) * c == a * (b * c),
+    "distributive": lambda a, b, c: a * (b + c) == a * b + a * c,
+    "subtraction": lambda a, b, c: (a - b) + b == a,
+}
 
 
 class TestRingLaws:
-    @settings(deadline=None, max_examples=40)
-    @given(laurents, laurents, laurents)
-    def test_laurent_associative_and_distributive(self, a, b, c):
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+    def test_every_run_draws_the_same_examples(self):
+        # the profile tests/conftest.py loads for every property test
+        assert settings.default.derandomize is True
+        assert settings.default.deadline is None
 
-    @settings(deadline=None, max_examples=20)
-    @given(series(), series(), series())
-    def test_series_associative_and_distributive(self, a, b, c):
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+    @pytest.mark.parametrize("law", LAWS)
+    @settings(max_examples=40)
+    @given(a=laurents, b=laurents, c=laurents)
+    def test_laurent_law(self, law, a, b, c):
+        assert LAWS[law](a, b, c)
 
-    @settings(deadline=None, max_examples=20)
-    @given(series(), series(unit=1))
-    def test_divide_undoes_multiply(self, a, b):
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("ring", SERIES)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_series_law(self, ring, law, data):
+        assert LAWS[law](*data.draw(st.tuples(*[SERIES[ring]()] * 3)))
+
+    @settings(max_examples=40)
+    @given(laurents, laurents)
+    def test_eval_at_one_is_multiplicative(self, a, b):
+        assert (a * b).eval_at_one() == a.eval_at_one() * b.eval_at_one()
+
+    @settings(max_examples=40)
+    @given(laurents, laurents.filter(lambda b: not b.is_zero()))
+    def test_divexact_undoes_multiply(self, a, b):
+        assert (a * b).divexact(b) == a
+
+    @pytest.mark.parametrize("ring", SERIES)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_divide_undoes_multiply(self, ring, data):
+        a, b = data.draw(SERIES[ring]()), data.draw(SERIES[ring](unit=1))
         assert a.divide(b) * b == a
+        assert (a * b).divide(b) == a
 
-    @settings(deadline=None, max_examples=20)
-    @given(series(unit=1))
-    def test_exp_undoes_log(self, s):
+    @pytest.mark.parametrize("ring", SERIES)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_exp_undoes_log(self, ring, data):
+        s = data.draw(SERIES[ring](unit=1))
         assert s.log().exp() == s
 
-    @settings(deadline=None, max_examples=20)
-    @given(series(unit=0))
-    def test_log_undoes_exp(self, s):
+    @pytest.mark.parametrize("ring", SERIES)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_log_undoes_exp(self, ring, data):
+        s = data.draw(SERIES[ring](unit=0))
         assert s.exp().log() == s
+
+    @pytest.mark.parametrize("ring", SERIES)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_log_of_product_is_sum(self, ring, data):
+        a, b = data.draw(st.tuples(*[SERIES[ring](unit=1)] * 2))
+        assert (a * b).log() == a.log() + b.log()

@@ -2,16 +2,13 @@
 together."""
 
 import importlib
-import os
 import pkgutil
 import random
-import subprocess
-import sys
 import time
 
 import pytest
-from conftest import (assert_routes_match_oracle, clear_caches,
-                      with_prefactor)
+from conftest import (assert_routes_match_oracle, clear_caches, run_python,
+                      specs, with_prefactor)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -116,16 +113,8 @@ class TestGenSpec:
                 assert _largest_count(c, order) == max(counts), (c, order)
 
 
-@st.composite
-def width_specs(draw):
-    k = draw(st.sampled_from([None, *range(13)]))
-    top = 6 if k is None else min(k, 6)
-    return GenSpec(k, draw(st.integers(0, top)), draw(st.integers(0, top)),
-                   draw(st.integers(0, 30)))
-
-
-@settings(deadline=None, max_examples=100, derandomize=True)
-@given(width_specs())
+@settings(max_examples=100)
+@given(specs(12, 30))
 @example(GenSpec(12, 6, 6, 24))
 @example(GenSpec(None, 0, 6, 24))
 @example(GenSpec(0, 0, 0, 5))
@@ -436,7 +425,7 @@ class TestBuilderCaches:
         assert _inv_fk.cache_info().misses == misses + 1
         assert again == first and again is not first
 
-    @settings(deadline=None, max_examples=60, derandomize=True)
+    @settings(max_examples=60)
     @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 30))
     @example(0, 1, 41)
     def test_unbounded_spec_shares_its_finite_twins_caches(self, m, n, L):
@@ -474,16 +463,8 @@ class TestBuilderCaches:
         assert _inv_fk.cache_info().misses == 0
 
 
-@st.composite
-def route_specs(draw):
-    k = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6]))
-    n = draw(st.integers(0, 6 if k is None else k))
-    m = draw(st.integers(0, n))
-    return GenSpec(k, m, n, draw(st.integers(0, 14)))
-
-
-@settings(deadline=None, max_examples=100, derandomize=True)
-@given(route_specs())
+@settings(max_examples=100)
+@given(specs(6, 14, ordered=True))
 def test_every_route_matches_oracle(spec):
     plain, _ = assert_routes_match_oracle(spec)
     assert tilde_genfun(*spec).at_t_one() == plain
@@ -501,16 +482,8 @@ def quotient_series(spec):
     return num.divide(fk_polynomial(k).resized(L))
 
 
-@st.composite
-def packed_specs(draw):
-    k = draw(st.sampled_from([None, *range(9)]))
-    top = 6 if k is None else min(k, 6)
-    return GenSpec(k, draw(st.integers(0, top)), draw(st.integers(0, top)),
-                   draw(st.integers(0, 20)))
-
-
-@settings(deadline=None, max_examples=300, derandomize=True)
-@given(packed_specs())
+@settings(max_examples=300)
+@given(specs(8, 20))
 @example(GenSpec(None, 0, 6, 20))
 @example(GenSpec(None, 6, 2, 20))
 @example(GenSpec(8, 2, 6, 20))
@@ -547,7 +520,7 @@ def packed_genfun_args(draw):
             draw(st.integers(0, n)), n, draw(st.integers(0, 40)))
 
 
-@settings(deadline=None, max_examples=200, derandomize=True)
+@settings(max_examples=200)
 @given(packed_genfun_args())
 @example((PackedRing(64), 12, 0, 0, 40))
 @example((PackedRing(72), 12, 3, 7, 40))
@@ -559,17 +532,14 @@ def test_packed_genfun_is_the_inverse_product(args):
     assert packed_genfun(*args) == inverse_product(*args)
 
 
-def _held_after(imports, call, specs):
+def _held_after(imports, call, spec_args):
     """Bytes tracemalloc still traces after gc.collect() in a fresh
     interpreter that ran `call` (an expression in `spec`) on each of
-    specs, dropping each answer: what the builder caches keep."""
+    spec_args, dropping each answer: what the builder caches keep."""
     code = (f"import gc, tracemalloc\n{imports}\ntracemalloc.start()\n"
-            f"for spec in {specs!r}:\n    {call}\n"
+            f"for spec in {spec_args!r}:\n    {call}\n"
             "gc.collect()\nprint(tracemalloc.get_traced_memory()[0])\n")
-    src = os.path.dirname(os.path.dirname(dyckgen.__file__))
-    run = subprocess.run([sys.executable, "-c", code],
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=300)
+    run = run_python("-c", code, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
     return int(run.stdout)
 
@@ -583,11 +553,11 @@ def test_cold_genfun_holds_memory_to_a_budget():
     # caches, the packed F_j and fk_polynomial's dicts, about 5.8 MiB
     # by tracemalloc; a dense 1/F_k cached per spec would bring it to
     # 10 MiB
-    specs = ([(None, 0, 0, L) for L in (64, 72, 80, 88, 96)]
-             + [(None, 2, 5, 80), (12, 0, 0, 120), (12, 0, 0, 160),
-                (12, 1, 3, 180)])
+    spec_args = ([(None, 0, 0, L) for L in (64, 72, 80, 88, 96)]
+                 + [(None, 2, 5, 80), (12, 0, 0, 120), (12, 0, 0, 160),
+                    (12, 1, 3, 180)])
     assert _held_after("from dyckgen.genfun import GenSpec, genfun",
-                       "genfun(GenSpec(*spec))", specs) < MEMORY_BUDGET
+                       "genfun(GenSpec(*spec))", spec_args) < MEMORY_BUDGET
 
 
 # bytes that stay traced after the nine cold tilde_genfun calls below
@@ -598,11 +568,11 @@ def test_cold_tilde_genfun_holds_memory_to_a_budget():
     # the same for the marked determinant route: the packed F_j,
     # fk_polynomial's dicts and the _arch cache's dense (A, R) per spec,
     # about 1.9 MiB by tracemalloc, 0.4 MiB of it _arch
-    specs = ([(None, 0, 0, L) for L in (48, 56, 64, 72)]
-             + [(None, 2, 5, 64), (None, 1, 3, 64), (12, 0, 0, 64),
-                (12, 1, 3, 80), (4, 0, 0, 96)])
+    spec_args = ([(None, 0, 0, L) for L in (48, 56, 64, 72)]
+                 + [(None, 2, 5, 64), (None, 1, 3, 64), (12, 0, 0, 64),
+                    (12, 1, 3, 80), (4, 0, 0, 96)])
     assert _held_after("from dyckgen.touchdown import tilde_genfun",
-                       "tilde_genfun(*spec)", specs) < MARKED_MEMORY_BUDGET
+                       "tilde_genfun(*spec)", spec_args) < MARKED_MEMORY_BUDGET
 
 
 @pytest.mark.parametrize("k", [None, *range(9)])
@@ -636,15 +606,8 @@ def coefficient_reference(answer, l, area, touchdowns=None):
     return v.coeff(area)
 
 
-@st.composite
-def prefactor_specs(draw):
-    k = draw(st.sampled_from([None, *range(9)]))
-    n = draw(st.integers(0, 6 if k is None else min(k, 6)))
-    return GenSpec(k, draw(st.integers(0, n)), n, draw(st.integers(0, 24)))
-
-
-@settings(deadline=None, max_examples=150, derandomize=True)
-@given(prefactor_specs())
+@settings(max_examples=150)
+@given(specs(8, 24, ordered=True))
 @example(GenSpec(5, 0, 3, 17))      # area shift 3, odd
 @example(GenSpec(None, 2, 5, 24))   # unbounded, odd area shift
 @example(GenSpec(8, 1, 6, 4))       # |n - m| > order: no path fits

@@ -1,17 +1,14 @@
 """Ceiling determinants, partition functions, and the height generating
 function."""
 
-import os
 import random
-import subprocess
-import sys
 from itertools import permutations
 
 import pytest
+from conftest import run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dyckgen
 from dyckgen.exact import LSeries, NonUnitConstantTerm, QLaurent, TPoly
 from dyckgen.oracle import enumerate_paths, genfun_from_table
 from dyckgen.config import GuardExceeded, SpecOutOfRange
@@ -80,10 +77,7 @@ class TestDeterminants:
                 "f = fk_polynomial(80)\n"
                 "print(f.order, f.coeff(2) == "
                 "QLaurent({2 * n: -1 for n in range(80)}))\n")
-        src = os.path.dirname(os.path.dirname(dyckgen.__file__))
-        run = subprocess.run([sys.executable, "-c", code],
-                             env=dict(os.environ, PYTHONPATH=src),
-                             capture_output=True, text=True, timeout=120)
+        run = run_python("-c", code, timeout=120)
         assert run.returncode == 0, run.stderr[-2000:]
         assert run.stdout.split() == ["80", "True"]
 
@@ -273,7 +267,7 @@ def assert_same_outcome(cells):
 
 
 class TestElimination:
-    @settings(deadline=None, max_examples=300, derandomize=True)
+    @settings(max_examples=300)
     @given(elimination_matrices())
     def test_matches_full_condensation(self, cells):
         assert_same_outcome(cells)

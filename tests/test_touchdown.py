@@ -1,7 +1,7 @@
 """Floor-return-marked generating functions."""
 
 import pytest
-from conftest import assert_routes_match_oracle, with_prefactor
+from conftest import assert_routes_match_oracle, specs, with_prefactor
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -152,7 +152,7 @@ class TestOpenEnded:
         assert (tilde_genfun_openend(k, order).at_t_one()
                 == genfun(GenSpec(k, 0, 0, order)).full_series())
 
-    @settings(deadline=None, max_examples=60, derandomize=True)
+    @settings(max_examples=60)
     @given(st.integers(0, 6), st.integers(0, 14))
     @example(0, 14)
     @example(3, 10)
@@ -183,15 +183,8 @@ def quotient_reference(spec):
         tilde_secular(k, L))
 
 
-@st.composite
-def marked_specs(draw):
-    k = draw(st.sampled_from([None, *range(9)]))
-    ends = st.integers(0, 6 if k is None else min(k, 6))
-    return GenSpec(k, draw(ends), draw(ends), draw(st.integers(0, 20)))
-
-
-@settings(deadline=None, max_examples=300, derandomize=True)
-@given(marked_specs())
+@settings(max_examples=300)
+@given(specs(8, 20))
 @example(GenSpec(None, 0, 6, 20))
 @example(GenSpec(None, 6, 6, 19))
 @example(GenSpec(8, 2, 6, 20))

@@ -1,10 +1,9 @@
 """The identity suites behind the `verify` command."""
 
 import os
-import subprocess
-import sys
 
 import pytest
+from conftest import SRC, run_python
 
 from dyckgen import config, touchdown, verify
 from dyckgen.cli import main
@@ -129,9 +128,7 @@ def test_suite_guard_fires_before_any_work(suite, bound, value, cli_value,
 def test_traced_run_records_every_suite_span():
     # the benchmark tracer wraps each suite function where it is bound,
     # the suite table included; run_suites must call the wrapped one
-    import dyckgen
-    src = os.path.dirname(os.path.dirname(dyckgen.__file__))
-    perfbench = os.path.join(os.path.dirname(src), "perfbench")
+    perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
     if not os.path.isfile(os.path.join(perfbench, "tracer.py")):
         pytest.skip("no perfbench tracer next to the package")
     code = ("from collections import Counter\n"
@@ -142,9 +139,7 @@ def test_traced_run_records_every_suite_span():
             "run_suites(SUITE_NAMES, k_max=1, len_max=6)\n"
             "spans = Counter(t.names[i] for i in t.name_ids if i >= 0)\n"
             "print(*(spans['verify.' + s] for s in SUITE_NAMES))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, perfbench]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = run_python("-c", code, path=[perfbench], check=True).stdout
     assert out.split() == ["1"] * len(SUITE_NAMES)
 
 
